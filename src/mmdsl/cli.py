@@ -312,23 +312,26 @@ def cmd_pipeline(args, reporter) -> None:
         if g is None:
             return
     else:
-        skeleton = generate_grammar_skeleton(ast)
-        (out_dir / f"{stem}.gr").write_text(skeleton)
-        g = parse_grammar(skeleton, ast, file=f"{stem}.gr")
+        try:
+            skeleton = generate_grammar_skeleton(ast)
+            (out_dir / f"{stem}.gr").write_text(skeleton)
+            g = parse_grammar(skeleton, ast, file=f"{stem}.gr")
+        except DiagnosticError as exc:
+            reporter.emit(exc.diagnostics)
+            return
 
     try:
         plan = build_plan(trace, target, ast)
     except DiagnosticError as exc:
         reporter.emit(exc.diagnostics)
         return
-    config = {}
+    rc_text = ""
     if cfg.get("resolver.config"):
         rc_text = _read(base / cfg["resolver.config"], reporter)
         if rc_text is None:
             return
-        config = parse_config(rc_text)
     try:
-        registry = namespace_registry(config, target, ast)
+        registry = namespace_registry(parse_config(rc_text), target, ast)
     except DiagnosticError as exc:
         reporter.emit(exc.diagnostics)
         return

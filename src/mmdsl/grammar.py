@@ -109,31 +109,58 @@ class Grammar:
 
     def keywords(self) -> set[str]:
         out: set[str] = set()
-
-        def walk(e):
-            if isinstance(e, Keyword):
-                out.add(e.text)
-            elif isinstance(e, Assignment):
-                if e.op == "?":
-                    out.add(e.keyword)
-            elif isinstance(e, Sequence):
-                for x in e.items:
-                    walk(x)
-            elif isinstance(e, (Opt, Repeat)):
-                walk(e.inner)
-            elif isinstance(e, Group):
-                for x in e.alternatives:
-                    walk(x)
-
         for r in self.rules:
             if isinstance(r, ConcreteRule):
-                walk(r.body)
+                _collect_keywords(r.body, out)
         return out
 
     def analysis(self) -> "_Analysis":
         if self._analysis is None:
             self._analysis = _Analysis(self)
         return self._analysis
+
+
+def _collect_keywords(e, out: set[str]):
+    if isinstance(e, Keyword):
+        out.add(e.text)
+    elif isinstance(e, Assignment):
+        if e.op == "?":
+            out.add(e.keyword)
+    elif isinstance(e, Sequence):
+        for x in e.items:
+            _collect_keywords(x, out)
+    elif isinstance(e, (Opt, Repeat)):
+        _collect_keywords(e.inner, out)
+    elif isinstance(e, Group):
+        for x in e.alternatives:
+            _collect_keywords(x, out)
+
+
+def _flag_features(e, acc: list[str]) -> list[str]:
+    """``acc`` extended by the features of the flag assignments in ``e``."""
+    if isinstance(e, Assignment) and e.op == "?":
+        acc.append(e.feature)
+    elif isinstance(e, Sequence):
+        for x in e.items:
+            _flag_features(x, acc)
+    elif isinstance(e, (Opt, Repeat)):
+        _flag_features(e.inner, acc)
+    elif isinstance(e, Group):
+        for x in e.alternatives:
+            _flag_features(x, acc)
+    return acc
+
+
+def _has_assignments(e) -> bool:
+    if isinstance(e, Assignment):
+        return True
+    if isinstance(e, Sequence):
+        return any(_has_assignments(x) for x in e.items)
+    if isinstance(e, (Opt, Repeat)):
+        return _has_assignments(e.inner)
+    if isinstance(e, Group):
+        return any(_has_assignments(x) for x in e.alternatives)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +383,9 @@ class _Analysis:
         self.g = g
         self.nullable: dict[str, bool] = {r.name: False for r in g.rules}
         self.first: dict[str, set[TokenKey]] = {r.name: set() for r in g.rules}
+        # per concrete rule, the features its flag assignments set
+        self.flags: dict[str, list[str]] = {
+            r.name: _flag_features(r.body, []) for r in g.rules if isinstance(r, ConcreteRule)}
         changed = True
         while changed:
             changed = False
@@ -588,47 +618,53 @@ def parse_text(text: str, g: Grammar, ast: Metamodel | None = None,
     """Recursive-descent interpretation of the grammar from its entry rule.
     The result is a validated Model over the grammar's AST metamodel."""
     ast = ast or g.ast
-    a = g.analysis()
     lexer = Lexer.for_keywords(g.keywords(), phase="parse")
-    stream = TokenStream(lexer.tokenize(text, file), phase="parse")
+    parser = _TextParser(g, TokenStream(lexer.tokenize(text, file), phase="parse"))
+    root = parser.parse_rule(g.entry)
+    parser.stream.expect_eof()
+    model = Model(root, ast)
+    problems = validate_model(model)
+    if problems:
+        raise DiagnosticError([error("parse", d.code, d.message, path=d.path)
+                               for d in problems])
+    return model
 
-    def flag_features(e, acc):
-        if isinstance(e, Assignment) and e.op == "?":
-            acc.append(e.feature)
-        elif isinstance(e, Sequence):
-            for x in e.items:
-                flag_features(x, acc)
-        elif isinstance(e, (Opt, Repeat)):
-            flag_features(e.inner, acc)
-        elif isinstance(e, Group):
-            for x in e.alternatives:
-                flag_features(x, acc)
 
-    def expected(keys) -> str:
-        names = sorted(f"'{k[1]}'" if k[0] == "kw" else k[1] for k in keys)
-        return " or ".join(names) if names else "nothing"
+def _expected(keys) -> str:
+    names = sorted(f"'{k[1]}'" if k[0] == "kw" else k[1] for k in keys)
+    return " or ".join(names) if names else "nothing"
 
-    def parse_rule(name: str) -> ModelObject:
-        rule = g.by_name[name]
+
+class _TextParser:
+    """One parse_text call: the grammar, its FIRST/nullable analysis and the
+    token stream."""
+
+    def __init__(self, g: Grammar, stream: TokenStream):
+        self.g = g
+        self.a = g.analysis()
+        self.stream = stream
+
+    def parse_rule(self, name: str) -> ModelObject:
+        a, stream = self.a, self.stream
+        rule = self.g.by_name[name]
         if isinstance(rule, AbstractRule):
             for alt in rule.alternatives:
                 if a.matches(a.first.get(alt, set()), stream.current):
-                    return parse_rule(alt)
+                    return self.parse_rule(alt)
             for alt in rule.alternatives:
                 if a.nullable.get(alt, False):
-                    return parse_rule(alt)
-            stream.fail(f"expected {expected(a.first.get(name, set()))}, "
+                    return self.parse_rule(alt)
+            stream.fail(f"expected {_expected(a.first.get(name, set()))}, "
                         f"found {stream.describe()}")
         obj = ModelObject(rule.cls)
-        walk(rule.body, obj)
-        flags: list[str] = []
-        flag_features(rule.body, flags)
-        for f in flags:
+        self.walk(rule.body, obj)
+        for f in a.flags[name]:
             if not obj.is_set(f):
                 obj.set(f, False)
         return obj
 
-    def walk(e, obj):
+    def walk(self, e, obj):
+        a, stream = self.a, self.stream
         if isinstance(e, Keyword):
             stream.expect_kw(e.text)
             return
@@ -642,7 +678,7 @@ def parse_text(text: str, g: Grammar, ast: Metamodel | None = None,
                 tok = stream.expect(e.callee)
                 value = tok.value
             else:
-                value = parse_rule(e.callee)
+                value = self.parse_rule(e.callee)
             if e.op == "=":
                 if obj.is_set(e.feature):
                     stream.fail(f"feature {e.feature!r} assigned twice")
@@ -652,36 +688,27 @@ def parse_text(text: str, g: Grammar, ast: Metamodel | None = None,
             return
         if isinstance(e, Sequence):
             for x in e.items:
-                walk(x, obj)
+                self.walk(x, obj)
             return
         if isinstance(e, Opt):
             if a.matches(a.elem_first(e.inner), stream.current):
-                walk(e.inner, obj)
+                self.walk(e.inner, obj)
             return
         if isinstance(e, Repeat):
             first = a.elem_first(e.inner)
             if e.kind == "+" and not a.matches(first, stream.current):
-                stream.fail(f"expected {expected(first)}, found {stream.describe()}")
+                stream.fail(f"expected {_expected(first)}, found {stream.describe()}")
             while a.matches(first, stream.current):
-                walk(e.inner, obj)
+                self.walk(e.inner, obj)
             return
         # Group
         for alt in e.alternatives:
             if a.matches(a.elem_first(alt), stream.current):
-                walk(alt, obj)
+                self.walk(alt, obj)
                 return
         if any(a.elem_nullable(alt) for alt in e.alternatives):
             return
-        stream.fail(f"expected {expected(a.elem_first(e))}, found {stream.describe()}")
-
-    root = parse_rule(g.entry)
-    stream.expect_eof()
-    model = Model(root, ast)
-    problems = validate_model(model)
-    if problems:
-        raise DiagnosticError([error("parse", d.code, d.message, path=d.path)
-                               for d in problems])
-    return model
+        stream.fail(f"expected {_expected(a.elem_first(e))}, found {stream.describe()}")
 
 
 # ---------------------------------------------------------------------------
@@ -692,91 +719,81 @@ def render_ast(m: Model, g: Grammar) -> str:
     """Deterministic inverse of parse_text: one space between tokens, a
     newline after ';' and '}', 4-space indentation inside braces.
     parse_text(render_ast(m)) is model-equal to m."""
-    a = g.analysis()
-    diags: list[Diagnostic] = []
-    tokens: list[str] = []
+    renderer = _Renderer(g)
+    renderer.render_obj(m.root, "/")
+    if renderer.diags:
+        raise DiagnosticError(renderer.diags)
+    return _layout(renderer.tokens)
 
-    class Cursors:
-        def __init__(self, obj):
-            self.obj = obj
-            self.used: dict[str, int] = {}
 
-        def raw(self, feature):
-            if not self.obj.is_set(feature):
-                return []
-            return self.obj.values(feature)
+class _Cursors:
+    """How many values of each feature of one object are rendered so far."""
 
-        def available(self, e: Assignment) -> bool:
-            if e.op == "?":
-                return self.obj.get(e.feature) is True
-            return self.used.get(e.feature, 0) < len(self.raw(e.feature))
+    def __init__(self, obj: ModelObject):
+        self.obj = obj
+        self.used: dict[str, int] = {}
 
-        def take(self, e: Assignment):
-            i = self.used.get(e.feature, 0)
-            self.used[e.feature] = i + 1
-            return self.raw(e.feature)[i]
+    def raw(self, feature):
+        if not self.obj.is_set(feature):
+            return []
+        return self.obj.values(feature)
 
-    def has_available(e, cur: Cursors) -> bool:
-        if isinstance(e, Assignment):
-            return cur.available(e)
-        if isinstance(e, Sequence):
-            return any(has_available(x, cur) for x in e.items)
-        if isinstance(e, (Opt, Repeat)):
-            return has_available(e.inner, cur)
-        if isinstance(e, Group):
-            return any(has_available(x, cur) for x in e.alternatives)
-        return False
+    def available(self, e: Assignment) -> bool:
+        if e.op == "?":
+            return self.obj.get(e.feature) is True
+        return self.used.get(e.feature, 0) < len(self.raw(e.feature))
 
-    def has_assignments(e) -> bool:
-        if isinstance(e, Assignment):
-            return True
-        if isinstance(e, Sequence):
-            return any(has_assignments(x) for x in e.items)
-        if isinstance(e, (Opt, Repeat)):
-            return has_assignments(e.inner)
-        if isinstance(e, Group):
-            return any(has_assignments(x) for x in e.alternatives)
-        return False
+    def take(self, e: Assignment):
+        i = self.used.get(e.feature, 0)
+        self.used[e.feature] = i + 1
+        return self.raw(e.feature)[i]
 
-    def render_obj(obj: ModelObject, path: str):
-        rule = g.by_name.get(obj.cls.name)
+
+def _has_available(e, cur: _Cursors) -> bool:
+    if isinstance(e, Assignment):
+        return cur.available(e)
+    if isinstance(e, Sequence):
+        return any(_has_available(x, cur) for x in e.items)
+    if isinstance(e, (Opt, Repeat)):
+        return _has_available(e.inner, cur)
+    if isinstance(e, Group):
+        return any(_has_available(x, cur) for x in e.alternatives)
+    return False
+
+
+class _Renderer:
+    """One render_ast call: the grammar, the tokens written so far and the
+    diagnostics found."""
+
+    def __init__(self, g: Grammar):
+        self.g = g
+        self.a = g.analysis()
+        self.diags: list[Diagnostic] = []
+        self.tokens: list[str] = []
+
+    def render_obj(self, obj: ModelObject, path: str):
+        rule = self.g.by_name.get(obj.cls.name)
         if not isinstance(rule, ConcreteRule):
-            diags.append(error("grammar", "gr-no-rule",
-                               f"no concrete rule for class {obj.cls.name!r}", path=path))
+            self.diags.append(error("grammar", "gr-no-rule",
+                                    f"no concrete rule for class {obj.cls.name!r}", path=path))
             return
-        cur = Cursors(obj)
-        walk(rule.body, cur, path)
+        cur = _Cursors(obj)
+        self.walk(rule.body, cur, path)
+        flags = self.a.flags[rule.name]
         for f in obj.slots:
             used = cur.used.get(f, 0)
             feat = obj.cls.find_feature(f)
             if feat is not None and not feat.is_attribute and not feat.containment:
                 continue  # cross slots are not the renderer's business
-            if _is_flaggish(rule.body, f):
+            if f in flags:
                 continue
             if used < len(cur.raw(f)):
-                diags.append(error("grammar", "gr-unset-mandatory",
-                                   f"rule {rule.name!r} cannot emit all values of "
-                                   f"{obj.cls.name}.{f}", path=path))
+                self.diags.append(error("grammar", "gr-unset-mandatory",
+                                        f"rule {rule.name!r} cannot emit all values of "
+                                        f"{obj.cls.name}.{f}", path=path))
 
-    def _is_flaggish(body, feature) -> bool:
-        found = []
-
-        def scan(e):
-            if isinstance(e, Assignment) and e.feature == feature and e.op == "?":
-                found.append(e)
-            elif isinstance(e, Sequence):
-                for x in e.items:
-                    scan(x)
-            elif isinstance(e, (Opt, Repeat)):
-                scan(e.inner)
-            elif isinstance(e, Group):
-                for x in e.alternatives:
-                    scan(x)
-
-        scan(body)
-        return bool(found)
-
-    def walk(e, cur: Cursors, path: str):
+    def walk(self, e, cur: _Cursors, path: str):
+        tokens, diags = self.tokens, self.diags
         if isinstance(e, Keyword):
             tokens.append(e.text)
             return
@@ -796,44 +813,39 @@ def render_ast(m: Model, g: Grammar) -> str:
             elif e.callee in ("ID", "INT"):
                 tokens.append(str(value))
             else:
-                render_obj(value, f"{path}/{e.feature}")
+                self.render_obj(value, f"{path}/{e.feature}")
             return
         if isinstance(e, Sequence):
             for x in e.items:
-                walk(x, cur, path)
+                self.walk(x, cur, path)
             return
         if isinstance(e, Opt):
-            if has_available(e.inner, cur):
-                walk(e.inner, cur, path)
+            if _has_available(e.inner, cur):
+                self.walk(e.inner, cur, path)
             return
         if isinstance(e, Repeat):
-            if e.kind == "+" and not has_available(e.inner, cur):
+            if e.kind == "+" and not _has_available(e.inner, cur):
                 diags.append(error("grammar", "gr-unset-mandatory",
                                    f"'+' repetition has nothing to render", path=path))
                 return
-            while has_available(e.inner, cur):
-                walk(e.inner, cur, path)
+            while _has_available(e.inner, cur):
+                self.walk(e.inner, cur, path)
             return
         # Group: prefer an alternative with actual values, then a pure-keyword
         # one, then an empty one.
         for alt in e.alternatives:
-            if has_available(alt, cur):
-                walk(alt, cur, path)
+            if _has_available(alt, cur):
+                self.walk(alt, cur, path)
                 return
         for alt in e.alternatives:
-            if not has_assignments(alt):
-                walk(alt, cur, path)
+            if not _has_assignments(alt):
+                self.walk(alt, cur, path)
                 return
         for alt in e.alternatives:
-            if a.elem_nullable(alt):
+            if self.a.elem_nullable(alt):
                 return
         diags.append(error("grammar", "gr-unset-mandatory",
                            "no renderable alternative in group", path=path))
-
-    render_obj(m.root, "/")
-    if diags:
-        raise DiagnosticError(diags)
-    return _layout(tokens)
 
 
 def _layout(tokens: list[str]) -> str:
@@ -956,7 +968,7 @@ def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) ->
             return gen_rule(rng.choice(alts), depth + 1)
         obj = ModelObject(rule.cls)
         gen(rule.body, obj, depth)
-        for f in _flags(rule.body):
+        for f in a.flags[name]:
             if not obj.is_set(f):
                 obj.set(f, False)
         return obj
@@ -977,24 +989,6 @@ def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) ->
         if isinstance(e, Group):
             return max((_count_rule_refs(x) for x in e.alternatives), default=0)
         return 0
-
-    def _flags(body) -> list[str]:
-        acc: list[str] = []
-
-        def scan(e):
-            if isinstance(e, Assignment) and e.op == "?":
-                acc.append(e.feature)
-            elif isinstance(e, Sequence):
-                for x in e.items:
-                    scan(x)
-            elif isinstance(e, (Opt, Repeat)):
-                scan(e.inner)
-            elif isinstance(e, Group):
-                for x in e.alternatives:
-                    scan(x)
-
-        scan(body)
-        return acc
 
     def gen(e, obj, depth):
         if isinstance(e, Keyword):
@@ -1040,21 +1034,10 @@ def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) ->
             nullable = [x for x in alts if a.elem_nullable(x)]
             if nullable:
                 return
-            keyword_only = [x for x in alts if not has_asg(x)]
+            keyword_only = [x for x in alts if not _has_assignments(x)]
             if keyword_only:
                 gen(keyword_only[0], obj, depth + 1)
                 return
         gen(rng.choice(alts), obj, depth + 1)
-
-    def has_asg(e) -> bool:
-        if isinstance(e, Assignment):
-            return True
-        if isinstance(e, Sequence):
-            return any(has_asg(x) for x in e.items)
-        if isinstance(e, (Opt, Repeat)):
-            return has_asg(e.inner)
-        if isinstance(e, Group):
-            return any(has_asg(x) for x in e.alternatives)
-        return False
 
     return Model(gen_rule(g.entry, 0), g.ast)

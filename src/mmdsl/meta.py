@@ -5,15 +5,26 @@ containment references and cross references) and MetaDataType (String,
 boolean, int). Models are single-rooted containment trees of ModelObject
 instances with cross links inside the tree.
 
-Metamodels are treated as immutable once built and can be shared freely
-across threads; a Model is single-writer.
+Every lookup asks a MetaClass for its derived facts: the transitive
+supertypes (a tuple and a set, so ``is_subtype`` is one set test), the
+``all_features`` tuple and a name -> feature table in which the first
+feature of that tuple with a name wins. A class builds these tables on its
+first lookup and keeps them until some class's ``supertypes`` or
+``features`` list is edited, in place or by assignment; the next lookup on
+any class then builds its tables again. That keeps lookups correct while a
+metamodel is being built or rewired (``derive_ast_metamodel`` edits classes
+between its phases) and makes them one dictionary or set access afterwards.
+Editing a MetaFeature in place (its name, say) is not seen: replace the
+feature in its class's list instead. Once built, a metamodel can be shared
+freely across threads; a Model is single-writer.
 
 The builtin ``ecore`` package provides the reflective classifiers user
 metamodels may reference (EClassifier, EClass, EDataType, ...). Metamodel
 classifiers can also appear at the instance level: `classifier_object`
 returns a shared EClass/EDataType instance standing for a classifier, so
 that models may cross-reference classes the way transformation scripts do.
-Such stand-ins live outside any containment tree and carry `represents`.
+Such stand-ins live outside any containment tree, carry `represents`, and
+are kept on the classifier they stand for, so they live exactly as long.
 """
 
 from __future__ import annotations
@@ -54,6 +65,7 @@ def is_identifier(name: str) -> bool:
 class MetaDataType:
     name: str
     kind: str  # string | boolean | integer
+    _standin = None  # see classifier_object
 
     @property
     def is_class(self) -> bool:
@@ -99,50 +111,127 @@ class MetaReference(MetaFeature):
         return None
 
 
-@dataclass(eq=False)
+# Edits to any class's supertypes or features. A class cannot see its
+# subclasses, so one count for all classes is what tells a subclass that a
+# supertype changed. Edits are counted after they are made: build or edit a
+# metamodel in one thread, then share it.
+_edits = 0
+
+
+class _ClassList(list):
+    """The ``supertypes`` or ``features`` list of a MetaClass: every in-place
+    edit marks the tables of all classes stale."""
+
+    __slots__ = ()
+
+    def append(self, item):  # the common edit, kept cheap
+        global _edits
+        list.append(self, item)
+        _edits += 1
+
+
+def _marks_stale(edit):
+    def edited(self, *args, **kwargs):
+        global _edits
+        result = edit(self, *args, **kwargs)
+        _edits += 1
+        return result
+    return edited
+
+
+for _edit in ("extend", "insert", "remove", "pop", "clear", "sort", "reverse",
+              "__setitem__", "__delitem__", "__iadd__", "__imul__"):
+    setattr(_ClassList, _edit, _marks_stale(getattr(list, _edit)))
+
+
+class _Tables:
+    """A class's derived facts, valid while ``edits`` equals ``_edits``."""
+
+    __slots__ = ("edits", "supertypes", "supertype_set", "features", "by_name")
+
+    def __init__(self, cls: "MetaClass"):
+        self.edits = _edits
+        # depth-first preorder over supertype edges, deduplicated; a class on
+        # an inheritance cycle appears among its own supertypes
+        supers: list[MetaClass] = []
+        seen: set[MetaClass] = set()
+        stack = [iter(cls.supertypes)]
+        while stack:
+            for s in stack[-1]:
+                if s not in seen:
+                    seen.add(s)
+                    supers.append(s)
+                    stack.append(iter(s.supertypes))
+                    break
+            else:
+                stack.pop()
+        self.supertypes = tuple(supers)
+        self.supertype_set = frozenset(supers)
+        # inherited first, each feature once where it first appears
+        self.features = tuple(dict.fromkeys(
+            [f for c in reversed(supers) for f in c.features] + cls.features))
+        # first match wins: later duplicates are written first, then overwritten
+        self.by_name = {f.name: f for f in reversed(self.features)}
+
+
 class MetaClass:
-    name: str
-    abstract: bool = False
-    supertypes: list["MetaClass"] = field(default_factory=list)
-    features: list[MetaFeature] = field(default_factory=list)
+    """A class of a metamodel. ``supertypes`` and ``features`` may be edited
+    in place or assigned; either marks the tables of every class stale."""
+
+    def __init__(self, name: str, abstract: bool = False,
+                 supertypes: list["MetaClass"] | None = None,
+                 features: list[MetaFeature] | None = None):
+        self.name = name
+        self.abstract = abstract
+        self._supertypes = _ClassList(supertypes or ())
+        self._features = _ClassList(features or ())
+        self._tables: _Tables | None = None
+        self._standin = None  # see classifier_object
+
+    def __repr__(self):
+        return f"MetaClass({self.name!r})"
+
+    @property
+    def supertypes(self) -> list["MetaClass"]:
+        return self._supertypes
+
+    @supertypes.setter
+    def supertypes(self, value):
+        global _edits
+        self._supertypes = _ClassList(value)
+        _edits += 1
+
+    @property
+    def features(self) -> list[MetaFeature]:
+        return self._features
+
+    @features.setter
+    def features(self, value):
+        global _edits
+        self._features = _ClassList(value)
+        _edits += 1
 
     @property
     def is_class(self) -> bool:
         return True
 
-    def all_supertypes(self) -> list["MetaClass"]:
+    def tables(self) -> _Tables:
+        t = self._tables
+        if t is None or t.edits != _edits:
+            t = self._tables = _Tables(self)
+        return t
+
+    def all_supertypes(self) -> tuple["MetaClass", ...]:
         """Transitive supertypes, depth-first, deduplicated, cycle-safe."""
-        out, seen = [], set()
+        return self.tables().supertypes
 
-        def walk(cls):
-            for s in cls.supertypes:
-                if id(s) not in seen:
-                    seen.add(id(s))
-                    out.append(s)
-                    walk(s)
-
-        walk(self)
-        return out
-
-    def all_features(self) -> list[MetaFeature]:
+    def all_features(self) -> tuple[MetaFeature, ...]:
         """Inherited features first (supertype declaration order), then own."""
-        out, seen = [], set()
-        for cls in reversed(self.all_supertypes()):
-            for f in cls.features:
-                if id(f) not in seen:
-                    seen.add(id(f))
-                    out.append(f)
-        for f in self.features:
-            if id(f) not in seen:
-                seen.add(id(f))
-                out.append(f)
-        return out
+        return self.tables().features
 
     def find_feature(self, name: str) -> MetaFeature | None:
-        for f in self.all_features():
-            if f.name == name:
-                return f
-        return None
+        """The first feature of ``all_features`` named ``name``."""
+        return self.tables().by_name.get(name)
 
 
 Classifier = MetaClass | MetaDataType
@@ -168,7 +257,7 @@ class Metamodel:
 
 def is_subtype(sub: MetaClass, sup: MetaClass) -> bool:
     """Reflexive-transitive reachability over supertype edges."""
-    return sub is sup or sup in sub.all_supertypes()
+    return sub is sup or sup in sub.tables().supertype_set
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +291,6 @@ _ECORE = _build_ecore()
 def builtin_ecore() -> Metamodel:
     """The fixed builtin `ecore` metamodel (shared, do not mutate)."""
     return _ECORE
-
-
-def builtin_datatype(name: str) -> MetaDataType | None:
-    c = _ECORE.classifier(name)
-    return c if isinstance(c, MetaDataType) else None
 
 
 def resolve_classifier(name: str, mm: Metamodel | None) -> Classifier | None:
@@ -298,18 +382,14 @@ class Model:
 def classifier_object(c: Classifier) -> ModelObject:
     """Shared instance-level stand-in for a metamodel classifier: classes
     appear as EClass instances, datatypes as EDataType instances. The result
-    is cached per classifier and must not be mutated."""
-    cached = _CLASSIFIER_OBJECTS.get(id(c))
-    if cached is not None and cached[0] is c:
-        return cached[1]
-    meta = _ECORE.classifier("EClass" if isinstance(c, MetaClass) else "EDataType")
-    obj = ModelObject(meta, represents=c)
-    obj.set("name", c.name)
-    _CLASSIFIER_OBJECTS[id(c)] = (c, obj)
+    is kept on the classifier and must not be mutated."""
+    obj = c._standin
+    if obj is None:
+        meta = _ECORE.classifier("EClass" if isinstance(c, MetaClass) else "EDataType")
+        obj = ModelObject(meta, represents=c)
+        obj.set("name", c.name)
+        c._standin = obj
     return obj
-
-
-_CLASSIFIER_OBJECTS: dict[int, tuple[Classifier, ModelObject]] = {}
 
 
 def classifier_qname(c: Classifier, home: Metamodel | None) -> str:
@@ -407,22 +487,22 @@ def object_path(root: ModelObject, target: ModelObject) -> str | None:
     """Slash-separated containment path with indices on multi-valued steps."""
     if target is root:
         return "/"
+    return _path_below(root, "/", target)
 
-    def walk(obj, prefix):
-        for f in obj.cls.all_features():
-            if isinstance(f, MetaReference) and f.containment:
-                kids = obj.values(f.name)
-                for i, child in enumerate(kids):
-                    step = f"{f.name}[{i}]" if f.many else f.name
-                    here = f"{prefix}/{step}" if prefix != "/" else f"/{step}"
-                    if child is target:
-                        return here
-                    found = walk(child, here)
-                    if found:
-                        return found
-        return None
 
-    return walk(root, "/")
+def _path_below(obj: ModelObject, prefix: str, target: ModelObject) -> str | None:
+    for f in obj.cls.all_features():
+        if isinstance(f, MetaReference) and f.containment:
+            kids = obj.values(f.name)
+            for i, child in enumerate(kids):
+                step = f"{f.name}[{i}]" if f.many else f.name
+                here = f"{prefix}/{step}" if prefix != "/" else f"/{step}"
+                if child is target:
+                    return here
+                found = _path_below(child, here, target)
+                if found:
+                    return found
+    return None
 
 
 def validate_model(m: Model) -> list[Diagnostic]:
@@ -436,22 +516,10 @@ def validate_model(m: Model) -> list[Diagnostic]:
 
     # Containment must be a tree: every object reached exactly once.
     seen: dict[int, ModelObject] = {}
-    ok_tree = True
-
-    def walk(obj):
-        nonlocal ok_tree
-        if id(obj) in seen:
-            err("model-containment", f"object of class {obj.cls.name} is contained more than once")
-            ok_tree = False
-            return
-        seen[id(obj)] = obj
-        for f in obj.cls.all_features():
-            if isinstance(f, MetaReference) and f.containment:
-                for child in obj.values(f.name):
-                    if isinstance(child, ModelObject):
-                        walk(child)
-
-    walk(m.root)
+    shared: list[ModelObject] = []
+    _reach(m.root, seen, shared)
+    for obj in shared:
+        err("model-containment", f"object of class {obj.cls.name} is contained more than once")
 
     for obj in list(seen.values()):
         if id(obj.cls) not in known:
@@ -459,9 +527,8 @@ def validate_model(m: Model) -> list[Diagnostic]:
             continue
         if obj.cls.abstract:
             err("model-abstract", f"class {obj.cls.name} is abstract", obj)
-        declared = {f.name for f in obj.cls.all_features()}
         for name in obj.slots:
-            if name not in declared:
+            if obj.cls.find_feature(name) is None:
                 err("model-unknown-feature", f"class {obj.cls.name} has no feature {name!r}", obj)
         for f in obj.cls.all_features():
             vals = obj.values(f.name)  # effective: defaults count as present
@@ -493,6 +560,20 @@ def validate_model(m: Model) -> list[Diagnostic]:
     return diags
 
 
+def _reach(obj: ModelObject, seen: dict[int, ModelObject], shared: list[ModelObject]):
+    """Record every object below ``obj`` in ``seen``, and in ``shared`` each
+    time one is reached again."""
+    if id(obj) in seen:
+        shared.append(obj)
+        return
+    seen[id(obj)] = obj
+    for f in obj.cls.all_features():
+        if isinstance(f, MetaReference) and f.containment:
+            for child in obj.values(f.name):
+                if isinstance(child, ModelObject):
+                    _reach(child, seen, shared)
+
+
 # ---------------------------------------------------------------------------
 # Structural equality
 
@@ -503,34 +584,7 @@ def model_equals(a: Model, b: Model) -> bool:
     corresponding objects; classifier stand-ins compare by classifier name."""
     corr: dict[int, ModelObject] = {}
     cross_checks: list[tuple[ModelObject, ModelObject, MetaFeature]] = []
-
-    def walk(x: ModelObject, y: ModelObject) -> bool:
-        if x.cls.name != y.cls.name:
-            return False
-        corr[id(x)] = y
-        fx = {f.name: f for f in x.cls.all_features()}
-        fy = {f.name: f for f in y.cls.all_features()}
-        if set(fx) != set(fy):
-            return False
-        for name, f in fx.items():
-            g = fy[name]
-            if f.is_attribute != g.is_attribute:
-                return False
-            if f.is_attribute:
-                if x.get(name) != y.get(name):
-                    return False
-            elif f.containment:
-                xs, ys = x.values(name), y.values(name)
-                if len(xs) != len(ys):
-                    return False
-                for cx, cy in zip(xs, ys):
-                    if not walk(cx, cy):
-                        return False
-            else:
-                cross_checks.append((x, y, f))
-        return True
-
-    if not walk(a.root, b.root):
+    if not _trees_equal(a.root, b.root, corr, cross_checks):
         return False
     for x, y, f in cross_checks:
         xs, ys = x.values(f.name), y.values(f.name)
@@ -551,6 +605,36 @@ def model_equals(a: Model, b: Model) -> bool:
             else:
                 if corr.get(id(tx)) is not ty:
                     return False
+    return True
+
+
+def _trees_equal(x: ModelObject, y: ModelObject, corr: dict[int, ModelObject],
+                 cross_checks: list) -> bool:
+    """Containment trees pairwise equal; records correspondences and the
+    cross references left to check."""
+    if x.cls.name != y.cls.name:
+        return False
+    corr[id(x)] = y
+    fx = {f.name: f for f in x.cls.all_features()}
+    fy = {f.name: f for f in y.cls.all_features()}
+    if set(fx) != set(fy):
+        return False
+    for name, f in fx.items():
+        g = fy[name]
+        if f.is_attribute != g.is_attribute:
+            return False
+        if f.is_attribute:
+            if x.get(name) != y.get(name):
+                return False
+        elif f.containment:
+            xs, ys = x.values(name), y.values(name)
+            if len(xs) != len(ys):
+                return False
+            for cx, cy in zip(xs, ys):
+                if not _trees_equal(cx, cy, corr, cross_checks):
+                    return False
+        else:
+            cross_checks.append((x, y, f))
     return True
 
 

@@ -31,30 +31,42 @@ def dump_model(m: Model) -> str:
     for n, obj in enumerate(iter_tree(m.root), start=1):
         ids[id(obj)] = n
         obj.id = n
-    known = [m.metamodel, builtin_ecore()]
+    dumper = _Dumper(ids, [m.metamodel, builtin_ecore()])
+    dumper.emit(m.root, 0)
+    return "\n".join(dumper.out) + "\n"
 
-    out: list[str] = []
 
-    def literal(v) -> str:
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, int):
-            return str(v)
-        return escape_string(v)
+def _literal(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    return escape_string(v)
 
-    def cross(v: ModelObject) -> str:
+
+class _Dumper:
+    """One dump_model call: object ids, the packages stand-ins may come
+    from, and the lines written so far."""
+
+    def __init__(self, ids: dict[int, int], known: list[Metamodel]):
+        self.ids = ids
+        self.known = known
+        self.out: list[str] = []
+
+    def cross(self, v: ModelObject) -> str:
         if v.represents is not None:
-            home = find_classifier_home(v.represents, known)
+            home = find_classifier_home(v.represents, self.known)
             return "-> " + classifier_qname(v.represents, home)
-        if id(v) not in ids:
+        if id(v) not in self.ids:
             raise DiagnosticError([error(
                 "validate", "model-dangling",
                 f"cross reference to an object outside the model ({v.cls.name})", path="/")])
-        return f"-> #{ids[id(v)]}"
+        return f"-> #{self.ids[id(v)]}"
 
-    def emit(obj: ModelObject, indent: int, prefix: str = ""):
+    def emit(self, obj: ModelObject, indent: int, prefix: str = ""):
+        out = self.out
         pad = "  " * indent
-        out.append(f"{pad}{prefix}{obj.cls.name} #{ids[id(obj)]} {{")
+        out.append(f"{pad}{prefix}{obj.cls.name} #{self.ids[id(obj)]} {{")
         for f in obj.cls.all_features():
             if not obj.is_set(f.name):
                 continue
@@ -64,61 +76,85 @@ def dump_model(m: Model) -> str:
             inner = "  " * (indent + 1)
             if f.is_attribute:
                 if f.many:
-                    out.append(f"{inner}{f.name} = [{', '.join(literal(v) for v in vals)}]")
+                    out.append(f"{inner}{f.name} = [{', '.join(_literal(v) for v in vals)}]")
                 else:
-                    out.append(f"{inner}{f.name} = {literal(vals[0])}")
+                    out.append(f"{inner}{f.name} = {_literal(vals[0])}")
             elif isinstance(f, MetaReference) and f.containment:
                 if f.many:
                     out.append(f"{inner}{f.name} = [")
                     for child in vals:
-                        emit(child, indent + 2)
+                        self.emit(child, indent + 2)
                     out.append(f"{inner}]")
                 else:
-                    emit(vals[0], indent + 1, prefix=f"{f.name} = ")
+                    self.emit(vals[0], indent + 1, prefix=f"{f.name} = ")
             else:
                 if f.many:
-                    out.append(f"{inner}{f.name} = [{', '.join(cross(v) for v in vals)}]")
+                    out.append(f"{inner}{f.name} = [{', '.join(self.cross(v) for v in vals)}]")
                 else:
-                    out.append(f"{inner}{f.name} = {cross(vals[0])}")
+                    out.append(f"{inner}{f.name} = {self.cross(vals[0])}")
         out.append(f"{pad}}}")
-
-    emit(m.root, 0)
-    return "\n".join(out) + "\n"
 
 
 def load_model(text: str, mm: Metamodel, extra_metamodels=(), file: str = "<model>") -> Model:
     """Parse a dump back into a Model. Classifier stand-in references may
     name classifiers of ``mm``, builtin ecore, or any of ``extra_metamodels``."""
-    stream = TokenStream(_LEXER.tokenize(text, file))
-    packages = [mm, *extra_metamodels, builtin_ecore()]
-    by_id: dict[int, ModelObject] = {}
-    patches: list[tuple[ModelObject, str, int, int, object]] = []  # obj, feat, index, ref-id, loc
+    reader = _Reader(TokenStream(_LEXER.tokenize(text, file)),
+                     [mm, *extra_metamodels, builtin_ecore()])
+    stream = reader.stream
+    root = reader.parse_object()
+    stream.expect_eof()
 
-    def resolve_class(name: str, loc):
-        for pkg in packages:
+    for obj, fname, index, ref, loc in reader.patches:
+        target = reader.by_id.get(ref)
+        if target is None:
+            raise DiagnosticError([error("parse", "model-dangling",
+                                         f"reference to unknown object #{ref}", location=loc)])
+        feat = obj.cls.find_feature(fname)
+        if feat.many:
+            obj.slots[fname][index] = target
+        else:
+            obj.slots[fname] = target
+
+    return Model(root, mm)
+
+
+class _Reader:
+    """One load_model call: the token stream, the packages classifier names
+    resolve in, the objects by id and the forward references to patch."""
+
+    def __init__(self, stream: TokenStream, packages: list[Metamodel]):
+        self.stream = stream
+        self.packages = packages
+        self.by_id: dict[int, ModelObject] = {}
+        # forward references: object, feature, index, referenced id, location
+        self.patches: list[tuple[ModelObject, str, int, int, object]] = []
+
+    def resolve_class(self, name: str, loc):
+        for pkg in self.packages:
             c = pkg.classifier(name)
             if c is not None and c.is_class:
                 return c
         raise DiagnosticError([error("parse", "model-unknown-class",
                                      f"unknown class name {name!r}", location=loc)])
 
-    def resolve_qname(qname: str, loc):
+    def resolve_qname(self, qname: str, loc):
         if "::" in qname:
             pkg_name, simple = qname.split("::", 1)
-            for pkg in packages:
+            for pkg in self.packages:
                 if pkg.name == pkg_name:
                     c = pkg.classifier(simple)
                     if c is not None:
                         return c
         else:
-            for pkg in packages:
+            for pkg in self.packages:
                 c = pkg.classifier(qname)
                 if c is not None:
                     return c
         raise DiagnosticError([error("parse", "name-unresolved",
                                      f"unknown classifier reference {qname!r}", location=loc)])
 
-    def parse_literal():
+    def parse_literal(self):
+        stream = self.stream
         tok = stream.current
         if tok.kind == "STRING":
             stream.next()
@@ -137,37 +173,40 @@ def load_model(text: str, mm: Metamodel, extra_metamodels=(), file: str = "<mode
             return False
         stream.fail("expected a literal value")
 
-    def parse_object() -> ModelObject:
+    def parse_object(self) -> ModelObject:
+        stream = self.stream
         name_tok = stream.expect("ID")
-        cls = resolve_class(name_tok.text, name_tok.location)
+        cls = self.resolve_class(name_tok.text, name_tok.location)
         stream.expect_kw("#")
         oid = stream.expect("INT").value
         obj = ModelObject(cls)
         obj.id = oid
-        if oid in by_id:
+        if oid in self.by_id:
             stream.fail(f"duplicate object id #{oid}", token=name_tok)
-        by_id[oid] = obj
+        self.by_id[oid] = obj
         stream.expect_kw("{")
         while not stream.at_kw("}"):
-            parse_field(obj)
+            self.parse_field(obj)
         stream.expect_kw("}")
         return obj
 
-    def parse_cross_target(obj, fname, index):
+    def parse_cross_target(self, obj, fname, index):
+        stream = self.stream
         loc = stream.expect_kw("->").location
         if stream.at_kw("#"):
             stream.next()
             ref = stream.expect("INT").value
-            patches.append((obj, fname, index, ref, loc))
+            self.patches.append((obj, fname, index, ref, loc))
             return None
         seg_tok = stream.expect("ID")
         qname = seg_tok.text
         while stream.at_kw("::"):
             stream.next()
             qname += "::" + stream.expect("ID").text
-        return classifier_object(resolve_qname(qname, seg_tok.location))
+        return classifier_object(self.resolve_qname(qname, seg_tok.location))
 
-    def parse_field(obj: ModelObject):
+    def parse_field(self, obj: ModelObject):
+        stream = self.stream
         fname_tok = stream.next()
         if fname_tok.kind not in ("ID",):
             stream.fail(f"expected a feature name, found '{fname_tok.text}'", token=fname_tok)
@@ -183,40 +222,24 @@ def load_model(text: str, mm: Metamodel, extra_metamodels=(), file: str = "<mode
             items: list = []
             while not stream.at_kw("]"):
                 if stream.at("ID") and stream.peek().is_kw("#"):
-                    items.append(parse_object())
+                    items.append(self.parse_object())
                 elif stream.at_kw("->"):
-                    target = parse_cross_target(obj, fname, len(items))
+                    target = self.parse_cross_target(obj, fname, len(items))
                     items.append(target)  # None placeholders patched later
                 else:
-                    items.append(parse_literal())
+                    items.append(self.parse_literal())
                 stream.accept_kw(",")
             stream.expect_kw("]")
             obj.slots[fname] = items if feat.many else (items[0] if items else None)
         elif stream.at_kw("->"):
-            target = parse_cross_target(obj, fname, 0)
+            target = self.parse_cross_target(obj, fname, 0)
             if feat.many:
                 obj.slots[fname] = [target]
             elif target is not None:
                 obj.set(fname, target)
         elif stream.at("ID") and stream.peek().is_kw("#"):
-            child = parse_object()
+            child = self.parse_object()
             obj.add(fname, child) if feat.many else obj.set(fname, child)
         else:
-            value = parse_literal()
+            value = self.parse_literal()
             obj.add(fname, value) if feat.many else obj.set(fname, value)
-
-    root = parse_object()
-    stream.expect_eof()
-
-    for obj, fname, index, ref, loc in patches:
-        target = by_id.get(ref)
-        if target is None:
-            raise DiagnosticError([error("parse", "model-dangling",
-                                         f"reference to unknown object #{ref}", location=loc)])
-        feat = obj.cls.find_feature(fname)
-        if feat.many:
-            obj.slots[fname][index] = target
-        else:
-            obj.slots[fname] = target
-
-    return Model(root, mm)

@@ -25,12 +25,13 @@ textual payloads by naming callbacks.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, DiagnosticError, error
 from .meta import (
-    Classifier, MetaAttribute, MetaClass, MetaDataType, Metamodel, Model,
-    ModelObject, builtin_ecore, classifier_object, find_classifier_home,
+    Classifier, MetaAttribute, MetaClass, MetaDataType, MetaFeature, Metamodel,
+    Model, ModelObject, builtin_ecore, classifier_object, find_classifier_home,
     is_subtype, object_path, resolve_classifier, validate_model,
 )
 from .xf import Trace
@@ -56,7 +57,9 @@ class TransformPlan:
         self.ast = ast
         self.proto_for_image: dict[str, MetaClass] = {}
         self.image_for_proto: dict[str, MetaClass] = {}
-        self.by_feature: dict[int, Instruction] = {}  # id(image feature) -> instruction
+        # AST class name -> one instruction per feature that has one, in
+        # all_features order (features inherited from created classes have none)
+        self.instructions: dict[str, tuple[Instruction, ...]] = {}
         self.consume_only: set[str] = set()
         self.skipped: set[str] = set()
 
@@ -66,13 +69,8 @@ class TransformPlan:
     def is_consume_only(self, cls: MetaClass) -> bool:
         return cls.name in self.consume_only
 
-    def instructions_for(self, cls: MetaClass) -> list[Instruction]:
-        out = []
-        for f in cls.all_features():
-            instr = self.by_feature.get(id(f))
-            if instr is not None:  # features inherited from created classes have none
-                out.append(instr)
-        return out
+    def instructions_for(self, cls: MetaClass) -> tuple[Instruction, ...]:
+        return self.instructions.get(cls.name, ())
 
 
 def build_plan(trace: Trace, target: Metamodel, ast: Metamodel) -> TransformPlan:
@@ -85,6 +83,7 @@ def build_plan(trace: Trace, target: Metamodel, ast: Metamodel) -> TransformPlan
     def stale(msg):
         diags.append(error("transformation", "plan-stale", msg))
 
+    by_feature: dict[MetaFeature, Instruction] = {}
     records = {}
     for r in trace.feature_records:
         records[(r.image_class, r.image_feature)] = r
@@ -114,9 +113,9 @@ def build_plan(trace: Trace, target: Metamodel, ast: Metamodel) -> TransformPlan
                 continue
             if rec.mode == "copied":
                 if isinstance(f, MetaAttribute):
-                    plan.by_feature[id(f)] = Instruction("copy", f, pf)
+                    by_feature[f] = Instruction("copy", f, pf)
                 elif f.containment:
-                    plan.by_feature[id(f)] = Instruction("containment", f, pf)
+                    by_feature[f] = Instruction("containment", f, pf)
                 else:
                     diags.append(error("transformation", "plan-untranslated",
                                        f"{image.name}.{f.name} is a cross reference that was "
@@ -128,7 +127,7 @@ def build_plan(trace: Trace, target: Metamodel, ast: Metamodel) -> TransformPlan
                 if textual is None:
                     stale(f"trace names unknown textual type {rec.textual!r}")
                     continue
-                plan.by_feature[id(f)] = Instruction("cross", f, pf, textual)
+                by_feature[f] = Instruction("cross", f, pf, textual)
 
     for (icls, fname) in records:
         stale(f"trace records feature {icls}.{fname}, which the AST metamodel lacks")
@@ -140,6 +139,9 @@ def build_plan(trace: Trace, target: Metamodel, ast: Metamodel) -> TransformPlan
 
     if diags:
         raise DiagnosticError(diags)
+    for cls in ast.classes():
+        plan.instructions[cls.name] = tuple(
+            by_feature[f] for f in cls.all_features() if f in by_feature)
     return plan
 
 
@@ -161,9 +163,15 @@ class Stub:
 class Scope:
     def __init__(self, name: str, parent: "Scope | None" = None):
         self.name = name
-        self.parent = parent
+        # the parent holds its children, so the link up is weak: a namespace
+        # is freed as soon as its run drops it
+        self._parent = None if parent is None else weakref.ref(parent)
         self.bindings: dict[str, object] = {}
         self.children: dict[str, "Scope"] = {}
+
+    @property
+    def parent(self) -> "Scope | None":
+        return None if self._parent is None else self._parent()
 
     def child(self, name: str) -> "Scope":
         if name not in self.children:
@@ -404,18 +412,19 @@ def default_namer(obj: ModelObject, registry: ResolverRegistry, model: Model) ->
 
 
 def _container_of(root: ModelObject, target: ModelObject) -> ModelObject | None:
-    def walk(obj):
-        for f in obj.cls.all_features():
-            if not f.is_attribute and f.containment:
-                for child in obj.values(f.name):
-                    if child is target:
-                        return obj
-                    found = walk(child)
-                    if found is not None:
-                        return found
-        return None
+    return _container_below(root, target) if target is not root else None
 
-    return walk(root) if target is not root else None
+
+def _container_below(obj: ModelObject, target: ModelObject) -> ModelObject | None:
+    for f in obj.cls.all_features():
+        if not f.is_attribute and f.containment:
+            for child in obj.values(f.name):
+                if child is target:
+                    return obj
+                found = _container_below(child, target)
+                if found is not None:
+                    return found
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -436,36 +445,8 @@ class _CrossJob:
 def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
                            registry: ResolverRegistry) -> tuple[Model, list[Diagnostic]]:
     diags: list[Diagnostic] = []
-    ns = registry.make_namespace()
-    jobs: list[_CrossJob] = []
-    buffers: list[tuple[ModelObject, str, list]] = []
-
-    def build(ast_obj: ModelObject, ancestors: tuple) -> ModelObject:
-        proto = plan.proto_for_image[ast_obj.cls.name]
-        tobj = ModelObject(proto)
-        chain = (ast_obj,) + ancestors
-        for instr in plan.instructions_for(ast_obj.cls):
-            name = instr.image_feature.name
-            tname = instr.target_feature.name
-            if instr.kind == "copy":
-                v = ast_obj.get(name)
-                if v is None or (instr.image_feature.many and not v):
-                    continue
-                tobj.set(tname, list(v) if instr.image_feature.many else v)
-            elif instr.kind == "containment":
-                children = [build(c, chain) for c in ast_obj.values(name)]
-                if children:
-                    tobj.set(tname, children if instr.target_feature.many
-                             else children[0])
-            else:
-                payloads = ast_obj.values(name)
-                if not payloads:
-                    continue
-                buffer = [None] * len(payloads)
-                buffers.append((tobj, tname, buffer))
-                for i, p in enumerate(payloads):
-                    jobs.append(_CrossJob(ast_obj, chain, tobj, instr, p, buffer, i))
-        return tobj
+    run = _Forward(plan, registry)
+    ns = run.ns
 
     # Root: a mapped root transforms to the target root; a consume-only root
     # (compilation unit) passes the torch to its single mapped subtree, or to
@@ -474,7 +455,7 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
     root_candidate: ModelObject | None = None
     consume_queue: list[tuple[ModelObject, tuple]] = []
     if plan.is_mapped(root.cls):
-        troot = build(root, ())
+        troot = run.build(root, ())
     elif plan.is_consume_only(root.cls):
         mapped_children = []
         for f in root.cls.all_features():
@@ -482,7 +463,7 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
                 mapped_children += [c for c in root.values(f.name) if plan.is_mapped(c.cls)]
         if len(mapped_children) == 1:
             root_candidate = mapped_children[0]
-            troot = build(root_candidate, (root,))
+            troot = run.build(root_candidate, (root,))
         elif not mapped_children and registry.root_constructor is not None:
             troot = registry.root_constructor()
         else:
@@ -522,55 +503,24 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
                     if placement is False:
                         continue  # the placer reported why
                     container, feature_name = placement
-                    container.add(feature_name, build(child, chain))
+                    container.add(feature_name, run.build(child, chain))
 
     # Bind named target objects so resolvers can look them up; scope classes
     # open nested scopes for their subtrees.
-    scopes: dict[int, Scope] = {}
-
-    def bind(obj: ModelObject, scope: Scope):
-        scopes[id(obj)] = scope
-        attr = registry.name_attribute
-        inner = scope
-        feat = obj.cls.find_feature(attr)
-        if feat is not None and feat.is_attribute and obj.is_set(attr):
-            ns.define(_scope_path(scope), obj.get(attr), obj, tolerate_duplicates=True)
-            if obj.cls.name in registry.scope_classes:
-                inner = scope.child(obj.get(attr))
-        for f in obj.cls.all_features():
-            if not f.is_attribute and f.containment:
-                for child in obj.values(f.name):
-                    bind(child, inner)
-
-    bind(troot, ns.root)
-
-    def run_job(job: _CrossJob):
-        owner_scope = scopes.get(id(job.target_object), ns.root)
-        ctx = ResolutionContext(
-            ast_object=job.ast_object, ast_ancestors=job.ancestors,
-            target_object=job.target_object, target_feature=job.instr.target_feature,
-            target_root=troot, payload=job.payload, textual=job.instr.textual,
-            namespace=ns, scope=owner_scope)
-        resolver = registry.resolver_for(job.ast_object.cls, job.instr.image_feature.name)
-        result = resolver(ctx)
-        if result is DEFER:
-            return DEFER
-        if isinstance(result, Stub):
-            return DEFER if not result.resolved else result.target
-        return result
+    run.bind(troot, ns.root)
 
     deferred: list[_CrossJob] = []
-    for job in jobs:
-        result = run_job(job)
+    for job in run.jobs:
+        result = run.resolve(job, troot)
         if result is DEFER:
             deferred.append(job)
         else:
             _settle(job, result, troot, diags)
     for job in deferred:  # one retry once every object exists
-        result = run_job(job)
+        result = run.resolve(job, troot)
         _settle(job, None if result is DEFER else result, troot, diags)
 
-    for tobj, fname, buffer in buffers:
+    for tobj, fname, buffer in run.buffers:
         values = [v for v in buffer if v is not None]
         feat = tobj.cls.find_feature(fname)
         if values:
@@ -581,6 +531,78 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
     if not any(d.severity == "error" for d in diags):
         diags.extend(validate_model(model))
     return model, diags
+
+
+class _Forward:
+    """The state of one transform_ast_to_model run: the namespace, the
+    cross-reference jobs that pass one queues for pass two, their result
+    buffers, and the scope each target object was bound in."""
+
+    def __init__(self, plan: TransformPlan, registry: ResolverRegistry):
+        self.plan = plan
+        self.registry = registry
+        self.ns = registry.make_namespace()
+        self.jobs: list[_CrossJob] = []
+        self.buffers: list[tuple[ModelObject, str, list]] = []
+        self.scopes: dict[int, Scope] = {}
+
+    def build(self, ast_obj: ModelObject, ancestors: tuple) -> ModelObject:
+        plan = self.plan
+        proto = plan.proto_for_image[ast_obj.cls.name]
+        tobj = ModelObject(proto)
+        chain = (ast_obj,) + ancestors
+        for instr in plan.instructions_for(ast_obj.cls):
+            name = instr.image_feature.name
+            tname = instr.target_feature.name
+            if instr.kind == "copy":
+                v = ast_obj.get(name)
+                if v is None or (instr.image_feature.many and not v):
+                    continue
+                tobj.set(tname, list(v) if instr.image_feature.many else v)
+            elif instr.kind == "containment":
+                children = [self.build(c, chain) for c in ast_obj.values(name)]
+                if children:
+                    tobj.set(tname, children if instr.target_feature.many
+                             else children[0])
+            else:
+                payloads = ast_obj.values(name)
+                if not payloads:
+                    continue
+                buffer = [None] * len(payloads)
+                self.buffers.append((tobj, tname, buffer))
+                for i, p in enumerate(payloads):
+                    self.jobs.append(_CrossJob(ast_obj, chain, tobj, instr, p, buffer, i))
+        return tobj
+
+    def bind(self, obj: ModelObject, scope: Scope):
+        self.scopes[id(obj)] = scope
+        attr = self.registry.name_attribute
+        inner = scope
+        feat = obj.cls.find_feature(attr)
+        if feat is not None and feat.is_attribute and obj.is_set(attr):
+            self.ns.define(_scope_path(scope), obj.get(attr), obj, tolerate_duplicates=True)
+            if obj.cls.name in self.registry.scope_classes:
+                inner = scope.child(obj.get(attr))
+        for f in obj.cls.all_features():
+            if not f.is_attribute and f.containment:
+                for child in obj.values(f.name):
+                    self.bind(child, inner)
+
+    def resolve(self, job: _CrossJob, troot: ModelObject):
+        ns = self.ns
+        owner_scope = self.scopes.get(id(job.target_object), ns.root)
+        ctx = ResolutionContext(
+            ast_object=job.ast_object, ast_ancestors=job.ancestors,
+            target_object=job.target_object, target_feature=job.instr.target_feature,
+            target_root=troot, payload=job.payload, textual=job.instr.textual,
+            namespace=ns, scope=owner_scope)
+        resolver = self.registry.resolver_for(job.ast_object.cls, job.instr.image_feature.name)
+        result = resolver(ctx)
+        if result is DEFER:
+            return DEFER
+        if isinstance(result, Stub):
+            return DEFER if not result.resolved else result.target
+        return result
 
 
 def _settle(job: _CrossJob, result, troot, diags):
@@ -635,51 +657,54 @@ def transform_model_to_ast(m: Model, plan: TransformPlan,
             f"root class {m.root.cls.name!r} has no AST image; this model cannot be "
             f"rendered back to text")])
 
-    def rev(tobj: ModelObject, path: str) -> ModelObject:
-        image = plan.image_for_proto[tobj.cls.name]
-        iobj = ModelObject(image)
-        for instr in plan.instructions_for(image):
-            name = instr.image_feature.name
-            tname = instr.target_feature.name
-            if instr.kind == "copy":
-                v = tobj.get(tname)
-                if v is None or (instr.target_feature.many and not v):
-                    continue
-                iobj.set(name, list(v) if instr.image_feature.many else v)
-            elif instr.kind == "containment":
-                children = []
-                for child in tobj.values(tname):
-                    if child.cls.name in plan.skipped:
-                        continue  # skipped classes have no syntax
-                    if child.cls.name not in plan.image_for_proto:
-                        diags.append(error("resolve", "reverse-unsupported",
-                                           f"class {child.cls.name!r} has no AST image",
-                                           path=f"{path}/{tname}"))
-                        continue
-                    children.append(rev(child, f"{path}/{tname}"))
-                if children:
-                    iobj.set(name, children if instr.image_feature.many else children[0])
-            else:
-                payloads = []
-                for target in tobj.values(tname):
-                    namer = registry.namer_for(tobj.cls, tname)
-                    segs = namer(target, registry, m)
-                    if not segs:
-                        diags.append(error(
-                            "resolve", "reverse-unnamed",
-                            f"no unique textual reference for the {target.cls.name} object in "
-                            f"{tobj.cls.name}.{tname}", path=f"{path}/{tname}"))
-                        continue
-                    if isinstance(instr.textual, MetaDataType):
-                        payloads.append("::".join(segs))
-                    else:
-                        payloads.append(build_payload_tree(instr.textual, segs))
-                if payloads:
-                    iobj.set(name, payloads if instr.image_feature.many else payloads[0])
-        return iobj
-
-    iroot = rev(m.root, "")
+    iroot = _reverse(m.root, "", m, plan, registry, diags)
     return Model(iroot, plan.ast), diags
+
+
+def _reverse(tobj: ModelObject, path: str, m: Model, plan: TransformPlan,
+             registry: ResolverRegistry, diags: list[Diagnostic]) -> ModelObject:
+    """The AST image of ``tobj`` and its subtree."""
+    image = plan.image_for_proto[tobj.cls.name]
+    iobj = ModelObject(image)
+    for instr in plan.instructions_for(image):
+        name = instr.image_feature.name
+        tname = instr.target_feature.name
+        if instr.kind == "copy":
+            v = tobj.get(tname)
+            if v is None or (instr.target_feature.many and not v):
+                continue
+            iobj.set(name, list(v) if instr.image_feature.many else v)
+        elif instr.kind == "containment":
+            children = []
+            for child in tobj.values(tname):
+                if child.cls.name in plan.skipped:
+                    continue  # skipped classes have no syntax
+                if child.cls.name not in plan.image_for_proto:
+                    diags.append(error("resolve", "reverse-unsupported",
+                                       f"class {child.cls.name!r} has no AST image",
+                                       path=f"{path}/{tname}"))
+                    continue
+                children.append(_reverse(child, f"{path}/{tname}", m, plan, registry, diags))
+            if children:
+                iobj.set(name, children if instr.image_feature.many else children[0])
+        else:
+            payloads = []
+            for target in tobj.values(tname):
+                namer = registry.namer_for(tobj.cls, tname)
+                segs = namer(target, registry, m)
+                if not segs:
+                    diags.append(error(
+                        "resolve", "reverse-unnamed",
+                        f"no unique textual reference for the {target.cls.name} object in "
+                        f"{tobj.cls.name}.{tname}", path=f"{path}/{tname}"))
+                    continue
+                if isinstance(instr.textual, MetaDataType):
+                    payloads.append("::".join(segs))
+                else:
+                    payloads.append(build_payload_tree(instr.textual, segs))
+            if payloads:
+                iobj.set(name, payloads if instr.image_feature.many else payloads[0])
+    return iobj
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +30,14 @@ def css_dir(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_process(*argv):
+    """The CLI in a fresh interpreter, so an uncaught exception shows as a
+    traceback on stderr instead of failing the test run."""
+    env = dict(os.environ, PYTHONPATH=str(SAMPLES.parent / "src"))
+    return subprocess.run([sys.executable, "-m", "mmdsl", *map(str, argv)],
+                          capture_output=True, text=True, env=env)
 
 
 class TestDerive:
@@ -258,6 +269,21 @@ class TestPipelineCmd:
             assert run("pipeline", d / "pipeline.cfg") == 0
             second = {p.name: p.read_bytes() for p in (d / "out").iterdir()}
             assert first == second
+
+    def test_malformed_resolver_config(self, css_dir):
+        (css_dir / "ns.cfg").write_text("name.attribute = name\n@@@\n")
+        done = run_process("pipeline", css_dir / "pipeline.cfg")
+        assert done.returncode == 1
+        assert "error[config]" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_skeleton_of_untranslated_cross_reference(self, tmp_path):
+        (tmp_path / "a.mm").write_text("class A { ref A other; }\n")
+        (tmp_path / "p.cfg").write_text("target = a.mm\n")
+        done = run_process("pipeline", tmp_path / "p.cfg")
+        assert done.returncode == 1
+        assert "error[gr-cross-reference]" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_pipeline_without_grammar_uses_skeleton(self, css_dir):
         cfg = css_dir / "nogr.cfg"

@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from mmdsl.meta import (
     UNBOUNDED, MetaAttribute, MetaClass, Metamodel, MetaReference, Model,
     ModelObject, builtin_ecore, classifier_object, is_subtype, iter_tree,
@@ -22,6 +24,16 @@ def simple_mm():
         MetaReference("link", 0, 1, type=node, containment=False),
     ]
     return Metamodel("simple", [node]), node
+
+
+def random_hierarchy(rng: random.Random) -> list[MetaClass]:
+    """2-8 classes, each extending some earlier ones: acyclic by construction."""
+    classes = [MetaClass(f"C{i}") for i in range(rng.randint(2, 8))]
+    for i, cls in enumerate(classes):
+        for j in range(i):
+            if rng.random() < 0.3:
+                cls.supertypes.append(classes[j])
+    return classes
 
 
 class TestBuiltinEcore:
@@ -60,12 +72,7 @@ class TestSubtype:
         # reflexive, antisymmetric, transitive over random acyclic DAGs
         rng = random.Random(7)
         for _ in range(25):
-            classes = [MetaClass(f"C{i}") for i in range(rng.randint(2, 8))]
-            for i, cls in enumerate(classes):
-                # supertypes only from earlier classes: acyclic by construction
-                for j in range(i):
-                    if rng.random() < 0.3:
-                        cls.supertypes.append(classes[j])
+            classes = random_hierarchy(rng)
             for x in classes:
                 assert is_subtype(x, x)
                 for y in classes:
@@ -278,3 +285,85 @@ class TestMetamodelEquality:
         a1 = MetaClass("A", features=[MetaAttribute("x", 0, 1, type=INT)])
         a2 = MetaClass("A", features=[MetaAttribute("x", 0, 1, type=STRING)])
         assert not metamodel_equals(Metamodel("m", [a1]), Metamodel("m", [a2]))
+
+
+# ---------------------------------------------------------------------------
+# Feature tables against a naive walk
+
+
+def naive_supertypes(cls) -> list:
+    out = []
+
+    def walk(c):
+        for s in c.supertypes:
+            if not any(s is o for o in out):
+                out.append(s)
+                walk(s)
+
+    walk(cls)
+    return out
+
+
+def naive_features(cls) -> list:
+    out = []
+    for c in [*reversed(naive_supertypes(cls)), cls]:
+        for f in c.features:
+            if not any(f is o for o in out):
+                out.append(f)
+    return out
+
+
+def assert_tables_agree(classes, names):
+    for x in classes:
+        supers = naive_supertypes(x)
+        assert list(x.all_supertypes()) == supers
+        features = naive_features(x)
+        assert list(x.all_features()) == features
+        for name in names:
+            assert x.find_feature(name) is next((f for f in features if f.name == name), None)
+        for y in classes:
+            assert is_subtype(x, y) == (x is y or any(s is y for s in supers))
+
+
+class TestFeatureTables:
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.lists(st.integers(0, 5), max_size=10))
+    def test_agree_with_naive_walk_through_edits(self, rng, edits):
+        classes = random_hierarchy(rng)
+        # few names and shared feature objects: shadowing and diamonds
+        pool = [MetaAttribute(f"f{k % 4}", 0, 1, type=INT) for k in range(8)]
+        for cls in classes:
+            cls.features.extend(rng.sample(pool, rng.randint(0, 3)))
+        names = ["f0", "f1", "f2", "f3", "absent"]
+        assert_tables_agree(classes, names)
+        for kind in edits:  # every edit lands after the tables were built
+            a, b = rng.choice(classes), rng.choice(classes)
+            if kind == 0:
+                a.supertypes.append(b)  # may close a cycle
+            elif kind == 1:
+                a.supertypes = [b]
+            elif kind == 2:
+                a.features.append(rng.choice(pool))
+            elif kind == 3 and a.features:
+                a.features[rng.randrange(len(a.features))] = MetaAttribute(
+                    rng.choice(names), 0, 1, type=STRING)
+            elif kind == 4:
+                a.features = list(reversed(a.features))
+            elif kind == 5:
+                del a.supertypes[:1]
+            assert_tables_agree(classes, names)
+
+    def test_agree_on_derived_ast_metamodels(self):
+        from pathlib import Path
+
+        from mmdsl.emfatic import parse_metamodel
+        from mmdsl.xf import derive_ast_metamodel, parse_transformation
+
+        samples = Path(__file__).resolve().parent.parent / "samples"
+        for sample, stem in (("css", "css"), ("selfhost", "xf")):
+            target = parse_metamodel((samples / sample / f"{stem}.mm").read_text(), stem)
+            script = parse_transformation((samples / sample / f"{stem}.xf").read_text(), target)
+            ast, _ = derive_ast_metamodel(target, script)
+            classes = ast.classes() + target.classes() + builtin_ecore().classes()
+            names = sorted({f.name for c in classes for f in c.features} | {"absent"})
+            assert_tables_agree(classes, names)

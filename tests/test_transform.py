@@ -472,3 +472,52 @@ class TestResolverRegistry:
         a, _ = transform_ast_to_model(parse_text(SELFHOST_SCRIPT, g), plan, registry)
         b, _ = transform_ast_to_model(parse_text(SELFHOST_SCRIPT, g), plan, registry)
         assert dump_model(a) == dump_model(b)
+
+
+def _there_and_back(example, text):
+    """Forward (parse, dump, transform, dump) and reverse (AST render, and
+    the trace-driven reverse where the target root has an image)."""
+    from mmdsl.modeltext import dump_model, load_model
+    target, t, ast, trace, g, plan, registry = example
+    ast_model = parse_text(text, g)
+    astm = dump_model(ast_model)
+    render_ast(load_model(astm, ast), g)
+    model, diags = transform_ast_to_model(ast_model, plan, registry)
+    if any(d.severity == "error" for d in diags):
+        return diags
+    again = load_model(dump_model(model), target, extra_metamodels=[ast])
+    if again.root.cls.name in plan.image_for_proto:
+        back, reverse_diags = transform_model_to_ast(again, plan, registry)
+        assert reverse_diags == []
+        render_ast(back, g)
+    return diags
+
+
+class TestLifetimes:
+    def test_documents_leave_no_cyclic_garbage(self):
+        import gc
+        css_example, selfhost_example = load_example("css"), load_example("selfhost")
+        docs = [(css_example, (SAMPLES / "css" / name).read_text())
+                for name in ("grouped.css", "split.css")]
+        docs.append((selfhost_example, (SAMPLES / "selfhost" / "xf.xf").read_text()))
+        docs.append((selfhost_example, "create class A extends Nowhere::Ghost { }\n"))
+        gc.collect()
+        gc.disable()
+        try:
+            outcomes = [_there_and_back(example, text) for example, text in docs]
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert [d.code for d in outcomes[-1]] == ["resolve-unresolved"]
+        assert garbage == 0
+
+    def test_dropped_language_is_freed(self):
+        import gc
+        import weakref
+        example = load_example("selfhost")
+        _there_and_back(example, (SAMPLES / "selfhost" / "xf.xf").read_text())
+        target, ast = example[0], example[2]
+        refs = [weakref.ref(x) for x in (target, ast, *target.classifiers, *ast.classifiers)]
+        del example, target, ast
+        gc.collect()
+        assert [r() for r in refs if r() is not None] == []
