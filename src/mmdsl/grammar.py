@@ -106,6 +106,7 @@ class Grammar:
             self.entry = self.rules[0].name
         self.by_name = {r.name: r for r in self.rules}
         self._analysis = None
+        self._lexer = None
 
     def keywords(self) -> set[str]:
         out: set[str] = set()
@@ -118,6 +119,12 @@ class Grammar:
         if self._analysis is None:
             self._analysis = _Analysis(self)
         return self._analysis
+
+    def lexer(self) -> Lexer:
+        """The lexer of parse_text: the keywords as reserved words and symbols."""
+        if self._lexer is None:
+            self._lexer = Lexer.for_keywords(self.keywords(), phase="parse")
+        return self._lexer
 
 
 def _collect_keywords(e, out: set[str]):
@@ -618,8 +625,7 @@ def parse_text(text: str, g: Grammar, ast: Metamodel | None = None,
     """Recursive-descent interpretation of the grammar from its entry rule.
     The result is a validated Model over the grammar's AST metamodel."""
     ast = ast or g.ast
-    lexer = Lexer.for_keywords(g.keywords(), phase="parse")
-    parser = _TextParser(g, TokenStream(lexer.tokenize(text, file), phase="parse"))
+    parser = _TextParser(g, TokenStream(g.lexer().tokenize(text, file), phase="parse"))
     root = parser.parse_rule(g.entry)
     parser.stream.expect_eof()
     model = Model(root, ast)

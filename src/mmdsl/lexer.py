@@ -4,28 +4,66 @@ Token kinds: ID, INT, STRING, KW (reserved word or symbol), EOF. The
 vocabulary (reserved words + symbol literals) is supplied per format;
 grammar-driven parsing builds one from the grammar's keyword set.
 `//` and `/* */` comments and whitespace are skipped everywhere.
+
+Each Lexer compiles its vocabulary into one regular expression that
+matches a token together with the whitespace and comments before it, so
+tokenizing is one pass of `finditer`. A token records its offset in the
+text; its line and column are computed only when asked for, from the
+text's line starts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from bisect import bisect_right
 
 from .diagnostics import DiagnosticError, SourceLocation, error
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _UNESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
 
+_SKIP = r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*"
+# a string literal up to its closing quote; a literal that stops short of
+# it is unterminated or holds an unknown escape
+_STRING_OPEN = r'"[^"\\\n]*(?:\\[nrt"\\][^"\\\n]*)*'
+_ESCAPE = re.compile(r"\\(.)")
+
 
 def escape_string(value: str) -> str:
     return '"' + "".join(_UNESCAPES.get(c, c) for c in value) + '"'
 
 
-@dataclass(frozen=True)
+class _Source:
+    """A tokenized text: its file name and, once a location is asked for,
+    the offsets at which its lines start."""
+
+    __slots__ = ("file", "text", "line_starts")
+
+    def __init__(self, file: str, text: str):
+        self.file = file
+        self.text = text
+        self.line_starts: list[int] | None = None
+
+    def location(self, offset: int) -> SourceLocation:
+        if self.line_starts is None:
+            self.line_starts = [0, *(m.end() for m in re.finditer("\n", self.text))]
+        line = bisect_right(self.line_starts, offset)
+        return SourceLocation(self.file, line, offset - self.line_starts[line - 1] + 1)
+
+
 class Token:
-    kind: str  # ID | INT | STRING | KW | EOF
-    text: str
-    value: object
-    location: SourceLocation
+    __slots__ = ("kind", "text", "value", "offset", "source")
+
+    def __init__(self, kind: str, text: str, value, offset: int, source: _Source):
+        self.kind = kind  # ID | INT | STRING | KW | EOF
+        self.text = text
+        self.value = value
+        self.offset = offset
+        self.source = source
+
+    @property
+    def location(self) -> SourceLocation:
+        return self.source.location(self.offset)
 
     def is_kw(self, text: str) -> bool:
         return self.kind == "KW" and self.text == text
@@ -40,6 +78,14 @@ class Lexer:
         self.reserved = frozenset(reserved)
         self.symbols = sorted(symbols, key=len, reverse=True)
         self.phase = phase
+        # A symbol that starts like a word or a string never matches: that
+        # reading wins. No symbol may eat the '/' of an unclosed comment.
+        syms = "|".join(re.escape(s) for s in self.symbols
+                        if s and not (s[0].isalpha() or s[0] in '_"'))
+        self._pattern = re.compile(
+            _SKIP + rf'(?:(?P<STRING>{_STRING_OPEN}")|(?P<INT>\d+)'
+            rf"|(?!/\*)(?P<KW>{syms or '(?!)'})|(?P<ID>[^\W\d]\w*)"
+            r"|(?P<EOF>\Z)|(?P<ERROR>.))", re.DOTALL)
 
     @classmethod
     def for_keywords(cls, keywords, phase: str = "parse") -> "Lexer":
@@ -50,100 +96,50 @@ class Lexer:
         return cls(reserved=words, symbols=syms, phase=phase)
 
     def tokenize(self, text: str, file: str = "<input>") -> list[Token]:
+        source = _Source(file, text)
+        reserved = self.reserved
         tokens = []
-        line, col = 1, 1
-        i, n = 0, len(text)
+        append = tokens.append
+        for m in self._pattern.finditer(text):
+            kind = m.lastgroup
+            start = m.start(kind)
+            word = m[kind]
+            if kind == "KW":
+                append(Token(kind, word, word, start, source))
+            elif kind == "ID":
+                if word in reserved:
+                    kind = "KW"
+                elif not (word[0].isalpha() or word[0] == "_"):
+                    break  # a numeric character that is not a decimal digit
+                append(Token(kind, word, word, start, source))
+            elif kind == "STRING":
+                body = word[1:-1]
+                value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], body) if "\\" in body else body
+                if "\t" in body or "\r" in body:
+                    word = escape_string(value)
+                append(Token(kind, word, value, start, source))
+            elif kind == "INT":
+                append(Token(kind, word, int(word), start, source))
+            elif kind == "EOF":
+                append(Token(kind, "", None, start, source))
+                return tokens
+            else:
+                break
+        raise DiagnosticError([self._lexical_error(text, start, source)])
 
-        def loc():
-            return SourceLocation(file, line, col)
-
-        def fail(code, message, at=None):
-            raise DiagnosticError([error(self.phase, code, message, location=at or loc())])
-
-        def advance(k):
-            nonlocal i, line, col
-            for _ in range(k):
-                if text[i] == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-                i += 1
-
-        while i < n:
-            c = text[i]
-            if c in " \t\r\n":
-                advance(1)
-                continue
-            if text.startswith("//", i):
-                while i < n and text[i] != "\n":
-                    advance(1)
-                continue
-            if text.startswith("/*", i):
-                start = loc()
-                advance(2)
-                while i < n and not text.startswith("*/", i):
-                    advance(1)
-                if i >= n:
-                    fail("lexical", "unterminated block comment", at=start)
-                advance(2)
-                continue
-            if c == '"':
-                start = loc()
-                advance(1)
-                out = []
-                while True:
-                    if i >= n or text[i] == "\n":
-                        fail("lexical", "unterminated string literal", at=start)
-                    ch = text[i]
-                    if ch == '"':
-                        advance(1)
-                        break
-                    if ch == "\\":
-                        if i + 1 >= n:
-                            fail("lexical", "unterminated string literal", at=start)
-                        esc = text[i + 1]
-                        if esc not in _ESCAPES:
-                            fail("lexical", f"unknown escape '\\{esc}'")
-                        out.append(_ESCAPES[esc])
-                        advance(2)
-                        continue
-                    out.append(ch)
-                    advance(1)
-                value = "".join(out)
-                tokens.append(Token("STRING", escape_string(value), value, start))
-                continue
-            if c.isdigit():
-                start = loc()
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                word = text[i:j]
-                advance(j - i)
-                tokens.append(Token("INT", word, int(word), start))
-                continue
-            if c.isalpha() or c == "_":
-                start = loc()
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[i:j]
-                advance(j - i)
-                kind = "KW" if word in self.reserved else "ID"
-                tokens.append(Token(kind, word, word, start))
-                continue
-            matched = None
-            for sym in self.symbols:
-                if text.startswith(sym, i):
-                    matched = sym
-                    break
-            if matched is None:
-                fail("lexical", f"unexpected character {c!r}")
-            start = loc()
-            advance(len(matched))
-            tokens.append(Token("KW", matched, matched, start))
-        tokens.append(Token("EOF", "", None, loc()))
-        return tokens
+    def _lexical_error(self, text: str, at: int, source: _Source):
+        """The diagnostic for offset ``at``, where no token can start."""
+        if text.startswith('"', at):
+            end = re.compile(_STRING_OPEN).match(text, at).end()
+            if text.startswith("\\", end) and end + 1 < len(text):
+                return error(self.phase, "lexical", f"unknown escape '\\{text[end + 1]}'",
+                             location=source.location(end))
+            message = "unterminated string literal"
+        elif text.startswith("/*", at):
+            message = "unterminated block comment"
+        else:
+            message = f"unexpected character {text[at]!r}"
+        return error(self.phase, "lexical", message, location=source.location(at))
 
 
 class TokenStream:

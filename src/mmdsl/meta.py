@@ -310,6 +310,17 @@ def resolve_classifier(name: str, mm: Metamodel | None) -> Classifier | None:
 _INTRINSIC_DEFAULTS = {"string": None, "boolean": False, "integer": 0}
 
 
+def _unset_value(f: MetaFeature):
+    """The effective value of a slot of feature ``f`` that is not set."""
+    if f.many:
+        return []
+    if f.is_attribute:
+        if f.default is not None:
+            return f.default
+        return _INTRINSIC_DEFAULTS[f.type.kind]
+    return None
+
+
 class ModelObject:
     """An instance of a MetaClass. Slots are keyed by feature name; single
     valued slots hold a scalar or object, multi-valued slots hold a list."""
@@ -353,21 +364,15 @@ class ModelObject:
         the intrinsic default of the datatype (0 / false / unset)."""
         if name in self.slots:
             return self.slots[name]
-        f = self._feature(name)
-        if f.many:
-            return []
-        if f.is_attribute:
-            if f.default is not None:
-                return f.default
-            return _INTRINSIC_DEFAULTS[f.type.kind]
-        return None
+        return _unset_value(self._feature(name))
 
     def values(self, name: str) -> list:
         """Slot content as a list regardless of multiplicity (effective)."""
-        v = self.get(name)
+        f = self._feature(name)
+        v = self.slots[name] if name in self.slots else _unset_value(f)
         if v is None:
             return []
-        return list(v) if self._feature(name).many else [v]
+        return list(v) if f.many else [v]
 
     def is_set(self, name: str) -> bool:
         return name in self.slots

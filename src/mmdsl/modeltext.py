@@ -14,7 +14,7 @@ inherited first; unset and empty slots are omitted.
 from __future__ import annotations
 
 from .diagnostics import DiagnosticError, error
-from .lexer import Lexer, TokenStream, escape_string
+from .lexer import Lexer, Token, TokenStream, escape_string
 from .meta import (
     Metamodel, MetaReference, Model, ModelObject, builtin_ecore,
     classifier_object, classifier_qname, find_classifier_home, iter_tree,
@@ -104,11 +104,12 @@ def load_model(text: str, mm: Metamodel, extra_metamodels=(), file: str = "<mode
     root = reader.parse_object()
     stream.expect_eof()
 
-    for obj, fname, index, ref, loc in reader.patches:
+    for obj, fname, index, ref, arrow in reader.patches:
         target = reader.by_id.get(ref)
         if target is None:
             raise DiagnosticError([error("parse", "model-dangling",
-                                         f"reference to unknown object #{ref}", location=loc)])
+                                         f"reference to unknown object #{ref}",
+                                         location=arrow.location)])
         feat = obj.cls.find_feature(fname)
         if feat.many:
             obj.slots[fname][index] = target
@@ -126,18 +127,19 @@ class _Reader:
         self.stream = stream
         self.packages = packages
         self.by_id: dict[int, ModelObject] = {}
-        # forward references: object, feature, index, referenced id, location
-        self.patches: list[tuple[ModelObject, str, int, int, object]] = []
+        # forward references: object, feature, index, referenced id, '->' token
+        self.patches: list[tuple[ModelObject, str, int, int, Token]] = []
 
-    def resolve_class(self, name: str, loc):
+    def resolve_class(self, name_tok: Token):
+        name = name_tok.text
         for pkg in self.packages:
             c = pkg.classifier(name)
             if c is not None and c.is_class:
                 return c
         raise DiagnosticError([error("parse", "model-unknown-class",
-                                     f"unknown class name {name!r}", location=loc)])
+                                     f"unknown class name {name!r}", location=name_tok.location)])
 
-    def resolve_qname(self, qname: str, loc):
+    def resolve_qname(self, qname: str, seg_tok: Token):
         if "::" in qname:
             pkg_name, simple = qname.split("::", 1)
             for pkg in self.packages:
@@ -151,7 +153,8 @@ class _Reader:
                 if c is not None:
                     return c
         raise DiagnosticError([error("parse", "name-unresolved",
-                                     f"unknown classifier reference {qname!r}", location=loc)])
+                                     f"unknown classifier reference {qname!r}",
+                                     location=seg_tok.location)])
 
     def parse_literal(self):
         stream = self.stream
@@ -176,7 +179,7 @@ class _Reader:
     def parse_object(self) -> ModelObject:
         stream = self.stream
         name_tok = stream.expect("ID")
-        cls = self.resolve_class(name_tok.text, name_tok.location)
+        cls = self.resolve_class(name_tok)
         stream.expect_kw("#")
         oid = stream.expect("INT").value
         obj = ModelObject(cls)
@@ -192,18 +195,18 @@ class _Reader:
 
     def parse_cross_target(self, obj, fname, index):
         stream = self.stream
-        loc = stream.expect_kw("->").location
+        arrow = stream.expect_kw("->")
         if stream.at_kw("#"):
             stream.next()
             ref = stream.expect("INT").value
-            self.patches.append((obj, fname, index, ref, loc))
+            self.patches.append((obj, fname, index, ref, arrow))
             return None
         seg_tok = stream.expect("ID")
         qname = seg_tok.text
         while stream.at_kw("::"):
             stream.next()
             qname += "::" + stream.expect("ID").text
-        return classifier_object(self.resolve_qname(qname, seg_tok.location))
+        return classifier_object(self.resolve_qname(qname, seg_tok))
 
     def parse_field(self, obj: ModelObject):
         stream = self.stream

@@ -140,6 +140,18 @@ class TestParseCmd:
         assert ":1:1:" in capsys.readouterr().err
 
 
+    def test_numeric_character_is_a_lexical_error(self, css_dir):
+        run("derive", "--target", css_dir / "css.mm", "--xf", css_dir / "css.xf",
+            "--out", css_dir / "css.ast.mm", "--trace", css_dir / "css.trace")
+        bad = css_dir / "bad.css"
+        bad.write_text("a { color: ²; }\n")
+        done = run_process("parse", "--grammar", css_dir / "css.gr", "--ast",
+                           css_dir / "css.ast.mm", bad, "--out", css_dir / "x.astm")
+        assert done.returncode == 1
+        assert "error[lexical]" in done.stderr and ":1:12:" in done.stderr
+        assert "Traceback" not in done.stderr
+
+
 class TestTransformCmd:
     def full_forward(self, d, source, out_name):
         run("derive", "--target", d / "xf.mm", "--xf", d / "xf.xf",

@@ -1,7 +1,13 @@
-import pytest
+from pathlib import Path
 
-from mmdsl.diagnostics import DiagnosticError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mmdsl import emfatic, grammar, modeltext, xf
+from mmdsl.diagnostics import DiagnosticError, SourceLocation, error
 from mmdsl.lexer import Lexer, escape_string
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 LEX = Lexer(reserved={"class"}, symbols={"{", "}", "::", ":"})
 
@@ -68,3 +74,175 @@ class TestErrors:
     def test_unknown_character(self):
         d = self.err("a @ b")
         assert d.code == "lexical" and d.location.column == 3
+
+    def test_numeric_character_that_is_not_a_decimal_digit(self):
+        d = self.err("x: 1²")
+        assert d.code == "lexical" and d.location.column == 5
+        assert d.message == "unexpected character '²'"
+
+    def test_error_columns_after_the_first_line(self):
+        d = self.err('a\n  b "c\\qd"')
+        assert (d.location.line, d.location.column) == (2, 7)
+
+
+# ---------------------------------------------------------------------------
+# Differential check against a reference scanner
+
+REF_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+
+
+def reference_tokenize(lexer: Lexer, text: str, file: str = "<input>") -> list[tuple]:
+    """The per-character scanner the compiled lexer replaced, kept as the
+    oracle: (kind, text, value, line, column) per token, or the
+    DiagnosticError the compiled lexer must raise. INT is decimal digits
+    (str.isdecimal, what int() accepts)."""
+    symbols = sorted(lexer.symbols, key=len, reverse=True)
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+
+    def loc():
+        return SourceLocation(file, line, col)
+
+    def fail(message, at=None):
+        raise DiagnosticError([error(lexer.phase, "lexical", message, location=at or loc())])
+
+    def advance(k):
+        nonlocal i, line, col
+        for _ in range(k):
+            if text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    def token(kind, word, value, start):
+        tokens.append((kind, word, value, start.line, start.column))
+
+    while i < n:
+        c = text[i]
+        if c in " \t\r\n":
+            advance(1)
+            continue
+        if text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                advance(1)
+            continue
+        if text.startswith("/*", i):
+            start = loc()
+            advance(2)
+            while i < n and not text.startswith("*/", i):
+                advance(1)
+            if i >= n:
+                fail("unterminated block comment", at=start)
+            advance(2)
+            continue
+        if c == '"':
+            start = loc()
+            advance(1)
+            out = []
+            while True:
+                if i >= n or text[i] == "\n":
+                    fail("unterminated string literal", at=start)
+                ch = text[i]
+                if ch == '"':
+                    advance(1)
+                    break
+                if ch == "\\":
+                    if i + 1 >= n:
+                        fail("unterminated string literal", at=start)
+                    esc = text[i + 1]
+                    if esc not in REF_ESCAPES:
+                        fail(f"unknown escape '\\{esc}'")
+                    out.append(REF_ESCAPES[esc])
+                    advance(2)
+                    continue
+                out.append(ch)
+                advance(1)
+            value = "".join(out)
+            token("STRING", escape_string(value), value, start)
+            continue
+        if c.isdecimal():
+            start = loc()
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            word = text[i:j]
+            advance(j - i)
+            token("INT", word, int(word), start)
+            continue
+        if c.isalpha() or c == "_":
+            start = loc()
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            advance(j - i)
+            token("KW" if word in lexer.reserved else "ID", word, word, start)
+            continue
+        matched = None
+        for sym in symbols:
+            if text.startswith(sym, i):
+                matched = sym
+                break
+        if matched is None:
+            fail(f"unexpected character {c!r}")
+        start = loc()
+        advance(len(matched))
+        token("KW", matched, matched, start)
+    token("EOF", "", None, loc())
+    return tokens
+
+# Symbols that no token can start with (a letter, '_', '"', a digit,
+# blanks, a comment opener) and symbols that start with a numeric
+# character which is not a decimal digit.
+ODD = Lexer(reserved={"if", "é"},
+            symbols={"/", "-", "->", "²", "²x", "a-b", "é-", '"q', "1x", " x", "//x", "/*",
+                     "*/", "\\", "::", ":", "{", "}"},
+            phase="grammar")
+LEXERS = [LEX, ODD, Lexer(), modeltext._LEXER, emfatic._LEXER, xf._LEXER, grammar._GR_LEXER,
+          Lexer.for_keywords({"rule", ".", "{", "}", ":", ";", "a-b", "_", "²"})]
+
+# Pieces that every lexer accepts, to put errors past the first line, and
+# pieces that reach every token class, every lexical error and every
+# branch of the scanner, plus runs of characters to break them up.
+LINES = ['"ab"', '"a\\"b\\\\c\\n\\t\\r"', '"tab\there"', "/* c\n * */", "// line\n", "if",
+         "éa²", "_x9", "12", "٣٤", " ", "\n", "\t\r\n"]
+PIECES = LINES + ['"\r"', '"open', '"bad\\q"', '"nl\\\n"', '"end\\', "/*/", "/*", "//", "class",
+                  "é", "1²", "²", "½", "a-b", "é-", "²x", "²y", "->", "::", "'", "\x0c", "@"]
+CHARS = ' \t\r\n\n"\\/*-:{}>#,[]=.;|()?+abnqrt_019٣²½é@\x0c'
+
+
+def outcome(tokenize, text):
+    try:
+        return tokenize(text)
+    except DiagnosticError as exc:
+        d = exc.diagnostics[0]
+        return ("error", d.phase, d.code, d.message, d.location)
+
+
+def compiled_tokens(lexer):
+    def tokenize(text):
+        return [(t.kind, t.text, t.value, t.location.line, t.location.column)
+                for t in lexer.tokenize(text, "f")]
+    return tokenize
+
+
+class TestAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(range(len(LEXERS))), st.lists(st.sampled_from(LINES), max_size=8),
+           st.lists(st.one_of(st.sampled_from(PIECES), st.text(CHARS, max_size=4)), max_size=12))
+    def test_same_tokens_or_diagnostics(self, which, prefix, parts):
+        lexer, text = LEXERS[which], "".join(prefix + parts)
+        assert outcome(compiled_tokens(lexer), text) == \
+            outcome(lambda t: reference_tokenize(lexer, t, "f"), text)
+
+    def test_shipped_samples(self):
+        paths = [p for p in sorted(SAMPLES.rglob("*")) if p.is_file()]
+        assert len(paths) >= 8
+        for path in paths:
+            text = path.read_text()
+            for lexer in LEXERS:
+                assert outcome(compiled_tokens(lexer), text) == \
+                    outcome(lambda t: reference_tokenize(lexer, t, "f"), text), (path, lexer)

@@ -268,6 +268,30 @@ class TestTreeHelpers:
         assert roots == [root]
 
 
+class TestSlotValues:
+    def test_values_is_a_fresh_list(self):
+        mm, node = simple_mm()
+        root = tree(node, "r", tree(node, "a"))
+        for name, expected in [("children", list(root.slots["children"])), ("name", ["r"]),
+                               ("weight", [0]), ("link", [])]:
+            got = root.values(name)
+            assert got == expected
+            got.append(None)
+            assert root.values(name) == expected
+        assert ModelObject(node).values("children") == []
+
+    def test_values_looks_the_feature_up_once(self, monkeypatch):
+        mm, node = simple_mm()
+        obj = ModelObject(node, name="n")
+        calls = []
+        find = MetaClass.find_feature
+        monkeypatch.setattr(MetaClass, "find_feature",
+                            lambda cls, name: calls.append(name) or find(cls, name))
+        for name in ("name", "weight", "children", "link"):
+            obj.values(name)
+        assert calls == ["name", "weight", "children", "link"]
+
+
 class TestMetamodelEquality:
     def test_equal_and_isomorphic(self):
         def build():
