@@ -76,7 +76,8 @@ def _is_word(s: str) -> bool:
 class Lexer:
     def __init__(self, reserved=(), symbols=(), phase: str = "parse"):
         self.reserved = frozenset(reserved)
-        self.symbols = sorted(symbols, key=len, reverse=True)
+        # longest first, then in text order: the same pattern in every process
+        self.symbols = sorted(symbols, key=lambda s: (-len(s), s))
         self.phase = phase
         # A symbol that starts like a word or a string never matches: that
         # reading wins. No symbol may eat the '/' of an unclosed comment.

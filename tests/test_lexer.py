@@ -26,6 +26,14 @@ class TestTokens:
         assert kinds("a::b:c") == [
             ("ID", "a"), ("KW", "::"), ("ID", "b"), ("KW", ":"), ("ID", "c")]
 
+    def test_pattern_does_not_depend_on_symbol_order(self):
+        syms = ["->", "-", "::", ":", "{", "}", "=", "]", "^", "\\"]
+        forward, backward = Lexer(symbols=syms), Lexer(symbols=syms[::-1])
+        assert forward.symbols == backward.symbols
+        assert forward._pattern.pattern == backward._pattern.pattern
+        assert [t.text for t in forward.tokenize("a^b]\\c->-=")][:-1] == \
+            ["a", "^", "b", "]", "\\", "c", "->", "-", "="]
+
     def test_ints_do_not_swallow_words(self):
         toks = LEX.tokenize("12abc")
         assert (toks[0].kind, toks[0].value) == ("INT", 12)
