@@ -17,6 +17,13 @@ round-trip tests. check_grammar enforces what single-token lookahead needs:
 no reachable left recursion and disjoint first-token sets at every choice
 point (alternatives, optionals and repetition continuations are checked
 against their local follow within the enclosing sequence).
+
+The facts they read are compiled once per grammar (Grammar.analysis): by
+fixpoint, each rule's FIRST set and whether it can be empty; and on every
+element its ``first`` set, ``nullable`` and ``assigns``, the assignments
+below it in text order, each built from its children's. So parsing or
+rendering a document never walks a subtree to ask what can start it, or
+what it assigns.
 """
 
 from __future__ import annotations
@@ -37,14 +44,21 @@ TERMINALS = ("ID", "STRING", "INT")
 # Grammar model
 
 
-@dataclass
-class Keyword:
+class _Facts:
+    """What _Analysis compiles onto every element of a grammar: ``first``,
+    ``nullable`` and ``assigns``."""
+
+    __slots__ = ("first", "nullable", "assigns")
+
+
+@dataclass(slots=True)
+class Keyword(_Facts):
     text: str
     loc: SourceLocation | None = None
 
 
-@dataclass
-class Assignment:
+@dataclass(slots=True)
+class Assignment(_Facts):
     feature: str
     op: str  # "=" | "+=" | "?"
     callee: str | None = None  # rule name or terminal; None for flags
@@ -52,24 +66,24 @@ class Assignment:
     loc: SourceLocation | None = None
 
 
-@dataclass
-class Sequence:
+@dataclass(slots=True)
+class Sequence(_Facts):
     items: list
 
 
-@dataclass
-class Opt:
+@dataclass(slots=True)
+class Opt(_Facts):
     inner: object
 
 
-@dataclass
-class Repeat:
+@dataclass(slots=True)
+class Repeat(_Facts):
     inner: object
     kind: str  # "*" | "+"
 
 
-@dataclass
-class Group:
+@dataclass(slots=True)
+class Group(_Facts):
     alternatives: list
 
 
@@ -127,47 +141,24 @@ class Grammar:
         return self._lexer
 
 
+def _children(e) -> list | tuple:
+    """The elements directly below ``e``, in text order."""
+    if isinstance(e, Sequence):
+        return e.items
+    if isinstance(e, Group):
+        return e.alternatives
+    if isinstance(e, (Opt, Repeat)):
+        return (e.inner,)
+    return ()
+
+
 def _collect_keywords(e, out: set[str]):
     if isinstance(e, Keyword):
         out.add(e.text)
-    elif isinstance(e, Assignment):
-        if e.op == "?":
-            out.add(e.keyword)
-    elif isinstance(e, Sequence):
-        for x in e.items:
-            _collect_keywords(x, out)
-    elif isinstance(e, (Opt, Repeat)):
-        _collect_keywords(e.inner, out)
-    elif isinstance(e, Group):
-        for x in e.alternatives:
-            _collect_keywords(x, out)
-
-
-def _flag_features(e, acc: list[str]) -> list[str]:
-    """``acc`` extended by the features of the flag assignments in ``e``."""
-    if isinstance(e, Assignment) and e.op == "?":
-        acc.append(e.feature)
-    elif isinstance(e, Sequence):
-        for x in e.items:
-            _flag_features(x, acc)
-    elif isinstance(e, (Opt, Repeat)):
-        _flag_features(e.inner, acc)
-    elif isinstance(e, Group):
-        for x in e.alternatives:
-            _flag_features(x, acc)
-    return acc
-
-
-def _has_assignments(e) -> bool:
-    if isinstance(e, Assignment):
-        return True
-    if isinstance(e, Sequence):
-        return any(_has_assignments(x) for x in e.items)
-    if isinstance(e, (Opt, Repeat)):
-        return _has_assignments(e.inner)
-    if isinstance(e, Group):
-        return any(_has_assignments(x) for x in e.alternatives)
-    return False
+    elif isinstance(e, Assignment) and e.op == "?":
+        out.add(e.keyword)
+    for x in _children(e):
+        _collect_keywords(x, out)
 
 
 # ---------------------------------------------------------------------------
@@ -306,20 +297,13 @@ def _check_body(rule: ConcreteRule, by_name, ast, diags):
     cls = rule.cls
 
     def check(e):
+        for x in _children(e):
+            check(x)
         if isinstance(e, Keyword):
             if not e.text:
                 diags.append(error("grammar", "syntax", "empty keyword", location=e.loc))
             return
-        if isinstance(e, Sequence):
-            for x in e.items:
-                check(x)
-            return
-        if isinstance(e, (Opt, Repeat)):
-            check(e.inner)
-            return
-        if isinstance(e, Group):
-            for x in e.alternatives:
-                check(x)
+        if not isinstance(e, Assignment):
             return
         feat = cls.find_feature(e.feature)
         if feat is None:
@@ -385,96 +369,89 @@ def _check_body(rule: ConcreteRule, by_name, ast, diags):
 TokenKey = tuple  # ("kw", text) or ("term", "ID"|"STRING"|"INT")
 
 
+def _key(token: Token) -> TokenKey:
+    """The FIRST-set entry ``token`` matches."""
+    return ("kw", token.text) if token.kind == "KW" else ("term", token.kind)
+
+
 class _Analysis:
+    """The grammar's compiled facts: per rule, ``first`` and ``nullable``;
+    per concrete rule, the features its flag assignments set (``flags``);
+    and on every element, ``first``, ``nullable`` and ``assigns``."""
+
     def __init__(self, g: Grammar):
-        self.g = g
         self.nullable: dict[str, bool] = {r.name: False for r in g.rules}
-        self.first: dict[str, set[TokenKey]] = {r.name: set() for r in g.rules}
-        # per concrete rule, the features its flag assignments set
+        self.first: dict[str, frozenset[TokenKey]] = {r.name: frozenset() for r in g.rules}
+        # A worklist fixpoint: a rule is compiled again whenever the facts of
+        # a rule it reads change, so the facts left on every element are
+        # final. Rules are mostly written callers first; taking the last
+        # first lets most rules be compiled once.
+        readers: dict[str, set[str]] = {r.name: set() for r in g.rules}
+        todo, queued = list(g.rules), set(readers)
+        while todo:
+            r = todo.pop()
+            queued.discard(r.name)
+            if isinstance(r, AbstractRule):
+                callees = r.alternatives
+                n = any(self.nullable.get(a, False) for a in callees)
+                f = frozenset().union(*(self.first.get(a, ()) for a in callees))
+            else:
+                self._compile(r.body)
+                callees = [x.callee for x in r.body.assigns]
+                n, f = r.body.nullable, r.body.first
+            for c in callees:
+                if c in readers:
+                    readers[c].add(r.name)
+            if n != self.nullable[r.name] or f != self.first[r.name]:
+                self.nullable[r.name] = n
+                self.first[r.name] = f
+                for name in readers[r.name] - queued:
+                    queued.add(name)
+                    todo.append(g.by_name[name])
         self.flags: dict[str, list[str]] = {
-            r.name: _flag_features(r.body, []) for r in g.rules if isinstance(r, ConcreteRule)}
-        changed = True
-        while changed:
-            changed = False
-            for r in g.rules:
-                if isinstance(r, AbstractRule):
-                    n = any(self.nullable.get(a, False) for a in r.alternatives)
-                    f = set()
-                    for a in r.alternatives:
-                        f |= self.first.get(a, set())
-                else:
-                    n = self.elem_nullable(r.body)
-                    f = self.elem_first(r.body)
-                if n != self.nullable[r.name] or f != self.first[r.name]:
-                    self.nullable[r.name] = n
-                    self.first[r.name] = f
-                    changed = True
+            r.name: [x.feature for x in r.body.assigns if x.op == "?"]
+            for r in g.rules if isinstance(r, ConcreteRule)}
 
-    def elem_nullable(self, e) -> bool:
+    def _compile(self, e):
+        """Store ``first``, ``nullable`` and ``assigns`` on ``e`` and on every
+        element below it, each from its children's."""
         if isinstance(e, Keyword):
-            return False
+            e.first, e.nullable, e.assigns = frozenset((("kw", e.text),)), False, ()
+            return
         if isinstance(e, Assignment):
+            e.assigns = (e,)
             if e.op == "?":
-                return True
-            if e.callee in TERMINALS:
-                return False
-            return self.nullable.get(e.callee, False)
+                e.first, e.nullable = frozenset((("kw", e.keyword),)), True
+            elif e.callee in TERMINALS:
+                e.first, e.nullable = frozenset((("term", e.callee),)), False
+            else:
+                e.first = self.first.get(e.callee, frozenset())
+                e.nullable = self.nullable.get(e.callee, False)
+            return
+        kids = _children(e)
+        for x in kids:
+            self._compile(x)
+        e.assigns = tuple([a for x in kids for a in x.assigns])
         if isinstance(e, Sequence):
-            return all(self.elem_nullable(x) for x in e.items)
-        if isinstance(e, Opt):
-            return True
-        if isinstance(e, Repeat):
-            return e.kind == "*" or self.elem_nullable(e.inner)
-        return any(self.elem_nullable(x) for x in e.alternatives)
-
-    def elem_first(self, e) -> set[TokenKey]:
-        if isinstance(e, Keyword):
-            return {("kw", e.text)}
-        if isinstance(e, Assignment):
-            if e.op == "?":
-                return {("kw", e.keyword)}
-            if e.callee in TERMINALS:
-                return {("term", e.callee)}
-            return set(self.first.get(e.callee, set()))
-        if isinstance(e, Sequence):
-            out: set[TokenKey] = set()
-            for x in e.items:
-                out |= self.elem_first(x)
-                if not self.elem_nullable(x):
-                    break
-            return out
-        if isinstance(e, (Opt, Repeat)):
-            return self.elem_first(e.inner)
-        out = set()
-        for x in e.alternatives:
-            out |= self.elem_first(x)
-        return out
-
-    def matches(self, keys: set[TokenKey], token: Token) -> bool:
-        if token.kind == "KW":
-            return ("kw", token.text) in keys
-        if token.kind in TERMINALS:
-            return ("term", token.kind) in keys
-        return False
+            first = set()
+            for x in kids:
+                first |= x.first
+                if not x.nullable:
+                    e.first, e.nullable = frozenset(first), False
+                    return
+            e.first, e.nullable = frozenset(first), True
+        elif isinstance(e, Group):
+            e.first = frozenset().union(*[x.first for x in kids])
+            e.nullable = any([x.nullable for x in kids])
+        else:
+            e.first = e.inner.first
+            e.nullable = isinstance(e, Opt) or e.kind == "*" or e.inner.nullable
 
 
 def _reachable_rules(g: Grammar) -> list[str]:
+    """The rules reachable from the entry rule; needs the compiled facts."""
     out, frontier = [], [g.entry]
     seen = set()
-
-    def callee_names(e, acc):
-        if isinstance(e, Assignment):
-            if e.callee and e.callee not in TERMINALS:
-                acc.append(e.callee)
-        elif isinstance(e, Sequence):
-            for x in e.items:
-                callee_names(x, acc)
-        elif isinstance(e, (Opt, Repeat)):
-            callee_names(e.inner, acc)
-        elif isinstance(e, Group):
-            for x in e.alternatives:
-                callee_names(x, acc)
-
     while frontier:
         name = frontier.pop()
         if name in seen or name not in g.by_name:
@@ -482,12 +459,11 @@ def _reachable_rules(g: Grammar) -> list[str]:
         seen.add(name)
         out.append(name)
         r = g.by_name[name]
-        acc: list[str] = []
         if isinstance(r, AbstractRule):
-            acc.extend(r.alternatives)
+            frontier.extend(r.alternatives)
         else:
-            callee_names(r.body, acc)
-        frontier.extend(acc)
+            frontier.extend(x.callee for x in r.body.assigns
+                            if x.callee and x.callee not in TERMINALS)
     return out
 
 
@@ -506,16 +482,10 @@ def check_grammar(g: Grammar) -> list[Diagnostic]:
         if isinstance(e, Assignment):
             if e.op != "?" and e.callee and e.callee not in TERMINALS:
                 acc.add(e.callee)
-        elif isinstance(e, Sequence):
-            for x in e.items:
-                left_refs(x, acc)
-                if not a.elem_nullable(x):
-                    break
-        elif isinstance(e, (Opt, Repeat)):
-            left_refs(e.inner, acc)
-        elif isinstance(e, Group):
-            for x in e.alternatives:
-                left_refs(x, acc)
+        for x in _children(e):
+            left_refs(x, acc)
+            if isinstance(e, Sequence) and not x.nullable:
+                break
 
     graph: dict[str, set[str]] = {}
     for name in reachable:
@@ -555,18 +525,16 @@ def check_grammar(g: Grammar) -> list[Diagnostic]:
 
     def check_choices(e, rule, follow: set[TokenKey]):
         if isinstance(e, Sequence):
-            for i, x in enumerate(e.items):
-                local: set[TokenKey] = set()
-                for y in e.items[i + 1:]:
-                    local |= a.elem_first(y)
-                    if not a.elem_nullable(y):
-                        break
-                else:
-                    local |= follow
+            # the local follow of each item: the first tokens of what comes
+            # after it, up to the first item that cannot be empty
+            follows = [follow]
+            for x in reversed(e.items[1:]):
+                follows.append(x.first | follows[-1] if x.nullable else x.first)
+            for x, local in zip(e.items, reversed(follows)):
                 check_choices(x, rule, local)
             return
         if isinstance(e, Opt):
-            overlap = a.elem_first(e.inner) & follow
+            overlap = e.first & follow
             if overlap:
                 diags.append(error("grammar", "gr-ambiguous",
                                    f"in rule {rule!r}: optional part and its continuation both "
@@ -574,15 +542,15 @@ def check_grammar(g: Grammar) -> list[Diagnostic]:
             check_choices(e.inner, rule, follow)
             return
         if isinstance(e, Repeat):
-            overlap = a.elem_first(e.inner) & follow
+            overlap = e.first & follow
             if overlap:
                 diags.append(error("grammar", "gr-ambiguous",
                                    f"in rule {rule!r}: repeated part and its continuation both "
                                    f"start with {describe(overlap)}"))
-            check_choices(e.inner, rule, a.elem_first(e.inner) | follow)
+            check_choices(e.inner, rule, e.first | follow)
             return
         if isinstance(e, Group):
-            firsts = [a.elem_first(x) for x in e.alternatives]
+            firsts = [x.first for x in e.alternatives]
             for i in range(len(firsts)):
                 for j in range(i + 1, len(firsts)):
                     overlap = firsts[i] & firsts[j]
@@ -591,7 +559,7 @@ def check_grammar(g: Grammar) -> list[Diagnostic]:
                             "grammar", "gr-ambiguous",
                             f"in rule {rule!r}: alternatives {i + 1} and {j + 1} both start "
                             f"with {describe(overlap)}"))
-            nullable_alts = [x for x in e.alternatives if a.elem_nullable(x)]
+            nullable_alts = [x for x in e.alternatives if x.nullable]
             if len(nullable_alts) > 1:
                 diags.append(error("grammar", "gr-ambiguous",
                                    f"in rule {rule!r}: more than one alternative can be empty"))
@@ -602,7 +570,7 @@ def check_grammar(g: Grammar) -> list[Diagnostic]:
     for name in reachable:
         r = g.by_name[name]
         if isinstance(r, AbstractRule):
-            firsts = [(alt, a.first.get(alt, set())) for alt in r.alternatives]
+            firsts = [(alt, a.first.get(alt, frozenset())) for alt in r.alternatives]
             for i in range(len(firsts)):
                 for j in range(i + 1, len(firsts)):
                     overlap = firsts[i][1] & firsts[j][1]
@@ -654,13 +622,14 @@ class _TextParser:
         a, stream = self.a, self.stream
         rule = self.g.by_name[name]
         if isinstance(rule, AbstractRule):
+            key = _key(stream.current)
             for alt in rule.alternatives:
-                if a.matches(a.first.get(alt, set()), stream.current):
+                if key in a.first.get(alt, ()):
                     return self.parse_rule(alt)
             for alt in rule.alternatives:
                 if a.nullable.get(alt, False):
                     return self.parse_rule(alt)
-            stream.fail(f"expected {_expected(a.first.get(name, set()))}, "
+            stream.fail(f"expected {_expected(a.first.get(name, ()))}, "
                         f"found {stream.describe()}")
         obj = ModelObject(rule.cls)
         self.walk(rule.body, obj)
@@ -670,7 +639,7 @@ class _TextParser:
         return obj
 
     def walk(self, e, obj):
-        a, stream = self.a, self.stream
+        stream = self.stream
         if isinstance(e, Keyword):
             stream.expect_kw(e.text)
             return
@@ -694,27 +663,30 @@ class _TextParser:
             return
         if isinstance(e, Sequence):
             for x in e.items:
-                self.walk(x, obj)
+                if isinstance(x, Keyword):
+                    stream.expect_kw(x.text)
+                else:
+                    self.walk(x, obj)
             return
         if isinstance(e, Opt):
-            if a.matches(a.elem_first(e.inner), stream.current):
+            if _key(stream.current) in e.first:
                 self.walk(e.inner, obj)
             return
         if isinstance(e, Repeat):
-            first = a.elem_first(e.inner)
-            if e.kind == "+" and not a.matches(first, stream.current):
+            first = e.first
+            if e.kind == "+" and _key(stream.current) not in first:
                 stream.fail(f"expected {_expected(first)}, found {stream.describe()}")
-            while a.matches(first, stream.current):
+            while _key(stream.current) in first:
                 self.walk(e.inner, obj)
             return
         # Group
+        key = _key(stream.current)
         for alt in e.alternatives:
-            if a.matches(a.elem_first(alt), stream.current):
+            if key in alt.first:
                 self.walk(alt, obj)
                 return
-        if any(a.elem_nullable(alt) for alt in e.alternatives):
-            return
-        stream.fail(f"expected {_expected(a.elem_first(e))}, found {stream.describe()}")
+        if not e.nullable:
+            stream.fail(f"expected {_expected(e.first)}, found {stream.describe()}")
 
 
 # ---------------------------------------------------------------------------
@@ -733,38 +705,39 @@ def render_ast(m: Model, g: Grammar) -> str:
 
 
 class _Cursors:
-    """How many values of each feature of one object are rendered so far."""
+    """How many values of each feature of one object are rendered so far.
+    Each slot is read once, as its live list if multi-valued and as ``[v]``
+    if single-valued."""
 
     def __init__(self, obj: ModelObject):
         self.obj = obj
         self.used: dict[str, int] = {}
+        self.slots: dict[str, list] = {}
 
-    def raw(self, feature):
-        if not self.obj.is_set(feature):
-            return []
-        return self.obj.values(feature)
+    def values(self, feature: str) -> list:
+        vals = self.slots.get(feature)
+        if vals is None:
+            v = self.obj.slots.get(feature)
+            if v is None:
+                vals = []
+            else:
+                vals = v if self.obj._feature(feature).many else [v]
+            self.slots[feature] = vals
+        return vals
 
     def available(self, e: Assignment) -> bool:
         if e.op == "?":
             return self.obj.get(e.feature) is True
-        return self.used.get(e.feature, 0) < len(self.raw(e.feature))
+        return self.used.get(e.feature, 0) < len(self.values(e.feature))
+
+    def any_available(self, e) -> bool:
+        """Whether some assignment below ``e`` has a value left to render."""
+        return any(map(self.available, e.assigns))
 
     def take(self, e: Assignment):
         i = self.used.get(e.feature, 0)
         self.used[e.feature] = i + 1
-        return self.raw(e.feature)[i]
-
-
-def _has_available(e, cur: _Cursors) -> bool:
-    if isinstance(e, Assignment):
-        return cur.available(e)
-    if isinstance(e, Sequence):
-        return any(_has_available(x, cur) for x in e.items)
-    if isinstance(e, (Opt, Repeat)):
-        return _has_available(e.inner, cur)
-    if isinstance(e, Group):
-        return any(_has_available(x, cur) for x in e.alternatives)
-    return False
+        return self.values(e.feature)[i]
 
 
 class _Renderer:
@@ -773,7 +746,7 @@ class _Renderer:
 
     def __init__(self, g: Grammar):
         self.g = g
-        self.a = g.analysis()
+        self.flags = g.analysis().flags
         self.diags: list[Diagnostic] = []
         self.tokens: list[str] = []
 
@@ -785,18 +758,16 @@ class _Renderer:
             return
         cur = _Cursors(obj)
         self.walk(rule.body, cur, path)
-        flags = self.a.flags[rule.name]
+        flags = self.flags[rule.name]
         for f in obj.slots:
-            used = cur.used.get(f, 0)
-            feat = obj.cls.find_feature(f)
-            if feat is not None and not feat.is_attribute and not feat.containment:
-                continue  # cross slots are not the renderer's business
-            if f in flags:
+            if f in flags or cur.used.get(f, 0) >= len(cur.values(f)):
                 continue
-            if used < len(cur.raw(f)):
-                self.diags.append(error("grammar", "gr-unset-mandatory",
-                                        f"rule {rule.name!r} cannot emit all values of "
-                                        f"{obj.cls.name}.{f}", path=path))
+            feat = obj.cls.find_feature(f)
+            if not feat.is_attribute and not feat.containment:
+                continue  # cross slots are not the renderer's business
+            self.diags.append(error("grammar", "gr-unset-mandatory",
+                                    f"rule {rule.name!r} cannot emit all values of "
+                                    f"{obj.cls.name}.{f}", path=path))
 
     def walk(self, e, cur: _Cursors, path: str):
         tokens, diags = self.tokens, self.diags
@@ -823,33 +794,35 @@ class _Renderer:
             return
         if isinstance(e, Sequence):
             for x in e.items:
-                self.walk(x, cur, path)
+                if isinstance(x, Keyword):
+                    tokens.append(x.text)
+                else:
+                    self.walk(x, cur, path)
             return
         if isinstance(e, Opt):
-            if _has_available(e.inner, cur):
+            if cur.any_available(e):
                 self.walk(e.inner, cur, path)
             return
         if isinstance(e, Repeat):
-            if e.kind == "+" and not _has_available(e.inner, cur):
+            if e.kind == "+" and not cur.any_available(e):
                 diags.append(error("grammar", "gr-unset-mandatory",
                                    f"'+' repetition has nothing to render", path=path))
                 return
-            while _has_available(e.inner, cur):
+            while cur.any_available(e):
                 self.walk(e.inner, cur, path)
             return
         # Group: prefer an alternative with actual values, then a pure-keyword
         # one, then an empty one.
         for alt in e.alternatives:
-            if _has_available(alt, cur):
+            if cur.any_available(alt):
                 self.walk(alt, cur, path)
                 return
         for alt in e.alternatives:
-            if not _has_assignments(alt):
+            if not alt.assigns:
                 self.walk(alt, cur, path)
                 return
-        for alt in e.alternatives:
-            if self.a.elem_nullable(alt):
-                return
+        if e.nullable:
+            return
         diags.append(error("grammar", "gr-unset-mandatory",
                            "no renderable alternative in group", path=path))
 
@@ -947,7 +920,7 @@ def _has_concrete_descendant(cls, classes) -> bool:
 def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) -> Model:
     """Walk the grammar generatively, making random choices; the result is a
     valid model that render_ast can always emit."""
-    a = g.analysis()
+    flags = g.analysis().flags
     reserved = {k for k in g.keywords() if k and (k[0].isalpha() or k[0] == "_")}
 
     def rand_id():
@@ -974,7 +947,7 @@ def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) ->
             return gen_rule(rng.choice(alts), depth + 1)
         obj = ModelObject(rule.cls)
         gen(rule.body, obj, depth)
-        for f in a.flags[name]:
+        for f in flags[name]:
             if not obj.is_set(f):
                 obj.set(f, False)
         return obj
@@ -988,13 +961,8 @@ def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) ->
     def _count_rule_refs(e) -> int:
         if isinstance(e, Assignment):
             return 0 if (e.op == "?" or e.callee in TERMINALS) else 1
-        if isinstance(e, Sequence):
-            return sum(_count_rule_refs(x) for x in e.items)
-        if isinstance(e, (Opt, Repeat)):
-            return _count_rule_refs(e.inner)
-        if isinstance(e, Group):
-            return max((_count_rule_refs(x) for x in e.alternatives), default=0)
-        return 0
+        counts = [_count_rule_refs(x) for x in _children(e)]
+        return max(counts, default=0) if isinstance(e, Group) else sum(counts)
 
     def gen(e, obj, depth):
         if isinstance(e, Keyword):
@@ -1037,10 +1005,9 @@ def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) ->
         # Group
         alts = e.alternatives
         if depth > max_depth:
-            nullable = [x for x in alts if a.elem_nullable(x)]
-            if nullable:
+            if e.nullable:
                 return
-            keyword_only = [x for x in alts if not _has_assignments(x)]
+            keyword_only = [x for x in alts if not x.assigns]
             if keyword_only:
                 gen(keyword_only[0], obj, depth + 1)
                 return

@@ -144,23 +144,22 @@ class Lexer:
 
 
 class TokenStream:
-    """Cursor over a token list with the error helpers every hand-written
-    parser in this package wants."""
+    """Cursor over a token list that ends in EOF, with the error helpers
+    every hand-written parser in this package wants. ``current`` is the
+    token at ``pos``, a plain attribute that ``next`` moves along with
+    ``pos``; the tests read its ``kind`` and ``text`` in place."""
 
     def __init__(self, tokens: list[Token], phase: str = "parse"):
         self.tokens = tokens
         self.pos = 0
+        self.current = tokens[0]
         self.phase = phase
-
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
 
     def peek(self, ahead: int = 1) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
     def at_kw(self, text: str) -> bool:
-        return self.current.is_kw(text)
+        return self.current.text == text and self.current.kind == "KW"
 
     def at(self, kind: str) -> bool:
         return self.current.kind == kind
@@ -169,10 +168,11 @@ class TokenStream:
         tok = self.current
         if tok.kind != "EOF":
             self.pos += 1
+            self.current = self.tokens[self.pos]
         return tok
 
     def accept_kw(self, text: str) -> bool:
-        if self.at_kw(text):
+        if self.current.text == text and self.current.kind == "KW":
             self.next()
             return True
         return False
@@ -182,7 +182,7 @@ class TokenStream:
         raise DiagnosticError([error(self.phase, code, message, location=tok.location)])
 
     def expect_kw(self, text: str) -> Token:
-        if not self.at_kw(text):
+        if self.current.text != text or self.current.kind != "KW":
             self.fail(f"expected '{text}', found {self.describe()}")
         return self.next()
 

@@ -158,23 +158,22 @@ class _Reader:
 
     def parse_literal(self):
         stream = self.stream
-        tok = stream.current
-        if tok.kind == "STRING":
-            stream.next()
+        tok = stream.next()
+        if tok.kind == "STRING" or tok.kind == "INT":
             return tok.value
-        if tok.kind == "INT":
-            stream.next()
-            return tok.value
-        if tok.is_kw("-"):
-            stream.next()
-            return -stream.expect("INT").value
-        if tok.is_kw("true"):
-            stream.next()
-            return True
-        if tok.is_kw("false"):
-            stream.next()
-            return False
-        stream.fail("expected a literal value")
+        if tok.kind == "KW":
+            if tok.text == "-":
+                return -stream.expect("INT").value
+            if tok.text == "true":
+                return True
+            if tok.text == "false":
+                return False
+        stream.fail("expected a literal value", token=tok)
+
+    def at_object(self) -> bool:
+        """Whether an object starts here: a class name, then '#'."""
+        stream = self.stream
+        return stream.current.kind == "ID" and stream.peek().is_kw("#")
 
     def parse_object(self) -> ModelObject:
         stream = self.stream
@@ -190,28 +189,26 @@ class _Reader:
         stream.expect_kw("{")
         while not stream.at_kw("}"):
             self.parse_field(obj)
-        stream.expect_kw("}")
+        stream.next()
         return obj
 
     def parse_cross_target(self, obj, fname, index):
         stream = self.stream
-        arrow = stream.expect_kw("->")
-        if stream.at_kw("#"):
-            stream.next()
+        arrow = stream.next()  # '->'
+        if stream.accept_kw("#"):
             ref = stream.expect("INT").value
             self.patches.append((obj, fname, index, ref, arrow))
             return None
         seg_tok = stream.expect("ID")
         qname = seg_tok.text
-        while stream.at_kw("::"):
-            stream.next()
+        while stream.accept_kw("::"):
             qname += "::" + stream.expect("ID").text
         return classifier_object(self.resolve_qname(qname, seg_tok))
 
     def parse_field(self, obj: ModelObject):
         stream = self.stream
         fname_tok = stream.next()
-        if fname_tok.kind not in ("ID",):
+        if fname_tok.kind != "ID":
             stream.fail(f"expected a feature name, found '{fname_tok.text}'", token=fname_tok)
         fname = fname_tok.text
         feat = obj.cls.find_feature(fname)
@@ -220,11 +217,10 @@ class _Reader:
                                          f"class {obj.cls.name} has no feature {fname!r}",
                                          location=fname_tok.location)])
         stream.expect_kw("=")
-        if stream.at_kw("["):
-            stream.next()
+        if stream.accept_kw("["):
             items: list = []
             while not stream.at_kw("]"):
-                if stream.at("ID") and stream.peek().is_kw("#"):
+                if self.at_object():
                     items.append(self.parse_object())
                 elif stream.at_kw("->"):
                     target = self.parse_cross_target(obj, fname, len(items))
@@ -232,17 +228,25 @@ class _Reader:
                 else:
                     items.append(self.parse_literal())
                 stream.accept_kw(",")
-            stream.expect_kw("]")
-            obj.slots[fname] = items if feat.many else (items[0] if items else None)
+            stream.next()
+            if feat.many:
+                obj.slots[fname] = items
+            elif len(items) > 1:
+                raise DiagnosticError([error(
+                    "parse", "model-multiplicity",
+                    f"single-valued feature {obj.cls.name}.{fname} lists {len(items)} values",
+                    location=fname_tok.location)])
+            elif items:
+                obj.slots[fname] = items[0]
         elif stream.at_kw("->"):
             target = self.parse_cross_target(obj, fname, 0)
             if feat.many:
                 obj.slots[fname] = [target]
             elif target is not None:
-                obj.set(fname, target)
-        elif stream.at("ID") and stream.peek().is_kw("#"):
-            child = self.parse_object()
-            obj.add(fname, child) if feat.many else obj.set(fname, child)
+                obj.slots[fname] = target
         else:
-            value = self.parse_literal()
-            obj.add(fname, value) if feat.many else obj.set(fname, value)
+            value = self.parse_object() if self.at_object() else self.parse_literal()
+            if feat.many:
+                obj.slots.setdefault(fname, []).append(value)
+            else:
+                obj.slots[fname] = value

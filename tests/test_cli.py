@@ -243,6 +243,21 @@ class TestRenderCmds:
         second = load_model((d / "r.model").read_text(), target, extra_metamodels=[ast])
         assert model_equals(first, second)
 
+    def test_list_for_single_valued_feature_is_refused(self, css_dir):
+        d = css_dir
+        run("derive", "--target", d / "css.mm", "--xf", d / "css.xf",
+            "--out", d / "css.ast.mm", "--trace", d / "css.trace")
+        run("parse", "--grammar", d / "css.gr", "--ast", d / "css.ast.mm",
+            d / "split.css", "--out", d / "split.astm")
+        astm = d / "split.astm"
+        astm.write_text(astm.read_text().replace(
+            'selector = "some"', 'selector = ["some", "other"]', 1))
+        done = run_process("render", "--grammar", d / "css.gr", "--ast",
+                           d / "css.ast.mm", astm)
+        assert done.returncode == 1
+        assert "error[model-multiplicity]" in done.stderr and ":4:7:" in done.stderr
+        assert "Traceback" not in done.stderr and done.stdout == ""
+
     def test_render_without_rule_fails(self, selfhost_dir, css_dir, capsys):
         d = selfhost_dir
         run("derive", "--target", d / "xf.mm", "--xf", d / "xf.xf",

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from mmdsl import emfatic, grammar, modeltext, xf
 from mmdsl.diagnostics import DiagnosticError, SourceLocation, error
-from mmdsl.lexer import Lexer, escape_string
+from mmdsl.lexer import Lexer, TokenStream, escape_string
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -57,6 +57,51 @@ class TestTokens:
         toks = LEX.tokenize("ab cd\n  ef")
         assert (toks[1].location.line, toks[1].location.column) == (1, 4)
         assert (toks[2].location.line, toks[2].location.column) == (2, 3)
+
+
+class TestTokenStream:
+    def stream(self, text="class a { b }"):
+        return TokenStream(LEX.tokenize(text))
+
+    def test_current_follows_pos(self):
+        stream = self.stream()
+        assert stream.current is stream.tokens[0]
+        assert stream.expect_kw("class").text == "class"
+        assert stream.expect("ID").text == "a"
+        assert stream.accept_kw("{") and not stream.accept_kw("{")
+        assert stream.next().text == "b"
+        assert (stream.pos, stream.current.text) == (4, "}")
+        assert stream.current is stream.tokens[stream.pos]
+
+    def test_failed_tests_do_not_move(self):
+        stream = self.stream()
+        with pytest.raises(DiagnosticError):
+            stream.expect_kw("{")
+        with pytest.raises(DiagnosticError):
+            stream.expect("INT")
+        assert not stream.at_kw("a") and not stream.accept_kw("}")
+        assert (stream.pos, stream.current.text) == (0, "class")
+
+    def test_keyword_tests_need_a_keyword(self):
+        stream = self.stream("a")
+        assert stream.current.text == "a" and not stream.at_kw("a")
+        assert not stream.accept_kw("a")
+        with pytest.raises(DiagnosticError):
+            stream.expect_kw("a")
+
+    def test_next_at_eof_stays_at_eof(self):
+        stream = self.stream("a")
+        stream.next()
+        for _ in range(3):
+            assert stream.next().kind == "EOF"
+        assert (stream.pos, stream.current.kind) == (1, "EOF")
+        assert stream.expect("EOF").kind == "EOF" and stream.pos == 1
+
+    def test_peek_past_the_end_is_eof(self):
+        stream = self.stream("a b")
+        assert stream.peek().text == "b"
+        assert stream.peek(2).kind == "EOF" and stream.peek(50).kind == "EOF"
+        assert stream.pos == 0
 
 
 class TestErrors:

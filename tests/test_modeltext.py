@@ -143,3 +143,24 @@ class TestLoadErrors:
         with pytest.raises(DiagnosticError) as exc:
             load_model(text, mm)
         assert exc.value.diagnostics[0].code == "model-dangling"
+
+    def test_empty_list_leaves_single_valued_slot_unset(self):
+        mm = library_mm()
+        m = load_model('Library #1 {\n  shelves = [\n    Shelf #2 {\n      name = []\n'
+                       '      featured = []\n    }\n  ]\n}\n', mm)
+        shelf = m.root.values("shelves")[0]
+        assert not shelf.is_set("name") and not shelf.is_set("featured")
+
+    def test_list_of_two_for_single_valued_feature(self):
+        mm = library_mm()
+        with pytest.raises(DiagnosticError) as exc:
+            load_model('Library #1 {\n  shelves = [\n    Shelf #2 {\n'
+                       '      name = ["north", "south"]\n    }\n  ]\n}\n', mm)
+        (d,) = exc.value.diagnostics
+        assert (d.phase, d.code) == ("parse", "model-multiplicity")
+        assert (d.location.line, d.location.column) == (4, 7)
+
+    def test_list_of_one_for_single_valued_feature(self):
+        mm = library_mm()
+        m = load_model('Library #1 {\n  main = [Shelf #2 {\n    name = ["north"]\n  }]\n}\n', mm)
+        assert m.root.get("main").get("name") == "north"
