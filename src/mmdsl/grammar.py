@@ -707,10 +707,12 @@ def render_ast(m: Model, g: Grammar) -> str:
 class _Cursors:
     """How many values of each feature of one object are rendered so far.
     Each slot is read once, as its live list if multi-valued and as ``[v]``
-    if single-valued."""
+    if single-valued. An ID assignment has a value available only if that
+    value reads back as an ID: another alternative must carry it."""
 
-    def __init__(self, obj: ModelObject):
+    def __init__(self, obj: ModelObject, reads_as_id):
         self.obj = obj
+        self.reads_as_id = reads_as_id
         self.used: dict[str, int] = {}
         self.slots: dict[str, list] = {}
 
@@ -728,7 +730,9 @@ class _Cursors:
     def available(self, e: Assignment) -> bool:
         if e.op == "?":
             return self.obj.get(e.feature) is True
-        return self.used.get(e.feature, 0) < len(self.values(e.feature))
+        i = self.used.get(e.feature, 0)
+        vals = self.values(e.feature)
+        return i < len(vals) and (e.callee != "ID" or self.reads_as_id(vals[i]))
 
     def any_available(self, e) -> bool:
         """Whether some assignment below ``e`` has a value left to render."""
@@ -747,6 +751,7 @@ class _Renderer:
     def __init__(self, g: Grammar):
         self.g = g
         self.flags = g.analysis().flags
+        self.reads_as_id = g.lexer().reads_as_id
         self.diags: list[Diagnostic] = []
         self.tokens: list[str] = []
 
@@ -756,7 +761,7 @@ class _Renderer:
             self.diags.append(error("grammar", "gr-no-rule",
                                     f"no concrete rule for class {obj.cls.name!r}", path=path))
             return
-        cur = _Cursors(obj)
+        cur = _Cursors(obj, self.reads_as_id)
         self.walk(rule.body, cur, path)
         flags = self.flags[rule.name]
         for f in obj.slots:
@@ -780,9 +785,10 @@ class _Renderer:
                     tokens.append(e.keyword)
                 return
             if not cur.available(e):
+                left = cur.values(e.feature)[cur.used.get(e.feature, 0):]
+                why = f"value {left[0]!r} is not an ID" if left else "has no value to render"
                 diags.append(error("grammar", "gr-unset-mandatory",
-                                   f"{cur.obj.cls.name}.{e.feature} has no value to render",
-                                   path=path))
+                                   f"{cur.obj.cls.name}.{e.feature} {why}", path=path))
                 return
             value = cur.take(e)
             if e.callee == "STRING":

@@ -128,6 +128,10 @@ class Lexer:
                 break
         raise DiagnosticError([self._lexical_error(text, start, source)])
 
+    def reads_as_id(self, text: str) -> bool:
+        """Whether ``text`` on its own tokenizes as one ID token."""
+        return _is_word(text) and text not in self.reserved
+
     def _lexical_error(self, text: str, at: int, source: _Source):
         """The diagnostic for offset ``at``, where no token can start."""
         if text.startswith('"', at):

@@ -535,8 +535,8 @@ def ref_parse_text(text, g):
 
 
 class RefCursors:
-    def __init__(self, obj):
-        self.obj, self.used = obj, {}
+    def __init__(self, obj, lexer):
+        self.obj, self.used, self.lexer = obj, {}, lexer
 
     def raw(self, feature):
         if not self.obj.is_set(feature):
@@ -546,7 +546,8 @@ class RefCursors:
     def available(self, e):
         if e.op == "?":
             return self.obj.get(e.feature) is True
-        return self.used.get(e.feature, 0) < len(self.raw(e.feature))
+        left = self.raw(e.feature)[self.used.get(e.feature, 0):]
+        return bool(left) and (e.callee != "ID" or self.lexer.reads_as_id(left[0]))
 
     def take(self, e):
         i = self.used.get(e.feature, 0)
@@ -576,7 +577,7 @@ class RefRenderer:
             self.diags.append(error("grammar", "gr-no-rule",
                                     f"no concrete rule for class {obj.cls.name!r}", path=path))
             return
-        cur = RefCursors(obj)
+        cur = RefCursors(obj, self.g.lexer())
         self.walk(rule.body, cur, path)
         flags = ref_flags(rule.body, [])
         for f in obj.slots:
@@ -602,9 +603,10 @@ class RefRenderer:
                     tokens.append(e.keyword)
                 return
             if not cur.available(e):
+                left = cur.raw(e.feature)[cur.used.get(e.feature, 0):]
+                why = f"value {left[0]!r} is not an ID" if left else "has no value to render"
                 diags.append(error("grammar", "gr-unset-mandatory",
-                                   f"{cur.obj.cls.name}.{e.feature} has no value to render",
-                                   path=path))
+                                   f"{cur.obj.cls.name}.{e.feature} {why}", path=path))
                 return
             value = cur.take(e)
             if e.callee == "STRING":
