@@ -6,6 +6,13 @@ metamodel -> grammar skeleton), parse (text -> AST model), transform
 (AST model -> target model), render (AST model -> text), to-text
 (target model -> text), and pipeline (everything, from a config file).
 
+Every command is a chain of the stage functions below, each of which
+returns its result or raises DiagnosticError. ``main`` is the one runner:
+a command stops at its first failing stage and its diagnostics are
+printed; ``pipeline`` reports a failing input and goes on with the next.
+A file that cannot be read (missing, unreadable, not UTF-8) or written
+(missing directory, no permission) is an ``io`` diagnostic.
+
 Every command exits 0 iff no error diagnostics were emitted; diagnostics
 go to stderr as ``file:line:col: severity[code]: message`` lines, or as
 JSON lines with --diagnostics-json. Outputs are byte-identical across
@@ -18,7 +25,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .diagnostics import DiagnosticError, has_errors, sort_diagnostics
+from .diagnostics import DiagnosticError, error, has_errors, sort_diagnostics
 from .emfatic import parse_metamodel, print_metamodel
 from .grammar import (
     check_grammar, generate_grammar_skeleton, parse_grammar, parse_text,
@@ -58,305 +65,160 @@ class _Reporter:
         if has_errors(diagnostics):
             self.failed = True
 
-
-def _read(path: Path, reporter) -> str | None:
-    try:
-        return path.read_text()
-    except OSError as exc:
-        from .diagnostics import error
-        reporter.emit([error("parse", "io", f"cannot read {path}: {exc.strerror}")])
-        return None
+    def check(self, diagnostics):
+        """Emit ``diagnostics`` if they are all warnings; raise them otherwise."""
+        if has_errors(diagnostics):
+            raise DiagnosticError(diagnostics)
+        self.emit(diagnostics)
 
 
-def _load_metamodel(path: Path, reporter, name: str | None = None):
-    text = _read(path, reporter)
-    if text is None:
-        return None
-    try:
-        return parse_metamodel(text, name or mm_name_from_path(path), file=str(path))
-    except DiagnosticError as exc:
-        reporter.emit(exc.diagnostics)
-        return None
-
-
-def cmd_derive(args, reporter) -> None:
-    target = _load_metamodel(Path(args.target), reporter, args.name)
-    if target is None:
-        return
-    if args.xf:
-        text = _read(Path(args.xf), reporter)
-        if text is None:
-            return
-        try:
-            t = parse_transformation(text, target, file=args.xf)
-        except DiagnosticError as exc:
-            reporter.emit(exc.diagnostics)
-            return
+def _io_error(verb: str, path, exc: OSError | UnicodeDecodeError) -> DiagnosticError:
+    if isinstance(exc, UnicodeDecodeError):
+        why = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
     else:
-        t = Transformation([])
+        why = exc.strerror or str(exc)
+    return DiagnosticError([error("parse", "io", f"cannot {verb} {path}: {why}")])
+
+
+def _read(path) -> str:
     try:
-        ast, trace = derive_ast_metamodel(target, t)
-    except DiagnosticError as exc:
-        reporter.emit(exc.diagnostics)
-        return
-    Path(args.out).write_text(print_metamodel(ast))
-    Path(args.trace).write_text(format_trace(trace))
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _io_error("read", path, exc) from None
 
 
-def cmd_grammar_init(args, reporter) -> None:
-    ast = _load_metamodel(Path(args.ast), reporter)
-    if ast is None:
-        return
+def _write(path, text: str) -> None:
     try:
-        text = generate_grammar_skeleton(ast)
-    except DiagnosticError as exc:
-        reporter.emit(exc.diagnostics)
-        return
-    Path(args.out).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _io_error("write", path, exc) from None
 
 
-def _load_grammar(grammar_path: Path, ast, reporter):
-    text = _read(grammar_path, reporter)
-    if text is None:
-        return None
-    try:
-        g = parse_grammar(text, ast, file=str(grammar_path))
-    except DiagnosticError as exc:
-        reporter.emit(exc.diagnostics)
-        return None
+def _metamodel(path, name: str | None = None):
+    return parse_metamodel(_read(path), name or mm_name_from_path(Path(path)),
+                           file=str(path))
+
+
+def _derive(target, xf, out, trace_out):
+    """Derive the AST metamodel of ``target`` under the script at ``xf``, or
+    under the default mapping if ``xf`` is None; write it and its trace."""
+    t = parse_transformation(_read(xf), target, file=str(xf)) if xf else Transformation([])
+    ast, trace = derive_ast_metamodel(target, t)
+    _write(out, print_metamodel(ast))
+    _write(trace_out, format_trace(trace))
+    return ast, trace
+
+
+def _grammar(path, ast):
+    g = parse_grammar(_read(path), ast, file=str(path))
     problems = check_grammar(g)
     if problems:
-        reporter.emit(problems)
-        return None
+        raise DiagnosticError(problems)
     return g
 
 
+def _plan(args):
+    target = _metamodel(args.target)
+    ast = _metamodel(args.ast)
+    return target, ast, build_plan(parse_trace(_read(args.trace), file=args.trace),
+                                   target, ast)
+
+
+def _registry(resolver: str, config, target, ast):
+    """The resolver registry named ``resolver``, set up from the config file
+    at ``config`` (no settings if None)."""
+    if resolver != "namespace":
+        raise DiagnosticError([error("resolve", "config",
+                                     f"unknown resolver {resolver!r}; only 'namespace' is "
+                                     f"built in")])
+    return namespace_registry(parse_config(_read(config)) if config else {}, target, ast)
+
+
+def _model(path, mm, extra=()):
+    model = load_model(_read(path), mm, extra_metamodels=extra, file=str(path))
+    problems = validate_model(model)
+    if problems:
+        raise DiagnosticError(problems)
+    return model
+
+
+def cmd_derive(args, reporter) -> None:
+    _derive(_metamodel(args.target, args.name), args.xf, args.out, args.trace)
+
+
+def cmd_grammar_init(args, reporter) -> None:
+    _write(args.out, generate_grammar_skeleton(_metamodel(args.ast)))
+
+
 def cmd_parse(args, reporter) -> None:
-    ast = _load_metamodel(Path(args.ast), reporter)
-    if ast is None:
-        return
-    g = _load_grammar(Path(args.grammar), ast, reporter)
-    if g is None:
-        return
-    text = _read(Path(args.input), reporter)
-    if text is None:
-        return
-    try:
-        model = parse_text(text, g, file=args.input)
-    except DiagnosticError as exc:
-        reporter.emit(exc.diagnostics)
-        return
-    Path(args.out).write_text(dump_model(model))
-
-
-def _registry_for(args, target, ast, reporter):
-    if args.resolver != "namespace":
-        from .diagnostics import error
-        reporter.emit([error("resolve", "config",
-                             f"unknown resolver {args.resolver!r}; only 'namespace' is "
-                             f"built in")])
-        return None
-    config = {}
-    if args.resolver_config:
-        text = _read(Path(args.resolver_config), reporter)
-        if text is None:
-            return None
-        try:
-            config = parse_config(text)
-        except DiagnosticError as exc:
-            reporter.emit(exc.diagnostics)
-            return None
-    try:
-        return namespace_registry(config, target, ast)
-    except DiagnosticError as exc:
-        reporter.emit(exc.diagnostics)
-        return None
-
-
-def _load_plan(args, reporter):
-    target = _load_metamodel(Path(args.target), reporter)
-    ast = _load_metamodel(Path(args.ast), reporter)
-    trace_text = _read(Path(args.trace), reporter)
-    if None in (target, ast, trace_text):
-        return None
-    try:
-        trace = parse_trace(trace_text, file=args.trace)
-        plan = build_plan(trace, target, ast)
-    except DiagnosticError as exc:
-        reporter.emit(exc.diagnostics)
-        return None
-    return target, ast, plan
+    g = _grammar(args.grammar, _metamodel(args.ast))
+    _write(args.out, dump_model(parse_text(_read(args.input), g, file=args.input)))
 
 
 def cmd_transform(args, reporter) -> None:
-    loaded = _load_plan(args, reporter)
-    if loaded is None:
-        return
-    target, ast, plan = loaded
-    registry = _registry_for(args, target, ast, reporter)
-    if registry is None:
-        return
-    text = _read(Path(args.input), reporter)
-    if text is None:
-        return
-    try:
-        ast_model = load_model(text, ast, extra_metamodels=[target], file=args.input)
-        problems = validate_model(ast_model)
-        if problems:
-            reporter.emit(problems)
-            return
-        model, diags = transform_ast_to_model(ast_model, plan, registry)
-    except DiagnosticError as exc:
-        reporter.emit(exc.diagnostics)
-        return
-    reporter.emit(diags)
-    if not has_errors(diags):
-        Path(args.out).write_text(dump_model(model))
+    target, ast, plan = _plan(args)
+    registry = _registry(args.resolver, args.resolver_config, target, ast)
+    model, diags = transform_ast_to_model(_model(args.input, ast, [target]), plan, registry)
+    reporter.check(diags)
+    _write(args.out, dump_model(model))
 
 
 def cmd_render(args, reporter) -> None:
-    ast = _load_metamodel(Path(args.ast), reporter)
-    if ast is None:
-        return
-    g = _load_grammar(Path(args.grammar), ast, reporter)
-    if g is None:
-        return
-    text = _read(Path(args.input), reporter)
-    if text is None:
-        return
-    try:
-        model = load_model(text, ast, file=args.input)
-        problems = validate_model(model)
-        if problems:
-            reporter.emit(problems)
-            return
-        print(render_ast(model, g), end="")
-    except DiagnosticError as exc:
-        reporter.emit(exc.diagnostics)
+    ast = _metamodel(args.ast)
+    g = _grammar(args.grammar, ast)
+    print(render_ast(_model(args.input, ast), g), end="")
 
 
 def cmd_to_text(args, reporter) -> None:
-    loaded = _load_plan(args, reporter)
-    if loaded is None:
-        return
-    target, ast, plan = loaded
-    registry = _registry_for(args, target, ast, reporter)
-    if registry is None:
-        return
-    g = _load_grammar(Path(args.grammar), ast, reporter)
-    if g is None:
-        return
-    text = _read(Path(args.input), reporter)
-    if text is None:
-        return
-    try:
-        model = load_model(text, target, extra_metamodels=[ast], file=args.input)
-        ast_model, diags = transform_model_to_ast(model, plan, registry)
-        reporter.emit(diags)
-        if not has_errors(diags):
-            print(render_ast(ast_model, g), end="")
-    except DiagnosticError as exc:
-        reporter.emit(exc.diagnostics)
+    target, ast, plan = _plan(args)
+    registry = _registry(args.resolver, args.resolver_config, target, ast)
+    g = _grammar(args.grammar, ast)
+    ast_model, diags = transform_model_to_ast(_model(args.input, target, [ast]), plan,
+                                              registry)
+    reporter.check(diags)
+    print(render_ast(ast_model, g), end="")
 
 
 def cmd_pipeline(args, reporter) -> None:
     cfg_path = Path(args.config)
-    text = _read(cfg_path, reporter)
-    if text is None:
-        return
-    try:
-        cfg = parse_config(text)
-    except DiagnosticError as exc:
-        reporter.emit(exc.diagnostics)
-        return
+    cfg = parse_config(_read(cfg_path))
+    if "target" not in cfg:
+        raise DiagnosticError([error("parse", "config",
+                                     "pipeline config is missing the 'target' key")])
     base = cfg_path.parent
-
-    def need(key):
-        if key not in cfg:
-            from .diagnostics import error
-            reporter.emit([error("parse", "config",
-                                 f"pipeline config is missing the {key!r} key")])
-            return None
-        return base / cfg[key]
-
-    target_path = need("target")
-    if target_path is None:
-        return
+    target_path = base / cfg["target"]
     out_dir = base / cfg.get("out", "out")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _io_error("create", out_dir, exc) from None
     stem = mm_name_from_path(target_path)
 
-    target = _load_metamodel(target_path, reporter)
-    if target is None:
-        return
-    t = Transformation([])
-    if cfg.get("xf"):
-        xf_text = _read(base / cfg["xf"], reporter)
-        if xf_text is None:
-            return
-        try:
-            t = parse_transformation(xf_text, target, file=cfg["xf"])
-        except DiagnosticError as exc:
-            reporter.emit(exc.diagnostics)
-            return
-    try:
-        ast, trace = derive_ast_metamodel(target, t)
-    except DiagnosticError as exc:
-        reporter.emit(exc.diagnostics)
-        return
-    (out_dir / f"{stem}.ast.mm").write_text(print_metamodel(ast))
-    (out_dir / f"{stem}.trace").write_text(format_trace(trace))
-
+    target = _metamodel(target_path)
+    xf = base / cfg["xf"] if cfg.get("xf") else None
+    ast, trace = _derive(target, xf, out_dir / f"{stem}.ast.mm", out_dir / f"{stem}.trace")
     if cfg.get("grammar"):
-        g = _load_grammar(base / cfg["grammar"], ast, reporter)
-        if g is None:
-            return
+        grammar_path = base / cfg["grammar"]
     else:
-        try:
-            skeleton = generate_grammar_skeleton(ast)
-            (out_dir / f"{stem}.gr").write_text(skeleton)
-            g = parse_grammar(skeleton, ast, file=f"{stem}.gr")
-        except DiagnosticError as exc:
-            reporter.emit(exc.diagnostics)
-            return
-
-    try:
-        plan = build_plan(trace, target, ast)
-    except DiagnosticError as exc:
-        reporter.emit(exc.diagnostics)
-        return
-    rc_text = ""
-    if cfg.get("resolver.config"):
-        rc_text = _read(base / cfg["resolver.config"], reporter)
-        if rc_text is None:
-            return
-    try:
-        registry = namespace_registry(parse_config(rc_text), target, ast)
-    except DiagnosticError as exc:
-        reporter.emit(exc.diagnostics)
-        return
+        grammar_path = out_dir / f"{stem}.gr"
+        _write(grammar_path, generate_grammar_skeleton(ast))
+    g = _grammar(grammar_path, ast)
+    plan = build_plan(trace, target, ast)
+    rc = cfg.get("resolver.config")
+    registry = _registry("namespace", base / rc if rc else None, target, ast)
 
     inputs = [p.strip() for p in cfg.get("inputs", "").split(",") if p.strip()]
     for rel in inputs:
         in_path = base / rel
         in_stem = in_path.name.rsplit(".", 1)[0]
-        text = _read(in_path, reporter)
-        if text is None:
-            continue
         try:
-            ast_model = parse_text(text, g, file=str(in_path))
-        except DiagnosticError as exc:
-            reporter.emit(exc.diagnostics)
-            continue
-        (out_dir / f"{in_stem}.astm").write_text(dump_model(ast_model))
-        try:
+            ast_model = parse_text(_read(in_path), g, file=str(in_path))
+            _write(out_dir / f"{in_stem}.astm", dump_model(ast_model))
             model, diags = transform_ast_to_model(ast_model, plan, registry)
+            reporter.check(diags)
+            _write(out_dir / f"{in_stem}.model", dump_model(model))
         except DiagnosticError as exc:
             reporter.emit(exc.diagnostics)
-            continue
-        reporter.emit(diags)
-        if not has_errors(diags):
-            (out_dir / f"{in_stem}.model").write_text(dump_model(model))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,7 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     reporter = _Reporter(args.diagnostics_json)
-    args.func(args, reporter)
+    try:
+        args.func(args, reporter)
+    except DiagnosticError as exc:
+        reporter.emit(exc.diagnostics)
     return 1 if reporter.failed else 0
 
 

@@ -708,7 +708,8 @@ class _Cursors:
     """How many values of each feature of one object are rendered so far.
     Each slot is read once, as its live list if multi-valued and as ``[v]``
     if single-valued. An ID assignment has a value available only if that
-    value reads back as an ID: another alternative must carry it."""
+    value reads back as an ID: another alternative must carry it. A set
+    flag counts as one value, so a repetition around it ends."""
 
     def __init__(self, obj: ModelObject, reads_as_id):
         self.obj = obj
@@ -728,9 +729,9 @@ class _Cursors:
         return vals
 
     def available(self, e: Assignment) -> bool:
-        if e.op == "?":
-            return self.obj.get(e.feature) is True
         i = self.used.get(e.feature, 0)
+        if e.op == "?":
+            return not i and self.obj.get(e.feature) is True
         vals = self.values(e.feature)
         return i < len(vals) and (e.callee != "ID" or self.reads_as_id(vals[i]))
 
@@ -783,6 +784,7 @@ class _Renderer:
             if e.op == "?":
                 if cur.available(e):
                     tokens.append(e.keyword)
+                    cur.used[e.feature] = 1
                 return
             if not cur.available(e):
                 left = cur.values(e.feature)[cur.used.get(e.feature, 0):]

@@ -258,6 +258,25 @@ class TestRenderCmds:
         assert "error[model-multiplicity]" in done.stderr and ":4:7:" in done.stderr
         assert "Traceback" not in done.stderr and done.stdout == ""
 
+    @pytest.mark.parametrize("edit", [("lowerBound = 0", 'lowerBound = "zero"'),
+                                      ('name = "QualifiedName"', "name = 5")])
+    def test_to_text_validates_its_input(self, selfhost_dir, edit):
+        d = derived(selfhost_dir)
+        run("parse", "--grammar", d / "xf.gr", "--ast", d / "xf.ast.mm",
+            d / "xf.xf", "--out", d / "s.astm")
+        run("transform", "--trace", d / "xf.trace", "--target", d / "xf.mm",
+            "--ast", d / "xf.ast.mm", "--resolver-config", d / "ns.cfg",
+            d / "s.astm", "--out", d / "s.model")
+        model = d / "s.model"
+        assert edit[0] in model.read_text()
+        model.write_text(model.read_text().replace(*edit, 1))
+        done = run_process("to-text", "--trace", d / "xf.trace", "--target", d / "xf.mm",
+                           "--ast", d / "xf.ast.mm", "--grammar", d / "xf.gr",
+                           "--resolver-config", d / "ns.cfg", model)
+        assert done.returncode == 1
+        assert "error[model-kind]" in done.stderr
+        assert "Traceback" not in done.stderr and done.stdout == ""
+
     def test_render_without_rule_fails(self, selfhost_dir, css_dir, capsys):
         d = selfhost_dir
         run("derive", "--target", d / "xf.mm", "--xf", d / "xf.xf",
@@ -312,11 +331,68 @@ class TestPipelineCmd:
         assert "error[gr-cross-reference]" in done.stderr
         assert "Traceback" not in done.stderr
 
+    def test_diagnostics_name_the_opened_path(self, css_dir, capsys):
+        xf = css_dir / "css.xf"
+        xf.write_text(xf.read_text() + "skip Nope ;\n")
+        assert run("pipeline", css_dir / "pipeline.cfg") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{xf}:") and "error[" in err
+
     def test_pipeline_without_grammar_uses_skeleton(self, css_dir):
         cfg = css_dir / "nogr.cfg"
         cfg.write_text("target = css.mm\nxf = css.xf\nresolver.config = ns.cfg\nout = out2\n")
         assert run("pipeline", cfg) == 0
         assert (css_dir / "out2" / "css.gr").exists()
+
+
+def derived(d):
+    """The selfhost sample with its AST metamodel and trace derived."""
+    run("derive", "--target", d / "xf.mm", "--xf", d / "xf.xf",
+        "--out", d / "xf.ast.mm", "--trace", d / "xf.trace")
+    return d
+
+
+class TestIoDiagnostics:
+    @pytest.mark.parametrize("command", ["derive", "grammar-init", "parse", "transform",
+                                         "render", "to-text", "pipeline"])
+    def test_non_utf8_file(self, selfhost_dir, command):
+        d = derived(selfhost_dir)
+        bad = d / "bad.txt"
+        bad.write_bytes(b"\xff\xfeskip X;\n")
+        plan = ["--trace", d / "xf.trace", "--target", d / "xf.mm", "--ast", d / "xf.ast.mm"]
+        argv = {
+            "derive": ["--target", d / "xf.mm", "--xf", bad,
+                       "--out", d / "o.mm", "--trace", d / "o.trace"],
+            "grammar-init": ["--ast", bad, "--out", d / "o.gr"],
+            "parse": ["--grammar", d / "xf.gr", "--ast", d / "xf.ast.mm", bad,
+                      "--out", d / "o.astm"],
+            "transform": ["--trace", bad, "--target", d / "xf.mm", "--ast", d / "xf.ast.mm",
+                          d / "xf.xf", "--out", d / "o.model"],
+            "render": ["--grammar", bad, "--ast", d / "xf.ast.mm", d / "xf.xf"],
+            "to-text": plan + ["--grammar", d / "xf.gr", "--resolver-config", bad, d / "xf.xf"],
+            "pipeline": [bad],
+        }[command]
+        done = run_process(command, *argv)
+        assert done.returncode == 1
+        assert f"error[io]: cannot read {bad}: not UTF-8 text" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("command", ["parse", "derive", "pipeline"])
+    def test_unwritable_output(self, selfhost_dir, command):
+        d = derived(selfhost_dir)
+        missing = d / "no" / "such"
+        (d / "p.cfg").write_text("target = xf.mm\nout = xf.mm\n")
+        argv = {
+            "parse": ["--grammar", d / "xf.gr", "--ast", d / "xf.ast.mm", d / "xf.xf",
+                      "--out", missing / "o.astm"],
+            "derive": ["--target", d / "xf.mm", "--out", d / "o.mm",
+                       "--trace", missing / "o.trace"],
+            "pipeline": [d / "p.cfg"],
+        }[command]
+        done = run_process(command, *argv)
+        assert done.returncode == 1
+        assert "error[io]: cannot " in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestJsonDiagnostics:
