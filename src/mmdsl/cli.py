@@ -10,6 +10,8 @@ Every command is a chain of the stage functions below, each of which
 returns its result or raises DiagnosticError. ``main`` is the one runner:
 a command stops at its first failing stage and its diagnostics are
 printed; ``pipeline`` reports a failing input and goes on with the next.
+``pipeline`` writes its first output only after its set-up stages
+(derivation, grammar, plan, registry) have all succeeded.
 A file that cannot be read (missing, unreadable, not UTF-8) or written
 (missing directory, no permission) is an ``io`` diagnostic.
 
@@ -99,18 +101,16 @@ def _metamodel(path, name: str | None = None):
                            file=str(path))
 
 
-def _derive(target, xf, out, trace_out):
-    """Derive the AST metamodel of ``target`` under the script at ``xf``, or
-    under the default mapping if ``xf`` is None; write it and its trace."""
+def _derive(target, xf):
+    """The AST metamodel and trace of ``target`` under the script at ``xf``,
+    or under the default mapping if ``xf`` is None."""
     t = parse_transformation(_read(xf), target, file=str(xf)) if xf else Transformation([])
-    ast, trace = derive_ast_metamodel(target, t)
-    _write(out, print_metamodel(ast))
-    _write(trace_out, format_trace(trace))
-    return ast, trace
+    return derive_ast_metamodel(target, t)
 
 
-def _grammar(path, ast):
-    g = parse_grammar(_read(path), ast, file=str(path))
+def _grammar(text: str, path, ast):
+    """The checked grammar ``text``, located at ``path`` in diagnostics."""
+    g = parse_grammar(text, ast, file=str(path))
     problems = check_grammar(g)
     if problems:
         raise DiagnosticError(problems)
@@ -131,7 +131,8 @@ def _registry(resolver: str, config, target, ast):
         raise DiagnosticError([error("resolve", "config",
                                      f"unknown resolver {resolver!r}; only 'namespace' is "
                                      f"built in")])
-    return namespace_registry(parse_config(_read(config)) if config else {}, target, ast)
+    settings = parse_config(_read(config), file=str(config)) if config else {}
+    return namespace_registry(settings, target, ast)
 
 
 def _model(path, mm, extra=()):
@@ -143,7 +144,9 @@ def _model(path, mm, extra=()):
 
 
 def cmd_derive(args, reporter) -> None:
-    _derive(_metamodel(args.target, args.name), args.xf, args.out, args.trace)
+    ast, trace = _derive(_metamodel(args.target, args.name), args.xf)
+    _write(args.out, print_metamodel(ast))
+    _write(args.trace, format_trace(trace))
 
 
 def cmd_grammar_init(args, reporter) -> None:
@@ -151,7 +154,7 @@ def cmd_grammar_init(args, reporter) -> None:
 
 
 def cmd_parse(args, reporter) -> None:
-    g = _grammar(args.grammar, _metamodel(args.ast))
+    g = _grammar(_read(args.grammar), args.grammar, _metamodel(args.ast))
     _write(args.out, dump_model(parse_text(_read(args.input), g, file=args.input)))
 
 
@@ -165,14 +168,14 @@ def cmd_transform(args, reporter) -> None:
 
 def cmd_render(args, reporter) -> None:
     ast = _metamodel(args.ast)
-    g = _grammar(args.grammar, ast)
+    g = _grammar(_read(args.grammar), args.grammar, ast)
     print(render_ast(_model(args.input, ast), g), end="")
 
 
 def cmd_to_text(args, reporter) -> None:
     target, ast, plan = _plan(args)
     registry = _registry(args.resolver, args.resolver_config, target, ast)
-    g = _grammar(args.grammar, ast)
+    g = _grammar(_read(args.grammar), args.grammar, ast)
     ast_model, diags = transform_model_to_ast(_model(args.input, target, [ast]), plan,
                                               registry)
     reporter.check(diags)
@@ -181,7 +184,7 @@ def cmd_to_text(args, reporter) -> None:
 
 def cmd_pipeline(args, reporter) -> None:
     cfg_path = Path(args.config)
-    cfg = parse_config(_read(cfg_path))
+    cfg = parse_config(_read(cfg_path), file=str(cfg_path))
     if "target" not in cfg:
         raise DiagnosticError([error("parse", "config",
                                      "pipeline config is missing the 'target' key")])
@@ -195,17 +198,19 @@ def cmd_pipeline(args, reporter) -> None:
     stem = mm_name_from_path(target_path)
 
     target = _metamodel(target_path)
-    xf = base / cfg["xf"] if cfg.get("xf") else None
-    ast, trace = _derive(target, xf, out_dir / f"{stem}.ast.mm", out_dir / f"{stem}.trace")
+    ast, trace = _derive(target, base / cfg["xf"] if cfg.get("xf") else None)
     if cfg.get("grammar"):
-        grammar_path = base / cfg["grammar"]
+        grammar_path, skeleton = base / cfg["grammar"], None
     else:
-        grammar_path = out_dir / f"{stem}.gr"
-        _write(grammar_path, generate_grammar_skeleton(ast))
-    g = _grammar(grammar_path, ast)
+        grammar_path, skeleton = out_dir / f"{stem}.gr", generate_grammar_skeleton(ast)
+    g = _grammar(_read(grammar_path) if skeleton is None else skeleton, grammar_path, ast)
     plan = build_plan(trace, target, ast)
     rc = cfg.get("resolver.config")
     registry = _registry("namespace", base / rc if rc else None, target, ast)
+    _write(out_dir / f"{stem}.ast.mm", print_metamodel(ast))
+    _write(out_dir / f"{stem}.trace", format_trace(trace))
+    if skeleton is not None:
+        _write(grammar_path, skeleton)
 
     inputs = [p.strip() for p in cfg.get("inputs", "").split(",") if p.strip()]
     for rel in inputs:

@@ -7,9 +7,10 @@ instances with cross links inside the tree.
 
 Every lookup asks a MetaClass for its derived facts: the transitive
 supertypes (a tuple and a set, so ``is_subtype`` is one set test), the
-``all_features`` tuple and a name -> feature table in which the first
-feature of that tuple with a name wins. A class builds these tables on its
-first lookup and keeps them until some class's ``supertypes`` or
+``all_features`` tuple, its ``containments`` (the containment references
+among them, in order) and a name -> feature table in which the first
+feature of ``all_features`` with a name wins. A class builds these tables
+on its first lookup and keeps them until some class's ``supertypes`` or
 ``features`` list is edited, in place or by assignment; the next lookup on
 any class then builds its tables again. That keeps lookups correct while a
 metamodel is being built or rewired (``derive_ast_metamodel`` edits classes
@@ -17,6 +18,11 @@ between its phases) and makes them one dictionary or set access afterwards.
 Editing a MetaFeature in place (its name, say) is not seen: replace the
 feature in its class's list instead. Once built, a metamodel can be shared
 freely across threads; a Model is single-writer.
+
+A ``Tree`` is one walk of a containment tree with an explicit stack: its
+objects in preorder, and each object's container and path without a search.
+``iter_tree``, ``validate_model`` and ``transform``'s diagnostics and namers
+each read one Tree.
 
 The builtin ``ecore`` package provides the reflective classifiers user
 metamodels may reference (EClassifier, EClass, EDataType, ...). Metamodel
@@ -147,7 +153,8 @@ for _edit in ("extend", "insert", "remove", "pop", "clear", "sort", "reverse",
 class _Tables:
     """A class's derived facts, valid while ``edits`` equals ``_edits``."""
 
-    __slots__ = ("edits", "supertypes", "supertype_set", "features", "by_name")
+    __slots__ = ("edits", "supertypes", "supertype_set", "features", "by_name",
+                 "containments")
 
     def __init__(self, cls: "MetaClass"):
         self.edits = _edits
@@ -172,6 +179,8 @@ class _Tables:
             [f for c in reversed(supers) for f in c.features] + cls.features))
         # first match wins: later duplicates are written first, then overwritten
         self.by_name = {f.name: f for f in reversed(self.features)}
+        self.containments = tuple(
+            f for f in self.features if isinstance(f, MetaReference) and f.containment)
 
 
 class MetaClass:
@@ -232,6 +241,10 @@ class MetaClass:
     def find_feature(self, name: str) -> MetaFeature | None:
         """The first feature of ``all_features`` named ``name``."""
         return self.tables().by_name.get(name)
+
+    def containments(self) -> tuple[MetaReference, ...]:
+        """The containment references of ``all_features``, in its order."""
+        return self.tables().containments
 
 
 Classifier = MetaClass | MetaDataType
@@ -325,12 +338,11 @@ class ModelObject:
     """An instance of a MetaClass. Slots are keyed by feature name; single
     valued slots hold a scalar or object, multi-valued slots hold a list."""
 
-    __slots__ = ("cls", "slots", "id", "represents")
+    __slots__ = ("cls", "slots", "represents")
 
     def __init__(self, cls: MetaClass, represents: Classifier | None = None, **slots):
         self.cls = cls
         self.slots: dict[str, object] = {}
-        self.id: int | None = None  # assigned at serialization time
         self.represents = represents
         for name, value in slots.items():
             self.set(name, value)
@@ -478,55 +490,77 @@ def _value_fits(value, datatype: MetaDataType) -> bool:
     return type(value) is int
 
 
-def iter_tree(root: ModelObject):
-    """Depth-first walk of the containment tree (containment slots only)."""
-    yield root
-    for f in root.cls.all_features():
-        if isinstance(f, MetaReference) and f.containment:
-            for child in root.values(f.name):
-                if isinstance(child, ModelObject):
-                    yield from iter_tree(child)
+class Tree:
+    """One preorder walk of the containment tree below ``root``, with an
+    explicit stack. ``objects`` lists each object once, in the order first
+    reached; ``shared`` lists an object each time it is reached again.
+    ``container`` and ``path`` read the step that first reached an object.
+    A value in a containment slot that is not an object keeps its index."""
+
+    __slots__ = ("objects", "shared", "_steps")
+
+    def __init__(self, root: ModelObject):
+        objects = self.objects = []
+        shared = self.shared = []
+        # object -> (object, container, feature, index) of its first reach
+        steps = self._steps = {}
+        stack = [(root, None, None, None)]
+        while stack:
+            step = stack.pop()
+            obj = step[0]
+            if obj in steps:
+                shared.append(obj)
+                continue
+            steps[obj] = step
+            objects.append(obj)
+            below = []
+            for f in obj.cls.tables().containments:
+                v = obj.slots.get(f.name)
+                if v is not None:
+                    for i, child in enumerate(v if f.many else (v,)):
+                        if isinstance(child, ModelObject):
+                            below.append((child, obj, f, i))
+            stack.extend(reversed(below))
+
+    def __contains__(self, obj) -> bool:
+        return obj in self._steps
+
+    def container(self, obj: ModelObject) -> ModelObject | None:
+        """The object whose containment slot first reached ``obj``."""
+        return self._steps.get(obj, (None, None))[1]
+
+    def path(self, obj: ModelObject) -> str | None:
+        """Slash-separated containment path with indices on multi-valued
+        steps; None for an object the walk did not reach."""
+        step, names = self._steps.get(obj), []
+        if step is None:
+            return None
+        while step[1] is not None:
+            _, container, f, i = step
+            names.append(f"{f.name}[{i}]" if f.many else f.name)
+            step = self._steps[container]
+        return "/" + "/".join(reversed(names))
 
 
-def object_path(root: ModelObject, target: ModelObject) -> str | None:
-    """Slash-separated containment path with indices on multi-valued steps."""
-    if target is root:
-        return "/"
-    return _path_below(root, "/", target)
-
-
-def _path_below(obj: ModelObject, prefix: str, target: ModelObject) -> str | None:
-    for f in obj.cls.all_features():
-        if isinstance(f, MetaReference) and f.containment:
-            kids = obj.values(f.name)
-            for i, child in enumerate(kids):
-                step = f"{f.name}[{i}]" if f.many else f.name
-                here = f"{prefix}/{step}" if prefix != "/" else f"/{step}"
-                if child is target:
-                    return here
-                found = _path_below(child, here, target)
-                if found:
-                    return found
-    return None
+def iter_tree(root: ModelObject) -> list[ModelObject]:
+    """The objects of the containment tree below ``root``, in preorder."""
+    return Tree(root).objects
 
 
 def validate_model(m: Model) -> list[Diagnostic]:
-    diags = []
+    diags, tree = [], Tree(m.root)
 
-    def err(code, message, obj=None):
-        path = object_path(m.root, obj) if obj is not None else "/"
-        diags.append(error("validate", code, message, path=path or "/"))
+    def err(code, message, obj):
+        diags.append(error("validate", code, message, path=tree.path(obj)))
 
     known = {id(c) for c in m.metamodel.classifiers} | {id(c) for c in _ECORE.classifiers}
 
     # Containment must be a tree: every object reached exactly once.
-    seen: dict[int, ModelObject] = {}
-    shared: list[ModelObject] = []
-    _reach(m.root, seen, shared)
-    for obj in shared:
-        err("model-containment", f"object of class {obj.cls.name} is contained more than once")
+    for obj in tree.shared:
+        err("model-containment", f"object of class {obj.cls.name} is contained more than once",
+            m.root)
 
-    for obj in list(seen.values()):
+    for obj in tree.objects:
         if id(obj.cls) not in known:
             err("model-unknown-class", f"class {obj.cls.name} is not in the metamodel", obj)
             continue
@@ -557,26 +591,11 @@ def validate_model(m: Model) -> list[Diagnostic]:
                         err("model-kind",
                             f"{obj.cls.name}.{f.name}: object of class {v.cls.name} does not "
                             f"conform to {f.type.name}", obj)
-                    if not f.containment:
-                        if id(v) not in seen and v.represents is None:
-                            err("model-dangling",
-                                f"{obj.cls.name}.{f.name}: cross reference targets an object "
-                                f"outside the model", obj)
+                    if not f.containment and v not in tree and v.represents is None:
+                        err("model-dangling",
+                            f"{obj.cls.name}.{f.name}: cross reference targets an object "
+                            f"outside the model", obj)
     return diags
-
-
-def _reach(obj: ModelObject, seen: dict[int, ModelObject], shared: list[ModelObject]):
-    """Record every object below ``obj`` in ``seen``, and in ``shared`` each
-    time one is reached again."""
-    if id(obj) in seen:
-        shared.append(obj)
-        return
-    seen[id(obj)] = obj
-    for f in obj.cls.all_features():
-        if isinstance(f, MetaReference) and f.containment:
-            for child in obj.values(f.name):
-                if isinstance(child, ModelObject):
-                    _reach(child, seen, shared)
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,7 @@ _LEXER = Lexer(
 
 
 def dump_model(m: Model) -> str:
-    ids: dict[int, int] = {}
-    for n, obj in enumerate(iter_tree(m.root), start=1):
-        ids[id(obj)] = n
-        obj.id = n
+    ids = {id(obj): n for n, obj in enumerate(iter_tree(m.root), start=1)}
     dumper = _Dumper(ids, [m.metamodel, builtin_ecore()])
     dumper.emit(m.root, 0)
     return "\n".join(dumper.out) + "\n"
@@ -182,7 +179,6 @@ class _Reader:
         stream.expect_kw("#")
         oid = stream.expect("INT").value
         obj = ModelObject(cls)
-        obj.id = oid
         if oid in self.by_id:
             stream.fail(f"duplicate object id #{oid}", token=name_tok)
         self.by_id[oid] = obj

@@ -28,11 +28,11 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 
-from .diagnostics import Diagnostic, DiagnosticError, error
+from .diagnostics import Diagnostic, DiagnosticError, SourceLocation, error
 from .meta import (
     Classifier, MetaAttribute, MetaClass, MetaDataType, MetaFeature, Metamodel,
-    Model, ModelObject, builtin_ecore, classifier_object, find_classifier_home,
-    is_subtype, object_path, resolve_classifier, validate_model,
+    Model, ModelObject, Tree, builtin_ecore, classifier_object, find_classifier_home,
+    is_subtype, resolve_classifier, validate_model,
 )
 from .xf import Trace
 
@@ -293,14 +293,11 @@ def flatten_payload(payload) -> list[str]:
     segs: list[str] = []
     obj = payload
     while isinstance(obj, ModelObject):
-        tail = None
-        for f in obj.cls.all_features():
-            if f.is_attribute and f.type.kind == "string" and not f.many and obj.is_set(f.name):
-                segs.append(obj.get(f.name))
-            elif (not f.is_attribute and f.containment and not f.many
-                  and obj.is_set(f.name)):
-                tail = obj.get(f.name)
-        obj = tail
+        segs += [obj.get(f.name) for f in obj.cls.all_features() if f.is_attribute
+                 and f.type.kind == "string" and not f.many and obj.is_set(f.name)]
+        # the tail is the last set single-valued containment
+        obj = next((obj.get(f.name) for f in reversed(obj.cls.containments())
+                    if not f.many and obj.is_set(f.name)), None)
     return segs
 
 
@@ -309,9 +306,8 @@ def build_payload_tree(cls: MetaClass, segments) -> ModelObject:
     one single-valued string attribute plus one self-typed containment."""
     head = next((f for f in cls.all_features()
                  if f.is_attribute and f.type.kind == "string" and not f.many), None)
-    tail = next((f for f in cls.all_features()
-                 if not f.is_attribute and f.containment and not f.many
-                 and is_subtype(cls, f.type)), None)
+    tail = next((f for f in cls.containments()
+                 if not f.many and is_subtype(cls, f.type)), None)
     if head is None or (len(segments) > 1 and tail is None):
         raise DiagnosticError([error("resolve", "reverse-unsupported",
                                      f"class {cls.name!r} cannot carry a qualified name")])
@@ -337,8 +333,7 @@ class ResolverRegistry:
         self.root_constructor = None
         self.scope_classes: set[str] = set()
         self._seed_metamodels: list[tuple[str, Metamodel]] = []
-        self.namers: dict[tuple[str, str], object] = {}
-        self.default_namer = None
+        self.default_namer = default_namer
 
     def on(self, image_class: str, feature: str, resolver) -> "ResolverRegistry":
         self.resolvers[(image_class, feature)] = resolver
@@ -362,12 +357,6 @@ class ResolverRegistry:
                 return r
         return self.default_resolver
 
-    def namer_for(self, owner: MetaClass, feature_name: str):
-        n = self.namers.get((owner.name, feature_name))
-        if n is not None:
-            return n
-        return self.default_namer or default_namer
-
     def make_namespace(self) -> Namespace:
         ns = Namespace()
         for kind, mm in self._seed_metamodels:
@@ -389,10 +378,11 @@ def default_namespace_resolver(ctx: ResolutionContext):
     return ctx.namespace.resolve(ctx.scope, segs)
 
 
-def default_namer(obj: ModelObject, registry: ResolverRegistry, model: Model) -> list[str] | None:
+def default_namer(obj: ModelObject, registry: ResolverRegistry, tree: Tree) -> list[str] | None:
     """Textual reference for a target object: classifier stand-ins become
     their (ecore-qualified) names; model objects contribute their name
-    attribute prefixed by the names of their scope-opening ancestors."""
+    attribute prefixed by the names of their scope-opening containers, read
+    up the container chain of ``tree``, the target model's Tree."""
     if obj.represents is not None:
         home = find_classifier_home(obj.represents, [builtin_ecore()])
         if home is not None:
@@ -403,28 +393,12 @@ def default_namer(obj: ModelObject, registry: ResolverRegistry, model: Model) ->
     if feat is None or not obj.is_set(attr):
         return None
     segs = [obj.get(attr)]
-    container = _container_of(model.root, obj)
+    container = tree.container(obj)
     while container is not None:
         if container.cls.name in registry.scope_classes and container.is_set(attr):
             segs.insert(0, container.get(attr))
-        container = _container_of(model.root, container)
+        container = tree.container(container)
     return segs
-
-
-def _container_of(root: ModelObject, target: ModelObject) -> ModelObject | None:
-    return _container_below(root, target) if target is not root else None
-
-
-def _container_below(obj: ModelObject, target: ModelObject) -> ModelObject | None:
-    for f in obj.cls.all_features():
-        if not f.is_attribute and f.containment:
-            for child in obj.values(f.name):
-                if child is target:
-                    return obj
-                found = _container_below(child, target)
-                if found is not None:
-                    return found
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +432,8 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
         troot = run.build(root, ())
     elif plan.is_consume_only(root.cls):
         mapped_children = []
-        for f in root.cls.all_features():
-            if not f.is_attribute and f.containment:
-                mapped_children += [c for c in root.values(f.name) if plan.is_mapped(c.cls)]
+        for f in root.cls.containments():
+            mapped_children += [c for c in root.values(f.name) if plan.is_mapped(c.cls)]
         if len(mapped_children) == 1:
             root_candidate = mapped_children[0]
             troot = run.build(root_candidate, (root,))
@@ -482,9 +455,7 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
         chain = (ast_obj,) + ancestors
         placer = registry.placers.get(ast_obj.cls.name)
         placement = None  # computed lazily, once per consume-only object
-        for f in ast_obj.cls.all_features():
-            if f.is_attribute or not f.containment:
-                continue
+        for f in ast_obj.cls.containments():
             for child in ast_obj.values(f.name):
                 if child is root_candidate:
                     continue  # already transformed as the root
@@ -510,15 +481,20 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
     run.bind(troot, ns.root)
 
     deferred: list[_CrossJob] = []
+    failed: list[tuple[ModelObject, str, str]] = []
     for job in run.jobs:
         result = run.resolve(job, troot)
         if result is DEFER:
             deferred.append(job)
         else:
-            _settle(job, result, troot, diags)
+            _settle(job, result, failed)
     for job in deferred:  # one retry once every object exists
         result = run.resolve(job, troot)
-        _settle(job, None if result is DEFER else result, troot, diags)
+        _settle(job, None if result is DEFER else result, failed)
+    if failed:
+        tree = Tree(troot)
+        diags.extend(error("resolve", code, message, path=tree.path(tobj) or "/")
+                     for tobj, code, message in failed)
 
     for tobj, fname, buffer in run.buffers:
         values = [v for v in buffer if v is not None]
@@ -583,10 +559,9 @@ class _Forward:
             self.ns.define(_scope_path(scope), obj.get(attr), obj, tolerate_duplicates=True)
             if obj.cls.name in self.registry.scope_classes:
                 inner = scope.child(obj.get(attr))
-        for f in obj.cls.all_features():
-            if not f.is_attribute and f.containment:
-                for child in obj.values(f.name):
-                    self.bind(child, inner)
+        for f in obj.cls.containments():
+            for child in obj.values(f.name):
+                self.bind(child, inner)
 
     def resolve(self, job: _CrossJob, troot: ModelObject):
         ns = self.ns
@@ -598,30 +573,27 @@ class _Forward:
             namespace=ns, scope=owner_scope)
         resolver = self.registry.resolver_for(job.ast_object.cls, job.instr.image_feature.name)
         result = resolver(ctx)
-        if result is DEFER:
-            return DEFER
         if isinstance(result, Stub):
-            return DEFER if not result.resolved else result.target
+            return result.target if result.resolved else DEFER
         return result
 
 
-def _settle(job: _CrossJob, result, troot, diags):
+def _settle(job: _CrossJob, result, failed: list):
+    """Buffer the resolved object of ``job``, or add to ``failed`` the code
+    and message of why there is none."""
     if result is None:
         name = "::".join(flatten_payload(job.payload)) or "<empty>"
-        diags.append(error("resolve", "resolve-unresolved",
-                           f"unresolved reference '{name}' in "
-                           f"{job.target_object.cls.name}.{job.instr.target_feature.name}",
-                           path=object_path(troot, job.target_object) or "/"))
-        return
-    if not isinstance(result, ModelObject) or not is_subtype(
+        failed.append((job.target_object, "resolve-unresolved",
+                       f"unresolved reference '{name}' in "
+                       f"{job.target_object.cls.name}.{job.instr.target_feature.name}"))
+    elif not isinstance(result, ModelObject) or not is_subtype(
             result.cls, job.instr.target_feature.type):
         got = result.cls.name if isinstance(result, ModelObject) else type(result).__name__
-        diags.append(error("resolve", "resolve-type",
-                           f"resolved object of class {got} does not conform to "
-                           f"{job.instr.target_feature.type.name}",
-                           path=object_path(troot, job.target_object) or "/"))
-        return
-    job.buffer[job.index] = result
+        failed.append((job.target_object, "resolve-type",
+                       f"resolved object of class {got} does not conform to "
+                       f"{job.instr.target_feature.type.name}"))
+    else:
+        job.buffer[job.index] = result
 
 
 @dataclass
@@ -657,13 +629,15 @@ def transform_model_to_ast(m: Model, plan: TransformPlan,
             f"root class {m.root.cls.name!r} has no AST image; this model cannot be "
             f"rendered back to text")])
 
-    iroot = _reverse(m.root, "", m, plan, registry, diags)
+    namer, tree = registry.default_namer, Tree(m.root)
+    iroot = _reverse(m.root, "", plan, lambda obj: namer(obj, registry, tree), diags)
     return Model(iroot, plan.ast), diags
 
 
-def _reverse(tobj: ModelObject, path: str, m: Model, plan: TransformPlan,
-             registry: ResolverRegistry, diags: list[Diagnostic]) -> ModelObject:
-    """The AST image of ``tobj`` and its subtree."""
+def _reverse(tobj: ModelObject, path: str, plan: TransformPlan, name_of,
+             diags: list[Diagnostic]) -> ModelObject:
+    """The AST image of ``tobj`` and its subtree; ``name_of`` gives the
+    textual reference of a cross-referenced object."""
     image = plan.image_for_proto[tobj.cls.name]
     iobj = ModelObject(image)
     for instr in plan.instructions_for(image):
@@ -684,14 +658,13 @@ def _reverse(tobj: ModelObject, path: str, m: Model, plan: TransformPlan,
                                        f"class {child.cls.name!r} has no AST image",
                                        path=f"{path}/{tname}"))
                     continue
-                children.append(_reverse(child, f"{path}/{tname}", m, plan, registry, diags))
+                children.append(_reverse(child, f"{path}/{tname}", plan, name_of, diags))
             if children:
                 iobj.set(name, children if instr.image_feature.many else children[0])
         else:
             payloads = []
             for target in tobj.values(tname):
-                namer = registry.namer_for(tobj.cls, tname)
-                segs = namer(target, registry, m)
+                segs = name_of(target)
                 if not segs:
                     diags.append(error(
                         "resolve", "reverse-unnamed",
@@ -711,17 +684,23 @@ def _reverse(tobj: ModelObject, path: str, m: Model, plan: TransformPlan,
 # Builtin registry from a key-value config file
 
 
-def parse_config(text: str) -> dict[str, str]:
+def parse_config(text: str, file: str = "<config>") -> dict[str, str]:
+    """``key = value`` lines; blank lines and ``#`` comments are skipped.
+    Every other line is an error located at ``file:line:1``."""
     out: dict[str, str] = {}
-    for raw in text.splitlines():
+    diags: list[Diagnostic] = []
+    for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise DiagnosticError([error("resolve", "config",
-                                         f"expected 'key = value', got {line!r}")])
+            diags.append(error("resolve", "config", f"expected 'key = value', got {line!r}",
+                               location=SourceLocation(file, n, 1)))
+            continue
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
+    if diags:
+        raise DiagnosticError(diags)
     return out
 
 

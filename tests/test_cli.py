@@ -323,6 +323,31 @@ class TestPipelineCmd:
         assert "error[config]" in done.stderr
         assert "Traceback" not in done.stderr
 
+    def test_config_errors_name_their_line(self, css_dir):
+        (css_dir / "ns.cfg").write_text("name.attribute = name\n@@@\n")
+        done = run_process("pipeline", css_dir / "pipeline.cfg")
+        assert done.returncode == 1
+        assert done.stderr.startswith(f"{css_dir / 'ns.cfg'}:2:1: error[config]: ")
+        assert "Traceback" not in done.stderr
+        pipeline = css_dir / "pipeline.cfg"
+        pipeline.write_text("# css\ntarget = css.mm\n\n@@@\nalso bad\n")
+        done = run_process("pipeline", pipeline)
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            f"{pipeline}:4:1: error[config]: expected 'key = value', got '@@@'",
+            f"{pipeline}:5:1: error[config]: expected 'key = value', got 'also bad'"]
+
+    @pytest.mark.parametrize("grammar", ["css.gr", None])
+    def test_failed_set_up_writes_no_outputs(self, css_dir, grammar):
+        (css_dir / "ns.cfg").write_text("@@@\n")
+        cfg = css_dir / "p.cfg"
+        cfg.write_text("target = css.mm\nxf = css.xf\nresolver.config = ns.cfg\n"
+                       "inputs = grouped.css\n" + (f"grammar = {grammar}\n" if grammar else ""))
+        done = run_process("pipeline", cfg)
+        assert done.returncode == 1
+        assert "error[config]" in done.stderr
+        assert list((css_dir / "out").iterdir()) == []
+
     def test_skeleton_of_untranslated_cross_reference(self, tmp_path):
         (tmp_path / "a.mm").write_text("class A { ref A other; }\n")
         (tmp_path / "p.cfg").write_text("target = a.mm\n")

@@ -1,10 +1,11 @@
+import itertools
 import random
 
 from hypothesis import given, settings, strategies as st
 
 from mmdsl.meta import (
     UNBOUNDED, MetaAttribute, MetaClass, Metamodel, MetaReference, Model,
-    ModelObject, builtin_ecore, classifier_object, is_subtype, iter_tree,
+    ModelObject, Tree, builtin_ecore, classifier_object, is_subtype, iter_tree,
     metamodel_equals, metamodel_isomorphic, model_equals,
     validate_metamodel, validate_model,
 )
@@ -249,6 +250,152 @@ class TestModelEquals:
         assert not model_equals(Model(a_root, mm), Model(c_root, mm))
 
 
+# ---------------------------------------------------------------------------
+# Tree against the recursive walkers it replaced. They are kept here as
+# oracles, unchanged except that the path and container searches step over
+# values that are not objects instead of crashing on them.
+
+
+def ref_iter_tree(root):
+    yield root
+    for f in root.cls.all_features():
+        if isinstance(f, MetaReference) and f.containment:
+            for child in root.values(f.name):
+                if isinstance(child, ModelObject):
+                    yield from ref_iter_tree(child)
+
+
+def ref_reach(obj, seen, shared):
+    if id(obj) in seen:
+        shared.append(obj)
+        return
+    seen[id(obj)] = obj
+    for f in obj.cls.all_features():
+        if isinstance(f, MetaReference) and f.containment:
+            for child in obj.values(f.name):
+                if isinstance(child, ModelObject):
+                    ref_reach(child, seen, shared)
+
+
+def ref_object_path(root, target):
+    if target is root:
+        return "/"
+    return ref_path_below(root, "/", target)
+
+
+def ref_path_below(obj, prefix, target):
+    for f in obj.cls.all_features():
+        if isinstance(f, MetaReference) and f.containment:
+            kids = obj.values(f.name)
+            for i, child in enumerate(kids):
+                step = f"{f.name}[{i}]" if f.many else f.name
+                here = f"{prefix}/{step}" if prefix != "/" else f"/{step}"
+                if child is target:
+                    return here
+                if not isinstance(child, ModelObject):
+                    continue
+                found = ref_path_below(child, here, target)
+                if found:
+                    return found
+    return None
+
+
+def ref_container_of(root, target):
+    return ref_container_below(root, target) if target is not root else None
+
+
+def ref_container_below(obj, target):
+    for f in obj.cls.all_features():
+        if not f.is_attribute and f.containment:
+            for child in obj.values(f.name):
+                if child is target:
+                    return obj
+                if not isinstance(child, ModelObject):
+                    continue
+                found = ref_container_below(child, target)
+                if found is not None:
+                    return found
+    return None
+
+
+LOOPED = object()
+
+
+def unless_looping(search, *args):
+    """``search(*args)``, or LOOPED where the search goes round a
+    containment cycle without end."""
+    try:
+        return search(*args)
+    except RecursionError:
+        return LOOPED
+
+
+def has_cycle(root) -> bool:
+    """Some object contains itself, directly or through others."""
+    on_path, done = set(), set()
+    stack = [(root, False)]
+    while stack:
+        obj, leaving = stack.pop()
+        if leaving:
+            on_path.discard(id(obj))
+            done.add(id(obj))
+            continue
+        if id(obj) in on_path:
+            return True
+        if id(obj) in done:
+            continue
+        on_path.add(id(obj))
+        stack.append((obj, True))
+        for f in obj.cls.containments():
+            stack.extend((c, False) for c in obj.values(f.name) if isinstance(c, ModelObject))
+    return False
+
+
+def tree_mm():
+    """Single- and multi-valued containment, plus a subclass that adds one."""
+    node = MetaClass("Node")
+    node.features = [
+        MetaAttribute("name", 0, 1, type=STRING),
+        MetaReference("kids", 0, UNBOUNDED, type=node, containment=True),
+        MetaReference("link", 0, 1, type=node, containment=False),
+        MetaReference("one", 0, 1, type=node, containment=True),
+    ]
+    sub = MetaClass("Sub", supertypes=[node], features=[
+        MetaReference("more", 0, UNBOUNDED, type=node, containment=True)])
+    return node, sub
+
+
+@st.composite
+def hand_built_models(draw):
+    """Objects wired by random containment edges: trees, shared children,
+    cycles, unreachable objects and non-object values in containment slots."""
+    node, sub = tree_mm()
+    n = draw(st.integers(1, 10))
+    objs = [ModelObject(draw(st.sampled_from([node, sub])), name=f"o{i}") for i in range(n)]
+    as_tree = draw(st.booleans())  # edges only to fresh, later objects
+    fresh = list(range(1, n))
+    for _ in range(draw(st.integers(0, 3 * n))):
+        a = draw(st.integers(0, n - 1))
+        fname = draw(st.sampled_from(["kids", "one", "more"]))
+        if as_tree:
+            if not fresh or fresh[0] <= a:
+                continue
+            value = objs[fresh.pop(0)]
+        else:
+            b = draw(st.integers(-2, n - 1))
+            value = objs[b] if b >= 0 else (7 if b == -1 else "x")
+        obj = objs[a]
+        if obj.cls.find_feature(fname) is None:
+            continue
+        if fname == "one":
+            obj.slots[fname] = value
+        else:
+            obj.slots.setdefault(fname, []).append(value)
+        if draw(st.booleans()):
+            obj.set("link", objs[draw(st.integers(0, n - 1))])
+    return objs
+
+
 class TestTreeHelpers:
     def test_iter_tree_is_depth_first(self):
         mm, node = simple_mm()
@@ -266,6 +413,78 @@ class TestTreeHelpers:
                     contained.update(id(k) for k in o.values(f.name))
         roots = [o for o in objs if id(o) not in contained]
         assert roots == [root]
+        t = Tree(root)
+        assert [o for o in objs if t.container(o) is None] == [root]
+
+    def test_containments_follow_all_features(self):
+        node, sub = tree_mm()
+        assert [f.name for f in node.containments()] == ["kids", "one"]
+        assert [f.name for f in sub.containments()] == ["kids", "one", "more"]
+        assert builtin_ecore().classifier("EClass").containments() == ()
+
+    @settings(max_examples=150, deadline=None)
+    @given(hand_built_models())
+    def test_agrees_with_the_recursive_walkers(self, objs):
+        root = objs[0]
+        t = Tree(root)
+        seen, shared = {}, []
+        ref_reach(root, seen, shared)
+        assert t.objects == list(seen.values())
+        assert t.shared == shared
+        cyclic = has_cycle(root)
+        if not cyclic:
+            # the recursive walk lists a shared subtree again each time
+            unfolded = list(itertools.islice(ref_iter_tree(root), 5000))
+            if len(unfolded) < 5000:
+                assert t.objects == list({id(o): o for o in unfolded}.values())
+                if not shared:
+                    assert t.objects == unfolded
+            assert iter_tree(root) == t.objects
+        for obj in objs:
+            assert (obj in t) == (id(obj) in seen)
+            path = unless_looping(ref_object_path, root, obj)
+            container = unless_looping(ref_container_of, root, obj)
+            assert cyclic or LOOPED not in (path, container)
+            if path is not LOOPED:
+                assert t.path(obj) == path
+            if container is not LOOPED:
+                assert t.container(obj) is container
+            assert (t.path(obj) is None) == (obj not in t)
+
+    def test_values_that_are_not_objects_keep_their_index(self):
+        node, _ = tree_mm()
+        a, b = ModelObject(node, name="a"), ModelObject(node, name="b")
+        root = ModelObject(node, name="r")
+        root.slots["kids"] = [7, a, "x", b]
+        t = Tree(root)
+        assert t.objects == [root, a, b]
+        paths = [t.path(o) for o in t.objects]
+        assert paths == ["/", "/kids[1]", "/kids[3]"]
+        assert paths == [ref_object_path(root, o) for o in t.objects]
+
+    def test_containment_cycle_locates_a_later_sibling(self):
+        mm, node = simple_mm()
+        a, b = tree(node, "a"), tree(node, "b")
+        root = tree(node, "r", a, b)
+        a.set("children", [root])
+        b.slots["name"] = 42
+        rendered = [d.render() for d in validate_model(Model(root, mm))]
+        assert "model:/: error[model-containment]: object of class Node is contained " \
+            "more than once" in rendered
+        assert any(r.startswith("model:/children[1]: error[model-kind]:") for r in rendered)
+
+    def test_deep_chain_has_no_recursion_limit(self):
+        mm, node = simple_mm()
+        depth = 5000
+        chain = [ModelObject(node, name=f"n{i}") for i in range(depth)]
+        for parent, child in zip(chain, chain[1:]):
+            parent.set("children", [child])
+        assert iter_tree(chain[0]) == chain
+        assert validate_model(Model(chain[0], mm)) == []
+        chain[-1].slots["weight"] = "heavy"
+        (d,) = validate_model(Model(chain[0], mm))
+        assert d.code == "model-kind"
+        assert d.path == "/children[0]" * (depth - 1)
 
 
 class TestSlotValues:

@@ -7,7 +7,7 @@ from mmdsl.diagnostics import DiagnosticError
 from mmdsl.emfatic import parse_metamodel
 from mmdsl.grammar import parse_grammar, parse_text, render_ast
 from mmdsl.meta import (
-    Model, ModelObject, builtin_ecore, classifier_object, model_equals,
+    Model, ModelObject, Tree, builtin_ecore, classifier_object, model_equals,
     validate_model,
 )
 from mmdsl.transform import (
@@ -415,6 +415,54 @@ class TestPackageScopes:
         back, fdiags = transform_ast_to_model(parse_text(text, g), plan, registry)
         assert not fdiags
         assert model_equals(m, back)
+
+
+def package_chain(n):
+    """One package of n classes, each extending the one before."""
+    return "package p { class C0;" + "".join(
+        f" class C{i} extends C{i - 1};" for i in range(1, n)) + " }\n"
+
+
+class TestOneTreePerRun:
+    """Error paths and reverse names read one containment Tree per run, so
+    the number of Trees built does not grow with the model."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        roots = []
+        init = Tree.__init__
+
+        def counting(self, root):
+            roots.append(root)
+            init(self, root)
+
+        monkeypatch.setattr(Tree, "__init__", counting)
+        return roots
+
+    def test_unresolved_references(self, selfhost, built):
+        target, t, ast, trace, g, plan, registry = selfhost
+        counts = []
+        for n in (5, 40):
+            ast_model = parse_text("skip MissingI;\n" * n, g)
+            built.clear()
+            _, diags = transform_ast_to_model(ast_model, plan, registry)
+            assert [d.code for d in diags] == ["resolve-unresolved"] * n
+            assert [d.path for d in diags] == [f"/actions[{i}]" for i in range(n)]
+            counts.append(len(built))
+        assert counts == [1, 1]
+
+    def test_reverse_of_a_package_chain(self, lang, built):
+        target, g, plan, registry = lang
+        counts = []
+        for n in (5, 40):
+            m, diags = transform_ast_to_model(parse_text(package_chain(n), g), plan, registry)
+            assert not diags
+            built.clear()
+            ast_model, rdiags = transform_model_to_ast(m, plan, registry)
+            assert not rdiags
+            counts.append(len(built))
+            assert f"class C{n - 1} extends p :: C{n - 2} ;" in render_ast(ast_model, g)
+        assert counts == [1, 1]
 
 
 class TestResolverRegistry:
