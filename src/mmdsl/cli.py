@@ -11,7 +11,9 @@ returns its result or raises DiagnosticError. ``main`` is the one runner:
 a command stops at its first failing stage and its diagnostics are
 printed; ``pipeline`` reports a failing input and goes on with the next.
 ``pipeline`` writes its first output only after its set-up stages
-(derivation, grammar, plan, registry) have all succeeded.
+(derivation, grammar, plan, registry) have all succeeded. The outputs of
+one stage (``derive``'s metamodel and trace; ``pipeline``'s AST metamodel,
+trace and skeleton) are written all or none.
 A file that cannot be read (missing, unreadable, not UTF-8) or written
 (missing directory, no permission) is an ``io`` diagnostic.
 
@@ -24,6 +26,8 @@ repeated runs on identical inputs.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -89,11 +93,28 @@ def _read(path) -> str:
         raise _io_error("read", path, exc) from None
 
 
-def _write(path, text: str) -> None:
+def _write(*outputs) -> None:
+    """Write each ``(path, text)`` of ``outputs``, all of them or none. Each
+    text goes to a temporary file next to its path; the temporaries replace
+    their paths only once every one is written, and are removed on failure."""
+    staged, path = [], None
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        for path, text in outputs:
+            dest = Path(path)
+            if dest.exists() and not dest.is_file():
+                # a rename cannot replace a directory, and must not replace a device
+                raise OSError(errno.EINVAL, "not a regular file")
+            tmp = dest.with_name(f".{dest.name}.{os.getpid()}.tmp")
+            with open(tmp, "x", encoding="utf-8") as f:
+                staged.append((tmp, path))
+                f.write(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except OSError as exc:
         raise _io_error("write", path, exc) from None
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
 
 
 def _metamodel(path, name: str | None = None):
@@ -145,17 +166,16 @@ def _model(path, mm, extra=()):
 
 def cmd_derive(args, reporter) -> None:
     ast, trace = _derive(_metamodel(args.target, args.name), args.xf)
-    _write(args.out, print_metamodel(ast))
-    _write(args.trace, format_trace(trace))
+    _write((args.out, print_metamodel(ast)), (args.trace, format_trace(trace)))
 
 
 def cmd_grammar_init(args, reporter) -> None:
-    _write(args.out, generate_grammar_skeleton(_metamodel(args.ast)))
+    _write((args.out, generate_grammar_skeleton(_metamodel(args.ast))))
 
 
 def cmd_parse(args, reporter) -> None:
     g = _grammar(_read(args.grammar), args.grammar, _metamodel(args.ast))
-    _write(args.out, dump_model(parse_text(_read(args.input), g, file=args.input)))
+    _write((args.out, dump_model(parse_text(_read(args.input), g, file=args.input))))
 
 
 def cmd_transform(args, reporter) -> None:
@@ -163,7 +183,7 @@ def cmd_transform(args, reporter) -> None:
     registry = _registry(args.resolver, args.resolver_config, target, ast)
     model, diags = transform_ast_to_model(_model(args.input, ast, [target]), plan, registry)
     reporter.check(diags)
-    _write(args.out, dump_model(model))
+    _write((args.out, dump_model(model)))
 
 
 def cmd_render(args, reporter) -> None:
@@ -207,10 +227,11 @@ def cmd_pipeline(args, reporter) -> None:
     plan = build_plan(trace, target, ast)
     rc = cfg.get("resolver.config")
     registry = _registry("namespace", base / rc if rc else None, target, ast)
-    _write(out_dir / f"{stem}.ast.mm", print_metamodel(ast))
-    _write(out_dir / f"{stem}.trace", format_trace(trace))
+    outputs = [(out_dir / f"{stem}.ast.mm", print_metamodel(ast)),
+               (out_dir / f"{stem}.trace", format_trace(trace))]
     if skeleton is not None:
-        _write(grammar_path, skeleton)
+        outputs.append((grammar_path, skeleton))
+    _write(*outputs)
 
     inputs = [p.strip() for p in cfg.get("inputs", "").split(",") if p.strip()]
     for rel in inputs:
@@ -218,10 +239,10 @@ def cmd_pipeline(args, reporter) -> None:
         in_stem = in_path.name.rsplit(".", 1)[0]
         try:
             ast_model = parse_text(_read(in_path), g, file=str(in_path))
-            _write(out_dir / f"{in_stem}.astm", dump_model(ast_model))
+            _write((out_dir / f"{in_stem}.astm", dump_model(ast_model)))
             model, diags = transform_ast_to_model(ast_model, plan, registry)
             reporter.check(diags)
-            _write(out_dir / f"{in_stem}.model", dump_model(model))
+            _write((out_dir / f"{in_stem}.model", dump_model(model)))
         except DiagnosticError as exc:
             reporter.emit(exc.diagnostics)
 

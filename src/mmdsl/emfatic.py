@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagnostics import DiagnosticError, SourceLocation, error
-from .lexer import Lexer, Token, TokenStream, escape_string
+from .lexer import Lexer, Token, TokenStream, format_literal
 from .meta import (
-    UNBOUNDED, MetaAttribute, MetaClass, MetaDataType, Metamodel,
-    MetaReference, builtin_ecore, validate_metamodel,
+    UNBOUNDED, MetaAttribute, MetaClass, Metamodel, MetaReference, builtin_ecore,
+    validate_metamodel, value_fits,
 )
 
 KEYWORDS = {"abstract", "class", "extends", "attr", "val", "ref", "true", "false"}
@@ -178,7 +178,7 @@ def parse_metamodel(text: str, name: str, file: str = "<metamodel>") -> Metamode
                 dtype = resolve(fd.type_name, fd.type_loc, "datatype")
                 if dtype is None:
                     continue
-                if fd.default is not None and not _default_fits(fd.default, dtype):
+                if fd.default is not None and not value_fits(fd.default, dtype):
                     diags.append(error("metamodel", "mm-bad-default",
                                        f"default {fd.default!r} does not fit {dtype.name}",
                                        location=fd.name_loc))
@@ -198,26 +198,15 @@ def parse_metamodel(text: str, name: str, file: str = "<metamodel>") -> Metamode
     if diags:
         raise DiagnosticError(diags)
 
-    # Re-anchor structural violations on the offending declaration.
+    # Re-anchor structural violations on the declaration of the classifier
+    # each one names in its path, /<mm>/<classifier>.
     for d in validate_metamodel(mm):
-        loc = None
-        for cname, cloc in class_locs.items():
-            if cname in d.message:
-                loc = cloc
-                break
+        loc = class_locs.get(d.path.removeprefix(f"/{mm.name}/"))
         diags.append(error("metamodel", d.code, d.message,
                            location=loc or SourceLocation(file, 1, 1)))
     if diags:
         raise DiagnosticError(diags)
     return mm
-
-
-def _default_fits(value, datatype: MetaDataType) -> bool:
-    if datatype.kind == "string":
-        return isinstance(value, str)
-    if datatype.kind == "boolean":
-        return type(value) is bool
-    return type(value) is int
 
 
 def print_metamodel(mm: Metamodel) -> str:
@@ -244,13 +233,6 @@ def print_metamodel(mm: Metamodel) -> str:
             return f"[{f.lower}]"
         return f"[{f.lower}..{f.upper}]"
 
-    def literal(v) -> str:
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, int):
-            return str(v)
-        return escape_string(v)
-
     lines = []
     for c in mm.classifiers:
         if not c.is_class:
@@ -264,7 +246,7 @@ def print_metamodel(mm: Metamodel) -> str:
             kind = "attr" if f.is_attribute else ("val" if f.containment else "ref")
             default = ""
             if f.is_attribute and f.default is not None:
-                default = f" = {literal(f.default)}"
+                default = f" = {format_literal(f.default)}"
             lines.append(f"    {kind} {type_ref(f.type)}{mult(f)} {f.name}{default};")
         lines.append("}")
     return "\n".join(lines) + "\n"

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from .diagnostics import Diagnostic, DiagnosticError, SourceLocation, error
 from .lexer import Lexer, Token, TokenStream, escape_string
 from .meta import (
-    MetaClass, Metamodel, Model, ModelObject, is_subtype, validate_model,
+    MetaClass, Metamodel, Model, ModelObject, Tree, is_subtype, validate_model,
 )
 
 TERMINALS = ("ID", "STRING", "INT")
@@ -698,9 +698,11 @@ def render_ast(m: Model, g: Grammar) -> str:
     newline after ';' and '}', 4-space indentation inside braces.
     parse_text(render_ast(m)) is model-equal to m."""
     renderer = _Renderer(g)
-    renderer.render_obj(m.root, "/")
-    if renderer.diags:
-        raise DiagnosticError(renderer.diags)
+    renderer.render_obj(m.root)
+    if renderer.problems:
+        tree = Tree(m.root)
+        raise DiagnosticError([error("grammar", code, message, path=tree.path(obj))
+                               for obj, code, message in renderer.problems])
     return _layout(renderer.tokens)
 
 
@@ -747,23 +749,23 @@ class _Cursors:
 
 class _Renderer:
     """One render_ast call: the grammar, the tokens written so far and the
-    diagnostics found."""
+    problems found, each as the object it is about, a code and a message."""
 
     def __init__(self, g: Grammar):
         self.g = g
         self.flags = g.analysis().flags
         self.reads_as_id = g.lexer().reads_as_id
-        self.diags: list[Diagnostic] = []
+        self.problems: list[tuple[ModelObject, str, str]] = []
         self.tokens: list[str] = []
 
-    def render_obj(self, obj: ModelObject, path: str):
+    def render_obj(self, obj: ModelObject):
         rule = self.g.by_name.get(obj.cls.name)
         if not isinstance(rule, ConcreteRule):
-            self.diags.append(error("grammar", "gr-no-rule",
-                                    f"no concrete rule for class {obj.cls.name!r}", path=path))
+            self.problems.append((obj, "gr-no-rule",
+                                  f"no concrete rule for class {obj.cls.name!r}"))
             return
         cur = _Cursors(obj, self.reads_as_id)
-        self.walk(rule.body, cur, path)
+        self.walk(rule.body, cur)
         flags = self.flags[rule.name]
         for f in obj.slots:
             if f in flags or cur.used.get(f, 0) >= len(cur.values(f)):
@@ -771,12 +773,12 @@ class _Renderer:
             feat = obj.cls.find_feature(f)
             if not feat.is_attribute and not feat.containment:
                 continue  # cross slots are not the renderer's business
-            self.diags.append(error("grammar", "gr-unset-mandatory",
-                                    f"rule {rule.name!r} cannot emit all values of "
-                                    f"{obj.cls.name}.{f}", path=path))
+            self.problems.append((obj, "gr-unset-mandatory",
+                                  f"rule {rule.name!r} cannot emit all values of "
+                                  f"{obj.cls.name}.{f}"))
 
-    def walk(self, e, cur: _Cursors, path: str):
-        tokens, diags = self.tokens, self.diags
+    def walk(self, e, cur: _Cursors):
+        tokens, problems = self.tokens, self.problems
         if isinstance(e, Keyword):
             tokens.append(e.text)
             return
@@ -789,8 +791,8 @@ class _Renderer:
             if not cur.available(e):
                 left = cur.values(e.feature)[cur.used.get(e.feature, 0):]
                 why = f"value {left[0]!r} is not an ID" if left else "has no value to render"
-                diags.append(error("grammar", "gr-unset-mandatory",
-                                   f"{cur.obj.cls.name}.{e.feature} {why}", path=path))
+                problems.append((cur.obj, "gr-unset-mandatory",
+                                 f"{cur.obj.cls.name}.{e.feature} {why}"))
                 return
             value = cur.take(e)
             if e.callee == "STRING":
@@ -798,41 +800,40 @@ class _Renderer:
             elif e.callee in ("ID", "INT"):
                 tokens.append(str(value))
             else:
-                self.render_obj(value, f"{path}/{e.feature}")
+                self.render_obj(value)
             return
         if isinstance(e, Sequence):
             for x in e.items:
                 if isinstance(x, Keyword):
                     tokens.append(x.text)
                 else:
-                    self.walk(x, cur, path)
+                    self.walk(x, cur)
             return
         if isinstance(e, Opt):
             if cur.any_available(e):
-                self.walk(e.inner, cur, path)
+                self.walk(e.inner, cur)
             return
         if isinstance(e, Repeat):
             if e.kind == "+" and not cur.any_available(e):
-                diags.append(error("grammar", "gr-unset-mandatory",
-                                   f"'+' repetition has nothing to render", path=path))
+                problems.append((cur.obj, "gr-unset-mandatory",
+                                 "'+' repetition has nothing to render"))
                 return
             while cur.any_available(e):
-                self.walk(e.inner, cur, path)
+                self.walk(e.inner, cur)
             return
         # Group: prefer an alternative with actual values, then a pure-keyword
         # one, then an empty one.
         for alt in e.alternatives:
             if cur.any_available(alt):
-                self.walk(alt, cur, path)
+                self.walk(alt, cur)
                 return
         for alt in e.alternatives:
             if not alt.assigns:
-                self.walk(alt, cur, path)
+                self.walk(alt, cur)
                 return
         if e.nullable:
             return
-        diags.append(error("grammar", "gr-unset-mandatory",
-                           "no renderable alternative in group", path=path))
+        problems.append((cur.obj, "gr-unset-mandatory", "no renderable alternative in group"))
 
 
 def _layout(tokens: list[str]) -> str:

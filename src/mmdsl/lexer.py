@@ -33,6 +33,15 @@ def escape_string(value: str) -> str:
     return '"' + "".join(_UNESCAPES.get(c, c) for c in value) + '"'
 
 
+def format_literal(v) -> str:
+    """A boolean, integer or string value as the literal that writes it."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    return escape_string(v)
+
+
 class _Source:
     """A tokenized text: its file name and, once a location is asked for,
     the offsets at which its lines start."""

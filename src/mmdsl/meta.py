@@ -429,15 +429,16 @@ def find_classifier_home(c: Classifier, metamodels) -> Metamodel | None:
 def validate_metamodel(mm: Metamodel) -> list[Diagnostic]:
     diags = []
 
-    def err(code, message):
-        diags.append(error("metamodel", code, message, path=f"/{mm.name}"))
+    def err(c, code, message):
+        # the path names the classifier, so a parser can locate its declaration
+        diags.append(error("metamodel", code, message, path=f"/{mm.name}/{c.name}"))
 
     seen_names = set()
     for c in mm.classifiers:
         if not is_identifier(c.name):
-            err("mm-identifier", f"classifier name {c.name!r} is not a valid identifier")
+            err(c, "mm-identifier", f"classifier name {c.name!r} is not a valid identifier")
         if c.name in seen_names:
-            err("mm-duplicate-classifier", f"duplicate classifier name {c.name!r}")
+            err(c, "mm-duplicate-classifier", f"duplicate classifier name {c.name!r}")
         seen_names.add(c.name)
 
     legal = {id(c) for c in mm.classifiers} | {id(c) for c in _ECORE.classifiers}
@@ -445,44 +446,47 @@ def validate_metamodel(mm: Metamodel) -> list[Diagnostic]:
     for c in mm.classes():
         for s in c.supertypes:
             if id(s) not in legal:
-                err("mm-bad-supertype",
+                err(c, "mm-bad-supertype",
                     f"class {c.name} extends {s.name}, which is not in this metamodel or ecore")
         if c in c.all_supertypes():
-            err("mm-inheritance-cycle", f"class {c.name} is its own transitive supertype")
+            err(c, "mm-inheritance-cycle", f"class {c.name} is its own transitive supertype")
             continue
         fnames = set()
         for f in c.all_features():
             if not is_identifier(f.name):
-                err("mm-identifier", f"feature name {f.name!r} on {c.name} is not a valid identifier")
+                err(c, "mm-identifier",
+                    f"feature name {f.name!r} on {c.name} is not a valid identifier")
             if f.name in fnames:
-                err("mm-duplicate-feature", f"class {c.name} has two features named {f.name!r}")
+                err(c, "mm-duplicate-feature", f"class {c.name} has two features named {f.name!r}")
             fnames.add(f.name)
         for f in c.features:
             if not (isinstance(f.lower, int) and f.lower >= 0):
-                err("mm-bounds", f"{c.name}.{f.name}: lower bound must be a non-negative integer")
+                err(c, "mm-bounds",
+                    f"{c.name}.{f.name}: lower bound must be a non-negative integer")
             if f.upper is not UNBOUNDED and not (isinstance(f.upper, int) and f.upper >= 1):
-                err("mm-bounds", f"{c.name}.{f.name}: upper bound must be positive or unbounded")
+                err(c, "mm-bounds",
+                    f"{c.name}.{f.name}: upper bound must be positive or unbounded")
             elif f.upper is not UNBOUNDED and isinstance(f.lower, int) and f.lower > f.upper:
-                err("mm-bounds", f"{c.name}.{f.name}: lower bound exceeds upper bound")
+                err(c, "mm-bounds", f"{c.name}.{f.name}: lower bound exceeds upper bound")
             if isinstance(f, MetaAttribute):
                 if not isinstance(f.type, MetaDataType):
-                    err("mm-bad-type", f"{c.name}.{f.name}: attribute type must be a datatype")
-                elif f.default is not None and not _value_fits(f.default, f.type):
-                    err("mm-bad-default",
+                    err(c, "mm-bad-type", f"{c.name}.{f.name}: attribute type must be a datatype")
+                elif f.default is not None and not value_fits(f.default, f.type):
+                    err(c, "mm-bad-default",
                         f"{c.name}.{f.name}: default {f.default!r} does not fit type {f.type.name}")
                 elif f.default is not None and f.many:
-                    err("mm-bad-default",
+                    err(c, "mm-bad-default",
                         f"{c.name}.{f.name}: multi-valued attributes cannot carry defaults")
             else:
                 if not isinstance(f.type, MetaClass):
-                    err("mm-bad-type", f"{c.name}.{f.name}: reference type must be a class")
+                    err(c, "mm-bad-type", f"{c.name}.{f.name}: reference type must be a class")
                 elif id(f.type) not in legal:
-                    err("mm-bad-type",
+                    err(c, "mm-bad-type",
                         f"{c.name}.{f.name}: type {f.type.name} is not in this metamodel or ecore")
     return diags
 
 
-def _value_fits(value, datatype: MetaDataType) -> bool:
+def value_fits(value, datatype: MetaDataType) -> bool:
     if datatype.kind == "string":
         return isinstance(value, str)
     if datatype.kind == "boolean":
@@ -505,22 +509,23 @@ class Tree:
         # object -> (object, container, feature, index) of its first reach
         steps = self._steps = {}
         stack = [(root, None, None, None)]
+        pop, push = stack.pop, stack.append
         while stack:
-            step = stack.pop()
+            step = pop()
             obj = step[0]
             if obj in steps:
                 shared.append(obj)
                 continue
             steps[obj] = step
             objects.append(obj)
-            below = []
-            for f in obj.cls.tables().containments:
+            # children go on the stack last first, so the first is taken next
+            for f in reversed(obj.cls.tables().containments):
                 v = obj.slots.get(f.name)
                 if v is not None:
-                    for i, child in enumerate(v if f.many else (v,)):
-                        if isinstance(child, ModelObject):
-                            below.append((child, obj, f, i))
-            stack.extend(reversed(below))
+                    vals = v if f.many else (v,)
+                    for i in range(len(vals) - 1, -1, -1):
+                        if isinstance(vals[i], ModelObject):
+                            push((vals[i], obj, f, i))
 
     def __contains__(self, obj) -> bool:
         return obj in self._steps
@@ -578,7 +583,7 @@ def validate_model(m: Model) -> list[Diagnostic]:
                     f"{obj.cls.name}.{f.name}: {count} value(s) violate bounds {f.lower}..{upper}", obj)
             for v in vals:
                 if f.is_attribute:
-                    if isinstance(v, ModelObject) or not _value_fits(v, f.type):
+                    if isinstance(v, ModelObject) or not value_fits(v, f.type):
                         err("model-kind",
                             f"{obj.cls.name}.{f.name}: value {v!r} does not fit attribute type "
                             f"{f.type.name}", obj)

@@ -14,7 +14,7 @@ inherited first; unset and empty slots are omitted.
 from __future__ import annotations
 
 from .diagnostics import DiagnosticError, error
-from .lexer import Lexer, Token, TokenStream, escape_string
+from .lexer import Lexer, Token, TokenStream, format_literal
 from .meta import (
     Metamodel, MetaReference, Model, ModelObject, builtin_ecore,
     classifier_object, classifier_qname, find_classifier_home, iter_tree,
@@ -31,14 +31,6 @@ def dump_model(m: Model) -> str:
     dumper = _Dumper(ids, [m.metamodel, builtin_ecore()])
     dumper.emit(m.root, 0)
     return "\n".join(dumper.out) + "\n"
-
-
-def _literal(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    return escape_string(v)
 
 
 class _Dumper:
@@ -73,9 +65,10 @@ class _Dumper:
             inner = "  " * (indent + 1)
             if f.is_attribute:
                 if f.many:
-                    out.append(f"{inner}{f.name} = [{', '.join(_literal(v) for v in vals)}]")
+                    literals = ", ".join(map(format_literal, vals))
+                    out.append(f"{inner}{f.name} = [{literals}]")
                 else:
-                    out.append(f"{inner}{f.name} = {_literal(vals[0])}")
+                    out.append(f"{inner}{f.name} = {format_literal(vals[0])}")
             elif isinstance(f, MetaReference) and f.containment:
                 if f.many:
                     out.append(f"{inner}{f.name} = [")

@@ -5,12 +5,16 @@ TransformPlan: per image class, the prototype to instantiate and one
 instruction per feature (copy-attribute, map-containment, or resolve-cross
 with the recorded textual type). transform_ast_to_model runs the plan in
 two passes: pass one creates prototype instances bottom-up, copying
-attributes and containment; pass two feeds every textual reference payload
-to a resolver callback that returns the target object (or defers once, or
-reports the name unresolved). Created (syntax-only) classes produce nothing
-themselves: their instances are either consumed as reference payloads or,
-for structures like rule blocks, handed to a placement callback that
-decides which manually constructed container receives their children.
+attributes and containment; one walk of the target tree (a meta.Tree) then
+binds every named object in its scope, and the same Tree locates failed
+references; pass two feeds every textual reference payload to a resolver
+callback that returns the target object, returns DEFER to be asked once
+more after every other reference (the one way to wait for a name that a
+resolver defines later), or reports the name unresolved. Created
+(syntax-only) classes produce nothing themselves: their instances are
+either consumed as reference payloads or, for structures like rule blocks,
+handed to a placement callback that decides which manually constructed
+container receives their children.
 
 Resolvers are registered at runtime in a ResolverRegistry; the builtin
 qualified-name resolver (namespace_registry) is configured from a small
@@ -146,18 +150,7 @@ def build_plan(trace: Trace, target: Metamodel, ast: Metamodel) -> TransformPlan
 
 
 # ---------------------------------------------------------------------------
-# Hierarchical namespace with forward-declaration stubs
-
-
-@dataclass
-class Stub:
-    scope: "Scope"
-    segments: tuple[str, ...]
-    target: object = None
-
-    @property
-    def resolved(self) -> bool:
-        return self.target is not None
+# Hierarchical namespace
 
 
 class Scope:
@@ -189,12 +182,12 @@ class Namespace:
     """Scope tree with qualified-name resolution: simple names search the
     context scope then enclosing scopes outward; qualified names resolve
     segment by segment from the innermost scope where the first segment
-    binds. Resolving before defining can leave a stub that a later define
-    fills; finalize reports the stubs that never resolved."""
+    binds. A name that is not bound yet resolves to None; a resolver that
+    expects a later define to bind it returns DEFER and is asked again once
+    every object exists. ``diagnostics`` collects conflicting defines."""
 
     def __init__(self):
         self.root = Scope("")
-        self.pending: list[Stub] = []
         self.diagnostics: list[Diagnostic] = []
 
     def scope(self, path) -> Scope:
@@ -203,24 +196,22 @@ class Namespace:
             scope = scope.child(seg)
         return scope
 
-    def define(self, scope_path, name: str, obj, tolerate_duplicates: bool = False) -> bool:
+    def define(self, scope_path, name: str, obj) -> bool:
         scope = self.scope(scope_path)
         if name in scope.bindings:
-            if not tolerate_duplicates and scope.bindings[name] is not obj:
+            if scope.bindings[name] is not obj:
                 self.diagnostics.append(error(
                     "resolve", "name-duplicate",
                     f"{name!r} is already defined in scope '{scope.path() or '<root>'}'"))
             return False
         scope.bindings[name] = obj
-        for stub in self.pending:
-            if not stub.resolved:
-                found = self._lookup(stub.scope, stub.segments)
-                if found is not None:
-                    stub.target = found
         return True
 
-    def _lookup(self, context: Scope, segments) -> object | None:
-        scope = context
+    def resolve(self, context: Scope | None, segments):
+        segments = tuple(segments)
+        if not segments:
+            return None
+        scope = context or self.root
         while scope is not None:
             if segments[0] in scope.bindings or segments[0] in scope.children:
                 break
@@ -228,38 +219,10 @@ class Namespace:
         if scope is None:
             return None
         for seg in segments[:-1]:
-            nxt = scope.children.get(seg)
-            if nxt is None:
+            scope = scope.children.get(seg)
+            if scope is None:
                 return None
-            scope = nxt
         return scope.bindings.get(segments[-1])
-
-    def resolve(self, context: Scope | None, segments, stub_if_missing: bool = False):
-        context = context or self.root
-        segments = tuple(segments)
-        if not segments:
-            return None
-        found = self._lookup(context, segments)
-        if found is not None:
-            return found
-        if stub_if_missing:
-            stub = Stub(context, segments)
-            self.pending.append(stub)
-            return stub
-        return None
-
-    def finalize(self) -> list[Diagnostic]:
-        diags = list(self.diagnostics)
-        for stub in self.pending:
-            if not stub.resolved:
-                found = self._lookup(stub.scope, stub.segments)
-                if found is not None:
-                    stub.target = found
-                    continue
-                diags.append(error("resolve", "name-unresolved",
-                                   f"forward reference '{'::'.join(stub.segments)}' was never "
-                                   f"defined"))
-        return diags
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +321,14 @@ class ResolverRegistry:
         return self.default_resolver
 
     def make_namespace(self) -> Namespace:
+        """A fresh namespace with the seeded classifiers bound; the first
+        binding of a name wins."""
         ns = Namespace()
         for kind, mm in self._seed_metamodels:
-            if kind == "ecore":
-                for c in mm.classifiers:
-                    obj = classifier_object(c)
-                    ns.define([], c.name, obj, tolerate_duplicates=True)
-                    ns.define(["ecore"], c.name, obj, tolerate_duplicates=True)
-            else:
-                for c in mm.classifiers:
-                    ns.define([], c.name, classifier_object(c), tolerate_duplicates=True)
+            scopes = (ns.root, ns.root.child("ecore")) if kind == "ecore" else (ns.root,)
+            for c in mm.classifiers:
+                for scope in scopes:
+                    scope.bindings.setdefault(c.name, classifier_object(c))
         return ns
 
 
@@ -478,7 +439,7 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
 
     # Bind named target objects so resolvers can look them up; scope classes
     # open nested scopes for their subtrees.
-    run.bind(troot, ns.root)
+    tree = run.bind(troot)
 
     deferred: list[_CrossJob] = []
     failed: list[tuple[ModelObject, str, str]] = []
@@ -491,10 +452,8 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
     for job in deferred:  # one retry once every object exists
         result = run.resolve(job, troot)
         _settle(job, None if result is DEFER else result, failed)
-    if failed:
-        tree = Tree(troot)
-        diags.extend(error("resolve", code, message, path=tree.path(tobj) or "/")
-                     for tobj, code, message in failed)
+    diags.extend(error("resolve", code, message, path=tree.path(tobj) or "/")
+                 for tobj, code, message in failed)
 
     for tobj, fname, buffer in run.buffers:
         values = [v for v in buffer if v is not None]
@@ -502,7 +461,7 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
         if values:
             tobj.set(fname, values if feat.many else values[0])
 
-    diags.extend(ns.finalize())
+    diags.extend(ns.diagnostics)
     model = Model(troot, plan.target)
     if not any(d.severity == "error" for d in diags):
         diags.extend(validate_model(model))
@@ -520,7 +479,7 @@ class _Forward:
         self.ns = registry.make_namespace()
         self.jobs: list[_CrossJob] = []
         self.buffers: list[tuple[ModelObject, str, list]] = []
-        self.scopes: dict[int, Scope] = {}
+        self.scopes: dict[ModelObject, Scope] = {}
 
     def build(self, ast_obj: ModelObject, ancestors: tuple) -> ModelObject:
         plan = self.plan
@@ -550,32 +509,33 @@ class _Forward:
                     self.jobs.append(_CrossJob(ast_obj, chain, tobj, instr, p, buffer, i))
         return tobj
 
-    def bind(self, obj: ModelObject, scope: Scope):
-        self.scopes[id(obj)] = scope
-        attr = self.registry.name_attribute
-        inner = scope
-        feat = obj.cls.find_feature(attr)
-        if feat is not None and feat.is_attribute and obj.is_set(attr):
-            self.ns.define(_scope_path(scope), obj.get(attr), obj, tolerate_duplicates=True)
-            if obj.cls.name in self.registry.scope_classes:
-                inner = scope.child(obj.get(attr))
-        for f in obj.cls.containments():
-            for child in obj.values(f.name):
-                self.bind(child, inner)
+    def bind(self, troot: ModelObject) -> Tree:
+        """Bind every named object below ``troot`` in its container's scope,
+        in preorder, keeping the first binding of a name; a named object of a
+        scope class opens a child scope for its contents."""
+        tree = Tree(troot)
+        attr, scope_classes = self.registry.name_attribute, self.registry.scope_classes
+        inner: dict[ModelObject, Scope] = {}  # the scope an object's contents bind in
+        for obj in tree.objects:
+            container = tree.container(obj)
+            scope = self.scopes[obj] = self.ns.root if container is None else inner[container]
+            feat = obj.cls.find_feature(attr)
+            if feat is not None and feat.is_attribute and obj.is_set(attr):
+                name = obj.get(attr)
+                scope.bindings.setdefault(name, obj)
+                if obj.cls.name in scope_classes:
+                    scope = scope.child(name)
+            inner[obj] = scope
+        return tree
 
     def resolve(self, job: _CrossJob, troot: ModelObject):
-        ns = self.ns
-        owner_scope = self.scopes.get(id(job.target_object), ns.root)
         ctx = ResolutionContext(
             ast_object=job.ast_object, ast_ancestors=job.ancestors,
             target_object=job.target_object, target_feature=job.instr.target_feature,
             target_root=troot, payload=job.payload, textual=job.instr.textual,
-            namespace=ns, scope=owner_scope)
+            namespace=self.ns, scope=self.scopes.get(job.target_object, self.ns.root))
         resolver = self.registry.resolver_for(job.ast_object.cls, job.instr.image_feature.name)
-        result = resolver(ctx)
-        if isinstance(result, Stub):
-            return result.target if result.resolved else DEFER
-        return result
+        return resolver(ctx)
 
 
 def _settle(job: _CrossJob, result, failed: list):
@@ -606,14 +566,6 @@ class _PlacementContext:
     diagnostics: list
 
 
-def _scope_path(scope: Scope) -> list[str]:
-    path = []
-    while scope.parent is not None:
-        path.insert(0, scope.name)
-        scope = scope.parent
-    return path
-
-
 # ---------------------------------------------------------------------------
 # Reverse: target model -> AST model
 
@@ -630,14 +582,15 @@ def transform_model_to_ast(m: Model, plan: TransformPlan,
             f"rendered back to text")])
 
     namer, tree = registry.default_namer, Tree(m.root)
-    iroot = _reverse(m.root, "", plan, lambda obj: namer(obj, registry, tree), diags)
+    iroot = _reverse(m.root, tree, plan, lambda obj: namer(obj, registry, tree), diags)
     return Model(iroot, plan.ast), diags
 
 
-def _reverse(tobj: ModelObject, path: str, plan: TransformPlan, name_of,
+def _reverse(tobj: ModelObject, tree: Tree, plan: TransformPlan, name_of,
              diags: list[Diagnostic]) -> ModelObject:
     """The AST image of ``tobj`` and its subtree; ``name_of`` gives the
-    textual reference of a cross-referenced object."""
+    textual reference of a cross-referenced object, ``tree`` the paths of
+    the diagnostics."""
     image = plan.image_for_proto[tobj.cls.name]
     iobj = ModelObject(image)
     for instr in plan.instructions_for(image):
@@ -656,9 +609,9 @@ def _reverse(tobj: ModelObject, path: str, plan: TransformPlan, name_of,
                 if child.cls.name not in plan.image_for_proto:
                     diags.append(error("resolve", "reverse-unsupported",
                                        f"class {child.cls.name!r} has no AST image",
-                                       path=f"{path}/{tname}"))
+                                       path=tree.path(child)))
                     continue
-                children.append(_reverse(child, f"{path}/{tname}", plan, name_of, diags))
+                children.append(_reverse(child, tree, plan, name_of, diags))
             if children:
                 iobj.set(name, children if instr.image_feature.many else children[0])
         else:
@@ -669,7 +622,7 @@ def _reverse(tobj: ModelObject, path: str, plan: TransformPlan, name_of,
                     diags.append(error(
                         "resolve", "reverse-unnamed",
                         f"no unique textual reference for the {target.cls.name} object in "
-                        f"{tobj.cls.name}.{tname}", path=f"{path}/{tname}"))
+                        f"{tobj.cls.name}.{tname}", path=tree.path(tobj)))
                     continue
                 if isinstance(instr.textual, MetaDataType):
                     payloads.append("::".join(segs))

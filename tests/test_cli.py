@@ -277,6 +277,19 @@ class TestRenderCmds:
         assert "error[model-kind]" in done.stderr
         assert "Traceback" not in done.stderr and done.stdout == ""
 
+    def test_render_problem_is_located_at_the_object(self, css_dir):
+        d = css_dir
+        run("derive", "--target", d / "css.mm", "--xf", d / "css.xf",
+            "--out", d / "css.ast.mm", "--trace", d / "css.trace")
+        run("parse", "--grammar", d / "css.gr", "--ast", d / "css.ast.mm",
+            d / "grouped.css", "--out", d / "g.astm")
+        astm = d / "g.astm"
+        astm.write_text(astm.read_text().replace('      selector = "some"\n', "", 1))
+        done = run_process("render", "--grammar", d / "css.gr", "--ast",
+                           d / "css.ast.mm", astm)
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.startswith("model:/rules[0]: error[gr-unset-mandatory]: ")
+
     def test_render_without_rule_fails(self, selfhost_dir, css_dir, capsys):
         d = selfhost_dir
         run("derive", "--target", d / "xf.mm", "--xf", d / "xf.xf",
@@ -418,6 +431,18 @@ class TestIoDiagnostics:
         assert done.returncode == 1
         assert "error[io]: cannot " in done.stderr
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("trace", ["nodir/o.trace", "."])
+    def test_derive_leaves_no_partial_output(self, selfhost_dir, trace):
+        d = selfhost_dir
+        done = run_process("derive", "--target", d / "xf.mm", "--out", d / "o.mm",
+                           "--trace", d / trace)
+        assert done.returncode == 1
+        assert f"error[io]: cannot write {d / trace}: " in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (d / "o.mm").exists()
+        assert sorted(p.name for p in d.iterdir()) == sorted(
+            p.name for p in (SAMPLES / "selfhost").iterdir() if p.name != "out")
 
 
 class TestJsonDiagnostics:

@@ -47,6 +47,13 @@ class TestParse:
         assert d.code == "mm-inheritance-cycle"
         assert d.location is not None
 
+    def test_violation_is_located_at_the_class_it_names(self):
+        with pytest.raises(DiagnosticError) as exc:
+            parse_metamodel("class A { }\nclass AB extends AB { }\n", "m", file="m.mm")
+        d = exc.value.diagnostics[0]
+        assert d.code == "mm-inheritance-cycle"
+        assert str(d.location) == "m.mm:2:7"
+
     def test_ecore_types_resolve(self):
         mm = parse_metamodel("class M { ref EClass target; attr int n = 1; }", "m")
         target, n = mm.classifier("M").features

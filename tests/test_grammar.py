@@ -13,7 +13,7 @@ from mmdsl.grammar import (
 )
 from mmdsl.lexer import TokenStream, escape_string
 from mmdsl.meta import (
-    MetaClass, Model, ModelObject, iter_tree, model_equals, validate_model,
+    MetaClass, Model, ModelObject, Tree, iter_tree, model_equals, validate_model,
 )
 from mmdsl.xf import derive_ast_metamodel, parse_transformation
 
@@ -577,16 +577,16 @@ def ref_has_available(e, cur):
 
 class RefRenderer:
     def __init__(self, g):
-        self.g, self.a, self.diags, self.tokens = g, RefAnalysis(g), [], []
+        self.g, self.a, self.problems, self.tokens = g, RefAnalysis(g), [], []
 
-    def render_obj(self, obj, path):
+    def render_obj(self, obj):
         rule = self.g.by_name.get(obj.cls.name)
         if not isinstance(rule, ConcreteRule):
-            self.diags.append(error("grammar", "gr-no-rule",
-                                    f"no concrete rule for class {obj.cls.name!r}", path=path))
+            self.problems.append((obj, "gr-no-rule",
+                                  f"no concrete rule for class {obj.cls.name!r}"))
             return
         cur = RefCursors(obj, self.g.lexer())
-        self.walk(rule.body, cur, path)
+        self.walk(rule.body, cur)
         flags = ref_flags(rule.body, [])
         for f in obj.slots:
             used = cur.used.get(f, 0)
@@ -596,12 +596,12 @@ class RefRenderer:
             if f in flags:
                 continue
             if used < len(cur.raw(f)):
-                self.diags.append(error("grammar", "gr-unset-mandatory",
-                                        f"rule {rule.name!r} cannot emit all values of "
-                                        f"{obj.cls.name}.{f}", path=path))
+                self.problems.append((obj, "gr-unset-mandatory",
+                                      f"rule {rule.name!r} cannot emit all values of "
+                                      f"{obj.cls.name}.{f}"))
 
-    def walk(self, e, cur, path):
-        tokens, diags = self.tokens, self.diags
+    def walk(self, e, cur):
+        tokens, problems = self.tokens, self.problems
         if isinstance(e, Keyword):
             tokens.append(e.text)
             return
@@ -614,8 +614,8 @@ class RefRenderer:
             if not cur.available(e):
                 left = cur.raw(e.feature)[cur.used.get(e.feature, 0):]
                 why = f"value {left[0]!r} is not an ID" if left else "has no value to render"
-                diags.append(error("grammar", "gr-unset-mandatory",
-                                   f"{cur.obj.cls.name}.{e.feature} {why}", path=path))
+                problems.append((cur.obj, "gr-unset-mandatory",
+                                 f"{cur.obj.cls.name}.{e.feature} {why}"))
                 return
             value = cur.take(e)
             if e.callee == "STRING":
@@ -623,44 +623,45 @@ class RefRenderer:
             elif e.callee in ("ID", "INT"):
                 tokens.append(str(value))
             else:
-                self.render_obj(value, f"{path}/{e.feature}")
+                self.render_obj(value)
             return
         if isinstance(e, Sequence):
             for x in e.items:
-                self.walk(x, cur, path)
+                self.walk(x, cur)
             return
         if isinstance(e, Opt):
             if ref_has_available(e.inner, cur):
-                self.walk(e.inner, cur, path)
+                self.walk(e.inner, cur)
             return
         if isinstance(e, Repeat):
             if e.kind == "+" and not ref_has_available(e.inner, cur):
-                diags.append(error("grammar", "gr-unset-mandatory",
-                                   "'+' repetition has nothing to render", path=path))
+                problems.append((cur.obj, "gr-unset-mandatory",
+                                 "'+' repetition has nothing to render"))
                 return
             while ref_has_available(e.inner, cur):
-                self.walk(e.inner, cur, path)
+                self.walk(e.inner, cur)
             return
         for alt in e.alternatives:
             if ref_has_available(alt, cur):
-                self.walk(alt, cur, path)
+                self.walk(alt, cur)
                 return
         for alt in e.alternatives:
             if not ref_has_assignments(alt):
-                self.walk(alt, cur, path)
+                self.walk(alt, cur)
                 return
         for alt in e.alternatives:
             if self.a.elem_nullable(alt):
                 return
-        diags.append(error("grammar", "gr-unset-mandatory",
-                           "no renderable alternative in group", path=path))
+        problems.append((cur.obj, "gr-unset-mandatory", "no renderable alternative in group"))
 
 
 def ref_render_ast(m, g):
     renderer = RefRenderer(g)
-    renderer.render_obj(m.root, "/")
-    if renderer.diags:
-        raise DiagnosticError(renderer.diags)
+    renderer.render_obj(m.root)
+    if renderer.problems:
+        tree = Tree(m.root)
+        raise DiagnosticError([error("grammar", code, message, path=tree.path(obj))
+                               for obj, code, message in renderer.problems])
     return _layout(renderer.tokens)
 
 

@@ -93,7 +93,7 @@ class TestValidateMetamodel:
         a = MetaClass("A")
         a.supertypes = [a]
         diags = validate_metamodel(Metamodel("m", [a]))
-        assert any(d.code == "mm-inheritance-cycle" for d in diags)
+        assert [(d.code, d.path) for d in diags] == [("mm-inheritance-cycle", "/m/A")]
 
     def test_duplicate_feature(self):
         a = MetaClass("A", features=[

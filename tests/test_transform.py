@@ -2,6 +2,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmdsl.diagnostics import DiagnosticError
 from mmdsl.emfatic import parse_metamodel
@@ -11,7 +12,7 @@ from mmdsl.meta import (
     validate_model,
 )
 from mmdsl.transform import (
-    DEFER, Namespace, ResolverRegistry, build_plan, flatten_payload,
+    DEFER, Namespace, ResolverRegistry, _Forward, build_plan, flatten_payload,
     namespace_registry, parse_config, transform_ast_to_model,
     transform_model_to_ast,
 )
@@ -114,23 +115,7 @@ class TestNamespace:
         ns = Namespace()
         ns.define([], "x", object())
         ns.define([], "x", object())
-        diags = ns.finalize()
-        assert any(d.code == "name-duplicate" for d in diags)
-
-    def test_forward_reference_stub(self):
-        ns = Namespace()
-        stub = ns.resolve(ns.root, ["later"], stub_if_missing=True)
-        assert not stub.resolved
-        obj = object()
-        ns.define([], "later", obj)
-        assert stub.resolved and stub.target is obj
-        assert ns.finalize() == []
-
-    def test_unresolved_stub_reported(self):
-        ns = Namespace()
-        ns.resolve(ns.root, ["never"], stub_if_missing=True)
-        diags = ns.finalize()
-        assert any(d.code == "name-unresolved" for d in diags)
+        assert [d.code for d in ns.diagnostics] == ["name-duplicate"]
 
     def test_ecore_seeding(self, selfhost):
         *_, registry = selfhost
@@ -263,7 +248,7 @@ class TestReverse:
         root = ModelObject(target.classifier("Root"), things=[nameless])
         root.set("pick", nameless)
         _, diags = transform_model_to_ast(Model(root, target), plan, registry)
-        assert any(d.code == "reverse-unnamed" for d in diags)
+        assert [(d.code, d.path) for d in diags] == [("reverse-unnamed", "/")]
 
     def test_named_cross_target_round_trips(self):
         text = ("class Root { val Thing[*] things; ref Thing pick; }\n"
@@ -417,6 +402,88 @@ class TestPackageScopes:
         assert model_equals(m, back)
 
 
+def _scope_path(scope):
+    path = []
+    while scope.parent is not None:
+        path.insert(0, scope.name)
+        scope = scope.parent
+    return path
+
+
+def reference_bind(ns, registry, obj, scope, scopes):
+    """The recursive bind that ``_Forward.bind`` replaced: it records the
+    scope each object is bound in, binds the object's name there by walking
+    back down from the root to the scope's path (a name bound already keeps
+    its first object), and recurses into the contents with the child scope
+    a named scope-class object opens."""
+    scopes[id(obj)] = scope
+    attr = registry.name_attribute
+    inner = scope
+    feat = obj.cls.find_feature(attr)
+    if feat is not None and feat.is_attribute and obj.is_set(attr):
+        ns.scope(_scope_path(scope)).bindings.setdefault(obj.get(attr), obj)
+        if obj.cls.name in registry.scope_classes:
+            inner = scope.child(obj.get(attr))
+    for f in obj.cls.containments():
+        for child in obj.values(f.name):
+            reference_bind(ns, registry, child, inner, scopes)
+
+
+NESTED = parse_metamodel(
+    "class Package { attr String name; val Package[*] packages; val Class[*] classes; }\n"
+    "class Class { attr String name; }\n", "nested")
+
+# a few names, so that they repeat, or none
+names = st.sampled_from(["a", "b", "c", None])
+
+
+def _named(cls, name, **features):
+    obj = ModelObject(NESTED.classifier(cls), **features)
+    if name is not None:
+        obj.set("name", name)
+    return obj
+
+
+classes = st.builds(lambda n: _named("Class", n), names)
+packages = st.recursive(
+    st.builds(lambda n, cs: _named("Package", n, classes=cs), names,
+              st.lists(classes, max_size=3)),
+    lambda inner: st.builds(
+        lambda n, ps, cs: _named("Package", n, packages=ps, classes=cs),
+        names, st.lists(inner, max_size=3), st.lists(classes, max_size=3)),
+    max_leaves=25)
+
+
+def _scope_key(scope):
+    return tuple(_scope_path(scope))
+
+
+def _scope_tree(scope):
+    """Every scope below ``scope``: its path, the id of each bound object."""
+    out, stack = {}, [scope]
+    while stack:
+        s = stack.pop()
+        out[_scope_key(s)] = {name: id(obj) for name, obj in s.bindings.items()}
+        stack.extend(s.children.values())
+    return out
+
+
+class TestBindOverOneTree:
+    @settings(max_examples=150, deadline=None)
+    @given(packages)
+    def test_agrees_with_the_recursive_bind(self, root):
+        registry = ResolverRegistry()
+        registry.scope_classes.add("Package")
+        ref_ns, ref_scopes = registry.make_namespace(), {}
+        reference_bind(ref_ns, registry, root, ref_ns.root, ref_scopes)
+        run = _Forward(None, registry)
+        tree = run.bind(root)
+        assert _scope_tree(run.ns.root) == _scope_tree(ref_ns.root)
+        assert len(tree.objects) == len(ref_scopes)
+        for obj in tree.objects:
+            assert _scope_key(run.scopes[obj]) == _scope_key(ref_scopes[id(obj)])
+
+
 def package_chain(n):
     """One package of n classes, each extending the one before."""
     return "package p { class C0;" + "".join(
@@ -487,6 +554,34 @@ class TestResolverRegistry:
         assert calls == [("ClassMapping",), ("ClassMapping",)]
         assert result.root.values("actions")[0].get("target").represents \
             is target.classifier("ClassMapping")
+
+    def test_defer_waits_for_a_later_define(self, selfhost):
+        target, t, ast, trace, g, plan, registry = selfhost
+        calls = []
+        reg = ResolverRegistry()
+        reg.seed("target", target)
+
+        def waiting(ctx):
+            calls.append(("skip", tuple(ctx.segments())))
+            found = ctx.namespace.resolve(ctx.scope, ctx.segments())
+            return DEFER if found is None else found
+
+        def aliasing(ctx):
+            calls.append(("make", tuple(ctx.segments())))
+            found = ctx.namespace.resolve(ctx.scope, ctx.segments())
+            ctx.namespace.define([], "Alias", found)
+            return found
+
+        reg.on("SkipClassAS", "target", waiting)
+        reg.on("ChangeInheritanceAS", "target", aliasing)
+        ast_model = parse_text("skip Alias;\nmake img(ClassMapping) extend nothing;\n", g)
+        result, diags = transform_ast_to_model(ast_model, plan, reg)
+        assert [d.render() for d in diags] == []
+        assert calls == [("skip", ("Alias",)), ("make", ("ClassMapping",)),
+                         ("skip", ("Alias",))]
+        skip, make = result.root.values("actions")
+        assert skip.get("target") is make.get("target")
+        assert skip.get("target").represents is target.classifier("ClassMapping")
 
     def test_resolver_invocation_count(self, selfhost):
         target, t, ast, trace, g, plan, registry = selfhost
