@@ -31,7 +31,9 @@ import os
 import sys
 from pathlib import Path
 
-from .diagnostics import DiagnosticError, error, has_errors, sort_diagnostics
+from .diagnostics import (
+    DiagnosticError, SourceLocation, error, has_errors, sort_diagnostics,
+)
 from .emfatic import parse_metamodel, print_metamodel
 from .grammar import (
     check_grammar, generate_grammar_skeleton, parse_grammar, parse_text,
@@ -83,7 +85,8 @@ def _io_error(verb: str, path, exc: OSError | UnicodeDecodeError) -> DiagnosticE
         why = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
     else:
         why = exc.strerror or str(exc)
-    return DiagnosticError([error("parse", "io", f"cannot {verb} {path}: {why}")])
+    return DiagnosticError([error("parse", "io", f"cannot {verb} {path}: {why}",
+                                  location=SourceLocation(str(path)))])
 
 
 def _read(path) -> str:

@@ -65,12 +65,13 @@ CODES = {
 
 @dataclass(frozen=True)
 class SourceLocation:
+    """A place in a file; a whole file (an ``io`` problem) has no line."""
     file: str
-    line: int
-    column: int
+    line: int | None = None
+    column: int | None = None
 
     def __str__(self):
-        return f"{self.file}:{self.line}:{self.column}"
+        return self.file if self.line is None else f"{self.file}:{self.line}:{self.column}"
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,8 @@ class Diagnostic:
         }
         if self.location is not None:
             data["file"] = self.location.file
-            data["line"] = self.location.line
-            data["column"] = self.location.column
+            if self.location.line is not None:
+                data["line"], data["column"] = self.location.line, self.location.column
         if self.path is not None:
             data["path"] = self.path
         return json.dumps(data, sort_keys=True)
@@ -128,7 +129,8 @@ def sort_diagnostics(diags) -> list[Diagnostic]:
 
     def key(d: Diagnostic):
         if d.location is not None:
-            return (0, d.location.file, d.location.line, d.location.column, d.code, d.message)
+            loc = d.location
+            return (0, loc.file, loc.line or 0, loc.column or 0, d.code, d.message)
         return (1, d.path or "", 0, 0, d.code, d.message)
 
     return sorted(diags, key=key)

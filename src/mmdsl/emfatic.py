@@ -47,6 +47,14 @@ def parse_qname(stream: TokenStream) -> tuple[str, SourceLocation]:
     return name, tok.location
 
 
+def parse_qnames(stream: TokenStream) -> list[tuple[str, SourceLocation]]:
+    """One or more qualified names, separated by ','."""
+    names = [parse_qname(stream)]
+    while stream.accept_kw(","):
+        names.append(parse_qname(stream))
+    return names
+
+
 def parse_name_token(stream: TokenStream) -> Token:
     """A feature-name position: plain identifier or a reserved word."""
     tok = stream.current
@@ -124,11 +132,7 @@ def parse_metamodel(text: str, name: str, file: str = "<metamodel>") -> Metamode
         abstract = stream.accept_kw("abstract")
         stream.expect_kw("class")
         cname = stream.expect("ID")
-        supers = []
-        if stream.accept_kw("extends"):
-            supers.append(parse_qname(stream))
-            while stream.accept_kw(","):
-                supers.append(parse_qname(stream))
+        supers = parse_qnames(stream) if stream.accept_kw("extends") else []
         stream.expect_kw("{")
         features = []
         while not stream.at_kw("}"):
@@ -138,13 +142,12 @@ def parse_metamodel(text: str, name: str, file: str = "<metamodel>") -> Metamode
 
     mm = Metamodel(name)
     classes: dict[str, MetaClass] = {}
-    class_locs: dict[str, SourceLocation] = {}
+    class_locs: dict[str, list[SourceLocation]] = {}  # every declaration of a name
     diags = []
     for d in decls:
         cls = MetaClass(d.name, abstract=d.abstract)
-        if d.name not in classes:
-            classes[d.name] = cls
-            class_locs[d.name] = d.loc
+        classes.setdefault(d.name, cls)
+        class_locs.setdefault(d.name, []).append(d.loc)
         mm.classifiers.append(cls)
 
     ecore = builtin_ecore()
@@ -199,9 +202,13 @@ def parse_metamodel(text: str, name: str, file: str = "<metamodel>") -> Metamode
         raise DiagnosticError(diags)
 
     # Re-anchor structural violations on the declaration of the classifier
-    # each one names in its path, /<mm>/<classifier>.
+    # each one names in its path, /<mm>/<classifier>: its first declaration,
+    # or for each duplicate of a name the next one, in order.
+    later = {name: iter(locs[1:]) for name, locs in class_locs.items()}
     for d in validate_metamodel(mm):
-        loc = class_locs.get(d.path.removeprefix(f"/{mm.name}/"))
+        name = d.path.removeprefix(f"/{mm.name}/")
+        loc = (next(later[name]) if d.code == "mm-duplicate-classifier"
+               else class_locs.get(name, [None])[0])
         diags.append(error("metamodel", d.code, d.message,
                            location=loc or SourceLocation(file, 1, 1)))
     if diags:

@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 from .diagnostics import Diagnostic, DiagnosticError, SourceLocation, error
 from .lexer import Lexer, Token, TokenStream, escape_string
 from .meta import (
-    MetaClass, Metamodel, Model, ModelObject, Tree, is_subtype, validate_model,
+    MetaClass, Metamodel, Model, ModelObject, Tree, is_subtype, miscount,
+    validate_metamodel, validate_model,
 )
 
 TERMINALS = ("ID", "STRING", "INT")
@@ -205,6 +206,8 @@ def parse_grammar(text: str, ast: Metamodel, file: str = "<grammar>") -> Grammar
         tok = stream.current
         if tok.kind == "STRING":
             stream.next()
+            if not tok.value:
+                diags.append(error("grammar", "syntax", "empty keyword", location=tok.location))
             return Keyword(tok.value, tok.location)
         if tok.is_kw("("):
             stream.next()
@@ -256,111 +259,76 @@ def parse_grammar(text: str, ast: Metamodel, file: str = "<grammar>") -> Grammar
         if r.name in TERMINALS:
             diags.append(error("grammar", "name-duplicate",
                                f"{r.name!r} is a terminal and cannot name a rule", location=r.loc))
-
-    by_name = {r.name: r for r in rules}
-
-    for r in rules:
         cls = ast.classifier(r.name)
-        if not isinstance(cls, MetaClass):
-            diags.append(error("grammar", "gr-unknown-class",
-                               f"rule {r.name!r} does not match an AST class", location=r.loc))
-            continue
-        r.cls = cls
-        if isinstance(r, AbstractRule):
-            if not cls.abstract:
-                diags.append(error("grammar", "gr-unknown-class",
-                                   f"Abstract rule {r.name!r} needs an abstract class",
-                                   location=r.loc))
-            for alt in r.alternatives:
-                sub = by_name.get(alt)
-                if sub is None:
-                    diags.append(error("grammar", "gr-unknown-rule",
-                                       f"alternative {alt!r} of {r.name!r} is not a rule",
-                                       location=r.loc))
-                elif ast.classifier(alt) is not None and not is_subtype(ast.classifier(alt), cls):
-                    diags.append(error("grammar", "gr-type",
-                                       f"alternative {alt!r} is not a subtype of {r.name!r}",
-                                       location=r.loc))
-        else:
-            if cls.abstract:
-                diags.append(error("grammar", "gr-unknown-class",
-                                   f"class {r.name!r} is abstract; use an Abstract rule",
-                                   location=r.loc))
-            _check_body(r, by_name, ast, diags)
-
+        r.cls = cls if isinstance(cls, MetaClass) else None
+    g = Grammar(rules, ast)
+    diags += g.analysis().problems
     if diags:
         raise DiagnosticError(diags)
-    return Grammar(rules, ast)
+    return g
 
 
-def _check_body(rule: ConcreteRule, by_name, ast, diags):
-    cls = rule.cls
+def _check_rules(g: Grammar) -> list[Diagnostic]:
+    """What makes each object parse_text builds valid but for its bounds:
+    each rule's class is in ``g.ast``, concrete unless the rule is Abstract;
+    each assignment names one of its features, with an operator and callee
+    that fit the feature's multiplicity, kind and type, never a cross one."""
+    diags: list[Diagnostic] = []
 
-    def check(e):
-        for x in _children(e):
-            check(x)
-        if isinstance(e, Keyword):
-            if not e.text:
-                diags.append(error("grammar", "syntax", "empty keyword", location=e.loc))
-            return
-        if not isinstance(e, Assignment):
-            return
-        feat = cls.find_feature(e.feature)
-        if feat is None:
-            diags.append(error("grammar", "gr-unknown-feature",
-                               f"class {cls.name} has no feature {e.feature!r}", location=e.loc))
-            return
-        if e.op == "?":
-            if not (feat.is_attribute and feat.type.kind == "boolean" and not feat.many):
-                diags.append(error("grammar", "gr-type",
-                                   f"flag {e.feature!r} needs a single-valued boolean attribute",
-                                   location=e.loc))
-            return
-        if e.op == "=" and feat.many:
-            diags.append(error("grammar", "gr-operator",
-                               f"'=' on multi-valued feature {e.feature!r}; use '+='",
-                               location=e.loc))
-        if e.op == "+=" and not feat.many:
-            diags.append(error("grammar", "gr-operator",
-                               f"'+=' on single-valued feature {e.feature!r}; use '='",
-                               location=e.loc))
-        if e.callee in TERMINALS:
-            if not feat.is_attribute:
-                diags.append(error("grammar", "gr-type",
-                                   f"terminal {e.callee} cannot fill reference {e.feature!r}",
-                                   location=e.loc))
-            elif e.callee == "INT" and feat.type.kind != "integer":
-                diags.append(error("grammar", "gr-type",
-                                   f"INT does not fit {feat.type.name} attribute {e.feature!r}",
-                                   location=e.loc))
-            elif e.callee in ("ID", "STRING") and feat.type.kind != "string":
-                diags.append(error("grammar", "gr-type",
-                                   f"{e.callee} does not fit {feat.type.name} attribute "
-                                   f"{e.feature!r}", location=e.loc))
-            return
-        callee_rule = by_name.get(e.callee)
-        if callee_rule is None:
-            diags.append(error("grammar", "gr-unknown-rule",
-                               f"assignment callee {e.callee!r} is not a rule or terminal",
-                               location=e.loc))
-            return
-        if feat.is_attribute:
-            diags.append(error("grammar", "gr-type",
-                               f"rule callee {e.callee!r} cannot fill attribute {e.feature!r}",
-                               location=e.loc))
-            return
-        if not feat.containment:
-            diags.append(error("grammar", "gr-cross-reference",
-                               f"{cls.name}.{e.feature} is a cross reference; grammars only "
-                               f"build containment trees", location=e.loc))
-            return
-        callee_cls = ast.classifier(e.callee)
-        if isinstance(callee_cls, MetaClass) and not is_subtype(callee_cls, feat.type):
-            diags.append(error("grammar", "gr-type",
-                               f"rule {e.callee!r} builds {callee_cls.name}, which does not "
-                               f"conform to {feat.type.name}", location=e.loc))
+    def bad(code, message, at):  # ``at``: the rule or assignment at fault
+        diags.append(error("grammar", code, message, location=at.loc))
 
-    check(rule.body)
+    known = {id(c) for c in g.ast.classifiers}
+    for r in g.rules:
+        cls = r.cls
+        if not isinstance(cls, MetaClass) or id(cls) not in known:
+            bad("gr-unknown-class", f"rule {r.name!r} does not match an AST class", r)
+        elif isinstance(r, AbstractRule):
+            if not cls.abstract:
+                bad("gr-unknown-class", f"Abstract rule {r.name!r} needs an abstract class", r)
+            for alt in r.alternatives:
+                sub = g.by_name.get(alt)
+                if sub is None:
+                    bad("gr-unknown-rule", f"alternative {alt!r} of {r.name!r} is not a rule", r)
+                elif isinstance(sub.cls, MetaClass) and not is_subtype(sub.cls, cls):
+                    bad("gr-type", f"alternative {alt!r} is not a subtype of {r.name!r}", r)
+        else:
+            if cls.abstract:
+                bad("gr-unknown-class", f"class {r.name!r} is abstract; use an Abstract rule", r)
+            for e in r.body.assigns:
+                _check_assignment(e, cls, g.by_name, bad)
+    return diags
+
+
+def _check_assignment(e: Assignment, cls: MetaClass, by_name, bad):
+    feat = cls.find_feature(e.feature)
+    if feat is None:
+        return bad("gr-unknown-feature", f"class {cls.name} has no feature {e.feature!r}", e)
+    if e.op == "?":
+        if not (feat.is_attribute and feat.type.kind == "boolean" and not feat.many):
+            bad("gr-type", f"flag {e.feature!r} needs a single-valued boolean attribute", e)
+        return
+    if e.op == "=" and feat.many:
+        bad("gr-operator", f"'=' on multi-valued feature {e.feature!r}; use '+='", e)
+    if e.op == "+=" and not feat.many:
+        bad("gr-operator", f"'+=' on single-valued feature {e.feature!r}; use '='", e)
+    callee = by_name.get(e.callee)
+    if e.callee in TERMINALS:
+        if not feat.is_attribute:
+            bad("gr-type", f"terminal {e.callee} cannot fill reference {e.feature!r}", e)
+        elif feat.type.kind != ("integer" if e.callee == "INT" else "string"):
+            bad("gr-type", f"{e.callee} does not fit {feat.type.name} attribute {e.feature!r}", e)
+    elif callee is None:
+        bad("gr-unknown-rule", f"assignment callee {e.callee!r} is not a rule or terminal", e)
+    elif feat.is_attribute:
+        bad("gr-type", f"rule callee {e.callee!r} cannot fill attribute {e.feature!r}", e)
+    elif not feat.containment:
+        bad("gr-cross-reference",
+            f"{cls.name}.{e.feature} is a cross reference; grammars only build containment "
+            f"trees", e)
+    elif isinstance(callee.cls, MetaClass) and not is_subtype(callee.cls, feat.type):
+        bad("gr-type", f"rule {e.callee!r} builds {callee.cls.name}, which does not conform "
+            f"to {feat.type.name}", e)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +345,9 @@ def _key(token: Token) -> TokenKey:
 class _Analysis:
     """The grammar's compiled facts: per rule, ``first`` and ``nullable``;
     per concrete rule, the features its flag assignments set (``flags``);
-    and on every element, ``first``, ``nullable`` and ``assigns``."""
+    on every element, ``first``, ``nullable`` and ``assigns``; the
+    ``problems`` of _check_rules; and ``sound``: there are none and
+    ``g.ast`` is valid, so parse_text builds valid objects but for bounds."""
 
     def __init__(self, g: Grammar):
         self.nullable: dict[str, bool] = {r.name: False for r in g.rules}
@@ -411,6 +381,8 @@ class _Analysis:
         self.flags: dict[str, list[str]] = {
             r.name: [x.feature for x in r.body.assigns if x.op == "?"]
             for r in g.rules if isinstance(r, ConcreteRule)}
+        self.problems = _check_rules(g)
+        self.sound = not self.problems and not validate_metamodel(g.ast)
 
     def _compile(self, e):
         """Store ``first``, ``nullable`` and ``assigns`` on ``e`` and on every
@@ -591,16 +563,27 @@ def check_grammar(g: Grammar) -> list[Diagnostic]:
 def parse_text(text: str, g: Grammar, ast: Metamodel | None = None,
                file: str = "<input>") -> Model:
     """Recursive-descent interpretation of the grammar from its entry rule.
-    The result is a validated Model over the grammar's AST metamodel."""
-    ast = ast or g.ast
-    parser = _TextParser(g, TokenStream(g.lexer().tokenize(text, file), phase="parse"))
+    The result is a valid Model over ``ast``, by default ``g.ast``. If ``g``
+    is sound (see _Analysis) and ``ast`` is ``g.ast``, each object is valid
+    by construction but for its bounds, which the parser checks as it
+    finishes the object; otherwise the model goes through validate_model."""
+    checked = g.analysis().sound and (ast is None or ast is g.ast)
+    parser = _TextParser(g, TokenStream(g.lexer().tokenize(text, file), phase="parse"),
+                         checked)
     root = parser.parse_rule(g.entry)
     parser.stream.expect_eof()
-    model = Model(root, ast)
-    problems = validate_model(model)
+    model = Model(root, ast or g.ast)
+    if not checked:
+        problems = [(d.code, d.message, d.path) for d in validate_model(model)]
+    elif parser.miscounts:
+        tree = Tree(root)  # for the paths, only once a problem was found
+        problems = [("model-multiplicity", message, tree.path(obj))
+                    for obj, message in parser.miscounts]
+    else:
+        return model
     if problems:
-        raise DiagnosticError([error("parse", d.code, d.message, path=d.path)
-                               for d in problems])
+        raise DiagnosticError([error("parse", code, message, path=path)
+                               for code, message, path in problems])
     return model
 
 
@@ -610,13 +593,14 @@ def _expected(keys) -> str:
 
 
 class _TextParser:
-    """One parse_text call: the grammar, its FIRST/nullable analysis and the
-    token stream."""
+    """One parse_text call: the grammar, its analysis, the token stream and,
+    if it checks bounds, each finished object that breaks one, with why."""
 
-    def __init__(self, g: Grammar, stream: TokenStream):
+    def __init__(self, g: Grammar, stream: TokenStream, check_bounds: bool):
         self.g = g
         self.a = g.analysis()
         self.stream = stream
+        self.miscounts: list[tuple[ModelObject, str]] | None = [] if check_bounds else None
 
     def parse_rule(self, name: str) -> ModelObject:
         a, stream = self.a, self.stream
@@ -634,8 +618,12 @@ class _TextParser:
         obj = ModelObject(rule.cls)
         self.walk(rule.body, obj)
         for f in a.flags[name]:
-            if not obj.is_set(f):
-                obj.set(f, False)
+            obj.slots.setdefault(f, False)
+        if self.miscounts is not None:
+            for f in rule.cls.tables().bounded:
+                message = miscount(obj, f, len(obj.values_of(f)))
+                if message:
+                    self.miscounts.append((obj, message))
         return obj
 
     def walk(self, e, obj):
@@ -644,22 +632,23 @@ class _TextParser:
             stream.expect_kw(e.text)
             return
         if isinstance(e, Assignment):
+            # written in place: in a sound grammar each operator fits its feature
+            slots = obj.slots
             if e.op == "?":
                 if stream.at_kw(e.keyword):
                     stream.next()
-                    obj.set(e.feature, True)
+                    slots[e.feature] = True
                 return
             if e.callee in TERMINALS:
-                tok = stream.expect(e.callee)
-                value = tok.value
+                value = stream.expect(e.callee).value
             else:
                 value = self.parse_rule(e.callee)
-            if e.op == "=":
-                if obj.is_set(e.feature):
-                    stream.fail(f"feature {e.feature!r} assigned twice")
-                obj.set(e.feature, value)
+            if e.op == "+=":
+                slots.setdefault(e.feature, []).append(value)
+            elif e.feature in slots:
+                stream.fail(f"feature {e.feature!r} assigned twice")
             else:
-                obj.add(e.feature, value)
+                slots[e.feature] = value
             return
         if isinstance(e, Sequence):
             for x in e.items:

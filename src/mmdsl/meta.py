@@ -36,27 +36,20 @@ are kept on the classifier they stand for, so they live exactly as long.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import total_ordering
 
 from .diagnostics import Diagnostic, error
 
 
+@total_ordering
 class _Unbounded:
     """Upper bound '*'; compares greater than every integer."""
 
     def __repr__(self):
         return "UNBOUNDED"
 
-    def __gt__(self, other):
-        return True
-
-    def __ge__(self, other):
-        return True
-
     def __lt__(self, other):
         return False
-
-    def __le__(self, other):
-        return other is self
 
 
 UNBOUNDED = _Unbounded()
@@ -72,10 +65,7 @@ class MetaDataType:
     name: str
     kind: str  # string | boolean | integer
     _standin = None  # see classifier_object
-
-    @property
-    def is_class(self) -> bool:
-        return False
+    is_class = False
 
 
 @dataclass(eq=False)
@@ -93,28 +83,16 @@ class MetaFeature:
 class MetaAttribute(MetaFeature):
     type: MetaDataType = None
     default: object = None
-
-    @property
-    def is_attribute(self) -> bool:
-        return True
-
-    @property
-    def containment(self) -> bool:
-        return False
+    is_attribute = True
+    containment = False
 
 
 @dataclass(eq=False)
 class MetaReference(MetaFeature):
     type: "MetaClass" = None
     containment: bool = False
-
-    @property
-    def is_attribute(self) -> bool:
-        return False
-
-    @property
-    def default(self):
-        return None
+    is_attribute = False
+    default = None
 
 
 # Edits to any class's supertypes or features. A class cannot see its
@@ -154,7 +132,7 @@ class _Tables:
     """A class's derived facts, valid while ``edits`` equals ``_edits``."""
 
     __slots__ = ("edits", "supertypes", "supertype_set", "features", "by_name",
-                 "containments")
+                 "containments", "bounded")
 
     def __init__(self, cls: "MetaClass"):
         self.edits = _edits
@@ -181,11 +159,16 @@ class _Tables:
         self.by_name = {f.name: f for f in reversed(self.features)}
         self.containments = tuple(
             f for f in self.features if isinstance(f, MetaReference) and f.containment)
+        # the features whose effective value count can break their bounds
+        self.bounded = tuple(
+            f for f in self.features if f.lower or (f.many and f.upper is not UNBOUNDED))
 
 
 class MetaClass:
     """A class of a metamodel. ``supertypes`` and ``features`` may be edited
     in place or assigned; either marks the tables of every class stale."""
+
+    is_class = True
 
     def __init__(self, name: str, abstract: bool = False,
                  supertypes: list["MetaClass"] | None = None,
@@ -219,10 +202,6 @@ class MetaClass:
         global _edits
         self._features = _ClassList(value)
         _edits += 1
-
-    @property
-    def is_class(self) -> bool:
-        return True
 
     def tables(self) -> _Tables:
         t = self._tables
@@ -327,11 +306,9 @@ def _unset_value(f: MetaFeature):
     """The effective value of a slot of feature ``f`` that is not set."""
     if f.many:
         return []
-    if f.is_attribute:
-        if f.default is not None:
-            return f.default
-        return _INTRINSIC_DEFAULTS[f.type.kind]
-    return None
+    if f.default is not None or not f.is_attribute:
+        return f.default
+    return _INTRINSIC_DEFAULTS[f.type.kind]
 
 
 class ModelObject:
@@ -382,9 +359,12 @@ class ModelObject:
         """Slot content as a list regardless of multiplicity (effective)."""
         f = self._feature(name)
         v = self.slots[name] if name in self.slots else _unset_value(f)
-        if v is None:
-            return []
-        return list(v) if f.many else [v]
+        return [] if v is None else (list(v) if f.many else [v])
+
+    def values_of(self, f: MetaFeature):
+        """``values(f.name)`` read through ``f`` itself, without a copy."""
+        v = self.slots[f.name] if f.name in self.slots else _unset_value(f)
+        return () if v is None else (v if f.many else (v,))
 
     def is_set(self, name: str) -> bool:
         return name in self.slots
@@ -553,6 +533,12 @@ def iter_tree(root: ModelObject) -> list[ModelObject]:
 
 
 def validate_model(m: Model) -> list[Diagnostic]:
+    """Containment is a tree; each object's class is known and concrete;
+    each slot names a feature; each feature's effective values (defaults
+    count) fit its bounds, kind and type; cross references stay inside.
+    ``parse_text`` proves all but the bounds once per grammar and checks
+    those as it finishes each object; loaded, transformed and hand-built
+    models are checked here, reading slots and class tables directly."""
     diags, tree = [], Tree(m.root)
 
     def err(code, message, obj):
@@ -566,41 +552,50 @@ def validate_model(m: Model) -> list[Diagnostic]:
             m.root)
 
     for obj in tree.objects:
-        if id(obj.cls) not in known:
-            err("model-unknown-class", f"class {obj.cls.name} is not in the metamodel", obj)
+        cls = obj.cls
+        if id(cls) not in known:
+            err("model-unknown-class", f"class {cls.name} is not in the metamodel", obj)
             continue
-        if obj.cls.abstract:
-            err("model-abstract", f"class {obj.cls.name} is abstract", obj)
+        if cls.abstract:
+            err("model-abstract", f"class {cls.name} is abstract", obj)
+        t = cls.tables()
         for name in obj.slots:
-            if obj.cls.find_feature(name) is None:
-                err("model-unknown-feature", f"class {obj.cls.name} has no feature {name!r}", obj)
-        for f in obj.cls.all_features():
-            vals = obj.values(f.name)  # effective: defaults count as present
-            count = len(vals)
-            if count < f.lower or (f.upper is not UNBOUNDED and count > f.upper):
-                upper = "*" if f.upper is UNBOUNDED else f.upper
-                err("model-multiplicity",
-                    f"{obj.cls.name}.{f.name}: {count} value(s) violate bounds {f.lower}..{upper}", obj)
-            for v in vals:
-                if f.is_attribute:
+            if name not in t.by_name:
+                err("model-unknown-feature", f"class {cls.name} has no feature {name!r}", obj)
+        for f in t.features:
+            # as values(f.name): the first feature of that name reads the slot
+            vals = obj.values_of(t.by_name[f.name])
+            problem = miscount(obj, f, len(vals))
+            if problem:
+                err("model-multiplicity", problem, obj)
+            if f.is_attribute:
+                for v in vals:
                     if isinstance(v, ModelObject) or not value_fits(v, f.type):
                         err("model-kind",
-                            f"{obj.cls.name}.{f.name}: value {v!r} does not fit attribute type "
+                            f"{cls.name}.{f.name}: value {v!r} does not fit attribute type "
                             f"{f.type.name}", obj)
-                else:
-                    if not isinstance(v, ModelObject):
-                        err("model-kind",
-                            f"{obj.cls.name}.{f.name}: expected an object, found {v!r}", obj)
-                        continue
-                    if not is_subtype(v.cls, f.type):
-                        err("model-kind",
-                            f"{obj.cls.name}.{f.name}: object of class {v.cls.name} does not "
-                            f"conform to {f.type.name}", obj)
-                    if not f.containment and v not in tree and v.represents is None:
-                        err("model-dangling",
-                            f"{obj.cls.name}.{f.name}: cross reference targets an object "
-                            f"outside the model", obj)
+                continue
+            for v in vals:
+                if not isinstance(v, ModelObject):
+                    err("model-kind", f"{cls.name}.{f.name}: expected an object, found {v!r}", obj)
+                    continue
+                if not is_subtype(v.cls, f.type):
+                    err("model-kind",
+                        f"{cls.name}.{f.name}: object of class {v.cls.name} does not "
+                        f"conform to {f.type.name}", obj)
+                if not f.containment and v not in tree and v.represents is None:
+                    err("model-dangling",
+                        f"{cls.name}.{f.name}: cross reference targets an object "
+                        f"outside the model", obj)
     return diags
+
+
+def miscount(obj: ModelObject, f: MetaFeature, count: int) -> str | None:
+    """The model-multiplicity message if ``count`` values break ``f``'s bounds."""
+    if count < f.lower or (f.upper is not UNBOUNDED and count > f.upper):
+        upper = "*" if f.upper is UNBOUNDED else f.upper
+        return f"{obj.cls.name}.{f.name}: {count} value(s) violate bounds {f.lower}..{upper}"
+    return None
 
 
 # ---------------------------------------------------------------------------

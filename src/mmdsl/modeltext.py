@@ -26,10 +26,24 @@ _LEXER = Lexer(
 )
 
 
+def _nest(walk):
+    """The result of ``walk``, a generator that yields the walk of each nested
+    object and is sent back its result, run on a stack instead of recursing."""
+    stack, value = [walk], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(value))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    return value
+
+
 def dump_model(m: Model) -> str:
     ids = {id(obj): n for n, obj in enumerate(iter_tree(m.root), start=1)}
     dumper = _Dumper(ids, [m.metamodel, builtin_ecore()])
-    dumper.emit(m.root, 0)
+    _nest(dumper.emit(m.root, 0))
     return "\n".join(dumper.out) + "\n"
 
 
@@ -53,13 +67,15 @@ class _Dumper:
         return f"-> #{self.ids[id(v)]}"
 
     def emit(self, obj: ModelObject, indent: int, prefix: str = ""):
-        out = self.out
+        """Write the lines of ``obj``, yielding the walk of each nested object
+        where its lines go."""
+        out, slots = self.out, obj.slots
         pad = "  " * indent
         out.append(f"{pad}{prefix}{obj.cls.name} #{self.ids[id(obj)]} {{")
         for f in obj.cls.all_features():
-            if not obj.is_set(f.name):
+            if f.name not in slots:
                 continue
-            vals = obj.values(f.name)
+            vals = slots[f.name] if f.many else (slots[f.name],)
             if not vals:
                 continue
             inner = "  " * (indent + 1)
@@ -73,10 +89,10 @@ class _Dumper:
                 if f.many:
                     out.append(f"{inner}{f.name} = [")
                     for child in vals:
-                        self.emit(child, indent + 2)
+                        yield self.emit(child, indent + 2)
                     out.append(f"{inner}]")
                 else:
-                    self.emit(vals[0], indent + 1, prefix=f"{f.name} = ")
+                    yield self.emit(vals[0], indent + 1, f"{f.name} = ")
             else:
                 if f.many:
                     out.append(f"{inner}{f.name} = [{', '.join(self.cross(v) for v in vals)}]")
@@ -91,7 +107,7 @@ def load_model(text: str, mm: Metamodel, extra_metamodels=(), file: str = "<mode
     reader = _Reader(TokenStream(_LEXER.tokenize(text, file)),
                      [mm, *extra_metamodels, builtin_ecore()])
     stream = reader.stream
-    root = reader.parse_object()
+    root = _nest(reader.parse_object())
     stream.expect_eof()
 
     for obj, fname, index, ref, arrow in reader.patches:
@@ -130,18 +146,13 @@ class _Reader:
                                      f"unknown class name {name!r}", location=name_tok.location)])
 
     def resolve_qname(self, qname: str, seg_tok: Token):
-        if "::" in qname:
-            pkg_name, simple = qname.split("::", 1)
-            for pkg in self.packages:
-                if pkg.name == pkg_name:
-                    c = pkg.classifier(simple)
-                    if c is not None:
-                        return c
-        else:
-            for pkg in self.packages:
-                c = pkg.classifier(qname)
-                if c is not None:
-                    return c
+        """A classifier by simple name in the first package that has one, or
+        qualified by its package's name."""
+        pkg_name, _, simple = qname.rpartition("::")
+        for pkg in self.packages:
+            c = pkg.classifier(simple) if pkg_name in ("", pkg.name) else None
+            if c is not None:
+                return c
         raise DiagnosticError([error("parse", "name-unresolved",
                                      f"unknown classifier reference {qname!r}",
                                      location=seg_tok.location)])
@@ -165,7 +176,8 @@ class _Reader:
         stream = self.stream
         return stream.current.kind == "ID" and stream.peek().is_kw("#")
 
-    def parse_object(self) -> ModelObject:
+    def parse_object(self):
+        """A walk for ``_nest``: one object, yielding the walk of each nested one."""
         stream = self.stream
         name_tok = stream.expect("ID")
         cls = self.resolve_class(name_tok)
@@ -177,9 +189,57 @@ class _Reader:
         self.by_id[oid] = obj
         stream.expect_kw("{")
         while not stream.at_kw("}"):
-            self.parse_field(obj)
+            fname_tok, feat = self.parse_field_name(obj)
+            fname = fname_tok.text
+            if stream.accept_kw("["):
+                items: list = []
+                while not stream.at_kw("]"):
+                    if self.at_object():
+                        items.append((yield self.parse_object()))
+                    elif stream.at_kw("->"):
+                        # None placeholders are patched later
+                        items.append(self.parse_cross_target(obj, fname, len(items)))
+                    else:
+                        items.append(self.parse_literal())
+                    stream.accept_kw(",")
+                stream.next()
+                if feat.many:
+                    obj.slots[fname] = items
+                elif len(items) > 1:
+                    raise DiagnosticError([error(
+                        "parse", "model-multiplicity",
+                        f"single-valued feature {obj.cls.name}.{fname} lists {len(items)} values",
+                        location=fname_tok.location)])
+                elif items:
+                    obj.slots[fname] = items[0]
+            elif stream.at_kw("->"):
+                target = self.parse_cross_target(obj, fname, 0)
+                if feat.many:
+                    obj.slots[fname] = [target]
+                elif target is not None:
+                    obj.slots[fname] = target
+            else:
+                value = (yield self.parse_object()) if self.at_object() else self.parse_literal()
+                if feat.many:
+                    obj.slots.setdefault(fname, []).append(value)
+                else:
+                    obj.slots[fname] = value
         stream.next()
         return obj
+
+    def parse_field_name(self, obj: ModelObject):
+        """A feature name of ``obj``'s class and its '=': the token and the feature."""
+        stream = self.stream
+        fname_tok = stream.next()
+        if fname_tok.kind != "ID":
+            stream.fail(f"expected a feature name, found '{fname_tok.text}'", token=fname_tok)
+        feat = obj.cls.find_feature(fname_tok.text)
+        if feat is None:
+            raise DiagnosticError([error("parse", "model-unknown-feature",
+                                         f"class {obj.cls.name} has no feature "
+                                         f"{fname_tok.text!r}", location=fname_tok.location)])
+        stream.expect_kw("=")
+        return fname_tok, feat
 
     def parse_cross_target(self, obj, fname, index):
         stream = self.stream
@@ -193,49 +253,3 @@ class _Reader:
         while stream.accept_kw("::"):
             qname += "::" + stream.expect("ID").text
         return classifier_object(self.resolve_qname(qname, seg_tok))
-
-    def parse_field(self, obj: ModelObject):
-        stream = self.stream
-        fname_tok = stream.next()
-        if fname_tok.kind != "ID":
-            stream.fail(f"expected a feature name, found '{fname_tok.text}'", token=fname_tok)
-        fname = fname_tok.text
-        feat = obj.cls.find_feature(fname)
-        if feat is None:
-            raise DiagnosticError([error("parse", "model-unknown-feature",
-                                         f"class {obj.cls.name} has no feature {fname!r}",
-                                         location=fname_tok.location)])
-        stream.expect_kw("=")
-        if stream.accept_kw("["):
-            items: list = []
-            while not stream.at_kw("]"):
-                if self.at_object():
-                    items.append(self.parse_object())
-                elif stream.at_kw("->"):
-                    target = self.parse_cross_target(obj, fname, len(items))
-                    items.append(target)  # None placeholders patched later
-                else:
-                    items.append(self.parse_literal())
-                stream.accept_kw(",")
-            stream.next()
-            if feat.many:
-                obj.slots[fname] = items
-            elif len(items) > 1:
-                raise DiagnosticError([error(
-                    "parse", "model-multiplicity",
-                    f"single-valued feature {obj.cls.name}.{fname} lists {len(items)} values",
-                    location=fname_tok.location)])
-            elif items:
-                obj.slots[fname] = items[0]
-        elif stream.at_kw("->"):
-            target = self.parse_cross_target(obj, fname, 0)
-            if feat.many:
-                obj.slots[fname] = [target]
-            elif target is not None:
-                obj.slots[fname] = target
-        else:
-            value = self.parse_object() if self.at_object() else self.parse_literal()
-            if feat.many:
-                obj.slots.setdefault(fname, []).append(value)
-            else:
-                obj.slots[fname] = value

@@ -256,11 +256,12 @@ def flatten_payload(payload) -> list[str]:
     segs: list[str] = []
     obj = payload
     while isinstance(obj, ModelObject):
-        segs += [obj.get(f.name) for f in obj.cls.all_features() if f.is_attribute
-                 and f.type.kind == "string" and not f.many and obj.is_set(f.name)]
+        slots = obj.slots
+        segs += [slots[f.name] for f in obj.cls.all_features() if f.name in slots
+                 and f.is_attribute and f.type.kind == "string" and not f.many]
         # the tail is the last set single-valued containment
-        obj = next((obj.get(f.name) for f in reversed(obj.cls.containments())
-                    if not f.many and obj.is_set(f.name)), None)
+        obj = next((slots[f.name] for f in reversed(obj.cls.containments())
+                    if not f.many and f.name in slots), None)
     return segs
 
 
@@ -394,7 +395,7 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
     elif plan.is_consume_only(root.cls):
         mapped_children = []
         for f in root.cls.containments():
-            mapped_children += [c for c in root.values(f.name) if plan.is_mapped(c.cls)]
+            mapped_children += [c for c in root.values_of(f) if plan.is_mapped(c.cls)]
         if len(mapped_children) == 1:
             root_candidate = mapped_children[0]
             troot = run.build(root_candidate, (root,))
@@ -417,7 +418,7 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
         placer = registry.placers.get(ast_obj.cls.name)
         placement = None  # computed lazily, once per consume-only object
         for f in ast_obj.cls.containments():
-            for child in ast_obj.values(f.name):
+            for child in ast_obj.values_of(f):
                 if child is root_candidate:
                     continue  # already transformed as the root
                 if plan.is_consume_only(child.cls):
@@ -435,7 +436,8 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
                     if placement is False:
                         continue  # the placer reported why
                     container, feature_name = placement
-                    container.add(feature_name, run.build(child, chain))
+                    # validate_model reports a feature name the container lacks
+                    container.slots.setdefault(feature_name, []).append(run.build(child, chain))
 
     # Bind named target objects so resolvers can look them up; scope classes
     # open nested scopes for their subtrees.
@@ -455,11 +457,10 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
     diags.extend(error("resolve", code, message, path=tree.path(tobj) or "/")
                  for tobj, code, message in failed)
 
-    for tobj, fname, buffer in run.buffers:
+    for tobj, f, buffer in run.buffers:
         values = [v for v in buffer if v is not None]
-        feat = tobj.cls.find_feature(fname)
         if values:
-            tobj.set(fname, values if feat.many else values[0])
+            tobj.slots[f.name] = values if f.many else values[0]
 
     diags.extend(ns.diagnostics)
     model = Model(troot, plan.target)
@@ -478,34 +479,30 @@ class _Forward:
         self.registry = registry
         self.ns = registry.make_namespace()
         self.jobs: list[_CrossJob] = []
-        self.buffers: list[tuple[ModelObject, str, list]] = []
+        self.buffers: list[tuple[ModelObject, MetaFeature, list]] = []
         self.scopes: dict[ModelObject, Scope] = {}
 
     def build(self, ast_obj: ModelObject, ancestors: tuple) -> ModelObject:
         plan = self.plan
         proto = plan.proto_for_image[ast_obj.cls.name]
         tobj = ModelObject(proto)
+        slots = tobj.slots
         chain = (ast_obj,) + ancestors
+        # slots are read and written through the features the plan holds
         for instr in plan.instructions_for(ast_obj.cls):
-            name = instr.image_feature.name
-            tname = instr.target_feature.name
+            f, tf = instr.image_feature, instr.target_feature
+            values = ast_obj.values_of(f)
+            if not values:
+                continue
             if instr.kind == "copy":
-                v = ast_obj.get(name)
-                if v is None or (instr.image_feature.many and not v):
-                    continue
-                tobj.set(tname, list(v) if instr.image_feature.many else v)
+                slots[tf.name] = list(values) if f.many or tf.many else values[0]
             elif instr.kind == "containment":
-                children = [self.build(c, chain) for c in ast_obj.values(name)]
-                if children:
-                    tobj.set(tname, children if instr.target_feature.many
-                             else children[0])
+                children = [self.build(c, chain) for c in values]
+                slots[tf.name] = children if tf.many else children[0]
             else:
-                payloads = ast_obj.values(name)
-                if not payloads:
-                    continue
-                buffer = [None] * len(payloads)
-                self.buffers.append((tobj, tname, buffer))
-                for i, p in enumerate(payloads):
+                buffer = [None] * len(values)
+                self.buffers.append((tobj, tf, buffer))
+                for i, p in enumerate(values):
                     self.jobs.append(_CrossJob(ast_obj, chain, tobj, instr, p, buffer, i))
         return tobj
 
@@ -516,12 +513,15 @@ class _Forward:
         tree = Tree(troot)
         attr, scope_classes = self.registry.name_attribute, self.registry.scope_classes
         inner: dict[ModelObject, Scope] = {}  # the scope an object's contents bind in
+        named: dict[MetaClass, bool] = {}  # whether a class's ``attr`` is an attribute
         for obj in tree.objects:
             container = tree.container(obj)
             scope = self.scopes[obj] = self.ns.root if container is None else inner[container]
-            feat = obj.cls.find_feature(attr)
-            if feat is not None and feat.is_attribute and obj.is_set(attr):
-                name = obj.get(attr)
+            name = obj.slots.get(attr)
+            if name is not None and obj.cls not in named:
+                feat = obj.cls.find_feature(attr)
+                named[obj.cls] = feat is not None and feat.is_attribute
+            if name is not None and named[obj.cls]:
                 scope.bindings.setdefault(name, obj)
                 if obj.cls.name in scope_classes:
                     scope = scope.child(name)

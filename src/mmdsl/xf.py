@@ -24,13 +24,14 @@ to reverse it; see the transform module.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
 from .diagnostics import DiagnosticError, SourceLocation, error
 from .emfatic import KEYWORDS as MM_KEYWORDS
 from .emfatic import SYMBOLS as MM_SYMBOLS
-from .emfatic import FeatureDecl, parse_feature_decl, parse_qname
+from .emfatic import FeatureDecl, parse_feature_decl, parse_qname, parse_qnames
 from .lexer import Lexer, TokenStream
 from .meta import (
     UNBOUNDED, Classifier, MetaAttribute, MetaClass, MetaDataType, Metamodel,
@@ -225,11 +226,7 @@ def parse_transformation(text: str, target: Metamodel, file: str = "<xf>") -> Tr
             abstract = stream.accept_kw("abstract")
             stream.expect_kw("class")
             name_tok = stream.expect("ID")
-            supers = []
-            if stream.accept_kw("extends"):
-                supers.append(parse_qname(stream))
-                while stream.accept_kw(","):
-                    supers.append(parse_qname(stream))
+            supers = parse_qnames(stream) if stream.accept_kw("extends") else []
             stream.expect_kw("{")
             features = []
             while not stream.at_kw("}"):
@@ -260,11 +257,7 @@ def parse_transformation(text: str, target: Metamodel, file: str = "<xf>") -> Tr
             proto = parse_qname(stream)
             stream.expect_kw(")")
             stream.expect_kw("extend")
-            supers = []
-            if not stream.accept_kw("nothing"):
-                supers.append(parse_qname(stream))
-                while stream.accept_kw(","):
-                    supers.append(parse_qname(stream))
+            supers = [] if stream.accept_kw("nothing") else parse_qnames(stream)
             stream.expect_kw(";")
             raw.append(("make", proto, supers, tok.location))
         else:
@@ -294,18 +287,22 @@ def parse_transformation(text: str, target: Metamodel, file: str = "<xf>") -> Tr
             return DatatypeRef(c)
         return ImageRef(c, qname)
 
+    def resolve_supers(supers) -> list[AstRef]:
+        refs = []
+        for qn, qloc in supers:
+            ref = resolve_ast_ref(qn, qloc)
+            if isinstance(ref, DatatypeRef):
+                diags.append(error("transformation", "xf-bad-action",
+                                   f"cannot extend datatype {qn!r}", location=qloc))
+            elif ref is not None:
+                refs.append(ref)
+        return refs
+
     actions: list[Action] = []
     for r in raw:
         if r[0] == "create":
             _, name, abstract, supers, features, loc = r
-            super_refs = []
-            for qn, qloc in supers:
-                ref = resolve_ast_ref(qn, qloc)
-                if isinstance(ref, DatatypeRef):
-                    diags.append(error("transformation", "xf-bad-action",
-                                       f"cannot extend datatype {qn!r}", location=qloc))
-                elif ref is not None:
-                    super_refs.append(ref)
+            super_refs = resolve_supers(supers)
             type_refs = []
             for fd in features:
                 ref = resolve_ast_ref(fd.type_name, fd.type_loc)
@@ -342,14 +339,7 @@ def parse_transformation(text: str, target: Metamodel, file: str = "<xf>") -> Tr
         else:
             _, (pq, ploc), supers, loc = r
             proto = resolve_target_class(pq, ploc)
-            super_refs = []
-            for qn, qloc in supers:
-                ref = resolve_ast_ref(qn, qloc)
-                if isinstance(ref, DatatypeRef):
-                    diags.append(error("transformation", "xf-bad-action",
-                                       f"cannot extend datatype {qn!r}", location=qloc))
-                elif ref is not None:
-                    super_refs.append(ref)
+            super_refs = resolve_supers(supers)
             if proto is not None:
                 actions.append(ChangeInheritance(ImageRef(proto, pq), super_refs, loc))
 
@@ -636,10 +626,7 @@ def action_permutation_check(target: Metamodel, t: Transformation,
 
     base, _ = derive_ast_metamodel(target, t)
     n = len(t.actions)
-    total = 1
-    for k in range(2, n + 1):
-        total *= k
-    if total <= max_permutations:
+    if math.factorial(n) <= max_permutations:
         perms = itertools.permutations(t.actions)
     else:
         rng = rng or random.Random(0)

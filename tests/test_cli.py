@@ -1,3 +1,4 @@
+import json
 import os
 import shutil
 import subprocess
@@ -443,6 +444,18 @@ class TestIoDiagnostics:
         assert not (d / "o.mm").exists()
         assert sorted(p.name for p in d.iterdir()) == sorted(
             p.name for p in (SAMPLES / "selfhost").iterdir() if p.name != "out")
+
+
+    def test_io_diagnostic_is_located_at_its_file(self, selfhost_dir):
+        d = selfhost_dir
+        argv = ["derive", "--target", d / "xf.mm", "--out", d / "o2.mm", "--trace", d]
+        done = run_process(*argv)
+        assert done.returncode == 1
+        assert done.stderr == f"{d}: error[io]: cannot write {d}: not a regular file\n"
+        done = run_process("--diagnostics-json", *argv)
+        assert json.loads(done.stderr) == {
+            "code": "io", "file": str(d), "message": f"cannot write {d}: not a regular file",
+            "phase": "parse", "severity": "error"}
 
 
 class TestJsonDiagnostics:

@@ -54,6 +54,17 @@ class TestParse:
         assert d.code == "mm-inheritance-cycle"
         assert str(d.location) == "m.mm:2:7"
 
+    def test_duplicate_is_located_at_the_duplicate(self):
+        with pytest.raises(DiagnosticError) as exc:
+            parse_metamodel("class A { }\nclass B { }\nclass A { }\n", "d", file="d.mm")
+        assert [d.render() for d in exc.value.diagnostics] == [
+            "d.mm:3:7: error[mm-duplicate-classifier]: duplicate classifier name 'A'"]
+
+    def test_each_duplicate_is_located_at_itself(self):
+        with pytest.raises(DiagnosticError) as exc:
+            parse_metamodel("class A { }\nclass A { }\nclass A { }\n", "d", file="d.mm")
+        assert [str(d.location) for d in exc.value.diagnostics] == ["d.mm:2:7", "d.mm:3:7"]
+
     def test_ecore_types_resolve(self):
         mm = parse_metamodel("class M { ref EClass target; attr int n = 1; }", "m")
         target, n = mm.classifier("M").features

@@ -6,16 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from mmdsl.diagnostics import DiagnosticError, error
 from mmdsl.emfatic import parse_metamodel
+import mmdsl.grammar as grammar_module
 from mmdsl.grammar import (
-    TERMINALS, AbstractRule, Assignment, ConcreteRule, Group, Keyword, Opt,
+    TERMINALS, AbstractRule, Assignment, ConcreteRule, Grammar, Group, Keyword, Opt,
     Repeat, Sequence, _children, _expected, _layout, check_grammar, generate_grammar_skeleton,
     generate_random_model, parse_grammar, parse_text, render_ast,
 )
 from mmdsl.lexer import TokenStream, escape_string
 from mmdsl.meta import (
-    MetaClass, Model, ModelObject, Tree, iter_tree, model_equals, validate_model,
+    MetaAttribute, MetaClass, Metamodel, Model, ModelObject, Tree, iter_tree, model_equals,
+    validate_model,
 )
 from mmdsl.xf import derive_ast_metamodel, parse_transformation
+from test_meta import ref_validate_model
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -530,12 +533,14 @@ class RefParser:
         stream.fail(f"expected {_expected(a.elem_first(e))}, found {stream.describe()}")
 
 
-def ref_parse_text(text, g):
+def ref_parse_text(text, g, ast=None):
+    """parse_text as it was: the reference parser writes slots by name, and
+    the whole model then goes through the reference validate_model."""
     parser = RefParser(g, TokenStream(g.lexer().tokenize(text), phase="parse"))
     root = parser.parse_rule(g.entry)
     parser.stream.expect_eof()
-    model = Model(root, g.ast)
-    problems = validate_model(model)
+    model = Model(root, ast or g.ast)
+    problems = ref_validate_model(model)
     if problems:
         raise DiagnosticError([error("parse", d.code, d.message, path=d.path)
                                for d in problems])
@@ -967,14 +972,14 @@ TOY_ATOMS = {
 TOY_KEYWORDS = ['"a"', '"b"', '"("', '")"', '","', '";"']
 
 
-def toy_body(cls):
+def toy_body(cls, atoms=TOY_ATOMS):
     def grow(inner):
         return st.one_of(
             st.lists(inner, min_size=2, max_size=3).map(lambda xs: "( " + " ".join(xs) + " )"),
             st.lists(inner, min_size=2, max_size=3).map(lambda xs: "( " + " | ".join(xs) + " )"),
             st.tuples(inner, st.sampled_from("?*+")).map(lambda t: f"( {t[0]} ){t[1]}"),
         )
-    return st.recursive(st.sampled_from(TOY_ATOMS[cls] + TOY_KEYWORDS), grow, max_leaves=8)
+    return st.recursive(st.sampled_from(atoms[cls] + TOY_KEYWORDS), grow, max_leaves=8)
 
 
 @st.composite
@@ -1035,3 +1040,185 @@ class TestCompiledFacts:
                 assert got[1] == want[1]
         mutate(m, kind, at)
         assert outcome(render_ast, m, g) == outcome(ref_render_ast, m, g)
+
+
+# A metamodel whose bounds a grammar can break: mandatory features with and
+# without defaults (a default counts as a value), and features with a finite
+# upper bound above one.
+BOUNDED_MM = """
+class Box { val Part[1..*] parts; attr String[1] label; attr String[0..2] tags;
+            attr String[1] named = "n"; attr int[1] size; attr boolean open; }
+class Part { attr String[1] name; attr String[0..2] notes; val Part[0..2] subs; }
+"""
+BOUNDED_ATOMS = {
+    "Box": ["parts += Part", "label = ID", "tags += STRING", "named = ID", "size = INT",
+            'open ? "open"'],
+    "Part": ["name = ID", "notes += STRING"],
+}
+
+
+@st.composite
+def bounded_grammars(draw):
+    """Grammar text over BOUNDED_MM; Part nests only inside a repetition,
+    so that random models stay finite."""
+    return (f"Box : \"box\" {draw(toy_body('Box', BOUNDED_ATOMS))} ;\n"
+            f"Part : \"part\" {draw(toy_body('Part', BOUNDED_ATOMS))} "
+            f"( \"[\" subs += Part \"]\" )* ;\n")
+
+
+@pytest.fixture(scope="module")
+def bounded_ast():
+    return parse_metamodel(BOUNDED_MM, "bounded")
+
+
+def assert_parse_matches_reference(text, g, ast=None):
+    got = outcome(parse_text, text, g, ast)
+    want = outcome(ref_parse_text, text, g, ast)
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert model_equals(got[1], want[1])
+    else:
+        assert got[1] == want[1]
+    return got
+
+
+def mutated(g, text, edit, at):
+    """``text`` with one token dropped, inserted or swapped, as ``edit`` says."""
+    toks = [t.text for t in g.lexer().tokenize(text)][:-1]
+    vocab = sorted(g.keywords()) + ["x", '"s"', "7"]
+    if toks and edit == "drop":
+        del toks[at % len(toks)]
+    elif edit == "insert":
+        toks.insert(at % (len(toks) + 1), vocab[at % len(vocab)])
+    elif len(toks) > 1 and edit == "swap":
+        i = at % (len(toks) - 1)
+        toks[i], toks[i + 1] = toks[i + 1], toks[i]
+    return " ".join(toks)
+
+
+def hand_built(ast, name_callee="ID", part=None):
+    """The rules of BOUNDED_GRAMMAR built without parse_grammar; ``part``
+    stands in for the Part class, ``name_callee`` for Part.name's callee."""
+    box, part = ast.classifier("Box"), part or ast.classifier("Part")
+    return Grammar([
+        ConcreteRule("Box", box, Sequence([
+            Keyword("box"), Opt(Sequence([Keyword("label"), Assignment("label", "=", "ID")])),
+            Repeat(Sequence([Keyword("tag"), Assignment("tags", "+=", "STRING")]), "*"),
+            Repeat(Assignment("parts", "+=", "Part"), "*")])),
+        ConcreteRule("Part", part, Sequence([
+            Keyword("part"), Opt(Assignment("name", "=", name_callee))])),
+    ], ast)
+
+
+BOUNDED_GRAMMAR = """
+Box : "box" ( "label" label = ID )? ( "tag" tags += STRING )* parts += Part * ;
+Part : "part" name = ID ? ;
+"""
+BOUNDED_TEXTS = ["box", "box label x part p", 'box label x tag "a" tag "b" tag "c" part p',
+                 "box part part q", "box label x part p part"]
+
+
+class TestValidByConstruction:
+    """parse_text proves all but the bounds once per grammar and checks the
+    bounds as it finishes each object; the parser that wrote slots by name
+    and then validated the whole model is the oracle."""
+
+    def test_bounds(self, bounded_ast):
+        g = parse_grammar(BOUNDED_GRAMMAR, bounded_ast)
+        assert g.analysis().sound
+        for text in BOUNDED_TEXTS:
+            assert_parse_matches_reference(text, g)
+        with pytest.raises(DiagnosticError) as exc:
+            parse_text('box tag "a" tag "b" tag "c" part part', g)
+        assert [(d.phase, d.code, d.path, d.message) for d in exc.value.diagnostics] == [
+            ("parse", "model-multiplicity", "/", "Box.label: 0 value(s) violate bounds 1..1"),
+            ("parse", "model-multiplicity", "/", "Box.tags: 3 value(s) violate bounds 0..2"),
+            ("parse", "model-multiplicity", "/parts[0]",
+             "Part.name: 0 value(s) violate bounds 1..1"),
+            ("parse", "model-multiplicity", "/parts[1]",
+             "Part.name: 0 value(s) violate bounds 1..1")]
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=bounded_grammars(), seed=st.integers(0, 2 ** 32 - 1),
+           edit=st.sampled_from(["none", "drop", "insert", "swap"]), at=st.integers(0, 10 ** 6))
+    def test_random_bounded_grammars(self, bounded_ast, text, seed, edit, at):
+        g = parse_grammar(text, bounded_ast)
+        assert g.analysis().sound
+        m = generate_random_model(g, random.Random(seed), max_depth=3)
+        rendered = outcome(render_ast, m, g)
+        if rendered[0] == "ok":
+            assert_parse_matches_reference(mutated(g, rendered[1], edit, at), g)
+
+    def test_hand_built_grammar(self, bounded_ast):
+        g = hand_built(bounded_ast)
+        assert g.analysis().sound and g.analysis().problems == []
+        for text in BOUNDED_TEXTS:
+            assert_parse_matches_reference(text, g)
+
+    def test_hand_built_grammar_the_proof_does_not_cover(self, bounded_ast):
+        """An INT where Part.name wants a String, or a Part class of another
+        metamodel: not sound, so parse_text validates the whole model."""
+        stranger = parse_metamodel(BOUNDED_MM, "other").classifier("Part")
+        for g, codes in [(hand_built(bounded_ast, name_callee="INT"), ["gr-type"]),
+                         (hand_built(bounded_ast, part=stranger), ["gr-type", "gr-unknown-class"])]:
+            assert not g.analysis().sound
+            assert [d.code for d in g.analysis().problems] == codes
+            for text in ["box label x part 7", "box label x part p", "box"]:
+                assert_parse_matches_reference(text, g)
+        got = assert_parse_matches_reference("box label x part p",
+                                             hand_built(bounded_ast, part=stranger))
+        assert [d.code for d in got[1]] == ["model-kind", "model-unknown-class"]
+
+    def test_invalid_ast_metamodel_is_not_proven(self):
+        """parse_grammar does not validate its AST metamodel; a default that
+        does not fit its attribute makes every Part invalid, so the grammar
+        is not sound and parse_text validates the whole model."""
+        ast = parse_metamodel(BOUNDED_MM, "bounded")
+        part = ast.classifier("Part")
+        part.features.append(MetaAttribute("weight", 0, 1, type=part.features[0].type,
+                                           default=2))
+        g = parse_grammar(BOUNDED_GRAMMAR, ast)
+        assert g.analysis().problems == [] and not g.analysis().sound
+        got = assert_parse_matches_reference("box label x part p", g)
+        assert [(d.code, d.path) for d in got[1]] == [("model-kind", "/parts[0]")]
+
+    def test_unknown_feature_is_a_diagnostic(self, bounded_ast):
+        """Written by name, an assignment to a feature the class lacks raised
+        LookupError; written into the slot, validate_model reports it."""
+        g = hand_built(bounded_ast)
+        g.rules[1].body.items[1].inner.feature = "bogus"
+        with pytest.raises(DiagnosticError) as exc:
+            parse_text("box label x part p", g)
+        assert [(d.code, d.path) for d in exc.value.diagnostics] == [
+            ("model-multiplicity", "/parts[0]"), ("model-unknown-feature", "/parts[0]")]
+
+    def test_foreign_ast(self, bounded_ast):
+        """The proof is about ``g.ast``: any other metamodel gets the whole check."""
+        g = parse_grammar(BOUNDED_GRAMMAR, bounded_ast)
+        same = Metamodel("same", list(bounded_ast.classifiers))
+        other = parse_metamodel(BOUNDED_MM, "other")
+        for ast in (same, other):
+            for text in BOUNDED_TEXTS:
+                assert_parse_matches_reference(text, g, ast)
+        got = assert_parse_matches_reference("box label x part p", g, other)
+        assert [d.code for d in got[1]] == ["model-unknown-class"] * 2
+        assert assert_parse_matches_reference("box label x part p", g, same)[0] == "ok"
+
+    def test_parse_text_makes_no_lookup_by_name(self, grammars, css, selfhost, monkeypatch):
+        """The shipped and skeleton grammars are sound (TestAgainstReference
+        compares their parses with the reference), and on the samples
+        parse_text calls neither validate_model nor MetaClass.find_feature."""
+        assert all(g.analysis().sound for g in grammars.values())
+        docs = [(css[3], (SAMPLES / "css" / f).read_text()) for f in ("grouped.css", "split.css")]
+        docs.append((selfhost[3], (SAMPLES / "selfhost" / "xf.xf").read_text()))
+        expected = [ref_parse_text(text, g) for g, text in docs]
+        calls = []
+        find = MetaClass.find_feature
+        monkeypatch.setattr(MetaClass, "find_feature",
+                            lambda cls, name: calls.append(name) or find(cls, name))
+        monkeypatch.setattr(grammar_module, "validate_model",
+                            lambda m: calls.append("validate_model") or validate_model(m))
+        models = [parse_text(text, g) for g, text in docs]
+        monkeypatch.undo()
+        assert calls == []
+        assert all(model_equals(a, b) for a, b in zip(models, expected))

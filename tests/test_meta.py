@@ -3,11 +3,12 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from mmdsl.diagnostics import error
 from mmdsl.meta import (
     UNBOUNDED, MetaAttribute, MetaClass, Metamodel, MetaReference, Model,
     ModelObject, Tree, builtin_ecore, classifier_object, is_subtype, iter_tree,
     metamodel_equals, metamodel_isomorphic, model_equals,
-    validate_metamodel, validate_model,
+    validate_metamodel, validate_model, value_fits,
 )
 
 STRING = builtin_ecore().classifier("String")
@@ -487,6 +488,145 @@ class TestTreeHelpers:
         assert d.path == "/children[0]" * (depth - 1)
 
 
+# The validate_model that read each feature's values by name, kept as the
+# oracle for the one that reads slots and class tables directly.
+def ref_validate_model(m: Model):
+    diags, tree = [], Tree(m.root)
+
+    def err(code, message, obj):
+        diags.append(error("validate", code, message, path=tree.path(obj)))
+
+    ecore = builtin_ecore()
+    known = {id(c) for c in m.metamodel.classifiers} | {id(c) for c in ecore.classifiers}
+
+    # Containment must be a tree: every object reached exactly once.
+    for obj in tree.shared:
+        err("model-containment", f"object of class {obj.cls.name} is contained more than once",
+            m.root)
+
+    for obj in tree.objects:
+        if id(obj.cls) not in known:
+            err("model-unknown-class", f"class {obj.cls.name} is not in the metamodel", obj)
+            continue
+        if obj.cls.abstract:
+            err("model-abstract", f"class {obj.cls.name} is abstract", obj)
+        for name in obj.slots:
+            if obj.cls.find_feature(name) is None:
+                err("model-unknown-feature", f"class {obj.cls.name} has no feature {name!r}", obj)
+        for f in obj.cls.all_features():
+            vals = obj.values(f.name)  # effective: defaults count as present
+            count = len(vals)
+            if count < f.lower or (f.upper is not UNBOUNDED and count > f.upper):
+                upper = "*" if f.upper is UNBOUNDED else f.upper
+                err("model-multiplicity",
+                    f"{obj.cls.name}.{f.name}: {count} value(s) violate bounds {f.lower}..{upper}", obj)
+            for v in vals:
+                if f.is_attribute:
+                    if isinstance(v, ModelObject) or not value_fits(v, f.type):
+                        err("model-kind",
+                            f"{obj.cls.name}.{f.name}: value {v!r} does not fit attribute type "
+                            f"{f.type.name}", obj)
+                else:
+                    if not isinstance(v, ModelObject):
+                        err("model-kind",
+                            f"{obj.cls.name}.{f.name}: expected an object, found {v!r}", obj)
+                        continue
+                    if not is_subtype(v.cls, f.type):
+                        err("model-kind",
+                            f"{obj.cls.name}.{f.name}: object of class {v.cls.name} does not "
+                            f"conform to {f.type.name}", obj)
+                    if not f.containment and v not in tree and v.represents is None:
+                        err("model-dangling",
+                            f"{obj.cls.name}.{f.name}: cross reference targets an object "
+                            f"outside the model", obj)
+    return diags
+
+
+def checked_mm():
+    """Every check validate_model makes: defaults that count as values,
+    lower and finite upper bounds, attribute and reference kinds, cross
+    references and stand-ins, an abstract class, a class outside the
+    metamodel, and a subclass that declares a feature name again."""
+    node = MetaClass("Node")
+    node.features = [
+        MetaAttribute("name", 0, 1, type=STRING),
+        MetaAttribute("size", 0, 1, type=INT, default=3),
+        MetaAttribute("on", 0, 1, type=BOOLEAN),
+        MetaAttribute("title", 1, 1, type=STRING),
+        MetaAttribute("label", 1, 1, type=STRING, default="x"),
+        MetaAttribute("tags", 0, 2, type=STRING),
+        MetaReference("kids", 0, UNBOUNDED, type=node, containment=True),
+        MetaReference("one", 0, 1, type=node, containment=True),
+        MetaReference("pair", 1, 2, type=node, containment=True),
+        MetaReference("link", 0, 1, type=node),
+        MetaReference("links", 0, UNBOUNDED, type=node),
+        MetaReference("meta", 0, 1, type=builtin_ecore().classifier("EClass")),
+    ]
+    again = MetaClass("Again", supertypes=[node], features=[
+        MetaAttribute("name", 0, 2, type=INT), MetaAttribute("size", 0, 1, type=INT, default=9)])
+    abstract = MetaClass("Abstract", abstract=True, supertypes=[node])
+    other = MetaClass("Other", features=[MetaAttribute("n", 2, 3, type=INT)])
+    outside = MetaClass("Outside", supertypes=[node])
+    return Metamodel("checked", [node, again, abstract, other]), [node, again, abstract,
+                                                                   other, outside]
+
+
+@st.composite
+def checked_models(draw):
+    """Hand-built models over checked_mm: any value in any slot, including
+    lists where one value belongs and the reverse, shared children, cycles,
+    objects outside the model and unknown slot names."""
+    mm, classes = checked_mm()
+    n = draw(st.integers(1, 8))
+    objs = [ModelObject(draw(st.sampled_from(classes))) for _ in range(n)]
+    stray = ModelObject(classes[0])
+    names = sorted({f.name for c in classes for f in c.all_features()} | {"bogus"})
+    value = st.one_of(
+        st.sampled_from(["s", "", 0, 7, True, False, None, 2.5]),
+        st.integers(0, n - 1).map(lambda i: objs[i]),
+        st.sampled_from([stray, classifier_object(classes[0]), classifier_object(STRING)]))
+    for _ in range(draw(st.integers(0, 4 * n))):
+        obj = objs[draw(st.integers(0, n - 1))]
+        many = draw(st.booleans())
+        obj.slots[draw(st.sampled_from(names))] = (
+            draw(st.lists(value, max_size=3)) if many else draw(value))
+    return Model(objs[0], mm)
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # a value no validator can read: both must fail alike
+        return "raised", type(exc).__name__
+
+
+class TestValidateModelAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(checked_models())
+    def test_same_diagnostics(self, m):
+        assert outcome(validate_model, m) == outcome(ref_validate_model, m)
+
+    def test_reports_every_code(self):
+        mm, (node, again, abstract, other, outside) = checked_mm()
+        root = ModelObject(node, title="t", tags=["a", "b", "c"])
+        kid, twice = ModelObject(abstract), ModelObject(outside)
+        root.slots.update(kids=[kid, twice, twice, 5], pair=[ModelObject(other)],
+                          link=ModelObject(node), bogus=1)
+        codes = {d.code for d in validate_model(Model(root, mm))}
+        assert codes == {"model-containment", "model-unknown-class", "model-abstract",
+                         "model-unknown-feature", "model-multiplicity", "model-kind",
+                         "model-dangling"}
+        assert validate_model(Model(root, mm)) == ref_validate_model(Model(root, mm))
+
+    def test_defaults_count_as_present(self):
+        mm, (node, *_) = checked_mm()
+        root = ModelObject(node, title="t", pair=[ModelObject(node, title="u")])
+        diags = validate_model(Model(root, mm))
+        assert [(d.path, d.message) for d in diags] == [
+            ("/pair[0]", "Node.pair: 0 value(s) violate bounds 1..2")]
+        assert diags == ref_validate_model(Model(root, mm))
+
+
 class TestSlotValues:
     def test_values_is_a_fresh_list(self):
         mm, node = simple_mm()
@@ -562,6 +702,8 @@ def assert_tables_agree(classes, names):
         assert list(x.all_supertypes()) == supers
         features = naive_features(x)
         assert list(x.all_features()) == features
+        assert list(x.tables().bounded) == [
+            f for f in features if f.lower > 0 or (f.many and f.upper is not UNBOUNDED)]
         for name in names:
             assert x.find_feature(name) is next((f for f in features if f.name == name), None)
         for y in classes:

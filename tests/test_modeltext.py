@@ -3,7 +3,7 @@ import pytest
 from mmdsl.diagnostics import DiagnosticError
 from mmdsl.meta import (
     UNBOUNDED, MetaAttribute, MetaClass, Metamodel, MetaReference, Model,
-    ModelObject, builtin_ecore, classifier_object, model_equals,
+    ModelObject, Tree, builtin_ecore, classifier_object, model_equals, validate_model,
 )
 from mmdsl.modeltext import dump_model, load_model
 
@@ -164,3 +164,33 @@ class TestLoadErrors:
         mm = library_mm()
         m = load_model('Library #1 {\n  main = [Shelf #2 {\n    name = ["north"]\n  }]\n}\n', mm)
         assert m.root.get("main").get("name") == "north"
+
+
+class TestDepth:
+    def test_deep_chain_dumps_and_loads_back(self):
+        """Dumping and loading walk a 5,000-deep chain on an explicit stack;
+        the recursion limit is far below that depth."""
+        node = MetaClass("Node")
+        node.features = [
+            MetaAttribute("name", 0, 1, type=STRING),
+            MetaReference("one", 0, 1, type=node, containment=True),
+            MetaReference("kids", 0, UNBOUNDED, type=node, containment=True),
+            MetaReference("link", 0, 1, type=node, containment=False),
+        ]
+        mm = Metamodel("deep", [node])
+        depth = 5000
+        chain = [ModelObject(node) for _ in range(depth)]
+        for parent, child in zip(chain, chain[1:]):
+            parent.set("one", child)
+        leaves = [ModelObject(node, name="a"), ModelObject(node, name="b", link=chain[0])]
+        chain[-1].set("kids", leaves)
+        text = dump_model(Model(chain[0], mm))
+        assert text.startswith("Node #1 {\n  one = Node #2 {\n    one = Node #3 {\n")
+        pad = "  " * (depth + 1)  # the last link's list items
+        assert f'{pad}Node #{depth + 2} {{\n{pad}  name = "b"\n{pad}  link = -> #1\n' in text
+        loaded = load_model(text, mm)
+        objs = Tree(loaded.root).objects
+        assert len(objs) == depth + 2
+        assert [o.get("name") for o in objs[-2:]] == ["a", "b"]
+        assert objs[-1].get("link") is loaded.root
+        assert validate_model(loaded) == []

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mmdsl.diagnostics import DiagnosticError
 from mmdsl.emfatic import parse_metamodel
 from mmdsl.grammar import parse_grammar, parse_text, render_ast
+from mmdsl.modeltext import dump_model
 from mmdsl.meta import (
     Model, ModelObject, Tree, builtin_ecore, classifier_object, model_equals,
     validate_model,
@@ -211,6 +212,37 @@ class TestCssMerge:
             props = [(d.get("property"), d.get("value")) for d in sel.values("declarations")]
             assert props == [("borderWidth", "2px"), ("borderColor", "red")]
             assert validate_model(m) == []
+
+
+    def test_reads_no_slot_by_name_outside_the_placers(self, css, monkeypatch):
+        """The forward run reads and writes slots through the features its
+        plan holds: ModelObject._feature is only reached from the shipped
+        placers, which are configured by feature name."""
+        target, t, ast, trace, g, plan, registry = css
+        models = [parse_text((SAMPLES / "css" / f).read_text(), g)
+                  for f in ("grouped.css", "split.css")]
+        expected = [dump_model(transform_ast_to_model(m, plan, registry)[0]) for m in models]
+        outside, inside, placing = [], [], []
+        feature = ModelObject._feature
+        monkeypatch.setattr(ModelObject, "_feature", lambda obj, name: (
+            inside if placing else outside).append(name) or feature(obj, name))
+
+        def placed(placer):
+            def run(ctx):
+                placing.append(True)
+                try:
+                    return placer(ctx)
+                finally:
+                    placing.pop()
+            return run
+
+        monkeypatch.setattr(registry, "placers",
+                            {k: placed(p) for k, p in registry.placers.items()})
+        got = [transform_ast_to_model(m, plan, registry) for m in models]
+        assert [dump_model(m) for m, _ in got] == expected
+        assert all(diags == [] for _, diags in got)
+        assert outside == []
+        assert inside  # the counter does see the placers' lookups
 
 
 class TestReverse:
