@@ -46,6 +46,7 @@ CODES = {
     "gr-operator": "assignment operator does not fit the feature multiplicity",
     "gr-type": "assignment callee does not fit the feature type",
     "gr-left-recursion": "rule is left-recursive",
+    "gr-unproductive": "rule derives no finite text",
     "gr-ambiguous": "alternatives or optional parts share their first tokens",
     "gr-cross-reference": "AST metamodel still has cross references",
     "gr-no-rule": "no grammar rule for an object's class",

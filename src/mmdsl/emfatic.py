@@ -41,8 +41,7 @@ class FeatureDecl:
 def parse_qname(stream: TokenStream) -> tuple[str, SourceLocation]:
     tok = stream.expect("ID")
     name = tok.text
-    while stream.at_kw("::"):
-        stream.next()
+    while stream.accept_kw("::"):
         name += "::" + stream.expect("ID").text
     return name, tok.location
 
@@ -96,19 +95,12 @@ def parse_feature_decl(stream: TokenStream) -> FeatureDecl:
 
 def _parse_literal(stream: TokenStream):
     tok = stream.current
-    if tok.kind == "STRING":
+    if tok.kind == "STRING" or tok.kind == "INT":
         return stream.next().value
-    if tok.kind == "INT":
-        return stream.next().value
-    if tok.is_kw("-"):
-        stream.next()
+    if stream.accept_kw("-"):
         return -stream.expect("INT").value
-    if tok.is_kw("true"):
-        stream.next()
-        return True
-    if tok.is_kw("false"):
-        stream.next()
-        return False
+    if tok.is_kw("true") or tok.is_kw("false"):
+        return stream.next().text == "true"
     stream.fail("expected a literal default value")
 
 
@@ -161,13 +153,10 @@ def parse_metamodel(text: str, name: str, file: str = "<metamodel>") -> Metamode
             diags.append(error("metamodel", "name-unresolved",
                                f"unknown type name {type_name!r}", location=loc))
             return None
-        if want == "class" and not c.is_class:
-            diags.append(error("metamodel", "mm-bad-type",
-                               f"{type_name!r} is a datatype; a class is required here", location=loc))
-            return None
-        if want == "datatype" and c.is_class:
-            diags.append(error("metamodel", "mm-bad-type",
-                               f"{type_name!r} is a class; attributes need a datatype", location=loc))
+        if c.is_class != (want == "class"):
+            why = ("a class; attributes need a datatype" if c.is_class
+                   else "a datatype; a class is required here")
+            diags.append(error("metamodel", "mm-bad-type", f"{type_name!r} is {why}", location=loc))
             return None
         return c
 

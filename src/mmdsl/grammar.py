@@ -13,10 +13,10 @@ other rules or the terminals ID, STRING, INT.
 The same rules drive three interpreters: a single-token-lookahead
 recursive-descent parser producing models (parse_text), a deterministic
 renderer producing text (render_ast), and a random model generator used by
-round-trip tests. check_grammar enforces what single-token lookahead needs:
-no reachable left recursion and disjoint first-token sets at every choice
-point (alternatives, optionals and repetition continuations are checked
-against their local follow within the enclosing sequence).
+round-trip tests. check_grammar enforces what they need: no reachable left
+recursion, no reachable rule that derives no finite text, and disjoint
+first-token sets at every choice point (alternatives, optionals and repetition
+continuations are checked against their local follow in the enclosing sequence).
 
 The facts they read are compiled once per grammar (Grammar.analysis): by
 fixpoint, each rule's FIRST set and whether it can be empty; and on every
@@ -189,18 +189,10 @@ def parse_grammar(text: str, ast: Metamodel, file: str = "<grammar>") -> Grammar
 
     def parse_element():
         e = parse_primary()
-        while True:
-            if stream.at_kw("?"):
-                e = Opt(e)
-                stream.next()
-            elif stream.at_kw("*"):
-                e = Repeat(e, "*")
-                stream.next()
-            elif stream.at_kw("+"):
-                e = Repeat(e, "+")
-                stream.next()
-            else:
-                return e
+        while stream.at_kw("?") or stream.at_kw("*") or stream.at_kw("+"):
+            op = stream.next().text
+            e = Opt(e) if op == "?" else Repeat(e, op)
+        return e
 
     def parse_primary():
         tok = stream.current
@@ -223,32 +215,25 @@ def parse_grammar(text: str, ast: Metamodel, file: str = "<grammar>") -> Grammar
                     stream.next()
                     kw = stream.expect("STRING")
                     return Assignment(tok.text, "?", keyword=kw.value, loc=tok.location)
-            if stream.at_kw("="):
-                stream.next()
+            if stream.at_kw("=") or stream.at_kw("+="):
+                op = stream.next().text
                 callee = stream.expect("ID")
-                return Assignment(tok.text, "=", callee=callee.text, loc=tok.location)
-            if stream.at_kw("+="):
-                stream.next()
-                callee = stream.expect("ID")
-                return Assignment(tok.text, "+=", callee=callee.text, loc=tok.location)
+                return Assignment(tok.text, op, callee=callee.text, loc=tok.location)
             stream.fail(f"expected '=', '+=' or '?\"kw\"' after '{tok.text}'")
         stream.fail(f"expected a keyword, assignment or group, found '{tok.text}'")
 
     while not stream.at("EOF"):
-        if stream.accept_kw("Abstract"):
-            name = stream.expect("ID")
-            stream.expect_kw(":")
-            alts = [stream.expect("ID").text]
-            while stream.accept_kw("|"):
-                alts.append(stream.expect("ID").text)
-            stream.expect_kw(";")
-            rules.append(AbstractRule(name.text, None, alts, name.location))
-        else:
-            name = stream.expect("ID")
-            stream.expect_kw(":")
+        kind = AbstractRule if stream.accept_kw("Abstract") else ConcreteRule
+        name = stream.expect("ID")
+        stream.expect_kw(":")
+        if kind is ConcreteRule:
             body = parse_alternation()
-            stream.expect_kw(";")
-            rules.append(ConcreteRule(name.text, None, body, name.location))
+        else:
+            body = [stream.expect("ID").text]
+            while stream.accept_kw("|"):
+                body.append(stream.expect("ID").text)
+        stream.expect_kw(";")
+        rules.append(kind(name.text, None, body, name.location))
 
     seen = set()
     for r in rules:
@@ -343,14 +328,16 @@ def _key(token: Token) -> TokenKey:
 
 
 class _Analysis:
-    """The grammar's compiled facts: per rule, ``first`` and ``nullable``;
-    per concrete rule, the features its flag assignments set (``flags``);
-    on every element, ``first``, ``nullable`` and ``assigns``; the
-    ``problems`` of _check_rules; and ``sound``: there are none and
-    ``g.ast`` is valid, so parse_text builds valid objects but for bounds."""
+    """The grammar's compiled facts: per rule, ``first``, ``nullable`` and
+    ``finite`` (it derives some finite text); per concrete rule, the features
+    its flag assignments set (``flags``); on every element, ``first``,
+    ``nullable`` and ``assigns``; the ``problems`` of _check_rules; and
+    ``sound``: there are none and ``g.ast`` is valid, so parse_text builds
+    valid objects but for bounds."""
 
     def __init__(self, g: Grammar):
         self.nullable: dict[str, bool] = {r.name: False for r in g.rules}
+        self.finite: dict[str, bool] = {r.name: False for r in g.rules}
         self.first: dict[str, frozenset[TokenKey]] = {r.name: frozenset() for r in g.rules}
         # A worklist fixpoint: a rule is compiled again whenever the facts of
         # a rule it reads change, so the facts left on every element are
@@ -365,16 +352,16 @@ class _Analysis:
                 callees = r.alternatives
                 n = any(self.nullable.get(a, False) for a in callees)
                 f = frozenset().union(*(self.first.get(a, ()) for a in callees))
+                fin = any(self.finite.get(a, True) for a in callees)
             else:
                 self._compile(r.body)
                 callees = [x.callee for x in r.body.assigns]
-                n, f = r.body.nullable, r.body.first
+                n, f, fin = r.body.nullable, r.body.first, self._finite(r.body)
             for c in callees:
                 if c in readers:
                     readers[c].add(r.name)
-            if n != self.nullable[r.name] or f != self.first[r.name]:
-                self.nullable[r.name] = n
-                self.first[r.name] = f
+            if (n, f, fin) != (self.nullable[r.name], self.first[r.name], self.finite[r.name]):
+                self.nullable[r.name], self.first[r.name], self.finite[r.name] = n, f, fin
                 for name in readers[r.name] - queued:
                     queued.add(name)
                     todo.append(g.by_name[name])
@@ -383,6 +370,17 @@ class _Analysis:
             for r in g.rules if isinstance(r, ConcreteRule)}
         self.problems = _check_rules(g)
         self.sound = not self.problems and not validate_metamodel(g.ast)
+
+    def _finite(self, e) -> bool:
+        """Whether ``e`` derives some finite text, by the rules found to so far
+        (unknown callees count as finite: _check_rules reports them)."""
+        if isinstance(e, Assignment):
+            return self.finite.get(e.callee, True)
+        if isinstance(e, Group):
+            return any([self._finite(x) for x in e.alternatives])
+        if isinstance(e, Sequence) or isinstance(e, Repeat) and e.kind == "+":
+            return all([self._finite(x) for x in _children(e)])
+        return True  # a keyword, an optional part or a '*' repetition
 
     def _compile(self, e):
         """Store ``first``, ``nullable`` and ``assigns`` on ``e`` and on every
@@ -439,12 +437,20 @@ def _reachable_rules(g: Grammar) -> list[str]:
     return out
 
 
+def _unproductive(g: Grammar) -> list[Diagnostic]:
+    """The rules reachable from the entry rule that derive no finite text."""
+    finite = g.analysis().finite
+    return [error("grammar", "gr-unproductive", f"rule {name!r} derives no finite text",
+                  location=g.by_name[name].loc) for name in _reachable_rules(g)
+            if not finite[name]]
+
+
 def check_grammar(g: Grammar) -> list[Diagnostic]:
-    """Reject grammars the single-token-lookahead interpreter cannot handle:
-    left recursion reachable from the entry rule, and choice points whose
-    first-token sets overlap (group and abstract-rule alternatives checked
-    pairwise; optionals and repetitions checked against the first tokens of
-    their local continuation in the enclosing sequence)."""
+    """Reject grammars the interpreters cannot handle: among the rules
+    reachable from the entry rule, left recursion, rules that derive no
+    finite text, and choice points whose first-token sets overlap (group and
+    abstract-rule alternatives pairwise; optionals and repetitions against
+    the first tokens of their local continuation in the enclosing sequence)."""
     diags: list[Diagnostic] = []
     a = g.analysis()
     reachable = _reachable_rules(g)
@@ -487,6 +493,7 @@ def check_grammar(g: Grammar) -> list[Diagnostic]:
             diags.append(error("grammar", "gr-left-recursion",
                                f"rule {name!r} is left-recursive",
                                location=g.by_name[name].loc))
+    diags += _unproductive(g)
 
     if any(d.code == "gr-left-recursion" for d in diags):
         return diags  # FIRST sets are meaningless under left recursion
@@ -635,8 +642,7 @@ class _TextParser:
             # written in place: in a sound grammar each operator fits its feature
             slots = obj.slots
             if e.op == "?":
-                if stream.at_kw(e.keyword):
-                    stream.next()
+                if stream.accept_kw(e.keyword):
                     slots[e.feature] = True
                 return
             if e.callee in TERMINALS:
@@ -918,6 +924,8 @@ def _has_concrete_descendant(cls, classes) -> bool:
 def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) -> Model:
     """Walk the grammar generatively, making random choices; the result is a
     valid model that render_ast can always emit."""
+    if stuck := _unproductive(g):
+        raise DiagnosticError(stuck)
     flags = g.analysis().flags
     reserved = {k for k in g.keywords() if k and (k[0].isalpha() or k[0] == "_")}
 

@@ -22,7 +22,11 @@ from .diagnostics import DiagnosticError, SourceLocation, error
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _UNESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
 
-_SKIP = r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*"
+# Blanks and comments, each run of them readable in one way only: a line
+# comment runs to the end of its line and a block comment to its first
+# '*/'. So a match that fails after it backtracks through it once, in time
+# linear in its length, and never resumes inside a comment.
+_SKIP = r"[ \t\r\n]*(?:(?://[^\n]*(?![^\n])|/\*[^*]*(?:\*(?!/)[^*]*)*\*/)[ \t\r\n]*)*"
 # a string literal up to its closing quote; a literal that stops short of
 # it is unterminated or holds an unknown escape
 _STRING_OPEN = r'"[^"\\\n]*(?:\\[nrt"\\][^"\\\n]*)*'

@@ -10,9 +10,9 @@ supertypes (a tuple and a set, so ``is_subtype`` is one set test), the
 ``all_features`` tuple, its ``containments`` (the containment references
 among them, in order) and a name -> feature table in which the first
 feature of ``all_features`` with a name wins. A class builds these tables
-on its first lookup and keeps them until some class's ``supertypes`` or
-``features`` list is edited, in place or by assignment; the next lookup on
-any class then builds its tables again. That keeps lookups correct while a
+on its first lookup and keeps them until its own or a supertype's
+``supertypes`` or ``features`` list is edited, in place or by assignment;
+its next lookup then builds them again. That keeps lookups correct while a
 metamodel is being built or rewired (``derive_ast_metamodel`` edits classes
 between its phases) and makes them one dictionary or set access afterwards.
 Editing a MetaFeature in place (its name, say) is not seen: replace the
@@ -95,23 +95,24 @@ class MetaReference(MetaFeature):
     default = None
 
 
-# Edits to any class's supertypes or features. A class cannot see its
-# subclasses, so one count for all classes is what tells a subclass that a
-# supertype changed. Edits are counted after they are made: build or edit a
-# metamodel in one thread, then share it.
+# Edits to any class's supertypes or features, counted after they are made:
+# build or edit a metamodel in one thread, then share it. Each list keeps the
+# count of its last edit, so a class's tables see the edits of its own lists
+# and of its supertypes' lists, and no others.
 _edits = 0
 
 
 class _ClassList(list):
-    """The ``supertypes`` or ``features`` list of a MetaClass: every in-place
-    edit marks the tables of all classes stale."""
+    """The ``supertypes`` or ``features`` list of a MetaClass, stamped with
+    the edit count at which it was made or last edited in place."""
 
-    __slots__ = ()
+    __slots__ = ("edited",)
 
     def append(self, item):  # the common edit, kept cheap
         global _edits
         list.append(self, item)
         _edits += 1
+        self.edited = _edits
 
 
 def _marks_stale(edit):
@@ -119,17 +120,19 @@ def _marks_stale(edit):
         global _edits
         result = edit(self, *args, **kwargs)
         _edits += 1
+        self.edited = _edits
         return result
     return edited
 
 
-for _edit in ("extend", "insert", "remove", "pop", "clear", "sort", "reverse",
+for _edit in ("__init__", "extend", "insert", "remove", "pop", "clear", "sort", "reverse",
               "__setitem__", "__delitem__", "__iadd__", "__imul__"):
     setattr(_ClassList, _edit, _marks_stale(getattr(list, _edit)))
 
 
 class _Tables:
-    """A class's derived facts, valid while ``edits`` equals ``_edits``."""
+    """A class's derived facts, current at edit count ``edits``: no list of
+    the class or of a supertype was edited after that count."""
 
     __slots__ = ("edits", "supertypes", "supertype_set", "features", "by_name",
                  "containments", "bounded")
@@ -166,7 +169,8 @@ class _Tables:
 
 class MetaClass:
     """A class of a metamodel. ``supertypes`` and ``features`` may be edited
-    in place or assigned; either marks the tables of every class stale."""
+    in place or assigned; either marks the tables of the class and of its
+    subclasses stale."""
 
     is_class = True
 
@@ -189,9 +193,7 @@ class MetaClass:
 
     @supertypes.setter
     def supertypes(self, value):
-        global _edits
         self._supertypes = _ClassList(value)
-        _edits += 1
 
     @property
     def features(self) -> list[MetaFeature]:
@@ -199,14 +201,15 @@ class MetaClass:
 
     @features.setter
     def features(self, value):
-        global _edits
         self._features = _ClassList(value)
-        _edits += 1
 
     def tables(self) -> _Tables:
         t = self._tables
         if t is None or t.edits != _edits:
-            t = self._tables = _Tables(self)
+            if t is None or any(c._supertypes.edited > t.edits or c._features.edited > t.edits
+                                for c in (self, *t.supertypes)):
+                t = self._tables = _Tables(self)
+            t.edits = _edits  # no list the tables were built from was edited since
         return t
 
     def all_supertypes(self) -> tuple["MetaClass", ...]:

@@ -9,21 +9,42 @@ containment inlines its one object. Cross references are ``name = -> #<id>``
 (forward references permitted) or, for classifier stand-ins, the classifier's
 ``package::Name`` qualified name. Features print in declaration order,
 inherited first; unset and empty slots are omitted.
+
+load_model makes no tokens: one anchored match reads one construct, blanks and
+comments allowed between its lexemes. The constructs: ``Class #n {``; ``name =``
+and a value (literal, ``->`` reference, object head or ``[``), or ``}``; a list
+item after an optional ``,``, or ``]``. Only when one fails is the text
+tokenized: a lexical error anywhere wins, as it did when every text was; else
+the tokens from the construct on are read one by one for the diagnostic.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
+
 from .diagnostics import DiagnosticError, error
-from .lexer import Lexer, Token, TokenStream, format_literal
+from .lexer import _ESCAPE, _ESCAPES, _SKIP, _STRING_OPEN, Lexer, TokenStream, format_literal
 from .meta import (
-    Metamodel, MetaReference, Model, ModelObject, builtin_ecore,
+    Classifier, MetaClass, Metamodel, MetaReference, Model, ModelObject, builtin_ecore,
     classifier_object, classifier_qname, find_classifier_home, iter_tree,
 )
 
-_LEXER = Lexer(
-    reserved={"true", "false"},
-    symbols={"{", "}", "[", "]", "=", ",", "->", "#", "::", "-"},
-)
+_LEXER = Lexer(reserved={"true", "false"},
+               symbols={"{", "}", "[", "]", "=", ",", "->", "#", "::", "-"})
+
+# The constructs load_model matches; ``lastgroup`` names the alternative. A
+# name is the lexer's ID, cut off by (?!\w) where it could go on; it may also
+# start with a numeric non-digit such as '²', which no valid metamodel names.
+_S, _N = _SKIP, r"(?!(?:true|false)(?!\w))[^\W\d]\w*"
+_HEAD = rf"(?P<cls>{_N}){_S}#{_S}(?P<id>\d+){_S}(?P<obj>\{{)"
+_VALUE = (rf"(?P<true>true)(?!\w)|(?P<false>false)(?!\w)|{_HEAD}"
+          rf"|(?P<arrow>->){_S}(?:#{_S}(?P<ref>\d+)|(?P<q>{_N}(?:{_S}::{_S}{_N})*)(?!\w|{_S}::))"
+          rf"|(?P<str>{_STRING_OPEN}\")|-{_S}(?P<neg>\d+)|(?P<int>\d+)")
+_ROOT, _FIELD, _ITEM0, _ITEMN, _END, _SEP = (re.compile(_S + p, re.DOTALL) for p in (
+    _HEAD, rf"(?:(?P<name>{_N}){_S}={_S}(?:{_VALUE}|(?P<open>\[))|(?P<end>\}}))",
+    rf"(?:{_VALUE}|(?P<close>\]))", rf"(?:,{_S})?(?:{_VALUE}|(?P<close>\]))", r"\Z",
+    rf"::{_S}"))
 
 
 def _nest(walk):
@@ -102,154 +123,133 @@ class _Dumper:
 
 
 def load_model(text: str, mm: Metamodel, extra_metamodels=(), file: str = "<model>") -> Model:
-    """Parse a dump back into a Model. Classifier stand-in references may
-    name classifiers of ``mm``, builtin ecore, or any of ``extra_metamodels``."""
-    reader = _Reader(TokenStream(_LEXER.tokenize(text, file)),
-                     [mm, *extra_metamodels, builtin_ecore()])
-    stream = reader.stream
-    root = _nest(reader.parse_object())
-    stream.expect_eof()
-
-    for obj, fname, index, ref, arrow in reader.patches:
-        target = reader.by_id.get(ref)
-        if target is None:
-            raise DiagnosticError([error("parse", "model-dangling",
-                                         f"reference to unknown object #{ref}",
-                                         location=arrow.location)])
-        feat = obj.cls.find_feature(fname)
-        if feat.many:
-            obj.slots[fname][index] = target
-        else:
-            obj.slots[fname] = target
-
-    return Model(root, mm)
+    """Parse a dump back; classifier references name ``mm``, ``extra_metamodels`` or ecore."""
+    return Model(_Loader(text, file, [mm, *extra_metamodels, builtin_ecore()]).load(), mm)
 
 
-class _Reader:
-    """One load_model call: the token stream, the packages classifier names
-    resolve in, the objects by id and the forward references to patch."""
+class _Loader:
+    """One load_model call: the text, what its names resolve to, its objects by id."""
 
-    def __init__(self, stream: TokenStream, packages: list[Metamodel]):
-        self.stream = stream
-        self.packages = packages
-        self.by_id: dict[int, ModelObject] = {}
-        # forward references: object, feature, index, referenced id, '->' token
-        self.patches: list[tuple[ModelObject, str, int, int, Token]] = []
+    def __init__(self, text: str, file: str, packages: list[Metamodel]):
+        self.text, self.file, self.by_id = text, file, {}
+        # per name, the first package's classifier; for heads, the first class
+        self.classes: dict[str, MetaClass] = {}
+        self.refs: dict[str, Classifier] = {}
+        for pkg in reversed(packages):
+            for name, c in {c.name: c for c in reversed(pkg.classifiers)}.items():
+                self.refs[name] = self.refs[f"{pkg.name}::{name}"] = c
+                if c.is_class:
+                    self.classes[name] = c
 
-    def resolve_class(self, name_tok: Token):
-        name = name_tok.text
-        for pkg in self.packages:
-            c = pkg.classifier(name)
-            if c is not None and c.is_class:
-                return c
-        raise DiagnosticError([error("parse", "model-unknown-class",
-                                     f"unknown class name {name!r}", location=name_tok.location)])
-
-    def resolve_qname(self, qname: str, seg_tok: Token):
-        """A classifier by simple name in the first package that has one, or
-        qualified by its package's name."""
-        pkg_name, _, simple = qname.rpartition("::")
-        for pkg in self.packages:
-            c = pkg.classifier(simple) if pkg_name in ("", pkg.name) else None
-            if c is not None:
-                return c
-        raise DiagnosticError([error("parse", "name-unresolved",
-                                     f"unknown classifier reference {qname!r}",
-                                     location=seg_tok.location)])
-
-    def parse_literal(self):
-        stream = self.stream
-        tok = stream.next()
-        if tok.kind == "STRING" or tok.kind == "INT":
-            return tok.value
-        if tok.kind == "KW":
-            if tok.text == "-":
-                return -stream.expect("INT").value
-            if tok.text == "true":
-                return True
-            if tok.text == "false":
-                return False
-        stream.fail("expected a literal value", token=tok)
-
-    def at_object(self) -> bool:
-        """Whether an object starts here: a class name, then '#'."""
-        stream = self.stream
-        return stream.current.kind == "ID" and stream.peek().is_kw("#")
-
-    def parse_object(self):
-        """A walk for ``_nest``: one object, yielding the walk of each nested one."""
-        stream = self.stream
-        name_tok = stream.expect("ID")
-        cls = self.resolve_class(name_tok)
-        stream.expect_kw("#")
-        oid = stream.expect("INT").value
-        obj = ModelObject(cls)
-        if oid in self.by_id:
-            stream.fail(f"duplicate object id #{oid}", token=name_tok)
-        self.by_id[oid] = obj
-        stream.expect_kw("{")
-        while not stream.at_kw("}"):
-            fname_tok, feat = self.parse_field_name(obj)
-            fname = fname_tok.text
-            if stream.accept_kw("["):
-                items: list = []
-                while not stream.at_kw("]"):
-                    if self.at_object():
-                        items.append((yield self.parse_object()))
-                    elif stream.at_kw("->"):
-                        # None placeholders are patched later
-                        items.append(self.parse_cross_target(obj, fname, len(items)))
-                    else:
-                        items.append(self.parse_literal())
-                    stream.accept_kw(",")
-                stream.next()
-                if feat.many:
-                    obj.slots[fname] = items
-                elif len(items) > 1:
-                    raise DiagnosticError([error(
-                        "parse", "model-multiplicity",
-                        f"single-valued feature {obj.cls.name}.{fname} lists {len(items)} values",
-                        location=fname_tok.location)])
-                elif items:
-                    obj.slots[fname] = items[0]
-            elif stream.at_kw("->"):
-                target = self.parse_cross_target(obj, fname, 0)
-                if feat.many:
-                    obj.slots[fname] = [target]
-                elif target is not None:
-                    obj.slots[fname] = target
+    def load(self) -> ModelObject:
+        text, classes, by_id = self.text, self.classes, self.by_id
+        up, patches = [], []  # the enclosing objects' states; the forward references
+        pat, at, obj, feats, feat, items, fat = _ROOT, 0, None, None, None, None, 0
+        while True:
+            m = pat.match(text, at)
+            if m is None or pat is _FIELD and m.lastgroup != "end" and (
+                    feat := feats.get(m["name"])) is None:
+                self.diagnose(pat, at, obj)
+            kind = m.lastgroup
+            if kind == "str":
+                value = m[kind][1:-1]
+                if "\\" in value:
+                    value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], value)
+            elif kind == "obj":
+                cls, oid = classes.get(m["cls"]), int(m["id"])
+                if cls is None or oid in by_id:
+                    self.diagnose(pat, at, obj)
+                up.append((obj, feats, feat, items, fat))
+                obj = by_id[oid] = ModelObject(cls)
+                pat, at, feats, items = _FIELD, m.end(), cls.tables().by_name, None
+                continue
+            elif kind == "end":
+                value, (obj, feats, feat, items, fat) = obj, up.pop()
+                if obj is None:
+                    break
+            elif kind == "open":
+                pat, at, items, fat = _ITEM0, m.end(), [], m.start("name")
+                continue
+            elif kind == "close":
+                if len(items) > 1 and not feat.many:
+                    self.stream(fat).fail(f"single-valued feature {obj.cls.name}.{feat.name} "
+                                          f"lists {len(items)} values", "model-multiplicity")
+                if items or feat.many:
+                    obj.slots[feat.name] = items if feat.many else items[0]
+                pat, at, items = _FIELD, m.end(), None
+                continue
+            elif kind == "ref":
+                value = None  # patched once every object is read
+                patches.append((obj, feat, len(items or ()), int(m[kind]), m.start("arrow")))
+            elif kind == "q":
+                c = self.refs.get(m[kind]) or self.refs.get("::".join(_SEP.split(m[kind])))
+                if c is None:
+                    self.diagnose(pat, at, obj)
+                value = classifier_object(c)
+            elif kind == "int" or kind == "neg":
+                value = int(m[kind]) if kind == "int" else -int(m[kind])
             else:
-                value = (yield self.parse_object()) if self.at_object() else self.parse_literal()
-                if feat.many:
-                    obj.slots.setdefault(fname, []).append(value)
-                else:
-                    obj.slots[fname] = value
-        stream.next()
-        return obj
+                value = kind == "true"
+            at, pat = m.end(), _FIELD if items is None else _ITEMN
+            if items is not None:
+                items.append(value)
+            elif not feat.many:
+                if value is not None:
+                    obj.slots[feat.name] = value
+            elif kind == "ref" or kind == "q":
+                obj.slots[feat.name] = [value]
+            else:
+                obj.slots.setdefault(feat.name, []).append(value)
+        if _END.match(text, m.end()) is None:
+            self.diagnose(_END, m.end(), None)
+        for holder, f, index, ref, arrow in patches:
+            if ref not in by_id:
+                self.stream(arrow).fail(f"reference to unknown object #{ref}", "model-dangling")
+            slots = holder.slots[f.name] if f.many else holder.slots
+            slots[index if f.many else f.name] = by_id[ref]
+        return value
 
-    def parse_field_name(self, obj: ModelObject):
-        """A feature name of ``obj``'s class and its '=': the token and the feature."""
-        stream = self.stream
-        fname_tok = stream.next()
-        if fname_tok.kind != "ID":
-            stream.fail(f"expected a feature name, found '{fname_tok.text}'", token=fname_tok)
-        feat = obj.cls.find_feature(fname_tok.text)
-        if feat is None:
-            raise DiagnosticError([error("parse", "model-unknown-feature",
-                                         f"class {obj.cls.name} has no feature "
-                                         f"{fname_tok.text!r}", location=fname_tok.location)])
-        stream.expect_kw("=")
-        return fname_tok, feat
+    def stream(self, at: int) -> TokenStream:
+        """The text's tokens from offset ``at`` on, or its first lexical error."""
+        tokens = _LEXER.tokenize(self.text, self.file)
+        return TokenStream(tokens[bisect_left(tokens, at, key=lambda t: t.offset):])
 
-    def parse_cross_target(self, obj, fname, index):
-        stream = self.stream
-        arrow = stream.next()  # '->'
-        if stream.accept_kw("#"):
-            ref = stream.expect("INT").value
-            self.patches.append((obj, fname, index, ref, arrow))
-            return None
-        seg_tok = stream.expect("ID")
-        qname = seg_tok.text
-        while stream.accept_kw("::"):
-            qname += "::" + stream.expect("ID").text
-        return classifier_object(self.resolve_qname(qname, seg_tok))
+    def diagnose(self, pat, at: int, obj: ModelObject | None):
+        """Raise what reading ``obj``'s construct ``pat`` from ``at`` token by token reports."""
+        s = self.stream(at)
+        if pat is _END:
+            s.expect_eof()
+        if pat is _FIELD:
+            tok = s.next()
+            if tok.kind != "ID":
+                s.fail(f"expected a feature name, found '{tok.text}'", token=tok)
+            if obj.cls.tables().by_name.get(tok.text) is None:
+                s.fail(f"class {obj.cls.name} has no feature {tok.text!r}",
+                       "model-unknown-feature", tok)
+            s.expect_kw("=")
+        elif pat is _ITEMN:
+            s.accept_kw(",")
+        if pat is _ROOT or s.at("ID") and s.peek().is_kw("#"):
+            name = s.expect("ID")
+            if name.text not in self.classes:
+                s.fail(f"unknown class name {name.text!r}", "model-unknown-class", name)
+            s.expect_kw("#")
+            if (oid := s.expect("INT").value) in self.by_id:
+                s.fail(f"duplicate object id #{oid}", token=name)
+            s.expect_kw("{")
+        elif s.accept_kw("->"):
+            if s.accept_kw("#"):
+                s.expect("INT")
+            else:
+                qname = (seg := s.expect("ID")).text
+                while s.accept_kw("::"):
+                    qname += "::" + s.expect("ID").text
+                if qname not in self.refs:
+                    s.fail(f"unknown classifier reference {qname!r}", "name-unresolved", seg)
+        else:
+            tok = s.next()
+            if tok.is_kw("-"):
+                s.expect("INT")
+            elif tok.kind not in ("STRING", "INT") and tok.text not in ("true", "false"):
+                s.fail("expected a literal value", token=tok)
+        raise AssertionError(f"{self.file}: no diagnostic for the text at offset {at}")

@@ -220,9 +220,13 @@ def parse_transformation(text: str, target: Metamodel, file: str = "<xf>") -> Tr
     diags: list = []
 
     while not stream.at("EOF"):
-        tok = stream.current
+        tok = stream.next()
+        if tok.is_kw("refer") or tok.is_kw("make"):
+            stream.expect_kw("img")
+            stream.expect_kw("(")
+            proto = parse_qname(stream)
+            stream.expect_kw(")")
         if tok.is_kw("create"):
-            stream.next()
             abstract = stream.accept_kw("abstract")
             stream.expect_kw("class")
             name_tok = stream.expect("ID")
@@ -234,34 +238,23 @@ def parse_transformation(text: str, target: Metamodel, file: str = "<xf>") -> Tr
             stream.expect_kw("}")
             raw.append(("create", name_tok.text, abstract, supers, features, name_tok.location))
         elif tok.is_kw("refer"):
-            stream.next()
-            stream.expect_kw("img")
-            stream.expect_kw("(")
-            proto = parse_qname(stream)
-            stream.expect_kw(")")
             plus = stream.accept_kw("+")
             stream.expect_kw("as")
             textual = parse_qname(stream)
             stream.expect_kw(";")
             raw.append(("refer", proto, plus, textual, tok.location))
         elif tok.is_kw("skip"):
-            stream.next()
             proto = parse_qname(stream)
             plus = stream.accept_kw("+")
             stream.expect_kw(";")
             raw.append(("skip", proto, plus, tok.location))
         elif tok.is_kw("make"):
-            stream.next()
-            stream.expect_kw("img")
-            stream.expect_kw("(")
-            proto = parse_qname(stream)
-            stream.expect_kw(")")
             stream.expect_kw("extend")
             supers = [] if stream.accept_kw("nothing") else parse_qnames(stream)
             stream.expect_kw(";")
             raw.append(("make", proto, supers, tok.location))
         else:
-            stream.fail(f"expected a statement, found '{tok.text}'")
+            stream.fail(f"expected a statement, found '{tok.text}'", token=tok)
 
     created_names = {r[1] for r in raw if r[0] == "create"}
 

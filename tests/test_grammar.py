@@ -703,6 +703,30 @@ def ref_reachable_rules(g):
     return out
 
 
+def ref_finite_rules(g):
+    """The rules that derive a finite text, in rounds: after round k, those
+    with a derivation tree of height k or less. Unknown callees count as
+    finite, as _check_rules reports them."""
+    done = set()
+
+    def derives(e):
+        if isinstance(e, Assignment):
+            return e.op == "?" or e.callee not in g.by_name or e.callee in done
+        if isinstance(e, Sequence):
+            return all(derives(x) for x in e.items)
+        if isinstance(e, Repeat):
+            return e.kind == "*" or derives(e.inner)
+        if isinstance(e, Group):
+            return any(derives(x) for x in e.alternatives)
+        return True  # a keyword or an optional part
+
+    for _ in g.rules:
+        done |= {r.name for r in g.rules if (
+            any(a in done or a not in g.by_name for a in r.alternatives)
+            if isinstance(r, AbstractRule) else derives(r.body))}
+    return done
+
+
 def ref_check_grammar(g):
     diags = []
     a = RefAnalysis(g)
@@ -752,6 +776,10 @@ def ref_check_grammar(g):
             diags.append(error("grammar", "gr-left-recursion",
                                f"rule {name!r} is left-recursive",
                                location=g.by_name[name].loc))
+
+    finite = ref_finite_rules(g)
+    diags += [error("grammar", "gr-unproductive", f"rule {name!r} derives no finite text",
+                    location=g.by_name[name].loc) for name in reachable if name not in finite]
 
     if any(d.code == "gr-left-recursion" for d in diags):
         return diags  # FIRST sets are meaningless under left recursion
@@ -1116,6 +1144,48 @@ Part : "part" name = ID ? ;
 """
 BOUNDED_TEXTS = ["box", "box label x part p", 'box label x tag "a" tag "b" tag "c" part p',
                  "box part part q", "box label x part p part"]
+
+
+@st.composite
+def free_part_grammars(draw):
+    """Grammar text over BOUNDED_MM in which ``subs += Part`` may land
+    anywhere in Part, also where Part must call itself."""
+    atoms = dict(BOUNDED_ATOMS, Part=BOUNDED_ATOMS["Part"] + ["subs += Part"] * 2)
+    return (f"Box : \"box\" {draw(toy_body('Box', atoms))} ;\n"
+            f"Part : \"part\" {draw(toy_body('Part', atoms))} ;\n")
+
+
+class TestFiniteText:
+    """check_grammar reports each reachable rule that derives no finite
+    text, and generate_random_model raises those diagnostics instead of
+    recursing without end."""
+
+    def test_rule_that_must_call_itself(self, bounded_ast):
+        g = parse_grammar('Part : "part" name = ID "[" subs += Part "]" ;', bounded_ast)
+        (d,) = check_grammar(g)
+        assert (d.code, d.message, d.location.line, d.location.column) == (
+            "gr-unproductive", "rule 'Part' derives no finite text", 1, 1)
+        with pytest.raises(DiagnosticError) as exc:
+            generate_random_model(g, random.Random(1))
+        assert exc.value.diagnostics == [d]
+
+    def test_a_way_out_is_enough(self, bounded_ast):
+        for body in ('( "[" subs += Part "]" | "leaf" )', '( "[" subs += Part "]" )?',
+                     '( "[" subs += Part "]" )*'):
+            g = parse_grammar(f'Part : "part" name = ID {body} ;', bounded_ast)
+            assert check_grammar(g) == []
+            generate_random_model(g, random.Random(1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=free_part_grammars(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_grammars(self, bounded_ast, text, seed):
+        g = parse_grammar(text, bounded_ast)
+        problems = check_grammar(g)
+        assert problems == ref_check_grammar(g)
+        stuck = [d for d in problems if d.code == "gr-unproductive"]
+        got = outcome(generate_random_model, g, random.Random(seed), 3)
+        assert got[0] == ("diagnostics" if stuck else "ok")
+        assert not stuck or got[1] == stuck
 
 
 class TestValidByConstruction:
