@@ -10,20 +10,22 @@ Rule bodies combine double-quoted keywords, assignments (``feat=Callee``,
 ``|`` alternation, ``?`` optionals and ``*``/``+`` repetitions. Callees are
 other rules or the terminals ID, STRING, INT.
 
-The same rules drive three interpreters: a single-token-lookahead
-recursive-descent parser producing models (parse_text), a deterministic
-renderer producing text (render_ast), and a random model generator used by
-round-trip tests. check_grammar enforces what they need: no reachable left
-recursion, no reachable rule that derives no finite text, and disjoint
-first-token sets at every choice point (alternatives, optionals and repetition
-continuations are checked against their local follow in the enclosing sequence).
+Grammar.analysis compiles a grammar once: by fixpoint, each rule's FIRST
+set, whether it can be empty and its least derivation height, and those
+facts on every element; then each concrete rule body as a flat tuple of
+ops (keywords, assignments holding their MetaFeature, jumps, and tests and
+choices that dispatch on a token key and carry the assignments below
+them), and each abstract rule as a table from token key to alternative.
 
-The facts they read are compiled once per grammar (Grammar.analysis): by
-fixpoint, each rule's FIRST set and whether it can be empty; and on every
-element its ``first`` set, ``nullable`` and ``assigns``, the assignments
-below it in text order, each built from its children's. So parsing or
-rendering a document never walks a subtree to ask what can start it, or
-what it assigns.
+parse_text (text to model, one token of lookahead) and render_ast (model
+to text) run that same code, each in one loop over an explicit stack, so
+nesting is bounded by memory, not by the recursion limit.
+generate_random_model walks the elements to make models for round-trip
+tests. check_grammar enforces what they need: no reachable left recursion,
+no reachable rule that derives no finite text, and disjoint first-token
+sets at every choice point (alternatives, optionals and repetition
+continuations are checked against their local follow in the enclosing
+sequence).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from .diagnostics import Diagnostic, DiagnosticError, SourceLocation, error
 from .lexer import Lexer, Token, TokenStream, escape_string
 from .meta import (
-    MetaClass, Metamodel, Model, ModelObject, Tree, is_subtype, miscount,
+    MetaAttribute, MetaClass, Metamodel, Model, ModelObject, Tree, is_subtype, miscount,
     validate_metamodel, validate_model,
 )
 
@@ -47,9 +49,10 @@ TERMINALS = ("ID", "STRING", "INT")
 
 class _Facts:
     """What _Analysis compiles onto every element of a grammar: ``first``,
-    ``nullable`` and ``assigns``."""
+    ``nullable``, ``assigns`` and ``height``, the least height of a
+    derivation tree."""
 
-    __slots__ = ("first", "nullable", "assigns")
+    __slots__ = ("first", "nullable", "assigns", "height")
 
 
 @dataclass(slots=True)
@@ -124,11 +127,7 @@ class Grammar:
         self._lexer = None
 
     def keywords(self) -> set[str]:
-        out: set[str] = set()
-        for r in self.rules:
-            if isinstance(r, ConcreteRule):
-                _collect_keywords(r.body, out)
-        return out
+        return set(self.analysis().keywords)
 
     def analysis(self) -> "_Analysis":
         if self._analysis is None:
@@ -151,15 +150,6 @@ def _children(e) -> list | tuple:
     if isinstance(e, (Opt, Repeat)):
         return (e.inner,)
     return ()
-
-
-def _collect_keywords(e, out: set[str]):
-    if isinstance(e, Keyword):
-        out.add(e.text)
-    elif isinstance(e, Assignment) and e.op == "?":
-        out.add(e.keyword)
-    for x in _children(e):
-        _collect_keywords(x, out)
 
 
 # ---------------------------------------------------------------------------
@@ -317,105 +307,152 @@ def _check_assignment(e: Assignment, cls: MetaClass, by_name, bad):
 
 
 # ---------------------------------------------------------------------------
-# FIRST/nullability analysis
+# FIRST/nullability analysis and the compiled code
 
 TokenKey = tuple  # ("kw", text) or ("term", "ID"|"STRING"|"INT")
 
+# The ops of compiled rule code, each a tuple that starts with its opcode:
+#   (KW, text)   (JUMP, target)   (RET,): the end of a rule's code
+#   (TERM | CALL | FLAG, feat, name, many, callee | proc | keyword, plus)
+#   (TEST, first, end, reads, must): unless the part is there, go to end
+#   (CHOICE, table, default, first, end, alts, bare)
+# ``feat`` is the MetaFeature the rule's class holds under ``name``; ``reads``
+# are the assignment ops below a decision; a '+' loop starts with a TEST that
+# ``must`` find its part. A CHOICE goes to table[key], else to ``default`` (its
+# end if it may be empty, else None: an error); rendering takes the first of
+# ``alts``, (reads, start) pairs, with a value, else ``bare``, the start of the
+# first alternative without assignments (or the end).
+KW, TERM, CALL, FLAG, TEST, JUMP, CHOICE, RET = range(8)
+_INF = float("inf")
 
-def _key(token: Token) -> TokenKey:
-    """The FIRST-set entry ``token`` matches."""
-    return ("kw", token.text) if token.kind == "KW" else ("term", token.kind)
+
+class _Proc:
+    """A compiled rule: a concrete rule's ``code``, ``flags`` and ``feats``
+    (its assignments' features by name); an abstract rule's ``table`` from
+    token key to alternative and ``default``, its first that may be empty."""
+
+    def __init__(self, name: str, cls=None):
+        self.name, self.cls, self.code, self.default = name, cls, None, None
+        self.first, self.flags, self.feats, self.table = frozenset(), (), {}, {}
 
 
 class _Analysis:
-    """The grammar's compiled facts: per rule, ``first``, ``nullable`` and
-    ``finite`` (it derives some finite text); per concrete rule, the features
-    its flag assignments set (``flags``); on every element, ``first``,
-    ``nullable`` and ``assigns``; the ``problems`` of _check_rules; and
-    ``sound``: there are none and ``g.ast`` is valid, so parse_text builds
-    valid objects but for bounds."""
+    """The grammar's compiled facts: per rule, ``first``, ``nullable``,
+    ``height`` (the least height of a derivation tree; inf if the rule
+    derives no finite text) and its compiled ``procs`` entry; per concrete
+    rule, the features its flag assignments set (``flags``); on every
+    element, ``first``, ``nullable`` and ``assigns``; the ``keywords``; the
+    ``problems`` of _check_rules; and ``sound``: there are none and
+    ``g.ast`` is valid, so parse_text builds valid objects but for bounds."""
 
     def __init__(self, g: Grammar):
         self.nullable: dict[str, bool] = {r.name: False for r in g.rules}
-        self.finite: dict[str, bool] = {r.name: False for r in g.rules}
+        self.height: dict[str, float] = {r.name: _INF for r in g.rules}
         self.first: dict[str, frozenset[TokenKey]] = {r.name: frozenset() for r in g.rules}
+        self.procs = {r.name: _Proc(r.name, r.cls) for r in g.rules}
+        self.keywords: set[str] = set()
         # A worklist fixpoint: a rule is compiled again whenever the facts of
-        # a rule it reads change, so the facts left on every element are
-        # final. Rules are mostly written callers first; taking the last
-        # first lets most rules be compiled once.
+        # a rule it reads change, so the facts and code left are final.
+        # Rules are mostly written callers first; taking the last first lets
+        # most rules be compiled once.
         readers: dict[str, set[str]] = {r.name: set() for r in g.rules}
         todo, queued = list(g.rules), set(readers)
         while todo:
             r = todo.pop()
             queued.discard(r.name)
+            proc = self.procs[r.name]
             if isinstance(r, AbstractRule):
                 callees = r.alternatives
                 n = any(self.nullable.get(a, False) for a in callees)
                 f = frozenset().union(*(self.first.get(a, ()) for a in callees))
-                fin = any(self.finite.get(a, True) for a in callees)
+                h = min((self.height.get(a, 0) for a in callees), default=_INF)
+                proc.table = {k: self.procs.get(a)  # the first alternative wins a key
+                              for a in reversed(callees) for k in self.first.get(a, ())}
+                proc.default = next((self.procs[a] for a in callees if self.nullable.get(a)), None)
             else:
-                self._compile(r.body)
+                code: list = []
+                self._compile(r.body, proc, code, {})
+                proc.code, proc.flags = (*code, (RET,)), tuple(
+                    [x.feature for x in r.body.assigns if x.op == "?"])
                 callees = [x.callee for x in r.body.assigns]
-                n, f, fin = r.body.nullable, r.body.first, self._finite(r.body)
+                n, f, h = r.body.nullable, r.body.first, 1 + r.body.height
+            proc.first = f
             for c in callees:
                 if c in readers:
                     readers[c].add(r.name)
-            if (n, f, fin) != (self.nullable[r.name], self.first[r.name], self.finite[r.name]):
-                self.nullable[r.name], self.first[r.name], self.finite[r.name] = n, f, fin
+            if (n, f, h) != (self.nullable[r.name], self.first[r.name], self.height[r.name]):
+                self.nullable[r.name], self.first[r.name], self.height[r.name] = n, f, h
                 for name in readers[r.name] - queued:
                     queued.add(name)
                     todo.append(g.by_name[name])
         self.flags: dict[str, list[str]] = {
-            r.name: [x.feature for x in r.body.assigns if x.op == "?"]
-            for r in g.rules if isinstance(r, ConcreteRule)}
+            r.name: list(self.procs[r.name].flags) for r in g.rules if isinstance(r, ConcreteRule)}
         self.problems = _check_rules(g)
         self.sound = not self.problems and not validate_metamodel(g.ast)
 
-    def _finite(self, e) -> bool:
-        """Whether ``e`` derives some finite text, by the rules found to so far
-        (unknown callees count as finite: _check_rules reports them)."""
-        if isinstance(e, Assignment):
-            return self.finite.get(e.callee, True)
-        if isinstance(e, Group):
-            return any([self._finite(x) for x in e.alternatives])
-        if isinstance(e, Sequence) or isinstance(e, Repeat) and e.kind == "+":
-            return all([self._finite(x) for x in _children(e)])
-        return True  # a keyword, an optional part or a '*' repetition
-
-    def _compile(self, e):
-        """Store ``first``, ``nullable`` and ``assigns`` on ``e`` and on every
-        element below it, each from its children's."""
+    def _compile(self, e, proc: _Proc, code: list, ops: dict):
+        """Store the facts of ``e`` and of every element below it, each from
+        its children's and by the rule facts found so far (unknown callees
+        count as finite: _check_rules reports them), and append the code of
+        ``e`` in rule ``proc`` to ``code``; ``ops`` holds each assignment's op."""
         if isinstance(e, Keyword):
-            e.first, e.nullable, e.assigns = frozenset((("kw", e.text),)), False, ()
+            e.first, e.nullable, e.assigns, e.height = frozenset((("kw", e.text),)), False, (), 0
+            self.keywords.add(e.text)
+            code.append((KW, e.text))
             return
         if isinstance(e, Assignment):
-            e.assigns = (e,)
+            e.assigns, e.height = (e,), self.height.get(e.callee, 0)
             if e.op == "?":
                 e.first, e.nullable = frozenset((("kw", e.keyword),)), True
+                kind, arg = FLAG, e.keyword
+                self.keywords.add(e.keyword)
             elif e.callee in TERMINALS:
                 e.first, e.nullable = frozenset((("term", e.callee),)), False
+                kind, arg = TERM, e.callee
             else:
                 e.first = self.first.get(e.callee, frozenset())
                 e.nullable = self.nullable.get(e.callee, False)
+                kind, arg = CALL, self.procs.get(e.callee) or _Proc(e.callee)  # unknown: no entry
+            if (f := proc.feats.get(e.feature)) is None:  # an unknown one is read by name
+                known = isinstance(proc.cls, MetaClass) and proc.cls.find_feature(e.feature)
+                f = proc.feats[e.feature] = known or MetaAttribute(e.feature)
+            code.append(ops.setdefault(id(e), (kind, f, f.name, f.many, arg, e.op == "+=")))
             return
-        kids = _children(e)
+        at, starts, kids = len(code), [], _children(e)
+        if not isinstance(e, Sequence):  # decisions, set once their targets are known
+            code.extend([None, None] if isinstance(e, Repeat) and e.kind == "+" else [None])
         for x in kids:
-            self._compile(x)
+            starts.append(len(code))
+            self._compile(x, proc, code, ops)
+            if isinstance(e, Group):
+                code.append(None)  # a jump to the end
         e.assigns = tuple([a for x in kids for a in x.assigns])
-        if isinstance(e, Sequence):
-            first = set()
-            for x in kids:
-                first |= x.first
-                if not x.nullable:
-                    e.first, e.nullable = frozenset(first), False
-                    return
-            e.first, e.nullable = frozenset(first), True
+        if isinstance(e, Sequence):  # FIRST up to the first item that cannot be empty
+            n = next((i for i, x in enumerate(kids) if not x.nullable), len(kids))
+            e.first = frozenset().union(*[x.first for x in kids[:n + 1]])
+            e.nullable, e.height = n == len(kids), max([x.height for x in kids])
         elif isinstance(e, Group):
             e.first = frozenset().union(*[x.first for x in kids])
             e.nullable = any([x.nullable for x in kids])
+            e.height = min([x.height for x in kids])
+            code.pop()
+            end = len(code)
+            code[at + 1:] = [(JUMP, end) if op is None else op for op in code[at + 1:]]
+            pairs = list(zip(kids, starts))
+            table = {k: start for x, start in reversed(pairs) for k in x.first}
+            alts = tuple([(tuple([ops[id(y)] for y in x.assigns]), start) for x, start in pairs])
+            bare = next((start for x, start in pairs if not x.assigns), end)
+            code[at] = (CHOICE, table, end if e.nullable else None, e.first, end, alts, bare)
         else:
             e.first = e.inner.first
             e.nullable = isinstance(e, Opt) or e.kind == "*" or e.inner.nullable
+            e.height = e.inner.height if isinstance(e, Repeat) and e.kind == "+" else 0
+            head, reads = starts[0] - 1, tuple([ops[id(x)] for x in e.assigns])
+            if isinstance(e, Repeat):  # a '+' loop's first TEST, before ``head``, must pass
+                code.append((JUMP, head))
+            code[head] = (TEST, e.first, len(code), reads, False)
+            if head != at:
+                code[at] = (TEST, e.first, len(code), reads, True)
 
 
 def _reachable_rules(g: Grammar) -> list[str]:
@@ -439,10 +476,10 @@ def _reachable_rules(g: Grammar) -> list[str]:
 
 def _unproductive(g: Grammar) -> list[Diagnostic]:
     """The rules reachable from the entry rule that derive no finite text."""
-    finite = g.analysis().finite
+    height = g.analysis().height
     return [error("grammar", "gr-unproductive", f"rule {name!r} derives no finite text",
                   location=g.by_name[name].loc) for name in _reachable_rules(g)
-            if not finite[name]]
+            if height[name] == _INF]
 
 
 def check_grammar(g: Grammar) -> list[Diagnostic]:
@@ -482,10 +519,9 @@ def check_grammar(g: Grammar) -> list[Diagnostic]:
             node = frontier.pop()
             if node == start:
                 return True
-            if node in seen:
-                continue
-            seen.add(node)
-            frontier.extend(graph.get(node, ()))
+            if node not in seen:
+                seen.add(node)
+                frontier.extend(graph.get(node, ()))
         return False
 
     for name in reachable:
@@ -502,6 +538,15 @@ def check_grammar(g: Grammar) -> list[Diagnostic]:
         return ", ".join(sorted(
             f'"{k[1]}"' if k[0] == "kw" else k[1] for k in keys))
 
+    def overlaps(rule, firsts):
+        """Report each pair of ``firsts``, (label, FIRST set) pairs, that overlap."""
+        for i, (x, fx) in enumerate(firsts):
+            for y, fy in firsts[i + 1:]:
+                if fx & fy:
+                    diags.append(error("grammar", "gr-ambiguous", f"in rule {rule!r}: "
+                                       f"alternatives {x} and {y} both start with "
+                                       f"{describe(fx & fy)}"))
+
     def check_choices(e, rule, follow: set[TokenKey]):
         if isinstance(e, Sequence):
             # the local follow of each item: the first tokens of what comes
@@ -512,34 +557,17 @@ def check_grammar(g: Grammar) -> list[Diagnostic]:
             for x, local in zip(e.items, reversed(follows)):
                 check_choices(x, rule, local)
             return
-        if isinstance(e, Opt):
-            overlap = e.first & follow
-            if overlap:
-                diags.append(error("grammar", "gr-ambiguous",
-                                   f"in rule {rule!r}: optional part and its continuation both "
-                                   f"start with {describe(overlap)}"))
-            check_choices(e.inner, rule, follow)
-            return
-        if isinstance(e, Repeat):
-            overlap = e.first & follow
-            if overlap:
-                diags.append(error("grammar", "gr-ambiguous",
-                                   f"in rule {rule!r}: repeated part and its continuation both "
-                                   f"start with {describe(overlap)}"))
-            check_choices(e.inner, rule, e.first | follow)
+        if isinstance(e, (Opt, Repeat)):
+            part = "optional" if isinstance(e, Opt) else "repeated"
+            if e.first & follow:
+                diags.append(error("grammar", "gr-ambiguous", f"in rule {rule!r}: {part} part "
+                                   f"and its continuation both start with "
+                                   f"{describe(e.first & follow)}"))
+            check_choices(e.inner, rule, follow if isinstance(e, Opt) else e.first | follow)
             return
         if isinstance(e, Group):
-            firsts = [x.first for x in e.alternatives]
-            for i in range(len(firsts)):
-                for j in range(i + 1, len(firsts)):
-                    overlap = firsts[i] & firsts[j]
-                    if overlap:
-                        diags.append(error(
-                            "grammar", "gr-ambiguous",
-                            f"in rule {rule!r}: alternatives {i + 1} and {j + 1} both start "
-                            f"with {describe(overlap)}"))
-            nullable_alts = [x for x in e.alternatives if x.nullable]
-            if len(nullable_alts) > 1:
+            overlaps(rule, [(i, x.first) for i, x in enumerate(e.alternatives, 1)])
+            if sum([x.nullable for x in e.alternatives]) > 1:
                 diags.append(error("grammar", "gr-ambiguous",
                                    f"in rule {rule!r}: more than one alternative can be empty"))
             for x in e.alternatives:
@@ -549,15 +577,7 @@ def check_grammar(g: Grammar) -> list[Diagnostic]:
     for name in reachable:
         r = g.by_name[name]
         if isinstance(r, AbstractRule):
-            firsts = [(alt, a.first.get(alt, frozenset())) for alt in r.alternatives]
-            for i in range(len(firsts)):
-                for j in range(i + 1, len(firsts)):
-                    overlap = firsts[i][1] & firsts[j][1]
-                    if overlap:
-                        diags.append(error(
-                            "grammar", "gr-ambiguous",
-                            f"in rule {name!r}: alternatives {firsts[i][0]!r} and "
-                            f"{firsts[j][0]!r} both start with {describe(overlap)}"))
+            overlaps(name, [(repr(alt), a.first.get(alt, frozenset())) for alt in r.alternatives])
         else:
             check_choices(r.body, name, set())
     return diags
@@ -569,25 +589,93 @@ def check_grammar(g: Grammar) -> list[Diagnostic]:
 
 def parse_text(text: str, g: Grammar, ast: Metamodel | None = None,
                file: str = "<input>") -> Model:
-    """Recursive-descent interpretation of the grammar from its entry rule.
-    The result is a valid Model over ``ast``, by default ``g.ast``. If ``g``
-    is sound (see _Analysis) and ``ast`` is ``g.ast``, each object is valid
-    by construction but for its bounds, which the parser checks as it
-    finishes the object; otherwise the model goes through validate_model."""
-    checked = g.analysis().sound and (ast is None or ast is g.ast)
-    parser = _TextParser(g, TokenStream(g.lexer().tokenize(text, file), phase="parse"),
-                         checked)
-    root = parser.parse_rule(g.entry)
-    parser.stream.expect_eof()
-    model = Model(root, ast or g.ast)
+    """Run the grammar's compiled code from its entry rule over the tokens
+    of ``text`` with one token of lookahead, in one loop on an explicit
+    stack: a rule call pushes a frame for the new object, the rule's end
+    pops it into the caller's slot. The result is a valid Model over
+    ``ast``, by default ``g.ast``. If ``g`` is sound (see _Analysis) and
+    ``ast`` is ``g.ast``, each object is valid by construction but for its
+    bounds, which the parser checks as it finishes the object; otherwise
+    the model goes through validate_model."""
+    a = g.analysis()
+    checked = a.sound and (ast is None or ast is g.ast)
+    miscounts: list[tuple[ModelObject, str]] = []  # read only if checked
+    tokens = g.lexer().tokenize(text, file)
+    # Without left recursion the frames opened at one token are of different
+    # rules, so more frames than this allows mean left recursion.
+    limit = len(a.procs)
+    stack = []  # below the top frame: (code, pc, obj, op, proc), op the CALL it fills
+    pos, tok = 0, tokens[0]
+    proc = _enter(a.procs[g.entry], tok)
+    code, pc, obj = proc.code, 0, ModelObject(proc.cls)
+    slots = obj.slots
+    while True:
+        op = code[pc]
+        pc += 1
+        kind = op[0]
+        if kind is KW:
+            if tok.text != op[1] or tok.kind != "KW":
+                _unexpected(tok, f"'{op[1]}'")
+            tok = tokens[pos := pos + 1]
+            continue
+        if kind is TERM:
+            if tok.kind != op[4]:
+                _unexpected(tok, op[4])
+            value = tok.value
+            tok = tokens[pos := pos + 1]
+        elif kind is TEST:
+            if (("kw", tok.text) if tok.kind == "KW" else ("term", tok.kind)) not in op[1]:
+                if op[4]:
+                    _unexpected(tok, _expected(op[1]))
+                pc = op[2]
+            continue
+        elif kind is JUMP:
+            pc = op[1]
+            continue
+        elif kind is CALL:
+            callee = op[4] if op[4].code is not None else _enter(op[4], tok)
+            if len(stack) >= limit * (pos + 1):
+                _fail(tok, f"rule {callee.name!r} is left-recursive", "gr-left-recursion")
+            stack.append((code, pc, obj, op, proc))
+            proc, code, pc, obj = callee, callee.code, 0, ModelObject(callee.cls)
+            slots = obj.slots
+            continue
+        elif kind is CHOICE:
+            pc = op[1].get(("kw", tok.text) if tok.kind == "KW" else ("term", tok.kind), op[2])
+            if pc is None:
+                _unexpected(tok, _expected(op[3]))
+            continue
+        elif kind is FLAG:
+            if tok.text == op[4] and tok.kind == "KW":
+                slots[op[2]] = True
+                tok = tokens[pos := pos + 1]
+            continue
+        else:  # RET: finish the object, then fill the slot of the CALL that opened it
+            for f in proc.flags:
+                slots.setdefault(f, False)
+            miscounts += [(obj, message) for f in proc.cls.tables().bounded
+                          if (message := miscount(obj, f, len(obj.values_of(f))))]
+            if not stack:
+                break
+            value = obj
+            code, pc, obj, op, proc = stack.pop()
+            slots = obj.slots
+        # written in place: in a sound grammar each operator fits its feature
+        name = op[2]
+        if op[5]:
+            slots.setdefault(name, []).append(value)
+        elif name in slots:
+            _fail(tok, f"feature {name!r} assigned twice")
+        else:
+            slots[name] = value
+    if tok.kind != "EOF":
+        _unexpected(tok, "end of input")
+    model = Model(obj, ast or g.ast)
     if not checked:
         problems = [(d.code, d.message, d.path) for d in validate_model(model)]
-    elif parser.miscounts:
-        tree = Tree(root)  # for the paths, only once a problem was found
-        problems = [("model-multiplicity", message, tree.path(obj))
-                    for obj, message in parser.miscounts]
     else:
-        return model
+        tree = miscounts and Tree(obj)  # for the paths, only once a problem was found
+        problems = [("model-multiplicity", message, tree.path(o)) for o, message in miscounts]
     if problems:
         raise DiagnosticError([error("parse", code, message, path=path)
                                for code, message, path in problems])
@@ -599,89 +687,27 @@ def _expected(keys) -> str:
     return " or ".join(names) if names else "nothing"
 
 
-class _TextParser:
-    """One parse_text call: the grammar, its analysis, the token stream and,
-    if it checks bounds, each finished object that breaks one, with why."""
+def _fail(tok: Token, message: str, code: str = "syntax"):
+    raise DiagnosticError([error("parse", code, message, location=tok.location)])
 
-    def __init__(self, g: Grammar, stream: TokenStream, check_bounds: bool):
-        self.g = g
-        self.a = g.analysis()
-        self.stream = stream
-        self.miscounts: list[tuple[ModelObject, str]] | None = [] if check_bounds else None
 
-    def parse_rule(self, name: str) -> ModelObject:
-        a, stream = self.a, self.stream
-        rule = self.g.by_name[name]
-        if isinstance(rule, AbstractRule):
-            key = _key(stream.current)
-            for alt in rule.alternatives:
-                if key in a.first.get(alt, ()):
-                    return self.parse_rule(alt)
-            for alt in rule.alternatives:
-                if a.nullable.get(alt, False):
-                    return self.parse_rule(alt)
-            stream.fail(f"expected {_expected(a.first.get(name, ()))}, "
-                        f"found {stream.describe()}")
-        obj = ModelObject(rule.cls)
-        self.walk(rule.body, obj)
-        for f in a.flags[name]:
-            obj.slots.setdefault(f, False)
-        if self.miscounts is not None:
-            for f in rule.cls.tables().bounded:
-                message = miscount(obj, f, len(obj.values_of(f)))
-                if message:
-                    self.miscounts.append((obj, message))
-        return obj
+def _unexpected(tok: Token, expected: str):
+    _fail(tok, f"expected {expected}, found "
+               + ("end of input" if tok.kind == "EOF" else f"'{tok.text}'"))
 
-    def walk(self, e, obj):
-        stream = self.stream
-        if isinstance(e, Keyword):
-            stream.expect_kw(e.text)
-            return
-        if isinstance(e, Assignment):
-            # written in place: in a sound grammar each operator fits its feature
-            slots = obj.slots
-            if e.op == "?":
-                if stream.accept_kw(e.keyword):
-                    slots[e.feature] = True
-                return
-            if e.callee in TERMINALS:
-                value = stream.expect(e.callee).value
-            else:
-                value = self.parse_rule(e.callee)
-            if e.op == "+=":
-                slots.setdefault(e.feature, []).append(value)
-            elif e.feature in slots:
-                stream.fail(f"feature {e.feature!r} assigned twice")
-            else:
-                slots[e.feature] = value
-            return
-        if isinstance(e, Sequence):
-            for x in e.items:
-                if isinstance(x, Keyword):
-                    stream.expect_kw(x.text)
-                else:
-                    self.walk(x, obj)
-            return
-        if isinstance(e, Opt):
-            if _key(stream.current) in e.first:
-                self.walk(e.inner, obj)
-            return
-        if isinstance(e, Repeat):
-            first = e.first
-            if e.kind == "+" and _key(stream.current) not in first:
-                stream.fail(f"expected {_expected(first)}, found {stream.describe()}")
-            while _key(stream.current) in first:
-                self.walk(e.inner, obj)
-            return
-        # Group
-        key = _key(stream.current)
-        for alt in e.alternatives:
-            if key in alt.first:
-                self.walk(alt, obj)
-                return
-        if not e.nullable:
-            stream.fail(f"expected {_expected(e.first)}, found {stream.describe()}")
+
+def _enter(p: _Proc, tok: Token) -> _Proc:
+    """The concrete rule that parsing rule ``p`` enters at ``tok``."""
+    key, seen = ("kw", tok.text) if tok.kind == "KW" else ("term", tok.kind), set()
+    while p.code is None:
+        if p in seen:
+            _fail(tok, f"rule {p.name!r} is left-recursive", "gr-left-recursion")
+        seen.add(p)
+        q = p.table.get(key, p.default)
+        if q is None:
+            _unexpected(tok, _expected(p.first))
+        p = q
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -691,144 +717,120 @@ class _TextParser:
 def render_ast(m: Model, g: Grammar) -> str:
     """Deterministic inverse of parse_text: one space between tokens, a
     newline after ';' and '}', 4-space indentation inside braces.
-    parse_text(render_ast(m)) is model-equal to m."""
-    renderer = _Renderer(g)
-    renderer.render_obj(m.root)
-    if renderer.problems:
+    parse_text(render_ast(m)) is model-equal to m. Runs the same compiled
+    code in one loop on an explicit stack, deciding by what each object
+    holds: an optional or loop runs while an assignment below it has a value
+    left; a choice takes the first alternative with one, else the first
+    without assignments. Each frame counts the values it used per feature,
+    reading slots through the features the code holds."""
+    procs, reads_as_id = g.analysis().procs, g.lexer().reads_as_id
+    tokens: list[str] = []
+    problems: list[tuple[ModelObject, str, str]] = []  # (object, code, message)
+    append = tokens.append
+    obj, proc = m.root, procs.get(m.root.cls.name)
+    if proc is None or proc.code is None:
+        raise DiagnosticError([error("grammar", "gr-no-rule", f"no concrete rule for class "
+                                     f"{obj.cls.name!r}", path="/")])
+    code, pc, used, slots = proc.code, 0, {}, obj.slots
+    stack = []  # below the top frame: (code, pc, obj, used, proc)
+    opened = {obj}  # the objects with a frame, so a containment cycle ends
+    while True:
+        op = code[pc]
+        pc += 1
+        kind = op[0]
+        if kind is KW:
+            append(op[1])
+        elif kind is TEST:
+            if not _available(op[3], slots, used, reads_as_id):
+                if op[4]:
+                    problems.append((obj, "gr-unset-mandatory",
+                                     "'+' repetition has nothing to render"))
+                pc = op[2]
+        elif kind is JUMP:
+            pc = op[1]
+        elif kind is TERM or kind is CALL:
+            f, name, callee = op[1], op[2], op[4]
+            i, v = used.get(f, 0), slots.get(name)
+            if v is None or i >= (len(v) if op[3] else 1):
+                problems.append((obj, "gr-unset-mandatory",
+                                 f"{obj.cls.name}.{name} has no value to render"))
+                continue
+            value = v[i] if op[3] else v
+            if callee == "ID" and type(value) is str and not reads_as_id(value):
+                problems.append((obj, "gr-unset-mandatory",
+                                 f"{obj.cls.name}.{name} value {value!r} is not an ID"))
+                continue
+            used[f] = i + 1
+            if kind is TERM:
+                if (type(value) is int) if callee == "INT" else isinstance(value, str):
+                    append(escape_string(value) if callee == "STRING" else str(value))
+                else:
+                    problems.append((obj, "model-kind", f"{obj.cls.name}.{name}: value "
+                                     f"{value!r} does not fit attribute type {f.type.name}"))
+            elif not isinstance(value, ModelObject):
+                problems.append((obj, "model-kind",
+                                 f"{obj.cls.name}.{name}: expected an object, found {value!r}"))
+            elif value in opened:
+                problems.append((obj, "model-containment", f"object of class "
+                                 f"{value.cls.name} is contained more than once"))
+            elif (sub := procs.get(value.cls.name)) is None or sub.code is None:
+                problems.append((value, "gr-no-rule",
+                                 f"no concrete rule for class {value.cls.name!r}"))
+            else:
+                stack.append((code, pc, obj, used, proc))
+                proc, code, pc, obj, used, slots = sub, sub.code, 0, value, {}, value.slots
+                opened.add(obj)
+        elif kind is CHOICE:
+            for reads, start in op[5]:
+                if _available(reads, slots, used, reads_as_id):
+                    pc = start
+                    break
+            else:
+                pc = op[6]
+                if pc == op[4] and op[2] is None:
+                    problems.append((obj, "gr-unset-mandatory",
+                                     "no renderable alternative in group"))
+        elif kind is FLAG:
+            if not used.get(op[1], 0) and slots.get(op[2], op[1].default) is True:
+                append(op[4])
+                used[op[1]] = 1
+        else:  # RET: report each slot with values left, but flags and cross slots
+            for name, v in slots.items():
+                if v is None or name in proc.flags:
+                    continue
+                # looked up by name only for a slot that no assignment of the rule reads
+                f = proc.feats.get(name) or obj.cls.find_feature(name)
+                if f is not None and (used.get(f, 0) >= (len(v) if f.many else 1)
+                                      or not f.is_attribute and not f.containment):
+                    continue
+                problems.append((obj, "gr-unset-mandatory", f"rule {proc.name!r} cannot emit "
+                                 f"all values of {obj.cls.name}.{name}"))
+            opened.discard(obj)
+            if not stack:
+                break
+            code, pc, obj, used, proc = stack.pop()
+            slots = obj.slots
+    if problems:
         tree = Tree(m.root)
         raise DiagnosticError([error("grammar", code, message, path=tree.path(obj))
-                               for obj, code, message in renderer.problems])
-    return _layout(renderer.tokens)
+                               for obj, code, message in problems])
+    return _layout(tokens)
 
 
-class _Cursors:
-    """How many values of each feature of one object are rendered so far.
-    Each slot is read once, as its live list if multi-valued and as ``[v]``
-    if single-valued. An ID assignment has a value available only if that
-    value reads back as an ID: another alternative must carry it. A set
-    flag counts as one value, so a repetition around it ends."""
-
-    def __init__(self, obj: ModelObject, reads_as_id):
-        self.obj = obj
-        self.reads_as_id = reads_as_id
-        self.used: dict[str, int] = {}
-        self.slots: dict[str, list] = {}
-
-    def values(self, feature: str) -> list:
-        vals = self.slots.get(feature)
-        if vals is None:
-            v = self.obj.slots.get(feature)
-            if v is None:
-                vals = []
-            else:
-                vals = v if self.obj._feature(feature).many else [v]
-            self.slots[feature] = vals
-        return vals
-
-    def available(self, e: Assignment) -> bool:
-        i = self.used.get(e.feature, 0)
-        if e.op == "?":
-            return not i and self.obj.get(e.feature) is True
-        vals = self.values(e.feature)
-        return i < len(vals) and (e.callee != "ID" or self.reads_as_id(vals[i]))
-
-    def any_available(self, e) -> bool:
-        """Whether some assignment below ``e`` has a value left to render."""
-        return any(map(self.available, e.assigns))
-
-    def take(self, e: Assignment):
-        i = self.used.get(e.feature, 0)
-        self.used[e.feature] = i + 1
-        return self.values(e.feature)[i]
-
-
-class _Renderer:
-    """One render_ast call: the grammar, the tokens written so far and the
-    problems found, each as the object it is about, a code and a message."""
-
-    def __init__(self, g: Grammar):
-        self.g = g
-        self.flags = g.analysis().flags
-        self.reads_as_id = g.lexer().reads_as_id
-        self.problems: list[tuple[ModelObject, str, str]] = []
-        self.tokens: list[str] = []
-
-    def render_obj(self, obj: ModelObject):
-        rule = self.g.by_name.get(obj.cls.name)
-        if not isinstance(rule, ConcreteRule):
-            self.problems.append((obj, "gr-no-rule",
-                                  f"no concrete rule for class {obj.cls.name!r}"))
-            return
-        cur = _Cursors(obj, self.reads_as_id)
-        self.walk(rule.body, cur)
-        flags = self.flags[rule.name]
-        for f in obj.slots:
-            if f in flags or cur.used.get(f, 0) >= len(cur.values(f)):
-                continue
-            feat = obj.cls.find_feature(f)
-            if not feat.is_attribute and not feat.containment:
-                continue  # cross slots are not the renderer's business
-            self.problems.append((obj, "gr-unset-mandatory",
-                                  f"rule {rule.name!r} cannot emit all values of "
-                                  f"{obj.cls.name}.{f}"))
-
-    def walk(self, e, cur: _Cursors):
-        tokens, problems = self.tokens, self.problems
-        if isinstance(e, Keyword):
-            tokens.append(e.text)
-            return
-        if isinstance(e, Assignment):
-            if e.op == "?":
-                if cur.available(e):
-                    tokens.append(e.keyword)
-                    cur.used[e.feature] = 1
-                return
-            if not cur.available(e):
-                left = cur.values(e.feature)[cur.used.get(e.feature, 0):]
-                why = f"value {left[0]!r} is not an ID" if left else "has no value to render"
-                problems.append((cur.obj, "gr-unset-mandatory",
-                                 f"{cur.obj.cls.name}.{e.feature} {why}"))
-                return
-            value = cur.take(e)
-            if e.callee == "STRING":
-                tokens.append(escape_string(value))
-            elif e.callee in ("ID", "INT"):
-                tokens.append(str(value))
-            else:
-                self.render_obj(value)
-            return
-        if isinstance(e, Sequence):
-            for x in e.items:
-                if isinstance(x, Keyword):
-                    tokens.append(x.text)
-                else:
-                    self.walk(x, cur)
-            return
-        if isinstance(e, Opt):
-            if cur.any_available(e):
-                self.walk(e.inner, cur)
-            return
-        if isinstance(e, Repeat):
-            if e.kind == "+" and not cur.any_available(e):
-                problems.append((cur.obj, "gr-unset-mandatory",
-                                 "'+' repetition has nothing to render"))
-                return
-            while cur.any_available(e):
-                self.walk(e.inner, cur)
-            return
-        # Group: prefer an alternative with actual values, then a pure-keyword
-        # one, then an empty one.
-        for alt in e.alternatives:
-            if cur.any_available(alt):
-                self.walk(alt, cur)
-                return
-        for alt in e.alternatives:
-            if not alt.assigns:
-                self.walk(alt, cur)
-                return
-        if e.nullable:
-            return
-        problems.append((cur.obj, "gr-unset-mandatory", "no renderable alternative in group"))
+def _available(reads, slots: dict, used: dict, reads_as_id) -> bool:
+    """Whether one of the assignment ops ``reads`` has a value left to
+    render: a set flag not written yet, or a value past its feature's use
+    count; an ID assignment's string must read back as an ID (another
+    alternative must carry it)."""
+    for kind, f, name, many, callee, _ in reads:
+        i = used.get(f, 0)
+        if kind is FLAG:
+            if not i and slots.get(name, f.default) is True:
+                return True
+        elif (v := slots.get(name)) is not None and i < (len(v) if many else 1):
+            if callee != "ID" or type(v := v[i] if many else v) is not str or reads_as_id(v):
+                return True
+    return False
 
 
 def _layout(tokens: list[str]) -> str:
@@ -926,7 +928,7 @@ def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) ->
     valid model that render_ast can always emit."""
     if stuck := _unproductive(g):
         raise DiagnosticError(stuck)
-    flags = g.analysis().flags
+    a = g.analysis()
     reserved = {k for k in g.keywords() if k and (k[0].isalpha() or k[0] == "_")}
 
     def rand_id():
@@ -946,29 +948,15 @@ def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) ->
     def gen_rule(name: str, depth: int) -> ModelObject:
         rule = g.by_name[name]
         if isinstance(rule, AbstractRule):
-            alts = list(rule.alternatives)
-            if depth > max_depth:
-                alts.sort(key=_weight)
-                return gen_rule(alts[0], depth + 1)
-            return gen_rule(rng.choice(alts), depth + 1)
+            alts = rule.alternatives  # past max_depth, the least height ends soonest
+            return gen_rule(min(alts, key=lambda x: a.height.get(x, 0)) if depth > max_depth
+                            else rng.choice(alts), depth + 1)
         obj = ModelObject(rule.cls)
         gen(rule.body, obj, depth)
-        for f in flags[name]:
+        for f in a.flags[name]:
             if not obj.is_set(f):
                 obj.set(f, False)
         return obj
-
-    def _weight(rule_name: str) -> int:
-        r = g.by_name[rule_name]
-        if isinstance(r, AbstractRule):
-            return 5
-        return _count_rule_refs(r.body)
-
-    def _count_rule_refs(e) -> int:
-        if isinstance(e, Assignment):
-            return 0 if (e.op == "?" or e.callee in TERMINALS) else 1
-        counts = [_count_rule_refs(x) for x in _children(e)]
-        return max(counts, default=0) if isinstance(e, Group) else sum(counts)
 
     def gen(e, obj, depth):
         if isinstance(e, Keyword):
@@ -1010,13 +998,7 @@ def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) ->
             return
         # Group
         alts = e.alternatives
-        if depth > max_depth:
-            if e.nullable:
-                return
-            keyword_only = [x for x in alts if not x.assigns]
-            if keyword_only:
-                gen(keyword_only[0], obj, depth + 1)
-                return
-        gen(rng.choice(alts), obj, depth + 1)
+        gen(min(alts, key=lambda x: x.height) if depth > max_depth else rng.choice(alts),
+            obj, depth + 1)
 
     return Model(gen_rule(g.entry, 0), g.ast)

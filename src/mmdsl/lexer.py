@@ -133,7 +133,11 @@ class Lexer:
                     word = escape_string(value)
                 append(Token(kind, word, value, start, source))
             elif kind == "INT":
-                append(Token(kind, word, int(word), start, source))
+                try:
+                    append(Token(kind, word, int(word), start, source))
+                except ValueError:  # more digits than int() converts
+                    raise DiagnosticError([error(self.phase, "lexical", "integer literal too long",
+                                                 location=source.location(start))]) from None
             elif kind == "EOF":
                 append(Token(kind, "", None, start, source))
                 return tokens

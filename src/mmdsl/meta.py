@@ -608,11 +608,39 @@ def miscount(obj: ModelObject, f: MetaFeature, count: int) -> str | None:
 def model_equals(a: Model, b: Model) -> bool:
     """Isomorphism: equal class names, equal effective attribute values,
     children pairwise equal in order, and cross references mapping to
-    corresponding objects; classifier stand-ins compare by classifier name."""
+    corresponding objects; classifier stand-ins compare by classifier name.
+    The containment trees are compared on an explicit stack, in preorder."""
     corr: dict[int, ModelObject] = {}
     cross_checks: list[tuple[ModelObject, ModelObject, MetaFeature]] = []
-    if not _trees_equal(a.root, b.root, corr, cross_checks):
-        return False
+    # a pair of objects to compare, or (x, y, f): a cross feature left to check
+    stack: list[tuple] = [(a.root, b.root, None)]
+    while stack:
+        x, y, cross = stack.pop()
+        if cross is not None:
+            cross_checks.append((x, y, cross))
+            continue
+        if x.cls.name != y.cls.name:
+            return False
+        corr[id(x)] = y
+        fx = {f.name: f for f in x.cls.all_features()}
+        fy = {f.name: f for f in y.cls.all_features()}
+        if set(fx) != set(fy):
+            return False
+        todo = []  # in feature order: a subtree before the features after it
+        for name, f in fx.items():
+            if f.is_attribute != fy[name].is_attribute:
+                return False
+            if f.is_attribute:
+                if x.get(name) != y.get(name):
+                    return False
+            elif f.containment:
+                xs, ys = x.values(name), y.values(name)
+                if len(xs) != len(ys):
+                    return False
+                todo += [(cx, cy, None) for cx, cy in zip(xs, ys)]
+            else:
+                todo.append((x, y, f))
+        stack += reversed(todo)
     for x, y, f in cross_checks:
         xs, ys = x.values(f.name), y.values(f.name)
         if len(xs) != len(ys):
@@ -632,36 +660,6 @@ def model_equals(a: Model, b: Model) -> bool:
             else:
                 if corr.get(id(tx)) is not ty:
                     return False
-    return True
-
-
-def _trees_equal(x: ModelObject, y: ModelObject, corr: dict[int, ModelObject],
-                 cross_checks: list) -> bool:
-    """Containment trees pairwise equal; records correspondences and the
-    cross references left to check."""
-    if x.cls.name != y.cls.name:
-        return False
-    corr[id(x)] = y
-    fx = {f.name: f for f in x.cls.all_features()}
-    fy = {f.name: f for f in y.cls.all_features()}
-    if set(fx) != set(fy):
-        return False
-    for name, f in fx.items():
-        g = fy[name]
-        if f.is_attribute != g.is_attribute:
-            return False
-        if f.is_attribute:
-            if x.get(name) != y.get(name):
-                return False
-        elif f.containment:
-            xs, ys = x.values(name), y.values(name)
-            if len(xs) != len(ys):
-                return False
-            for cx, cy in zip(xs, ys):
-                if not _trees_equal(cx, cy, corr, cross_checks):
-                    return False
-        else:
-            cross_checks.append((x, y, f))
     return True
 
 

@@ -35,7 +35,7 @@ _LEXER = Lexer(reserved={"true", "false"},
 
 # The constructs load_model matches; ``lastgroup`` names the alternative. A
 # name is the lexer's ID, cut off by (?!\w) where it could go on; it may also
-# start with a numeric non-digit such as '²', which no valid metamodel names.
+# start with a numeric non-digit such as '²', which _names keeps from resolving.
 _S, _N = _SKIP, r"(?!(?:true|false)(?!\w))[^\W\d]\w*"
 _HEAD = rf"(?P<cls>{_N}){_S}#{_S}(?P<id>\d+){_S}(?P<obj>\{{)"
 _VALUE = (rf"(?P<true>true)(?!\w)|(?P<false>false)(?!\w)|{_HEAD}"
@@ -124,7 +124,19 @@ class _Dumper:
 
 def load_model(text: str, mm: Metamodel, extra_metamodels=(), file: str = "<model>") -> Model:
     """Parse a dump back; classifier references name ``mm``, ``extra_metamodels`` or ecore."""
-    return Model(_Loader(text, file, [mm, *extra_metamodels, builtin_ecore()]).load(), mm)
+    loader = _Loader(text, file, [mm, *extra_metamodels, builtin_ecore()])
+    try:
+        return Model(loader.load(), mm)
+    except ValueError:  # an integer with more digits than int() converts, which the lexer reports
+        loader.stream(0)
+        raise
+
+
+def _names(table: dict) -> dict:
+    """``table`` without the names the lexer reads as no ID: each segment of
+    a name must start with a letter or '_', not a numeric character like '²'."""
+    return {k: v for k, v in table.items()
+            if all(s[:1].isalpha() or s[:1] == "_" for s in k.split("::"))}
 
 
 class _Loader:
@@ -140,6 +152,7 @@ class _Loader:
                 self.refs[name] = self.refs[f"{pkg.name}::{name}"] = c
                 if c.is_class:
                     self.classes[name] = c
+        self.refs, self.classes, self.feats = _names(self.refs), _names(self.classes), {}
 
     def load(self) -> ModelObject:
         text, classes, by_id = self.text, self.classes, self.by_id
@@ -161,7 +174,9 @@ class _Loader:
                     self.diagnose(pat, at, obj)
                 up.append((obj, feats, feat, items, fat))
                 obj = by_id[oid] = ModelObject(cls)
-                pat, at, feats, items = _FIELD, m.end(), cls.tables().by_name, None
+                feats = self.feats.get(cls) or self.feats.setdefault(
+                    cls, _names(cls.tables().by_name))
+                pat, at, items = _FIELD, m.end(), None
                 continue
             elif kind == "end":
                 value, (obj, feats, feat, items, fat) = obj, up.pop()

@@ -215,6 +215,22 @@ class TestRenderCmds:
                    rendered, "--out", d / "s2.astm") == 0
         assert (d / "s2.astm").read_text() == (d / "s.astm").read_text()
 
+    def test_deep_qualified_name_renders(self, selfhost_dir):
+        """A 3,000-deep QualifiedName chain renders in a fresh interpreter,
+        at its default recursion limit."""
+        d = selfhost_dir
+        run("derive", "--target", d / "xf.mm", "--xf", d / "xf.xf",
+            "--out", d / "xf.ast.mm", "--trace", d / "xf.trace")
+        depth = 3000
+        heads = " subQN = ".join(f'QualifiedName #{i + 3} {{ name = "n{i}"' for i in range(depth))
+        (d / "deep.astm").write_text(
+            f"TransformationAS #1 {{ actions = [ SkipClassAS #2 {{ target = {heads}"
+            + " }" * depth + " } ] }\n")
+        done = run_process("render", "--grammar", d / "xf.gr", "--ast", d / "xf.ast.mm",
+                           d / "deep.astm")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "skip " + " :: ".join(f"n{i}" for i in range(depth)) + " ;\n"
+
     def test_to_text_feeds_the_forward_pipeline(self, selfhost_dir, tmp_path, capsys):
         d = selfhost_dir
         run("derive", "--target", d / "xf.mm", "--xf", d / "xf.xf",

@@ -17,6 +17,7 @@ from mmdsl.meta import (
     MetaAttribute, MetaClass, Metamodel, Model, ModelObject, Tree, iter_tree, model_equals,
     validate_model,
 )
+from mmdsl.modeltext import load_model
 from mmdsl.xf import derive_ast_metamodel, parse_transformation
 from test_meta import ref_validate_model
 
@@ -1176,6 +1177,19 @@ class TestFiniteText:
             assert check_grammar(g) == []
             generate_random_model(g, random.Random(1))
 
+    def test_least_height_ends(self):
+        """Past max_depth the abstract rule takes B, the alternative of least
+        height; A, with fewer rule references, must call X again."""
+        ast = parse_metamodel("abstract class X { } class A extends X { val X x; }\n"
+                              "class B extends X { val C c; val C d; } class C { }", "chain")
+        g = parse_grammar('Abstract X : A | B ; A : "a" x = X ; '
+                          'B : "b" c = C d = C ; C : "c" ;', ast)
+        assert check_grammar(g) == [] == ref_check_grammar(g)
+        assert [g.analysis().height[r] for r in "XABC"] == [2, 3, 2, 1]
+        for seed in range(30):
+            m = generate_random_model(g, random.Random(seed), max_depth=3)
+            assert model_equals(parse_text(render_ast(m, g), g), m)
+
     @settings(max_examples=150, deadline=None)
     @given(text=free_part_grammars(), seed=st.integers(0, 2 ** 32 - 1))
     def test_random_grammars(self, bounded_ast, text, seed):
@@ -1292,3 +1306,95 @@ class TestValidByConstruction:
         monkeypatch.undo()
         assert calls == []
         assert all(model_equals(a, b) for a, b in zip(models, expected))
+
+
+class TestStack:
+    """parse_text and render_ast run the compiled code on an explicit stack:
+    nesting is bounded by memory, not by the recursion limit."""
+
+    def test_deep_qualified_name(self, selfhost):
+        g = selfhost[3]
+        text = "skip " + " :: ".join(f"n{i}" for i in range(5000)) + " ;\n"
+        m = parse_text(text, g)
+        assert render_ast(m, g) == text
+        assert model_equals(parse_text(text, g), m)
+
+    def test_left_recursion_is_a_diagnostic(self, toy_ast):
+        """A left-recursive grammar passes parse_grammar; parse_text reports
+        the left recursion where it would open frames without end."""
+        g = parse_grammar('Doc : ( items += Node )* ; Abstract Node : Pair | Leaf ; '
+                          'Leaf : "leaf" ; Pair : left = Node "x" ;', toy_ast)
+        doc, node, leaf = (toy_ast.classifier(n) for n in ("Doc", "Node", "Leaf"))
+        loop = Grammar([ConcreteRule("Doc", doc, Repeat(Assignment("items", "+=", "Node"), "*")),
+                        AbstractRule("Node", node, ["Node", "Leaf"]),
+                        ConcreteRule("Leaf", leaf, Keyword("leaf"))], toy_ast)
+        for grammar, rule in [(g, "Pair"), (loop, "Node")]:
+            assert [d.code for d in check_grammar(grammar)][:1] == ["gr-left-recursion"]
+            with pytest.raises(DiagnosticError) as exc:
+                parse_text("leaf x", grammar)
+            (d,) = exc.value.diagnostics
+            assert (d.code, d.message, d.location.column) == (
+                "gr-left-recursion", f"rule {rule!r} is left-recursive", 1)
+
+    def test_containment_cycle_is_a_diagnostic(self, toy_ast):
+        g = parse_grammar('Doc : ( items += Node )* ; Abstract Node : Leaf | Pair ; '
+                          'Leaf : "leaf" ; Pair : "pair" ( left = Node )? ;', toy_ast)
+        pair = ModelObject(toy_ast.classifier("Pair"))
+        pair.slots["left"] = pair
+        doc = ModelObject(toy_ast.classifier("Doc"), items=[pair])
+        with pytest.raises(DiagnosticError) as exc:
+            render_ast(Model(doc, toy_ast), g)
+        assert [(d.code, d.path, d.message) for d in exc.value.diagnostics] == [
+            ("model-containment", "/items[0]", "object of class Pair is contained more than once")]
+
+
+class TestRenderUnvalidated:
+    """render_ast reads every value through the op that writes it; a value
+    that does not fit that op is a model-kind problem, worded as
+    validate_model words it, and rendering goes on."""
+
+    def problems(self, m, g):
+        with pytest.raises(DiagnosticError) as exc:
+            render_ast(m, g)
+        got = [(d.code, d.message, d.path) for d in exc.value.diagnostics]
+        assert set(got) <= {(d.code, d.message, d.path) for d in validate_model(m)}
+        return got
+
+    def test_loaded_dump(self, selfhost):
+        _, ast, _, g = selfhost
+        m = load_model("TransformationAS #1 { actions = [ SkipClassAS #2 { target = "
+                       "QualifiedName #3 { name = 7 } }, 5 ] }", ast)
+        assert self.problems(m, g) == [
+            ("model-kind", "TransformationAS.actions: expected an object, found 5", "/"),
+            ("model-kind", "QualifiedName.name: value 7 does not fit attribute type String",
+             "/actions[0]/target")]
+
+    def test_each_terminal(self, toy_ast):
+        g = parse_grammar('Doc : ( items += Node )* ; Abstract Node : Leaf | Pair ; '
+                          'Leaf : "leaf" name = ID ( tags += STRING )* ; '
+                          'Pair : "pair" n = INT ;', toy_ast)
+        leaf, pair = toy_ast.classifier("Leaf"), toy_ast.classifier("Pair")
+        items = [ModelObject(leaf, name=5, tags=["ok", 3]), ModelObject(pair, n="7"),
+                 ModelObject(pair, n=True), ModelObject(leaf, name="fine")]
+        m = Model(ModelObject(toy_ast.classifier("Doc"), items=items), toy_ast)
+        assert self.problems(m, g) == [
+            ("model-kind", "Leaf.name: value 5 does not fit attribute type String", "/items[0]"),
+            ("model-kind", "Leaf.tags: value 3 does not fit attribute type String", "/items[0]"),
+            ("model-kind", "Pair.n: value '7' does not fit attribute type int", "/items[1]"),
+            ("model-kind", "Pair.n: value True does not fit attribute type int", "/items[2]")]
+
+
+def test_render_ast_makes_no_lookup_by_name(css, selfhost, monkeypatch):
+    """render_ast reads slots through the features its code holds: on the
+    sample ASTs it calls MetaClass.find_feature not once."""
+    docs = [(css[3], (SAMPLES / "css" / f).read_text()) for f in ("grouped.css", "split.css")]
+    docs.append((selfhost[3], (SAMPLES / "selfhost" / "xf.xf").read_text()))
+    models = [(parse_text(text, g), g) for g, text in docs]
+    calls = []
+    find = MetaClass.find_feature
+    monkeypatch.setattr(MetaClass, "find_feature",
+                        lambda cls, name: calls.append(name) or find(cls, name))
+    texts = [render_ast(m, g) for m, g in models]
+    monkeypatch.undo()
+    assert calls == []
+    assert texts == [ref_render_ast(m, g) for m, g in models]

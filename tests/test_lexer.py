@@ -352,3 +352,36 @@ class TestSkip:
         pattern = re.compile(lexer_module._SKIP + "x", re.DOTALL)
         for text in ("// x\n y", "/* x */ y", "/* x */ // x\n y", "/* x */ */ y"):
             assert pattern.match(text) is None
+
+
+class TestLongIntegers:
+    """An INT literal with more digits than int() converts is a located
+    lexical error in every format, not a ValueError."""
+
+    DIGITS = "1" * 5000
+
+    def check(self, call, text):
+        with pytest.raises(DiagnosticError) as exc:
+            call(text)
+        (d,) = exc.value.diagnostics
+        assert (d.code, d.message, d.location.line, d.location.column) == (
+            "lexical", "integer literal too long", 1, text.index(self.DIGITS) + 1)
+
+    def test_lexer(self):
+        self.check(LEX.tokenize, f"x {self.DIGITS} y")
+
+    def test_metamodel_default(self):
+        self.check(lambda t: emfatic.parse_metamodel(t, "m"),
+                   f"class A {{ attr int n = {self.DIGITS}; }}")
+
+    def test_transformation(self):
+        target = emfatic.parse_metamodel("class A { }", "m")
+        self.check(lambda t: xf.parse_transformation(t, target),
+                   f"create class B {{ attr String[0..{self.DIGITS}] x; }}")
+
+    def test_model_dump(self):
+        mm = emfatic.parse_metamodel("class Node { attr int count; ref Node link; }", "m")
+        for text in [f"Node #1 {{ count = {self.DIGITS} }}", f"Node #{self.DIGITS} {{ }}",
+                     f"Node #1 {{ count = -{self.DIGITS} }}",
+                     f"Node #1 {{ link = -> #{self.DIGITS} }}"]:
+            self.check(lambda t: modeltext.load_model(t, mm), text)

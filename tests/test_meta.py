@@ -250,6 +250,27 @@ class TestModelEquals:
         assert model_equals(Model(a_root, mm), Model(b_root, mm))
         assert not model_equals(Model(a_root, mm), Model(c_root, mm))
 
+    def test_deep_chain(self):
+        """The trees are compared on an explicit stack: a 5,000-deep chain
+        is far below the recursion limit. Each link of the chain points at
+        its parent, and the last one's name may differ."""
+        mm, node = simple_mm()
+
+        def chain(last):
+            objs = [ModelObject(node, name=f"n{i}") for i in range(5000)]
+            for parent, child in zip(objs, objs[1:]):
+                child.set("link", parent)
+                parent.set("children", [child])
+            objs[-1].set("name", last)
+            return Model(objs[0], mm)
+
+        assert model_equals(chain("end"), chain("end"))
+        assert not model_equals(chain("end"), chain("other"))
+        relinked = chain("end")
+        objs = iter_tree(relinked.root)
+        objs[-1].set("link", objs[1])
+        assert not model_equals(chain("end"), relinked)
+
 
 # ---------------------------------------------------------------------------
 # Tree against the recursive walkers it replaced. They are kept here as

@@ -636,3 +636,23 @@ class RefReader:
         while stream.accept_kw("::"):
             qname += "::" + stream.expect("ID").text
         return classifier_object(self.resolve_qname(qname, seg_tok))
+
+
+class TestNumericFirstCharacter:
+    """A name whose first character is numeric but no decimal digit, such
+    as '²', is no ID to the lexer; the loader refuses it the same way even
+    where an (invalid) metamodel declares it."""
+
+    def test_class_feature_and_reference(self):
+        odd = MetaClass("²x")
+        node = MetaClass("Node", features=[
+            MetaAttribute("²y", 0, 1, type=INT),
+            MetaReference("type", 0, 1, type=builtin_ecore().classifier("EClassifier"))])
+        mm = Metamodel("m", [odd, node])
+        for text, column in [("²x #1 { }", 1), ("Node #1 { ²y = 3 }", 11),
+                             ("Node #1 { type = -> m::²x }", 24)]:
+            with pytest.raises(DiagnosticError) as exc:
+                load_model(text, mm)
+            assert [d.render() for d in exc.value.diagnostics] == [
+                f"<model>:1:{column}: error[lexical]: unexpected character '²'"]
+        assert load_model("Node #1 { type = -> m::Node }", mm).root.get("type").represents is node
