@@ -31,13 +31,14 @@ sequence).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, DiagnosticError, SourceLocation, error
 from .lexer import Lexer, Token, TokenStream, escape_string
 from .meta import (
-    MetaAttribute, MetaClass, Metamodel, Model, ModelObject, Tree, is_subtype, miscount,
-    validate_metamodel, validate_model,
+    UNBOUNDED, MetaAttribute, MetaClass, Metamodel, Model, ModelObject, Tree, is_subtype,
+    miscount, validate_metamodel, validate_model,
 )
 
 TERMINALS = ("ID", "STRING", "INT")
@@ -993,7 +994,16 @@ def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) ->
             if depth <= max_depth:
                 while rng.random() < 0.5 and count < 4:
                     count += 1
-            for _ in range(count):
+            # a pass adds at most k values to a feature named by k '+=' assignments
+            # below it: stop before a pass could exceed a finite upper bound
+            adds = Counter(x.feature for x in e.inner.assigns if x.op == "+=")
+            bounded = [(f, k) for name, k in adds.items()
+                       if (f := obj.cls.find_feature(name)) is not None
+                       and f.upper is not UNBOUNDED]
+            for i in range(count):
+                if (i or e.kind == "*") and any(
+                        len(obj.values_of(f)) + k > f.upper for f, k in bounded):
+                    break
                 gen(e.inner, obj, depth + 1)
             return
         # Group

@@ -21,8 +21,8 @@ freely across threads; a Model is single-writer.
 
 A ``Tree`` is one walk of a containment tree with an explicit stack: its
 objects in preorder, and each object's container and path without a search.
-``iter_tree``, ``validate_model`` and ``transform``'s diagnostics and namers
-each read one Tree.
+``iter_tree``, ``validate_model``, ``transform``'s diagnostics and namers, and
+the walk of ``transform_model_to_ast`` each read one Tree.
 
 The builtin ``ecore`` package provides the reflective classifiers user
 metamodels may reference (EClassifier, EClass, EDataType, ...). Metamodel
@@ -35,6 +35,7 @@ are kept on the classifier they stand for, so they live exactly as long.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import total_ordering
 
@@ -54,10 +55,12 @@ class _Unbounded:
 
 UNBOUNDED = _Unbounded()
 
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
 def is_identifier(name: str) -> bool:
-    return bool(name) and (name[0].isalpha() or name[0] == "_") and all(
-        c.isalnum() or c == "_" for c in name
-    ) and name.isascii()
+    """An ASCII letter or '_', then ASCII letters, digits and '_'."""
+    return _IDENTIFIER.fullmatch(name) is not None
 
 
 @dataclass(eq=False)
@@ -135,7 +138,7 @@ class _Tables:
     the class or of a supertype was edited after that count."""
 
     __slots__ = ("edits", "supertypes", "supertype_set", "features", "by_name",
-                 "containments", "bounded")
+                 "containments", "bounded", "id_names")
 
     def __init__(self, cls: "MetaClass"):
         self.edits = _edits
@@ -165,6 +168,7 @@ class _Tables:
         # the features whose effective value count can break their bounds
         self.bounded = tuple(
             f for f in self.features if f.lower or (f.many and f.upper is not UNBOUNDED))
+        self.id_names = None  # by_name as load_model reads it, filled on its first use
 
 
 class MetaClass:

@@ -35,7 +35,8 @@ _LEXER = Lexer(reserved={"true", "false"},
 
 # The constructs load_model matches; ``lastgroup`` names the alternative. A
 # name is the lexer's ID, cut off by (?!\w) where it could go on; it may also
-# start with a numeric non-digit such as '²', which _names keeps from resolving.
+# start with a numeric non-digit such as '²', which no name table the loader
+# reads holds (_reads_as_id), so the lexer reports it.
 _S, _N = _SKIP, r"(?!(?:true|false)(?!\w))[^\W\d]\w*"
 _HEAD = rf"(?P<cls>{_N}){_S}#{_S}(?P<id>\d+){_S}(?P<obj>\{{)"
 _VALUE = (rf"(?P<true>true)(?!\w)|(?P<false>false)(?!\w)|{_HEAD}"
@@ -132,11 +133,20 @@ def load_model(text: str, mm: Metamodel, extra_metamodels=(), file: str = "<mode
         raise
 
 
-def _names(table: dict) -> dict:
-    """``table`` without the names the lexer reads as no ID: each segment of
-    a name must start with a letter or '_', not a numeric character like '²'."""
-    return {k: v for k, v in table.items()
-            if all(s[:1].isalpha() or s[:1] == "_" for s in k.split("::"))}
+def _reads_as_id(name: str) -> bool:
+    """False for a name that _N may match but the lexer reads no ID in: one
+    with a ``::`` segment that starts with a numeric character like '²'. No
+    such character is ASCII."""
+    return name.isascii() or all(s[:1].isalpha() or s[:1] == "_" for s in name.split("::"))
+
+
+def _fields(cls: MetaClass) -> dict:
+    """``cls``'s name -> feature table without the names _reads_as_id refuses,
+    built once per version of the class's tables."""
+    t = cls.tables()
+    if t.id_names is None:
+        t.id_names = {k: f for k, f in t.by_name.items() if _reads_as_id(k)}
+    return t.id_names
 
 
 class _Loader:
@@ -148,11 +158,16 @@ class _Loader:
         self.classes: dict[str, MetaClass] = {}
         self.refs: dict[str, Classifier] = {}
         for pkg in reversed(packages):
+            qualify = _reads_as_id(pkg.name)
             for name, c in {c.name: c for c in reversed(pkg.classifiers)}.items():
-                self.refs[name] = self.refs[f"{pkg.name}::{name}"] = c
+                if not _reads_as_id(name):
+                    continue  # the lexer reads no ID here
+                self.refs[name] = c
+                if qualify:
+                    self.refs[f"{pkg.name}::{name}"] = c
                 if c.is_class:
                     self.classes[name] = c
-        self.refs, self.classes, self.feats = _names(self.refs), _names(self.classes), {}
+        self.feats: dict[MetaClass, dict] = {}
 
     def load(self) -> ModelObject:
         text, classes, by_id = self.text, self.classes, self.by_id
@@ -174,8 +189,7 @@ class _Loader:
                     self.diagnose(pat, at, obj)
                 up.append((obj, feats, feat, items, fat))
                 obj = by_id[oid] = ModelObject(cls)
-                feats = self.feats.get(cls) or self.feats.setdefault(
-                    cls, _names(cls.tables().by_name))
+                feats = self.feats.get(cls) or self.feats.setdefault(cls, _fields(cls))
                 pat, at, items = _FIELD, m.end(), None
                 continue
             elif kind == "end":

@@ -22,9 +22,11 @@ key-value file and covers both shipped examples without user code. A
 registry is immutable once built and produces a fresh seeded Namespace per
 run, so distinct runs may execute concurrently.
 
-transform_model_to_ast walks the opposite direction: prototype instances
-yield image instances, and cross references are serialized back into
-textual payloads by naming callbacks.
+transform_model_to_ast walks the opposite direction over one meta.Tree of
+the target model, the Tree's preorder being its explicit stack: prototype
+instances yield image instances, slots are read through the target feature
+and written through the image feature each instruction holds, and cross
+references are serialized back into textual payloads by a naming callback.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from .diagnostics import Diagnostic, DiagnosticError, SourceLocation, error
 from .meta import (
     Classifier, MetaAttribute, MetaClass, MetaDataType, MetaFeature, Metamodel,
-    Model, ModelObject, Tree, builtin_ecore, classifier_object, find_classifier_home,
+    Model, ModelObject, Tree, builtin_ecore, classifier_object,
     is_subtype, resolve_classifier, validate_model,
 )
 from .xf import Trace
@@ -53,6 +55,10 @@ class Instruction:
     image_feature: object
     target_feature: object
     textual: Classifier | None = None
+    # for a cross reference whose textual type is a class: the features that
+    # carry a qualified name's head segment and its tail (see build_payload_tree)
+    head: MetaFeature | None = None
+    tail: MetaFeature | None = None
 
 
 class TransformPlan:
@@ -131,7 +137,8 @@ def build_plan(trace: Trace, target: Metamodel, ast: Metamodel) -> TransformPlan
                 if textual is None:
                     stale(f"trace names unknown textual type {rec.textual!r}")
                     continue
-                by_feature[f] = Instruction("cross", f, pf, textual)
+                carrier = _payload_features(textual) if textual.is_class else (None, None)
+                by_feature[f] = Instruction("cross", f, pf, textual, *carrier)
 
     for (icls, fname) in records:
         stale(f"trace records feature {icls}.{fname}, which the AST metamodel lacks")
@@ -265,21 +272,31 @@ def flatten_payload(payload) -> list[str]:
     return segs
 
 
-def build_payload_tree(cls: MetaClass, segments) -> ModelObject:
-    """Inverse of flatten_payload for a qualified-name-shaped created class:
-    one single-valued string attribute plus one self-typed containment."""
+def _payload_features(cls: MetaClass) -> tuple:
+    """The features of a qualified-name-shaped created class: its first
+    single-valued string attribute (the head segment) and its first
+    single-valued containment of its own type (the tail); None where missing."""
     head = next((f for f in cls.all_features()
                  if f.is_attribute and f.type.kind == "string" and not f.many), None)
     tail = next((f for f in cls.containments()
                  if not f.many and is_subtype(cls, f.type)), None)
+    return head, tail
+
+
+def build_payload_tree(cls: MetaClass, head: MetaFeature | None, tail: MetaFeature | None,
+                       segments) -> ModelObject:
+    """Inverse of flatten_payload for a qualified-name-shaped created class
+    whose _payload_features are ``head`` and ``tail``: one object per segment,
+    each the tail of the one before."""
     if head is None or (len(segments) > 1 and tail is None):
         raise DiagnosticError([error("resolve", "reverse-unsupported",
                                      f"class {cls.name!r} cannot carry a qualified name")])
-    obj = ModelObject(cls)
-    obj.set(head.name, segments[0])
-    if len(segments) > 1:
-        obj.set(tail.name, build_payload_tree(cls, segments[1:]))
-    return obj
+    root = obj = ModelObject(cls)
+    obj.slots[head.name] = segments[0]
+    for seg in segments[1:]:
+        obj.slots[tail.name] = obj = ModelObject(cls)
+        obj.slots[head.name] = seg
+    return root
 
 
 class ResolverRegistry:
@@ -340,26 +357,31 @@ def default_namespace_resolver(ctx: ResolutionContext):
     return ctx.namespace.resolve(ctx.scope, segs)
 
 
+_ECORE_CLASSIFIERS = frozenset(builtin_ecore().classifiers)
+
+
 def default_namer(obj: ModelObject, registry: ResolverRegistry, tree: Tree) -> list[str] | None:
     """Textual reference for a target object: classifier stand-ins become
     their (ecore-qualified) names; model objects contribute their name
     attribute prefixed by the names of their scope-opening containers, read
-    up the container chain of ``tree``, the target model's Tree."""
+    up the container chain of ``tree``, the target model's Tree. The name
+    attribute is read from the slots, and looked up in the class's name
+    table only for an object that has that slot set."""
     if obj.represents is not None:
-        home = find_classifier_home(obj.represents, [builtin_ecore()])
-        if home is not None:
+        if obj.represents in _ECORE_CLASSIFIERS:
             return ["ecore", obj.represents.name]
         return [obj.represents.name]
-    attr = registry.name_attribute
-    feat = obj.cls.find_feature(attr)
-    if feat is None or not obj.is_set(attr):
+    attr, slots = registry.name_attribute, obj.slots
+    if attr not in slots or attr not in obj.cls.tables().by_name:
         return None
-    segs = [obj.get(attr)]
+    segs = [slots[attr]]
+    scope_classes = registry.scope_classes
     container = tree.container(obj)
     while container is not None:
-        if container.cls.name in registry.scope_classes and container.is_set(attr):
-            segs.insert(0, container.get(attr))
+        if container.cls.name in scope_classes and attr in container.slots:
+            segs.append(container.slots[attr])
         container = tree.container(container)
+    segs.reverse()
     return segs
 
 
@@ -572,8 +594,14 @@ class _PlacementContext:
 
 def transform_model_to_ast(m: Model, plan: TransformPlan,
                            registry: ResolverRegistry) -> tuple[Model, list[Diagnostic]]:
-    diags: list[Diagnostic] = []
-
+    """The AST image of target model ``m``, with the diagnostics of what has
+    none. The walk is the preorder of one meta.Tree of ``m``, which the namer
+    also reads: a containment instruction makes each child's image, and the
+    walk fills it on reaching the child, so depth costs no Python stack.
+    Slots are read through ``values_of`` (the effective value). ``m`` need
+    not be valid: a value of a containment or cross slot that is no object,
+    or an object contained twice, is located and worded as ``validate_model``
+    words it."""
     root_image = plan.image_for_proto.get(m.root.cls.name)
     if root_image is None:
         raise DiagnosticError([error(
@@ -581,56 +609,56 @@ def transform_model_to_ast(m: Model, plan: TransformPlan,
             f"root class {m.root.cls.name!r} has no AST image; this model cannot be "
             f"rendered back to text")])
 
-    namer, tree = registry.default_namer, Tree(m.root)
-    iroot = _reverse(m.root, tree, plan, lambda obj: namer(obj, registry, tree), diags)
-    return Model(iroot, plan.ast), diags
+    diags: list[Diagnostic] = []
+    tree, namer = Tree(m.root), registry.default_namer
+    image_for_proto, skipped = plan.image_for_proto, plan.skipped
+    iroot = ModelObject(root_image)
+    images = {m.root: iroot}  # target object -> its image, made but maybe not filled yet
 
+    def report(code, message, tobj):
+        diags.append(error("resolve", code, message, path=tree.path(tobj)))
 
-def _reverse(tobj: ModelObject, tree: Tree, plan: TransformPlan, name_of,
-             diags: list[Diagnostic]) -> ModelObject:
-    """The AST image of ``tobj`` and its subtree; ``name_of`` gives the
-    textual reference of a cross-referenced object, ``tree`` the paths of
-    the diagnostics."""
-    image = plan.image_for_proto[tobj.cls.name]
-    iobj = ModelObject(image)
-    for instr in plan.instructions_for(image):
-        name = instr.image_feature.name
-        tname = instr.target_feature.name
-        if instr.kind == "copy":
-            v = tobj.get(tname)
-            if v is None or (instr.target_feature.many and not v):
+    for tobj in tree.objects:
+        iobj = images.get(tobj)
+        if iobj is None:
+            continue  # in no instruction's slot, or below an object that has no image
+        islots = iobj.slots
+        for instr in plan.instructions_for(iobj.cls):
+            f, tf = instr.image_feature, instr.target_feature
+            values = tobj.values_of(tf)
+            if not values:
                 continue
-            iobj.set(name, list(v) if instr.image_feature.many else v)
-        elif instr.kind == "containment":
-            children = []
-            for child in tobj.values(tname):
-                if child.cls.name in plan.skipped:
-                    continue  # skipped classes have no syntax
-                if child.cls.name not in plan.image_for_proto:
-                    diags.append(error("resolve", "reverse-unsupported",
-                                       f"class {child.cls.name!r} has no AST image",
-                                       path=tree.path(child)))
-                    continue
-                children.append(_reverse(child, tree, plan, name_of, diags))
-            if children:
-                iobj.set(name, children if instr.image_feature.many else children[0])
-        else:
-            payloads = []
-            for target in tobj.values(tname):
-                segs = name_of(target)
-                if not segs:
-                    diags.append(error(
-                        "resolve", "reverse-unnamed",
-                        f"no unique textual reference for the {target.cls.name} object in "
-                        f"{tobj.cls.name}.{tname}", path=tree.path(tobj)))
-                    continue
-                if isinstance(instr.textual, MetaDataType):
-                    payloads.append("::".join(segs))
+            if instr.kind == "copy":
+                islots[f.name] = list(values) if f.many or tf.many else values[0]
+                continue
+            out = []
+            for v in values:
+                if not isinstance(v, ModelObject):
+                    report("model-kind",
+                           f"{tobj.cls.name}.{tf.name}: expected an object, found {v!r}", tobj)
+                elif instr.kind == "containment":
+                    if v.cls.name in skipped:
+                        continue  # skipped classes have no syntax
+                    image = image_for_proto.get(v.cls.name)
+                    if image is None:
+                        report("reverse-unsupported", f"class {v.cls.name!r} has no AST image", v)
+                    elif v in images:
+                        report("model-containment",
+                               f"object of class {v.cls.name} is contained more than once", tobj)
+                    else:
+                        images[v] = child = ModelObject(image)
+                        out.append(child)
+                elif not (segs := namer(v, registry, tree)):
+                    report("reverse-unnamed",
+                           f"no unique textual reference for the {v.cls.name} object in "
+                           f"{tobj.cls.name}.{tf.name}", tobj)
+                elif isinstance(instr.textual, MetaDataType):
+                    out.append("::".join(segs))
                 else:
-                    payloads.append(build_payload_tree(instr.textual, segs))
-            if payloads:
-                iobj.set(name, payloads if instr.image_feature.many else payloads[0])
-    return iobj
+                    out.append(build_payload_tree(instr.textual, instr.head, instr.tail, segs))
+            if out:
+                islots[f.name] = out if f.many else out[0]
+    return Model(iroot, plan.ast), diags
 
 
 # ---------------------------------------------------------------------------

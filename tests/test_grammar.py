@@ -1202,6 +1202,30 @@ class TestFiniteText:
         assert not stuck or got[1] == stuck
 
 
+class TestRandomModelBounds:
+    """generate_random_model stops a repetition before a pass could add more
+    values than a feature's finite upper bound allows, so every model it
+    makes renders to text that parses back."""
+
+    AST = ("class Doc { attr int[0..2] xs; attr int[0..3] ys; val Item[0..3] items; }\n"
+           "class Item { attr String name; }")
+
+    def test_repetitions_stop_at_the_upper_bound(self):
+        ast = parse_metamodel(self.AST, "bounds")
+        g = parse_grammar('Doc : "doc" ( xs += INT )* ( "pair" ys += INT ys += INT )* '
+                          '( "item" items += Item )+ ; Item : name = ID ;', ast)
+        counts = set()
+        for seed in range(200):
+            m = generate_random_model(g, random.Random(seed))
+            root = m.root
+            counts.add((len(root.values("xs")), len(root.values("ys")),
+                        len(root.values("items"))))
+            assert validate_model(m) == []
+            assert model_equals(parse_text(render_ast(m, g), g), m)
+        assert max(c[0] for c in counts) == 2 and max(c[2] for c in counts) == 3
+        assert {c[1] for c in counts} == {0, 2}
+
+
 class TestValidByConstruction:
     """parse_text proves all but the bounds once per grammar and checks the
     bounds as it finishes each object; the parser that wrote slots by name

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from mmdsl.diagnostics import error
 from mmdsl.meta import (
     UNBOUNDED, MetaAttribute, MetaClass, Metamodel, MetaReference, Model,
-    ModelObject, Tree, builtin_ecore, classifier_object, is_subtype, iter_tree,
+    ModelObject, Tree, builtin_ecore, classifier_object, is_identifier, is_subtype,
+    iter_tree,
     metamodel_equals, metamodel_isomorphic, model_equals,
     validate_metamodel, validate_model, value_fits,
 )
@@ -128,6 +129,15 @@ class TestValidateMetamodel:
             MetaAttribute("xs", 0, UNBOUNDED, type=STRING, default="d")])
         diags = validate_metamodel(Metamodel("m", [a]))
         assert any(d.code == "mm-bad-default" for d in diags)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(st.sampled_from("aZ_09²éΩ٣ -"), max_size=6) | st.text(max_size=6))
+    def test_identifier_as_the_character_test_read_it(self, name):
+        """is_identifier is one regular expression; the per-character test it
+        replaced is the oracle."""
+        old = bool(name) and (name[0].isalpha() or name[0] == "_") and all(
+            c.isalnum() or c == "_" for c in name) and name.isascii()
+        assert is_identifier(name) == old
 
 
 class TestValidateModel:

@@ -656,3 +656,19 @@ class TestNumericFirstCharacter:
             assert [d.render() for d in exc.value.diagnostics] == [
                 f"<model>:1:{column}: error[lexical]: unexpected character '²'"]
         assert load_model("Node #1 { type = -> m::Node }", mm).root.get("type").represents is node
+
+
+def test_a_feature_added_after_a_load_is_read_by_the_next():
+    """The loader reads each class's current feature table: a feature added
+    after one load_model is known to the next."""
+    node = MetaClass("Node", features=[MetaAttribute("name", 0, 1, type=STRING)])
+    mm = Metamodel("m", [node])
+    assert load_model('Node #1 { name = "a" }', mm).root.get("name") == "a"
+    with pytest.raises(DiagnosticError) as exc:
+        load_model("Node #1 { size = 3 }", mm)
+    assert [d.code for d in exc.value.diagnostics] == ["model-unknown-feature"]
+    node.features.append(MetaAttribute("size", 0, 1, type=INT))
+    assert load_model("Node #1 { size = 3 }", mm).root.get("size") == 3
+    node.features = node.features[:1]
+    with pytest.raises(DiagnosticError):
+        load_model("Node #1 { size = 3 }", mm)

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from mmdsl.diagnostics import DiagnosticError
 from mmdsl.emfatic import parse_metamodel
 from mmdsl.grammar import parse_grammar, parse_text, render_ast
-from mmdsl.modeltext import dump_model
+from mmdsl.modeltext import dump_model, load_model
 from mmdsl.meta import (
-    Model, ModelObject, Tree, builtin_ecore, classifier_object, model_equals,
-    validate_model,
+    MetaClass, MetaDataType, Model, ModelObject, Tree, builtin_ecore, classifier_object,
+    model_equals, validate_model,
 )
 from mmdsl.transform import (
     DEFER, Namespace, ResolverRegistry, _Forward, build_plan, flatten_payload,
@@ -696,3 +696,233 @@ class TestLifetimes:
         del example, target, ast
         gc.collect()
         assert [r() for r in refs if r() is not None] == []
+
+
+def ref_model_to_ast(m, plan, registry):
+    """The recursive reverse that transform_model_to_ast replaced: it reads
+    and writes every slot by feature name and names cross-referenced objects
+    with the namer that prepended each scope segment."""
+
+    def name_of(obj):
+        if obj.represents is not None:
+            if any(c is obj.represents for c in builtin_ecore().classifiers):
+                return ["ecore", obj.represents.name]
+            return [obj.represents.name]
+        attr = registry.name_attribute
+        if obj.cls.find_feature(attr) is None or not obj.is_set(attr):
+            return None
+        segs, container = [obj.get(attr)], tree.container(obj)
+        while container is not None:
+            if container.cls.name in registry.scope_classes and container.is_set(attr):
+                segs.insert(0, container.get(attr))
+            container = tree.container(container)
+        return segs
+
+    def payload(cls, segments):
+        head = next(f for f in cls.all_features()
+                    if f.is_attribute and f.type.kind == "string" and not f.many)
+        tail = next((f for f in cls.containments() if not f.many and f.type is cls), None)
+        obj = ModelObject(cls)
+        obj.set(head.name, segments[0])
+        if len(segments) > 1:
+            obj.set(tail.name, payload(cls, segments[1:]))
+        return obj
+
+    def reverse(tobj):
+        image = plan.image_for_proto[tobj.cls.name]
+        iobj = ModelObject(image)
+        for instr in plan.instructions_for(image):
+            name, tname = instr.image_feature.name, instr.target_feature.name
+            if instr.kind == "copy":
+                v = tobj.get(tname)
+                if v is None or (instr.target_feature.many and not v):
+                    continue
+                iobj.set(name, list(v) if instr.image_feature.many else v)
+                continue
+            out = []
+            for v in tobj.values(tname):
+                if instr.kind == "containment":
+                    if v.cls.name in plan.skipped:
+                        continue
+                    if v.cls.name not in plan.image_for_proto:
+                        diags.append(("reverse-unsupported", tree.path(v)))
+                        continue
+                    out.append(reverse(v))
+                elif not (segs := name_of(v)):
+                    diags.append(("reverse-unnamed", tree.path(tobj)))
+                elif isinstance(instr.textual, MetaDataType):
+                    out.append("::".join(segs))
+                else:
+                    out.append(payload(instr.textual, segs))
+            if out:
+                iobj.set(name, out if instr.image_feature.many else out[0])
+        return iobj
+
+    diags, tree = [], Tree(m.root)
+    return Model(reverse(m.root), plan.ast), diags
+
+
+def _reverse_outcome(m, plan, registry):
+    ast_model, diags = transform_model_to_ast(m, plan, registry)
+    return dump_model(ast_model), sorted((d.code, d.path) for d in diags)
+
+
+@pytest.fixture(scope="module")
+def nested_lang():
+    """Packages nest in packages, and a class names its supertype by a
+    qualified name read from the package scopes."""
+    target = parse_metamodel(
+        "class Model { val Package[*] packages; }\n"
+        "class Package { attr String name; val Package[*] packages; val Class[*] classes; }\n"
+        "class Class { attr String name; ref Class super; }\n", "nest")
+    t = parse_transformation(
+        "create class QualifiedName { attr String name; val QualifiedName subQN; }\n"
+        "refer img(Class) as QualifiedName;\n", target)
+    ast, trace = derive_ast_metamodel(target, t)
+    g = parse_grammar(
+        "ModelAS : ( packages += PackageAS )* ;\n"
+        'PackageAS : "package" name = ID "{" ( packages += PackageAS )* '
+        '( classes += ClassAS )* "}" ;\n'
+        'ClassAS : "class" name = ID ( "extends" super = QualifiedName )? ";" ;\n'
+        'QualifiedName : name = ID ( "::" subQN = QualifiedName )? ;\n', ast)
+    plan = build_plan(trace, target, ast)
+    registry = namespace_registry({"scope.classes": "Package"}, target, ast)
+    return target, g, plan, registry
+
+
+def _package_tree(rng, target, depth):
+    """A random model of nested packages whose classes extend random classes;
+    one class in ten has no name, so a reference to it has no textual form."""
+    model = ModelObject(target.classifier("Model"))
+    pkg_cls, class_cls = target.classifier("Package"), target.classifier("Class")
+    all_classes = []
+
+    def package(name, level):
+        p = ModelObject(pkg_cls, name=name)
+        for i in range(rng.randint(0, 3)):
+            c = ModelObject(class_cls, name=f"C{i}" if rng.random() < 0.9 else None)
+            p.add("classes", c)
+            all_classes.append(c)
+        if level < depth:
+            for i in range(rng.randint(0, 2)):
+                p.add("packages", package(f"p{i}", level + 1))
+        return p
+
+    for i in range(rng.randint(1, 3)):
+        model.add("packages", package(f"p{i}", 0))
+    for c in all_classes:
+        if rng.random() < 0.6:
+            c.set("super", rng.choice(all_classes))
+    return Model(model, target)
+
+
+class TestReverseAgainstReference:
+    """transform_model_to_ast gives the same AST (as a dump) and the same
+    diagnostics as the recursive reverse it replaced."""
+
+    def test_random_selfhost_models(self, selfhost):
+        target, t, ast, trace, g, plan, registry = selfhost
+        rng = random.Random(7)
+        for _ in range(40):
+            m = _random_target_model(rng, target, ast)
+            ref, ref_diags = ref_model_to_ast(m, plan, registry)
+            assert _reverse_outcome(m, plan, registry) == (dump_model(ref), sorted(ref_diags))
+
+    def test_random_package_trees(self, nested_lang):
+        target, g, plan, registry = nested_lang
+        rng, unnamed = random.Random(11), 0
+        for _ in range(40):
+            m = _package_tree(rng, target, rng.randint(0, 4))
+            ref, ref_diags = ref_model_to_ast(m, plan, registry)
+            assert _reverse_outcome(m, plan, registry) == (dump_model(ref), sorted(ref_diags))
+            unnamed += bool(ref_diags)
+            if all(o.is_set("name") for o in Tree(m.root).objects[1:]):
+                assert model_equals(parse_text(render_ast(ref, g), g),
+                                    transform_model_to_ast(m, plan, registry)[0])
+        assert 0 < unnamed < 40
+
+
+class TestReverseStack:
+    def test_5000_deep_packages(self, nested_lang):
+        """Packages 4,999 deep hold a class that a class of the outermost
+        package extends: the walk and the namer take no Python stack per
+        level, and the 5,000-segment name renders."""
+        target, g, plan, registry = nested_lang
+        pkg_cls, class_cls = target.classifier("Package"), target.classifier("Class")
+        inner = ModelObject(class_cls, name="Inner")
+        outer = ModelObject(class_cls, name="Outer", super=inner)
+        top = p = ModelObject(pkg_cls, name="p0", classes=[outer])
+        for i in range(1, 4999):
+            q = ModelObject(pkg_cls, name=f"p{i}")
+            p.add("packages", q)
+            p = q
+        p.add("classes", inner)
+        m = Model(ModelObject(target.classifier("Model"), packages=[top]), target)
+        ast_model, diags = transform_model_to_ast(m, plan, registry)
+        assert diags == []
+        name = [f"p{i}" for i in range(4999)] + ["Inner"]
+        super_name = ast_model.root.values("packages")[0].values("classes")[0].get("super")
+        assert flatten_payload(super_name) == name
+        text = render_ast(ast_model, g)
+        assert "class Outer extends " + " :: ".join(name) + " ;" in text
+
+
+class TestReverseUnvalidated:
+    """A model validate_model rejects reverses to diagnostics, not a traceback:
+    a value of a containment or cross slot that is no object is model-kind,
+    worded as validate_model words it, at the object's path."""
+
+    def test_non_objects(self, selfhost):
+        target, t, ast, trace, g, plan, registry = selfhost
+        m = load_model("Transformation #1 { actions = [ SkipClass #2 { target = 5 }, 7, "
+                       'SkipClass #3 { target = "x" } ] }', target)
+        _, diags = transform_model_to_ast(m, plan, registry)
+        got = [(d.code, d.message, d.path) for d in diags]
+        assert got == [
+            ("model-kind", "Transformation.actions: expected an object, found 7", "/"),
+            ("model-kind", "SkipClass.target: expected an object, found 5", "/actions[0]"),
+            ("model-kind", "SkipClass.target: expected an object, found 'x'", "/actions[2]")]
+        assert set(got) <= {(d.code, d.message, d.path) for d in validate_model(m)}
+
+    def test_containment_cycle(self, nested_lang):
+        target, g, plan, registry = nested_lang
+        p = ModelObject(target.classifier("Package"), name="p")
+        p.slots["packages"] = [p]
+        m = Model(ModelObject(target.classifier("Model"), packages=[p]), target)
+        _, diags = transform_model_to_ast(m, plan, registry)
+        assert [(d.code, d.message, d.path) for d in diags] == [
+            ("model-containment", "object of class Package is contained more than once",
+             "/packages[0]")]
+
+
+def test_model_to_ast_makes_no_lookup_by_name(css, selfhost, monkeypatch):
+    """transform_model_to_ast reads and writes slots through the features
+    the plan's instructions hold: reversing the sample models calls
+    MetaClass.find_feature not once. The CSS root has no image, so each of
+    its Declarations is also reversed as a model of its own."""
+    ctarget, _, _, _, cg, cplan, cregistry = css
+    target, t, ast, trace, g, plan, registry = selfhost
+    models = [(transformation_to_model(t, target, ast), plan, registry)]
+    css_roots = []
+    for name in ("grouped.css", "split.css"):
+        m, diags = transform_ast_to_model(parse_text((SAMPLES / "css" / name).read_text(), cg),
+                                          cplan, cregistry)
+        assert not diags
+        css_roots.append(m)
+        models += [(Model(d, ctarget), cplan, cregistry)
+                   for s in m.root.values("selectors") for d in s.values("declarations")]
+    calls = []
+    find = MetaClass.find_feature
+    monkeypatch.setattr(MetaClass, "find_feature",
+                        lambda cls, name: calls.append(name) or find(cls, name))
+    reversed_models = [transform_model_to_ast(*args) for args in models]
+    refused = []
+    for m in css_roots:
+        with pytest.raises(DiagnosticError) as exc:
+            transform_model_to_ast(m, cplan, cregistry)
+        refused += [d.code for d in exc.value.diagnostics]
+    monkeypatch.undo()
+    assert calls == []
+    assert refused == ["reverse-unsupported"] * 2 and len(models) > 3
+    assert [(dump_model(a), diags) for a, diags in reversed_models] == [
+        (dump_model(ref_model_to_ast(*args)[0]), []) for args in models]
