@@ -953,13 +953,24 @@ def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) ->
             return gen_rule(min(alts, key=lambda x: a.height.get(x, 0)) if depth > max_depth
                             else rng.choice(alts), depth + 1)
         obj = ModelObject(rule.cls)
-        gen(rule.body, obj, depth)
+        gen(rule.body, obj, depth, None)
         for f in a.flags[name]:
             if not obj.is_set(f):
                 obj.set(f, False)
         return obj
 
-    def gen(e, obj, depth):
+    def later_adds(rest) -> Counter:
+        """Per feature, the '+=' assignments still to run in the object after
+        the element whose ``rest`` this is, each repetition counted once."""
+        adds = Counter()
+        while rest is not None:
+            items, at, rest = rest
+            adds.update(x.feature for y in items[at:] for x in y.assigns if x.op == "+=")
+        return adds
+
+    # ``rest`` is what follows ``e`` in its object: (items, index, rest) of
+    # each enclosing sequence, or None
+    def gen(e, obj, depth, rest):
         if isinstance(e, Keyword):
             return
         if isinstance(e, Assignment):
@@ -982,12 +993,12 @@ def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) ->
                 obj.add(e.feature, value)
             return
         if isinstance(e, Sequence):
-            for x in e.items:
-                gen(x, obj, depth)
+            for i, x in enumerate(e.items):
+                gen(x, obj, depth, (e.items, i + 1, rest))
             return
         if isinstance(e, Opt):
             if depth <= max_depth and rng.random() < 0.5:
-                gen(e.inner, obj, depth + 1)
+                gen(e.inner, obj, depth + 1, rest)
             return
         if isinstance(e, Repeat):
             count = 1 if e.kind == "+" else 0
@@ -995,20 +1006,24 @@ def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) ->
                 while rng.random() < 0.5 and count < 4:
                     count += 1
             # a pass adds at most k values to a feature named by k '+=' assignments
-            # below it: stop before a pass could exceed a finite upper bound
+            # below it, and what follows adds at most later_adds: stop before a
+            # pass could leave no room for them under a finite upper bound
             adds = Counter(x.feature for x in e.inner.assigns if x.op == "+=")
             bounded = [(f, k) for name, k in adds.items()
                        if (f := obj.cls.find_feature(name)) is not None
                        and f.upper is not UNBOUNDED]
+            if bounded:
+                later = later_adds(rest)
+                bounded = [(f, k + later[f.name]) for f, k in bounded]
             for i in range(count):
                 if (i or e.kind == "*") and any(
                         len(obj.values_of(f)) + k > f.upper for f, k in bounded):
                     break
-                gen(e.inner, obj, depth + 1)
+                gen(e.inner, obj, depth + 1, rest)
             return
         # Group
         alts = e.alternatives
         gen(min(alts, key=lambda x: x.height) if depth > max_depth else rng.choice(alts),
-            obj, depth + 1)
+            obj, depth + 1, rest)
 
     return Model(gen_rule(g.entry, 0), g.ast)

@@ -31,19 +31,26 @@ _SKIP = r"[ \t\r\n]*(?:(?://[^\n]*(?![^\n])|/\*[^*]*(?:\*(?!/)[^*]*)*\*/)[ \t\r\
 # it is unterminated or holds an unknown escape
 _STRING_OPEN = r'"[^"\\\n]*(?:\\[nrt"\\][^"\\\n]*)*'
 _ESCAPE = re.compile(r"\\(.)")
+_UNESCAPED = re.compile(r'[\n\t\r"\\]')
 
 
 def escape_string(value: str) -> str:
-    return '"' + "".join(_UNESCAPES.get(c, c) for c in value) + '"'
+    """``value`` as a string literal, each character of ``_UNESCAPES`` written
+    as its escape: one search, and a substitution only where it finds one."""
+    if _UNESCAPED.search(value) is None:
+        return '"' + value + '"'
+    return '"' + _UNESCAPED.sub(lambda m: _UNESCAPES[m[0]], value) + '"'
 
 
 def format_literal(v) -> str:
     """A boolean, integer or string value as the literal that writes it."""
+    if isinstance(v, str):
+        return escape_string(v)
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
-    return escape_string(v)
+    return escape_string(v)  # not a literal: fails as a string would
 
 
 class _Source:

@@ -22,7 +22,8 @@ freely across threads; a Model is single-writer.
 A ``Tree`` is one walk of a containment tree with an explicit stack: its
 objects in preorder, and each object's container and path without a search.
 ``iter_tree``, ``validate_model``, ``transform``'s diagnostics and namers, and
-the walk of ``transform_model_to_ast`` each read one Tree.
+the walk of ``transform_model_to_ast`` each read one Tree; a forward transform
+binds names and validates its result on the same one.
 
 The builtin ``ecore`` package provides the reflective classifiers user
 metamodels may reference (EClassifier, EClass, EDataType, ...). Metamodel
@@ -77,9 +78,9 @@ class MetaFeature:
     lower: int = 0
     upper: object = 1  # int or UNBOUNDED
 
-    @property
-    def many(self) -> bool:
-        return self.upper is UNBOUNDED or self.upper > 1
+    def __post_init__(self):
+        # a bound is set once, at construction: nothing edits ``upper`` later
+        self.many = self.upper is UNBOUNDED or self.upper > 1
 
 
 @dataclass(eq=False)
@@ -138,7 +139,7 @@ class _Tables:
     the class or of a supertype was edited after that count."""
 
     __slots__ = ("edits", "supertypes", "supertype_set", "features", "by_name",
-                 "containments", "bounded", "id_names")
+                 "containments", "bounded", "id_names", "layout", "checks", "payload")
 
     def __init__(self, cls: "MetaClass"):
         self.edits = _edits
@@ -168,7 +169,9 @@ class _Tables:
         # the features whose effective value count can break their bounds
         self.bounded = tuple(
             f for f in self.features if f.lower or (f.many and f.upper is not UNBOUNDED))
-        self.id_names = None  # by_name as load_model reads it, filled on its first use
+        # filled on first use by their readers: by_name as load_model reads it,
+        # dump_model's layout, validate_model's checks, flatten_payload's names
+        self.id_names = self.layout = self.checks = self.payload = None
 
 
 class MetaClass:
@@ -545,8 +548,40 @@ def validate_model(m: Model) -> list[Diagnostic]:
     count) fit its bounds, kind and type; cross references stay inside.
     ``parse_text`` proves all but the bounds once per grammar and checks
     those as it finishes each object; loaded, transformed and hand-built
-    models are checked here, reading slots and class tables directly."""
-    diags, tree = [], Tree(m.root)
+    models are checked here. Slots are read through each class's checks
+    (``_checks``, kept on its tables): the values of an unset slot are
+    precomputed, bounds are counted only where a count can break them, and
+    an attribute value takes one type test."""
+    return _validate(m, Tree(m.root))
+
+
+# value_fits as one test per value: for strings an isinstance, else an exact type
+_FITS = {"string": (str, False), "boolean": (bool, True)}
+
+
+def _checks(t: _Tables) -> tuple:
+    """validate_model's reading of a class, one row per feature of
+    ``all_features``: (feature, slot name, whether the slot holds a list,
+    the effective values of an unset slot, whether a count can break the
+    bounds, the type a value must have, whether exactly). As ``values``
+    reads it, the first feature of a name reads the slot."""
+    if t.checks is None:
+        rows = []
+        for f in t.features:
+            r = t.by_name[f.name]
+            unset = _unset_value(r)
+            unset = () if unset is None else tuple(unset) if r.many else (unset,)
+            counted = bool(f.lower) or f.upper is not UNBOUNDED and (r.many or f.upper < 1)
+            tp, exact = _FITS.get(f.type.kind, (int, True)) if f.is_attribute else (f.type, None)
+            rows.append((f, f.name, r.many, unset, counted, tp, exact))
+        t.checks = tuple(rows)
+    return t.checks
+
+
+def _validate(m: Model, tree: Tree) -> list[Diagnostic]:
+    """validate_model on ``tree``, a Tree of ``m.root`` whose containment has
+    not changed since it was built."""
+    diags = []
 
     def err(code, message, obj):
         diags.append(error("validate", code, message, path=tree.path(obj)))
@@ -565,34 +600,36 @@ def validate_model(m: Model) -> list[Diagnostic]:
             continue
         if cls.abstract:
             err("model-abstract", f"class {cls.name} is abstract", obj)
-        t = cls.tables()
-        for name in obj.slots:
+        t, slots = cls.tables(), obj.slots
+        for name in slots:
             if name not in t.by_name:
                 err("model-unknown-feature", f"class {cls.name} has no feature {name!r}", obj)
-        for f in t.features:
-            # as values(f.name): the first feature of that name reads the slot
-            vals = obj.values_of(t.by_name[f.name])
-            problem = miscount(obj, f, len(vals))
-            if problem:
+        for f, name, many, unset, counted, tp, exact in t.checks or _checks(t):
+            if name in slots:
+                v = slots[name]
+                vals = () if v is None else v if many else (v,)
+            else:
+                vals = unset
+            if counted and (problem := miscount(obj, f, len(vals))):
                 err("model-multiplicity", problem, obj)
-            if f.is_attribute:
+            if exact is not None:
                 for v in vals:
-                    if isinstance(v, ModelObject) or not value_fits(v, f.type):
+                    if type(v) is not tp if exact else not isinstance(v, tp):
                         err("model-kind",
-                            f"{cls.name}.{f.name}: value {v!r} does not fit attribute type "
+                            f"{cls.name}.{name}: value {v!r} does not fit attribute type "
                             f"{f.type.name}", obj)
                 continue
             for v in vals:
                 if not isinstance(v, ModelObject):
-                    err("model-kind", f"{cls.name}.{f.name}: expected an object, found {v!r}", obj)
+                    err("model-kind", f"{cls.name}.{name}: expected an object, found {v!r}", obj)
                     continue
-                if not is_subtype(v.cls, f.type):
+                if not is_subtype(v.cls, tp):
                     err("model-kind",
-                        f"{cls.name}.{f.name}: object of class {v.cls.name} does not "
-                        f"conform to {f.type.name}", obj)
+                        f"{cls.name}.{name}: object of class {v.cls.name} does not "
+                        f"conform to {tp.name}", obj)
                 if not f.containment and v not in tree and v.represents is None:
                     err("model-dangling",
-                        f"{cls.name}.{f.name}: cross reference targets an object "
+                        f"{cls.name}.{name}: cross reference targets an object "
                         f"outside the model", obj)
     return diags
 

@@ -10,6 +10,11 @@ containment inlines its one object. Cross references are ``name = -> #<id>``
 ``package::Name`` qualified name. Features print in declaration order,
 inherited first; unset and empty slots are omitted.
 
+dump_model writes on one explicit stack of frames, each a line still to write
+or an object and the position in its class's layout to go on from; the layout,
+(name, many, attribute | containment | cross) per feature, is kept on the
+class's tables. A stand-in's qualified name is looked up once per dump.
+
 load_model makes no tokens: one anchored match reads one construct, blanks and
 comments allowed between its lexemes. The constructs: ``Class #n {``; ``name =``
 and a value (literal, ``->`` reference, object head or ``[``), or ``}``; a list
@@ -26,8 +31,8 @@ from bisect import bisect_left
 from .diagnostics import DiagnosticError, error
 from .lexer import _ESCAPE, _ESCAPES, _SKIP, _STRING_OPEN, Lexer, TokenStream, format_literal
 from .meta import (
-    Classifier, MetaClass, Metamodel, MetaReference, Model, ModelObject, builtin_ecore,
-    classifier_object, classifier_qname, find_classifier_home, iter_tree,
+    Classifier, MetaClass, Metamodel, Model, ModelObject, builtin_ecore, classifier_object,
+    classifier_qname, find_classifier_home, iter_tree,
 )
 
 _LEXER = Lexer(reserved={"true", "false"},
@@ -48,79 +53,86 @@ _ROOT, _FIELD, _ITEM0, _ITEMN, _END, _SEP = (re.compile(_S + p, re.DOTALL) for p
     rf"::{_S}"))
 
 
-def _nest(walk):
-    """The result of ``walk``, a generator that yields the walk of each nested
-    object and is sent back its result, run on a stack instead of recursing."""
-    stack, value = [walk], None
-    while stack:
-        try:
-            stack.append(stack[-1].send(value))
-            value = None
-        except StopIteration as done:
-            stack.pop()
-            value = done.value
-    return value
-
-
 def dump_model(m: Model) -> str:
-    ids = {id(obj): n for n, obj in enumerate(iter_tree(m.root), start=1)}
-    dumper = _Dumper(ids, [m.metamodel, builtin_ecore()])
-    _nest(dumper.emit(m.root, 0))
-    return "\n".join(dumper.out) + "\n"
+    """The canonical dump of ``m``, written on one explicit stack. A frame
+    is a line still to write (an object's head, a list's ``]``) or
+    ``(object, indent, layout position)``: the object's features from that
+    position of its class's layout (``_layout``) on. A nested object's
+    frame goes on the stack above its container's, which resumes after it."""
+    ids = {obj: n for n, obj in enumerate(iter_tree(m.root), start=1)}
+    known = [m.metamodel, builtin_ecore()]
+    qnames: dict[ModelObject, str] = {}  # stand-in -> its reference, looked up once
+    layouts: dict[MetaClass, tuple] = {}
 
-
-class _Dumper:
-    """One dump_model call: object ids, the packages stand-ins may come
-    from, and the lines written so far."""
-
-    def __init__(self, ids: dict[int, int], known: list[Metamodel]):
-        self.ids = ids
-        self.known = known
-        self.out: list[str] = []
-
-    def cross(self, v: ModelObject) -> str:
+    def cross(v: ModelObject) -> str:
         if v.represents is not None:
-            home = find_classifier_home(v.represents, self.known)
-            return "-> " + classifier_qname(v.represents, home)
-        if id(v) not in self.ids:
+            ref = qnames.get(v)
+            if ref is None:
+                home = find_classifier_home(v.represents, known)
+                ref = qnames[v] = "-> " + classifier_qname(v.represents, home)
+            return ref
+        if v not in ids:
             raise DiagnosticError([error(
                 "validate", "model-dangling",
                 f"cross reference to an object outside the model ({v.cls.name})", path="/")])
-        return f"-> #{self.ids[id(v)]}"
+        return f"-> #{ids[v]}"
 
-    def emit(self, obj: ModelObject, indent: int, prefix: str = ""):
-        """Write the lines of ``obj``, yielding the walk of each nested object
-        where its lines go."""
-        out, slots = self.out, obj.slots
-        pad = "  " * indent
-        out.append(f"{pad}{prefix}{obj.cls.name} #{self.ids[id(obj)]} {{")
-        for f in obj.cls.all_features():
-            if f.name not in slots:
+    out = [f"{m.root.cls.name} #1 {{"]
+    stack: list = [(m.root, 0, 0)]
+    push = stack.append
+    while stack:
+        frame = stack.pop()
+        if type(frame) is str:
+            out.append(frame)
+            continue
+        obj, indent, at = frame
+        slots, layout = obj.slots, layouts.get(obj.cls) or layouts.setdefault(
+            obj.cls, _layout(obj.cls))
+        inner = "  " * (indent + 1)
+        for i in range(at, len(layout)):
+            name, many, kind = layout[i]
+            if name not in slots:
                 continue
-            vals = slots[f.name] if f.many else (slots[f.name],)
-            if not vals:
+            v = slots[name]
+            if many and not v:
                 continue
-            inner = "  " * (indent + 1)
-            if f.is_attribute:
-                if f.many:
-                    literals = ", ".join(map(format_literal, vals))
-                    out.append(f"{inner}{f.name} = [{literals}]")
+            if kind == "attribute":
+                if many:
+                    out.append(f"{inner}{name} = [{', '.join(map(format_literal, v))}]")
                 else:
-                    out.append(f"{inner}{f.name} = {format_literal(vals[0])}")
-            elif isinstance(f, MetaReference) and f.containment:
-                if f.many:
-                    out.append(f"{inner}{f.name} = [")
-                    for child in vals:
-                        yield self.emit(child, indent + 2)
-                    out.append(f"{inner}]")
+                    out.append(f"{inner}{name} = {format_literal(v)}")
+            elif kind == "cross":
+                if many:
+                    out.append(f"{inner}{name} = [{', '.join(map(cross, v))}]")
                 else:
-                    yield self.emit(vals[0], indent + 1, f"{f.name} = ")
+                    out.append(f"{inner}{name} = {cross(v)}")
+            elif many:
+                out.append(f"{inner}{name} = [")
+                push((obj, indent, i + 1))
+                push(f"{inner}]")
+                pad = inner + "  "
+                for child in reversed(v):
+                    push((child, indent + 2, 0))
+                    push(f"{pad}{child.cls.name} #{ids[child]} {{")
+                break
             else:
-                if f.many:
-                    out.append(f"{inner}{f.name} = [{', '.join(self.cross(v) for v in vals)}]")
-                else:
-                    out.append(f"{inner}{f.name} = {self.cross(vals[0])}")
-        out.append(f"{pad}}}")
+                out.append(f"{inner}{name} = {v.cls.name} #{ids[v]} {{")
+                push((obj, indent, i + 1))
+                push((v, indent + 1, 0))
+                break
+        else:
+            out.append(f"{'  ' * indent}}}")
+    return "\n".join(out) + "\n"
+
+
+def _layout(cls: MetaClass) -> tuple:
+    """dump_model's reading of ``cls``: (name, many, attribute | containment
+    | cross) per feature of ``all_features``, kept on the class's tables."""
+    t = cls.tables()
+    if t.layout is None:
+        t.layout = tuple((f.name, f.many, "attribute" if f.is_attribute else
+                          "containment" if f.containment else "cross") for f in t.features)
+    return t.layout
 
 
 def load_model(text: str, mm: Metamodel, extra_metamodels=(), file: str = "<model>") -> Model:

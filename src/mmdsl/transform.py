@@ -4,13 +4,14 @@ build_plan turns a derivation trace plus the two metamodels into a
 TransformPlan: per image class, the prototype to instantiate and one
 instruction per feature (copy-attribute, map-containment, or resolve-cross
 with the recorded textual type). transform_ast_to_model runs the plan in
-two passes: pass one creates prototype instances bottom-up, copying
-attributes and containment; one walk of the target tree (a meta.Tree) then
-binds every named object in its scope, and the same Tree locates failed
-references; pass two feeds every textual reference payload to a resolver
-callback that returns the target object, returns DEFER to be asked once
-more after every other reference (the one way to wait for a name that a
-resolver defines later), or reports the name unresolved. Created
+two passes: pass one creates prototype instances on an explicit stack,
+copying attributes and containment; one walk of the target tree (a
+meta.Tree) then binds every named object in its scope, and the same Tree
+locates failed references and validates the result; pass two feeds every
+textual reference payload to a resolver callback that returns the target
+object, returns DEFER to be asked once more after every other reference
+(the one way to wait for a name that a resolver defines later), or reports
+the name unresolved. Created
 (syntax-only) classes produce nothing themselves: their instances are
 either consumed as reference payloads or, for structures like rule blocks,
 handed to a placement callback that decides which manually constructed
@@ -32,13 +33,14 @@ references are serialized back into textual payloads by a naming callback.
 from __future__ import annotations
 
 import weakref
+from collections import deque
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, DiagnosticError, SourceLocation, error
 from .meta import (
     Classifier, MetaAttribute, MetaClass, MetaDataType, MetaFeature, Metamodel,
-    Model, ModelObject, Tree, builtin_ecore, classifier_object,
-    is_subtype, resolve_classifier, validate_model,
+    Model, ModelObject, Tree, _validate, builtin_ecore, classifier_object,
+    is_subtype, resolve_classifier,
 )
 from .xf import Trace
 
@@ -264,12 +266,23 @@ def flatten_payload(payload) -> list[str]:
     obj = payload
     while isinstance(obj, ModelObject):
         slots = obj.slots
-        segs += [slots[f.name] for f in obj.cls.all_features() if f.name in slots
-                 and f.is_attribute and f.type.kind == "string" and not f.many]
-        # the tail is the last set single-valued containment
-        obj = next((slots[f.name] for f in reversed(obj.cls.containments())
-                    if not f.many and f.name in slots), None)
+        heads, tails = _payload_names(obj.cls)
+        segs += [slots[name] for name in heads if name in slots]
+        obj = next((slots[name] for name in tails if name in slots), None)
     return segs
+
+
+def _payload_names(cls: MetaClass) -> tuple:
+    """flatten_payload's reading of ``cls``, kept on its tables: the names of
+    its single-valued string attributes, and of its single-valued
+    containments last first (the tail is the last one set)."""
+    t = cls.tables()
+    if t.payload is None:
+        t.payload = (
+            tuple(f.name for f in t.features
+                  if f.is_attribute and f.type.kind == "string" and not f.many),
+            tuple(f.name for f in reversed(t.containments) if not f.many))
+    return t.payload
 
 
 def _payload_features(cls: MetaClass) -> tuple:
@@ -304,7 +317,9 @@ class ResolverRegistry:
     translated feature plus a default, placement callbacks for consume-only
     classes, an optional root constructor for skipped roots, and the
     namespace seeding recipe. Immutable once built; make_namespace() hands
-    each run its own scope tree."""
+    each run its own scope tree. A resolver returns an object (or None, or
+    DEFER) and edits no containment: a run validates the target model on the
+    Tree it bound names from before it asked any resolver."""
 
     def __init__(self, name_attribute: str = "name"):
         self.name_attribute = name_attribute
@@ -411,7 +426,7 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
     # the configured root constructor when it has none.
     root = ast_model.root
     root_candidate: ModelObject | None = None
-    consume_queue: list[tuple[ModelObject, tuple]] = []
+    consume_queue: deque[tuple[ModelObject, tuple]] = deque()
     if plan.is_mapped(root.cls):
         troot = run.build(root, ())
     elif plan.is_consume_only(root.cls):
@@ -435,7 +450,7 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
 
     # Remaining consume-only structure: place mapped children via placers.
     while consume_queue:
-        ast_obj, ancestors = consume_queue.pop(0)
+        ast_obj, ancestors = consume_queue.popleft()
         chain = (ast_obj,) + ancestors
         placer = registry.placers.get(ast_obj.cls.name)
         placement = None  # computed lazily, once per consume-only object
@@ -487,14 +502,19 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
     diags.extend(ns.diagnostics)
     model = Model(troot, plan.target)
     if not any(d.severity == "error" for d in diags):
-        diags.extend(validate_model(model))
+        # resolvers edit no containment, so bind's Tree still holds, unless a
+        # stale trace resolves references into a containment slot
+        if any(tf.containment for _, tf, _ in run.buffers):
+            tree = Tree(troot)
+        diags.extend(_validate(model, tree))
     return model, diags
 
 
 class _Forward:
     """The state of one transform_ast_to_model run: the namespace, the
     cross-reference jobs that pass one queues for pass two, their result
-    buffers, and the scope each target object was bound in."""
+    buffers, the scope each target object was bound in, and the resolver of
+    each (AST class, feature) asked so far."""
 
     def __init__(self, plan: TransformPlan, registry: ResolverRegistry):
         self.plan = plan
@@ -503,30 +523,42 @@ class _Forward:
         self.jobs: list[_CrossJob] = []
         self.buffers: list[tuple[ModelObject, MetaFeature, list]] = []
         self.scopes: dict[ModelObject, Scope] = {}
+        self.resolvers: dict[tuple[MetaClass, str], object] = {}
 
-    def build(self, ast_obj: ModelObject, ancestors: tuple) -> ModelObject:
-        plan = self.plan
-        proto = plan.proto_for_image[ast_obj.cls.name]
-        tobj = ModelObject(proto)
-        slots = tobj.slots
-        chain = (ast_obj,) + ancestors
-        # slots are read and written through the features the plan holds
-        for instr in plan.instructions_for(ast_obj.cls):
-            f, tf = instr.image_feature, instr.target_feature
-            values = ast_obj.values_of(f)
-            if not values:
-                continue
-            if instr.kind == "copy":
-                slots[tf.name] = list(values) if f.many or tf.many else values[0]
-            elif instr.kind == "containment":
-                children = [self.build(c, chain) for c in values]
-                slots[tf.name] = children if tf.many else children[0]
-            else:
-                buffer = [None] * len(values)
-                self.buffers.append((tobj, tf, buffer))
-                for i, p in enumerate(values):
-                    self.jobs.append(_CrossJob(ast_obj, chain, tobj, instr, p, buffer, i))
-        return tobj
+    def build(self, ast_root: ModelObject, ancestors: tuple) -> ModelObject:
+        """The target image of ``ast_root``'s subtree, made on an explicit
+        stack of (AST object, its image, its ancestor chain, instruction
+        position) frames. A containment instruction makes its children's
+        images, then their frames run before their container's resumes, so
+        jobs queue in the order a recursive walk would queue them."""
+        plan, proto_for_image = self.plan, self.plan.proto_for_image
+        troot = ModelObject(proto_for_image[ast_root.cls.name])
+        stack = [(ast_root, troot, (ast_root,) + ancestors, 0)]
+        while stack:
+            ast_obj, tobj, chain, at = stack.pop()
+            slots, instrs = tobj.slots, plan.instructions_for(ast_obj.cls)
+            # slots are read and written through the features the plan holds
+            for i in range(at, len(instrs)):
+                instr = instrs[i]
+                f, tf = instr.image_feature, instr.target_feature
+                values = ast_obj.values_of(f)
+                if not values:
+                    continue
+                if instr.kind == "copy":
+                    slots[tf.name] = list(values) if f.many or tf.many else values[0]
+                elif instr.kind == "containment":
+                    children = [ModelObject(proto_for_image[c.cls.name]) for c in values]
+                    slots[tf.name] = children if tf.many else children[0]
+                    stack.append((ast_obj, tobj, chain, i + 1))
+                    stack += [(c, t, (c,) + chain, 0)
+                              for c, t in zip(reversed(values), reversed(children))]
+                    break
+                else:
+                    buffer = [None] * len(values)
+                    self.buffers.append((tobj, tf, buffer))
+                    for n, p in enumerate(values):
+                        self.jobs.append(_CrossJob(ast_obj, chain, tobj, instr, p, buffer, n))
+        return troot
 
     def bind(self, troot: ModelObject) -> Tree:
         """Bind every named object below ``troot`` in its container's scope,
@@ -556,7 +588,10 @@ class _Forward:
             target_object=job.target_object, target_feature=job.instr.target_feature,
             target_root=troot, payload=job.payload, textual=job.instr.textual,
             namespace=self.ns, scope=self.scopes.get(job.target_object, self.ns.root))
-        resolver = self.registry.resolver_for(job.ast_object.cls, job.instr.image_feature.name)
+        key = (job.ast_object.cls, job.instr.image_feature.name)
+        resolver = self.resolvers.get(key)
+        if resolver is None:
+            resolver = self.resolvers[key] = self.registry.resolver_for(*key)
         return resolver(ctx)
 
 

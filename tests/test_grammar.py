@@ -1225,6 +1225,18 @@ class TestRandomModelBounds:
         assert max(c[0] for c in counts) == 2 and max(c[2] for c in counts) == 3
         assert {c[1] for c in counts} == {0, 2}
 
+    def test_a_nested_repetition_leaves_room_for_what_follows(self):
+        """An inner repetition stops where the '+=' after it, in the same pass
+        of the outer one, would pass the bound; so does a repetition that a
+        mandatory '+=' follows."""
+        ast = parse_metamodel(self.AST, "bounds")
+        for grammar in ('Doc : "doc" ( "g" ( xs += INT )* "x" xs += INT )* ;',
+                        'Doc : "doc" ( xs += INT )* "x" xs += INT ;'):
+            g = parse_grammar(grammar + " Item : name = ID ;", ast)
+            counts = {len(generate_random_model(g, random.Random(seed)).root.values("xs"))
+                      for seed in range(200)}
+            assert max(counts) == 2, grammar
+
 
 class TestValidByConstruction:
     """parse_text proves all but the bounds once per grammar and checks the

@@ -50,6 +50,12 @@ class TestTokens:
             (tok, _) = LEX.tokenize(escape_string(s))
             assert tok.value == s
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.sampled_from('ab "\\\n\t\r\x00é→')) | st.text())
+    def test_escape_string_as_the_per_character_definition(self, s):
+        unescapes = {"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
+        assert escape_string(s) == '"' + "".join(unescapes.get(c, c) for c in s) + '"'
+
     def test_comments_and_positions(self):
         toks = LEX.tokenize("// whole line\n/* span\nlines */ word")
         assert toks[0].text == "word"

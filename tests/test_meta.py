@@ -140,6 +140,29 @@ class TestValidateMetamodel:
         assert is_identifier(name) == old
 
 
+class TestMany:
+    def test_set_from_the_upper_bound(self):
+        for upper, many in ((1, False), (2, True), (UNBOUNDED, True)):
+            assert MetaAttribute("a", 0, upper, type=INT).many is many
+            assert MetaReference("r", 0, upper).many is many
+
+    def test_features_of_parsed_and_derived_metamodels(self):
+        from mmdsl.emfatic import parse_metamodel
+        from mmdsl.xf import derive_ast_metamodel, parse_transformation
+
+        target = parse_metamodel(
+            "class A { attr int[0..2] two; attr int[*] any; attr int one; attr int[1..*] some;\n"
+            "  val A[0..1] kid; val A[2..3] kids; ref A[*] links; }", "m")
+        ast, _ = derive_ast_metamodel(target, parse_transformation(
+            "create class QN { attr String[1] name; val QN[0..1] sub; attr String[*] xs; }\n"
+            "refer img(A) as QN;", target))
+        expect = {"two": True, "any": True, "one": False, "some": True, "kid": False,
+                  "kids": True, "links": True, "name": False, "sub": False, "xs": True}
+        for c in target.classes() + ast.classes():
+            for f in c.features:
+                assert f.many is expect[f.name], (c.name, f.name)
+
+
 class TestValidateModel:
     def test_empty_root_all_optional(self):
         mm, node = simple_mm()

@@ -9,8 +9,8 @@ from mmdsl.emfatic import parse_metamodel
 from mmdsl.grammar import parse_grammar, parse_text, render_ast
 from mmdsl.modeltext import dump_model, load_model
 from mmdsl.meta import (
-    MetaClass, MetaDataType, Model, ModelObject, Tree, builtin_ecore, classifier_object,
-    model_equals, validate_model,
+    MetaAttribute, MetaClass, MetaDataType, MetaReference, Model, ModelObject, Tree,
+    builtin_ecore, classifier_object, model_equals, validate_model,
 )
 from mmdsl.transform import (
     DEFER, Namespace, ResolverRegistry, _Forward, build_plan, flatten_payload,
@@ -842,22 +842,27 @@ class TestReverseAgainstReference:
         assert 0 < unnamed < 40
 
 
+def deep_packages(target) -> Model:
+    """Packages 4,999 deep hold a class that a class of the outermost
+    package extends."""
+    pkg_cls, class_cls = target.classifier("Package"), target.classifier("Class")
+    inner = ModelObject(class_cls, name="Inner")
+    outer = ModelObject(class_cls, name="Outer", super=inner)
+    top = p = ModelObject(pkg_cls, name="p0", classes=[outer])
+    for i in range(1, 4999):
+        q = ModelObject(pkg_cls, name=f"p{i}")
+        p.add("packages", q)
+        p = q
+    p.add("classes", inner)
+    return Model(ModelObject(target.classifier("Model"), packages=[top]), target)
+
+
 class TestReverseStack:
     def test_5000_deep_packages(self, nested_lang):
-        """Packages 4,999 deep hold a class that a class of the outermost
-        package extends: the walk and the namer take no Python stack per
-        level, and the 5,000-segment name renders."""
+        """The walk and the namer take no Python stack per level of
+        deep_packages, and the 5,000-segment name renders."""
         target, g, plan, registry = nested_lang
-        pkg_cls, class_cls = target.classifier("Package"), target.classifier("Class")
-        inner = ModelObject(class_cls, name="Inner")
-        outer = ModelObject(class_cls, name="Outer", super=inner)
-        top = p = ModelObject(pkg_cls, name="p0", classes=[outer])
-        for i in range(1, 4999):
-            q = ModelObject(pkg_cls, name=f"p{i}")
-            p.add("packages", q)
-            p = q
-        p.add("classes", inner)
-        m = Model(ModelObject(target.classifier("Model"), packages=[top]), target)
+        m = deep_packages(target)
         ast_model, diags = transform_model_to_ast(m, plan, registry)
         assert diags == []
         name = [f"p{i}" for i in range(4999)] + ["Inner"]
@@ -865,6 +870,50 @@ class TestReverseStack:
         assert flatten_payload(super_name) == name
         text = render_ast(ast_model, g)
         assert "class Outer extends " + " :: ".join(name) + " ;" in text
+
+
+class TestForwardStack:
+    def test_5000_deep_packages(self, nested_lang):
+        """deep_packages rendered and parsed back transforms to a model equal
+        to it: building the target takes no Python stack per level."""
+        target, g, plan, registry = nested_lang
+        m = deep_packages(target)
+        text = render_ast(transform_model_to_ast(m, plan, registry)[0], g)
+        model, diags = transform_ast_to_model(parse_text(text, g), plan, registry)
+        assert diags == []
+        assert model_equals(model, m)
+
+
+class TestForwardLookups:
+    def test_one_tree_and_one_resolver_lookup_per_feature(self, css, selfhost, monkeypatch):
+        """A forward run builds one meta.Tree, which binds names and then
+        validates, and asks the registry for the resolver of each (AST
+        class, feature) once."""
+        runs = [(parse_text((SAMPLES / text).read_text(), lang[4]), lang[5], lang[6])
+                for lang, text in ((css, "css/grouped.css"), (selfhost, "selfhost/xf.xf"))]
+        trees, lookups = [], []
+        init, resolver_for = Tree.__init__, ResolverRegistry.resolver_for
+        monkeypatch.setattr(Tree, "__init__", lambda *a: trees.append(1) or init(*a))
+        monkeypatch.setattr(ResolverRegistry, "resolver_for",
+                            lambda self, *key: lookups.append(key) or resolver_for(self, *key))
+        for ast_model, plan, registry in runs:
+            trees.clear()
+            lookups.clear()
+            model, diags = transform_ast_to_model(ast_model, plan, registry)
+            assert diags == [] and trees == [1]
+            assert len(lookups) == len(set(lookups))
+        assert lookups  # the selfhost script resolves references
+        monkeypatch.undo()
+        assert validate_model(model) == []
+
+    def test_payload_reads_a_feature_added_after_a_flatten(self):
+        string = builtin_ecore().classifier("String")
+        qn = MetaClass("QN", features=[MetaAttribute("name", 0, 1, type=string)])
+        obj = ModelObject(qn, name="a")
+        assert flatten_payload(obj) == ["a"]
+        qn.features.append(MetaReference("sub", 0, 1, type=qn, containment=True))
+        obj.slots["sub"] = ModelObject(qn, name="b")
+        assert flatten_payload(obj) == ["a", "b"]
 
 
 class TestReverseUnvalidated:
