@@ -861,22 +861,25 @@ def _layout(tokens: list[str]) -> str:
 
 def generate_grammar_skeleton(ast: Metamodel) -> str:
     """One rule per AST class: keyword-framed blocks listing every feature.
-    The output always passes parse_grammar and check_grammar for ``ast``."""
+    The output always passes parse_grammar and check_grammar for ``ast``.
+    A refusal names the class it is about by path, ``/<ast>/<Class>``, as
+    validate_metamodel does."""
     diags: list[Diagnostic] = []
     classes = ast.classes()
     if not any(not c.abstract for c in classes):
         diags.append(error("grammar", "gr-unknown-class",
-                           "AST metamodel has no concrete class"))
+                           "AST metamodel has no concrete class", path=f"/{ast.name}"))
     for cls in classes:
         for f in cls.features:
             if not f.is_attribute and not f.containment:
                 diags.append(error("grammar", "gr-cross-reference",
                                    f"{cls.name}.{f.name} is a cross reference; translate it "
-                                   f"before generating a grammar"))
+                                   f"before generating a grammar", path=f"/{ast.name}/{cls.name}"))
     for cls in classes:
         if cls.abstract and not _has_concrete_descendant(cls, classes):
             diags.append(error("grammar", "gr-unknown-class",
-                               f"abstract class {cls.name!r} has no concrete subtype"))
+                               f"abstract class {cls.name!r} has no concrete subtype",
+                               path=f"/{ast.name}/{cls.name}"))
     if diags:
         raise DiagnosticError(diags)
 

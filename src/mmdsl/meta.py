@@ -650,8 +650,11 @@ def model_equals(a: Model, b: Model) -> bool:
     """Isomorphism: equal class names, equal effective attribute values,
     children pairwise equal in order, and cross references mapping to
     corresponding objects; classifier stand-ins compare by classifier name.
-    The containment trees are compared on an explicit stack, in preorder."""
-    corr: dict[int, ModelObject] = {}
+    The containment trees are compared on an explicit stack, in preorder. A
+    pair reached again is not compared again, so a containment cycle ends;
+    an object reached again with another partner makes the models unequal."""
+    corr: dict[ModelObject, ModelObject] = {}  # one-to-one: x -> its partner y
+    partners: set[ModelObject] = set()
     cross_checks: list[tuple[ModelObject, ModelObject, MetaFeature]] = []
     # a pair of objects to compare, or (x, y, f): a cross feature left to check
     stack: list[tuple] = [(a.root, b.root, None)]
@@ -660,9 +663,14 @@ def model_equals(a: Model, b: Model) -> bool:
         if cross is not None:
             cross_checks.append((x, y, cross))
             continue
+        if x in corr or y in partners:
+            if corr.get(x) is y:
+                continue
+            return False
         if x.cls.name != y.cls.name:
             return False
-        corr[id(x)] = y
+        corr[x] = y
+        partners.add(y)
         fx = {f.name: f for f in x.cls.all_features()}
         fy = {f.name: f for f in y.cls.all_features()}
         if set(fx) != set(fy):
@@ -699,7 +707,7 @@ def model_equals(a: Model, b: Model) -> bool:
                 if (hx is _ECORE) != (hy is _ECORE):
                     return False
             else:
-                if corr.get(id(tx)) is not ty:
+                if corr.get(tx) is not ty:
                     return False
     return True
 

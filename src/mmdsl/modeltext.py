@@ -13,7 +13,9 @@ inherited first; unset and empty slots are omitted.
 dump_model writes on one explicit stack of frames, each a line still to write
 or an object and the position in its class's layout to go on from; the layout,
 (name, many, attribute | containment | cross) per feature, is kept on the
-class's tables. A stand-in's qualified name is looked up once per dump.
+class's tables. Objects are numbered as the walk writes their heads; cross
+reference lines are filled in after it. A stand-in's qualified name is looked
+up once per dump.
 
 load_model makes no tokens: one anchored match reads one construct, blanks and
 comments allowed between its lexemes. The constructs: ``Class #n {``; ``name =``
@@ -32,7 +34,7 @@ from .diagnostics import DiagnosticError, error
 from .lexer import _ESCAPE, _ESCAPES, _SKIP, _STRING_OPEN, Lexer, TokenStream, format_literal
 from .meta import (
     Classifier, MetaClass, Metamodel, Model, ModelObject, builtin_ecore, classifier_object,
-    classifier_qname, find_classifier_home, iter_tree,
+    classifier_qname, find_classifier_home,
 )
 
 _LEXER = Lexer(reserved={"true", "false"},
@@ -55,14 +57,28 @@ _ROOT, _FIELD, _ITEM0, _ITEMN, _END, _SEP = (re.compile(_S + p, re.DOTALL) for p
 
 def dump_model(m: Model) -> str:
     """The canonical dump of ``m``, written on one explicit stack. A frame
-    is a line still to write (an object's head, a list's ``]``) or
-    ``(object, indent, layout position)``: the object's features from that
-    position of its class's layout (``_layout``) on. A nested object's
-    frame goes on the stack above its container's, which resumes after it."""
-    ids = {obj: n for n, obj in enumerate(iter_tree(m.root), start=1)}
+    is a line still to write (a list's ``]``) or ``(object, indent, layout
+    position)``: the object's features from that position of its class's
+    layout (``_layout``) on, after its head if the position is -1. A nested
+    object's frame goes on the stack above its container's, which resumes
+    after it. Each object is numbered as its head is written, so the ids
+    follow the preorder; cross references may point forward, so their
+    lines are written after the walk. An object reached again while its
+    block is open is a containment cycle."""
+    ids = {m.root: 1}
+    opened = {m.root}  # the objects whose block is not closed yet
     known = [m.metamodel, builtin_ecore()]
     qnames: dict[ModelObject, str] = {}  # stand-in -> its reference, looked up once
     layouts: dict[MetaClass, tuple] = {}
+    crosses = []  # (line index, line start, value or values, many), written last
+
+    def open_(v: ModelObject) -> int:
+        if v in opened:
+            raise DiagnosticError([error(
+                "validate", "model-containment",
+                f"object of class {v.cls.name} is contained more than once", path="/")])
+        opened.add(v)
+        return ids.setdefault(v, len(ids) + 1)
 
     def cross(v: ModelObject) -> str:
         if v.represents is not None:
@@ -86,6 +102,9 @@ def dump_model(m: Model) -> str:
             out.append(frame)
             continue
         obj, indent, at = frame
+        if at < 0:
+            out.append(f"{'  ' * indent}{obj.cls.name} #{open_(obj)} {{")
+            at = 0
         slots, layout = obj.slots, layouts.get(obj.cls) or layouts.setdefault(
             obj.cls, _layout(obj.cls))
         inner = "  " * (indent + 1)
@@ -102,26 +121,25 @@ def dump_model(m: Model) -> str:
                 else:
                     out.append(f"{inner}{name} = {format_literal(v)}")
             elif kind == "cross":
-                if many:
-                    out.append(f"{inner}{name} = [{', '.join(map(cross, v))}]")
-                else:
-                    out.append(f"{inner}{name} = {cross(v)}")
+                crosses.append((len(out), f"{inner}{name} = ", v, many))
+                out.append(None)
             elif many:
                 out.append(f"{inner}{name} = [")
                 push((obj, indent, i + 1))
                 push(f"{inner}]")
-                pad = inner + "  "
                 for child in reversed(v):
-                    push((child, indent + 2, 0))
-                    push(f"{pad}{child.cls.name} #{ids[child]} {{")
+                    push((child, indent + 2, -1))
                 break
             else:
-                out.append(f"{inner}{name} = {v.cls.name} #{ids[v]} {{")
+                out.append(f"{inner}{name} = {v.cls.name} #{open_(v)} {{")
                 push((obj, indent, i + 1))
                 push((v, indent + 1, 0))
                 break
         else:
             out.append(f"{'  ' * indent}}}")
+            opened.discard(obj)
+    for i, start, v, many in crosses:
+        out[i] = start + (f"[{', '.join(map(cross, v))}]" if many else cross(v))
     return "\n".join(out) + "\n"
 
 

@@ -18,7 +18,9 @@ isomorphic result.
 
 The trace records the class and feature correspondences needed to run the
 transformation one meta-level lower (AST instances to target instances) and
-to reverse it; see the transform module.
+to reverse it; see the transform module. The phases edit only the AST
+metamodel; the trace is computed once, from the result. The script parser
+resolves the names of each statement as soon as it has read it.
 """
 
 from __future__ import annotations
@@ -208,55 +210,26 @@ def parse_trace(text: str, file: str = "<trace>") -> Trace:
 
 
 def parse_transformation(text: str, target: Metamodel, file: str = "<xf>") -> Transformation:
-    """Parse a `.xf` script against the target metamodel.
+    """Parse a `.xf` script against the target metamodel, resolving each
+    statement's names as soon as it is read.
 
     Names inside ``img(...)`` and after ``skip`` resolve against the target
     metamodel, then builtin ecore (``ecore::`` qualification forces the
     builtin). Names after ``as``/``extends``/``extend`` and feature types
     resolve against created classes (simple name), then datatypes, then
-    images of target classes written by prototype qualified name."""
-    stream = TokenStream(_LEXER.tokenize(text, file), phase="transformation")
-    raw: list[tuple] = []
-    diags: list = []
-
-    while not stream.at("EOF"):
-        tok = stream.next()
-        if tok.is_kw("refer") or tok.is_kw("make"):
-            stream.expect_kw("img")
-            stream.expect_kw("(")
-            proto = parse_qname(stream)
-            stream.expect_kw(")")
+    images of target classes written by prototype qualified name. A class
+    may be named before its ``create`` statement, so the created names are
+    read from the tokens first."""
+    tokens = _LEXER.tokenize(text, file)
+    created_names = set()
+    for i, tok in enumerate(tokens):
         if tok.is_kw("create"):
-            abstract = stream.accept_kw("abstract")
-            stream.expect_kw("class")
-            name_tok = stream.expect("ID")
-            supers = parse_qnames(stream) if stream.accept_kw("extends") else []
-            stream.expect_kw("{")
-            features = []
-            while not stream.at_kw("}"):
-                features.append(parse_feature_decl(stream))
-            stream.expect_kw("}")
-            raw.append(("create", name_tok.text, abstract, supers, features, name_tok.location))
-        elif tok.is_kw("refer"):
-            plus = stream.accept_kw("+")
-            stream.expect_kw("as")
-            textual = parse_qname(stream)
-            stream.expect_kw(";")
-            raw.append(("refer", proto, plus, textual, tok.location))
-        elif tok.is_kw("skip"):
-            proto = parse_qname(stream)
-            plus = stream.accept_kw("+")
-            stream.expect_kw(";")
-            raw.append(("skip", proto, plus, tok.location))
-        elif tok.is_kw("make"):
-            stream.expect_kw("extend")
-            supers = [] if stream.accept_kw("nothing") else parse_qnames(stream)
-            stream.expect_kw(";")
-            raw.append(("make", proto, supers, tok.location))
-        else:
-            stream.fail(f"expected a statement, found '{tok.text}'", token=tok)
-
-    created_names = {r[1] for r in raw if r[0] == "create"}
+            j = i + 2 if tokens[i + 1].is_kw("abstract") else i + 1
+            if tokens[j].is_kw("class") and tokens[j + 1].kind == "ID":
+                created_names.add(tokens[j + 1].text)
+    stream = TokenStream(tokens, phase="transformation")
+    actions: list[Action] = []
+    diags: list = []
 
     def resolve_target_class(qname: str, loc) -> MetaClass | None:
         c = resolve_classifier(qname, target)
@@ -291,13 +264,24 @@ def parse_transformation(text: str, target: Metamodel, file: str = "<xf>") -> Tr
                 refs.append(ref)
         return refs
 
-    actions: list[Action] = []
-    for r in raw:
-        if r[0] == "create":
-            _, name, abstract, supers, features, loc = r
-            super_refs = resolve_supers(supers)
-            type_refs = []
-            for fd in features:
+    while not stream.at("EOF"):
+        tok = stream.next()
+        if tok.is_kw("refer") or tok.is_kw("make"):
+            stream.expect_kw("img")
+            stream.expect_kw("(")
+            pq, ploc = parse_qname(stream)
+            stream.expect_kw(")")
+            proto = resolve_target_class(pq, ploc)
+        if tok.is_kw("create"):
+            abstract = stream.accept_kw("abstract")
+            stream.expect_kw("class")
+            name_tok = stream.expect("ID")
+            supers = resolve_supers(parse_qnames(stream)) if stream.accept_kw("extends") else []
+            stream.expect_kw("{")
+            features, type_refs = [], []
+            while not stream.at_kw("}"):
+                fd = parse_feature_decl(stream)
+                features.append(fd)
                 ref = resolve_ast_ref(fd.type_name, fd.type_loc)
                 if ref is None:
                     continue
@@ -305,36 +289,40 @@ def parse_transformation(text: str, target: Metamodel, file: str = "<xf>") -> Tr
                     diags.append(error("transformation", "mm-bad-type",
                                        f"attribute {fd.name!r} needs a datatype, not {fd.type_name!r}",
                                        location=fd.type_loc))
-                    continue
-                if fd.kind != "attr" and isinstance(ref, DatatypeRef):
+                elif fd.kind != "attr" and isinstance(ref, DatatypeRef):
                     diags.append(error("transformation", "mm-bad-type",
                                        f"reference {fd.name!r} needs a class, not {fd.type_name!r}",
                                        location=fd.type_loc))
-                    continue
-                if fd.default is not None:
+                elif fd.default is not None:
                     diags.append(error("transformation", "syntax",
                                        "default values are not supported in create blocks",
                                        location=fd.name_loc))
-                    continue
-                type_refs.append(ref)
-            actions.append(CreateClass(name, abstract, super_refs, features, type_refs, loc))
-        elif r[0] == "refer":
-            _, (pq, ploc), plus, (tq, tloc), loc = r
-            proto = resolve_target_class(pq, ploc)
-            textual = resolve_ast_ref(tq, tloc)
+                else:
+                    type_refs.append(ref)
+            stream.expect_kw("}")
+            actions.append(CreateClass(name_tok.text, abstract, supers, features, type_refs,
+                                       name_tok.location))
+        elif tok.is_kw("refer"):
+            plus = stream.accept_kw("+")
+            stream.expect_kw("as")
+            textual = resolve_ast_ref(*parse_qname(stream))
+            stream.expect_kw(";")
             if proto is not None and textual is not None:
-                actions.append(TranslateReferences(proto, textual, plus, loc))
-        elif r[0] == "skip":
-            _, (pq, ploc), plus, loc = r
-            proto = resolve_target_class(pq, ploc)
+                actions.append(TranslateReferences(proto, textual, plus, tok.location))
+        elif tok.is_kw("skip"):
+            proto = resolve_target_class(*parse_qname(stream))
+            plus = stream.accept_kw("+")
+            stream.expect_kw(";")
             if proto is not None:
-                actions.append(SkipClass(proto, plus, loc))
+                actions.append(SkipClass(proto, plus, tok.location))
+        elif tok.is_kw("make"):
+            stream.expect_kw("extend")
+            supers = [] if stream.accept_kw("nothing") else resolve_supers(parse_qnames(stream))
+            stream.expect_kw(";")
+            if proto is not None:
+                actions.append(ChangeInheritance(ImageRef(proto, pq), supers, tok.location))
         else:
-            _, (pq, ploc), supers, loc = r
-            proto = resolve_target_class(pq, ploc)
-            super_refs = resolve_supers(supers)
-            if proto is not None:
-                actions.append(ChangeInheritance(ImageRef(proto, pq), super_refs, loc))
+            stream.fail(f"expected a statement, found '{tok.text}'", token=tok)
 
     if diags:
         raise DiagnosticError(diags)
@@ -342,96 +330,83 @@ def parse_transformation(text: str, target: Metamodel, file: str = "<xf>") -> Tr
 
 
 # ---------------------------------------------------------------------------
-# Derivation
+# Derivation. All bookkeeping is keyed by class object (classes hash by
+# identity); the trace is computed once, from the derived result.
 
 
-class _Mapping:
-    def __init__(self, target: Metamodel):
-        self.target = target
-        self.ast = Metamodel(f"{target.name}_ast")
-        self.trace = Trace()
-        self.image_by_proto: dict[int, MetaClass] = {}
-        self.proto_of_image: dict[int, MetaClass] = {}
-        self.mapped: list[MetaClass] = []
-        self.created: dict[str, MetaClass] = {}
-
-    def proto_qname(self, proto: MetaClass) -> str:
-        if any(c is proto for c in builtin_ecore().classifiers):
-            return f"ecore::{proto.name}"
-        return proto.name
-
-
-def _mapped_domain(target: Metamodel) -> list[MetaClass]:
-    """Target classes plus every builtin ecore class they reach through
-    supertype or reference-type edges."""
-    domain = list(target.classes())
-    in_domain = {id(c) for c in domain}
-    frontier = list(domain)
+def _images(target: Metamodel) -> tuple[Metamodel, dict[MetaClass, MetaClass]]:
+    """The AST metamodel of the default mapping and its prototype -> image
+    map. Prototypes are the target classes, then every builtin ecore class
+    they reach through supertype or reference-type edges, in ecore order."""
+    mapped = target.classes()
+    reached = set(mapped)
+    frontier = list(mapped)
     while frontier:
         cls = frontier.pop()
-        neighbours = list(cls.supertypes)
-        neighbours += [f.type for f in cls.features if isinstance(f, MetaReference)]
-        for n in neighbours:
-            if isinstance(n, MetaClass) and id(n) not in in_domain:
-                in_domain.add(id(n))
-                domain.append(n)
+        for n in [*cls.supertypes, *(f.type for f in cls.features if isinstance(f, MetaReference))]:
+            if isinstance(n, MetaClass) and n not in reached:
+                reached.add(n)
                 frontier.append(n)
-    # keep deterministic order: target declaration order, then ecore order
-    target_ids = {id(c) for c in target.classes()}
-    builtin_part = [c for c in builtin_ecore().classes() if id(c) in in_domain and id(c) not in target_ids]
-    return [c for c in domain if id(c) in target_ids] + builtin_part
+    reached.difference_update(mapped)
+    mapped += [c for c in builtin_ecore().classes() if c in reached]
 
-
-def _default_mapping(target: Metamodel) -> _Mapping:
-    m = _Mapping(target)
-    m.mapped = _mapped_domain(target)
-    names = {c.name for c in m.mapped}
-    diags = []
-    for proto in m.mapped:
-        iname = image_name(proto)
-        if iname in names:
-            diags.append(error("transformation", "xf-name-collision",
-                               f"image name {iname!r} collides with an existing class"))
+    names = {c.name for c in mapped}
+    diags = [error("transformation", "xf-name-collision",
+                   f"image name {image_name(proto)!r} collides with an existing class")
+             for proto in mapped if image_name(proto) in names]
     if diags:
         raise DiagnosticError(diags)
 
-    for proto in m.mapped:
-        img = MetaClass(image_name(proto), abstract=proto.abstract)
-        m.image_by_proto[id(proto)] = img
-        m.proto_of_image[id(img)] = proto
-        m.ast.classifiers.append(img)
-        m.trace.class_records.append(
-            ClassRecord(m.proto_qname(proto), img.name, "mapped"))
-
-    for proto in m.mapped:
-        img = m.image_by_proto[id(proto)]
-        img.supertypes = [m.image_by_proto[id(s)] for s in proto.supertypes]
+    images = {proto: MetaClass(image_name(proto), abstract=proto.abstract) for proto in mapped}
+    for proto, img in images.items():
+        img.supertypes = [images[s] for s in proto.supertypes]
         for f in proto.features:
             if isinstance(f, MetaAttribute):
                 img.features.append(MetaAttribute(f.name, f.lower, f.upper,
                                                   type=f.type, default=f.default))
             else:
                 img.features.append(MetaReference(f.name, f.lower, f.upper,
-                                                  type=m.image_by_proto[id(f.type)],
+                                                  type=images[f.type],
                                                   containment=f.containment))
-            m.trace.feature_records.append(FeatureRecord(
-                m.proto_qname(proto), f.name, img.name, f.name, "copied"))
-    return m
+    return Metamodel(f"{target.name}_ast", list(images.values())), images
+
+
+def _trace(images: dict[MetaClass, MetaClass], removed: set[MetaClass],
+           textual: dict[tuple[MetaClass, str], Classifier], created: list[str]) -> Trace:
+    """The trace of a derivation: a class record per prototype (skipped if
+    its image was removed), a feature record per feature of each surviving
+    image (translated where ``textual`` holds a type for it) and the
+    created class names."""
+    ecore = set(builtin_ecore().classifiers)
+    trace = Trace(created=created)
+    for proto, img in images.items():
+        qname = f"ecore::{proto.name}" if proto in ecore else proto.name
+        trace.class_records.append(
+            ClassRecord(qname, img.name, "skipped" if img in removed else "mapped"))
+        if img in removed:
+            continue
+        for f in proto.features:
+            t = textual.get((img, f.name))
+            trace.feature_records.append(FeatureRecord(
+                qname, f.name, img.name, f.name, "copied" if t is None else "translated",
+                None if t is None else t.name))
+    return trace
 
 
 def default_mapping(target: Metamodel) -> tuple[Metamodel, Trace]:
     """One image class per target class: same features, attribute types
     unchanged, reference types replaced by images, bounds and containment
     flags preserved, supertypes mapped to images."""
-    m = _default_mapping(target)
-    return m.ast, m.trace
+    ast, images = _images(target)
+    return ast, _trace(images, set(), {}, [])
 
 
 def derive_ast_metamodel(target: Metamodel, t: Transformation) -> tuple[Metamodel, Trace]:
     """Default mapping followed by all actions in canonical phases:
     create, change inheritance, translate, skip. Any permutation of the
-    action list yields an isomorphic metamodel."""
-    m = _default_mapping(target)
+    action list yields an isomorphic metamodel. The phases edit only the
+    AST metamodel; the trace is computed from the result once it is valid."""
+    ast, images = _images(target)
     diags: list = []
 
     creates = [a for a in t.actions if isinstance(a, CreateClass)]
@@ -441,30 +416,29 @@ def derive_ast_metamodel(target: Metamodel, t: Transformation) -> tuple[Metamode
 
     # Phase: create classes (shells first so created classes can reference
     # each other in any order).
-    existing = {c.name for c in m.ast.classifiers}
+    existing = {c.name for c in ast.classifiers}
+    created: dict[str, MetaClass] = {}
     for a in creates:
-        if a.name in existing or a.name in m.created:
+        if a.name in existing or a.name in created:
             diags.append(error("transformation", "xf-name-collision",
                                f"created class {a.name!r} collides with an existing AST class",
                                location=a.loc))
             continue
-        cls = MetaClass(a.name, abstract=a.abstract)
-        m.created[a.name] = cls
-        m.ast.classifiers.append(cls)
-        m.trace.created.append(a.name)
+        created[a.name] = MetaClass(a.name, abstract=a.abstract)
+        ast.classifiers.append(created[a.name])
     if diags:
         raise DiagnosticError(diags)
 
     def resolve_ref(ref: AstRef, loc) -> Classifier | None:
         if isinstance(ref, CreatedRef):
-            cls = m.created.get(ref.name)
+            cls = created.get(ref.name)
             if cls is None:
                 diags.append(error("transformation", "name-unresolved",
                                    f"created class {ref.name!r} does not exist", location=loc))
             return cls
         if isinstance(ref, DatatypeRef):
             return ref.datatype
-        img = m.image_by_proto.get(id(ref.prototype))
+        img = images.get(ref.prototype)
         if img is None:
             diags.append(error("transformation", "xf-bad-action",
                                f"class {ref.written!r} has no image in the AST metamodel",
@@ -472,7 +446,7 @@ def derive_ast_metamodel(target: Metamodel, t: Transformation) -> tuple[Metamode
         return img
 
     for a in creates:
-        cls = m.created[a.name]
+        cls = created[a.name]
         for ref in a.superclasses:
             sup = resolve_ref(ref, a.loc)
             if isinstance(sup, MetaClass):
@@ -487,29 +461,25 @@ def derive_ast_metamodel(target: Metamodel, t: Transformation) -> tuple[Metamode
                 cls.features.append(MetaReference(fd.name, fd.lower, fd.upper, type=ftype,
                                                   containment=(fd.kind == "val")))
 
-    # Phase: change inheritance. No trace effect. Two actions setting
-    # different superclass lists for one class would be order-dependent,
-    # so that is an error (idempotent repeats are fine).
-    ci_decisions: dict[int, tuple[MetaClass, list[MetaClass]]] = {}
+    # Phase: change inheritance. Two actions setting different superclass
+    # lists for one class would be order-dependent, so that is an error
+    # (idempotent repeats are fine).
+    new_supertypes: dict[MetaClass, list[MetaClass]] = {}
     for a in changes:
         cls = resolve_ref(a.target, a.loc)
         if not isinstance(cls, MetaClass):
             continue
-        new_supers = []
-        for ref in a.superclasses:
-            sup = resolve_ref(ref, a.loc)
-            if isinstance(sup, MetaClass):
-                new_supers.append(sup)
-        prev = ci_decisions.get(id(cls))
-        if prev is not None and [id(s) for s in prev[1]] != [id(s) for s in new_supers]:
+        new_supers = [sup for sup in (resolve_ref(ref, a.loc) for ref in a.superclasses)
+                      if isinstance(sup, MetaClass)]
+        if new_supertypes.get(cls, new_supers) != new_supers:
             diags.append(error("transformation", "xf-bad-action",
                                f"two actions set different superclass lists for {cls.name!r}",
                                location=a.loc))
             continue
-        ci_decisions[id(cls)] = (cls, new_supers)
-    for cls, new_supers in ci_decisions.values():
+        new_supertypes[cls] = new_supers
+    for cls, new_supers in new_supertypes.items():
         cls.supertypes = new_supers
-    for cls, _supers in ci_decisions.values():
+    for cls in new_supertypes:
         # check after every rewiring: intermediate states are not meaningful
         # when action order is undefined
         if cls in cls.all_supertypes():
@@ -520,36 +490,31 @@ def derive_ast_metamodel(target: Metamodel, t: Transformation) -> tuple[Metamode
     # pre-translation feature types so action order cannot matter, then
     # applied in one sweep; two different textual types for one feature is
     # an error.
-    decisions: dict[tuple[int, str], tuple[Classifier, TranslateReferences]] = {}
+    decisions: dict[tuple[MetaClass, str], Classifier] = {}
     for a in translates:
         textual = resolve_ref(a.textual_reference_type, a.loc)
         if textual is None:
             continue
-        if id(a.model_reference_type) not in m.image_by_proto:
+        if a.model_reference_type not in images:
             diags.append(error("transformation", "xf-bad-action",
                                f"class {a.model_reference_type.name!r} has no image; nothing to "
                                f"translate", location=a.loc))
             continue
-        covered = {id(m.image_by_proto[id(p)])
-                   for p in m.mapped
+        covered = {img for p, img in images.items()
                    if (p is a.model_reference_type
                        or (a.include_descendants and is_subtype(p, a.model_reference_type)))}
-        for cls in m.ast.classes():
+        for cls in ast.classes():
             for f in cls.features:
-                if isinstance(f, MetaReference) and not f.containment and id(f.type) in covered:
-                    key = (id(cls), f.name)
-                    prev = decisions.get(key)
-                    if prev is not None and prev[0] is not textual:
+                if isinstance(f, MetaReference) and not f.containment and f.type in covered:
+                    prev = decisions.get((cls, f.name))
+                    if prev is not None and prev is not textual:
                         diags.append(error(
                             "transformation", "xf-translate-conflict",
                             f"{cls.name}.{f.name} is translated to both "
-                            f"{prev[0].name!r} and {textual.name!r}", location=a.loc))
+                            f"{prev.name!r} and {textual.name!r}", location=a.loc))
                         continue
-                    decisions[key] = (textual, a)
-
-    by_id = {id(c): c for c in m.ast.classes()}
-    for (cls_id, fname), (textual, _a) in decisions.items():
-        cls = by_id[cls_id]
+                    decisions[cls, f.name] = textual
+    for (cls, fname), textual in decisions.items():
         for i, f in enumerate(cls.features):
             if f.name != fname:
                 continue
@@ -558,57 +523,38 @@ def derive_ast_metamodel(target: Metamodel, t: Transformation) -> tuple[Metamode
             else:
                 cls.features[i] = MetaReference(f.name, f.lower, f.upper,
                                                 type=textual, containment=True)
-        proto = m.proto_of_image.get(cls_id)
-        if proto is not None:
-            for r in m.trace.feature_records:
-                if r.image_class == cls.name and r.image_feature == fname:
-                    r.mode = "translated"
-                    r.textual = textual.name
 
     # Phase: skip classes. Gather the whole removal set first, then check
     # the survivors once.
-    removed: dict[int, MetaClass] = {}
+    removed: set[MetaClass] = set()
     for a in skips:
-        img = m.image_by_proto.get(id(a.target))
-        if img is None:
+        if a.target not in images:
             diags.append(error("transformation", "xf-bad-action",
                                f"class {a.target.name!r} has no image to skip", location=a.loc))
             continue
-        protos = [p for p in m.mapped
-                  if p is a.target or (a.include_descendants and is_subtype(p, a.target))]
-        for p in protos:
-            removed[id(m.image_by_proto[id(p)])] = m.image_by_proto[id(p)]
-
+        removed.update(img for p, img in images.items()
+                       if p is a.target or (a.include_descendants and is_subtype(p, a.target)))
     if removed:
-        removed_names = {c.name for c in removed.values()}
-        m.ast.classifiers = [c for c in m.ast.classifiers if id(c) not in removed]
-        for r in m.trace.class_records:
-            if r.image in removed_names:
-                r.status = "skipped"
-        m.trace.feature_records = [r for r in m.trace.feature_records
-                                   if r.image_class not in removed_names]
-        for cls in m.ast.classes():
+        ast.classifiers = [c for c in ast.classifiers if c not in removed]
+        for cls in ast.classes():
             for s in cls.supertypes:
-                if id(s) in removed:
+                if s in removed:
                     diags.append(error("transformation", "xf-removed-supertype",
                                        f"skipped image {s.name!r} is a supertype of surviving "
                                        f"class {cls.name!r}; rewire with 'make ... extend' first"))
             for f in cls.features:
-                if isinstance(f, MetaReference) and id(f.type) in removed:
+                if isinstance(f, MetaReference) and f.type in removed:
                     how = ("cross reference; translate it before skipping"
                            if not f.containment else "containment reference")
                     diags.append(error("transformation", "xf-dangling-type",
                                        f"{cls.name}.{f.name} is typed by skipped image "
                                        f"{f.type.name!r} ({how})"))
 
+    if not diags:
+        diags = [error("transformation", d.code, d.message) for d in validate_metamodel(ast)]
     if diags:
         raise DiagnosticError(diags)
-
-    for d in validate_metamodel(m.ast):
-        diags.append(error("transformation", d.code, d.message))
-    if diags:
-        raise DiagnosticError(diags)
-    return m.ast, m.trace
+    return ast, _trace(images, removed, decisions, list(created))
 
 
 def action_permutation_check(target: Metamodel, t: Transformation,

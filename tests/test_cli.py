@@ -13,6 +13,7 @@ from mmdsl.meta import model_equals
 from mmdsl.modeltext import load_model
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+GOLDENS = SAMPLES.parent / "tests" / "goldens"
 
 
 @pytest.fixture()
@@ -85,6 +86,18 @@ class TestGrammarInit:
         code = run("grammar-init", "--ast", mm, "--out", tmp_path / "x.gr")
         assert code == 1
         assert "gr-cross-reference" in capsys.readouterr().err
+
+    def test_refusals_name_their_class(self, tmp_path, capsys):
+        """An abstract class with no concrete subtype, and a cross reference,
+        are reported at /<ast>/<Class>, the path validate_metamodel uses."""
+        mm = tmp_path / "x.mm"
+        mm.write_text("class A { val B b; ref A other; }\nabstract class B { }\n")
+        assert run("grammar-init", "--ast", mm, "--out", tmp_path / "x.gr") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "model:/x/A: error[gr-cross-reference]: A.other is a cross reference; translate "
+            "it before generating a grammar",
+            "model:/x/B: error[gr-unknown-class]: abstract class 'B' has no concrete subtype"]
+        assert not (tmp_path / "x.gr").exists()
 
 
 class TestParseCmd:
@@ -490,3 +503,18 @@ def test_mm_name_from_path():
     assert mm_name_from_path(Path("xf.mm")) == "xf"
     assert mm_name_from_path(Path("dir/xf.ast.mm")) == "xf_ast"
     assert mm_name_from_path(Path("9lives.mm")) == "m_9lives"
+
+
+class TestPipelineGoldens:
+    """Both sample pipelines write the .ast.mm, .trace, .astm and .model
+    files kept in tests/goldens/<sample>/, byte for byte."""
+
+    @pytest.mark.parametrize("sample", ["css", "selfhost"])
+    def test_outputs_are_the_goldens(self, sample, tmp_path):
+        d = tmp_path / sample
+        shutil.copytree(SAMPLES / sample, d, ignore=shutil.ignore_patterns("out"))
+        assert run("pipeline", d / "pipeline.cfg") == 0
+        goldens = sorted((GOLDENS / sample).iterdir())
+        assert sorted(p.name for p in (d / "out").iterdir()) == [p.name for p in goldens]
+        for golden in goldens:
+            assert (d / "out" / golden.name).read_bytes() == golden.read_bytes(), golden.name

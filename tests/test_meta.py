@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 from hypothesis import given, settings, strategies as st
 
@@ -303,6 +304,37 @@ class TestModelEquals:
         objs = iter_tree(relinked.root)
         objs[-1].set("link", objs[1])
         assert not model_equals(chain("end"), relinked)
+
+    def test_a_containment_cycle_ends(self):
+        """A pair reached again is not compared again: an object whose kids
+        hold itself equals another such object, and not a finite tree."""
+        mm, node = simple_mm()
+
+        def looped(name):
+            obj = tree(node, name)
+            obj.set("children", [obj])
+            return Model(obj, mm)
+
+        start = time.perf_counter()
+        assert model_equals(looped("a"), looped("a"))
+        assert not model_equals(looped("a"), looped("b"))
+        assert not model_equals(looped("a"), Model(tree(node, "a", tree(node, "a")), mm))
+        assert not model_equals(Model(tree(node, "a", tree(node, "a")), mm), looped("a"))
+        assert time.perf_counter() - start < 1
+
+    def test_an_object_reached_again_needs_the_same_partner(self):
+        """Shared containment matches only the same sharing: an object
+        reached twice pairs with one object of the other model, both ways."""
+        mm, node = simple_mm()
+
+        def shared():
+            s = tree(node, "s")
+            return Model(tree(node, "r", s, s), mm)
+
+        copies = Model(tree(node, "r", tree(node, "s"), tree(node, "s")), mm)
+        assert model_equals(shared(), shared())
+        assert not model_equals(shared(), copies)
+        assert not model_equals(copies, shared())
 
 
 # ---------------------------------------------------------------------------

@@ -179,18 +179,22 @@ class TestLoadErrors:
         assert m.root.get("main").get("name") == "north"
 
 
+def deep_mm():
+    node = MetaClass("Node")
+    node.features = [
+        MetaAttribute("name", 0, 1, type=STRING),
+        MetaReference("one", 0, 1, type=node, containment=True),
+        MetaReference("kids", 0, UNBOUNDED, type=node, containment=True),
+        MetaReference("link", 0, 1, type=node, containment=False),
+    ]
+    return Metamodel("deep", [node]), node
+
+
 class TestDepth:
     def test_deep_chain_dumps_and_loads_back(self):
         """Dumping and loading walk a 5,000-deep chain on an explicit stack;
         the recursion limit is far below that depth."""
-        node = MetaClass("Node")
-        node.features = [
-            MetaAttribute("name", 0, 1, type=STRING),
-            MetaReference("one", 0, 1, type=node, containment=True),
-            MetaReference("kids", 0, UNBOUNDED, type=node, containment=True),
-            MetaReference("link", 0, 1, type=node, containment=False),
-        ]
-        mm = Metamodel("deep", [node])
+        mm, node = deep_mm()
         depth = 5000
         chain = [ModelObject(node) for _ in range(depth)]
         for parent, child in zip(chain, chain[1:]):
@@ -391,6 +395,43 @@ class TestDumpAgainstReference:
         for text, mm, extra in sample_dumps:
             m = load_model(text, mm, extra_metamodels=extra)
             assert dump_model(m) == ref_dump_model(m) == text
+
+    def test_a_dump_builds_no_tree(self, sample_dumps, monkeypatch):
+        """dump_model numbers the objects in its own walk, forward references
+        included, and builds no meta.Tree."""
+        models = [load_model(text, mm, extra_metamodels=extra) for text, mm, extra in sample_dumps]
+        models += [random_model(random.Random(seed)) for seed in range(20)]
+        expected = [ref_dump_model(m) for m in models]
+        built = []
+        init = Tree.__init__
+        monkeypatch.setattr(Tree, "__init__", lambda self, root: built.append(root) or init(self, root))
+        assert [dump_model(m) for m in models] == expected
+        assert built == []
+
+    def test_shared_containment_is_written_where_it_is_reached(self):
+        """A child held by two containment slots, but in no cycle, is
+        written at each place, with the one id of its first reach."""
+        mm, node = deep_mm()
+        kid = ModelObject(node, name="k", kids=[ModelObject(node, name="g")])
+        m = Model(ModelObject(node, kids=[kid, ModelObject(node, link=kid), kid]), mm)
+        assert dump_model(m) == ref_dump_model(m)
+        assert dump_model(m).count("Node #2 {") == 2
+
+    @pytest.mark.parametrize("slot", ["kids", "one"])
+    def test_a_containment_cycle_is_a_diagnostic(self, slot):
+        """An object reached again while its block is open is reported, not
+        written forever."""
+        mm, node = deep_mm()
+        obj, inner = ModelObject(node), ModelObject(node)
+        obj.set("kids", [ModelObject(node), inner])
+        inner.set(slot, [obj] if slot == "kids" else obj)
+        for root in (obj, inner):
+            start = time.perf_counter()
+            with pytest.raises(DiagnosticError) as exc:
+                dump_model(Model(root, mm))
+            assert time.perf_counter() - start < 1
+            assert [(d.code, d.message, d.path) for d in exc.value.diagnostics] == [
+                ("model-containment", "object of class Node is contained more than once", "/")]
 
 
 def load_outcome(load, text: str, mm=RICH, extra=(EXTRA,)):
