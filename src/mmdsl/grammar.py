@@ -17,15 +17,17 @@ ops (keywords, assignments holding their MetaFeature, jumps, and tests and
 choices that dispatch on a token key and carry the assignments below
 them), and each abstract rule as a table from token key to alternative.
 
-parse_text (text to model, one token of lookahead) and render_ast (model
-to text) run that same code, each in one loop over an explicit stack, so
-nesting is bounded by memory, not by the recursion limit.
-generate_random_model walks the elements to make models for round-trip
-tests. check_grammar enforces what they need: no reachable left recursion,
-no reachable rule that derives no finite text, and disjoint first-token
-sets at every choice point (alternatives, optionals and repetition
-continuations are checked against their local follow in the enclosing
-sequence).
+Only parse_grammar, _Analysis._compile and check_grammar read the element
+tree, each recursing over its nesting, which parse_grammar bounds
+(_MAX_NESTING). parse_text (text to model, one token of lookahead),
+render_ast (model to text) and generate_random_model (random models for
+round-trip tests) run the compiled code, each in one loop over an explicit
+stack, so the nesting of a text or model is bounded by memory, not by the
+recursion limit. check_grammar enforces what they need, in one walk of
+each reachable rule: no reachable left recursion, no reachable rule that
+derives no finite text, and disjoint first-token sets at every choice
+point (alternatives, optionals and repetition continuations are checked
+against their local follow in the enclosing sequence).
 """
 
 from __future__ import annotations
@@ -159,12 +161,20 @@ def _children(e) -> list | tuple:
 _GR_LEXER = Lexer(reserved={"Abstract"},
                   symbols={":", ";", "|", "(", ")", "?", "*", "+", "+=", "="},
                   phase="grammar")
+# How deep groups, and postfix operators, may nest: a group takes four frames of
+# parse_grammar, each element one of _compile and of check_grammar.
+_MAX_NESTING = 100
 
 
 def parse_grammar(text: str, ast: Metamodel, file: str = "<grammar>") -> Grammar:
+    """The grammar ``text`` over ``ast``. Groups nest at most _MAX_NESTING
+    deep, and so do postfix operators with those in what they wrap: the
+    '(' or operator past that is a syntax error."""
     stream = TokenStream(_GR_LEXER.tokenize(text, file), phase="grammar")
     rules: list[Rule] = []
     diags: list[Diagnostic] = []
+    # the groups open; the operators nested in the last element, and most in one of its group
+    depth = height = deepest = 0
 
     def parse_alternation():
         alts = [parse_sequence()]
@@ -179,23 +189,33 @@ def parse_grammar(text: str, ast: Metamodel, file: str = "<grammar>") -> Grammar
         return items[0] if len(items) == 1 else Sequence(items)
 
     def parse_element():
+        nonlocal height, deepest
         e = parse_primary()
         while stream.at_kw("?") or stream.at_kw("*") or stream.at_kw("+"):
+            if height == _MAX_NESTING:
+                stream.fail(f"operators nested more than {_MAX_NESTING} deep")
+            height += 1
             op = stream.next().text
             e = Opt(e) if op == "?" else Repeat(e, op)
+        deepest = max(deepest, height)
         return e
 
     def parse_primary():
-        tok = stream.current
+        nonlocal depth, height, deepest
+        tok, height = stream.current, 0
         if tok.kind == "STRING":
             stream.next()
             if not tok.value:
                 diags.append(error("grammar", "syntax", "empty keyword", location=tok.location))
             return Keyword(tok.value, tok.location)
         if tok.is_kw("("):
+            if depth == _MAX_NESTING:
+                stream.fail(f"groups nested more than {_MAX_NESTING} deep")
+            depth, outer, deepest = depth + 1, deepest, 0
             stream.next()
             inner = parse_alternation()
             stream.expect_kw(")")
+            depth, height, deepest = depth - 1, deepest, outer
             return inner
         if tok.kind == "ID":
             stream.next()
@@ -316,13 +336,14 @@ TokenKey = tuple  # ("kw", text) or ("term", "ID"|"STRING"|"INT")
 #   (KW, text)   (JUMP, target)   (RET,): the end of a rule's code
 #   (TERM | CALL | FLAG, feat, name, many, callee | proc | keyword, plus)
 #   (TEST, first, end, reads, must): unless the part is there, go to end
-#   (CHOICE, table, default, first, end, alts, bare)
+#   (CHOICE, table, default, first, end, alts, bare, low)
 # ``feat`` is the MetaFeature the rule's class holds under ``name``; ``reads``
 # are the assignment ops below a decision; a '+' loop starts with a TEST that
 # ``must`` find its part. A CHOICE goes to table[key], else to ``default`` (its
 # end if it may be empty, else None: an error); rendering takes the first of
 # ``alts``, (reads, start) pairs, with a value, else ``bare``, the start of the
-# first alternative without assignments (or the end).
+# first alternative without assignments (or the end); ``low`` is the start of
+# the first alternative of least height.
 KW, TERM, CALL, FLAG, TEST, JUMP, CHOICE, RET = range(8)
 _INF = float("inf")
 
@@ -443,7 +464,8 @@ class _Analysis:
             table = {k: start for x, start in reversed(pairs) for k in x.first}
             alts = tuple([(tuple([ops[id(y)] for y in x.assigns]), start) for x, start in pairs])
             bare = next((start for x, start in pairs if not x.assigns), end)
-            code[at] = (CHOICE, table, end if e.nullable else None, e.first, end, alts, bare)
+            low = min(pairs, key=lambda p: p[0].height)[1]
+            code[at] = (CHOICE, table, end if e.nullable else None, e.first, end, alts, bare, low)
         else:
             e.first = e.inner.first
             e.nullable = isinstance(e, Opt) or e.kind == "*" or e.inner.nullable
@@ -488,52 +510,14 @@ def check_grammar(g: Grammar) -> list[Diagnostic]:
     reachable from the entry rule, left recursion, rules that derive no
     finite text, and choice points whose first-token sets overlap (group and
     abstract-rule alternatives pairwise; optionals and repetitions against
-    the first tokens of their local continuation in the enclosing sequence)."""
-    diags: list[Diagnostic] = []
+    the first tokens of their local continuation in the enclosing sequence).
+    One walk of each rule finds both its leftmost rule references and its
+    choice points; the overlaps are dropped under left recursion, where
+    FIRST sets are meaningless."""
     a = g.analysis()
     reachable = _reachable_rules(g)
-
-    # left recursion: cycle over leftmost rule references
-    def left_refs(e, acc):
-        if isinstance(e, Assignment):
-            if e.op != "?" and e.callee and e.callee not in TERMINALS:
-                acc.add(e.callee)
-        for x in _children(e):
-            left_refs(x, acc)
-            if isinstance(e, Sequence) and not x.nullable:
-                break
-
-    graph: dict[str, set[str]] = {}
-    for name in reachable:
-        r = g.by_name[name]
-        acc: set[str] = set()
-        if isinstance(r, AbstractRule):
-            acc.update(al for al in r.alternatives if al in g.by_name)
-        else:
-            left_refs(r.body, acc)
-        graph[name] = acc
-
-    def reaches_itself(start: str) -> bool:
-        seen: set[str] = set()
-        frontier = list(graph.get(start, ()))
-        while frontier:
-            node = frontier.pop()
-            if node == start:
-                return True
-            if node not in seen:
-                seen.add(node)
-                frontier.extend(graph.get(node, ()))
-        return False
-
-    for name in reachable:
-        if reaches_itself(name):
-            diags.append(error("grammar", "gr-left-recursion",
-                               f"rule {name!r} is left-recursive",
-                               location=g.by_name[name].loc))
-    diags += _unproductive(g)
-
-    if any(d.code == "gr-left-recursion" for d in diags):
-        return diags  # FIRST sets are meaningless under left recursion
+    left: dict[str, set[str]] = {}  # per rule, the rules it may call before reading a token
+    ambiguous: list[Diagnostic] = []
 
     def describe(keys):
         return ", ".join(sorted(
@@ -544,62 +528,80 @@ def check_grammar(g: Grammar) -> list[Diagnostic]:
         for i, (x, fx) in enumerate(firsts):
             for y, fy in firsts[i + 1:]:
                 if fx & fy:
-                    diags.append(error("grammar", "gr-ambiguous", f"in rule {rule!r}: "
-                                       f"alternatives {x} and {y} both start with "
-                                       f"{describe(fx & fy)}"))
+                    ambiguous.append(error("grammar", "gr-ambiguous", f"in rule {rule!r}: "
+                                           f"alternatives {x} and {y} both start with "
+                                           f"{describe(fx & fy)}"))
 
-    def check_choices(e, rule, follow: set[TokenKey]):
-        if isinstance(e, Sequence):
+    def walk(e, rule, follow: set[TokenKey], lead: bool):
+        """Check the choice points in ``e``, whose local follow is ``follow``;
+        ``lead``: nothing is read before ``e`` in ``rule``."""
+        if isinstance(e, Assignment):
+            if lead and e.op != "?" and e.callee not in TERMINALS:
+                left[rule].add(e.callee)
+        elif isinstance(e, Sequence):
             # the local follow of each item: the first tokens of what comes
             # after it, up to the first item that cannot be empty
             follows = [follow]
             for x in reversed(e.items[1:]):
                 follows.append(x.first | follows[-1] if x.nullable else x.first)
             for x, local in zip(e.items, reversed(follows)):
-                check_choices(x, rule, local)
-            return
-        if isinstance(e, (Opt, Repeat)):
+                walk(x, rule, local, lead)
+                lead = lead and x.nullable
+        elif isinstance(e, (Opt, Repeat)):
             part = "optional" if isinstance(e, Opt) else "repeated"
             if e.first & follow:
-                diags.append(error("grammar", "gr-ambiguous", f"in rule {rule!r}: {part} part "
-                                   f"and its continuation both start with "
-                                   f"{describe(e.first & follow)}"))
-            check_choices(e.inner, rule, follow if isinstance(e, Opt) else e.first | follow)
-            return
-        if isinstance(e, Group):
+                ambiguous.append(error("grammar", "gr-ambiguous", f"in rule {rule!r}: {part} "
+                                       f"part and its continuation both start with "
+                                       f"{describe(e.first & follow)}"))
+            walk(e.inner, rule, follow if isinstance(e, Opt) else e.first | follow, lead)
+        elif isinstance(e, Group):
             overlaps(rule, [(i, x.first) for i, x in enumerate(e.alternatives, 1)])
             if sum([x.nullable for x in e.alternatives]) > 1:
-                diags.append(error("grammar", "gr-ambiguous",
-                                   f"in rule {rule!r}: more than one alternative can be empty"))
+                ambiguous.append(error("grammar", "gr-ambiguous", f"in rule {rule!r}: "
+                                       f"more than one alternative can be empty"))
             for x in e.alternatives:
-                check_choices(x, rule, follow)
-            return
+                walk(x, rule, follow, lead)
 
     for name in reachable:
         r = g.by_name[name]
         if isinstance(r, AbstractRule):
+            left[name] = {alt for alt in r.alternatives if alt in g.by_name}
             overlaps(name, [(repr(alt), a.first.get(alt, frozenset())) for alt in r.alternatives])
         else:
-            check_choices(r.body, name, set())
-    return diags
+            left[name] = set()
+            walk(r.body, name, frozenset(), True)
+
+    def reaches_itself(start: str) -> bool:
+        seen: set[str] = set()
+        frontier = list(left.get(start, ()))
+        while frontier:
+            node = frontier.pop()
+            if node == start:
+                return True
+            if node not in seen:
+                seen.add(node)
+                frontier.extend(left.get(node, ()))
+        return False
+
+    diags = [error("grammar", "gr-left-recursion", f"rule {name!r} is left-recursive",
+                   location=g.by_name[name].loc) for name in reachable if reaches_itself(name)]
+    return diags + _unproductive(g) + ([] if diags else ambiguous)
 
 
 # ---------------------------------------------------------------------------
 # Text to model
 
 
-def parse_text(text: str, g: Grammar, ast: Metamodel | None = None,
-               file: str = "<input>") -> Model:
+def parse_text(text: str, g: Grammar, file: str = "<input>") -> Model:
     """Run the grammar's compiled code from its entry rule over the tokens
     of ``text`` with one token of lookahead, in one loop on an explicit
     stack: a rule call pushes a frame for the new object, the rule's end
     pops it into the caller's slot. The result is a valid Model over
-    ``ast``, by default ``g.ast``. If ``g`` is sound (see _Analysis) and
-    ``ast`` is ``g.ast``, each object is valid by construction but for its
-    bounds, which the parser checks as it finishes the object; otherwise
-    the model goes through validate_model."""
+    ``g.ast``. If ``g`` is sound (see _Analysis), each object is valid by
+    construction but for its bounds, which the parser checks as it
+    finishes the object; otherwise the model goes through validate_model."""
     a = g.analysis()
-    checked = a.sound and (ast is None or ast is g.ast)
+    checked = a.sound
     miscounts: list[tuple[ModelObject, str]] = []  # read only if checked
     tokens = g.lexer().tokenize(text, file)
     # Without left recursion the frames opened at one token are of different
@@ -671,7 +673,7 @@ def parse_text(text: str, g: Grammar, ast: Metamodel | None = None,
             slots[name] = value
     if tok.kind != "EOF":
         _unexpected(tok, "end of input")
-    model = Model(obj, ast or g.ast)
+    model = Model(obj, g.ast)
     if not checked:
         problems = [(d.code, d.message, d.path) for d in validate_model(model)]
     else:
@@ -928,8 +930,16 @@ def _has_concrete_descendant(cls, classes) -> bool:
 
 
 def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) -> Model:
-    """Walk the grammar generatively, making random choices; the result is a
-    valid model that render_ast can always emit."""
+    """A random valid model that render_ast can always emit. Runs the
+    compiled code from the entry rule as parse_text does, in one loop on an
+    explicit stack, and decides wherever the parser would read a token: an
+    optional part or a loop pass is taken with even odds, at most 4 passes,
+    and a '+' loop makes its first pass; a choice and an abstract rule take
+    a random alternative; a flag is set with even odds. ``max_depth``
+    counts rule calls: past it, optional parts are skipped, a '+' loop makes
+    one pass, and a choice or an abstract rule takes the alternative of
+    least height, so the model ends. A pass is taken only if the values it
+    adds still fit every finite upper bound (see _room)."""
     if stuck := _unproductive(g):
         raise DiagnosticError(stuck)
     a = g.analysis()
@@ -949,84 +959,70 @@ def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) ->
             s += rng.choice(['"', "\\", "\n", "\t"])
         return s
 
-    def gen_rule(name: str, depth: int) -> ModelObject:
-        rule = g.by_name[name]
-        if isinstance(rule, AbstractRule):
-            alts = rule.alternatives  # past max_depth, the least height ends soonest
-            return gen_rule(min(alts, key=lambda x: a.height.get(x, 0)) if depth > max_depth
-                            else rng.choice(alts), depth + 1)
-        obj = ModelObject(rule.cls)
-        gen(rule.body, obj, depth, None)
-        for f in a.flags[name]:
-            if not obj.is_set(f):
-                obj.set(f, False)
-        return obj
+    def enter(p: _Proc, depth: int) -> _Proc:
+        """The concrete rule that a call of rule ``p`` at ``depth`` runs."""
+        while p.code is None:
+            alts = g.by_name[p.name].alternatives
+            p = a.procs[min(alts, key=a.height.get) if depth > max_depth else rng.choice(alts)]
+        return p
 
-    def later_adds(rest) -> Counter:
-        """Per feature, the '+=' assignments still to run in the object after
-        the element whose ``rest`` this is, each repetition counted once."""
-        adds = Counter()
-        while rest is not None:
-            items, at, rest = rest
-            adds.update(x.feature for y in items[at:] for x in y.assigns if x.op == "+=")
-        return adds
-
-    # ``rest`` is what follows ``e`` in its object: (items, index, rest) of
-    # each enclosing sequence, or None
-    def gen(e, obj, depth, rest):
-        if isinstance(e, Keyword):
-            return
-        if isinstance(e, Assignment):
-            if e.op == "?":
-                if rng.random() < 0.5:
-                    obj.set(e.feature, True)
-                return
-            if e.callee == "ID":
-                value = rand_id()
-            elif e.callee == "STRING":
-                value = rand_string()
-            elif e.callee == "INT":
-                value = rng.randint(0, 20)
+    terminal = {"ID": rand_id, "STRING": rand_string, "INT": lambda: rng.randint(0, 20)}
+    stack = []  # below the top frame: (code, pc, obj, passes, op, proc), op the CALL it fills
+    proc = enter(a.procs[g.entry], 0)
+    code, pc, obj, passes = proc.code, 0, ModelObject(proc.cls), {}  # passes: loop head -> count
+    while True:
+        op = code[pc]
+        pc += 1
+        kind = op[0]
+        if kind is TERM:
+            value = terminal[op[4]]()
+        elif kind is CALL:
+            stack.append((code, pc, obj, passes, op, proc))
+            proc = enter(op[4], len(stack))
+            code, pc, obj, passes = proc.code, 0, ModelObject(proc.cls), {}
+            continue
+        elif kind is TEST:
+            if op[4]:  # a '+' loop: its first pass is taken, past its head TEST
+                passes[pc] = 1
+                pc += 1
+            elif (len(stack) <= max_depth and passes.get(pc - 1, 0) < 4
+                  and rng.random() < 0.5 and _room(code, op, obj)):
+                if code[op[2] - 1] == (JUMP, pc - 1):  # a loop's head: count the pass
+                    passes[pc - 1] = passes.get(pc - 1, 0) + 1
             else:
-                value = gen_rule(e.callee, depth + 1)
-            if e.op == "=":
-                if not obj.is_set(e.feature):
-                    obj.set(e.feature, value)
-            else:
-                obj.add(e.feature, value)
-            return
-        if isinstance(e, Sequence):
-            for i, x in enumerate(e.items):
-                gen(x, obj, depth, (e.items, i + 1, rest))
-            return
-        if isinstance(e, Opt):
-            if depth <= max_depth and rng.random() < 0.5:
-                gen(e.inner, obj, depth + 1, rest)
-            return
-        if isinstance(e, Repeat):
-            count = 1 if e.kind == "+" else 0
-            if depth <= max_depth:
-                while rng.random() < 0.5 and count < 4:
-                    count += 1
-            # a pass adds at most k values to a feature named by k '+=' assignments
-            # below it, and what follows adds at most later_adds: stop before a
-            # pass could leave no room for them under a finite upper bound
-            adds = Counter(x.feature for x in e.inner.assigns if x.op == "+=")
-            bounded = [(f, k) for name, k in adds.items()
-                       if (f := obj.cls.find_feature(name)) is not None
-                       and f.upper is not UNBOUNDED]
-            if bounded:
-                later = later_adds(rest)
-                bounded = [(f, k + later[f.name]) for f, k in bounded]
-            for i in range(count):
-                if (i or e.kind == "*") and any(
-                        len(obj.values_of(f)) + k > f.upper for f, k in bounded):
-                    break
-                gen(e.inner, obj, depth + 1, rest)
-            return
-        # Group
-        alts = e.alternatives
-        gen(min(alts, key=lambda x: x.height) if depth > max_depth else rng.choice(alts),
-            obj, depth + 1, rest)
+                passes.pop(pc - 1, None)
+                pc = op[2]
+            continue
+        elif kind is CHOICE:
+            pc = op[7] if len(stack) > max_depth else rng.choice(op[5])[1]
+            continue
+        elif kind is JUMP:
+            pc = op[1]
+            continue
+        elif kind is not RET:  # a keyword, or a flag: set with even odds
+            if kind is FLAG and rng.random() < 0.5:
+                obj.slots[op[2]] = True
+            continue
+        else:  # RET: finish the object, then fill the slot of the CALL that opened it
+            for f in proc.flags:
+                obj.slots.setdefault(f, False)
+            if not stack:
+                return Model(obj, g.ast)
+            value = obj
+            code, pc, obj, passes, op, proc = stack.pop()
+        if op[5]:
+            obj.slots.setdefault(op[2], []).append(value)
+        else:
+            obj.slots.setdefault(op[2], value)  # a second '=' keeps the first value
 
-    return Model(gen_rule(g.entry, 0), g.ast)
+
+def _room(code: tuple, op: tuple, obj: ModelObject) -> bool:
+    """Whether ``obj`` has room for one more pass of the part that TEST
+    ``op`` guards: for each feature with a finite upper bound, its values,
+    the '+=' assignments in ``op``'s reads and those from the part's end
+    on, each op counted once, stay within the bound."""
+    adds = Counter([o[1] for o in op[3] if o[5] and o[1].upper is not UNBOUNDED])
+    if adds:
+        adds.update([o[1] for o in code[op[2]:] if (o[0] is TERM or o[0] is CALL) and o[5]
+                     and o[1] in adds])
+    return all(len(obj.values_of(f)) + k <= f.upper for f, k in adds.items())

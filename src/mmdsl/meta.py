@@ -23,7 +23,8 @@ A ``Tree`` is one walk of a containment tree with an explicit stack: its
 objects in preorder, and each object's container and path without a search.
 ``iter_tree``, ``validate_model``, ``transform``'s diagnostics and namers, and
 the walk of ``transform_model_to_ast`` each read one Tree; a forward transform
-binds names and validates its result on the same one.
+binds names and validates its result on the same one. ``model_equals`` pairs
+the preorders of two Trees.
 
 The builtin ``ecore`` package provides the reflective classifiers user
 metamodels may reference (EClassifier, EClass, EDataType, ...). Metamodel
@@ -647,67 +648,47 @@ def miscount(obj: ModelObject, f: MetaFeature, count: int) -> str | None:
 
 
 def model_equals(a: Model, b: Model) -> bool:
-    """Isomorphism: equal class names, equal effective attribute values,
-    children pairwise equal in order, and cross references mapping to
-    corresponding objects; classifier stand-ins compare by classifier name.
-    The containment trees are compared on an explicit stack, in preorder. A
-    pair reached again is not compared again, so a containment cycle ends;
-    an object reached again with another partner makes the models unequal."""
-    corr: dict[ModelObject, ModelObject] = {}  # one-to-one: x -> its partner y
-    partners: set[ModelObject] = set()
-    cross_checks: list[tuple[ModelObject, ModelObject, MetaFeature]] = []
-    # a pair of objects to compare, or (x, y, f): a cross feature left to check
-    stack: list[tuple] = [(a.root, b.root, None)]
-    while stack:
-        x, y, cross = stack.pop()
-        if cross is not None:
-            cross_checks.append((x, y, cross))
-            continue
-        if x in corr or y in partners:
-            if corr.get(x) is y:
-                continue
+    """Isomorphism through the preorders of the two containment trees: the
+    Trees of ``a.root`` and ``b.root`` list as many objects, and reach as
+    many again; the i-th objects pair up, with equal class names, feature
+    names and kinds, and effective attribute values; each value of a
+    containment or cross slot maps to its partner through the pairing.
+    Classifier stand-ins compare by classifier name and by whether they
+    are ecore's; values that are not objects compare with ``==``. Shared
+    containment and containment cycles compare like any other slot."""
+    ta, tb = Tree(a.root), Tree(b.root)
+    if len(ta.objects) != len(tb.objects) or len(ta.shared) != len(tb.shared):
+        return False
+    partner = dict(zip(ta.objects, tb.objects))
+
+    def in_ecore(m: Model, c: Classifier) -> bool:
+        return find_classifier_home(c, [m.metamodel, _ECORE]) is _ECORE
+
+    for x, y in partner.items():
+        cx, cy = x.cls, y.cls
+        if cx.name != cy.name or len(cx.all_features()) != len(cy.all_features()):
             return False
-        if x.cls.name != y.cls.name:
-            return False
-        corr[x] = y
-        partners.add(y)
-        fx = {f.name: f for f in x.cls.all_features()}
-        fy = {f.name: f for f in y.cls.all_features()}
-        if set(fx) != set(fy):
-            return False
-        todo = []  # in feature order: a subtree before the features after it
-        for name, f in fx.items():
-            if f.is_attribute != fy[name].is_attribute:
+        for f in cx.all_features():
+            g = f if cx is cy else cy.find_feature(f.name)
+            if g is None or (g.is_attribute, g.containment) != (f.is_attribute, f.containment):
                 return False
             if f.is_attribute:
-                if x.get(name) != y.get(name):
+                if x.get(f.name) != y.get(f.name):
                     return False
-            elif f.containment:
-                xs, ys = x.values(name), y.values(name)
-                if len(xs) != len(ys):
-                    return False
-                todo += [(cx, cy, None) for cx, cy in zip(xs, ys)]
-            else:
-                todo.append((x, y, f))
-        stack += reversed(todo)
-    for x, y, f in cross_checks:
-        xs, ys = x.values(f.name), y.values(f.name)
-        if len(xs) != len(ys):
-            return False
-        for tx, ty in zip(xs, ys):
-            if tx.represents is not None or ty.represents is not None:
-                if tx.represents is None or ty.represents is None:
-                    return False
-                if tx.represents.name != ty.represents.name:
-                    return False
-                hx = find_classifier_home(tx.represents, [a.metamodel, _ECORE])
-                hy = find_classifier_home(ty.represents, [b.metamodel, _ECORE])
-                # Same simple name must come from 'the same' package: either
-                # both builtin or both model-level.
-                if (hx is _ECORE) != (hy is _ECORE):
-                    return False
-            else:
-                if corr.get(tx) is not ty:
+                continue
+            xs, ys = x.values_of(f), y.values_of(g)
+            if len(xs) != len(ys):
+                return False
+            for u, v in zip(xs, ys):
+                if not (isinstance(u, ModelObject) and isinstance(v, ModelObject)):
+                    if u != v:
+                        return False
+                elif u.represents is None and v.represents is None:
+                    if partner.get(u) is not v:
+                        return False
+                elif (u.represents is None or v.represents is None
+                      or u.represents.name != v.represents.name
+                      or in_ecore(a, u.represents) != in_ecore(b, v.represents)):
                     return False
     return True
 

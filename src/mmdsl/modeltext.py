@@ -64,13 +64,19 @@ def dump_model(m: Model) -> str:
     after it. Each object is numbered as its head is written, so the ids
     follow the preorder; cross references may point forward, so their
     lines are written after the walk. An object reached again while its
-    block is open is a containment cycle."""
+    block is open is a containment cycle. A value that does not fit its
+    slot (a model that was not validated) is a ``model-kind`` error,
+    worded as validate_model words it."""
     ids = {m.root: 1}
     opened = {m.root}  # the objects whose block is not closed yet
     known = [m.metamodel, builtin_ecore()]
     qnames: dict[ModelObject, str] = {}  # stand-in -> its reference, looked up once
     layouts: dict[MetaClass, tuple] = {}
-    crosses = []  # (line index, line start, value or values, many), written last
+    crosses = []  # (line index, line start, object, name, value or values, many), written last
+
+    def kind(obj: ModelObject, name: str, found: str) -> DiagnosticError:
+        return DiagnosticError([error("validate", "model-kind", f"{obj.cls.name}.{name}: {found}",
+                                      path="/")])
 
     def open_(v: ModelObject) -> int:
         if v in opened:
@@ -80,7 +86,9 @@ def dump_model(m: Model) -> str:
         opened.add(v)
         return ids.setdefault(v, len(ids) + 1)
 
-    def cross(v: ModelObject) -> str:
+    def cross(obj: ModelObject, name: str, v: ModelObject) -> str:
+        if not isinstance(v, ModelObject):
+            raise kind(obj, name, f"expected an object, found {v!r}")
         if v.represents is not None:
             ref = qnames.get(v)
             if ref is None:
@@ -109,27 +117,35 @@ def dump_model(m: Model) -> str:
             obj.cls, _layout(obj.cls))
         inner = "  " * (indent + 1)
         for i in range(at, len(layout)):
-            name, many, kind = layout[i]
+            name, many, role = layout[i]
             if name not in slots:
                 continue
             v = slots[name]
             if many and not v:
                 continue
-            if kind == "attribute":
-                if many:
-                    out.append(f"{inner}{name} = [{', '.join(map(format_literal, v))}]")
-                else:
-                    out.append(f"{inner}{name} = {format_literal(v)}")
-            elif kind == "cross":
-                crosses.append((len(out), f"{inner}{name} = ", v, many))
+            if role == "attribute":
+                try:
+                    out.append(f"{inner}{name} = [{', '.join(map(format_literal, v))}]" if many
+                               else f"{inner}{name} = {format_literal(v)}")
+                except TypeError:  # a value no literal writes
+                    vals = v if many and isinstance(v, list) else (v,)
+                    bad = next((x for x in vals if not isinstance(x, (str, int))), v)
+                    raise kind(obj, name, f"value {bad!r} does not fit attribute type "
+                                          f"{obj.cls.find_feature(name).type.name}") from None
+            elif role == "cross":
+                crosses.append((len(out), f"{inner}{name} = ", obj, name, v, many))
                 out.append(None)
             elif many:
                 out.append(f"{inner}{name} = [")
                 push((obj, indent, i + 1))
                 push(f"{inner}]")
                 for child in reversed(v):
+                    if not isinstance(child, ModelObject):
+                        raise kind(obj, name, f"expected an object, found {child!r}")
                     push((child, indent + 2, -1))
                 break
+            elif not isinstance(v, ModelObject):
+                raise kind(obj, name, f"expected an object, found {v!r}")
             else:
                 out.append(f"{inner}{name} = {v.cls.name} #{open_(v)} {{")
                 push((obj, indent, i + 1))
@@ -138,8 +154,9 @@ def dump_model(m: Model) -> str:
         else:
             out.append(f"{'  ' * indent}}}")
             opened.discard(obj)
-    for i, start, v, many in crosses:
-        out[i] = start + (f"[{', '.join(map(cross, v))}]" if many else cross(v))
+    for i, start, obj, name, v, many in crosses:
+        out[i] = start + (f"[{', '.join([cross(obj, name, x) for x in v])}]" if many
+                          else cross(obj, name, v))
     return "\n".join(out) + "\n"
 
 

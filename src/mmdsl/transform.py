@@ -796,19 +796,24 @@ def namespace_registry(config: dict[str, str], target: Metamodel,
 def _make_placer(ensure_cls: MetaClass, key_attr: str, collection: str,
                  children: str, name_attribute: str):
     def placer(ctx: _PlacementContext):
-        key = ctx.ast_object.get(key_attr)
-        if not key:
-            ctx.diagnostics.append(error(
-                "resolve", "resolve-unresolved",
-                f"{ctx.ast_object.cls.name}.{key_attr} is unset; cannot place children",
-                path="/"))
+        try:  # the config may name features the classes lack
+            key = ctx.ast_object.get(key_attr)
+            if not key:
+                ctx.diagnostics.append(error(
+                    "resolve", "resolve-unresolved",
+                    f"{ctx.ast_object.cls.name}.{key_attr} is unset; cannot place children",
+                    path="/"))
+                return None
+            existing = ctx.namespace.resolve(ctx.namespace.root, [key])
+            if isinstance(existing, ModelObject) and existing.cls is ensure_cls:
+                return existing, children
+            container = ModelObject(ensure_cls)
+            container.set(name_attribute, key)
+            ctx.target_root.add(collection, container)
+        except LookupError as exc:
+            ctx.diagnostics.append(error("resolve", "config", f"cannot place the children of "
+                                         f"{ctx.ast_object.cls.name}: {exc}", path="/"))
             return None
-        existing = ctx.namespace.resolve(ctx.namespace.root, [key])
-        if isinstance(existing, ModelObject) and existing.cls is ensure_cls:
-            return existing, children
-        container = ModelObject(ensure_cls)
-        container.set(name_attribute, key)
-        ctx.target_root.add(collection, container)
         ctx.namespace.define([], key, container)
         return container, children
 

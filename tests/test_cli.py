@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mmdsl.cli import main, mm_name_from_path
 from mmdsl.emfatic import parse_metamodel
@@ -164,6 +170,17 @@ class TestParseCmd:
         assert done.returncode == 1
         assert "error[lexical]" in done.stderr and ":1:12:" in done.stderr
         assert "Traceback" not in done.stderr
+
+    def test_deep_grammar_nesting_is_a_syntax_error(self, selfhost_dir):
+        d = selfhost_dir
+        self.setup_outputs(d)
+        (d / "deep.gr").write_text("TransformationAS : " + "( " * 250 + '"x"' + " )" * 250
+                                   + " ;\n")
+        done = run_process("parse", "--grammar", d / "deep.gr", "--ast", d / "xf.ast.mm",
+                           d / "xf.xf", "--out", d / "o.astm")
+        assert done.returncode == 1
+        assert done.stderr == (f"{d / 'deep.gr'}:1:220: error[syntax]: groups nested more "
+                               f"than 100 deep\n")
 
 
 class TestTransformCmd:
@@ -366,6 +383,17 @@ class TestPipelineCmd:
         assert "error[config]" in done.stderr
         assert "Traceback" not in done.stderr
 
+    def test_placement_naming_a_missing_feature(self, css_dir, capsys):
+        """A placement config that names a feature the target class lacks is
+        a config diagnostic for each rule placed (one in grouped.css, two in
+        split.css)."""
+        mm = css_dir / "css.mm"
+        mm.write_text(mm.read_text().replace("selectors", "chosen"))
+        assert run("pipeline", css_dir / "pipeline.cfg") == 1
+        assert capsys.readouterr().err.count(
+            "error[config]: cannot place the children of Rule: class Stylesheet has no "
+            "feature 'selectors'") == 3
+
     def test_config_errors_name_their_line(self, css_dir):
         (css_dir / "ns.cfg").write_text("name.attribute = name\n@@@\n")
         done = run_process("pipeline", css_dir / "pipeline.cfg")
@@ -518,3 +546,82 @@ class TestPipelineGoldens:
         assert sorted(p.name for p in (d / "out").iterdir()) == [p.name for p in goldens]
         for golden in goldens:
             assert (d / "out" / golden.name).read_bytes() == golden.read_bytes(), golden.name
+
+
+# Every command of each sample, by the files it reads (the sample's own and
+# the goldens of its pipeline): (sample, text input, .astm, .model).
+FUZZ_SAMPLES = {"css": ("css", "grouped.css", "grouped.astm", "grouped.model"),
+                "selfhost": ("xf", "xf.xf", "xf.astm", "xf.model")}
+FUZZ_TOKEN = re.compile(r'"(?:[^"\\\n]|\\.)*"|\w+|::|->|\+=|//|/\*|\*/|\s+|.', re.DOTALL)
+FUZZ_VOCABULARY = ["(", ")", "{", "}", "[", "]", ";", ":", ",", "=", "+=", "?", "*", "+", "|", "#",
+                   "#1", "->", "::", "-", "x", "7", '"s"', "@", "Abstract", "class", "val", "ref",
+                   "attr", "create", "skip", "img", "true", "9" * 30, "²", '"open']
+
+
+def fuzz_argv(d: Path, stem: str, text: str, astm: str, model: str) -> list[list]:
+    plan = ["--trace", d / f"{stem}.trace", "--target", d / f"{stem}.mm",
+            "--ast", d / f"{stem}.ast.mm"]
+    grammar = ["--grammar", d / f"{stem}.gr", "--ast", d / f"{stem}.ast.mm"]
+    config = ["--resolver-config", d / "ns.cfg"]
+    return [["derive", "--target", d / f"{stem}.mm", "--xf", d / f"{stem}.xf",
+             "--out", d / "o.ast.mm", "--trace", d / "o.trace"],
+            ["grammar-init", "--ast", d / f"{stem}.ast.mm", "--out", d / "o.gr"],
+            ["parse", *grammar, d / text, "--out", d / "o.astm"],
+            ["transform", *plan, *config, d / astm, "--out", d / "o.model"],
+            ["render", *grammar, d / astm],
+            ["to-text", *plan, *config, "--grammar", d / f"{stem}.gr", d / model],
+            ["pipeline", d / "pipeline.cfg"]]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dirs(tmp_path_factory):
+    """Each sample with the outputs of its pipeline next to its inputs."""
+    base = tmp_path_factory.mktemp("fuzz")
+    for sample in FUZZ_SAMPLES:
+        shutil.copytree(SAMPLES / sample, base / sample, ignore=shutil.ignore_patterns("out"))
+        for golden in (GOLDENS / sample).iterdir():
+            shutil.copy(golden, base / sample / golden.name)
+    return base
+
+
+class TestFuzz:
+    """Every command, run in-process on both samples with one input file
+    mutated (tokens dropped, duplicated, swapped or replaced), exits 0 or 1
+    with diagnostics: no exception escapes, and no run is slow."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sample=st.sampled_from(sorted(FUZZ_SAMPLES)),
+           kind=st.sampled_from([".mm", ".xf", ".gr", "text", ".astm", ".model", ".trace",
+                                 ".ast.mm"]),
+           edits=st.lists(st.tuples(st.sampled_from(["drop", "dup", "swap", "replace"]),
+                                    st.integers(0, 10 ** 6), st.sampled_from(FUZZ_VOCABULARY)),
+                          min_size=1, max_size=3))
+    def test_mutated_inputs_end_in_diagnostics(self, fuzz_dirs, sample, kind, edits):
+        stem, text, astm, model = FUZZ_SAMPLES[sample]
+        name = {"text": text, ".astm": astm, ".model": model}.get(kind, stem + kind)
+        with tempfile.TemporaryDirectory(dir=fuzz_dirs) as tmp:
+            d = Path(tmp) / sample
+            shutil.copytree(fuzz_dirs / sample, d)
+            toks = FUZZ_TOKEN.findall((d / name).read_text())
+            at = [i for i, t in enumerate(toks) if not t.isspace()]
+            for edit, pick, word in edits:
+                i = at[pick % len(at)]
+                if edit == "drop":
+                    toks[i] = ""
+                elif edit == "dup":
+                    toks[i] += " " + toks[i]
+                elif edit == "swap":
+                    j = at[(pick + 1) % len(at)]
+                    toks[i], toks[j] = toks[j], toks[i]
+                else:
+                    toks[i] = word
+            (d / name).write_text("".join(toks))
+            for argv in fuzz_argv(d, stem, text, astm, model):
+                out, err = io.StringIO(), io.StringIO()
+                start = time.perf_counter()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([str(a) for a in argv])
+                assert code in (0, 1), argv
+                assert "Traceback" not in err.getvalue()
+                assert time.perf_counter() - start < 5, argv

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from mmdsl.diagnostics import error
 from mmdsl.meta import (
     UNBOUNDED, MetaAttribute, MetaClass, Metamodel, MetaReference, Model,
-    ModelObject, Tree, builtin_ecore, classifier_object, is_identifier, is_subtype,
-    iter_tree,
+    ModelObject, Tree, builtin_ecore, classifier_object, find_classifier_home, is_identifier,
+    is_subtype, iter_tree,
     metamodel_equals, metamodel_isomorphic, model_equals,
     validate_metamodel, validate_model, value_fits,
 )
@@ -335,6 +335,203 @@ class TestModelEquals:
         assert model_equals(shared(), shared())
         assert not model_equals(shared(), copies)
         assert not model_equals(copies, shared())
+
+
+    def test_values_that_are_not_objects(self):
+        """A model that was not validated compares, whatever its slots hold:
+        values that are not objects compare with ``==``."""
+        mm, node = simple_mm()
+
+        def holding(slot, value):
+            root = tree(node, "r")
+            root.slots[slot] = value
+            return Model(root, mm)
+
+        for slot, value, other in [("children", [5], [6]), ("link", "x", "y"),
+                                   ("children", [tree(node, "k"), 5], [tree(node, "k"), 6])]:
+            assert model_equals(holding(slot, value), holding(slot, value)) is True
+            assert model_equals(holding(slot, value), holding(slot, other)) is False
+
+
+# The model_equals that compared the two trees on its own paired stack, kept
+# as the oracle for the one that pairs the preorders of two Trees.
+ECORE = builtin_ecore()
+
+
+def ref_model_equals(a: Model, b: Model) -> bool:
+    """Isomorphism: equal class names, equal effective attribute values,
+    children pairwise equal in order, and cross references mapping to
+    corresponding objects; classifier stand-ins compare by classifier name.
+    The containment trees are compared on an explicit stack, in preorder. A
+    pair reached again is not compared again, so a containment cycle ends;
+    an object reached again with another partner makes the models unequal."""
+    corr: dict[ModelObject, ModelObject] = {}  # one-to-one: x -> its partner y
+    partners: set[ModelObject] = set()
+    cross_checks: list[tuple[ModelObject, ModelObject, MetaFeature]] = []
+    # a pair of objects to compare, or (x, y, f): a cross feature left to check
+    stack: list[tuple] = [(a.root, b.root, None)]
+    while stack:
+        x, y, cross = stack.pop()
+        if cross is not None:
+            cross_checks.append((x, y, cross))
+            continue
+        if x in corr or y in partners:
+            if corr.get(x) is y:
+                continue
+            return False
+        if x.cls.name != y.cls.name:
+            return False
+        corr[x] = y
+        partners.add(y)
+        fx = {f.name: f for f in x.cls.all_features()}
+        fy = {f.name: f for f in y.cls.all_features()}
+        if set(fx) != set(fy):
+            return False
+        todo = []  # in feature order: a subtree before the features after it
+        for name, f in fx.items():
+            if f.is_attribute != fy[name].is_attribute:
+                return False
+            if f.is_attribute:
+                if x.get(name) != y.get(name):
+                    return False
+            elif f.containment:
+                xs, ys = x.values(name), y.values(name)
+                if len(xs) != len(ys):
+                    return False
+                todo += [(cx, cy, None) for cx, cy in zip(xs, ys)]
+            else:
+                todo.append((x, y, f))
+        stack += reversed(todo)
+    for x, y, f in cross_checks:
+        xs, ys = x.values(f.name), y.values(f.name)
+        if len(xs) != len(ys):
+            return False
+        for tx, ty in zip(xs, ys):
+            if tx.represents is not None or ty.represents is not None:
+                if tx.represents is None or ty.represents is None:
+                    return False
+                if tx.represents.name != ty.represents.name:
+                    return False
+                hx = find_classifier_home(tx.represents, [a.metamodel, ECORE])
+                hy = find_classifier_home(ty.represents, [b.metamodel, ECORE])
+                # Same simple name must come from 'the same' package: either
+                # both builtin or both model-level.
+                if (hx is ECORE) != (hy is ECORE):
+                    return False
+            else:
+                if corr.get(tx) is not ty:
+                    return False
+    return True
+
+
+def equals_mm():
+    """A metamodel with every kind of slot model_equals reads: attributes,
+    single and list containments, single and list cross references, and a
+    reference to classifier stand-ins; ``String`` is also a class name here,
+    as ecore's datatype is."""
+    node = MetaClass("Node")
+    string = MetaClass("String")
+    node.features = [
+        MetaAttribute("name", 0, 1, type=STRING), MetaAttribute("size", 0, 1, type=INT),
+        MetaAttribute("on", 0, 1, type=BOOLEAN), MetaAttribute("tags", 0, UNBOUNDED, type=STRING),
+        MetaReference("kids", 0, UNBOUNDED, type=node, containment=True),
+        MetaReference("one", 0, 1, type=node, containment=True),
+        MetaReference("link", 0, 1, type=node),
+        MetaReference("links", 0, UNBOUNDED, type=node),
+        MetaReference("meta", 0, 1, type=builtin_ecore().classifier("EClassifier"))]
+    leaf = MetaClass("Leaf", supertypes=[node])
+    mm = Metamodel("eq", [node, leaf, string])
+    standins = [classifier_object(c) for c in (node, leaf, string, STRING, INT,
+                                               builtin_ecore().classifier("EClass"))]
+    return mm, [node, leaf], standins
+
+
+EQUALS_MM, EQUALS_CLASSES, EQUALS_STANDINS = equals_mm()
+EDITS = ["none", "name", "tags", "drop", "reverse", "relink", "meta", "namesake", "share",
+         "cycle", "class"]
+
+
+def random_pair(rng: random.Random, edit: str):
+    """A random model over EQUALS_MM (maybe with shared children and
+    containment cycles), and a copy of it with one ``edit``."""
+    objs = []
+
+    def build(depth):
+        obj = ModelObject(rng.choice(EQUALS_CLASSES))
+        objs.append(obj)
+        s = obj.slots
+        for name, make in (("name", lambda: rng.choice("ab")), ("size", lambda: rng.randint(0, 2)),
+                           ("on", lambda: rng.random() < 0.5),
+                           ("tags", lambda: rng.choices("ab", k=rng.randint(0, 2))),
+                           ("meta", lambda: rng.choice(EQUALS_STANDINS))):
+            if rng.random() < 0.4:
+                s[name] = make()
+        if depth < 3 and rng.random() < 0.3:
+            s["one"] = build(depth + 1)
+        if depth < 3 and rng.random() < 0.6:
+            s["kids"] = [build(depth + 1) for _ in range(rng.randint(0, 3))]
+        return obj
+
+    root = build(0)
+    for obj in objs:
+        if rng.random() < 0.3:
+            obj.slots["link"] = rng.choice(objs)
+        if rng.random() < 0.2:
+            obj.slots["links"] = rng.choices(objs, k=rng.randint(0, 3))
+    if rng.random() < 0.1:  # shared containment or a cycle on both sides
+        rng.choice(objs).slots.setdefault("kids", []).append(rng.choice(objs))
+    twins = {obj: ModelObject(obj.cls) for obj in objs}
+    for obj, twin in twins.items():
+        twin.slots = {name: [twins.get(x, x) for x in v] if isinstance(v, list)
+                      else twins.get(v, v) for name, v in obj.slots.items()}
+    copy = list(twins.values())
+    obj = rng.choice(copy)
+    s = obj.slots
+    if edit == "namesake":  # the package's String on one side, ecore's on the other
+        rng.choice(objs).slots["meta"] = EQUALS_STANDINS[2]
+        s["meta"] = EQUALS_STANDINS[3]
+    elif edit == "name":
+        s["name"] = rng.choice("abc")
+    elif edit == "tags":
+        s["tags"] = s.get("tags", []) + ["a"]
+    elif edit == "drop" and s.get("kids"):
+        del s["kids"][rng.randrange(len(s["kids"]))]
+    elif edit == "reverse":
+        s["kids"] = s.get("kids", [])[::-1]
+    elif edit == "relink":
+        s["link"] = rng.choice(copy)
+    elif edit == "meta":
+        s["meta"] = rng.choice(EQUALS_STANDINS)
+    elif edit == "share" and len(copy) > 1:
+        s.setdefault("kids", []).append(rng.choice(copy[1:]))
+    elif edit == "cycle":
+        s.setdefault("kids", []).append(copy[0])
+    elif edit == "class":
+        obj.cls = EQUALS_CLASSES[obj.cls is EQUALS_CLASSES[0]]
+    return Model(root, EQUALS_MM), Model(twins[root], EQUALS_MM)
+
+
+class TestModelEqualsAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(EDITS))
+    def test_same_verdict(self, rng, edit):
+        a, b = random_pair(rng, edit)
+        assert model_equals(a, b) == ref_model_equals(a, b)
+        assert model_equals(b, a) == ref_model_equals(b, a)
+
+    def test_the_pairs_reach_both_verdicts(self):
+        """A copy equals its model, each edit makes some pairs unequal, and
+        the generator makes shared children and cycles."""
+        verdicts = {edit: set() for edit in EDITS}
+        shared = 0
+        for seed in range(300):
+            for edit in EDITS:
+                a, b = random_pair(random.Random(seed), edit)
+                verdicts[edit].add(model_equals(a, b))
+                shared += bool(Tree(a.root).shared)
+        assert verdicts.pop("none") == {True}
+        assert all(False in v for v in verdicts.values()), verdicts
+        assert shared
 
 
 # ---------------------------------------------------------------------------

@@ -433,6 +433,25 @@ class TestDumpAgainstReference:
             assert [(d.code, d.message, d.path) for d in exc.value.diagnostics] == [
                 ("model-containment", "object of class Node is contained more than once", "/")]
 
+    def test_values_that_do_not_fit_are_diagnostics(self):
+        """On a model that was not validated, a value that does not fit its
+        slot is a model-kind error, worded as validate_model words it."""
+        mm = parse_metamodel("class Node { val Node[*] kids; attr int n; ref Node[*] peers; }",
+                             "m")
+        node = mm.classifier("Node")
+        for slot, value, message in [
+                ("kids", [5], "Node.kids: expected an object, found 5"),
+                ("n", [1, 2], "Node.n: value [1, 2] does not fit attribute type int"),
+                ("peers", ["x"], "Node.peers: expected an object, found 'x'")]:
+            root = ModelObject(node, kids=[ModelObject(node)])
+            root.slots[slot] = value
+            m = Model(root, mm)
+            with pytest.raises(DiagnosticError) as exc:
+                dump_model(m)
+            assert [(d.code, d.message, d.path) for d in exc.value.diagnostics] == [
+                ("model-kind", message, "/")]
+            assert message in [d.message for d in validate_model(m)]
+
 
 def load_outcome(load, text: str, mm=RICH, extra=(EXTRA,)):
     """The dump of what ``load`` read, or its rendered diagnostics, or the
