@@ -24,9 +24,8 @@ from .transform import (
     transform_model_to_ast,
 )
 from .xf import (
-    Trace, Transformation, action_permutation_check, default_mapping,
-    derive_ast_metamodel, format_trace, parse_trace, parse_transformation,
-    transformation_to_model,
+    Trace, Transformation, default_mapping, derive_ast_metamodel, format_trace,
+    parse_trace, parse_transformation, transformation_to_model,
 )
 
 __all__ = [
@@ -34,8 +33,8 @@ __all__ = [
     "MetaClass", "MetaDataType", "MetaReference", "Metamodel", "Model",
     "ModelObject", "Namespace", "ResolutionContext", "ResolverRegistry",
     "SourceLocation", "Trace", "TransformPlan", "Transformation", "UNBOUNDED",
-    "action_permutation_check", "build_plan", "builtin_ecore", "check_grammar",
-    "classifier_object", "default_mapping", "derive_ast_metamodel",
+    "build_plan", "builtin_ecore", "check_grammar", "classifier_object",
+    "default_mapping", "derive_ast_metamodel",
     "dump_model", "format_trace", "generate_grammar_skeleton",
     "generate_random_model", "is_subtype", "load_model", "model_equals",
     "namespace_registry", "parse_config", "parse_grammar", "parse_metamodel",

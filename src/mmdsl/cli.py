@@ -80,11 +80,13 @@ class _Reporter:
         self.emit(diagnostics)
 
 
-def _io_error(verb: str, path, exc: OSError | UnicodeDecodeError) -> DiagnosticError:
+def _io_error(verb: str, path, exc: OSError | ValueError) -> DiagnosticError:
+    """An OSError, text that is not UTF-8, or a ValueError such as a path
+    holding a NUL byte, as an ``io`` diagnostic located at ``path``."""
     if isinstance(exc, UnicodeDecodeError):
         why = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
     else:
-        why = exc.strerror or str(exc)
+        why = getattr(exc, "strerror", None) or str(exc)
     return DiagnosticError([error("parse", "io", f"cannot {verb} {path}: {why}",
                                   location=SourceLocation(str(path)))])
 
@@ -92,7 +94,7 @@ def _io_error(verb: str, path, exc: OSError | UnicodeDecodeError) -> DiagnosticE
 def _read(path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise _io_error("read", path, exc) from None
 
 
@@ -113,7 +115,7 @@ def _write(*outputs) -> None:
                 f.write(text)
         for tmp, path in staged:
             os.replace(tmp, path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise _io_error("write", path, exc) from None
     finally:
         for tmp, _ in staged:
@@ -216,7 +218,7 @@ def cmd_pipeline(args, reporter) -> None:
     out_dir = base / cfg.get("out", "out")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise _io_error("create", out_dir, exc) from None
     stem = mm_name_from_path(target_path)
 

@@ -497,12 +497,12 @@ def _reachable_rules(g: Grammar) -> list[str]:
     return out
 
 
-def _unproductive(g: Grammar) -> list[Diagnostic]:
-    """The rules reachable from the entry rule that derive no finite text."""
+def _unproductive(g: Grammar, reachable: list[str]) -> list[Diagnostic]:
+    """The rules of ``reachable`` (``_reachable_rules(g)``) that derive no
+    finite text."""
     height = g.analysis().height
     return [error("grammar", "gr-unproductive", f"rule {name!r} derives no finite text",
-                  location=g.by_name[name].loc) for name in _reachable_rules(g)
-            if height[name] == _INF]
+                  location=g.by_name[name].loc) for name in reachable if height[name] == _INF]
 
 
 def check_grammar(g: Grammar) -> list[Diagnostic]:
@@ -585,7 +585,7 @@ def check_grammar(g: Grammar) -> list[Diagnostic]:
 
     diags = [error("grammar", "gr-left-recursion", f"rule {name!r} is left-recursive",
                    location=g.by_name[name].loc) for name in reachable if reaches_itself(name)]
-    return diags + _unproductive(g) + ([] if diags else ambiguous)
+    return diags + _unproductive(g, reachable) + ([] if diags else ambiguous)
 
 
 # ---------------------------------------------------------------------------
@@ -877,6 +877,10 @@ def generate_grammar_skeleton(ast: Metamodel) -> str:
                 diags.append(error("grammar", "gr-cross-reference",
                                    f"{cls.name}.{f.name} is a cross reference; translate it "
                                    f"before generating a grammar", path=f"/{ast.name}/{cls.name}"))
+            elif f.is_attribute and f.many and f.type.kind == "boolean":
+                diags.append(error("grammar", "gr-type",
+                                   f"{cls.name}.{f.name} is a multi-valued boolean attribute; a "
+                                   f"flag needs a single-valued one", path=f"/{ast.name}/{cls.name}"))
     for cls in classes:
         if cls.abstract and not _has_concrete_descendant(cls, classes):
             diags.append(error("grammar", "gr-unknown-class",
@@ -939,8 +943,10 @@ def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) ->
     counts rule calls: past it, optional parts are skipped, a '+' loop makes
     one pass, and a choice or an abstract rule takes the alternative of
     least height, so the model ends. A pass is taken only if the values it
-    adds still fit every finite upper bound (see _room)."""
-    if stuck := _unproductive(g):
+    adds still fit every finite upper bound (see _room); while a feature it
+    assigns has fewer values than its lower bound, it is taken, past
+    ``max_depth`` too (see _short)."""
+    if stuck := _unproductive(g, _reachable_rules(g)):
         raise DiagnosticError(stuck)
     a = g.analysis()
     reserved = {k for k in g.keywords() if k and (k[0].isalpha() or k[0] == "_")}
@@ -967,6 +973,9 @@ def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) ->
         return p
 
     terminal = {"ID": rand_id, "STRING": rand_string, "INT": lambda: rng.randint(0, 20)}
+    # past max_depth a rule runs alike at every depth: a longer chain of passes
+    # forced by lower bounds repeats without end, as no finite model meets them
+    forced_depth = max_depth + len(a.procs)
     stack = []  # below the top frame: (code, pc, obj, passes, op, proc), op the CALL it fills
     proc = enter(a.procs[g.entry], 0)
     code, pc, obj, passes = proc.code, 0, ModelObject(proc.cls), {}  # passes: loop head -> count
@@ -985,8 +994,10 @@ def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) ->
             if op[4]:  # a '+' loop: its first pass is taken, past its head TEST
                 passes[pc] = 1
                 pc += 1
-            elif (len(stack) <= max_depth and passes.get(pc - 1, 0) < 4
-                  and rng.random() < 0.5 and _room(code, op, obj)):
+            elif ((len(stack) <= forced_depth and passes.get(pc - 1, 0) < _short(op, obj)
+                   and _room(code, op, obj))
+                  or (len(stack) <= max_depth and passes.get(pc - 1, 0) < 4
+                      and rng.random() < 0.5 and _room(code, op, obj))):
                 if code[op[2] - 1] == (JUMP, pc - 1):  # a loop's head: count the pass
                     passes[pc - 1] = passes.get(pc - 1, 0) + 1
             else:
@@ -1014,6 +1025,14 @@ def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) ->
             obj.slots.setdefault(op[2], []).append(value)
         else:
             obj.slots.setdefault(op[2], value)  # a second '=' keeps the first value
+
+
+def _short(op: tuple, obj: ModelObject) -> int:
+    """The largest lower bound above its count of values in ``obj`` among
+    the features that the part TEST ``op`` guards assigns, else 0. A loop
+    makes at most that many forced passes, as a pass may assign nothing."""
+    return max([o[1].lower for o in op[3]
+                if o[1].lower and len(obj.values_of(o[1])) < o[1].lower], default=0)
 
 
 def _room(code: tuple, op: tuple, obj: ModelObject) -> bool:

@@ -9,15 +9,15 @@ Every lookup asks a MetaClass for its derived facts: the transitive
 supertypes (a tuple and a set, so ``is_subtype`` is one set test), the
 ``all_features`` tuple, its ``containments`` (the containment references
 among them, in order) and a name -> feature table in which the first
-feature of ``all_features`` with a name wins. A class builds these tables
-on its first lookup and keeps them until its own or a supertype's
-``supertypes`` or ``features`` list is edited, in place or by assignment;
-its next lookup then builds them again. That keeps lookups correct while a
-metamodel is being built or rewired (``derive_ast_metamodel`` edits classes
-between its phases) and makes them one dictionary or set access afterwards.
-Editing a MetaFeature in place (its name, say) is not seen: replace the
-feature in its class's list instead. Once built, a metamodel can be shared
-freely across threads; a Model is single-writer.
+feature of ``all_features`` with a name wins. A metamodel is built, then
+looked up: builders append to a class's ``supertypes`` and ``features``
+lists, and its first lookup builds the tables and seals those lists and
+its supertypes' lists into tuples; assigning one then raises. The first
+``Metamodel.classifier`` call builds a first-wins name dict and seals
+``classifiers`` alike, and features are frozen. So a lookup after the first
+is one attribute, dictionary or set access, and a built metamodel can be
+shared across threads: two threads sealing one class at once build equal
+tables from the same lists. A Model is single-writer.
 
 A ``Tree`` is one walk of a containment tree with an explicit stack: its
 objects in preorder, and each object's container and path without a search.
@@ -73,18 +73,17 @@ class MetaDataType:
     is_class = False
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class MetaFeature:
     name: str
     lower: int = 0
     upper: object = 1  # int or UNBOUNDED
 
     def __post_init__(self):
-        # a bound is set once, at construction: nothing edits ``upper`` later
-        self.many = self.upper is UNBOUNDED or self.upper > 1
+        object.__setattr__(self, "many", self.upper is UNBOUNDED or self.upper > 1)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class MetaAttribute(MetaFeature):
     type: MetaDataType = None
     default: object = None
@@ -92,7 +91,7 @@ class MetaAttribute(MetaFeature):
     containment = False
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class MetaReference(MetaFeature):
     type: "MetaClass" = None
     containment: bool = False
@@ -100,69 +99,55 @@ class MetaReference(MetaFeature):
     default = None
 
 
-# Edits to any class's supertypes or features, counted after they are made:
-# build or edit a metamodel in one thread, then share it. Each list keeps the
-# count of its last edit, so a class's tables see the edits of its own lists
-# and of its supertypes' lists, and no others.
-_edits = 0
+class _Sealable:
+    """An owner of lists (named in ``_lists``) that its first lookup seals:
+    sealing turns them into tuples, and assigning one afterwards raises.
+    Before that, an assigned value is copied into a list."""
+
+    _lists = ()
+
+    def __setattr__(self, name, value):
+        if name in self._lists:
+            if type(getattr(self, name, None)) is tuple:
+                raise AttributeError(f"{self.name}.{name} is sealed: it was looked up already")
+            value = list(value)
+        object.__setattr__(self, name, value)
+
+    def _freeze(self):
+        for name in self._lists:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
 
-class _ClassList(list):
-    """The ``supertypes`` or ``features`` list of a MetaClass, stamped with
-    the edit count at which it was made or last edited in place."""
-
-    __slots__ = ("edited",)
-
-    def append(self, item):  # the common edit, kept cheap
-        global _edits
-        list.append(self, item)
-        _edits += 1
-        self.edited = _edits
-
-
-def _marks_stale(edit):
-    def edited(self, *args, **kwargs):
-        global _edits
-        result = edit(self, *args, **kwargs)
-        _edits += 1
-        self.edited = _edits
-        return result
-    return edited
-
-
-for _edit in ("__init__", "extend", "insert", "remove", "pop", "clear", "sort", "reverse",
-              "__setitem__", "__delitem__", "__iadd__", "__imul__"):
-    setattr(_ClassList, _edit, _marks_stale(getattr(list, _edit)))
+def _walk_supertypes(cls: "MetaClass") -> list["MetaClass"]:
+    """The transitive supertypes of ``cls``: a depth-first preorder over the
+    ``supertypes`` lists, deduplicated, that seals nothing. A class on an
+    inheritance cycle appears among its own supertypes."""
+    supers, seen, stack = [], set(), [iter(cls.supertypes)]
+    while stack:
+        for s in stack[-1]:
+            if s not in seen:
+                seen.add(s)
+                supers.append(s)
+                stack.append(iter(s.supertypes))
+                break
+        else:
+            stack.pop()
+    return supers
 
 
 class _Tables:
-    """A class's derived facts, current at edit count ``edits``: no list of
-    the class or of a supertype was edited after that count."""
+    """A class's derived facts, built once by its first lookup."""
 
-    __slots__ = ("edits", "supertypes", "supertype_set", "features", "by_name",
+    __slots__ = ("supertypes", "supertype_set", "features", "by_name",
                  "containments", "bounded", "id_names", "layout", "checks", "payload")
 
     def __init__(self, cls: "MetaClass"):
-        self.edits = _edits
-        # depth-first preorder over supertype edges, deduplicated; a class on
-        # an inheritance cycle appears among its own supertypes
-        supers: list[MetaClass] = []
-        seen: set[MetaClass] = set()
-        stack = [iter(cls.supertypes)]
-        while stack:
-            for s in stack[-1]:
-                if s not in seen:
-                    seen.add(s)
-                    supers.append(s)
-                    stack.append(iter(s.supertypes))
-                    break
-            else:
-                stack.pop()
+        supers = _walk_supertypes(cls)
         self.supertypes = tuple(supers)
         self.supertype_set = frozenset(supers)
         # inherited first, each feature once where it first appears
         self.features = tuple(dict.fromkeys(
-            [f for c in reversed(supers) for f in c.features] + cls.features))
+            [f for c in (*reversed(supers), cls) for f in c.features]))
         # first match wins: later duplicates are written first, then overwritten
         self.by_name = {f.name: f for f in reversed(self.features)}
         self.containments = tuple(
@@ -175,49 +160,35 @@ class _Tables:
         self.id_names = self.layout = self.checks = self.payload = None
 
 
-class MetaClass:
-    """A class of a metamodel. ``supertypes`` and ``features`` may be edited
-    in place or assigned; either marks the tables of the class and of its
-    subclasses stale."""
+class MetaClass(_Sealable):
+    """A class of a metamodel. ``supertypes`` and ``features`` are lists
+    while the class is built; its first lookup seals them and the lists of
+    its transitive supertypes into tuples."""
 
     is_class = True
+    _lists = ("supertypes", "features")
+    _tables: _Tables | None = None
 
     def __init__(self, name: str, abstract: bool = False,
                  supertypes: list["MetaClass"] | None = None,
                  features: list[MetaFeature] | None = None):
         self.name = name
         self.abstract = abstract
-        self._supertypes = _ClassList(supertypes or ())
-        self._features = _ClassList(features or ())
-        self._tables: _Tables | None = None
+        self.supertypes = supertypes or ()
+        self.features = features or ()
         self._standin = None  # see classifier_object
 
     def __repr__(self):
         return f"MetaClass({self.name!r})"
 
-    @property
-    def supertypes(self) -> list["MetaClass"]:
-        return self._supertypes
-
-    @supertypes.setter
-    def supertypes(self, value):
-        self._supertypes = _ClassList(value)
-
-    @property
-    def features(self) -> list[MetaFeature]:
-        return self._features
-
-    @features.setter
-    def features(self, value):
-        self._features = _ClassList(value)
-
     def tables(self) -> _Tables:
-        t = self._tables
-        if t is None or t.edits != _edits:
-            if t is None or any(c._supertypes.edited > t.edits or c._features.edited > t.edits
-                                for c in (self, *t.supertypes)):
-                t = self._tables = _Tables(self)
-            t.edits = _edits  # no list the tables were built from was edited since
+        return self._tables or self._seal()
+
+    def _seal(self) -> _Tables:
+        t = _Tables(self)
+        for c in (self, *t.supertypes):
+            c._freeze()
+        self._tables = t
         return t
 
     def all_supertypes(self) -> tuple["MetaClass", ...]:
@@ -241,15 +212,22 @@ Classifier = MetaClass | MetaDataType
 
 
 @dataclass(eq=False)
-class Metamodel:
+class Metamodel(_Sealable):
+    """A named, ordered list of classifiers. The first ``classifier`` lookup
+    seals ``classifiers`` into a tuple."""
+
     name: str
     classifiers: list[Classifier] = field(default_factory=list)
+    _lists = ("classifiers",)
+    _by_name = None
 
     def classifier(self, name: str) -> Classifier | None:
-        for c in self.classifiers:
-            if c.name == name:
-                return c
-        return None
+        by_name = self._by_name
+        if by_name is None:
+            self._freeze()
+            # first match wins: later duplicates are written first, then overwritten
+            by_name = self._by_name = {c.name: c for c in reversed(self.classifiers)}
+        return by_name.get(name)
 
     def classes(self) -> list[MetaClass]:
         return [c for c in self.classifiers if isinstance(c, MetaClass)]
@@ -690,44 +668,4 @@ def model_equals(a: Model, b: Model) -> bool:
                       or u.represents.name != v.represents.name
                       or in_ecore(a, u.represents) != in_ecore(b, v.represents)):
                     return False
-    return True
-
-
-def metamodel_equals(a: Metamodel, b: Metamodel) -> bool:
-    """Structural equality, order-sensitive (classifier and feature order)."""
-    if len(a.classifiers) != len(b.classifiers):
-        return False
-    return all(_classifier_eq(x, y) for x, y in zip(a.classifiers, b.classifiers))
-
-
-def metamodel_isomorphic(a: Metamodel, b: Metamodel) -> bool:
-    """Structural equality up to classifier ordering (names must match)."""
-    an = {c.name: c for c in a.classifiers}
-    bn = {c.name: c for c in b.classifiers}
-    if set(an) != set(bn):
-        return False
-    return all(_classifier_eq(an[k], bn[k]) for k in an)
-
-
-def _classifier_eq(x: Classifier, y: Classifier) -> bool:
-    if x.name != y.name or x.is_class != y.is_class:
-        return False
-    if not x.is_class:
-        return x.kind == y.kind
-    if x.abstract != y.abstract:
-        return False
-    if [s.name for s in x.supertypes] != [s.name for s in y.supertypes]:
-        return False
-    if len(x.features) != len(y.features):
-        return False
-    for f, g in zip(x.features, y.features):
-        if (f.name, f.lower, str(f.upper), f.is_attribute) != (g.name, g.lower, str(g.upper), g.is_attribute):
-            return False
-        if f.type.name != g.type.name:
-            return False
-        if f.is_attribute:
-            if f.default != g.default:
-                return False
-        elif f.containment != g.containment:
-            return False
     return True

@@ -25,9 +25,6 @@ resolves the names of each statement as soon as it has read it.
 
 from __future__ import annotations
 
-import itertools
-import math
-import random
 from dataclasses import dataclass, field
 
 from .diagnostics import DiagnosticError, SourceLocation, error
@@ -38,7 +35,7 @@ from .lexer import Lexer, TokenStream
 from .meta import (
     UNBOUNDED, Classifier, MetaAttribute, MetaClass, MetaDataType, Metamodel,
     MetaReference, Model, ModelObject, builtin_ecore, classifier_object,
-    is_subtype, resolve_classifier, validate_metamodel,
+    is_subtype, resolve_classifier, validate_metamodel, _walk_supertypes,
 )
 
 KEYWORDS = MM_KEYWORDS | {"create", "refer", "img", "as", "skip", "make", "extend", "nothing"}
@@ -481,8 +478,9 @@ def derive_ast_metamodel(target: Metamodel, t: Transformation) -> tuple[Metamode
         cls.supertypes = new_supers
     for cls in new_supertypes:
         # check after every rewiring: intermediate states are not meaningful
-        # when action order is undefined
-        if cls in cls.all_supertypes():
+        # when action order is undefined. A lookup would seal classes that
+        # the next phases still edit.
+        if cls in _walk_supertypes(cls):
             diags.append(error("transformation", "mm-inheritance-cycle",
                                f"changing inheritance of {cls.name!r} creates a cycle"))
 
@@ -555,26 +553,6 @@ def derive_ast_metamodel(target: Metamodel, t: Transformation) -> tuple[Metamode
     if diags:
         raise DiagnosticError(diags)
     return ast, _trace(images, removed, decisions, list(created))
-
-
-def action_permutation_check(target: Metamodel, t: Transformation,
-                             max_permutations: int = 24, rng: random.Random | None = None) -> bool:
-    """True iff derivation over (sampled) permutations of the action list is
-    isomorphic to the canonical derivation."""
-    from .meta import metamodel_isomorphic
-
-    base, _ = derive_ast_metamodel(target, t)
-    n = len(t.actions)
-    if math.factorial(n) <= max_permutations:
-        perms = itertools.permutations(t.actions)
-    else:
-        rng = rng or random.Random(0)
-        perms = [rng.sample(t.actions, n) for _ in range(max_permutations)]
-    for perm in perms:
-        ast, _ = derive_ast_metamodel(target, Transformation(list(perm)))
-        if not metamodel_isomorphic(base, ast):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

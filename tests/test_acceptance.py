@@ -17,8 +17,7 @@ from mmdsl.grammar import (
     generate_random_model, parse_grammar, parse_text, render_ast,
 )
 from mmdsl.meta import (
-    MetaReference, builtin_ecore, classifier_object, metamodel_isomorphic,
-    model_equals, validate_model,
+    MetaReference, builtin_ecore, classifier_object, model_equals, validate_model,
 )
 from mmdsl.transform import (
     build_plan, namespace_registry, parse_config, transform_ast_to_model,
@@ -28,6 +27,7 @@ from mmdsl.xf import (
     Transformation, derive_ast_metamodel, parse_transformation,
     transformation_to_model,
 )
+from metamodel_checks import metamodel_isomorphic
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"

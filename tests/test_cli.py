@@ -490,6 +490,24 @@ class TestIoDiagnostics:
         assert "error[io]: cannot " in done.stderr
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("key, value, verb", [("inputs", "grouped\0.css", "read"),
+                                                  ("out", "o\0ut", "create")])
+    def test_nul_in_a_config_path(self, css_dir, key, value, verb):
+        cfg = css_dir / "pipeline.cfg"
+        cfg.write_text(re.sub(f"(?m)^{key} = .*$", f"{key} = {value}", cfg.read_text()))
+        done = run_process("pipeline", cfg)
+        assert done.returncode == 1
+        assert done.stderr == (f"{css_dir / value}: error[io]: cannot {verb} "
+                               f"{css_dir / value}: embedded null byte\n")
+
+    def test_nul_in_an_output_argument(self, selfhost_dir, capsys):
+        d = selfhost_dir
+        assert run("derive", "--target", d / "xf.mm", "--out", d / "o\0.mm",
+                   "--trace", d / "o.trace") == 1
+        err = capsys.readouterr().err
+        assert err == f"{d / 'o'}\0.mm: error[io]: cannot write {d / 'o'}\0.mm: embedded null byte\n"
+        assert not (d / "o.trace").exists()
+
     @pytest.mark.parametrize("trace", ["nodir/o.trace", "."])
     def test_derive_leaves_no_partial_output(self, selfhost_dir, trace):
         d = selfhost_dir

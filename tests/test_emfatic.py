@@ -5,9 +5,9 @@ import pytest
 from mmdsl.diagnostics import DiagnosticError
 from mmdsl.emfatic import parse_metamodel, print_metamodel
 from mmdsl.meta import (
-    UNBOUNDED, MetaAttribute, MetaClass, Metamodel, MetaReference,
-    builtin_ecore, metamodel_equals,
+    UNBOUNDED, MetaAttribute, MetaClass, Metamodel, MetaReference, builtin_ecore,
 )
+from metamodel_checks import metamodel_equals
 
 CLASS_LISTING = """
 abstract class Classifier {
@@ -38,7 +38,7 @@ class TestParse:
     def test_abstract_class_without_features(self):
         mm = parse_metamodel("abstract class Action { }", "m")
         act = mm.classifier("Action")
-        assert act.abstract and act.features == []
+        assert act.abstract and act.features == ()
 
     def test_self_extension_is_a_cycle(self):
         with pytest.raises(DiagnosticError) as exc:
@@ -100,7 +100,7 @@ class TestParse:
 
     def test_comments_skipped(self):
         mm = parse_metamodel("// leading\nclass A { /* attr int x; */ }", "m")
-        assert mm.classifier("A").features == []
+        assert mm.classifier("A").features == ()
 
     def test_syntax_error_location_in_bounds(self):
         text = "class A {\n  attr int;\n}"

@@ -15,8 +15,8 @@ from mmdsl.grammar import (
 )
 from mmdsl.lexer import TokenStream, escape_string
 from mmdsl.meta import (
-    MetaAttribute, MetaClass, Model, ModelObject, Tree, iter_tree, model_equals,
-    validate_model,
+    UNBOUNDED, MetaAttribute, MetaClass, Metamodel, MetaReference, Model, ModelObject, Tree,
+    builtin_ecore, iter_tree, model_equals, validate_model,
 )
 from mmdsl.modeltext import load_model
 from mmdsl.xf import derive_ast_metamodel, parse_transformation
@@ -332,6 +332,18 @@ class TestSkeleton:
         with pytest.raises(DiagnosticError) as exc:
             generate_grammar_skeleton(ast)
         assert exc.value.diagnostics[0].code == "gr-cross-reference"
+
+    def test_multi_valued_boolean_rejected(self):
+        """The .gr notation has no boolean terminal, and a flag sets a single
+        value: the skeleton refuses the attribute instead of writing a flag
+        that parse_grammar refuses."""
+        ast = parse_metamodel("class A { attr boolean open; }\n"
+                              "class B extends A { attr boolean[*] flags; }", "m")
+        with pytest.raises(DiagnosticError) as exc:
+            generate_grammar_skeleton(ast)
+        assert [(d.code, d.path, d.message) for d in exc.value.diagnostics] == [
+            ("gr-type", "/m/B", "B.flags is a multi-valued boolean attribute; a flag needs a "
+                                "single-valued one")]
 
     def test_abstract_without_concrete_subtype(self):
         ast = parse_metamodel("abstract class A { }\nclass B { val A a; }", "m")
@@ -1192,6 +1204,14 @@ class TestFiniteText:
             generate_random_model(g, random.Random(1))
         assert exc.value.diagnostics == [d]
 
+    def test_reachable_rules_are_found_once(self, bounded_ast, monkeypatch):
+        g = parse_grammar('Part : "part" name = ID "[" subs += Part "]" ;', bounded_ast)
+        calls, walk = [], grammar_module._reachable_rules
+        monkeypatch.setattr(grammar_module, "_reachable_rules",
+                            lambda g: calls.append(g) or walk(g))
+        assert [d.code for d in check_grammar(g)] == ["gr-unproductive"]
+        assert calls == [g]
+
     def test_a_way_out_is_enough(self, bounded_ast):
         for body in ('( "[" subs += Part "]" | "leaf" )', '( "[" subs += Part "]" )?',
                      '( "[" subs += Part "]" )*'):
@@ -1258,6 +1278,48 @@ class TestRandomModelBounds:
             counts = {len(generate_random_model(g, random.Random(seed)).root.values("xs"))
                       for seed in range(200)}
             assert max(counts) == 2, grammar
+
+    def test_repetitions_reach_the_lower_bound(self):
+        """A pass is taken while a feature it assigns is below its lower
+        bound, past max_depth too; the skeleton's first value is followed
+        by a '*' loop."""
+        ast = parse_metamodel("class A { val C[2..3] cs; }\nclass C { attr int x; }", "m")
+        g = parse_grammar(generate_grammar_skeleton(ast), ast)
+        for seed in range(50):
+            m = generate_random_model(g, random.Random(seed))
+            assert 2 <= len(m.root.values("cs")) <= 3
+            assert validate_model(m) == []
+            assert model_equals(parse_text(render_ast(m, g), g), m)
+        ast = parse_metamodel("class A { val B[2..3] bs; }\nclass B { val C[1..2] cs; }\n"
+                              "class C { }", "nested")
+        g = parse_grammar('A : "a" ( bs += B )* ; B : "b" ( cs += C )* ; C : "c" ;', ast)
+        for seed in range(20):
+            m = generate_random_model(g, random.Random(seed), max_depth=0)
+            assert validate_model(m) == []
+            assert model_equals(parse_text(render_ast(m, g), g), m)
+
+    def test_bounds_no_finite_model_meets_end(self):
+        """Every A needs two As: past max_depth a forced chain longer than
+        the number of rules would repeat forever, so it stops there."""
+        ast = parse_metamodel("class A { val A[2..3] as; }", "m")
+        g = parse_grammar('A : "a" ( as += A )* ;', ast)
+        assert check_grammar(g) == []
+        for seed in range(10):
+            m = generate_random_model(g, random.Random(seed), max_depth=2)
+            assert {d.code for d in validate_model(m)} == {"model-multiplicity"}
+            tree = Tree(m.root)  # forcing stops where the stack passes max_depth + 1 rule
+            assert max(tree.path(o).count("/as[") for o in tree.objects) == 4
+
+    def test_forced_passes_that_add_nothing_end(self):
+        """Past max_depth the group takes "x", its alternative of least
+        height, so no forced pass adds to cs: the loop stops after as many
+        passes as the lower bound."""
+        ast = parse_metamodel("class R { val A[1] a; }\nclass A { val C[2..3] cs; }\n"
+                              "class C { }", "m")
+        g = parse_grammar('R : "r" a = A ; A : "a" ( "c" cs += C | "x" )* ; C : "c" ;', ast)
+        m = generate_random_model(g, random.Random(1), max_depth=0)
+        assert [d.code for d in validate_model(m)] == ["model-multiplicity"]
+        assert render_ast(m, g) == "r a\n"
 
     @pytest.mark.parametrize("grammar, chain", [
         ('Abstract X : A | B ; A : "a" x = X ; B : "b" ;', 3001),
@@ -1346,11 +1408,19 @@ class TestValidByConstruction:
         """parse_grammar does not validate its AST metamodel; a default that
         does not fit its attribute makes every Part invalid, so the grammar
         is not sound and parse_text validates the whole model."""
-        ast = parse_metamodel(BOUNDED_MM, "bounded")
-        part = ast.classifier("Part")
-        part.features.append(MetaAttribute("weight", 0, 1, type=part.features[0].type,
-                                           default=2))
-        g = parse_grammar(BOUNDED_GRAMMAR, ast)
+        # BOUNDED_MM built by hand, as parse_metamodel refuses the extra feature
+        string, integer, boolean = map(builtin_ecore().classifier, ("String", "int", "boolean"))
+        part = MetaClass("Part")
+        part.features = [MetaAttribute("name", 1, 1, type=string),
+                         MetaAttribute("notes", 0, 2, type=string),
+                         MetaReference("subs", 0, 2, type=part, containment=True),
+                         MetaAttribute("weight", 0, 1, type=string, default=2)]
+        box = MetaClass("Box", features=[
+            MetaReference("parts", 1, UNBOUNDED, type=part, containment=True),
+            MetaAttribute("label", 1, 1, type=string), MetaAttribute("tags", 0, 2, type=string),
+            MetaAttribute("named", 1, 1, type=string, default="n"),
+            MetaAttribute("size", 1, 1, type=integer), MetaAttribute("open", 0, 1, type=boolean)])
+        g = parse_grammar(BOUNDED_GRAMMAR, Metamodel("bounded", [box, part]))
         assert g.analysis().problems == [] and not g.analysis().sound
         got = assert_parse_matches_reference("box label x part p", g)
         assert [(d.code, d.path) for d in got[1]] == [("model-kind", "/parts[0]")]

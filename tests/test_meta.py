@@ -1,17 +1,20 @@
 import itertools
 import random
+import sys
+import threading
 import time
+from dataclasses import FrozenInstanceError
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmdsl.diagnostics import error
 from mmdsl.meta import (
-    UNBOUNDED, MetaAttribute, MetaClass, Metamodel, MetaReference, Model,
+    UNBOUNDED, MetaAttribute, MetaClass, MetaDataType, Metamodel, MetaReference, Model,
     ModelObject, Tree, builtin_ecore, classifier_object, find_classifier_home, is_identifier,
-    is_subtype, iter_tree,
-    metamodel_equals, metamodel_isomorphic, model_equals,
-    validate_metamodel, validate_model, value_fits,
+    is_subtype, iter_tree, model_equals, validate_metamodel, validate_model, value_fits,
 )
+from metamodel_checks import metamodel_equals, metamodel_isomorphic
 
 STRING = builtin_ecore().classifier("String")
 BOOLEAN = builtin_ecore().classifier("boolean")
@@ -1003,23 +1006,35 @@ class TestFeatureTables:
         for cls in classes:
             cls.features.extend(rng.sample(pool, rng.randint(0, 3)))
         names = ["f0", "f1", "f2", "f3", "absent"]
-        assert_tables_agree(classes, names)
-        for kind in edits:  # every edit lands after the tables were built
-            a, b = rng.choice(classes), rng.choice(classes)
+
+        def edit(kind, a, b):
             if kind == 0:
                 a.supertypes.append(b)  # may close a cycle
             elif kind == 1:
                 a.supertypes = [b]
             elif kind == 2:
                 a.features.append(rng.choice(pool))
-            elif kind == 3 and a.features:
+            elif kind == 3:
                 a.features[rng.randrange(len(a.features))] = MetaAttribute(
                     rng.choice(names), 0, 1, type=STRING)
             elif kind == 4:
                 a.features = list(reversed(a.features))
             elif kind == 5:
                 del a.supertypes[:1]
-            assert_tables_agree(classes, names)
+
+        for kind in edits:  # every edit lands before the first lookup
+            a, b = rng.choice(classes), rng.choice(classes)
+            if kind != 3 or a.features:
+                edit(kind, a, b)
+        assert_tables_agree(classes, names)
+        built = [(c.tables(), c.supertypes, c.features) for c in classes]
+        for kind in edits:  # the lookups sealed every class: each edit raises
+            a, b = rng.choice(classes), rng.choice(classes)
+            if kind != 3 or a.features:
+                with pytest.raises((AttributeError, TypeError)):
+                    edit(kind, a, b)
+        assert [(c.tables(), c.supertypes, c.features) for c in classes] == built
+        assert_tables_agree(classes, names)
 
     def test_agree_on_derived_ast_metamodels(self):
         from pathlib import Path
@@ -1046,8 +1061,8 @@ class TestFeatureTables:
         try:
             base = MetaClass("Base", features=[MetaAttribute("a", 0, 1, type=INT)])
             sub = MetaClass("Sub", supertypes=[base])
-            assert sub.find_feature("a") is base.find_feature("a")
             sub.features.append(MetaAttribute("b", 0, 1, type=INT))
+            assert sub.find_feature("a") is base.find_feature("a")
             assert [f.name for f in sub.all_features()] == ["a", "b"]
             refs = [weakref.ref(base), weakref.ref(sub)]
             del base, sub
@@ -1056,10 +1071,8 @@ class TestFeatureTables:
             gc.enable()
 
     def test_selfhost_load_builds_each_table_once(self, monkeypatch):
-        """An edit to one class leaves the tables of classes that neither are
-        it nor inherit from it alone: a selfhost language load builds the
-        tables of each class it looks up once, and reuses ecore's. Every
-        edit used to mark all tables stale: 44 builds for 22 classes."""
+        """A selfhost language load builds the tables of each class it looks
+        up once, and reuses ecore's."""
         from pathlib import Path
 
         from mmdsl import meta
@@ -1090,3 +1103,77 @@ class TestFeatureTables:
         assert set(built) <= set(target.classes()) | set(ast.classes())
         classes = ast.classes() + target.classes() + builtin_ecore().classes()
         assert_tables_agree(classes, sorted({f.name for c in classes for f in c.features}))
+
+
+class TestSealing:
+    """A metamodel is built, then looked up: the first lookup of a class
+    seals its lists and those of its supertypes, the first ``classifier``
+    lookup seals ``classifiers``, and features never change."""
+
+    def test_a_lookup_seals_the_class_and_its_supertypes(self):
+        base = MetaClass("Base", features=[MetaAttribute("a", 0, 1, type=INT)])
+        sub = MetaClass("Sub", supertypes=[base])
+        sub.features.append(MetaAttribute("b", 0, 1, type=INT))
+        sub.supertypes = (base,)  # copied into a list while the class is built
+        sub.supertypes.append(base)
+        assert [f.name for f in sub.all_features()] == ["a", "b"]
+        for cls in (sub, base):
+            for items, item in (("supertypes", cls), ("features", MetaAttribute("c", type=INT))):
+                with pytest.raises(AttributeError):
+                    getattr(cls, items).append(item)
+                with pytest.raises(AttributeError):
+                    setattr(cls, items, [])
+                with pytest.raises(TypeError):
+                    getattr(cls, items)[:0] = [item]
+        assert sub.all_supertypes() == (base,) and sub.supertypes == (base, base)
+        assert [f.name for f in sub.all_features()] == ["a", "b"]
+        assert [f.name for f in base.all_features()] == ["a"]
+
+    def test_a_lookup_seals_the_classifiers(self):
+        first, second = MetaClass("A"), MetaDataType("A", "string")
+        mm = Metamodel("m", [first])
+        mm.classifiers.append(second)
+        assert mm.classifier("A") is first  # the first of a name wins
+        with pytest.raises(AttributeError):
+            mm.classifiers.append(MetaClass("B"))
+        with pytest.raises(AttributeError):
+            mm.classifiers = []
+        assert mm.classifiers == (first, second) and mm.classifier("B") is None
+
+    def test_features_are_frozen(self):
+        attr = MetaAttribute("a", 0, 2, type=INT)
+        ref = MetaReference("r", 0, 1, type=MetaClass("T"), containment=True)
+        for feature, name, value in ((attr, "name", "b"), (attr, "upper", 1), (attr, "many", False),
+                                     (attr, "default", 3), (ref, "type", None),
+                                     (ref, "containment", False)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(feature, name, value)
+        assert (attr.name, attr.upper, attr.many, ref.containment) == ("a", 2, True, True)
+
+    def test_sealing_from_many_threads_agrees(self):
+        """Threads that look up one fresh hierarchy at once may each seal
+        it; every one reads the facts a single thread reads."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(20):
+                rng = random.Random(seed)
+                classes = random_hierarchy(rng)
+                for i, cls in enumerate(classes):
+                    cls.features.append(MetaAttribute(f"f{i % 3}", 0, 1, type=INT))
+                expected = {c: (naive_supertypes(c), naive_features(c)) for c in classes}
+                seen = []
+
+                def look_up():  # subclasses first: sealing them freezes their supertypes
+                    seen.append({c: (list(c.all_supertypes()), list(c.all_features()))
+                                 for c in reversed(classes)})
+
+                threads = [threading.Thread(target=look_up) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert seen == [expected] * len(threads)
+        finally:
+            sys.setswitchinterval(interval)

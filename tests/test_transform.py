@@ -906,14 +906,17 @@ class TestForwardLookups:
         monkeypatch.undo()
         assert validate_model(model) == []
 
-    def test_payload_reads_a_feature_added_after_a_flatten(self):
+    def test_a_flatten_seals_the_payload_features(self):
         string = builtin_ecore().classifier("String")
         qn = MetaClass("QN", features=[MetaAttribute("name", 0, 1, type=string)])
         obj = ModelObject(qn, name="a")
         assert flatten_payload(obj) == ["a"]
-        qn.features.append(MetaReference("sub", 0, 1, type=qn, containment=True))
-        obj.slots["sub"] = ModelObject(qn, name="b")
-        assert flatten_payload(obj) == ["a", "b"]
+        sub = MetaReference("sub", 0, 1, type=qn, containment=True)
+        with pytest.raises(AttributeError):
+            qn.features.append(sub)
+        with pytest.raises(AttributeError):
+            qn.features = [*qn.features, sub]
+        assert flatten_payload(obj) == ["a"] and qn.find_feature("sub") is None
 
 
 class TestReverseUnvalidated:
