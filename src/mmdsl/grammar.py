@@ -19,11 +19,13 @@ them), and each abstract rule as a table from token key to alternative.
 
 Only parse_grammar, _Analysis._compile and check_grammar read the element
 tree, each recursing over its nesting, which parse_grammar bounds
-(_MAX_NESTING). parse_text (text to model, one token of lookahead),
-render_ast (model to text) and generate_random_model (random models for
-round-trip tests) run the compiled code, each in one loop over an explicit
-stack, so the nesting of a text or model is bounded by memory, not by the
-recursion limit. check_grammar enforces what they need, in one walk of
+(_MAX_NESTING). parse_text (text to model, one token of lookahead, read
+from the lexer's stream of matches: no token list, and a lexical error
+anywhere wins over the errors it finds), render_ast (model to text) and
+generate_random_model (random models for round-trip tests) run the
+compiled code, each in one loop over an explicit stack, so the nesting of
+a text or model is bounded by memory, not by the recursion limit.
+check_grammar enforces what they need, in one walk of
 each reachable rule: no reachable left recursion, no reachable rule that
 derives no finite text, and disjoint first-token sets at every choice
 point (alternatives, optionals and repetition continuations are checked
@@ -37,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, DiagnosticError, SourceLocation, error
-from .lexer import Lexer, Token, TokenStream, escape_string
+from .lexer import Lexer, TokenStream, escape_string, token_value
 from .meta import (
     UNBOUNDED, MetaAttribute, MetaClass, Metamodel, Model, ModelObject, Tree, is_subtype,
     miscount, validate_metamodel, validate_model,
@@ -126,8 +128,7 @@ class Grammar:
         if not self.entry and self.rules:
             self.entry = self.rules[0].name
         self.by_name = {r.name: r for r in self.rules}
-        self._analysis = None
-        self._lexer = None
+        self._analysis = self._lexer = None
 
     def keywords(self) -> set[str]:
         return set(self.analysis().keywords)
@@ -146,13 +147,9 @@ class Grammar:
 
 def _children(e) -> list | tuple:
     """The elements directly below ``e``, in text order."""
-    if isinstance(e, Sequence):
-        return e.items
-    if isinstance(e, Group):
-        return e.alternatives
     if isinstance(e, (Opt, Repeat)):
         return (e.inner,)
-    return ()
+    return e.items if isinstance(e, Sequence) else e.alternatives if isinstance(e, Group) else ()
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +517,7 @@ def check_grammar(g: Grammar) -> list[Diagnostic]:
     ambiguous: list[Diagnostic] = []
 
     def describe(keys):
-        return ", ".join(sorted(
-            f'"{k[1]}"' if k[0] == "kw" else k[1] for k in keys))
+        return ", ".join(sorted(f'"{k[1]}"' if k[0] == "kw" else k[1] for k in keys))
 
     def overlaps(rule, firsts):
         """Report each pair of ``firsts``, (label, FIRST set) pairs, that overlap."""
@@ -599,82 +595,98 @@ def parse_text(text: str, g: Grammar, file: str = "<input>") -> Model:
     pops it into the caller's slot. The result is a valid Model over
     ``g.ast``. If ``g`` is sound (see _Analysis), each object is valid by
     construction but for its bounds, which the parser checks as it
-    finishes the object; otherwise the model goes through validate_model."""
-    a = g.analysis()
-    checked = a.sound
-    miscounts: list[tuple[ModelObject, str]] = []  # read only if checked
-    tokens = g.lexer().tokenize(text, file)
+    finishes the object; otherwise the model goes through validate_model.
+    The tokens are streamed: the loop reads the lexer's matches one by one,
+    decodes a value only where a terminal assignment takes it, and makes a
+    Token only for a diagnostic, once the rest of the text holds no lexical
+    error, which would win (see Lexer.error_token)."""
+    a, lexer = g.analysis(), g.lexer()
+    miscounts: list[tuple[ModelObject, str]] = []  # read only if a.sound
+    matches = lexer.matches(text)
+    read = matches.__next__
     # Without left recursion the frames opened at one token are of different
     # rules, so more frames than this allows mean left recursion.
     limit = len(a.procs)
     stack = []  # below the top frame: (code, pc, obj, op, proc), op the CALL it fills
-    pos, tok = 0, tokens[0]
-    proc = _enter(a.procs[g.entry], tok)
-    code, pc, obj = proc.code, 0, ModelObject(proc.cls)
-    slots = obj.slots
-    while True:
-        op = code[pc]
-        pc += 1
-        kind = op[0]
-        if kind is KW:
-            if tok.text != op[1] or tok.kind != "KW":
-                _unexpected(tok, f"'{op[1]}'")
-            tok = tokens[pos := pos + 1]
-            continue
-        if kind is TERM:
-            if tok.kind != op[4]:
-                _unexpected(tok, op[4])
-            value = tok.value
-            tok = tokens[pos := pos + 1]
-        elif kind is TEST:
-            if (("kw", tok.text) if tok.kind == "KW" else ("term", tok.kind)) not in op[1]:
-                if op[4]:
-                    _unexpected(tok, _expected(op[1]))
-                pc = op[2]
-            continue
-        elif kind is JUMP:
-            pc = op[1]
-            continue
-        elif kind is CALL:
-            callee = op[4] if op[4].code is not None else _enter(op[4], tok)
-            if len(stack) >= limit * (pos + 1):
-                _fail(tok, f"rule {callee.name!r} is left-recursive", "gr-left-recursion")
-            stack.append((code, pc, obj, op, proc))
-            proc, code, pc, obj = callee, callee.code, 0, ModelObject(callee.cls)
-            slots = obj.slots
-            continue
-        elif kind is CHOICE:
-            pc = op[1].get(("kw", tok.text) if tok.kind == "KW" else ("term", tok.kind), op[2])
-            if pc is None:
-                _unexpected(tok, _expected(op[3]))
-            continue
-        elif kind is FLAG:
-            if tok.text == op[4] and tok.kind == "KW":
+    m, pos = read(), 0  # the lookahead token's match; the tokens read
+    tk = m.lastgroup  # its kind
+    try:
+        proc = _enter(a.procs[g.entry], m, tk)
+        code, pc, obj = proc.code, 0, ModelObject(proc.cls)
+        slots = obj.slots
+        while True:
+            op = code[pc]
+            pc += 1
+            kind = op[0]
+            if kind is KW:
+                if tk != "KW" or m["KW"] != op[1]:
+                    raise _Stuck(f"'{op[1]}'")
+            elif kind is TERM:
+                if tk != op[4]:
+                    raise _Stuck(op[4])
+                try:
+                    value = token_value(op[4], m[op[4]])
+                except ValueError:
+                    raise _Stuck("lexical", "") from None  # error_token reports it
+            elif kind is TEST:
+                if (("kw", m["KW"]) if tk == "KW" else ("term", tk)) not in op[1]:
+                    if op[4]:
+                        raise _Stuck(_expected(op[1]))
+                    pc = op[2]
+                continue
+            elif kind is CHOICE:
+                pc = op[1].get(("kw", m["KW"]) if tk == "KW" else ("term", tk), op[2])
+                if pc is None:
+                    raise _Stuck(_expected(op[3]))
+                continue
+            elif kind is CALL:
+                callee = op[4] if op[4].code is not None else _enter(op[4], m, tk)
+                if len(stack) >= limit * (pos + 1):
+                    raise _Stuck("gr-left-recursion", f"rule {callee.name!r} is left-recursive")
+                stack.append((code, pc, obj, op, proc))
+                proc, code, pc, obj = callee, callee.code, 0, ModelObject(callee.cls)
+                slots = obj.slots
+                continue
+            elif kind is JUMP:
+                pc = op[1]
+                continue
+            elif kind is FLAG:
+                if tk != "KW" or m["KW"] != op[4]:
+                    continue
                 slots[op[2]] = True
-                tok = tokens[pos := pos + 1]
-            continue
-        else:  # RET: finish the object, then fill the slot of the CALL that opened it
-            for f in proc.flags:
-                slots.setdefault(f, False)
-            miscounts += [(obj, message) for f in proc.cls.tables().bounded
-                          if (message := miscount(obj, f, len(obj.values_of(f))))]
-            if not stack:
-                break
-            value = obj
-            code, pc, obj, op, proc = stack.pop()
-            slots = obj.slots
-        # written in place: in a sound grammar each operator fits its feature
-        name = op[2]
-        if op[5]:
-            slots.setdefault(name, []).append(value)
-        elif name in slots:
-            _fail(tok, f"feature {name!r} assigned twice")
-        else:
-            slots[name] = value
-    if tok.kind != "EOF":
-        _unexpected(tok, "end of input")
+            else:  # RET: finish the object, then fill the slot of the CALL that opened it
+                for f in proc.flags:
+                    slots.setdefault(f, False)
+                if bounded := proc.cls.tables().bounded:
+                    miscounts += [(obj, message) for f in bounded
+                                  if (message := miscount(obj, f, len(obj.values_of(f))))]
+                if not stack:
+                    break
+                value = obj
+                code, pc, obj, op, proc = stack.pop()
+                slots = obj.slots
+            if kind is not RET:  # a keyword, terminal or flag read its token: read the next
+                m, pos = read(), pos + 1
+                tk = m.lastgroup
+                if kind is not TERM:
+                    continue
+            # written in place: in a sound grammar each operator fits its feature
+            name = op[2]
+            if op[5]:
+                slots.setdefault(name, []).append(value)
+            elif name in slots:
+                raise _Stuck("syntax", f"feature {name!r} assigned twice")
+            else:
+                slots[name] = value
+        if tk != "EOF":
+            raise _Stuck("end of input")
+    except _Stuck as stuck:
+        tok = lexer.error_token(m, matches, text, file)  # or a lexical error, which wins
+        code, message = stuck.args if len(stuck.args) == 2 else (
+            "syntax", f"expected {stuck.args[0]}, found {tok.describe()}")
+        raise DiagnosticError([error("parse", code, message, location=tok.location)]) from None
     model = Model(obj, g.ast)
-    if not checked:
+    if not a.sound:
         problems = [(d.code, d.message, d.path) for d in validate_model(model)]
     else:
         tree = miscounts and Tree(obj)  # for the paths, only once a problem was found
@@ -685,30 +697,25 @@ def parse_text(text: str, g: Grammar, file: str = "<input>") -> Model:
     return model
 
 
+class _Stuck(Exception):
+    """parse_text stops at its lookahead token; args: what it expected, or a code and a message."""
+
+
 def _expected(keys) -> str:
     names = sorted(f"'{k[1]}'" if k[0] == "kw" else k[1] for k in keys)
     return " or ".join(names) if names else "nothing"
 
 
-def _fail(tok: Token, message: str, code: str = "syntax"):
-    raise DiagnosticError([error("parse", code, message, location=tok.location)])
-
-
-def _unexpected(tok: Token, expected: str):
-    _fail(tok, f"expected {expected}, found "
-               + ("end of input" if tok.kind == "EOF" else f"'{tok.text}'"))
-
-
-def _enter(p: _Proc, tok: Token) -> _Proc:
-    """The concrete rule that parsing rule ``p`` enters at ``tok``."""
-    key, seen = ("kw", tok.text) if tok.kind == "KW" else ("term", tok.kind), set()
+def _enter(p: _Proc, m, kind: str) -> _Proc:
+    """The concrete rule that rule ``p`` enters at match ``m``, of ``kind``."""
+    key, seen = ("kw", m["KW"]) if kind == "KW" else ("term", kind), set()
     while p.code is None:
         if p in seen:
-            _fail(tok, f"rule {p.name!r} is left-recursive", "gr-left-recursion")
+            raise _Stuck("gr-left-recursion", f"rule {p.name!r} is left-recursive")
         seen.add(p)
         q = p.table.get(key, p.default)
         if q is None:
-            _unexpected(tok, _expected(p.first))
+            raise _Stuck(_expected(p.first))
         p = q
     return p
 
@@ -837,16 +844,11 @@ def _available(reads, slots: dict, used: dict, reads_as_id) -> bool:
 
 
 def _layout(tokens: list[str]) -> str:
-    lines: list[str] = []
-    current: list[str] = []
-    depth = 0
+    lines, current, depth = [], [], 0
     for tok in tokens:
         if tok == "}":
             depth = max(0, depth - 1)
-        if not current:
-            current.append("    " * depth + tok)
-        else:
-            current.append(tok)
+        current.append(tok if current else "    " * depth + tok)
         if tok == "{":
             depth += 1
         if tok in (";", "}"):
@@ -882,7 +884,7 @@ def generate_grammar_skeleton(ast: Metamodel) -> str:
                                    f"{cls.name}.{f.name} is a multi-valued boolean attribute; a "
                                    f"flag needs a single-valued one", path=f"/{ast.name}/{cls.name}"))
     for cls in classes:
-        if cls.abstract and not _has_concrete_descendant(cls, classes):
+        if cls.abstract and not any(not c.abstract and is_subtype(c, cls) for c in classes):
             diags.append(error("grammar", "gr-unknown-class",
                                f"abstract class {cls.name!r} has no concrete subtype",
                                path=f"/{ast.name}/{cls.name}"))
@@ -893,40 +895,23 @@ def generate_grammar_skeleton(ast: Metamodel) -> str:
     for cls in classes:
         if cls.abstract:
             subs = [c.name for c in classes if cls in c.supertypes]
-            lines.append(f"Abstract {cls.name} :")
-            lines.append("    " + " | ".join(subs) + " ;")
-            lines.append("")
+            lines += [f"Abstract {cls.name} :", "    " + " | ".join(subs) + " ;", ""]
             continue
         parts = []
         for f in cls.all_features():
             if f.is_attribute and f.type.kind == "boolean":
                 parts.append(f'( {f.name} ? "{f.name}" )?')
                 continue
-            if f.is_attribute:
-                callee = "INT" if f.type.kind == "integer" else "STRING"
+            callee = ("INT" if f.type.kind == "integer" else "STRING") if f.is_attribute \
+                else f.type.name
+            unit = f'"{f.name}" "=" {f.name} {"+=" if f.many else "="} {callee}'
+            if f.lower == 0:
+                parts.append(f"( {unit} )" + ("*" if f.many else "?"))
             else:
-                callee = f.type.name
-            op = "+=" if f.many else "="
-            unit = f'"{f.name}" "=" {f.name} {op} {callee}'
-            if f.many:
-                if f.lower == 0:
-                    parts.append(f"( {unit} )*")
-                else:
-                    parts.append(f"{unit} ( {unit} )*")
-            else:
-                if f.lower == 0:
-                    parts.append(f"( {unit} )?")
-                else:
-                    parts.append(unit)
-        lines.append(f"{cls.name} :")
+                parts.append(f"{unit} ( {unit} )*" if f.many else unit)
         body = " ".join([f'"{cls.name}"', '"{"'] + parts + ['"}"'])
-        lines.append(f"    {body} ;")
-        lines.append("")
+        lines += [f"{cls.name} :", f"    {body} ;", ""]
     return "\n".join(lines).rstrip() + "\n"
-
-
-def _has_concrete_descendant(cls, classes) -> bool:
-    return any(not c.abstract and is_subtype(c, cls) for c in classes)
 
 
 # ---------------------------------------------------------------------------
@@ -945,7 +930,8 @@ def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) ->
     least height, so the model ends. A pass is taken only if the values it
     adds still fit every finite upper bound (see _room); while a feature it
     assigns has fewer values than its lower bound, it is taken, past
-    ``max_depth`` too (see _short)."""
+    ``max_depth`` too (see _short), and so is a choice's first alternative
+    that assigns such a feature, before any draw."""
     if stuck := _unproductive(g, _reachable_rules(g)):
         raise DiagnosticError(stuck)
     a = g.analysis()
@@ -994,7 +980,7 @@ def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) ->
             if op[4]:  # a '+' loop: its first pass is taken, past its head TEST
                 passes[pc] = 1
                 pc += 1
-            elif ((len(stack) <= forced_depth and passes.get(pc - 1, 0) < _short(op, obj)
+            elif ((len(stack) <= forced_depth and passes.get(pc - 1, 0) < _short(op[3], obj)
                    and _room(code, op, obj))
                   or (len(stack) <= max_depth and passes.get(pc - 1, 0) < 4
                       and rng.random() < 0.5 and _room(code, op, obj))):
@@ -1004,8 +990,10 @@ def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) ->
                 passes.pop(pc - 1, None)
                 pc = op[2]
             continue
-        elif kind is CHOICE:
-            pc = op[7] if len(stack) > max_depth else rng.choice(op[5])[1]
+        elif kind is CHOICE:  # an alternative's start is never 0
+            short = len(stack) <= forced_depth and next(
+                (start for reads, start in op[5] if _short(reads, obj)), None)
+            pc = short or (op[7] if len(stack) > max_depth else rng.choice(op[5])[1])
             continue
         elif kind is JUMP:
             pc = op[1]
@@ -1027,11 +1015,11 @@ def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) ->
             obj.slots.setdefault(op[2], value)  # a second '=' keeps the first value
 
 
-def _short(op: tuple, obj: ModelObject) -> int:
+def _short(reads: tuple, obj: ModelObject) -> int:
     """The largest lower bound above its count of values in ``obj`` among
-    the features that the part TEST ``op`` guards assigns, else 0. A loop
+    the features that the assignment ops ``reads`` assign, else 0. A loop
     makes at most that many forced passes, as a pass may assign nothing."""
-    return max([o[1].lower for o in op[3]
+    return max([o[1].lower for o in reads
                 if o[1].lower and len(obj.values_of(o[1])) < o[1].lower], default=0)
 
 

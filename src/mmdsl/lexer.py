@@ -6,10 +6,13 @@ grammar-driven parsing builds one from the grammar's keyword set.
 `//` and `/* */` comments and whitespace are skipped everywhere.
 
 Each Lexer compiles its vocabulary into one regular expression that
-matches a token together with the whitespace and comments before it, so
-tokenizing is one pass of `finditer`. A token records its offset in the
-text; its line and column are computed only when asked for, from the
-text's line starts.
+matches a token together with the whitespace and comments before it; the
+group that matched (``lastgroup``) is the token's kind, reserved words in KW.
+tokenize makes the Token list in one pass of ``finditer``. parse_text reads
+the same matches one at a time (``matches``), decodes a value only where it
+takes one (token_value) and makes a Token only to report an error (``token``,
+``error_token``). A token records its offset in the text; its line and
+column are computed only when asked for, from the text's line starts.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ _SKIP = r"[ \t\r\n]*(?:(?://[^\n]*(?![^\n])|/\*[^*]*(?:\*(?!/)[^*]*)*\*/)[ \t\r\
 # it is unterminated or holds an unknown escape
 _STRING_OPEN = r'"[^"\\\n]*(?:\\[nrt"\\][^"\\\n]*)*'
 _ESCAPE = re.compile(r"\\(.)")
+_ID = r"[^\W\d]\w*"
 _UNESCAPED = re.compile(r'[\n\t\r"\\]')
 
 
@@ -48,9 +52,7 @@ def format_literal(v) -> str:
         return escape_string(v)
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    return escape_string(v)  # not a literal: fails as a string would
+    return str(v) if isinstance(v, int) else escape_string(v)  # else fails as a string would
 
 
 class _Source:
@@ -60,9 +62,7 @@ class _Source:
     __slots__ = ("file", "text", "line_starts")
 
     def __init__(self, file: str, text: str):
-        self.file = file
-        self.text = text
-        self.line_starts: list[int] | None = None
+        self.file, self.text, self.line_starts = file, text, None
 
     def location(self, offset: int) -> SourceLocation:
         if self.line_starts is None:
@@ -75,11 +75,8 @@ class Token:
     __slots__ = ("kind", "text", "value", "offset", "source")
 
     def __init__(self, kind: str, text: str, value, offset: int, source: _Source):
-        self.kind = kind  # ID | INT | STRING | KW | EOF
-        self.text = text
-        self.value = value
-        self.offset = offset
-        self.source = source
+        self.kind, self.text, self.value = kind, text, value  # kind: ID | INT | STRING | KW | EOF
+        self.offset, self.source = offset, source
 
     @property
     def location(self) -> SourceLocation:
@@ -87,6 +84,23 @@ class Token:
 
     def is_kw(self, text: str) -> bool:
         return self.kind == "KW" and self.text == text
+
+    def describe(self) -> str:
+        return "end of input" if self.kind == "EOF" else f"'{self.text}'"
+
+
+def token_value(kind: str, word: str):
+    """The value of a token of ``kind`` that reads ``word``. ValueError if
+    it reads none: an ERROR, an INT with more digits than int() converts, an
+    ID that starts with a numeric character that is not a digit, like '²'."""
+    if kind == "ID" and (word[0].isalpha() or word[0] == "_") or kind == "KW":
+        return word
+    if kind == "STRING":
+        body = word[1:-1]
+        return _ESCAPE.sub(lambda e: _ESCAPES[e[1]], body) if "\\" in body else body
+    if kind == "INT":
+        return int(word)
+    raise ValueError(word)
 
 
 def _is_word(s: str) -> bool:
@@ -100,13 +114,18 @@ class Lexer:
         self.symbols = sorted(symbols, key=lambda s: (-len(s), s))
         self.phase = phase
         # A symbol that starts like a word or a string never matches: that
-        # reading wins. No symbol may eat the '/' of an unclosed comment.
-        syms = "|".join(re.escape(s) for s in self.symbols
-                        if s and not (s[0].isalpha() or s[0] in '_"'))
+        # reading wins. No symbol may eat the '/' of an unclosed comment. A
+        # reserved word is a KW where the whole ID would be, after the symbols.
+        words = "|".join(re.escape(w) for w in sorted(self.reserved, key=lambda s: (-len(s), s))
+                         if re.fullmatch(_ID, w))
+        syms = "|".join([re.escape(s) for s in self.symbols
+                         if s and not (s[0].isalpha() or s[0] in '_"')]
+                        + [f"(?:{words})(?!\\w)"] * bool(words))
         self._pattern = re.compile(
             _SKIP + rf'(?:(?P<STRING>{_STRING_OPEN}")|(?P<INT>\d+)'
-            rf"|(?!/\*)(?P<KW>{syms or '(?!)'})|(?P<ID>[^\W\d]\w*)"
+            rf"|(?!/\*)(?P<KW>{syms or '(?!)'})|(?P<ID>{_ID})"
             r"|(?P<EOF>\Z)|(?P<ERROR>.))", re.DOTALL)
+        self.matches = self._pattern.finditer  # of a text, a match per token: see ``token``
 
     @classmethod
     def for_keywords(cls, keywords, phase: str = "parse") -> "Lexer":
@@ -117,40 +136,40 @@ class Lexer:
         return cls(reserved=words, symbols=syms, phase=phase)
 
     def tokenize(self, text: str, file: str = "<input>") -> list[Token]:
-        source = _Source(file, text)
-        reserved = self.reserved
-        tokens = []
+        """The tokens of ``text``, EOF last, or its first lexical error."""
+        source, tokens = _Source(file, text), []
         append = tokens.append
         for m in self._pattern.finditer(text):
             kind = m.lastgroup
-            start = m.start(kind)
-            word = m[kind]
-            if kind == "KW":
-                append(Token(kind, word, word, start, source))
-            elif kind == "ID":
-                if word in reserved:
-                    kind = "KW"
-                elif not (word[0].isalpha() or word[0] == "_"):
-                    break  # a numeric character that is not a decimal digit
-                append(Token(kind, word, word, start, source))
-            elif kind == "STRING":
-                body = word[1:-1]
-                value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], body) if "\\" in body else body
-                if "\t" in body or "\r" in body:
-                    word = escape_string(value)
-                append(Token(kind, word, value, start, source))
-            elif kind == "INT":
-                try:
-                    append(Token(kind, word, int(word), start, source))
-                except ValueError:  # more digits than int() converts
-                    raise DiagnosticError([error(self.phase, "lexical", "integer literal too long",
-                                                 location=source.location(start))]) from None
-            elif kind == "EOF":
-                append(Token(kind, "", None, start, source))
-                return tokens
+            word = m[kind]  # a KW or an ID is read as token_value reads it, inline for speed
+            if kind == "KW" or kind == "ID" and (word[0].isalpha() or word[0] == "_"):
+                append(Token(kind, word, word, m.start(kind), source))
             else:
-                break
-        raise DiagnosticError([self._lexical_error(text, start, source)])
+                append(self.token(m, source))
+                if kind == "EOF":
+                    return tokens
+
+    def token(self, m: re.Match, source: _Source) -> Token:
+        """The token that match ``m`` reads, its kind ``m.lastgroup``, or its
+        lexical error. A string holding a tab or CR is written from its value."""
+        kind = m.lastgroup
+        word, start = m[kind], m.start(kind)
+        try:
+            value = None if kind == "EOF" else token_value(kind, word)
+        except ValueError:
+            raise DiagnosticError([self._lexical_error(source.text, start, source)]) from None
+        if kind == "STRING" and ("\t" in word or "\r" in word):
+            word = escape_string(value)
+        return Token(kind, word, value, start, source)
+
+    def error_token(self, m: re.Match, rest, text: str, file: str) -> Token:
+        """The token of match ``m`` of ``matches(text)``, to report an error at;
+        but first raise the first lexical error from ``m`` on, which wins."""
+        source = _Source(file, text)
+        tok = at = self.token(m, source)
+        while at.kind != "EOF":
+            at = self.token(next(rest), source)
+        return tok
 
     def reads_as_id(self, text: str) -> bool:
         """Whether ``text`` on its own tokenizes as one ID token."""
@@ -166,6 +185,8 @@ class Lexer:
             message = "unterminated string literal"
         elif text.startswith("/*", at):
             message = "unterminated block comment"
+        elif text[at].isdecimal():  # an INT: more digits than int() converts
+            message = "integer literal too long"
         else:
             message = f"unexpected character {text[at]!r}"
         return error(self.phase, "lexical", message, location=source.location(at))
@@ -178,10 +199,7 @@ class TokenStream:
     ``pos``; the tests read its ``kind`` and ``text`` in place."""
 
     def __init__(self, tokens: list[Token], phase: str = "parse"):
-        self.tokens = tokens
-        self.pos = 0
-        self.current = tokens[0]
-        self.phase = phase
+        self.tokens, self.pos, self.current, self.phase = tokens, 0, tokens[0], phase
 
     def peek(self, ahead: int = 1) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -200,10 +218,7 @@ class TokenStream:
         return tok
 
     def accept_kw(self, text: str) -> bool:
-        if self.current.text == text and self.current.kind == "KW":
-            self.next()
-            return True
-        return False
+        return self.at_kw(text) and self.next() is not None
 
     def fail(self, message: str, code: str = "syntax", token: Token | None = None):
         tok = token or self.current
@@ -224,7 +239,4 @@ class TokenStream:
             self.fail(f"expected end of input, found {self.describe()}")
 
     def describe(self) -> str:
-        tok = self.current
-        if tok.kind == "EOF":
-            return "end of input"
-        return f"'{tok.text}'"
+        return self.current.describe()

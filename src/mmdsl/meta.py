@@ -220,14 +220,18 @@ class Metamodel(_Sealable):
     classifiers: list[Classifier] = field(default_factory=list)
     _lists = ("classifiers",)
     _by_name = None
+    load_names = None  # load_model's name tables, built on its first use (modeltext._names)
 
     def classifier(self, name: str) -> Classifier | None:
-        by_name = self._by_name
-        if by_name is None:
+        return (self._by_name or self.by_name()).get(name)
+
+    def by_name(self) -> dict[str, Classifier]:
+        """Each classifier by its name, the first of a name winning."""
+        if self._by_name is None:
             self._freeze()
             # first match wins: later duplicates are written first, then overwritten
-            by_name = self._by_name = {c.name: c for c in reversed(self.classifiers)}
-        return by_name.get(name)
+            self._by_name = {c.name: c for c in reversed(self.classifiers)}
+        return self._by_name
 
     def classes(self) -> list[MetaClass]:
         return [c for c in self.classifiers if isinstance(c, MetaClass)]
@@ -307,9 +311,7 @@ class ModelObject:
     __slots__ = ("cls", "slots", "represents")
 
     def __init__(self, cls: MetaClass, represents: Classifier | None = None, **slots):
-        self.cls = cls
-        self.slots: dict[str, object] = {}
-        self.represents = represents
+        self.cls, self.slots, self.represents = cls, {}, represents
         for name, value in slots.items():
             self.set(name, value)
 
@@ -326,10 +328,8 @@ class ModelObject:
         f = self._feature(name)
         if value is None:
             self.slots.pop(name, None)
-        elif f.many:
-            self.slots[name] = list(value)
         else:
-            self.slots[name] = value
+            self.slots[name] = list(value) if f.many else value
 
     def add(self, name: str, value):
         f = self._feature(name)
@@ -379,16 +379,12 @@ def classifier_object(c: Classifier) -> ModelObject:
 
 
 def classifier_qname(c: Classifier, home: Metamodel | None) -> str:
-    if home is not None and home.name:
-        return f"{home.name}::{c.name}"
-    return c.name
+    return f"{home.name}::{c.name}" if home is not None and home.name else c.name
 
 
 def find_classifier_home(c: Classifier, metamodels) -> Metamodel | None:
-    for mm in metamodels:
-        if mm is not None and any(x is c for x in mm.classifiers):
-            return mm
-    return None
+    return next((mm for mm in metamodels
+                 if mm is not None and any(x is c for x in mm.classifiers)), None)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import re
 from bisect import bisect_left
 
 from .diagnostics import DiagnosticError, error
-from .lexer import _ESCAPE, _ESCAPES, _SKIP, _STRING_OPEN, Lexer, TokenStream, format_literal
+from .lexer import _SKIP, _STRING_OPEN, Lexer, TokenStream, format_literal, token_value
 from .meta import (
     Classifier, MetaClass, Metamodel, Model, ModelObject, builtin_ecore, classifier_object,
     classifier_qname, find_classifier_home,
@@ -187,6 +187,19 @@ def _reads_as_id(name: str) -> bool:
     return name.isascii() or all(s[:1].isalpha() or s[:1] == "_" for s in name.split("::"))
 
 
+def _names(pkg: Metamodel) -> tuple[dict, dict]:
+    """``pkg``'s names as load_model reads them, built once from its sealed
+    classifiers: reference name (also qualified by the package's name, if
+    that reads as an ID) -> classifier, and class name -> class. The first
+    of a name wins; names _reads_as_id refuses are left out."""
+    if pkg.load_names is None:
+        names = {n: c for n, c in pkg.by_name().items() if _reads_as_id(n)}
+        qualified = {f"{pkg.name}::{n}": c for n, c in names.items()} if _reads_as_id(
+            pkg.name) else {}
+        pkg.load_names = {**names, **qualified}, {n: c for n, c in names.items() if c.is_class}
+    return pkg.load_names
+
+
 def _fields(cls: MetaClass) -> dict:
     """``cls``'s name -> feature table without the names _reads_as_id refuses,
     built once per version of the class's tables."""
@@ -204,16 +217,9 @@ class _Loader:
         # per name, the first package's classifier; for heads, the first class
         self.classes: dict[str, MetaClass] = {}
         self.refs: dict[str, Classifier] = {}
-        for pkg in reversed(packages):
-            qualify = _reads_as_id(pkg.name)
-            for name, c in {c.name: c for c in reversed(pkg.classifiers)}.items():
-                if not _reads_as_id(name):
-                    continue  # the lexer reads no ID here
-                self.refs[name] = c
-                if qualify:
-                    self.refs[f"{pkg.name}::{name}"] = c
-                if c.is_class:
-                    self.classes[name] = c
+        for refs, classes in map(_names, reversed(packages)):
+            self.refs.update(refs)
+            self.classes.update(classes)
         self.feats: dict[MetaClass, dict] = {}
 
     def load(self) -> ModelObject:
@@ -227,9 +233,7 @@ class _Loader:
                 self.diagnose(pat, at, obj)
             kind = m.lastgroup
             if kind == "str":
-                value = m[kind][1:-1]
-                if "\\" in value:
-                    value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], value)
+                value = token_value("STRING", m[kind])
             elif kind == "obj":
                 cls, oid = classes.get(m["cls"]), int(m["id"])
                 if cls is None or oid in by_id:

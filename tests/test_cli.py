@@ -643,3 +643,42 @@ class TestFuzz:
                 assert code in (0, 1), argv
                 assert "Traceback" not in err.getvalue()
                 assert time.perf_counter() - start < 5, argv
+
+
+class TestFuzzConfig:
+    """Every command, run in-process on both samples with one value of
+    ns.cfg or pipeline.cfg spliced with arbitrary text, truncated or
+    replaced whole, exits 0 or 1 with diagnostics: no exception escapes,
+    and no run is slow. The text holds no '/', so that no value names a
+    path outside the example's own directory: the pipeline writes to
+    ``out`` and reads the other paths."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sample=st.sampled_from(sorted(FUZZ_SAMPLES)),
+           cfg=st.sampled_from(["ns.cfg", "pipeline.cfg"]),
+           pick=st.integers(0, 10 ** 6), at=st.integers(0, 10 ** 6),
+           edit=st.sampled_from(["splice", "truncate", "replace"]),
+           junk=st.text(st.characters(exclude_characters="/"), max_size=12))
+    def test_mutated_config_values_end_in_diagnostics(self, fuzz_dirs, sample, cfg, pick, at,
+                                                      edit, junk):
+        with tempfile.TemporaryDirectory(dir=fuzz_dirs) as tmp:
+            d = Path(tmp) / sample
+            shutil.copytree(fuzz_dirs / sample, d)
+            lines = (d / cfg).read_text().splitlines()
+            values = [n for n, line in enumerate(lines) if "=" in line and line[0] != "#"]
+            i = values[pick % len(values)]
+            key, _, value = lines[i].partition("=")
+            value = value.strip()
+            cut = at % (len(value) + 1)
+            lines[i] = key + "= " + {"splice": value[:cut] + junk + value[cut:],
+                                     "truncate": value[:cut], "replace": junk}[edit]
+            (d / cfg).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            for argv in fuzz_argv(d, *FUZZ_SAMPLES[sample]):
+                out, err = io.StringIO(), io.StringIO()
+                start = time.perf_counter()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([str(a) for a in argv])
+                assert code in (0, 1), argv
+                assert "Traceback" not in err.getvalue()
+                assert time.perf_counter() - start < 5, argv

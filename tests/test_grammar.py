@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmdsl.diagnostics import DiagnosticError, error
+from mmdsl.diagnostics import DiagnosticError, SourceLocation, error
 from mmdsl.emfatic import parse_metamodel
 import mmdsl.grammar as grammar_module
 from mmdsl.grammar import (
@@ -13,13 +13,14 @@ from mmdsl.grammar import (
     Repeat, Sequence, _children, _expected, _layout, check_grammar, generate_grammar_skeleton,
     generate_random_model, parse_grammar, parse_text, render_ast,
 )
-from mmdsl.lexer import TokenStream, escape_string
+from mmdsl.lexer import Lexer, Token, TokenStream, escape_string
 from mmdsl.meta import (
     UNBOUNDED, MetaAttribute, MetaClass, Metamodel, MetaReference, Model, ModelObject, Tree,
     builtin_ecore, iter_tree, model_equals, validate_model,
 )
 from mmdsl.modeltext import load_model
 from mmdsl.xf import derive_ast_metamodel, parse_transformation
+from test_lexer import reference_tokenize
 from test_meta import ref_validate_model
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -568,10 +569,27 @@ class RefParser:
         stream.fail(f"expected {_expected(a.elem_first(e))}, found {stream.describe()}")
 
 
-def ref_parse_text(text, g):
-    """parse_text as it was: the reference parser writes slots by name, and
-    the whole model then goes through the reference validate_model."""
-    parser = RefParser(g, TokenStream(g.lexer().tokenize(text), phase="parse"))
+class RefToken:
+    """A token of test_lexer's reference scanner, as TokenStream reads it."""
+
+    def __init__(self, kind, text, value, line, column, file):
+        self.kind, self.text, self.value = kind, text, value
+        self.location = SourceLocation(file, line, column)
+
+    def is_kw(self, text):
+        return self.kind == "KW" and self.text == text
+
+    def describe(self):
+        return "end of input" if self.kind == "EOF" else f"'{self.text}'"
+
+
+def ref_parse_text(text, g, file="<input>"):
+    """parse_text as it was: the reference scanner turns the whole text into
+    a token list first, so a lexical error anywhere wins; the reference
+    parser then writes slots by name, and the whole model goes through the
+    reference validate_model."""
+    tokens = [RefToken(*t, file) for t in reference_tokenize(g.lexer(), text, file)]
+    parser = RefParser(g, TokenStream(tokens, phase="parse"))
     root = parser.parse_rule(g.entry)
     parser.stream.expect_eof()
     model = Model(root, g.ast)
@@ -1311,15 +1329,17 @@ class TestRandomModelBounds:
             assert max(tree.path(o).count("/as[") for o in tree.objects) == 4
 
     def test_forced_passes_that_add_nothing_end(self):
-        """Past max_depth the group takes "x", its alternative of least
-        height, so no forced pass adds to cs: the loop stops after as many
-        passes as the lower bound."""
+        """Past max_depth a group takes its first alternative that assigns a
+        feature below its lower bound, not "x", its alternative of least
+        height: the forced passes add to cs until the bound is met, and the
+        loop stops after as many passes as the lower bound."""
         ast = parse_metamodel("class R { val A[1] a; }\nclass A { val C[2..3] cs; }\n"
                               "class C { }", "m")
         g = parse_grammar('R : "r" a = A ; A : "a" ( "c" cs += C | "x" )* ; C : "c" ;', ast)
         m = generate_random_model(g, random.Random(1), max_depth=0)
-        assert [d.code for d in validate_model(m)] == ["model-multiplicity"]
-        assert render_ast(m, g) == "r a\n"
+        assert validate_model(m) == []
+        assert render_ast(m, g) == "r a c c c c\n"
+        assert model_equals(parse_text(render_ast(m, g), g), m)
 
     @pytest.mark.parametrize("grammar, chain", [
         ('Abstract X : A | B ; A : "a" x = X ; B : "b" ;', 3001),
@@ -1493,6 +1513,100 @@ class TestStack:
             render_ast(Model(doc, toy_ast), g)
         assert [(d.code, d.path, d.message) for d in exc.value.diagnostics] == [
             ("model-containment", "/items[0]", "object of class Pair is contained more than once")]
+
+
+# A grammar over TOY_MM with every terminal, a feature a rule may assign
+# twice, and a left-recursive one; the pieces each end in a lexical error.
+STREAM_GRAMMAR = ('Doc : ( items += Node )* ; Abstract Node : Leaf | Pair ; '
+                  'Leaf : "leaf" name = ID ( "t" tags += STRING )* ( "again" name = ID )? ; '
+                  'Pair : "pair" n = INT ( "(" left = Node ")" )? ;')
+LOOP_GRAMMAR = ('Doc : ( items += Node )* ; Abstract Node : Pair | Leaf ; '
+                'Leaf : "leaf" ; Pair : left = Node "x" ;')
+LEXICAL = ["@", "9" * 5000, "²x", '"open', "/* open", '"bad\\q"', "1½"]
+
+
+class TestStreamedTokens:
+    """parse_text reads the lexer's matches one at a time; the parser fed by
+    the reference scanner's token list is the oracle. A lexical error
+    anywhere wins over every error the machine finds: a syntax error before
+    or after it, "assigned twice" and left recursion."""
+
+    @pytest.fixture(scope="class")
+    def stream_grammars(self, toy_ast):
+        return {"stream": parse_grammar(STREAM_GRAMMAR, toy_ast),
+                "loop": parse_grammar(LOOP_GRAMMAR, toy_ast)}
+
+    @pytest.mark.parametrize("lexical", LEXICAL, ids=[
+        "at", "long-int", "superscript", "open-string", "open-comment", "bad-escape", "half"])
+    @pytest.mark.parametrize("name, text, alone", [
+        ("stream", "leaf a pair 3 ( leaf b )", "ok"),  # valid: only the lexical error
+        ("stream", "leaf a ) pair 3", "syntax"),  # a syntax error before it
+        ("stream", "leaf a pair ( leaf b )", "syntax"),
+        ("stream", "leaf a again b again c", "syntax"),
+        ("stream", "pair 3 pair", "syntax"),  # at the end of input
+        ("stream", "leaf a again b", "syntax"),  # assigned twice
+        ("stream", "pair 1 ( leaf a again b t \"x\" )", "syntax"),
+        ("loop", "leaf x", "gr-left-recursion"),
+    ])
+    def test_lexical_error_wins(self, stream_grammars, name, text, alone, lexical):
+        """The lexical piece goes after the text, and in front of it, and in
+        its middle; it is reported wherever it stands."""
+        g = stream_grammars[name]
+        got = outcome(parse_text, text, g)
+        assert got[0] == "ok" if alone == "ok" else [d.code for d in got[1]] == [alone]
+        if name != "loop":
+            assert_parse_matches_reference(text, g)
+        words = text.split()
+        for broken in (f"{text} {lexical}", f"{lexical} {text}",
+                       " ".join(words[:2] + [lexical] + words[2:])):
+            got = outcome(parse_text, broken, g)
+            assert got[0] == "diagnostics" and [d.code for d in got[1]] == ["lexical"]
+            assert got == outcome(ref_parse_text, broken, g)
+
+    @pytest.mark.parametrize("name, text, want", [
+        ("stream", "leaf a again b", ("syntax", "feature 'name' assigned twice", 15)),
+        ("stream", 'pair 1 ( leaf a t "s" ) leaf b again c',
+         ("syntax", "feature 'name' assigned twice", 39)),
+        ("loop", "leaf x", ("gr-left-recursion", "rule 'Pair' is left-recursive", 1)),
+        ("stream", 'leaf "\tab"', ("syntax", "expected ID, found '\"\\tab\"'", 6))])
+    def test_without_a_lexical_error(self, stream_grammars, name, text, want):
+        """Without a lexical error the machine's own error stands, at the
+        lookahead token; a string holding a tab is written with its escape."""
+        with pytest.raises(DiagnosticError) as exc:
+            parse_text(text, stream_grammars[name])
+        (d,) = exc.value.diagnostics
+        assert (d.code, d.message, d.location.column) == want and d.location.line == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), edit=st.sampled_from(["none", "drop", "insert", "swap"]),
+           at=st.integers(0, 10 ** 6), where=st.integers(0, 10 ** 6),
+           piece=st.sampled_from(["", *LEXICAL, '"', "/*", "²", "a²", "\x0c"]))
+    def test_against_the_token_list_parser(self, grammars, seed, edit, at, where, piece):
+        """Random sample-grammar texts with one token dropped, inserted or
+        swapped, and a piece that may hold a lexical error put between two
+        tokens: the same model or diagnostics as the token-list parser."""
+        g = grammars[["selfhost", "css", "skeleton"][seed % 3]]
+        text = render_ast(generate_random_model(g, random.Random(seed), max_depth=4), g)
+        words = mutated(g, text, edit, at).split(" ")
+        words.insert(where % (len(words) + 1), piece)
+        assert_parse_matches_reference(" ".join(words), g)
+
+    def test_valid_text_makes_no_token(self, grammars, monkeypatch):
+        """On valid text parse_text neither tokenizes nor makes a Token."""
+        docs = [(g, render_ast(generate_random_model(g, random.Random(seed)), g))
+                for g in grammars.values() for seed in range(5)]
+        docs.append((grammars["selfhost"], (SAMPLES / "selfhost" / "xf.xf").read_text()))
+        calls = []
+        tokenize, init = Lexer.tokenize, Token.__init__
+        monkeypatch.setattr(Lexer, "tokenize", lambda *a: calls.append("tokenize") or tokenize(*a))
+        monkeypatch.setattr(Token, "__init__", lambda *a: calls.append("Token") or init(*a))
+        models = [parse_text(text, g) for g, text in docs]
+        assert calls == []
+        with pytest.raises(DiagnosticError):
+            parse_text("skip ;", grammars["selfhost"])
+        assert calls == ["Token", "Token"]  # at ';', then the scan of the rest reads EOF
+        monkeypatch.undo()
+        assert all(model_equals(m, ref_parse_text(text, g)) for m, (g, text) in zip(models, docs))
 
 
 class TestRenderUnvalidated:

@@ -230,6 +230,8 @@ def reference_tokenize(lexer: Lexer, text: str, file: str = "<input>") -> list[t
             while j < n and text[j].isdecimal():
                 j += 1
             word = text[i:j]
+            if len(word) > 4300:  # past int()'s default limit of digits
+                fail("integer literal too long", at=start)
             advance(j - i)
             token("INT", word, int(word), start)
             continue

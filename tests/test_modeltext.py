@@ -644,6 +644,29 @@ def test_load_makes_no_tokens_and_no_lookup_by_name(sample_dumps, monkeypatch):
     monkeypatch.undo()
     assert [dump_model(m) for m in models] == [text for text, _, _ in sample_dumps]
 
+
+def test_a_second_load_builds_no_name_table(sample_dumps, monkeypatch):
+    """load_model builds each package's name table once, from its sealed
+    classifiers: a second load over the same packages builds none (no name
+    goes through _reads_as_id again) and reads the dumps alike."""
+    from mmdsl import modeltext
+
+    first = [load_model(text, mm, extra_metamodels=extra) for text, mm, extra in sample_dumps]
+    packages = [pkg for _, mm, extra in sample_dumps for pkg in (mm, *extra, builtin_ecore())]
+    tables = [modeltext._names(pkg) for pkg in packages]
+    calls = []
+    reads = modeltext._reads_as_id
+    monkeypatch.setattr(modeltext, "_reads_as_id", lambda name: calls.append(name) or reads(name))
+    again = [load_model(text, mm, extra_metamodels=extra) for text, mm, extra in sample_dumps]
+    assert calls == []
+    assert all(modeltext._names(pkg) is table for pkg, table in zip(packages, tables))
+    monkeypatch.undo()
+    assert [dump_model(m) for m in again] == [dump_model(m) for m in first] == [
+        text for text, _, _ in sample_dumps]
+    with pytest.raises(AttributeError):  # the tables are built from sealed packages
+        sample_dumps[0][1].classifiers.append(MetaClass("Late"))
+
+
 # ---------------------------------------------------------------------------
 # The loader as it was before it matched one construct at a time, kept as
 # the oracle of the differential tests below.
