@@ -682,8 +682,8 @@ def parse_text(text: str, g: Grammar, file: str = "<input>") -> Model:
             raise _Stuck("end of input")
     except _Stuck as stuck:
         tok = lexer.error_token(m, matches, text, file)  # or a lexical error, which wins
-        code, message = stuck.args if len(stuck.args) == 2 else (
-            "syntax", f"expected {stuck.args[0]}, found {tok.describe()}")
+        code, message = stuck.args if len(stuck.args) == 2 else ("syntax", f"expected "
+            f"{stuck.args[0]}, found " + ("end of input" if tok.kind == "EOF" else f"'{tok.text}'"))
         raise DiagnosticError([error("parse", code, message, location=tok.location)]) from None
     model = Model(obj, g.ast)
     if not a.sound:

@@ -85,9 +85,6 @@ class Token:
     def is_kw(self, text: str) -> bool:
         return self.kind == "KW" and self.text == text
 
-    def describe(self) -> str:
-        return "end of input" if self.kind == "EOF" else f"'{self.text}'"
-
 
 def token_value(kind: str, word: str):
     """The value of a token of ``kind`` that reads ``word``. ValueError if
@@ -218,7 +215,9 @@ class TokenStream:
         return tok
 
     def accept_kw(self, text: str) -> bool:
-        return self.at_kw(text) and self.next() is not None
+        if self.current.text == text and self.current.kind == "KW":
+            return self.next() is not None
+        return False
 
     def fail(self, message: str, code: str = "syntax", token: Token | None = None):
         tok = token or self.current
@@ -239,4 +238,4 @@ class TokenStream:
             self.fail(f"expected end of input, found {self.describe()}")
 
     def describe(self) -> str:
-        return self.current.describe()
+        return "end of input" if self.current.kind == "EOF" else f"'{self.current.text}'"

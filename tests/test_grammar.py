@@ -579,9 +579,6 @@ class RefToken:
     def is_kw(self, text):
         return self.kind == "KW" and self.text == text
 
-    def describe(self):
-        return "end of input" if self.kind == "EOF" else f"'{self.text}'"
-
 
 def ref_parse_text(text, g, file="<input>"):
     """parse_text as it was: the reference scanner turns the whole text into
