@@ -21,11 +21,11 @@ Only parse_grammar, _Analysis._compile and check_grammar read the element
 tree, each recursing over its nesting, which parse_grammar bounds
 (_MAX_NESTING). parse_text (text to model, one token of lookahead, read
 from the lexer's stream of matches: no token list, and a lexical error
-anywhere wins over the errors it finds), render_ast (model to text) and
-generate_random_model (random models for round-trip tests) run the
-compiled code, each in one loop over an explicit stack, so the nesting of
-a text or model is bounded by memory, not by the recursion limit.
-check_grammar enforces what they need, in one walk of
+anywhere wins over the errors it finds) and generate_random_model (random
+models for round-trip tests) run the compiled code in a loop on a stack;
+render_ast (model to text) runs Python generated from it per rule, on a
+trampoline. So a text's or model's nesting is bounded by memory, not by
+the recursion limit. check_grammar enforces what they need, in one walk of
 each reachable rule: no reachable left recursion, no reachable rule that
 derives no finite text, and disjoint first-token sets at every choice
 point (alternatives, optionals and repetition continuations are checked
@@ -34,7 +34,9 @@ against their local follow in the enclosing sequence).
 
 from __future__ import annotations
 
+import linecache
 import random
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -407,6 +409,7 @@ class _Analysis:
         self.flags: dict[str, list[str]] = {
             r.name: list(self.procs[r.name].flags) for r in g.rules if isinstance(r, ConcreteRule)}
         self.problems = _check_rules(g)
+        self.renderers = None  # render_ast's generated code (_generate), on its first call
         self.sound = not self.problems and not validate_metamodel(g.ast)
 
     def _compile(self, e, proc: _Proc, code: list, ops: dict):
@@ -727,136 +730,227 @@ def _enter(p: _Proc, m, kind: str) -> _Proc:
 def render_ast(m: Model, g: Grammar) -> str:
     """Deterministic inverse of parse_text: one space between tokens, a
     newline after ';' and '}', 4-space indentation inside braces.
-    parse_text(render_ast(m)) is model-equal to m. Runs the same compiled
-    code in one loop on an explicit stack, deciding by what each object
-    holds: an optional or loop runs while an assignment below it has a value
-    left; a choice takes the first alternative with one, else the first
-    without assignments. Each frame counts the values it used per feature,
-    reading slots through the features the code holds."""
-    procs, reads_as_id = g.analysis().procs, g.lexer().reads_as_id
-    tokens: list[str] = []
-    problems: list[tuple[ModelObject, str, str]] = []  # (object, code, message)
-    append = tokens.append
-    obj, proc = m.root, procs.get(m.root.cls.name)
-    if proc is None or proc.code is None:
+    parse_text(render_ast(m)) is model-equal to m. The first call for a
+    grammar generates its renderer (_generate); each rule decides by what
+    its object holds: an optional or loop runs while an assignment below it
+    has a value left; a choice takes the first alternative with one, else
+    the first without assignments. A rule that calls another yields the
+    callee's generator to the loop here, which keeps the stack, so nesting
+    is bounded by memory, not by the recursion limit."""
+    a = g.analysis()
+    rules = a.renderers or _generate(a, g.lexer().reads_as_id)
+    root = m.root
+    if (rule := rules.get(root.cls.name)) is None:
         raise DiagnosticError([error("grammar", "gr-no-rule", f"no concrete rule for class "
-                                     f"{obj.cls.name!r}", path="/")])
-    code, pc, used, slots = proc.code, 0, {}, obj.slots
-    stack = []  # below the top frame: (code, pc, obj, used, proc)
-    opened = {obj}  # the objects with a frame, so a containment cycle ends
-    while True:
-        op = code[pc]
-        pc += 1
-        kind = op[0]
-        if kind is KW:
-            append(op[1])
-        elif kind is TEST:
-            if not _available(op[3], slots, used, reads_as_id):
-                if op[4]:
-                    problems.append((obj, "gr-unset-mandatory",
-                                     "'+' repetition has nothing to render"))
-                pc = op[2]
-        elif kind is JUMP:
-            pc = op[1]
-        elif kind is TERM or kind is CALL:
-            f, name, callee = op[1], op[2], op[4]
-            i, v = used.get(f, 0), slots.get(name)
-            if v is None or i >= (len(v) if op[3] else 1):
-                problems.append((obj, "gr-unset-mandatory",
-                                 f"{obj.cls.name}.{name} has no value to render"))
-                continue
-            value = v[i] if op[3] else v
-            if callee == "ID" and type(value) is str and not reads_as_id(value):
-                problems.append((obj, "gr-unset-mandatory",
-                                 f"{obj.cls.name}.{name} value {value!r} is not an ID"))
-                continue
-            used[f] = i + 1
-            if kind is TERM:
-                if (type(value) is int) if callee == "INT" else isinstance(value, str):
-                    append(escape_string(value) if callee == "STRING" else str(value))
-                else:
-                    problems.append((obj, "model-kind", f"{obj.cls.name}.{name}: value "
-                                     f"{value!r} does not fit attribute type {f.type.name}"))
-            elif not isinstance(value, ModelObject):
-                problems.append((obj, "model-kind",
-                                 f"{obj.cls.name}.{name}: expected an object, found {value!r}"))
-            elif value in opened:
-                problems.append((obj, "model-containment", f"object of class "
-                                 f"{value.cls.name} is contained more than once"))
-            elif (sub := procs.get(value.cls.name)) is None or sub.code is None:
-                problems.append((value, "gr-no-rule",
-                                 f"no concrete rule for class {value.cls.name!r}"))
-            else:
-                stack.append((code, pc, obj, used, proc))
-                proc, code, pc, obj, used, slots = sub, sub.code, 0, value, {}, value.slots
-                opened.add(obj)
-        elif kind is CHOICE:
-            for reads, start in op[5]:
-                if _available(reads, slots, used, reads_as_id):
-                    pc = start
-                    break
-            else:
-                pc = op[6]
-                if pc == op[4] and op[2] is None:
-                    problems.append((obj, "gr-unset-mandatory",
-                                     "no renderable alternative in group"))
-        elif kind is FLAG:
-            if not used.get(op[1], 0) and slots.get(op[2], op[1].default) is True:
-                append(op[4])
-                used[op[1]] = 1
-        else:  # RET: report each slot with values left, but flags and cross slots
-            for name, v in slots.items():
-                if v is None or name in proc.flags:
-                    continue
-                # looked up by name only for a slot that no assignment of the rule reads
-                f = proc.feats.get(name) or obj.cls.find_feature(name)
-                if f is not None and (used.get(f, 0) >= (len(v) if f.many else 1)
-                                      or not f.is_attribute and not f.containment):
-                    continue
-                problems.append((obj, "gr-unset-mandatory", f"rule {proc.name!r} cannot emit "
-                                 f"all values of {obj.cls.name}.{name}"))
-            opened.discard(obj)
-            if not stack:
-                break
-            code, pc, obj, used, proc = stack.pop()
-            slots = obj.slots
+                                     f"{root.cls.name!r}", path="/")])
+    line, lines, lay, problems = [], [], [0, ""], []  # lay: the depth and the line's indent
+    gen, stack = rule(root, line, lines, lay, problems, set()), []
+    while gen is not None:
+        if (child := next(gen, None)) is not None:
+            stack.append(gen)
+            gen = child
+        else:
+            gen = stack.pop() if stack else None
     if problems:
-        tree = Tree(m.root)
+        tree = Tree(root)
         raise DiagnosticError([error("grammar", code, message, path=tree.path(obj))
                                for obj, code, message in problems])
-    return _layout(tokens)
-
-
-def _available(reads, slots: dict, used: dict, reads_as_id) -> bool:
-    """Whether one of the assignment ops ``reads`` has a value left to
-    render: a set flag not written yet, or a value past its feature's use
-    count; an ID assignment's string must read back as an ID (another
-    alternative must carry it)."""
-    for kind, f, name, many, callee, _ in reads:
-        i = used.get(f, 0)
-        if kind is FLAG:
-            if not i and slots.get(name, f.default) is True:
-                return True
-        elif (v := slots.get(name)) is not None and i < (len(v) if many else 1):
-            if callee != "ID" or type(v := v[i] if many else v) is not str or reads_as_id(v):
-                return True
-    return False
-
-
-def _layout(tokens: list[str]) -> str:
-    lines, current, depth = [], [], 0
-    for tok in tokens:
-        if tok == "}":
-            depth = max(0, depth - 1)
-        current.append(tok if current else "    " * depth + tok)
-        if tok == "{":
-            depth += 1
-        if tok in (";", "}"):
-            lines.append(" ".join(current))
-            current = []
-    if current:
-        lines.append(" ".join(current))
+    if line:
+        lines.append(lay[1] + " ".join(line))
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+# The statements that place a keyword: only these three change the layout,
+# as no ID, INT or STRING token reads like one of them.
+_PLACE = {
+    "{": ("append('{')", "lay[0] += 1"),
+    ";": ("append(';')", "lines.append(lay[1] + ' '.join(line))", "line.clear()",
+          "lay[1] = '    ' * lay[0]"),
+    "}": ("if lay[0]: lay[0] -= 1",
+          "if line: append('}'); lines.append(lay[1] + ' '.join(line)); line.clear()",
+          "else: lines.append('    ' * lay[0] + '}')", "lay[1] = '    ' * lay[0]")}
+_NESTING = 12  # the blocks a generated function nests; a deeper part becomes a function
+# A renderer's parameters: its object, the open line's tokens, the lines
+# done, [depth, the open line's indent], the problems, the objects in render.
+_ARGS = "obj, line, lines, lay, problems, opened"
+_GENERATING = threading.Lock()
+
+
+def _generate(a: _Analysis, reads_as_id) -> dict:
+    """Each concrete rule's renderer by name: Python generated from its
+    code (Futamura's first projection), a generator that yields each
+    callee's renderer if it calls rules, else a plain function. Each is
+    compiled on its own; its source is in linecache as ``<mmdsl render
+    Rule>``, for tracebacks, inspect and profiles."""
+    with _GENERATING:  # the first thread generates; the others wait and take its renderers
+        if a.renderers is not None:
+            return a.renderers
+        rules: dict = {}
+        for proc in a.procs.values():
+            if proc.code is not None:
+                source = _RuleSource(proc)
+                file, names = f"<mmdsl render {proc.name}>", source.names
+                linecache.cache[file] = (len(source.text), None, source.text.splitlines(True),
+                                         file)
+                names.update(RULES=rules, reads_as_id=reads_as_id, escape_string=escape_string,
+                             ModelObject=ModelObject, _misplaced=_misplaced,
+                             _leftover=_leftover, __name__=__name__)
+                exec(compile(source.text, file, "exec"), names)
+                rules[proc.name] = names["rule"]
+        a.renderers = rules
+        return rules
+
+
+class _RuleSource:
+    """The source of a concrete rule's renderer, ``rule`` and the
+    ``part<k>`` functions it calls (``text``), and the constants it reads
+    (``names``): PROC, NAMES (the slot names it accounts for) and each
+    feature ``F<i>``, whose values it counts in ``c<i>``."""
+
+    def __init__(self, proc: _Proc):
+        code, self.code, self.funcs = proc.code, proc.code, []
+        index = self.index = {f: i for i, f in enumerate(proc.feats.values())}
+        self.counters = "".join(f"c{i}, " for i in index.values())
+        body = self.block(0, len(code) - 1, 1)
+        calls = any(op[0] is CALL for op in code)
+        held = [f for f in index if f.is_attribute or f.containment]
+        checks = ["slots.keys() <= NAMES", *[
+            f"((v := slots.get({f.name!r})) is None or c{index[f]} >= len(v))" if f.many else
+            f"(c{index[f]} or slots.get({f.name!r}) is None)" for f in held
+            if f.name not in proc.flags]]
+        rule = [f"def rule({_ARGS}):",
+                "    slots, append = obj.slots, line.append",
+                *[f"    {self.counters}= {'0, ' * len(index)}"] * bool(index),
+                *["    opened.add(obj)"] * calls, *body,
+                f"    if not ({' and '.join(checks)}):",
+                f"        _leftover(obj, PROC, {{{', '.join(f'F{i}: c{i}' for i in index.values())}"
+                f"}}, problems)", *["    opened.discard(obj)"] * calls]
+        self.text = "\n".join(rule + [s for f in self.funcs for s in f]) + "\n"
+        self.names = {f"F{i}": f for f, i in index.items()}
+        self.names.update(PROC=proc, NAMES=frozenset([f.name for f in held] + list(proc.flags)))
+
+    def avail(self, reads) -> str:
+        """Whether one of the assignment ops ``reads`` has a value left to
+        render: a set flag not written yet, or a value past its feature's
+        count; an ID's string must read back as an ID."""
+        terms = []
+        for kind, f, name, many, callee, _ in reads:
+            k, n = f"c{self.index[f]}", repr(name)
+            if kind is FLAG:
+                terms.append(f"not {k} and slots.get({n}, F{self.index[f]}.default) is True")
+                continue
+            test = f"(v := slots.get({n})) is not None and " + (f"{k} < len(v)" if many else
+                                                                  f"not {k}")
+            if callee == "ID":
+                test += f" and (type(x := {f'v[{k}]' if many else 'v'}) is not str or " \
+                        f"reads_as_id(x))"
+            terms.append(test)
+        return " or ".join([f"({t})" for t in terms]) or "False"
+
+    def assign(self, op) -> list[str]:
+        """The statements of assignment op ``op``."""
+        kind, f, name, many, callee, _ = op
+        k, n, i = f"c{self.index[f]}", repr(name), self.index[f]
+        if kind is FLAG:
+            return [f"if {self.avail((op,))}:", f"    {k} = 1",
+                    *["    " + s for s in _PLACE.get(callee, (f"append({callee!r})",))]]
+        x = f"v[{k}]" if many else "v"
+        body = [*[f"x = {x}"] * (callee != "ID"), f"{k} += 1"]
+        if kind is CALL:
+            body += ["if isinstance(x, ModelObject) and x not in opened and "
+                     "(r := RULES.get(x.cls.name)):",
+                     "    if (r := r(x, line, lines, lay, problems, opened)) is not None: yield r",
+                     f"else: _misplaced(obj, {n}, x, opened, problems)"]
+        else:
+            put = {"ID": "x if type(x) is str else str(x)", "INT": "str(x)",
+                   "STRING": "escape_string(x)"}[callee]
+            body += [f"if {'type(x) is int' if callee == 'INT' else 'isinstance(x, str)'}: "
+                     f"append({put})", f"else: problems.append((obj, 'model-kind', obj.cls.name + "
+                     f"{f'.{name}: value '!r} + repr(x) + ' does not fit attribute type ' + "
+                     f"F{i}.type.name))"]
+        out = [f"if (v := slots.get({n})) is None or {k} >= len(v):" if many else
+               f"if {k} or (v := slots.get({n})) is None:",
+               f"    problems.append((obj, 'gr-unset-mandatory', obj.cls.name + "
+               f"{f'.{name} has no value to render'!r}))"]
+        if callee == "ID":
+            out += [f"elif type(x := {x}) is str and not reads_as_id(x):",
+                    f"    problems.append((obj, 'gr-unset-mandatory', obj.cls.name + "
+                    f"{f'.{name} value '!r} + repr(x) + ' is not an ID'))"]
+        return out + ["else:", *["    " + s for s in body]]
+
+    def block(self, lo: int, hi: int, depth: int) -> list[str]:
+        """The statements that run code[lo:hi], ``depth`` blocks deep."""
+        code, pad, out, pc = self.code, "    " * depth, [], lo
+        if depth > _NESTING:  # a function of its own; its reads give it counters to pass
+            self.funcs.append(body := [])
+            k = len(self.funcs) - 1
+            body += [f"def part{k}({_ARGS}, box):", "    slots, append = obj.slots, line.append",
+                     f"    {self.counters}= box", *self.block(lo, hi, 1),
+                     f"    box[:] = {self.counters}"]
+            call = f"part{k}({_ARGS}, b)"  # in a part, ``box`` holds the caller's counters
+            calls = any(op[0] is CALL for op in code[lo:hi])
+            return [pad + s for s in (f"b = [{self.counters}]", f"if (r := {call}) is not None:"
+                                      f" yield r" if calls else call, f"{self.counters}= b")]
+        while pc < hi:
+            op = code[pc]
+            kind = op[0]
+            if kind is KW:
+                out += [pad + s for s in _PLACE.get(op[1], (f"append({op[1]!r})",))]
+            elif kind is TEST and op[4]:  # a '+' loop's first TEST; the loop follows
+                out += [f"{pad}if not ({self.avail(op[3])}):", f"{pad}    problems.append((obj, "
+                        f"'gr-unset-mandatory', \"'+' repetition has nothing to render\"))"]
+            elif kind is TEST:  # a loop if its part ends with a jump back here, else optional
+                end = op[2]
+                loop = code[end - 1] == (JUMP, pc)
+                if op[3]:
+                    out += [f"{pad}{'while' if loop else 'if'} {self.avail(op[3])}:",
+                            *self.block(pc + 1, end - 1 if loop else end, depth + 1)]
+                pc = end
+                continue
+            elif kind is CHOICE:  # the first alternative with a value, else ``bare``
+                _, _, default, _, end, alts, bare, _ = op
+                stops = dict(zip([s for _, s in alts], [s - 1 for _, s in alts[1:]] + [end]))
+                arms = [(reads, s) for reads, s in alts if reads]
+                for i, (reads, s) in enumerate(arms):
+                    out += [f"{pad}{'elif' if i else 'if'} {self.avail(reads)}:",
+                            *self.block(s, stops[s], depth + 1)]
+                tail = self.block(bare, stops[bare], depth + bool(arms)) if bare != end else [
+                    f"{pad}{'    ' * bool(arms)}problems.append((obj, 'gr-unset-mandatory', "
+                    f"'no renderable alternative in group'))"] if default is None else []
+                out += [f"{pad}else:"] * bool(arms and tail) + tail
+                pc = end
+                continue
+            else:
+                out += [pad + s for s in self.assign(op)]
+            pc += 1
+        return out or [pad + "pass"]
+
+
+def _misplaced(obj: ModelObject, name: str, value, opened: set, problems: list):
+    """The problem with ``value``, in slot ``name`` of ``obj``, that no rule renders."""
+    if not isinstance(value, ModelObject):
+        problems.append((obj, "model-kind",
+                         f"{obj.cls.name}.{name}: expected an object, found {value!r}"))
+    elif value in opened:
+        problems.append((obj, "model-containment",
+                         f"object of class {value.cls.name} is contained more than once"))
+    else:
+        problems.append((value, "gr-no-rule", f"no concrete rule for class {value.cls.name!r}"))
+
+
+def _leftover(obj: ModelObject, proc: _Proc, used: dict, problems: list):
+    """Report each slot of ``obj`` with values left once rule ``proc`` ran,
+    ``used`` counting its values used per feature; flags and cross slots pass."""
+    for name, v in obj.slots.items():
+        if v is None or name in proc.flags:
+            continue
+        # looked up by name only for a slot that no assignment of the rule reads
+        f = proc.feats.get(name) or obj.cls.find_feature(name)
+        if f is not None and (used.get(f, 0) >= (len(v) if f.many else 1)
+                              or not f.is_attribute and not f.containment):
+            continue
+        problems.append((obj, "gr-unset-mandatory", f"rule {proc.name!r} cannot emit "
+                         f"all values of {obj.cls.name}.{name}"))
 
 
 # ---------------------------------------------------------------------------
@@ -1016,11 +1110,13 @@ def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) ->
 
 
 def _short(reads: tuple, obj: ModelObject) -> int:
-    """The largest lower bound above its count of values in ``obj`` among
-    the features that the assignment ops ``reads`` assign, else 0. A loop
-    makes at most that many forced passes, as a pass may assign nothing."""
-    return max([o[1].lower for o in reads
-                if o[1].lower and len(obj.values_of(o[1])) < o[1].lower], default=0)
+    """If a feature that the assignment ops ``reads`` assign has fewer
+    values in ``obj`` than its lower bound, the sum of those bounds, else 0.
+    A loop makes at most that many forced passes, as a pass may assign
+    nothing: enough to fill each of them from no values."""
+    feats = {o[1] for o in reads if o[1].lower}
+    short = any(len(obj.values_of(f)) < f.lower for f in feats)
+    return sum([f.lower for f in feats]) if short else 0
 
 
 def _room(code: tuple, op: tuple, obj: ModelObject) -> bool:

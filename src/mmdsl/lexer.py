@@ -35,6 +35,7 @@ _SKIP = r"[ \t\r\n]*(?:(?://[^\n]*(?![^\n])|/\*[^*]*(?:\*(?!/)[^*]*)*\*/)[ \t\r\
 _STRING_OPEN = r'"[^"\\\n]*(?:\\[nrt"\\][^"\\\n]*)*'
 _ESCAPE = re.compile(r"\\(.)")
 _ID = r"[^\W\d]\w*"
+_WHOLE_ID = re.compile(_ID).fullmatch
 _UNESCAPED = re.compile(r'[\n\t\r"\\]')
 
 
@@ -114,7 +115,7 @@ class Lexer:
         # reading wins. No symbol may eat the '/' of an unclosed comment. A
         # reserved word is a KW where the whole ID would be, after the symbols.
         words = "|".join(re.escape(w) for w in sorted(self.reserved, key=lambda s: (-len(s), s))
-                         if re.fullmatch(_ID, w))
+                         if _WHOLE_ID(w))
         syms = "|".join([re.escape(s) for s in self.symbols
                          if s and not (s[0].isalpha() or s[0] in '_"')]
                         + [f"(?:{words})(?!\\w)"] * bool(words))
@@ -169,8 +170,11 @@ class Lexer:
         return tok
 
     def reads_as_id(self, text: str) -> bool:
-        """Whether ``text`` on its own tokenizes as one ID token."""
-        return _is_word(text) and text not in self.reserved
+        """Whether ``text`` on its own tokenizes as one ID token: ``_ID``
+        matches all of it, its first character is one token_value takes,
+        and it is not a reserved word."""
+        return (_WHOLE_ID(text) is not None and (text[0].isalpha() or text[0] == "_")
+                and text not in self.reserved)
 
     def _lexical_error(self, text: str, at: int, source: _Source):
         """The diagnostic for offset ``at``, where no token can start."""

@@ -1,5 +1,7 @@
+import inspect
 import random
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,7 @@ from mmdsl.emfatic import parse_metamodel
 import mmdsl.grammar as grammar_module
 from mmdsl.grammar import (
     TERMINALS, AbstractRule, Assignment, ConcreteRule, Grammar, Group, Keyword, Opt,
-    Repeat, Sequence, _children, _expected, _layout, check_grammar, generate_grammar_skeleton,
+    Repeat, Sequence, _children, _expected, check_grammar, generate_grammar_skeleton,
     generate_random_model, parse_grammar, parse_text, render_ast,
 )
 from mmdsl.lexer import Lexer, Token, TokenStream, escape_string
@@ -710,6 +712,25 @@ class RefRenderer:
         problems.append((cur.obj, "gr-unset-mandatory", "no renderable alternative in group"))
 
 
+def ref_layout(tokens):
+    """render_ast's layout as it was, a pass over the token list: one space
+    between tokens, a newline after ';' and '}', 4-space indentation inside
+    braces."""
+    lines, current, depth = [], [], 0
+    for tok in tokens:
+        if tok == "}":
+            depth = max(0, depth - 1)
+        current.append(tok if current else "    " * depth + tok)
+        if tok == "{":
+            depth += 1
+        if tok in (";", "}"):
+            lines.append(" ".join(current))
+            current = []
+    if current:
+        lines.append(" ".join(current))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
 def ref_render_ast(m, g):
     renderer = RefRenderer(g)
     renderer.render_obj(m.root)
@@ -717,7 +738,7 @@ def ref_render_ast(m, g):
         tree = Tree(m.root)
         raise DiagnosticError([error("grammar", code, message, path=tree.path(obj))
                                for obj, code, message in renderer.problems])
-    return _layout(renderer.tokens)
+    return ref_layout(renderer.tokens)
 
 
 def ref_reachable_rules(g):
@@ -1656,3 +1677,130 @@ def test_render_ast_makes_no_lookup_by_name(css, selfhost, monkeypatch):
     monkeypatch.undo()
     assert calls == []
     assert texts == [ref_render_ast(m, g) for m, g in models]
+
+
+# Keywords that a generated renderer must carry as literals, not as source:
+# quotes, a backslash, braces of a format field, triple quotes, and the
+# three that change the layout, ';' also as a flag keyword.
+QUOTING_GRAMMAR = r"""
+Doc : "'" "\"" ( items += Node )* "\\" ( draft ? ";" )? "{x}" "\"\"\"" ( "{" title = STRING "}" )? ";" ;
+Abstract Node : Leaf | Pair ;
+Leaf : "leaf" name = ID ( "{" tags += STRING ";" )* on ? "}" ;
+Pair : "pair" n = INT ( "{" left = Node "}" )? ( rest += Node )* ;
+"""
+
+
+class TestGeneratedRenderer:
+    """render_ast runs Python generated from each rule's compiled code on
+    its first call for a grammar; the reference renderer, which walks the
+    elements, is the oracle."""
+
+    def test_keywords_enter_only_as_literals(self, toy_ast):
+        g = parse_grammar(QUOTING_GRAMMAR, toy_ast)
+        assert {"'", '"', "\\", "{x}", '"""', ";"} <= g.keywords()
+        m = Model(ModelObject(toy_ast.classifier("Doc"), draft=True, title="t"), toy_ast)
+        assert render_ast(m, g) == ref_render_ast(m, g) == "' \" \\ ;\n{x} \"\"\" { \"t\" }\n;\n"
+        for seed in range(40):
+            m = generate_random_model(g, random.Random(seed), max_depth=3)
+            assert render_ast(m, g) == ref_render_ast(m, g)
+            mutate(m, ["drop", "surplus", "flag", "stranger"][seed % 4], seed)
+            assert outcome(render_ast, m, g) == outcome(ref_render_ast, m, g)
+
+    def test_generated_once_on_the_first_render(self, toy_ast, monkeypatch):
+        """parse_grammar, check_grammar and parse_text generate nothing; the
+        first render_ast generates the renderer, and later calls reuse it."""
+        calls, generate = [], grammar_module._generate
+        monkeypatch.setattr(grammar_module, "_generate",
+                            lambda a, reads_as_id: calls.append(a) or generate(a, reads_as_id))
+        g = parse_grammar(STREAM_GRAMMAR, toy_ast)
+        assert check_grammar(g) == []
+        m = parse_text('leaf a t "s" pair 3 ( leaf b )', g)
+        assert calls == [] and g.analysis().renderers is None
+        text = render_ast(m, g)
+        renderers = g.analysis().renderers
+        assert calls == [g.analysis()] and sorted(renderers) == ["Doc", "Leaf", "Pair"]
+        assert render_ast(m, g) == text == ref_render_ast(m, g)
+        assert calls == [g.analysis()] and g.analysis().renderers is renderers
+
+    def test_threads_render_a_fresh_grammar(self, css, monkeypatch):
+        """Eight threads make the first renders of one grammar at once: one
+        generates each rule once, and all get the reference's texts."""
+        _, ast, _, shipped = css
+        models = [parse_text((SAMPLES / "css" / f).read_text(), shipped)
+                  for f in ("grouped.css", "split.css")]
+        want = [ref_render_ast(m, shipped) for m in models]
+        g = parse_grammar((SAMPLES / "css" / "css.gr").read_text(), ast)
+        assert g.analysis().renderers is None
+        made, source = [], grammar_module._RuleSource
+        monkeypatch.setattr(grammar_module, "_RuleSource",
+                            lambda proc: made.append(proc.name) or source(proc))
+        barrier, got = threading.Barrier(8, timeout=60), [None] * 8
+
+        def render(i):
+            barrier.wait()
+            got[i] = [render_ast(m, g) for m in models]
+
+        threads = [threading.Thread(target=render, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 8
+        assert sorted(made) == ["CssFile", "DeclarationAS", "Rule"]
+
+    def test_rule_source_is_in_linecache(self, css):
+        """Tracebacks, inspect and profiles name the rule whose generated
+        code runs, and inspect.getsource reads that code."""
+        g = css[3]
+        render_ast(parse_text((SAMPLES / "css" / "grouped.css").read_text(), g), g)
+        rule = g.analysis().renderers["Rule"]
+        assert rule.__code__.co_filename == "<mmdsl render Rule>"
+        source = inspect.getsource(rule)
+        assert source.startswith("def rule(obj, line, lines, lay, problems, opened):\n")
+        assert "'.selector has no value to render'" in source and "yield" in source
+        assert "yield" not in inspect.getsource(g.analysis().renderers["DeclarationAS"])
+
+    def test_nesting_past_one_function(self, toy_ast):
+        """Loops, optionals and choices nested 30 deep: the parts below
+        _NESTING blocks run in functions of their own, generators where
+        they call a rule, and render as the reference does."""
+        opts, loops, choice = "title = ID", "items += Node", "n = INT"
+        for i in range(30):
+            opts, loops = f'( "o{i}" {opts} )?', f'( "k{i}" {loops} )*'
+            choice = f'( "c{i}" {choice} | "d{i}" rest += Node )'
+        g = parse_grammar(f'Doc : {opts} {loops} ; Abstract Node : Leaf | Pair ; '
+                          f'Leaf : "leaf" name = ID ; Pair : "pair" {choice} ;', toy_ast)
+        for seed in range(30):
+            m = generate_random_model(g, random.Random(seed), max_depth=3)
+            assert outcome(render_ast, m, g) == outcome(ref_render_ast, m, g)
+            mutate(m, ["drop", "surplus", "stranger"][seed % 3], seed)
+            assert outcome(render_ast, m, g) == outcome(ref_render_ast, m, g)
+        parts = {name: [inspect.isgeneratorfunction(f) for k, f in
+                        g.analysis().renderers[name].__globals__.items() if k.startswith("part")]
+                 for name in ("Doc", "Pair")}
+        assert set(parts["Doc"]) == {True, False} and True in parts["Pair"]
+
+    def test_underscore_ids_render(self, css):
+        """'_' and '__' read as IDs, so they render and parse back."""
+        g = css[3]
+        text = '. _ { __ : "x" ;\n}\n'
+        m = parse_text(text, g)
+        assert m.root.values("rules")[0].get("selector") == "_"
+        assert render_ast(m, g) == text
+
+
+def test_forced_passes_fill_each_short_feature():
+    """A loop whose alternatives fill two features below their lower
+    bounds makes enough forced passes for both, past max_depth too."""
+    ast = parse_metamodel("class A { val X[2..3] xs; val Y[2..3] ys; }\n"
+                          "class X { }\nclass Y { }", "m")
+    g = parse_grammar('A : "a" ( "p" xs += X | "q" ys += Y )* ; X : "x" ; Y : "y" ;', ast)
+    models = [generate_random_model(g, random.Random(seed), max_depth=0) for seed in range(50)]
+    assert [m for m in models if validate_model(m)] == []
+    assert all(model_equals(parse_text(render_ast(m, g), g), m) for m in models)

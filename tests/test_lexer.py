@@ -56,6 +56,23 @@ class TestTokens:
         unescapes = {"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
         assert escape_string(s) == '"' + "".join(unescapes.get(c, c) for c in s) + '"'
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(["a", "Z", "é", "0", "7", "_", "²", "class", "in"]),
+                    max_size=4).map("".join))
+    def test_reads_as_id_as_the_lexer_reads(self, s):
+        """reads_as_id(s) holds exactly when ``s`` alone is one ID token
+        that reads ``s``: '_' and '__' are IDs; '²x' and reserved words are not."""
+        lex = Lexer(reserved={"class", "in"}, symbols={"{", "::"})
+        try:
+            toks = lex.tokenize(s)
+        except DiagnosticError:
+            toks = []
+        assert lex.reads_as_id(s) == (len(toks) == 2 and (toks[0].kind, toks[0].text) == ("ID", s))
+
+    def test_underscores_read_as_ids(self):
+        assert LEX.reads_as_id("_") and LEX.reads_as_id("__") and LEX.reads_as_id("_a1")
+        assert not LEX.reads_as_id("") and not LEX.reads_as_id("²x") and not LEX.reads_as_id("1a")
+
     def test_comments_and_positions(self):
         toks = LEX.tokenize("// whole line\n/* span\nlines */ word")
         assert toks[0].text == "word"
