@@ -786,17 +786,15 @@ def _generate(a: _Analysis, reads_as_id) -> dict:
         if a.renderers is not None:
             return a.renderers
         rules: dict = {}
-        for proc in a.procs.values():
-            if proc.code is not None:
-                source = _RuleSource(proc)
-                file, names = f"<mmdsl render {proc.name}>", source.names
-                linecache.cache[file] = (len(source.text), None, source.text.splitlines(True),
-                                         file)
-                names.update(RULES=rules, reads_as_id=reads_as_id, escape_string=escape_string,
-                             ModelObject=ModelObject, _misplaced=_misplaced,
-                             _leftover=_leftover, __name__=__name__)
-                exec(compile(source.text, file, "exec"), names)
-                rules[proc.name] = names["rule"]
+        for proc in [p for p in a.procs.values() if p.code is not None]:
+            source = _RuleSource(proc)
+            file, names = f"<mmdsl render {proc.name}>", source.names
+            linecache.cache[file] = (len(source.text), None, source.text.splitlines(True), file)
+            names.update(RULES=rules, reads_as_id=reads_as_id, escape_string=escape_string,
+                         ModelObject=ModelObject, _misplaced=_misplaced, _leftover=_leftover,
+                         __name__=__name__)
+            exec(compile(source.text, file, "exec"), names)
+            rules[proc.name] = names["rule"]
         a.renderers = rules
         return rules
 
@@ -822,9 +820,9 @@ class _RuleSource:
                 "    slots, append = obj.slots, line.append",
                 *[f"    {self.counters}= {'0, ' * len(index)}"] * bool(index),
                 *["    opened.add(obj)"] * calls, *body,
-                f"    if not ({' and '.join(checks)}):",
-                f"        _leftover(obj, PROC, {{{', '.join(f'F{i}: c{i}' for i in index.values())}"
-                f"}}, problems)", *["    opened.discard(obj)"] * calls]
+                f"    if not ({' and '.join(checks)}):", "        _leftover(obj, PROC, {"
+                f"{', '.join(f'F{i}: c{i}' for i in index.values())}}}, problems)",
+                *["    opened.discard(obj)"] * calls]
         self.text = "\n".join(rule + [s for f in self.funcs for s in f]) + "\n"
         self.names = {f"F{i}": f for f, i in index.items()}
         self.names.update(PROC=proc, NAMES=frozenset([f.name for f in held] + list(proc.flags)))
@@ -910,14 +908,16 @@ class _RuleSource:
             elif kind is CHOICE:  # the first alternative with a value, else ``bare``
                 _, _, default, _, end, alts, bare, _ = op
                 stops = dict(zip([s for _, s in alts], [s - 1 for _, s in alts[1:]] + [end]))
-                arms = [(reads, s) for reads, s in alts if reads]
-                for i, (reads, s) in enumerate(arms):
-                    out += [f"{pad}{'elif' if i else 'if'} {self.avail(reads)}:",
+                arms, t = [(reads, s) for reads, s in alts if reads], f"t{pc}"
+                # flat ifs on a flag, not an elif chain, which the compiler nests one deeper each
+                out += [f"{pad}{t} = 1"] * bool(arms)
+                for reads, s in arms:
+                    out += [f"{pad}if {t} and ({self.avail(reads)}):", f"{pad}    {t} = 0",
                             *self.block(s, stops[s], depth + 1)]
                 tail = self.block(bare, stops[bare], depth + bool(arms)) if bare != end else [
                     f"{pad}{'    ' * bool(arms)}problems.append((obj, 'gr-unset-mandatory', "
                     f"'no renderable alternative in group'))"] if default is None else []
-                out += [f"{pad}else:"] * bool(arms and tail) + tail
+                out += [f"{pad}if {t}:"] * bool(arms and tail) + tail
                 pc = end
                 continue
             else:
@@ -939,8 +939,7 @@ def _misplaced(obj: ModelObject, name: str, value, opened: set, problems: list):
 
 
 def _leftover(obj: ModelObject, proc: _Proc, used: dict, problems: list):
-    """Report each slot of ``obj`` with values left once rule ``proc`` ran,
-    ``used`` counting its values used per feature; flags and cross slots pass."""
+    """Report each slot of ``obj`` with values rule ``proc`` left, but flags and cross slots."""
     for name, v in obj.slots.items():
         if v is None or name in proc.flags:
             continue

@@ -1786,6 +1786,23 @@ class TestGeneratedRenderer:
                  for name in ("Doc", "Pair")}
         assert set(parts["Doc"]) == {True, False} and True in parts["Pair"]
 
+    def test_wide_choice(self, toy_ast):
+        """A choice of 3,000 alternatives renders under a recursion limit of
+        200: its arms are a flat run of ifs, where an elif chain would nest
+        one level deeper per alternative in the compiler."""
+        alts = " | ".join(f'"k{i}" name = ID' for i in range(3000))
+        g = parse_grammar(f'Doc : ( items += Node )* ; Abstract Node : Leaf | Pair ; '
+                          f'Leaf : "leaf" ( {alts} | "none" ) ; Pair : "pair" ;', toy_ast)
+        m = parse_text("leaf k5 a leaf k2999 b leaf none", g)
+        want = ref_render_ast(m, g)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            text = render_ast(m, g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert text == want == "leaf k0 a leaf k0 b leaf none\n"
+
     def test_underscore_ids_render(self, css):
         """'_' and '__' read as IDs, so they render and parse back."""
         g = css[3]
