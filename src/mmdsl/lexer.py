@@ -124,6 +124,7 @@ class Lexer:
             rf"|(?!/\*)(?P<KW>{syms or '(?!)'})|(?P<ID>{_ID})"
             r"|(?P<EOF>\Z)|(?P<ERROR>.))", re.DOTALL)
         self.matches = self._pattern.finditer  # of a text, a match per token: see ``token``
+        self.groups = self._pattern.groupindex  # each token kind's group number in a match
 
     @classmethod
     def for_keywords(cls, keywords, phase: str = "parse") -> "Lexer":
@@ -172,7 +173,9 @@ class Lexer:
     def reads_as_id(self, text: str) -> bool:
         """Whether ``text`` on its own tokenizes as one ID token: ``_ID``
         matches all of it, its first character is one token_value takes,
-        and it is not a reserved word."""
+        and it is not a reserved word. On ASCII that is isidentifier()."""
+        if text.isascii():
+            return text.isidentifier() and text not in self.reserved
         return (_WHOLE_ID(text) is not None and (text[0].isalpha() or text[0] == "_")
                 and text not in self.reserved)
 

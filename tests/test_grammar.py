@@ -11,16 +11,18 @@ from mmdsl.diagnostics import DiagnosticError, SourceLocation, error
 from mmdsl.emfatic import parse_metamodel
 import mmdsl.grammar as grammar_module
 from mmdsl.grammar import (
-    TERMINALS, AbstractRule, Assignment, ConcreteRule, Grammar, Group, Keyword, Opt,
-    Repeat, Sequence, _children, _expected, check_grammar, generate_grammar_skeleton,
-    generate_random_model, parse_grammar, parse_text, render_ast,
+    CALL, CHOICE, FLAG, JUMP, KW, RET, TERM, TERMINALS, TEST, AbstractRule, Assignment,
+    ConcreteRule, Grammar, Group, Keyword, Opt, Repeat, Sequence, _children, _expected,
+    check_grammar, generate_grammar_skeleton, generate_random_model, parse_grammar, parse_text,
+    render_ast,
 )
-from mmdsl.lexer import Lexer, Token, TokenStream, escape_string
+from mmdsl.lexer import Lexer, Token, TokenStream, escape_string, token_value
 from mmdsl.meta import (
     UNBOUNDED, MetaAttribute, MetaClass, Metamodel, MetaReference, Model, ModelObject, Tree,
-    builtin_ecore, iter_tree, model_equals, validate_model,
+    builtin_ecore, iter_tree, miscount, model_equals, validate_model,
 )
-from mmdsl.modeltext import load_model
+from mmdsl.modeltext import dump_model, load_model
+from mmdsl.transform import build_plan, namespace_registry, parse_config
 from mmdsl.xf import derive_ast_metamodel, parse_transformation
 from test_lexer import reference_tokenize
 from test_meta import ref_validate_model
@@ -599,6 +601,124 @@ def ref_parse_text(text, g, file="<input>"):
     return model
 
 
+class OpStuck(Exception):
+    """op_parse_text stops at its lookahead token; args: what it expected, or a code and a message."""
+
+
+def op_enter(p, m, kind):
+    """The concrete rule that rule ``p`` enters at match ``m``, of ``kind``."""
+    key, seen = ("kw", m["KW"]) if kind == "KW" else ("term", kind), set()
+    while p.code is None:
+        if p in seen:
+            raise OpStuck("gr-left-recursion", f"rule {p.name!r} is left-recursive")
+        seen.add(p)
+        q = p.table.get(key, p.default)
+        if q is None:
+            raise OpStuck(_expected(p.first))
+        p = q
+    return p
+
+
+def op_parse_text(text, g, file="<input>"):
+    """parse_text as it was before its parser was generated: one loop runs
+    the compiled ops on an explicit stack, reading the lexer's matches."""
+    a, lexer = g.analysis(), g.lexer()
+    miscounts = []  # read only if a.sound
+    matches = lexer.matches(text)
+    read = matches.__next__
+    # Without left recursion the frames opened at one token are of different
+    # rules, so more frames than this allows mean left recursion.
+    limit = len(a.procs)
+    stack = []  # below the top frame: (code, pc, obj, op, proc), op the CALL it fills
+    m, pos = read(), 0  # the lookahead token's match; the tokens read
+    tk = m.lastgroup  # its kind
+    try:
+        proc = op_enter(a.procs[g.entry], m, tk)
+        code, pc, obj = proc.code, 0, ModelObject(proc.cls)
+        slots = obj.slots
+        while True:
+            op = code[pc]
+            pc += 1
+            kind = op[0]
+            if kind is KW:
+                if tk != "KW" or m["KW"] != op[1]:
+                    raise OpStuck(f"'{op[1]}'")
+            elif kind is TERM:
+                if tk != op[4]:
+                    raise OpStuck(op[4])
+                try:
+                    value = token_value(op[4], m[op[4]])
+                except ValueError:
+                    raise OpStuck("lexical", "") from None  # error_token reports it
+            elif kind is TEST:
+                if (("kw", m["KW"]) if tk == "KW" else ("term", tk)) not in op[1]:
+                    if op[4]:
+                        raise OpStuck(_expected(op[1]))
+                    pc = op[2]
+                continue
+            elif kind is CHOICE:
+                pc = op[1].get(("kw", m["KW"]) if tk == "KW" else ("term", tk), op[2])
+                if pc is None:
+                    raise OpStuck(_expected(op[3]))
+                continue
+            elif kind is CALL:
+                callee = op[4] if op[4].code is not None else op_enter(op[4], m, tk)
+                if len(stack) >= limit * (pos + 1):
+                    raise OpStuck("gr-left-recursion", f"rule {callee.name!r} is left-recursive")
+                stack.append((code, pc, obj, op, proc))
+                proc, code, pc, obj = callee, callee.code, 0, ModelObject(callee.cls)
+                slots = obj.slots
+                continue
+            elif kind is JUMP:
+                pc = op[1]
+                continue
+            elif kind is FLAG:
+                if tk != "KW" or m["KW"] != op[4]:
+                    continue
+                slots[op[2]] = True
+            else:  # RET: finish the object, then fill the slot of the CALL that opened it
+                for f in proc.flags:
+                    slots.setdefault(f, False)
+                if bounded := proc.cls.tables().bounded:
+                    miscounts += [(obj, message) for f in bounded
+                                  if (message := miscount(obj, f, len(obj.values_of(f))))]
+                if not stack:
+                    break
+                value = obj
+                code, pc, obj, op, proc = stack.pop()
+                slots = obj.slots
+            if kind is not RET:  # a keyword, terminal or flag read its token: read the next
+                m, pos = read(), pos + 1
+                tk = m.lastgroup
+                if kind is not TERM:
+                    continue
+            # written in place: in a sound grammar each operator fits its feature
+            name = op[2]
+            if op[5]:
+                slots.setdefault(name, []).append(value)
+            elif name in slots:
+                raise OpStuck("syntax", f"feature {name!r} assigned twice")
+            else:
+                slots[name] = value
+        if tk != "EOF":
+            raise OpStuck("end of input")
+    except OpStuck as stuck:
+        tok = lexer.error_token(m, matches, text, file)  # or a lexical error, which wins
+        code, message = stuck.args if len(stuck.args) == 2 else ("syntax", f"expected "
+            f"{stuck.args[0]}, found " + ("end of input" if tok.kind == "EOF" else f"'{tok.text}'"))
+        raise DiagnosticError([error("parse", code, message, location=tok.location)]) from None
+    model = Model(obj, g.ast)
+    if not a.sound:
+        problems = [(d.code, d.message, d.path) for d in validate_model(model)]
+    else:
+        tree = miscounts and Tree(obj)  # for the paths, only once a problem was found
+        problems = [("model-multiplicity", message, tree.path(o)) for o, message in miscounts]
+    if problems:
+        raise DiagnosticError([error("parse", code, message, path=path)
+                               for code, message, path in problems])
+    return model
+
+
 class RefCursors:
     def __init__(self, obj, lexer):
         self.obj, self.used, self.lexer = obj, {}, lexer
@@ -1047,7 +1167,7 @@ def assert_facts_match_reference(g):
     assert a.first == ref.first and a.nullable == ref.nullable
     for r in g.rules:
         if isinstance(r, ConcreteRule):
-            assert a.flags[r.name] == ref_flags(r.body, [])
+            assert list(a.procs[r.name].flags) == ref_flags(r.body, [])
             for e in elements(r.body):
                 assert e.first == ref.elem_first(e)
                 assert e.nullable == ref.elem_nullable(e)
@@ -1494,15 +1614,22 @@ class TestValidByConstruction:
 
 
 class TestStack:
-    """parse_text and render_ast run the compiled code on an explicit stack:
-    nesting is bounded by memory, not by the recursion limit."""
+    """parse_text and render_ast run generated code on a trampoline: nesting
+    is bounded by memory, not by the recursion limit."""
 
     def test_deep_qualified_name(self, selfhost):
-        g = selfhost[3]
+        """5,000 nested QualifiedNames, under the interpreter's default
+        recursion limit; the first parse generates the parser."""
+        g = parse_grammar((SAMPLES / "selfhost" / "xf.gr").read_text(), selfhost[1])
         text = "skip " + " :: ".join(f"n{i}" for i in range(5000)) + " ;\n"
-        m = parse_text(text, g)
-        assert render_ast(m, g) == text
-        assert model_equals(parse_text(text, g), m)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            m = parse_text(text, g)
+            assert render_ast(m, g) == text
+            assert model_equals(parse_text(text, g), m)
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_left_recursion_is_a_diagnostic(self, toy_ast):
         """A left-recursive grammar passes parse_grammar; parse_text reports
@@ -1760,7 +1887,7 @@ class TestGeneratedRenderer:
         g = css[3]
         render_ast(parse_text((SAMPLES / "css" / "grouped.css").read_text(), g), g)
         rule = g.analysis().renderers["Rule"]
-        assert rule.__code__.co_filename == "<mmdsl render Rule>"
+        assert rule.__code__.co_filename.startswith("<mmdsl render Rule #")
         source = inspect.getsource(rule)
         assert source.startswith("def rule(obj, line, lines, lay, problems, opened):\n")
         assert "'.selector has no value to render'" in source and "yield" in source
@@ -1821,3 +1948,232 @@ def test_forced_passes_fill_each_short_feature():
     models = [generate_random_model(g, random.Random(seed), max_depth=0) for seed in range(50)]
     assert [m for m in models if validate_model(m)] == []
     assert all(model_equals(parse_text(render_ast(m, g), g), m) for m in models)
+
+
+def same_parse(text, g):
+    """parse_text and op_parse_text agree on ``text``: equal dumps, or equal
+    diagnostics (code, message, line:col and path)."""
+    got, want = outcome(parse_text, text, g), outcome(op_parse_text, text, g)
+    assert got[0] == want[0], (text, got, want)
+    if got[0] == "ok":
+        assert dump_model(got[1]) == dump_model(want[1])
+    else:
+        assert got[1] == want[1]
+    return got
+
+
+def chain_language(n, bound="[0..1]", cycle=False):
+    """Classes C0..C<n-1>, each holding the next (C0 again after the last,
+    if ``cycle``) with ``bound``, and a grammar of one rule each."""
+    classes = "\n".join(f"class C{i} {{ val C{(i + 1) % n}{bound} next; }}" if cycle or i + 1 < n
+                        else f"class C{i} {{ }}" for i in range(n))
+    ast = parse_metamodel(classes, "chain")
+    many = bound not in ("[0..1]", "[1]")
+    rules = " ".join(f'C{i} : "c{i}" ( next {"+=" if many else "="} C{(i + 1) % n} )'
+                     f'{"*" if many else "?"} ;' if cycle or i + 1 < n else f'C{i} : "c{i}" ;'
+                     for i in range(n))
+    return parse_grammar(rules, ast)
+
+
+class TestGeneratedParser:
+    """parse_text runs Python generated per rule from the compiled ops on
+    its first call for a grammar; the op interpreter it replaced
+    (op_parse_text) is the oracle, down to each diagnostic's code,
+    message and line:col."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), bounded=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           sound=st.booleans(), soup=st.booleans(),
+           edit=st.sampled_from(["none", "drop", "insert", "swap", "twice", "long"]),
+           at=st.integers(0, 10 ** 6),
+           where=st.integers(0, 10 ** 6), piece=st.sampled_from(["", "", *LEXICAL]))
+    def test_against_the_op_interpreter(self, toy_ast, bounded_ast, data, bounded, seed, sound,
+                                        soup, edit, at, where, piece):
+        """Random grammars, left-recursive ones and flags among them, and
+        grammars with bounds to break; rendered random models with a token
+        dropped, inserted, swapped or written twice, or with every INT too
+        long, or a soup of the grammar's tokens; and a piece that may hold a
+        lexical error. Unless ``sound``, the grammar takes the path of one
+        the proof does not cover: the whole model goes through validate_model."""
+        text = data.draw(bounded_grammars() if bounded else toy_grammars(prefixed=False))
+        g = parse_grammar(text, bounded_ast if bounded else toy_ast)
+        g.analysis().sound &= sound
+        if soup:
+            vocab = sorted(g.keywords()) + ["x", "y", '"s"', "7", "9" * 5000]
+            words = ["box"] * bounded + data.draw(st.lists(st.sampled_from(vocab), max_size=12))
+        else:
+            m = outcome(generate_random_model, g, random.Random(seed), 3)
+            doc = outcome(render_ast, m[1], g) if m[0] == "ok" else ("diagnostics", None)
+            words = mutated(g, doc[1] if doc[0] == "ok" else "", edit, at).split(" ")
+            if edit == "twice":
+                words.insert(at % len(words), words[at % len(words)])
+            elif edit == "long":
+                words = ["9" * 5000 if w.isdigit() else w for w in words]
+        words.insert(where % (len(words) + 1), piece)
+        same_parse(" ".join(words), g)
+
+    def test_shipped_and_hand_built_grammars(self, grammars, bounded_ast):
+        """The samples and the hand-built grammars, sound or not, with their
+        texts mutated one token at a time."""
+        cases = [(g, (SAMPLES / d / f).read_text()) for g, d, f in [
+            (grammars["css"], "css", "grouped.css"), (grammars["css"], "css", "split.css"),
+            (grammars["selfhost"], "selfhost", "xf.xf")]]
+        stranger = parse_metamodel(BOUNDED_MM, "other").classifier("Part")
+        cases += [(g, text) for g in (hand_built(bounded_ast), hand_built(bounded_ast, "INT"),
+                                      hand_built(bounded_ast, part=stranger))
+                  for text in BOUNDED_TEXTS + ["box label x part 7", 'box tag "a" part p']]
+        for g, text in cases:
+            for k, edit in enumerate(["none", "drop", "insert", "swap"] * 3):
+                same_parse(mutated(g, text, edit, 7 * k + 3), g)
+
+    def test_left_recursion_names_a_rule_on_the_cycle(self, toy_ast):
+        """Through two rules, at the token where the cycle starts. The rule
+        named is on the cycle: the one that would open one generator more
+        than there are rules at that token."""
+        ast = parse_metamodel("class A { val B b; }\nclass B { val A a; }\nclass D { val A a; }",
+                              "lr")
+        g = parse_grammar('D : "d" a = A ; A : b = B "x" ; B : ( a = A "y" | "z" ) ;', ast)
+        assert {d.message for d in check_grammar(g)} == {
+            "rule 'A' is left-recursive", "rule 'B' is left-recursive"}
+        with pytest.raises(DiagnosticError) as exc:
+            parse_text("d z x", g)
+        (d,) = exc.value.diagnostics
+        assert (d.code, d.message, d.location.column) == (
+            "gr-left-recursion", "rule 'B' is left-recursive", 3)
+
+    def test_nothing_generated_before_the_first_parse(self, monkeypatch):
+        """parse_grammar, check_grammar and the rest of a language's set-up
+        generate nothing; the first parse generates each rule once, and
+        later parses reuse it."""
+        made, source = [], grammar_module._ParseSource
+        monkeypatch.setattr(grammar_module, "_ParseSource",
+                            lambda proc, *args: made.append(proc.name) or source(proc, *args))
+        target = parse_metamodel((SAMPLES / "css" / "css.mm").read_text(), "css")
+        ast, trace = derive_ast_metamodel(
+            target, parse_transformation((SAMPLES / "css" / "css.xf").read_text(), target))
+        g = parse_grammar((SAMPLES / "css" / "css.gr").read_text(), ast)
+        assert check_grammar(g) == []
+        build_plan(trace, target, ast)
+        namespace_registry(parse_config((SAMPLES / "css" / "ns.cfg").read_text()), target, ast)
+        assert made == [] and g.analysis().parsers is None
+        text = (SAMPLES / "css" / "grouped.css").read_text()
+        first = parse_text(text, g)
+        parsers = g.analysis().parsers
+        assert sorted(made) == ["CssFile", "DeclarationAS", "Rule"] and g.analysis().renderers is None
+        assert model_equals(parse_text(text, g), first) and g.analysis().parsers is parsers
+        assert len(made) == 3
+
+    def test_threads_parse_a_fresh_grammar(self, selfhost, monkeypatch):
+        """Eight threads make the first parses of one grammar at once: one
+        generates each rule once, and all get the oracle's models."""
+        _, ast, _, shipped = selfhost
+        texts = [(SAMPLES / "selfhost" / "xf.xf").read_text(),
+                 render_ast(generate_random_model(shipped, random.Random(3)), shipped)]
+        want = [dump_model(op_parse_text(t, shipped)) for t in texts]
+        g = parse_grammar((SAMPLES / "selfhost" / "xf.gr").read_text(), ast)
+        made, source = [], grammar_module._ParseSource
+        monkeypatch.setattr(grammar_module, "_ParseSource",
+                            lambda proc, *args: made.append(proc.name) or source(proc, *args))
+        barrier, got = threading.Barrier(8, timeout=60), [None] * 8
+
+        def parse(i):
+            barrier.wait()
+            got[i] = [dump_model(parse_text(t, g)) for t in texts]
+
+        threads = [threading.Thread(target=parse, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 8
+        assert sorted(made) == sorted(r.name for r in g.rules if isinstance(r, ConcreteRule))
+
+    def test_each_grammar_shows_its_own_source(self, toy_ast):
+        """Two grammars with a rule Leaf: each rule's file is named by a
+        digest of its own text, so inspect reads each grammar's own code;
+        a fresh grammar with the same text compiles nothing again."""
+        texts = ['Doc : ( items += Node )* ; Abstract Node : Leaf | Pair ; Leaf : "leaf" ; '
+                 'Pair : "pair" ;',
+                 'Doc : ( items += Node )* ; Abstract Node : Leaf | Pair ; '
+                 'Leaf : "leaf" name = ID ; Pair : "pair" ;']
+        gs = [parse_grammar(t, toy_ast) for t in texts]
+        for g, text in zip(gs, ["leaf pair", "leaf a pair"]):
+            render_ast(parse_text(text, g), g)
+        sources = [[inspect.getsource(f) for f in (g.analysis().parsers["Leaf"][1],
+                                                  g.analysis().renderers["Leaf"])] for g in gs]
+        assert "'name'" not in sources[0][0] + sources[0][1]
+        assert "'name'" in sources[1][0] and "'name'" in sources[1][1]
+        files = [g.analysis().parsers["Leaf"][1].__code__.co_filename for g in gs]
+        assert files[0] != files[1] and all(f.startswith("<mmdsl parse Leaf #") for f in files)
+        compiled = grammar_module._compiled.cache_info().misses
+        again = parse_grammar(texts[1], toy_ast)
+        render_ast(parse_text("leaf a pair", again), again)
+        assert grammar_module._compiled.cache_info().misses == compiled
+        assert again.analysis().parsers["Leaf"][1] is not gs[1].analysis().parsers["Leaf"][1]
+
+    def test_a_chain_of_rules(self):
+        """A chain of 40 rules: each that calls rules is a generator, so the
+        parse runs under a recursion limit of 100; C38, whose callee calls
+        none, calls it in place and is a generator all the same."""
+        g = chain_language(40)
+        text = " ".join(f"c{i}" for i in range(40))
+        want = op_parse_text(text, g)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            m = parse_text(text, g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert dump_model(m) == dump_model(want)
+        parsers = g.analysis().parsers
+        assert [inspect.isgeneratorfunction(parsers[f"C{i}"][1]) for i in range(40)] == [
+            True] * 39 + [False]
+        assert "if False: yield" in inspect.getsource(parsers["C38"][1])
+        same_parse(" ".join(f"c{i}" for i in range(25)) + " c9", g)
+
+
+class TestRandomModelSize:
+    """generate_random_model makes at most max_objects objects freely, then
+    finishes the model as deep as no pass is forced."""
+
+    def test_chained_lower_bounds(self):
+        """Each of 12 classes needs two of the next, the last two of the
+        first: no finite model meets that, and forcing would double the
+        model at each of max_depth + 12 levels."""
+        g = chain_language(12, "[2..3]", cycle=True)
+        for seed in range(3):
+            m = generate_random_model(g, random.Random(seed), max_depth=3, max_objects=500)
+            count = sum(1 for _ in iter_tree(m.root))
+            assert 500 <= count <= 500 + 2 * 15
+            assert {d.code for d in validate_model(m)} == {"model-multiplicity"}
+
+    def test_a_short_chain_is_still_met(self):
+        """Where a finite model meets the lower bounds within max_objects,
+        the model is valid: at least 2 ** 8 - 1 objects for 8 classes, each
+        but the last needing two of the next."""
+        g = chain_language(8, "[2..3]")
+        for seed in range(3):
+            m = generate_random_model(g, random.Random(seed), max_depth=0)
+            assert validate_model(m) == [] and sum(1 for _ in iter_tree(m.root)) >= 2 ** 8 - 1
+            assert model_equals(parse_text(render_ast(m, g), g), m)
+
+    def test_many_optional_parts(self, toy_ast):
+        """Rules with many optional loops branch widely: without a bound on
+        objects, max_depth=6 makes tens of thousands of them."""
+        kids = " ".join(f'( "k{i}" items += Node )*' for i in range(8))
+        g = parse_grammar(f'Doc : {kids} ; Abstract Node : Leaf | Pair ; Leaf : "leaf" ; '
+                          f'Pair : "pair" "(" {kids.replace("items", "rest")} ")" ;', toy_ast)
+        assert check_grammar(g) == []
+        counts = [sum(1 for _ in iter_tree(generate_random_model(
+            g, random.Random(seed), max_depth=6, max_objects=300).root)) for seed in range(20)]
+        assert max(counts) == 300
+        for seed in range(3):
+            m = generate_random_model(g, random.Random(seed), max_depth=6, max_objects=300)
+            assert validate_model(m) == []
+            assert model_equals(parse_text(render_ast(m, g), g), m)

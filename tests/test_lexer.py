@@ -56,12 +56,16 @@ class TestTokens:
         unescapes = {"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
         assert escape_string(s) == '"' + "".join(unescapes.get(c, c) for c in s) + '"'
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.sampled_from(["a", "Z", "é", "0", "7", "_", "²", "class", "in"]),
-                    max_size=4).map("".join))
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(
+        st.lists(st.sampled_from(["a", "Z", "é", "0", "7", "_", "²", "class", "in"]),
+                 max_size=4).map("".join),
+        st.text(st.characters(max_codepoint=127), max_size=6),  # the isidentifier path
+        st.from_regex(r"[A-Za-z0-9_]{0,6}", fullmatch=True)))
     def test_reads_as_id_as_the_lexer_reads(self, s):
         """reads_as_id(s) holds exactly when ``s`` alone is one ID token
-        that reads ``s``: '_' and '__' are IDs; '²x' and reserved words are not."""
+        that reads ``s``: '_' and '__' are IDs; '²x' and reserved words are
+        not. ASCII text takes its own path, so it is drawn on its own too."""
         lex = Lexer(reserved={"class", "in"}, symbols={"{", "::"})
         try:
             toks = lex.tokenize(s)
