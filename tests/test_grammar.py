@@ -2139,8 +2139,12 @@ class TestGeneratedParser:
 
 
 class TestRandomModelSize:
-    """generate_random_model makes at most max_objects objects freely, then
+    """generate_random_model makes at most _MAX_OBJECTS objects freely, then
     finishes the model as deep as no pass is forced."""
+
+    @pytest.fixture(autouse=True)
+    def fewer_objects(self, monkeypatch):
+        monkeypatch.setattr(grammar_module, "_MAX_OBJECTS", 500)
 
     def test_chained_lower_bounds(self):
         """Each of 12 classes needs two of the next, the last two of the
@@ -2148,13 +2152,13 @@ class TestRandomModelSize:
         model at each of max_depth + 12 levels."""
         g = chain_language(12, "[2..3]", cycle=True)
         for seed in range(3):
-            m = generate_random_model(g, random.Random(seed), max_depth=3, max_objects=500)
+            m = generate_random_model(g, random.Random(seed), max_depth=3)
             count = sum(1 for _ in iter_tree(m.root))
             assert 500 <= count <= 500 + 2 * 15
             assert {d.code for d in validate_model(m)} == {"model-multiplicity"}
 
     def test_a_short_chain_is_still_met(self):
-        """Where a finite model meets the lower bounds within max_objects,
+        """Where a finite model meets the lower bounds within _MAX_OBJECTS,
         the model is valid: at least 2 ** 8 - 1 objects for 8 classes, each
         but the last needing two of the next."""
         g = chain_language(8, "[2..3]")
@@ -2171,9 +2175,9 @@ class TestRandomModelSize:
                           f'Pair : "pair" "(" {kids.replace("items", "rest")} ")" ;', toy_ast)
         assert check_grammar(g) == []
         counts = [sum(1 for _ in iter_tree(generate_random_model(
-            g, random.Random(seed), max_depth=6, max_objects=300).root)) for seed in range(20)]
-        assert max(counts) == 300
+            g, random.Random(seed), max_depth=6).root)) for seed in range(20)]
+        assert max(counts) == 500
         for seed in range(3):
-            m = generate_random_model(g, random.Random(seed), max_depth=6, max_objects=300)
+            m = generate_random_model(g, random.Random(seed), max_depth=6)
             assert validate_model(m) == []
             assert model_equals(parse_text(render_ast(m, g), g), m)
