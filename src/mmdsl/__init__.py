@@ -1,8 +1,8 @@
 """Metamodel-first textual DSL workbench kernel.
 
 Design a target metamodel, derive its AST metamodel with a small
-transformation script, interpret a grammar to parse DSL text into AST
-models, and run the trace-driven AST-to-model transformation with
+transformation script, generate a parser from a grammar to read DSL text
+into AST models, and run the trace-driven AST-to-model transformation with
 pluggable name resolution; the reverse path renders models back to text.
 """
 
