@@ -2,19 +2,19 @@ import inspect
 import random
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mmdsl.diagnostics import DiagnosticError, SourceLocation, error
 from mmdsl.emfatic import parse_metamodel
 import mmdsl.grammar as grammar_module
 from mmdsl.grammar import (
-    CALL, CHOICE, FLAG, JUMP, KW, RET, TERM, TERMINALS, TEST, AbstractRule, Assignment,
-    ConcreteRule, Grammar, Group, Keyword, Opt, Repeat, Sequence, _children, _expected,
-    check_grammar, generate_grammar_skeleton, generate_random_model, parse_grammar, parse_text,
-    render_ast,
+    TERMINALS, AbstractRule, Assignment, ConcreteRule, Grammar, Group, Keyword, Opt, Repeat,
+    Sequence, _children, _expected, _reachable_rules, _unproductive, check_grammar,
+    generate_grammar_skeleton, generate_random_model, parse_grammar, parse_text, render_ast,
 )
 from mmdsl.lexer import Lexer, Token, TokenStream, escape_string, token_value
 from mmdsl.meta import (
@@ -153,11 +153,18 @@ class TestParseGrammar:
         assert "nested more than 100 deep" in d.message
 
     def test_nesting_up_to_the_bound(self):
-        ast = parse_metamodel("class A { }", "m")
+        """Grammars nested as deep as parse_grammar allows, one that assigns
+        among them: their random models render and parse back under the
+        default recursion limit, as the generators recurse per element."""
+        ast = parse_metamodel("class A { attr String[*] xs; }", "m")
         for body in ["( " * 100 + '"a"' + " )" * 100, '"a"' + " ?" * 100,
-                     "( " * 99 + '"a" ?' + " ) ?" * 99 + ' ( "b" ) ?' * 200]:
+                     "( " * 99 + '"a" ?' + " ) ?" * 99 + ' ( "b" ) ?' * 200,
+                     "( " * 99 + "xs += ID" + " )*" * 99]:
             g = parse_grammar(f"A : {body} ;", ast)
             assert outcome(check_grammar, g) == outcome(ref_check_grammar, g)
+            for seed in range(3):
+                m = generate_random_model(g, random.Random(seed))
+                assert model_equals(parse_text(render_ast(m, g), g), m)
 
 
 class TestCheckGrammar:
@@ -601,6 +608,94 @@ def ref_parse_text(text, g, file="<input>"):
     return model
 
 
+# The oracles' code: each concrete rule compiled to a flat tuple of ops, as
+# parse_text and generate_random_model ran it before they were made from the
+# elements. Each op is a tuple that starts with its opcode:
+#   (KW, text)   (JUMP, target)   (RET,): the end of a rule's code
+#   (TERM | CALL | FLAG, feat, name, many, callee | proc | keyword, plus)
+#   (TEST, first, end, reads, must): unless the part is there, go to end
+#   (CHOICE, table, default, first, end, alts, bare, low)
+# ``feat`` is the MetaFeature the rule's class holds under ``name``; ``reads``
+# are the assignment ops below a decision; a '+' loop starts with a TEST that
+# ``must`` find its part. A CHOICE goes to table[key], else to ``default`` (its
+# end if it may be empty, else None: an error); ``alts`` are (reads, start)
+# pairs; ``bare`` is the start of the first alternative without assignments (or
+# the end); ``low`` is the start of the first alternative of least height.
+KW, TERM, CALL, FLAG, TEST, JUMP, CHOICE, RET = range(8)
+
+
+class OpProc:
+    """A rule compiled to ops: a concrete rule's ``code`` and ``flags``; an
+    abstract rule's ``table`` from token key to alternative and
+    ``default``, its first that may be empty; either's ``first``."""
+
+    def __init__(self, name, cls=None):
+        self.name, self.cls, self.code, self.default = name, cls, None, None
+        self.first, self.flags, self.table = frozenset(), (), {}
+
+
+def op_compile(g):
+    """Each rule of ``g`` compiled to ops, by name, from the facts that
+    g.analysis() stores on its elements."""
+    a = g.analysis()
+    procs = {r.name: OpProc(r.name, r.cls) for r in g.rules}
+    for r in g.rules:
+        p = procs[r.name]
+        p.first = a.first[r.name]
+        if isinstance(r, AbstractRule):  # the first alternative wins a key
+            p.table = {k: procs.get(alt) for alt in reversed(r.alternatives)
+                       for k in a.first.get(alt, ())}
+            p.default = next((procs[alt] for alt in r.alternatives if a.nullable.get(alt)), None)
+        else:
+            code = []
+            op_emit(r.body, procs, a.procs[r.name].feats, code, {})
+            p.code, p.flags = (*code, (RET,)), a.procs[r.name].flags
+    return procs
+
+
+def op_emit(e, procs, feats, code, ops):
+    """Append the code of element ``e`` to ``code``; ``feats``: the rule's
+    features by name; ``ops`` holds each assignment's op."""
+    if isinstance(e, Keyword):
+        code.append((KW, e.text))
+        return
+    if isinstance(e, Assignment):
+        if e.op == "?":
+            kind, arg = FLAG, e.keyword
+        elif e.callee in TERMINALS:
+            kind, arg = TERM, e.callee
+        else:
+            kind, arg = CALL, procs.get(e.callee) or OpProc(e.callee)  # unknown: no entry
+        f = feats[e.feature]
+        code.append(ops.setdefault(id(e), (kind, f, f.name, f.many, arg, e.op == "+=")))
+        return
+    at, starts, kids = len(code), [], _children(e)
+    if not isinstance(e, Sequence):  # decisions, set once their targets are known
+        code.extend([None, None] if isinstance(e, Repeat) and e.kind == "+" else [None])
+    for x in kids:
+        starts.append(len(code))
+        op_emit(x, procs, feats, code, ops)
+        if isinstance(e, Group):
+            code.append(None)  # a jump to the end
+    if isinstance(e, Group):
+        code.pop()
+        end = len(code)
+        code[at + 1:] = [(JUMP, end) if op is None else op for op in code[at + 1:]]
+        pairs = list(zip(kids, starts))
+        table = {k: start for x, start in reversed(pairs) for k in x.first}
+        alts = tuple([(tuple([ops[id(y)] for y in x.assigns]), start) for x, start in pairs])
+        bare = next((start for x, start in pairs if not x.assigns), end)
+        low = min(pairs, key=lambda p: p[0].height)[1]
+        code[at] = (CHOICE, table, end if e.nullable else None, e.first, end, alts, bare, low)
+    elif not isinstance(e, Sequence):
+        head, reads = starts[0] - 1, tuple([ops[id(x)] for x in e.assigns])
+        if isinstance(e, Repeat):  # a '+' loop's first TEST, before ``head``, must pass
+            code.append((JUMP, head))
+        code[head] = (TEST, e.first, len(code), reads, False)
+        if head != at:
+            code[at] = (TEST, e.first, len(code), reads, True)
+
+
 class OpStuck(Exception):
     """op_parse_text stops at its lookahead token; args: what it expected, or a code and a message."""
 
@@ -622,18 +717,18 @@ def op_enter(p, m, kind):
 def op_parse_text(text, g, file="<input>"):
     """parse_text as it was before its parser was generated: one loop runs
     the compiled ops on an explicit stack, reading the lexer's matches."""
-    a, lexer = g.analysis(), g.lexer()
+    a, lexer, procs = g.analysis(), g.lexer(), op_compile(g)
     miscounts = []  # read only if a.sound
     matches = lexer.matches(text)
     read = matches.__next__
     # Without left recursion the frames opened at one token are of different
     # rules, so more frames than this allows mean left recursion.
-    limit = len(a.procs)
+    limit = len(procs)
     stack = []  # below the top frame: (code, pc, obj, op, proc), op the CALL it fills
     m, pos = read(), 0  # the lookahead token's match; the tokens read
     tk = m.lastgroup  # its kind
     try:
-        proc = op_enter(a.procs[g.entry], m, tk)
+        proc = op_enter(procs[g.entry], m, tk)
         code, pc, obj = proc.code, 0, ModelObject(proc.cls)
         slots = obj.slots
         while True:
@@ -717,6 +812,112 @@ def op_parse_text(text, g, file="<input>"):
         raise DiagnosticError([error("parse", code, message, path=path)
                                for code, message, path in problems])
     return model
+
+
+def op_random_model(g, rng, max_depth=8):
+    """generate_random_model as it was before it walked the elements: one
+    loop runs the compiled ops on an explicit stack, making the same draws."""
+    if stuck := _unproductive(g, _reachable_rules(g)):
+        raise DiagnosticError(stuck)
+    a, procs = g.analysis(), op_compile(g)
+    reserved = {k for k in g.keywords() if k and (k[0].isalpha() or k[0] == "_")}
+
+    def rand_id():
+        while True:
+            name = rng.choice("abcdefgh") + "".join(
+                rng.choice("abcdefgh123_") for _ in range(rng.randint(0, 5)))
+            if name not in reserved:
+                return name
+
+    def rand_string():
+        alphabet = "abc XYZ 123 _-:"
+        s = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+        if rng.random() < 0.2:
+            s += rng.choice(['"', "\\", "\n", "\t"])
+        return s
+
+    def enter(p, depth):
+        while p.code is None:
+            alts = g.by_name[p.name].alternatives
+            p = procs[min(alts, key=a.height.get) if depth > max_depth else rng.choice(alts)]
+        return p
+
+    terminal = {"ID": rand_id, "STRING": rand_string, "INT": lambda: rng.randint(0, 20)}
+    forced_depth, most = max_depth + len(procs), grammar_module._MAX_OBJECTS
+    stack = []  # below the top frame: (code, pc, obj, passes, op, proc), op the CALL it fills
+    made, depth = 1, 0
+    proc = enter(procs[g.entry], 0)
+    code, pc, obj, passes = proc.code, 0, ModelObject(proc.cls), {}  # passes: loop head -> count
+    while True:
+        op = code[pc]
+        pc += 1
+        kind = op[0]
+        if kind is TERM:
+            value = terminal[op[4]]()
+        elif kind is CALL:
+            stack.append((code, pc, obj, passes, op, proc))
+            made += 1
+            depth = len(stack) if made < most else float("inf")
+            proc = enter(op[4], depth)
+            code, pc, obj, passes = proc.code, 0, ModelObject(proc.cls), {}
+            continue
+        elif kind is TEST:
+            if op[4]:  # a '+' loop: its first pass is taken, past its head TEST
+                passes[pc] = 1
+                pc += 1
+            elif ((depth <= forced_depth and passes.get(pc - 1, 0) < op_short(op[3], obj)
+                   and op_room(code, op, obj))
+                  or (depth <= max_depth and passes.get(pc - 1, 0) < 4
+                      and rng.random() < 0.5 and op_room(code, op, obj))):
+                if code[op[2] - 1] == (JUMP, pc - 1):  # a loop's head: count the pass
+                    passes[pc - 1] = passes.get(pc - 1, 0) + 1
+            else:
+                passes.pop(pc - 1, None)
+                pc = op[2]
+            continue
+        elif kind is CHOICE:  # an alternative's start is never 0
+            short = depth <= forced_depth and next(
+                (start for reads, start in op[5] if op_short(reads, obj)), None)
+            pc = short or (op[7] if depth > max_depth else rng.choice(op[5])[1])
+            continue
+        elif kind is JUMP:
+            pc = op[1]
+            continue
+        elif kind is not RET:  # a keyword, or a flag: set with even odds
+            if kind is FLAG and rng.random() < 0.5:
+                obj.slots[op[2]] = True
+            continue
+        else:  # RET: finish the object, then fill the slot of the CALL that opened it
+            for f in proc.flags:
+                obj.slots.setdefault(f, False)
+            if not stack:
+                return Model(obj, g.ast)
+            value = obj
+            code, pc, obj, passes, op, proc = stack.pop()
+            depth = len(stack) if made < most else float("inf")
+        if op[5]:
+            obj.slots.setdefault(op[2], []).append(value)
+        else:
+            obj.slots.setdefault(op[2], value)
+
+
+def op_short(reads, obj):
+    """The sum of the lower bounds of the features the ops ``reads`` assign,
+    if one of them has fewer values in ``obj``, else 0."""
+    feats = {o[1] for o in reads if o[1].lower}
+    short = any(len(obj.values_of(f)) < f.lower for f in feats)
+    return sum([f.lower for f in feats]) if short else 0
+
+
+def op_room(code, op, obj):
+    """Whether ``obj`` has room for one more pass of the part that TEST
+    ``op`` guards: the '+=' ops in its reads and those from the part's end
+    on stay within each finite upper bound."""
+    adds = Counter([o[1] for o in op[3] if o[5] and o[1].upper is not UNBOUNDED])
+    if adds:
+        adds.update([o[1] for o in code[op[2]:] if (o[0] is TERM or o[0] is CALL) and o[5]
+                     and o[1] in adds])
+    return all(len(obj.values_of(f)) + k <= f.upper for f, k in adds.items())
 
 
 class RefCursors:
@@ -1217,6 +1418,38 @@ def toy_ast():
     return parse_metamodel(TOY_MM, "toy")
 
 
+# Pair's only call is in an alternative that the one before it shadows: both
+# start with INT, so a parser never takes it.
+SHADOWED_CALL_GRAMMAR = ('Doc : ( ( items += Node )? items += Node ) ;\n'
+                         'Abstract Node : Leaf | Pair ;\n'
+                         'Leaf : "leaf" name = ID ;\n'
+                         'Pair : "pair" ( n = INT | ( n = INT left = Node ) ) ;\n')
+
+
+@st.composite
+def shadowed_grammars(draw):
+    """Grammar text over TOY_MM whose Pair holds its only call in a later
+    alternative of a group that an earlier alternative shadows, as both
+    start alike; the group may be optional or repeated, and a keyword or
+    an assignment may follow it."""
+    lead = draw(st.sampled_from(["n = INT", '"a"', '"("']))
+    call = draw(st.sampled_from(["left = Node", "rest += Node", "( rest += Node )*"]))
+    group = draw(st.sampled_from(["{}", "{} ?", "{} *"])).format(f"( {lead} | {lead} {call} )")
+    after = draw(st.sampled_from(["", '"b"', "n = INT"]))
+    return ("Doc : ( items += Node )* ;\nAbstract Node : Leaf | Pair ;\n"
+            f'Leaf : "leaf" name = ID ;\nPair : "pair" {group} {after} ;\n')
+
+
+def nested_grammar(ast):
+    """Loops, optionals and choices nested 30 deep, over TOY_MM."""
+    opts, loops, choice = "title = ID", "items += Node", "n = INT"
+    for i in range(30):
+        opts, loops = f'( "o{i}" {opts} )?', f'( "k{i}" {loops} )*'
+        choice = f'( "c{i}" {choice} | "d{i}" rest += Node )'
+    return parse_grammar(f'Doc : {opts} {loops} ; Abstract Node : Leaf | Pair ; '
+                         f'Leaf : "leaf" name = ID ; Pair : "pair" {choice} ;', ast)
+
+
 class TestCompiledFacts:
     @pytest.mark.parametrize("name", GRAMMARS)
     def test_shipped_grammars(self, grammars, name):
@@ -1235,6 +1468,7 @@ class TestCompiledFacts:
            kind=st.sampled_from(["none", "drop", "surplus", "flag", "stranger"]),
            edit=st.sampled_from(["none", "drop", "insert", "swap"]),
            at=st.integers(0, 10 ** 6))
+    @example(text=SHADOWED_CALL_GRAMMAR, seed=8, kind="none", edit="none", at=0)  # pair 6 leaf bd
     def test_random_grammars_parse_and_render(self, toy_ast, text, seed, kind, edit, at):
         g = parse_grammar(text, toy_ast)
         m = generate_random_model(g, random.Random(seed), max_depth=3)
@@ -1818,9 +2052,9 @@ Pair : "pair" n = INT ( "{" left = Node "}" )? ( rest += Node )* ;
 
 
 class TestGeneratedRenderer:
-    """render_ast runs Python generated from each rule's compiled code on
-    its first call for a grammar; the reference renderer, which walks the
-    elements, is the oracle."""
+    """render_ast runs Python generated from each rule's elements on its
+    first call for a grammar; the reference renderer, which walks the
+    elements itself, is the oracle."""
 
     def test_keywords_enter_only_as_literals(self, toy_ast):
         g = parse_grammar(QUOTING_GRAMMAR, toy_ast)
@@ -1897,12 +2131,7 @@ class TestGeneratedRenderer:
         """Loops, optionals and choices nested 30 deep: the parts below
         _NESTING blocks run in functions of their own, generators where
         they call a rule, and render as the reference does."""
-        opts, loops, choice = "title = ID", "items += Node", "n = INT"
-        for i in range(30):
-            opts, loops = f'( "o{i}" {opts} )?', f'( "k{i}" {loops} )*'
-            choice = f'( "c{i}" {choice} | "d{i}" rest += Node )'
-        g = parse_grammar(f'Doc : {opts} {loops} ; Abstract Node : Leaf | Pair ; '
-                          f'Leaf : "leaf" name = ID ; Pair : "pair" {choice} ;', toy_ast)
+        g = nested_grammar(toy_ast)
         for seed in range(30):
             m = generate_random_model(g, random.Random(seed), max_depth=3)
             assert outcome(render_ast, m, g) == outcome(ref_render_ast, m, g)
@@ -1976,26 +2205,30 @@ def chain_language(n, bound="[0..1]", cycle=False):
 
 
 class TestGeneratedParser:
-    """parse_text runs Python generated per rule from the compiled ops on
-    its first call for a grammar; the op interpreter it replaced
-    (op_parse_text) is the oracle, down to each diagnostic's code,
-    message and line:col."""
+    """parse_text runs Python generated per rule from its elements on its
+    first call for a grammar; the op interpreter that parse_text once was
+    (op_parse_text, on op_compile's ops) is the oracle, down to each
+    diagnostic's code, message and line:col, and so is the reference
+    parser where a case names it."""
 
     @settings(max_examples=400, deadline=None)
-    @given(data=st.data(), bounded=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
-           sound=st.booleans(), soup=st.booleans(),
+    @given(data=st.data(), kind=st.sampled_from(["toy", "shadowed", "bounded"]),
+           seed=st.integers(0, 2 ** 32 - 1), sound=st.booleans(), soup=st.booleans(),
            edit=st.sampled_from(["none", "drop", "insert", "swap", "twice", "long"]),
            at=st.integers(0, 10 ** 6),
            where=st.integers(0, 10 ** 6), piece=st.sampled_from(["", "", *LEXICAL]))
-    def test_against_the_op_interpreter(self, toy_ast, bounded_ast, data, bounded, seed, sound,
+    def test_against_the_op_interpreter(self, toy_ast, bounded_ast, data, kind, seed, sound,
                                         soup, edit, at, where, piece):
-        """Random grammars, left-recursive ones and flags among them, and
-        grammars with bounds to break; rendered random models with a token
-        dropped, inserted, swapped or written twice, or with every INT too
-        long, or a soup of the grammar's tokens; and a piece that may hold a
-        lexical error. Unless ``sound``, the grammar takes the path of one
-        the proof does not cover: the whole model goes through validate_model."""
-        text = data.draw(bounded_grammars() if bounded else toy_grammars(prefixed=False))
+        """Random grammars, left-recursive ones and flags among them, ones
+        with a call only in a shadowed alternative, and grammars with bounds
+        to break; rendered random models with a token dropped, inserted,
+        swapped or written twice, or with every INT too long, or a soup of
+        the grammar's tokens; and a piece that may hold a lexical error.
+        Unless ``sound``, the grammar takes the path of one the proof does
+        not cover: the whole model goes through validate_model."""
+        bounded = kind == "bounded"
+        text = data.draw({"toy": toy_grammars(prefixed=False), "shadowed": shadowed_grammars(),
+                          "bounded": bounded_grammars()}[kind])
         g = parse_grammar(text, bounded_ast if bounded else toy_ast)
         g.analysis().sound &= sound
         if soup:
@@ -2025,6 +2258,19 @@ class TestGeneratedParser:
         for g, text in cases:
             for k, edit in enumerate(["none", "drop", "insert", "swap"] * 3):
                 same_parse(mutated(g, text, edit, 7 * k + 3), g)
+
+    def test_a_shadowed_call(self, toy_ast):
+        """Pair's only call is in a shadowed alternative, so its parser
+        yields nothing and is a plain function; Doc, which may meet a
+        generator through Node, takes its tuple."""
+        g = parse_grammar(SHADOWED_CALL_GRAMMAR, toy_ast)
+        for text in ["pair 6 leaf bd", "leaf a pair 1"]:
+            got = same_parse(text, g)
+            assert_parse_matches_reference(text, g)
+            assert got[0] == "ok" and len(got[1].root.values("items")) == 2
+        parsers = g.analysis().parsers
+        assert not inspect.isgeneratorfunction(parsers["Pair"][1])
+        assert inspect.isgeneratorfunction(parsers["Doc"][1])
 
     def test_left_recursion_names_a_rule_on_the_cycle(self, toy_ast):
         """Through two rules, at the token where the cycle starts. The rule
@@ -2062,6 +2308,9 @@ class TestGeneratedParser:
         assert sorted(made) == ["CssFile", "DeclarationAS", "Rule"] and g.analysis().renderers is None
         assert model_equals(parse_text(text, g), first) and g.analysis().parsers is parsers
         assert len(made) == 3
+        # Rule calls only DeclarationAS, which calls no rule: in place, so Rule yields nothing
+        assert [inspect.isgeneratorfunction(parsers[r][1]) for r in made] == [
+            r == "CssFile" for r in made]
 
     def test_threads_parse_a_fresh_grammar(self, selfhost, monkeypatch):
         """Eight threads make the first parses of one grammar at once: one
@@ -2118,9 +2367,9 @@ class TestGeneratedParser:
         assert again.analysis().parsers["Leaf"][1] is not gs[1].analysis().parsers["Leaf"][1]
 
     def test_a_chain_of_rules(self):
-        """A chain of 40 rules: each that calls rules is a generator, so the
-        parse runs under a recursion limit of 100; C38, whose callee calls
-        none, calls it in place and is a generator all the same."""
+        """A chain of 40 rules: each that calls a rule that calls rules is a
+        generator, so the parse runs under a recursion limit of 100; C38,
+        whose callee calls none, calls it in place and is a plain function."""
         g = chain_language(40)
         text = " ".join(f"c{i}" for i in range(40))
         want = op_parse_text(text, g)
@@ -2133,9 +2382,44 @@ class TestGeneratedParser:
         assert dump_model(m) == dump_model(want)
         parsers = g.analysis().parsers
         assert [inspect.isgeneratorfunction(parsers[f"C{i}"][1]) for i in range(40)] == [
-            True] * 39 + [False]
-        assert "if False: yield" in inspect.getsource(parsers["C38"][1])
+            True] * 38 + [False, False]
+        assert "return obj, m" in inspect.getsource(parsers["C38"][1])
         same_parse(" ".join(f"c{i}" for i in range(25)) + " c9", g)
+
+
+def same_random_model(g, seed, max_depth):
+    """generate_random_model and op_random_model agree: equal dumps, or
+    equal diagnostics, and the same draws."""
+    rngs = [random.Random(seed), random.Random(seed)]
+    got = outcome(generate_random_model, g, rngs[0], max_depth)
+    want = outcome(op_random_model, g, rngs[1], max_depth)
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert dump_model(got[1]) == dump_model(want[1])
+    else:
+        assert got[1] == want[1]
+    assert rngs[0].getstate() == rngs[1].getstate()
+
+
+class TestRandomModelAgainstOps:
+    """generate_random_model walks the elements on a stack of its own; the
+    op loop it replaced (op_random_model) is the oracle, down to each draw."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["toy", "shadowed", "bounded", "free part"]),
+           seed=st.integers(0, 2 ** 32 - 1), max_depth=st.integers(0, 4))
+    def test_random_grammars(self, toy_ast, bounded_ast, data, kind, seed, max_depth):
+        text = data.draw({"toy": toy_grammars(prefixed=False), "shadowed": shadowed_grammars(),
+                          "bounded": bounded_grammars(), "free part": free_part_grammars()}[kind])
+        g = parse_grammar(text, toy_ast if kind in ("toy", "shadowed") else bounded_ast)
+        same_random_model(g, seed, max_depth)
+
+    def test_shipped_and_nested_grammars(self, grammars, toy_ast):
+        cases = [grammars[name] for name in GRAMMARS] + [nested_grammar(toy_ast)]
+        for g in cases:
+            for seed in range(4):
+                for max_depth in (0, 3, 6):
+                    same_random_model(g, seed, max_depth)
 
 
 class TestRandomModelSize:
