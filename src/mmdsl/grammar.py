@@ -1177,27 +1177,23 @@ def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) ->
             value = obj
             obj, proc, todo, e = stack.pop()
             depth = len(stack) if made < _MAX_OBJECTS else _INF
-        elif type(e := todo.pop()) is tuple:
-            e, passes = e
-            if ((depth <= forced_depth and passes < _short(e.assigns, obj)
-                 and _room(e, obj, proc.body))
-                    or (depth <= max_depth and passes < 4 and rng.random() < 0.5
-                        and _room(e, obj, proc.body))):
-                todo += [(e, passes + 1), e.inner] if isinstance(e, Repeat) else [e.inner]
-            continue
-        elif isinstance(e, Sequence):
-            todo += reversed(e.items)
-            continue
-        elif isinstance(e, (Opt, Repeat)):  # a '+' loop's first pass is taken, with no draw
-            todo += [(e, 1), e.inner] if isinstance(e, Repeat) and e.kind == "+" else [(e, 0)]
-            continue
-        elif isinstance(e, Group):
-            short = depth <= forced_depth and next(
-                (x for x in e.alternatives if _short(x.assigns, obj)), None)
-            todo.append(short or (min(e.alternatives, key=lambda x: x.height)
-                                  if depth > max_depth else rng.choice(e.alternatives)))
-            continue
-        elif isinstance(e, Keyword):
+        elif (etype := type(e := todo.pop())) is not Assignment:
+            if etype is Sequence:
+                todo += reversed(e.items)
+            elif etype is tuple:  # an optional part's or a loop's next test
+                e, passes = e
+                if ((depth <= forced_depth and passes < _short(e.assigns, obj)
+                     and _room(e, obj, proc.body))
+                        or (depth <= max_depth and passes < 4 and rng.random() < 0.5
+                            and _room(e, obj, proc.body))):
+                    todo += [(e, passes + 1), e.inner] if type(e) is Repeat else [e.inner]
+            elif etype is Group:
+                short = depth <= forced_depth and next(
+                    (x for x in e.alternatives if _short(x.assigns, obj)), None)
+                todo.append(short or (min(e.alternatives, key=lambda x: x.height)
+                                      if depth > max_depth else rng.choice(e.alternatives)))
+            elif etype is not Keyword:  # a '+' loop's first pass is taken, with no draw
+                todo += [(e, 1), e.inner] if etype is Repeat and e.kind == "+" else [(e, 0)]
             continue
         elif e.op == "?":  # a flag: set with even odds
             if rng.random() < 0.5:
