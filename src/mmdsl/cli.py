@@ -32,7 +32,7 @@ import sys
 from pathlib import Path
 
 from .diagnostics import (
-    DiagnosticError, SourceLocation, error, has_errors, sort_diagnostics,
+    DiagnosticError, SourceLocation, error, has_errors, raise_any, sort_diagnostics,
 )
 from .emfatic import parse_metamodel, print_metamodel
 from .grammar import (
@@ -138,8 +138,7 @@ def _grammar(text: str, path, ast):
     """The checked grammar ``text``, located at ``path`` in diagnostics."""
     g = parse_grammar(text, ast, file=str(path))
     problems = check_grammar(g)
-    if problems:
-        raise DiagnosticError(problems)
+    raise_any(problems)
     return g
 
 
@@ -163,9 +162,7 @@ def _registry(resolver: str, config, target, ast):
 
 def _model(path, mm, extra=()):
     model = load_model(_read(path), mm, extra_metamodels=extra, file=str(path))
-    problems = validate_model(model)
-    if problems:
-        raise DiagnosticError(problems)
+    raise_any(validate_model(model))
     return model
 
 

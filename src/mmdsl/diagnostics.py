@@ -148,5 +148,11 @@ class DiagnosticError(Exception):
         super().__init__(summary)
 
 
+def raise_any(diags) -> None:
+    """Raise ``diags`` as a DiagnosticError, if there are any."""
+    if diags:
+        raise DiagnosticError(diags) from None
+
+
 def has_errors(diags) -> bool:
     return any(d.severity == "error" for d in diags)

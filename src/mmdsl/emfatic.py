@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagnostics import DiagnosticError, SourceLocation, error
+from .diagnostics import SourceLocation, error, raise_any
 from .lexer import Lexer, Token, TokenStream, format_literal
 from .meta import (
     UNBOUNDED, MetaAttribute, MetaClass, Metamodel, MetaReference, builtin_ecore,
@@ -187,8 +187,7 @@ def parse_metamodel(text: str, name: str, file: str = "<metamodel>") -> Metamode
                 cls.features.append(MetaReference(fd.name, fd.lower, fd.upper,
                                                   type=ctype, containment=(fd.kind == "val")))
 
-    if diags:
-        raise DiagnosticError(diags)
+    raise_any(diags)
 
     # Re-anchor structural violations on the declaration of the classifier
     # each one names in its path, /<mm>/<classifier>: its first declaration,
@@ -200,8 +199,7 @@ def parse_metamodel(text: str, name: str, file: str = "<metamodel>") -> Metamode
                else class_locs.get(name, [None])[0])
         diags.append(error("metamodel", d.code, d.message,
                            location=loc or SourceLocation(file, 1, 1)))
-    if diags:
-        raise DiagnosticError(diags)
+    raise_any(diags)
     return mm
 
 

@@ -41,7 +41,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .diagnostics import Diagnostic, DiagnosticError, SourceLocation, error
+from .diagnostics import Diagnostic, DiagnosticError, SourceLocation, error, raise_any
 from .lexer import Lexer, TokenStream, escape_string, token_value
 from .meta import (
     UNBOUNDED, MetaAttribute, MetaClass, Metamodel, Model, ModelObject, Tree, is_subtype,
@@ -262,8 +262,7 @@ def parse_grammar(text: str, ast: Metamodel, file: str = "<grammar>") -> Grammar
         r.cls = cls if isinstance(cls, MetaClass) else None
     g = Grammar(rules, ast)
     diags += g.analysis().problems
-    if diags:
-        raise DiagnosticError(diags)
+    raise_any(diags)
     return g
 
 
@@ -711,6 +710,8 @@ class _Code:
         if isinstance(e, Group):
             return self.choice(e, depth, pad)
         test, loop = self.holds(e), isinstance(e, Repeat)
+        if loop and e.kind == "+" and test == "False" and not e.assigns:
+            return self.block(e.inner, depth)  # nothing decides how many passes: one
         out = [f"{pad}if not ({test}): {self.missing(e)}"] if loop and e.kind == "+" else []
         if test != "False":  # else it never runs
             self.loops += loop
@@ -866,9 +867,11 @@ def render_ast(m: Model, g: Grammar) -> str:
     grammar generates its renderer (_generate); each rule decides by what
     its object holds: an optional or loop runs while an assignment below it
     has a value left; a choice takes the first alternative with one, else
-    the first without assignments. A rule that calls another yields the
-    callee's generator to a trampoline (_run), so nesting is bounded by
-    memory, not by the recursion limit."""
+    the first without assignments; a '+' loop that assigns nothing renders
+    one pass. A rule that calls another yields the callee's generator to a
+    trampoline (_run), so nesting is bounded by memory, not by the recursion
+    limit. On the first value of ``m`` that does not fit where a rule reads
+    it, it raises validate_model's diagnostics, or ``g``'s problems."""
     a = g.analysis()
     rules = a.renderers or _generate(a, g.lexer().reads_as_id)
     root = m.root
@@ -876,7 +879,12 @@ def render_ast(m: Model, g: Grammar) -> str:
         raise DiagnosticError([error("grammar", "gr-no-rule", f"no concrete rule for class "
                                      f"{root.cls.name!r}", path="/")])
     line, lines, lay, problems = [], [], [0, ""], []  # lay: the depth and the line's indent
-    _run(rule(root, line, lines, lay, problems, set()))
+    try:
+        _run(rule(root, line, lines, lay, problems, set()))
+    except (AttributeError, LookupError, TypeError):  # a value a rule cannot read
+        raise_any(validate_model(m))
+        raise_any(a.problems)  # m is valid, and g cannot write it
+        raise
     if problems:
         tree = Tree(root)
         raise DiagnosticError([error("grammar", code, message, path=tree.path(obj))
@@ -910,7 +918,7 @@ def _generate(a: _Analysis, reads_as_id) -> dict:
             for proc in [p for p in a.procs.values() if p.body is not None]:
                 rules[proc.name] = _load(
                     "render", proc, _RuleSource(proc), RULES=rules, reads_as_id=reads_as_id,
-                    escape_string=escape_string, ModelObject=ModelObject, _misplaced=_misplaced,
+                    escape_string=escape_string, ModelObject=ModelObject,
                     _leftover=_leftover)["rule"]
             a.renderers = rules
         return a.renderers
@@ -929,8 +937,8 @@ class _RuleSource(_Code):
         body = self.block(proc.body, 1)
         held = [f for f in index if f.is_attribute or f.containment]
         checks = ["slots.keys() <= NAMES", *[
-            f"((v := slots.get({f.name!r})) is None or c{index[f]} >= len(v))" if f.many else
-            f"(c{index[f]} or slots.get({f.name!r}) is None)" for f in held
+            f"((v := slots.get({f.name!r})) is None or type(v) is list and c{index[f]} >= len(v))"
+            if f.many else f"(c{index[f]} or slots.get({f.name!r}) is None)" for f in held
             if f.name not in proc.flags]]
         rule = [f"def rule({_ARGS}):",
                 "    slots, append = obj.slots, line.append",
@@ -1000,17 +1008,16 @@ class _RuleSource(_Code):
         body = [*[f"x = {x}"] * (callee != "ID"), f"{k} += 1"]
         if callee not in TERMINALS:
             self.yields = True
-            body += ["if isinstance(x, ModelObject) and x not in opened and "
-                     "(r := RULES.get(x.cls.name)):",
+            body += ["if not isinstance(x, ModelObject) or x in opened: raise TypeError(x)",
+                     "if r := RULES.get(x.cls.name):",
                      "    if (r := r(x, line, lines, lay, problems, opened)) is not None: yield r",
-                     f"else: _misplaced(obj, {n}, x, opened, problems)"]
+                     "else: problems.append((x, 'gr-no-rule', "
+                     "'no concrete rule for class ' + repr(x.cls.name)))"]
         else:
             put = {"ID": "x if type(x) is str else str(x)", "INT": "str(x)",
                    "STRING": "escape_string(x)"}[callee]
             body += [f"if {'type(x) is int' if callee == 'INT' else 'isinstance(x, str)'}: "
-                     f"append({put})", f"else: problems.append((obj, 'model-kind', obj.cls.name + "
-                     f"{f'.{name}: value '!r} + repr(x) + ' does not fit attribute type ' + "
-                     f"F{i}.type.name))"]
+                     f"append({put})", "else: raise TypeError(x)"]
         out = [f"if (v := slots.get({n})) is None or {k} >= len(v):" if f.many else
                f"if {k} or (v := slots.get({n})) is None:",
                f"    problems.append((obj, 'gr-unset-mandatory', obj.cls.name + "
@@ -1030,28 +1037,18 @@ class _RuleSource(_Code):
                  else call, f"{self.counters}= b"])
 
 
-def _misplaced(obj: ModelObject, name: str, value, opened: set, problems: list):
-    """The problem with ``value``, in slot ``name`` of ``obj``, that no rule renders."""
-    if not isinstance(value, ModelObject):
-        problems.append((obj, "model-kind",
-                         f"{obj.cls.name}.{name}: expected an object, found {value!r}"))
-    elif value in opened:
-        problems.append((obj, "model-containment",
-                         f"object of class {value.cls.name} is contained more than once"))
-    else:
-        problems.append((value, "gr-no-rule", f"no concrete rule for class {value.cls.name!r}"))
-
-
 def _leftover(obj: ModelObject, proc: _Proc, used: dict, problems: list):
-    """Report each slot of ``obj`` with values rule ``proc`` left, but flags and cross slots."""
+    """Report each slot of ``obj`` with values rule ``proc`` left, but flags
+    and cross slots; a many-valued slot that holds no list raises TypeError."""
     for name, v in obj.slots.items():
         if v is None or name in proc.flags:
             continue
         # looked up by name only for a slot that no assignment of the rule reads
-        f = proc.feats.get(name) or obj.cls.find_feature(name)
-        if f is not None and (used.get(f, 0) >= (len(v) if f.many else 1)
-                              or not f.is_attribute and not f.containment):
-            continue
+        if (f := proc.feats.get(name) or obj.cls.find_feature(name)) is not None:
+            if f.many and type(v) is not list:
+                raise TypeError(v)
+            if used.get(f, 0) >= (len(v) if f.many else 1) or not (f.is_attribute or f.containment):
+                continue
         problems.append((obj, "gr-unset-mandatory", f"rule {proc.name!r} cannot emit "
                          f"all values of {obj.cls.name}.{name}"))
 
@@ -1085,8 +1082,7 @@ def generate_grammar_skeleton(ast: Metamodel) -> str:
             diags.append(error("grammar", "gr-unknown-class",
                                f"abstract class {cls.name!r} has no concrete subtype",
                                path=f"/{ast.name}/{cls.name}"))
-    if diags:
-        raise DiagnosticError(diags)
+    raise_any(diags)
 
     lines = []
     for cls in classes:
@@ -1132,8 +1128,7 @@ def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) ->
     model is finished as deep as no pass is forced: so a language whose
     rules take many optional parts, or whose lower bounds chain through
     many rules, still ends in a bounded model."""
-    if stuck := _unproductive(g, _reachable_rules(g)):
-        raise DiagnosticError(stuck)
+    raise_any(_unproductive(g, _reachable_rules(g)))
     a = g.analysis()
     reserved = {k for k in g.keywords() if k and (k[0].isalpha() or k[0] == "_")}
 

@@ -24,7 +24,10 @@ objects in preorder, and each object's container and path without a search.
 ``iter_tree``, ``validate_model``, ``transform``'s diagnostics and namers, and
 the walk of ``transform_model_to_ast`` each read one Tree; a forward transform
 binds names and validates its result on the same one. ``model_equals`` pairs
-the preorders of two Trees.
+the preorders of two Trees. ``validate_model`` is the one place that words a
+problem of a model: the walkers that read a caller's model unchecked
+(``dump_model``, ``render_ast`` and both transforms) only detect one where
+they read it (``rejecting``).
 
 The builtin ``ecore`` package provides the reflective classifiers user
 metamodels may reference (EClassifier, EClass, EDataType, ...). Metamodel
@@ -39,9 +42,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import total_ordering
+from functools import total_ordering, wraps
 
-from .diagnostics import Diagnostic, error
+from .diagnostics import Diagnostic, error, raise_any
 
 
 @total_ordering
@@ -139,7 +142,7 @@ class _Tables:
     """A class's derived facts, built once by its first lookup."""
 
     __slots__ = ("supertypes", "supertype_set", "features", "by_name",
-                 "containments", "bounded", "id_names", "layout", "checks", "payload")
+                 "containments", "bounded", "id_names", "checks", "payload")
 
     def __init__(self, cls: "MetaClass"):
         supers = _walk_supertypes(cls)
@@ -156,8 +159,8 @@ class _Tables:
         self.bounded = tuple(
             f for f in self.features if f.lower or (f.many and f.upper is not UNBOUNDED))
         # filled on first use by their readers: by_name as load_model reads it,
-        # dump_model's layout, validate_model's checks, flatten_payload's names
-        self.id_names = self.layout = self.checks = self.payload = None
+        # the checks of validate_model and dump_model, flatten_payload's names
+        self.id_names = self.checks = self.payload = None
 
 
 class MetaClass(_Sealable):
@@ -315,8 +318,9 @@ class ModelObject:
         for name, value in slots.items():
             self.set(name, value)
 
-    def __repr__(self):
-        return f"<{self.cls.name} {self.slots.get('name', '')!r}>"
+    def __repr__(self):  # a name that is no string may hold this object again
+        name = self.slots.get("name", "")
+        return f"<{self.cls.name} {name!r}>" if type(name) is str else f"<{self.cls.name}>"
 
     def _feature(self, name: str) -> MetaFeature:
         f = self.cls.find_feature(name)
@@ -346,9 +350,7 @@ class ModelObject:
 
     def values(self, name: str) -> list:
         """Slot content as a list regardless of multiplicity (effective)."""
-        f = self._feature(name)
-        v = self.slots[name] if name in self.slots else _unset_value(f)
-        return [] if v is None else (list(v) if f.many else [v])
+        return list(self.values_of(self._feature(name)))
 
     def values_of(self, f: MetaFeature):
         """``values(f.name)`` read through ``f`` itself, without a copy."""
@@ -451,12 +453,13 @@ def validate_metamodel(mm: Metamodel) -> list[Diagnostic]:
     return diags
 
 
+# The type of a datatype's values, and whether exactly: for strings an isinstance
+_FITS = {"string": (str, False), "boolean": (bool, True)}
+
+
 def value_fits(value, datatype: MetaDataType) -> bool:
-    if datatype.kind == "string":
-        return isinstance(value, str)
-    if datatype.kind == "boolean":
-        return type(value) is bool
-    return type(value) is int
+    tp, exact = _FITS.get(datatype.kind, (int, True))
+    return type(value) is tp if exact else isinstance(value, tp)
 
 
 class Tree:
@@ -464,7 +467,8 @@ class Tree:
     explicit stack. ``objects`` lists each object once, in the order first
     reached; ``shared`` lists an object each time it is reached again.
     ``container`` and ``path`` read the step that first reached an object.
-    A value in a containment slot that is not an object keeps its index."""
+    A value in a containment slot that is not an object keeps its index; a
+    many-valued slot that holds no list is skipped (validate_model words it)."""
 
     __slots__ = ("objects", "shared", "_steps")
 
@@ -486,7 +490,7 @@ class Tree:
             # children go on the stack last first, so the first is taken next
             for f in reversed(obj.cls.tables().containments):
                 v = obj.slots.get(f.name)
-                if v is not None:
+                if v is not None and (type(v) is list or not f.many):
                     vals = v if f.many else (v,)
                     for i in range(len(vals) - 1, -1, -1):
                         if isinstance(vals[i], ModelObject):
@@ -519,8 +523,10 @@ def iter_tree(root: ModelObject) -> list[ModelObject]:
 
 def validate_model(m: Model) -> list[Diagnostic]:
     """Containment is a tree; each object's class is known and concrete;
-    each slot names a feature; each feature's effective values (defaults
-    count) fit its bounds, kind and type; cross references stay inside.
+    each slot names a feature; a many-valued slot holds a list; each
+    feature's effective values (defaults count) fit its bounds, kind and
+    type; cross references stay inside. An object contained again is
+    reported where it was first reached.
     ``parse_text`` proves all but the bounds once per grammar and checks
     those as it finishes each object; loaded, transformed and hand-built
     models are checked here. Slots are read through each class's checks
@@ -530,16 +536,27 @@ def validate_model(m: Model) -> list[Diagnostic]:
     return _validate(m, Tree(m.root))
 
 
-# value_fits as one test per value: for strings an isinstance, else an exact type
-_FITS = {"string": (str, False), "boolean": (bool, True)}
+def rejecting(walker):
+    """``walker(m, ...)``, which reads model ``m`` unchecked: on the first value
+    that does not fit where it reads it, it raises validate_model's
+    diagnostics for ``m``; if there are none, its own error stands."""
+    @wraps(walker)
+    def walk(m: Model, *args):
+        try:
+            return walker(m, *args)
+        except (AttributeError, LookupError, TypeError):  # what a value that does not fit raises
+            raise_any(validate_model(m))
+            raise
+    return walk
 
 
 def _checks(t: _Tables) -> tuple:
     """validate_model's reading of a class, one row per feature of
     ``all_features``: (feature, slot name, whether the slot holds a list,
     the effective values of an unset slot, whether a count can break the
-    bounds, the type a value must have, whether exactly). As ``values``
-    reads it, the first feature of a name reads the slot."""
+    bounds, the type a value must have, whether exactly, None for a
+    reference). As ``values`` reads it, the first feature of a name reads
+    the slot. dump_model reads the same rows."""
     if t.checks is None:
         rows = []
         for f in t.features:
@@ -566,7 +583,7 @@ def _validate(m: Model, tree: Tree) -> list[Diagnostic]:
     # Containment must be a tree: every object reached exactly once.
     for obj in tree.shared:
         err("model-containment", f"object of class {obj.cls.name} is contained more than once",
-            m.root)
+            obj)
 
     for obj in tree.objects:
         cls = obj.cls
@@ -583,6 +600,9 @@ def _validate(m: Model, tree: Tree) -> list[Diagnostic]:
             if name in slots:
                 v = slots[name]
                 vals = () if v is None else v if many else (v,)
+                if many and type(vals) is not list and v is not None:
+                    err("model-kind", f"{cls.name}.{name}: expected a list, found {v!r}", obj)
+                    continue
             else:
                 vals = unset
             if counted and (problem := miscount(obj, f, len(vals))):
@@ -628,8 +648,9 @@ def model_equals(a: Model, b: Model) -> bool:
     names and kinds, and effective attribute values; each value of a
     containment or cross slot maps to its partner through the pairing.
     Classifier stand-ins compare by classifier name and by whether they
-    are ecore's; values that are not objects compare with ``==``. Shared
-    containment and containment cycles compare like any other slot."""
+    are ecore's; values that are not objects, or a slot that holds no list
+    where one belongs, compare with ``==``. Shared containment and
+    containment cycles compare like any other slot."""
     ta, tb = Tree(a.root), Tree(b.root)
     if len(ta.objects) != len(tb.objects) or len(ta.shared) != len(tb.shared):
         return False
@@ -651,6 +672,10 @@ def model_equals(a: Model, b: Model) -> bool:
                     return False
                 continue
             xs, ys = x.values_of(f), y.values_of(g)
+            if type(xs) not in (list, tuple) or type(ys) not in (list, tuple):
+                if xs != ys:  # a slot that holds no list where one belongs
+                    return False
+                continue
             if len(xs) != len(ys):
                 return False
             for u, v in zip(xs, ys):

@@ -11,11 +11,10 @@ containment inlines its one object. Cross references are ``name = -> #<id>``
 inherited first; unset and empty slots are omitted.
 
 dump_model writes on one explicit stack of frames, each a line still to write
-or an object and the position in its class's layout to go on from; the layout,
-(name, many, attribute | containment | cross) per feature, is kept on the
-class's tables. Objects are numbered as the walk writes their heads; cross
-reference lines are filled in after it. A stand-in's qualified name is looked
-up once per dump.
+or an object and the row of its class to go on from; the rows are
+validate_model's, kept on the class's tables. Objects are numbered as the walk
+writes their heads; cross reference lines are filled in after it. A stand-in's
+qualified name is looked up once per dump.
 
 load_model makes no tokens: one anchored match reads one construct, blanks and
 comments allowed between its lexemes. The constructs: ``Class #n {``; ``name =``
@@ -30,11 +29,10 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 
-from .diagnostics import DiagnosticError, error
 from .lexer import _SKIP, _STRING_OPEN, Lexer, TokenStream, format_literal, token_value
 from .meta import (
-    Classifier, MetaClass, Metamodel, Model, ModelObject, builtin_ecore, classifier_object,
-    classifier_qname, find_classifier_home,
+    Classifier, MetaClass, Metamodel, Model, ModelObject, _checks, builtin_ecore,
+    classifier_object, classifier_qname, find_classifier_home, rejecting,
 )
 
 _LEXER = Lexer(reserved={"true", "false"},
@@ -55,50 +53,38 @@ _ROOT, _FIELD, _ITEM0, _ITEMN, _END, _SEP = (re.compile(_S + p, re.DOTALL) for p
     rf"::{_S}"))
 
 
+@rejecting
 def dump_model(m: Model) -> str:
     """The canonical dump of ``m``, written on one explicit stack. A frame
-    is a line still to write (a list's ``]``) or ``(object, indent, layout
-    position)``: the object's features from that position of its class's
-    layout (``_layout``) on, after its head if the position is -1. A nested
+    is a line still to write (a list's ``]``) or ``(object, indent, row)``:
+    the object's features from that row of validate_model's rows for its
+    class (``meta._checks``) on, after its head if the row is -1. A nested
     object's frame goes on the stack above its container's, which resumes
     after it. Each object is numbered as its head is written, so the ids
     follow the preorder; cross references may point forward, so their
-    lines are written after the walk. An object reached again while its
-    block is open is a containment cycle. A value that does not fit its
-    slot (a model that was not validated) is a ``model-kind`` error,
-    worded as validate_model words it."""
+    lines are written after the walk. A value that does not fit where the
+    walk reads it, or an object reached again while its block is open,
+    raises validate_model's diagnostics (``meta.rejecting``)."""
     ids = {m.root: 1}
     opened = {m.root}  # the objects whose block is not closed yet
     known = [m.metamodel, builtin_ecore()]
     qnames: dict[ModelObject, str] = {}  # stand-in -> its reference, looked up once
-    layouts: dict[MetaClass, tuple] = {}
-    crosses = []  # (line index, line start, object, name, value or values, many), written last
-
-    def kind(obj: ModelObject, name: str, found: str) -> DiagnosticError:
-        return DiagnosticError([error("validate", "model-kind", f"{obj.cls.name}.{name}: {found}",
-                                      path="/")])
+    rows: dict[MetaClass, tuple] = {}
+    crosses = []  # (line index, line start, value or values, many), written last
 
     def open_(v: ModelObject) -> int:
         if v in opened:
-            raise DiagnosticError([error(
-                "validate", "model-containment",
-                f"object of class {v.cls.name} is contained more than once", path="/")])
+            raise TypeError(f"{v!r} is in a containment cycle")
         opened.add(v)
         return ids.setdefault(v, len(ids) + 1)
 
-    def cross(obj: ModelObject, name: str, v: ModelObject) -> str:
-        if not isinstance(v, ModelObject):
-            raise kind(obj, name, f"expected an object, found {v!r}")
+    def cross(v: ModelObject) -> str:
         if v.represents is not None:
             ref = qnames.get(v)
             if ref is None:
                 home = find_classifier_home(v.represents, known)
                 ref = qnames[v] = "-> " + classifier_qname(v.represents, home)
             return ref
-        if v not in ids:
-            raise DiagnosticError([error(
-                "validate", "model-dangling",
-                f"cross reference to an object outside the model ({v.cls.name})", path="/")])
         return f"-> #{ids[v]}"
 
     out = [f"{m.root.cls.name} #1 {{"]
@@ -113,39 +99,28 @@ def dump_model(m: Model) -> str:
         if at < 0:
             out.append(f"{'  ' * indent}{obj.cls.name} #{open_(obj)} {{")
             at = 0
-        slots, layout = obj.slots, layouts.get(obj.cls) or layouts.setdefault(
-            obj.cls, _layout(obj.cls))
+        slots, row = obj.slots, rows.get(obj.cls) or rows.setdefault(
+            obj.cls, _checks(obj.cls.tables()))
         inner = "  " * (indent + 1)
-        for i in range(at, len(layout)):
-            name, many, role = layout[i]
-            if name not in slots:
+        for i in range(at, len(row)):
+            f, name, many, _, _, _, exact = row[i]
+            if (v := slots.get(name)) is None or many and type(v) is list and not v:
                 continue
-            v = slots[name]
-            if many and not v:
-                continue
-            if role == "attribute":
-                try:
-                    out.append(f"{inner}{name} = [{', '.join(map(format_literal, v))}]" if many
-                               else f"{inner}{name} = {format_literal(v)}")
-                except TypeError:  # a value no literal writes
-                    vals = v if many and isinstance(v, list) else (v,)
-                    bad = next((x for x in vals if not isinstance(x, (str, int))), v)
-                    raise kind(obj, name, f"value {bad!r} does not fit attribute type "
-                                          f"{obj.cls.find_feature(name).type.name}") from None
-            elif role == "cross":
-                crosses.append((len(out), f"{inner}{name} = ", obj, name, v, many))
+            if many and type(v) is not list:
+                raise TypeError(f"{name} holds no list")
+            if exact is not None:  # an attribute; format_literal refuses what no literal writes
+                out.append(f"{inner}{name} = [{', '.join(map(format_literal, v))}]" if many
+                           else f"{inner}{name} = {format_literal(v)}")
+            elif not f.containment:
+                crosses.append((len(out), f"{inner}{name} = ", v, many))
                 out.append(None)
             elif many:
                 out.append(f"{inner}{name} = [")
                 push((obj, indent, i + 1))
                 push(f"{inner}]")
                 for child in reversed(v):
-                    if not isinstance(child, ModelObject):
-                        raise kind(obj, name, f"expected an object, found {child!r}")
                     push((child, indent + 2, -1))
                 break
-            elif not isinstance(v, ModelObject):
-                raise kind(obj, name, f"expected an object, found {v!r}")
             else:
                 out.append(f"{inner}{name} = {v.cls.name} #{open_(v)} {{")
                 push((obj, indent, i + 1))
@@ -154,20 +129,9 @@ def dump_model(m: Model) -> str:
         else:
             out.append(f"{'  ' * indent}}}")
             opened.discard(obj)
-    for i, start, obj, name, v, many in crosses:
-        out[i] = start + (f"[{', '.join([cross(obj, name, x) for x in v])}]" if many
-                          else cross(obj, name, v))
+    for i, start, v, many in crosses:
+        out[i] = start + (f"[{', '.join([cross(x) for x in v])}]" if many else cross(v))
     return "\n".join(out) + "\n"
-
-
-def _layout(cls: MetaClass) -> tuple:
-    """dump_model's reading of ``cls``: (name, many, attribute | containment
-    | cross) per feature of ``all_features``, kept on the class's tables."""
-    t = cls.tables()
-    if t.layout is None:
-        t.layout = tuple((f.name, f.many, "attribute" if f.is_attribute else
-                          "containment" if f.containment else "cross") for f in t.features)
-    return t.layout
 
 
 def load_model(text: str, mm: Metamodel, extra_metamodels=(), file: str = "<model>") -> Model:

@@ -28,6 +28,8 @@ the target model, the Tree's preorder being its explicit stack: prototype
 instances yield image instances, slots are read through the target feature
 and written through the image feature each instruction holds, and cross
 references are serialized back into textual payloads by a naming callback.
+Neither direction checks its model before its walk, which only detects a
+value that does not fit or an object reached twice (meta.rejecting).
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ import weakref
 from collections import deque
 from dataclasses import dataclass
 
-from .diagnostics import Diagnostic, DiagnosticError, SourceLocation, error
+from .diagnostics import Diagnostic, DiagnosticError, SourceLocation, error, raise_any
 from .meta import (
     Classifier, MetaAttribute, MetaClass, MetaDataType, MetaFeature, Metamodel,
     Model, ModelObject, Tree, _validate, builtin_ecore, classifier_object,
-    is_subtype, resolve_classifier,
+    is_subtype, rejecting, resolve_classifier, validate_model,
 )
 from .xf import Trace
 
@@ -150,8 +152,7 @@ def build_plan(trace: Trace, target: Metamodel, ast: Metamodel) -> TransformPlan
             stale(f"created class {name!r} is missing from the AST metamodel")
         plan.consume_only.add(name)
 
-    if diags:
-        raise DiagnosticError(diags)
+    raise_any(diags)
     for cls in ast.classes():
         plan.instructions[cls.name] = tuple(
             by_feature[f] for f in cls.all_features() if f in by_feature)
@@ -257,14 +258,17 @@ class ResolutionContext:
 def flatten_payload(payload) -> list[str]:
     """Qualified-name segments of a textual reference payload: strings split
     on '::'; created-class trees flatten head-first (string attributes, then
-    the nested tail)."""
+    the nested tail). A tail that leads back into the tree raises TypeError."""
     if payload is None:
         return []
     if isinstance(payload, str):
         return [s for s in payload.split("::") if s]
     segs: list[str] = []
-    obj = payload
+    obj, seen = payload, set()
     while isinstance(obj, ModelObject):
+        if obj in seen:
+            raise TypeError(obj)
+        seen.add(obj)
         slots = obj.slots
         heads, tails = _payload_names(obj.cls)
         segs += [slots[name] for name in heads if name in slots]
@@ -415,8 +419,10 @@ class _CrossJob:
     index: int
 
 
+@rejecting
 def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
                            registry: ResolverRegistry) -> tuple[Model, list[Diagnostic]]:
+    """The target model of ``ast_model``, with its resolution's and validation's diagnostics."""
     diags: list[Diagnostic] = []
     run = _Forward(plan, registry)
     ns = run.ns
@@ -451,6 +457,8 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
     # Remaining consume-only structure: place mapped children via placers.
     while consume_queue:
         ast_obj, ancestors = consume_queue.popleft()
+        if ast_obj in ancestors:  # inside itself, which no valid AST is
+            raise TypeError(ast_obj)
         chain = (ast_obj,) + ancestors
         placer = registry.placers.get(ast_obj.cls.name)
         placement = None  # computed lazily, once per consume-only object
@@ -506,7 +514,9 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
         # stale trace resolves references into a containment slot
         if any(tf.containment for _, tf, _ in run.buffers):
             tree = Tree(troot)
-        diags.extend(_validate(model, tree))
+        if problems := _validate(model, tree):
+            raise_any(validate_model(ast_model))  # an invalid AST explains an invalid target
+        diags.extend(problems)
     return model, diags
 
 
@@ -524,14 +534,16 @@ class _Forward:
         self.buffers: list[tuple[ModelObject, MetaFeature, list]] = []
         self.scopes: dict[ModelObject, Scope] = {}
         self.resolvers: dict[tuple[MetaClass, str], object] = {}
+        self.entered: set[ModelObject] = set()  # the children build has entered
 
     def build(self, ast_root: ModelObject, ancestors: tuple) -> ModelObject:
         """The target image of ``ast_root``'s subtree, made on an explicit
         stack of (AST object, its image, its ancestor chain, instruction
         position) frames. A containment instruction makes its children's
         images, then their frames run before their container's resumes, so
-        jobs queue in the order a recursive walk would queue them."""
-        plan, proto_for_image = self.plan, self.plan.proto_for_image
+        jobs queue in the order a recursive walk would queue them. A child
+        entered before, or a many-valued slot without a list, raises TypeError."""
+        plan, proto_for_image, entered = self.plan, self.plan.proto_for_image, self.entered
         troot = ModelObject(proto_for_image[ast_root.cls.name])
         stack = [(ast_root, troot, (ast_root,) + ancestors, 0)]
         while stack:
@@ -542,11 +554,17 @@ class _Forward:
                 instr = instrs[i]
                 f, tf = instr.image_feature, instr.target_feature
                 values = ast_obj.values_of(f)
+                if f.many and type(values) is not list and values != ():
+                    raise TypeError(values)
                 if not values:
                     continue
                 if instr.kind == "copy":
                     slots[tf.name] = list(values) if f.many or tf.many else values[0]
                 elif instr.kind == "containment":
+                    n = len(entered)
+                    entered.update(values)
+                    if len(entered) != n + len(values):  # one entered before: no valid AST has it
+                        raise TypeError(values)
                     children = [ModelObject(proto_for_image[c.cls.name]) for c in values]
                     slots[tf.name] = children if tf.many else children[0]
                     stack.append((ast_obj, tobj, chain, i + 1))
@@ -627,6 +645,7 @@ class _PlacementContext:
 # Reverse: target model -> AST model
 
 
+@rejecting
 def transform_model_to_ast(m: Model, plan: TransformPlan,
                            registry: ResolverRegistry) -> tuple[Model, list[Diagnostic]]:
     """The AST image of target model ``m``, with the diagnostics of what has
@@ -635,8 +654,8 @@ def transform_model_to_ast(m: Model, plan: TransformPlan,
     walk fills it on reaching the child, so depth costs no Python stack.
     Slots are read through ``values_of`` (the effective value). ``m`` need
     not be valid: a value of a containment or cross slot that is no object,
-    or an object contained twice, is located and worded as ``validate_model``
-    words it."""
+    an object contained twice, or a many-valued slot that holds no list
+    raises validate_model's diagnostics for ``m`` (meta.rejecting)."""
     root_image = plan.image_for_proto.get(m.root.cls.name)
     if root_image is None:
         raise DiagnosticError([error(
@@ -661,6 +680,8 @@ def transform_model_to_ast(m: Model, plan: TransformPlan,
         for instr in plan.instructions_for(iobj.cls):
             f, tf = instr.image_feature, instr.target_feature
             values = tobj.values_of(tf)
+            if tf.many and type(values) is not list and values != ():
+                raise TypeError(values)
             if not values:
                 continue
             if instr.kind == "copy":
@@ -669,8 +690,7 @@ def transform_model_to_ast(m: Model, plan: TransformPlan,
             out = []
             for v in values:
                 if not isinstance(v, ModelObject):
-                    report("model-kind",
-                           f"{tobj.cls.name}.{tf.name}: expected an object, found {v!r}", tobj)
+                    raise TypeError(v)
                 elif instr.kind == "containment":
                     if v.cls.name in skipped:
                         continue  # skipped classes have no syntax
@@ -678,8 +698,7 @@ def transform_model_to_ast(m: Model, plan: TransformPlan,
                     if image is None:
                         report("reverse-unsupported", f"class {v.cls.name!r} has no AST image", v)
                     elif v in images:
-                        report("model-containment",
-                               f"object of class {v.cls.name} is contained more than once", tobj)
+                        raise TypeError(v)  # contained twice
                     else:
                         images[v] = child = ModelObject(image)
                         out.append(child)
@@ -715,8 +734,7 @@ def parse_config(text: str, file: str = "<config>") -> dict[str, str]:
             continue
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
-    if diags:
-        raise DiagnosticError(diags)
+    raise_any(diags)
     return out
 
 
@@ -788,8 +806,7 @@ def namespace_registry(config: dict[str, str], target: Metamodel,
         reg.place(created, _make_placer(ensure_cls, key_attr, collection, children,
                                         reg.name_attribute))
 
-    if diags:
-        raise DiagnosticError(diags)
+    raise_any(diags)
     return reg
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagnostics import DiagnosticError, SourceLocation, error
+from .diagnostics import DiagnosticError, SourceLocation, error, raise_any
 from .emfatic import KEYWORDS as MM_KEYWORDS
 from .emfatic import SYMBOLS as MM_SYMBOLS
 from .emfatic import FeatureDecl, parse_feature_decl, parse_qname, parse_qnames
@@ -321,8 +321,7 @@ def parse_transformation(text: str, target: Metamodel, file: str = "<xf>") -> Tr
         else:
             stream.fail(f"expected a statement, found '{tok.text}'", token=tok)
 
-    if diags:
-        raise DiagnosticError(diags)
+    raise_any(diags)
     return Transformation(actions)
 
 
@@ -351,8 +350,7 @@ def _images(target: Metamodel) -> tuple[Metamodel, dict[MetaClass, MetaClass]]:
     diags = [error("transformation", "xf-name-collision",
                    f"image name {image_name(proto)!r} collides with an existing class")
              for proto in mapped if image_name(proto) in names]
-    if diags:
-        raise DiagnosticError(diags)
+    raise_any(diags)
 
     images = {proto: MetaClass(image_name(proto), abstract=proto.abstract) for proto in mapped}
     for proto, img in images.items():
@@ -423,8 +421,7 @@ def derive_ast_metamodel(target: Metamodel, t: Transformation) -> tuple[Metamode
             continue
         created[a.name] = MetaClass(a.name, abstract=a.abstract)
         ast.classifiers.append(created[a.name])
-    if diags:
-        raise DiagnosticError(diags)
+    raise_any(diags)
 
     def resolve_ref(ref: AstRef, loc) -> Classifier | None:
         if isinstance(ref, CreatedRef):
@@ -550,8 +547,7 @@ def derive_ast_metamodel(target: Metamodel, t: Transformation) -> tuple[Metamode
 
     if not diags:
         diags = [error("transformation", d.code, d.message) for d in validate_metamodel(ast)]
-    if diags:
-        raise DiagnosticError(diags)
+    raise_any(diags)
     return ast, _trace(images, removed, decisions, list(created))
 
 

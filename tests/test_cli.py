@@ -673,7 +673,10 @@ class TestFuzzConfig:
             cut = at % (len(value) + 1)
             lines[i] = key + "= " + {"splice": value[:cut] + junk + value[cut:],
                                      "truncate": value[:cut], "replace": junk}[edit]
-            (d / cfg).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            # a lone surrogate has no UTF-8 form: it is written as its bytes, which no
+            # UTF-8 text holds, so the run reports the file as not UTF-8
+            (d / cfg).write_text("\n".join(lines) + "\n", encoding="utf-8",
+                                 errors="surrogatepass")
             for argv in fuzz_argv(d, *FUZZ_SAMPLES[sample]):
                 out, err = io.StringIO(), io.StringIO()
                 start = time.perf_counter()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mmdsl.diagnostics import DiagnosticError, error
 from mmdsl.emfatic import parse_metamodel
-from mmdsl.grammar import parse_grammar, parse_text
+from mmdsl.grammar import parse_grammar, parse_text, render_ast
 from mmdsl.lexer import Lexer, Token, TokenStream
 from mmdsl.meta import (
     UNBOUNDED, MetaAttribute, MetaClass, MetaDataType, Metamodel, MetaReference, Model,
@@ -420,8 +420,8 @@ class TestDumpAgainstReference:
 
     @pytest.mark.parametrize("slot", ["kids", "one"])
     def test_a_containment_cycle_is_a_diagnostic(self, slot):
-        """An object reached again while its block is open is reported, not
-        written forever."""
+        """An object reached again while its block is open stops the dump,
+        which raises validate_model's diagnostics instead of writing forever."""
         mm, node = deep_mm()
         obj, inner = ModelObject(node), ModelObject(node)
         obj.set("kids", [ModelObject(node), inner])
@@ -431,27 +431,64 @@ class TestDumpAgainstReference:
             with pytest.raises(DiagnosticError) as exc:
                 dump_model(Model(root, mm))
             assert time.perf_counter() - start < 1
-            assert [(d.code, d.message, d.path) for d in exc.value.diagnostics] == [
+            got = [(d.code, d.message, d.path) for d in exc.value.diagnostics]
+            assert got == [(d.code, d.message, d.path) for d in validate_model(Model(root, mm))]
+            assert got == [
                 ("model-containment", "object of class Node is contained more than once", "/")]
 
     def test_values_that_do_not_fit_are_diagnostics(self):
-        """On a model that was not validated, a value that does not fit its
-        slot is a model-kind error, worded as validate_model words it."""
-        mm = parse_metamodel("class Node { val Node[*] kids; attr int n; ref Node[*] peers; }",
-                             "m")
-        node = mm.classifier("Node")
-        for slot, value, message in [
+        """On a model that was not validated, the first value that does not
+        fit where dump_model or render_ast reads it stops them, and they
+        raise exactly validate_model's diagnostics, located at the slot's
+        object. render_ast writes no cross reference, so it reads no object
+        in one."""
+        mm, node, g = slots_language()
+        for slot, value, found in [
                 ("kids", [5], "Node.kids: expected an object, found 5"),
                 ("n", [1, 2], "Node.n: value [1, 2] does not fit attribute type int"),
-                ("peers", ["x"], "Node.peers: expected an object, found 'x'")]:
-            root = ModelObject(node, kids=[ModelObject(node)])
-            root.slots[slot] = value
-            m = Model(root, mm)
-            with pytest.raises(DiagnosticError) as exc:
-                dump_model(m)
-            assert [(d.code, d.message, d.path) for d in exc.value.diagnostics] == [
-                ("model-kind", message, "/")]
-            assert message in [d.message for d in validate_model(m)]
+                ("peers", ["x"], "Node.peers: expected an object, found 'x'"),
+                ("kids", "node", "Node.kids: expected a list, found <Node ''>"),
+                ("peers", "node", "Node.peers: expected a list, found <Node ''>"),
+                ("ns", 5, "Node.ns: expected a list, found 5"),
+                ("names", "abc", "Node.names: expected a list, found 'abc'"),
+                ("names", ("a", "b"), "Node.names: expected a list, found ('a', 'b')")]:
+            child = ModelObject(node, ns=[1])
+            m = Model(ModelObject(node, kids=[child, ModelObject(node)]), mm)
+            assert render_ast(m, g) == "node { node ns 1 node }\n"
+            child.slots[slot] = ModelObject(node) if value == "node" else value
+            want = [("model-kind", found, "/kids[0]")]
+            assert [(d.code, d.message, d.path) for d in validate_model(m)] == want
+            for walker in (dump_model, lambda m: render_ast(m, g)):
+                if value == ["x"] and walker is not dump_model:
+                    assert render_ast(m, g) == "node { node ns 1 node }\n"
+                    continue
+                with pytest.raises(DiagnosticError) as exc:
+                    walker(m)
+                assert [(d.code, d.message, d.path) for d in exc.value.diagnostics] == want
+            assert model_equals(m, m)
+            assert iter_tree(m.root) == [m.root, child, m.root.slots["kids"][1]]
+
+    def test_a_string_is_not_read_as_its_characters(self):
+        """model_equals compares a slot that holds no list with ``==``."""
+        mm, node, g = slots_language()
+        split, whole = (Model(ModelObject(node, names=["a", "b", "c"]), mm),
+                        Model(ModelObject(node), mm))
+        whole.root.slots["names"] = "abc"
+        assert render_ast(split, g) == "node names a names b names c\n"
+        assert model_equals(split, whole) is False and model_equals(whole, whole) is True
+        peers = Model(ModelObject(node, peers=[]), mm)
+        peers.root.slots["peers"] = 5
+        assert model_equals(peers, peers) is True and model_equals(split, peers) is False
+
+
+def slots_language():
+    """A class with a slot of each shape, and a grammar that writes all but
+    the cross references: (metamodel, the class, grammar)."""
+    mm = parse_metamodel("class Node { val Node[*] kids; attr int n; ref Node[*] peers; "
+                         "attr int[*] ns; attr String[*] names; }", "m")
+    g = parse_grammar('Node : "node" ( "n" n = INT )? ( "ns" ns += INT )* '
+                      '( "names" names += ID )* ( "{" ( kids += Node )* "}" )? ;', mm)
+    return mm, mm.classifier("Node"), g
 
 
 def load_outcome(load, text: str, mm=RICH, extra=(EXTRA,)):

@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,7 @@ from mmdsl.grammar import parse_grammar, parse_text, render_ast
 from mmdsl.modeltext import dump_model, load_model
 from mmdsl.meta import (
     MetaAttribute, MetaClass, MetaDataType, MetaReference, Model, ModelObject, Tree,
-    builtin_ecore, classifier_object, model_equals, validate_model,
+    builtin_ecore, classifier_object, iter_tree, model_equals, validate_model,
 )
 from mmdsl.transform import (
     DEFER, Namespace, ResolverRegistry, _Forward, build_plan, flatten_payload,
@@ -920,31 +922,43 @@ class TestForwardLookups:
 
 
 class TestReverseUnvalidated:
-    """A model validate_model rejects reverses to diagnostics, not a traceback:
-    a value of a containment or cross slot that is no object is model-kind,
-    worded as validate_model words it, at the object's path."""
+    """A model validate_model rejects reverses to diagnostics, not a
+    traceback: on a value of a containment or cross slot that is no object,
+    or an object contained twice, the reverse raises exactly
+    validate_model's diagnostics for the model."""
+
+    def diagnostics(self, m, plan, registry):
+        with pytest.raises(DiagnosticError) as exc:
+            transform_model_to_ast(m, plan, registry)
+        got = [(d.code, d.message, d.path) for d in exc.value.diagnostics]
+        assert got == [(d.code, d.message, d.path) for d in validate_model(m)]
+        return got
 
     def test_non_objects(self, selfhost):
         target, t, ast, trace, g, plan, registry = selfhost
         m = load_model("Transformation #1 { actions = [ SkipClass #2 { target = 5 }, 7, "
                        'SkipClass #3 { target = "x" } ] }', target)
-        _, diags = transform_model_to_ast(m, plan, registry)
-        got = [(d.code, d.message, d.path) for d in diags]
-        assert got == [
+        assert self.diagnostics(m, plan, registry) == [
             ("model-kind", "Transformation.actions: expected an object, found 7", "/"),
             ("model-kind", "SkipClass.target: expected an object, found 5", "/actions[0]"),
             ("model-kind", "SkipClass.target: expected an object, found 'x'", "/actions[2]")]
-        assert set(got) <= {(d.code, d.message, d.path) for d in validate_model(m)}
 
     def test_containment_cycle(self, nested_lang):
         target, g, plan, registry = nested_lang
         p = ModelObject(target.classifier("Package"), name="p")
         p.slots["packages"] = [p]
         m = Model(ModelObject(target.classifier("Model"), packages=[p]), target)
-        _, diags = transform_model_to_ast(m, plan, registry)
-        assert [(d.code, d.message, d.path) for d in diags] == [
+        assert self.diagnostics(m, plan, registry) == [
             ("model-containment", "object of class Package is contained more than once",
              "/packages[0]")]
+
+    def test_a_many_valued_slot_without_a_list(self, nested_lang):
+        """A string in a many-valued slot is not read as its characters."""
+        target, g, plan, registry = nested_lang
+        m = Model(ModelObject(target.classifier("Model"), packages=[]), target)
+        m.root.slots["packages"] = "abc"
+        assert self.diagnostics(m, plan, registry) == [
+            ("model-kind", "Model.packages: expected a list, found 'abc'", "/")]
 
 
 def test_model_to_ast_makes_no_lookup_by_name(css, selfhost, monkeypatch):
@@ -978,3 +992,109 @@ def test_model_to_ast_makes_no_lookup_by_name(css, selfhost, monkeypatch):
     assert refused == ["reverse-unsupported"] * 2 and len(models) > 3
     assert [(dump_model(a), diags) for a, diags in reversed_models] == [
         (dump_model(ref_model_to_ast(*args)[0]), []) for args in models]
+
+
+@contextmanager
+def time_bound(seconds: float):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+    def stop(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def bounded_outcome(fn, *args):
+    """``fn``'s result, or the diagnostics it raised, within a time bound."""
+    with time_bound(5):
+        try:
+            return "ok", fn(*args)
+        except DiagnosticError as exc:
+            return "diagnostics", exc.diagnostics
+
+
+def corruption_sites(root):
+    """Each (object, feature, corruption) that one-slot corruptions of the
+    tree below ``root`` can take, with the object's ancestors, itself
+    first: a scalar in a many-valued slot, a list in a single-valued one,
+    a non-object in a reference and an ancestor in a containment slot."""
+    tree, sites = Tree(root), []
+    for obj in tree.objects:
+        chain, up = [], obj
+        while up is not None:
+            chain.append(up)
+            up = tree.container(up)
+        for f in obj.cls.all_features():
+            kinds = ["scalar" if f.many else "list"] + ["non-object"] * (not f.is_attribute) + \
+                ["ancestor"] * f.containment
+            sites += [(obj, f, kind, chain) for kind in kinds]
+    return sites
+
+
+SAMPLE_TEXTS = {"css": "grouped.css", "selfhost": "xf.xf"}
+
+
+class TestOneModelCheck:
+    """validate_model words every problem of a model; the walkers that read
+    a caller's model unchecked only detect one where they read it. On a
+    sample model with one slot corrupted, every entry point returns or
+    raises DiagnosticError, in time, and every model-* diagnostic it gives
+    is one validate_model gives for the model it was handed."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_one_corrupted_slot(self, css, selfhost, data):
+        name = data.draw(st.sampled_from(sorted(SAMPLE_TEXTS)), label="language")
+        target, _, ast, _, g, plan, registry = css if name == "css" else selfhost
+        text = (SAMPLES / name / SAMPLE_TEXTS[name]).read_text()
+        ast_model = parse_text(text, g)
+        on_ast = data.draw(st.booleans(), label="corrupt the AST")
+        m = ast_model if on_ast else transform_ast_to_model(ast_model, plan, registry)[0]
+        fresh = parse_text(text, g) if on_ast else \
+            transform_ast_to_model(parse_text(text, g), plan, registry)[0]
+        obj, f, kind, chain = data.draw(st.sampled_from(corruption_sites(m.root)), label="site")
+        objects = Tree(m.root).objects
+        if kind == "scalar":
+            value = data.draw(st.sampled_from([5, 0, "abc", "", True, 2.5, "an object"]))
+            obj.slots[f.name] = objects[-1] if value == "an object" else value
+        elif kind == "list":
+            obj.slots[f.name] = [obj.slots.get(f.name, "x")]
+        else:
+            value = data.draw(st.sampled_from([5, "x", 2.5]) if kind == "non-object"
+                              else st.sampled_from(chain))
+            if f.many:
+                values = list(obj.slots.get(f.name, []))
+                values.insert(data.draw(st.integers(0, len(values))), value)
+                obj.slots[f.name] = values
+            else:
+                obj.slots[f.name] = value
+
+        found = bounded_outcome(validate_model, m)
+        assert found[0] == "ok" and found[1]
+        words = {(d.code, d.message, d.path) for d in found[1]}
+        calls = [(iter_tree, m.root), (dump_model, m), (model_equals, m, m),
+                 (model_equals, m, fresh), (model_equals, fresh, m)]
+        calls += [(render_ast, m, g), (transform_ast_to_model, m, plan, registry)] if on_ast \
+            else [(transform_model_to_ast, m, plan, registry)]
+        for fn, *args in calls:
+            got = bounded_outcome(fn, *args)
+            if fn is model_equals:
+                assert got[0] == "ok" and type(got[1]) is bool
+            diags = got[1] if got[0] == "diagnostics" else \
+                got[1][1] if fn in (transform_ast_to_model, transform_model_to_ast) else []
+            assert {(d.code, d.message, d.path) for d in diags
+                    if d.code.startswith("model-")} <= words, fn.__name__
+
+    def test_a_containment_cycle_in_the_ast_ends(self, selfhost):
+        """The forward enters each AST object once, so a cycle stops it."""
+        target, _, ast, _, g, plan, registry = selfhost
+        m = parse_text((SAMPLES / "selfhost" / "xf.xf").read_text(), g)
+        m.root.slots["actions"].insert(1, m.root)
+        with time_bound(5), pytest.raises(DiagnosticError) as exc:
+            transform_ast_to_model(m, plan, registry)
+        assert exc.value.diagnostics == validate_model(m)
+        assert [(d.code, d.path) for d in exc.value.diagnostics][:1] == [("model-containment", "/")]
