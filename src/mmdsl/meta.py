@@ -646,11 +646,11 @@ def model_equals(a: Model, b: Model) -> bool:
     Trees of ``a.root`` and ``b.root`` list as many objects, and reach as
     many again; the i-th objects pair up, with equal class names, feature
     names and kinds, and effective attribute values; each value of a
-    containment or cross slot maps to its partner through the pairing.
-    Classifier stand-ins compare by classifier name and by whether they
-    are ecore's; values that are not objects, or a slot that holds no list
-    where one belongs, compare with ``==``. Shared containment and
-    containment cycles compare like any other slot."""
+    containment or cross slot maps to its partner through the pairing, an
+    object outside ``a``'s tree to itself. Classifier stand-ins compare by
+    classifier name and by whether they are ecore's; values that are not
+    objects, or a slot that holds no list where one belongs, compare with
+    ``==``. Shared containment and cycles compare like any other slot."""
     ta, tb = Tree(a.root), Tree(b.root)
     if len(ta.objects) != len(tb.objects) or len(ta.shared) != len(tb.shared):
         return False
@@ -683,7 +683,7 @@ def model_equals(a: Model, b: Model) -> bool:
                     if u != v:
                         return False
                 elif u.represents is None and v.represents is None:
-                    if partner.get(u) is not v:
+                    if partner.get(u, u) is not v:
                         return False
                 elif (u.represents is None or v.represents is None
                       or u.represents.name != v.represents.name

@@ -5,13 +5,14 @@ TransformPlan: per image class, the prototype to instantiate and one
 instruction per feature (copy-attribute, map-containment, or resolve-cross
 with the recorded textual type). transform_ast_to_model runs the plan in
 two passes: pass one creates prototype instances on an explicit stack,
-copying attributes and containment; one walk of the target tree (a
-meta.Tree) then binds every named object in its scope, and the same Tree
-locates failed references and validates the result; pass two feeds every
-textual reference payload to a resolver callback that returns the target
-object, returns DEFER to be asked once more after every other reference
-(the one way to wait for a name that a resolver defines later), or reports
-the name unresolved. Created
+copying attributes and containment and making one ResolutionContext per
+textual reference; one walk of the target tree (a meta.Tree) then binds
+every named object in its scope, and the same Tree locates failed
+references and validates the result; pass two hands each context to a
+resolver callback that returns the target object, returns DEFER to be
+asked once more with the same context after every other reference (the
+one way to wait for a name that a resolver defines later), or reports the
+name unresolved. Created
 (syntax-only) classes produce nothing themselves: their instances are
 either consumed as reference payloads or, for structures like rule blocks,
 handed to a placement callback that decides which manually constructed
@@ -182,10 +183,14 @@ class Scope:
         return self.children[name]
 
     def path(self) -> str:
-        if self.parent is None:
-            return ""
-        prefix = self.parent.path()
-        return f"{prefix}::{self.name}" if prefix else self.name
+        """'::'-joined scope names from the root down, leading empty ones left out."""
+        names, scope = [], self
+        while scope.parent is not None:
+            names.append(scope.name)
+            scope = scope.parent
+        while names and not names[-1]:
+            names.pop()
+        return "::".join(reversed(names))
 
 
 class Namespace:
@@ -241,15 +246,18 @@ class Namespace:
 
 @dataclass
 class ResolutionContext:
+    """One textual reference as its resolver sees it. The forward's build
+    makes one per reference; ``target_root`` and ``scope`` (where the target
+    object is bound) are filled in once names are bound, and a DEFERred
+    reference is asked again with the same context."""
     ast_object: ModelObject
-    ast_ancestors: tuple[ModelObject, ...]  # innermost first, up to the AST root
     target_object: ModelObject
     target_feature: object
-    target_root: ModelObject
     payload: object  # string or consumed created-class subtree
     textual: Classifier | None
     namespace: Namespace
-    scope: Scope
+    target_root: ModelObject | None = None
+    scope: Scope | None = None
 
     def segments(self) -> list[str]:
         return flatten_payload(self.payload)
@@ -348,11 +356,8 @@ class ResolverRegistry:
         return self
 
     def resolver_for(self, owner: MetaClass, feature_name: str):
-        r = self.resolvers.get((owner.name, feature_name))
-        if r is not None:
-            return r
-        for sup in owner.all_supertypes():
-            r = self.resolvers.get((sup.name, feature_name))
+        for cls in (owner, *owner.all_supertypes()):
+            r = self.resolvers.get((cls.name, feature_name))
             if r is not None:
                 return r
         return self.default_resolver
@@ -408,40 +413,28 @@ def default_namer(obj: ModelObject, registry: ResolverRegistry, tree: Tree) -> l
 # Forward: AST model -> target model
 
 
-@dataclass
-class _CrossJob:
-    ast_object: ModelObject
-    ancestors: tuple
-    target_object: ModelObject
-    instr: Instruction
-    payload: object
-    buffer: list
-    index: int
-
-
 @rejecting
 def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
                            registry: ResolverRegistry) -> tuple[Model, list[Diagnostic]]:
     """The target model of ``ast_model``, with its resolution's and validation's diagnostics."""
     diags: list[Diagnostic] = []
     run = _Forward(plan, registry)
-    ns = run.ns
+    ns, entered = run.ns, run.entered
 
     # Root: a mapped root transforms to the target root; a consume-only root
     # (compilation unit) passes the torch to its single mapped subtree, or to
     # the configured root constructor when it has none.
     root = ast_model.root
     root_candidate: ModelObject | None = None
-    consume_queue: deque[tuple[ModelObject, tuple]] = deque()
+    consume_queue: deque[ModelObject] = deque()
     if plan.is_mapped(root.cls):
-        troot = run.build(root, ())
+        troot = run.build(root)
     elif plan.is_consume_only(root.cls):
-        mapped_children = []
-        for f in root.cls.containments():
-            mapped_children += [c for c in root.values_of(f) if plan.is_mapped(c.cls)]
+        mapped_children = [c for f in root.cls.containments() for c in root.values_of(f)
+                           if plan.is_mapped(c.cls)]
         if len(mapped_children) == 1:
             root_candidate = mapped_children[0]
-            troot = run.build(root_candidate, (root,))
+            troot = run.build(root_candidate)
         elif not mapped_children and registry.root_constructor is not None:
             troot = registry.root_constructor()
         else:
@@ -449,17 +442,17 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
                 "resolve", "resolve-root",
                 f"consume-only root {root.cls.name!r} has {len(mapped_children)} mapped "
                 f"subtree(s) and no root constructor covers this case")])
-        consume_queue.append((root, ()))
+        consume_queue.append(root)
     else:
         raise DiagnosticError([error("resolve", "resolve-root",
                                      f"AST root class {root.cls.name!r} is not in the plan")])
 
     # Remaining consume-only structure: place mapped children via placers.
     while consume_queue:
-        ast_obj, ancestors = consume_queue.popleft()
-        if ast_obj in ancestors:  # inside itself, which no valid AST is
+        ast_obj = consume_queue.popleft()
+        if ast_obj in entered:  # reached twice, which no valid AST is
             raise TypeError(ast_obj)
-        chain = (ast_obj,) + ancestors
+        entered.add(ast_obj)
         placer = registry.placers.get(ast_obj.cls.name)
         placement = None  # computed lazily, once per consume-only object
         for f in ast_obj.cls.containments():
@@ -467,7 +460,7 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
                 if child is root_candidate:
                     continue  # already transformed as the root
                 if plan.is_consume_only(child.cls):
-                    consume_queue.append((child, chain))
+                    consume_queue.append(child)
                 elif plan.is_mapped(child.cls):
                     if placer is None:
                         diags.append(error(
@@ -476,43 +469,49 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
                             f"{ast_obj.cls.name}", path="/"))
                         continue
                     if placement is None:
-                        placement = placer(_PlacementContext(
-                            ast_obj, chain, troot, ns, registry, diags)) or False
+                        placement = placer(_PlacementContext(ast_obj, troot, ns, diags)) or False
                     if placement is False:
                         continue  # the placer reported why
                     container, feature_name = placement
                     # validate_model reports a feature name the container lacks
-                    container.slots.setdefault(feature_name, []).append(run.build(child, chain))
+                    container.slots.setdefault(feature_name, []).append(run.build(child))
 
     # Bind named target objects so resolvers can look them up; scope classes
     # open nested scopes for their subtrees.
     tree = run.bind(troot)
 
-    deferred: list[_CrossJob] = []
-    failed: list[tuple[ModelObject, str, str]] = []
-    for job in run.jobs:
-        result = run.resolve(job, troot)
-        if result is DEFER:
-            deferred.append(job)
-        else:
-            _settle(job, result, failed)
-    for job in deferred:  # one retry once every object exists
-        result = run.resolve(job, troot)
-        _settle(job, None if result is DEFER else result, failed)
+    # Ask each reference's resolver in the order build met them, then once
+    # more each that returned DEFER, with the same context.
+    contexts = run.contexts
+    resolved: list = [None] * len(contexts)
+    deferred, failed = [], []  # (resolver, index); (target object, code, message)
+    for tobj, _, resolver, start, stop in run.slots:
+        scope = run.scopes.get(tobj, ns.root)
+        for i in range(start, stop):
+            ctx = contexts[i]
+            ctx.target_root, ctx.scope = troot, scope
+            result = resolver(ctx)
+            if result is DEFER:
+                deferred.append((resolver, i))
+            else:
+                resolved[i] = _settle(ctx, result, failed)
+    for resolver, i in deferred:  # one retry once every object exists
+        result = resolver(contexts[i])
+        resolved[i] = _settle(contexts[i], None if result is DEFER else result, failed)
     diags.extend(error("resolve", code, message, path=tree.path(tobj) or "/")
                  for tobj, code, message in failed)
 
-    for tobj, f, buffer in run.buffers:
-        values = [v for v in buffer if v is not None]
+    for tobj, tf, _, start, stop in run.slots:
+        values = [v for v in resolved[start:stop] if v is not None]
         if values:
-            tobj.slots[f.name] = values if f.many else values[0]
+            tobj.slots[tf.name] = values if tf.many else values[0]
 
     diags.extend(ns.diagnostics)
     model = Model(troot, plan.target)
     if not any(d.severity == "error" for d in diags):
         # resolvers edit no containment, so bind's Tree still holds, unless a
         # stale trace resolves references into a containment slot
-        if any(tf.containment for _, tf, _ in run.buffers):
+        if any(tf.containment for _, tf, *_ in run.slots):
             tree = Tree(troot)
         if problems := _validate(model, tree):
             raise_any(validate_model(ast_model))  # an invalid AST explains an invalid target
@@ -522,32 +521,34 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
 
 class _Forward:
     """The state of one transform_ast_to_model run: the namespace, the
-    cross-reference jobs that pass one queues for pass two, their result
-    buffers, the scope each target object was bound in, and the resolver of
-    each (AST class, feature) asked so far."""
+    ResolutionContext of each reference in build order, the cross slots
+    they fill (target object, feature, resolver, range in ``contexts``),
+    the scope each target object was bound in, the resolver of each (AST
+    class, feature) looked up so far, and the AST objects entered."""
 
     def __init__(self, plan: TransformPlan, registry: ResolverRegistry):
         self.plan = plan
         self.registry = registry
         self.ns = registry.make_namespace()
-        self.jobs: list[_CrossJob] = []
-        self.buffers: list[tuple[ModelObject, MetaFeature, list]] = []
+        self.contexts: list[ResolutionContext] = []
+        self.slots: list[tuple[ModelObject, MetaFeature, object, int, int]] = []
         self.scopes: dict[ModelObject, Scope] = {}
         self.resolvers: dict[tuple[MetaClass, str], object] = {}
-        self.entered: set[ModelObject] = set()  # the children build has entered
+        self.entered: set[ModelObject] = set()
 
-    def build(self, ast_root: ModelObject, ancestors: tuple) -> ModelObject:
+    def build(self, ast_root: ModelObject) -> ModelObject:
         """The target image of ``ast_root``'s subtree, made on an explicit
-        stack of (AST object, its image, its ancestor chain, instruction
-        position) frames. A containment instruction makes its children's
-        images, then their frames run before their container's resumes, so
-        jobs queue in the order a recursive walk would queue them. A child
-        entered before, or a many-valued slot without a list, raises TypeError."""
+        stack of (AST object, its image, instruction position) frames. A
+        containment instruction makes its children's images, then their
+        frames run before their container's resumes, so references get
+        their contexts in the order a recursive walk would meet them. A
+        child entered before, or a many-valued slot without a list, raises
+        TypeError."""
         plan, proto_for_image, entered = self.plan, self.plan.proto_for_image, self.entered
         troot = ModelObject(proto_for_image[ast_root.cls.name])
-        stack = [(ast_root, troot, (ast_root,) + ancestors, 0)]
+        stack = [(ast_root, troot, 0)]
         while stack:
-            ast_obj, tobj, chain, at = stack.pop()
+            ast_obj, tobj, at = stack.pop()
             slots, instrs = tobj.slots, plan.instructions_for(ast_obj.cls)
             # slots are read and written through the features the plan holds
             for i in range(at, len(instrs)):
@@ -567,15 +568,18 @@ class _Forward:
                         raise TypeError(values)
                     children = [ModelObject(proto_for_image[c.cls.name]) for c in values]
                     slots[tf.name] = children if tf.many else children[0]
-                    stack.append((ast_obj, tobj, chain, i + 1))
-                    stack += [(c, t, (c,) + chain, 0)
-                              for c, t in zip(reversed(values), reversed(children))]
+                    stack.append((ast_obj, tobj, i + 1))
+                    stack += [(c, t, 0) for c, t in zip(reversed(values), reversed(children))]
                     break
                 else:
-                    buffer = [None] * len(values)
-                    self.buffers.append((tobj, tf, buffer))
-                    for n, p in enumerate(values):
-                        self.jobs.append(_CrossJob(ast_obj, chain, tobj, instr, p, buffer, n))
+                    key = (ast_obj.cls, f.name)
+                    resolver = self.resolvers.get(key)
+                    if resolver is None:
+                        resolver = self.resolvers[key] = self.registry.resolver_for(*key)
+                    start = len(self.contexts)
+                    self.contexts += [ResolutionContext(ast_obj, tobj, tf, p, instr.textual,
+                                                        self.ns) for p in values]
+                    self.slots.append((tobj, tf, resolver, start, len(self.contexts)))
         return troot
 
     def bind(self, troot: ModelObject) -> Tree:
@@ -600,44 +604,29 @@ class _Forward:
             inner[obj] = scope
         return tree
 
-    def resolve(self, job: _CrossJob, troot: ModelObject):
-        ctx = ResolutionContext(
-            ast_object=job.ast_object, ast_ancestors=job.ancestors,
-            target_object=job.target_object, target_feature=job.instr.target_feature,
-            target_root=troot, payload=job.payload, textual=job.instr.textual,
-            namespace=self.ns, scope=self.scopes.get(job.target_object, self.ns.root))
-        key = (job.ast_object.cls, job.instr.image_feature.name)
-        resolver = self.resolvers.get(key)
-        if resolver is None:
-            resolver = self.resolvers[key] = self.registry.resolver_for(*key)
-        return resolver(ctx)
 
-
-def _settle(job: _CrossJob, result, failed: list):
-    """Buffer the resolved object of ``job``, or add to ``failed`` the code
-    and message of why there is none."""
+def _settle(ctx: ResolutionContext, result, failed: list):
+    """``result`` if it is an object that fits ``ctx``'s target feature;
+    otherwise None, and ``failed`` gets the code and message of why."""
+    tobj, tf = ctx.target_object, ctx.target_feature
     if result is None:
-        name = "::".join(flatten_payload(job.payload)) or "<empty>"
-        failed.append((job.target_object, "resolve-unresolved",
-                       f"unresolved reference '{name}' in "
-                       f"{job.target_object.cls.name}.{job.instr.target_feature.name}"))
-    elif not isinstance(result, ModelObject) or not is_subtype(
-            result.cls, job.instr.target_feature.type):
+        name = "::".join(flatten_payload(ctx.payload)) or "<empty>"
+        failed.append((tobj, "resolve-unresolved",
+                       f"unresolved reference '{name}' in {tobj.cls.name}.{tf.name}"))
+    elif not isinstance(result, ModelObject) or not is_subtype(result.cls, tf.type):
         got = result.cls.name if isinstance(result, ModelObject) else type(result).__name__
-        failed.append((job.target_object, "resolve-type",
-                       f"resolved object of class {got} does not conform to "
-                       f"{job.instr.target_feature.type.name}"))
+        failed.append((tobj, "resolve-type",
+                       f"resolved object of class {got} does not conform to {tf.type.name}"))
     else:
-        job.buffer[job.index] = result
+        return result
+    return None
 
 
 @dataclass
 class _PlacementContext:
     ast_object: ModelObject
-    ancestors: tuple
     target_root: ModelObject
     namespace: Namespace
-    registry: ResolverRegistry
     diagnostics: list
 
 

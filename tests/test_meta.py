@@ -240,6 +240,15 @@ class TestModelEquals:
         m = Model(tree(node, "a", tree(node, "b")), mm)
         assert model_equals(m, m)
 
+    def test_a_reference_outside_the_tree(self):
+        """A cross value outside the tree pairs only with itself."""
+        mm, node = simple_mm()
+        stray = tree(node, "s")
+        m = Model(tree(node, "a", link=stray), mm)
+        assert model_equals(m, m) and ref_model_equals(m, m)
+        other = Model(tree(node, "a", link=tree(node, "s")), mm)
+        assert not model_equals(m, other) and not ref_model_equals(m, other)
+
     def test_attribute_difference(self):
         mm, node = simple_mm()
         a = Model(tree(node, "a"), mm)
@@ -422,7 +431,7 @@ def ref_model_equals(a: Model, b: Model) -> bool:
                 if (hx is ECORE) != (hy is ECORE):
                     return False
             else:
-                if corr.get(tx) is not ty:
+                if corr.get(tx, tx) is not ty:  # one outside the tree pairs with itself
                     return False
     return True
 
@@ -910,6 +919,15 @@ class TestValidateModelAgainstReference:
         assert [(d.path, d.message) for d in diags] == [
             ("/pair[0]", "Node.pair: 0 value(s) violate bounds 1..2")]
         assert diags == ref_validate_model(Model(root, mm))
+
+
+class TestModelEqualsIsReflexive:
+    @settings(max_examples=400, deadline=None)
+    @given(checked_models())
+    def test_a_model_equals_itself(self, m):
+        """Whatever its slots hold: objects outside the tree, shared
+        children, cycles, values that do not fit and unknown slots."""
+        assert model_equals(m, m)
 
 
 class TestSlotValues:

@@ -15,7 +15,8 @@ from mmdsl.meta import (
     builtin_ecore, classifier_object, iter_tree, model_equals, validate_model,
 )
 from mmdsl.transform import (
-    DEFER, Namespace, ResolverRegistry, _Forward, build_plan, flatten_payload,
+    DEFER, Namespace, ResolutionContext, ResolverRegistry, _Forward, build_plan,
+    flatten_payload,
     namespace_registry, parse_config, transform_ast_to_model,
     transform_model_to_ast,
 )
@@ -119,6 +120,26 @@ class TestNamespace:
         ns.define([], "x", object())
         ns.define([], "x", object())
         assert [d.code for d in ns.diagnostics] == ["name-duplicate"]
+
+    def test_a_duplicate_in_a_deep_scope(self):
+        """Scope.path reads the parent links without recursion, so the
+        duplicate in a scope 3,000 deep is worded, with the whole path."""
+        ns = Namespace()
+        path = [f"s{i}" for i in range(3000)]
+        assert ns.define(path, "x", object()) and not ns.define(path, "x", object())
+        assert [(d.code, d.message) for d in ns.diagnostics] == [
+            ("name-duplicate", f"'x' is already defined in scope '{'::'.join(path)}'")]
+
+    def test_scope_paths_agree_with_the_recursive_path(self):
+        def ref_path(scope):
+            if scope.parent is None:
+                return ""
+            prefix = ref_path(scope.parent)
+            return f"{prefix}::{scope.name}" if prefix else scope.name
+
+        ns = Namespace()
+        for path in ([], [""], ["", ""], ["a"], ["", "a", "", "b"], ["a", ""], [":", "b"]):
+            assert ns.scope(path).path() == ref_path(ns.scope(path))
 
     def test_ecore_seeding(self, selfhost):
         *_, registry = selfhost
@@ -245,6 +266,19 @@ class TestCssMerge:
         assert all(diags == [] for _, diags in got)
         assert outside == []
         assert inside  # the counter does see the placers' lookups
+
+    def test_a_consume_only_object_contained_twice(self, css):
+        """The forward enters each consume-only object once, as it does each
+        mapped child, so a rule contained twice raises validate_model's
+        diagnostics, whether or not it holds mapped children."""
+        target, t, ast, trace, g, plan, registry = css
+        for rule in (".empty { }\n", '.some { width : "1px" ; }\n'):
+            m = parse_text(rule + (SAMPLES / "css" / "grouped.css").read_text(), g)
+            m.root.slots["rules"].append(m.root.slots["rules"][0])
+            with time_bound(5), pytest.raises(DiagnosticError) as exc:
+                transform_ast_to_model(m, plan, registry)
+            assert exc.value.diagnostics == validate_model(m)
+            assert [d.code for d in exc.value.diagnostics] == ["model-containment"]
 
 
 class TestReverse:
@@ -637,6 +671,35 @@ class TestResolverRegistry:
         transform_ast_to_model(ast_model, plan, reg)
         assert count == 6
 
+    def test_one_context_per_reference(self, selfhost, monkeypatch):
+        """On xf.xf, the forward makes one ResolutionContext per reference,
+        and asks a reference that returned DEFER again with the same one."""
+        target, t, ast, trace, g, plan, registry = selfhost
+        ast_model = parse_text((SAMPLES / "selfhost" / "xf.xf").read_text(), g)
+        expected, _ = transform_ast_to_model(ast_model, plan, registry)
+        references = sum(len(obj.values_of(instr.image_feature))
+                         for obj in Tree(ast_model.root).objects
+                         for instr in plan.instructions_for(obj.cls) if instr.kind == "cross")
+        reg = namespace_registry(parse_config((SAMPLES / "selfhost" / "ns.cfg").read_text()),
+                                 target, ast)
+        base, made, asked = reg.default_resolver, [], []
+
+        def deferring_once(ctx):
+            first = all(c is not ctx for c in asked)
+            asked.append(ctx)
+            return DEFER if first else base(ctx)
+
+        reg.default_resolver = deferring_once
+        init = ResolutionContext.__init__
+        monkeypatch.setattr(ResolutionContext, "__init__",
+                            lambda ctx, *a, **k: made.append(ctx) or init(ctx, *a, **k))
+        model, diags = transform_ast_to_model(ast_model, plan, reg)
+        monkeypatch.undo()
+        assert diags == []
+        assert len(made) == references > 0
+        assert [id(c) for c in asked] == [id(c) for c in made] * 2
+        assert model_equals(model, expected)
+
     def test_config_validation(self, selfhost):
         target, t, ast, *_ = selfhost
         with pytest.raises(DiagnosticError) as exc:
@@ -884,6 +947,38 @@ class TestForwardStack:
         model, diags = transform_ast_to_model(parse_text(text, g), plan, registry)
         assert diags == []
         assert model_equals(model, m)
+
+
+def package_nest(n):
+    """Packages n deep, each holding one class that extends the class of
+    the package around it."""
+    return "".join(f"package p{i} {{ " for i in range(n)) + "".join(
+        f"class C{i} extends C{i - 1} ; }} " if i else "class C0 ; }"
+        for i in reversed(range(n)))
+
+
+class TestForwardDepth:
+    def test_peak_memory_is_linear_in_depth(self, nested_lang):
+        """The forward keeps nothing per AST object that grows with its
+        depth: its traced peak at 5,000 levels is at most 2.5 times its
+        peak at 2,500 levels."""
+        import tracemalloc
+        target, g, plan, registry = nested_lang
+        peaks = []
+        for n in (2500, 5000):
+            ast_model = parse_text(package_nest(n), g)
+            tracemalloc.start()
+            try:
+                model, diags = transform_ast_to_model(ast_model, plan, registry)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert diags == []
+            inner = model.root.values("packages")[0]
+            for _ in range(n - 1):
+                inner = inner.values("packages")[0]
+            assert inner.values("classes")[0].get("super").get("name") == f"C{n - 2}"
+        assert peaks[1] <= 2.5 * peaks[0], peaks
 
 
 class TestForwardLookups:
