@@ -13,7 +13,9 @@ other rules or the terminals ID, STRING, INT.
 Grammar.analysis compiles a grammar once: by fixpoint, each rule's FIRST
 set, whether it can be empty and its least derivation height, and those
 facts on every element, with the MetaFeature each assignment writes; and
-each abstract rule as a table from token key to alternative.
+each abstract rule as a table from token key to alternative. It also
+decides once whether the grammar's code may run: no problems, and for the
+parser no reachable left recursion; so that code carries no guard of its own.
 
 Both directions run Python generated per rule from its elements on their
 first call for a grammar (_Code): parse_text (text to model, one token of
@@ -24,11 +26,8 @@ round-trip tests) walks the elements itself, on an explicit stack. So a
 text's or model's nesting is bounded by memory, not by the recursion limit;
 parse_grammar bounds the nesting of the element tree (_MAX_NESTING), over
 which the compiler, check_grammar and the generators recurse. check_grammar
-enforces what they need, in one walk of each reachable rule: no reachable
-left recursion, no reachable rule that derives no finite text, and
-disjoint first-token sets at every choice point (alternatives, optionals
-and repetition continuations are checked against their local follow in the
-enclosing sequence).
+reports the left recursion, and what else the parser needs: no reachable rule
+that derives no finite text, and disjoint first-token sets at every choice point.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ from dataclasses import dataclass, field
 from .diagnostics import Diagnostic, DiagnosticError, SourceLocation, error, raise_any
 from .lexer import Lexer, TokenStream, escape_string, token_value
 from .meta import (
-    UNBOUNDED, MetaAttribute, MetaClass, Metamodel, Model, ModelObject, Tree, is_subtype,
-    _unset_value, miscount, validate_metamodel, validate_model,
+    UNBOUNDED, MetaClass, Metamodel, Model, ModelObject, Tree, is_subtype, _unset_value,
+    miscount, rejecting, validate_metamodel,
 )
 
 TERMINALS = ("ID", "STRING", "INT")
@@ -170,9 +169,10 @@ _MAX_NESTING = 100
 
 
 def parse_grammar(text: str, ast: Metamodel, file: str = "<grammar>") -> Grammar:
-    """The grammar ``text`` over ``ast``. Groups nest at most _MAX_NESTING
-    deep, and so do postfix operators with those in what they wrap: the
-    '(' or operator past that is a syntax error."""
+    """The grammar ``text`` over ``ast``: at least one rule, and none of
+    the analysis's ``problems``. Groups nest at most _MAX_NESTING deep, and
+    so do postfix operators with those in what they wrap: the '(' or
+    operator past that is a syntax error."""
     stream = TokenStream(_GR_LEXER.tokenize(text, file), phase="grammar")
     rules: list[Rule] = []
     diags: list[Diagnostic] = []
@@ -236,7 +236,7 @@ def parse_grammar(text: str, ast: Metamodel, file: str = "<grammar>") -> Grammar
             stream.fail(f"expected '=', '+=' or '?\"kw\"' after '{tok.text}'")
         stream.fail(f"expected a keyword, assignment or group, found '{tok.text}'")
 
-    while not stream.at("EOF"):
+    while not (stream.at("EOF") and rules):
         kind = AbstractRule if stream.accept_kw("Abstract") else ConcreteRule
         name = stream.expect("ID")
         stream.expect_kw(":")
@@ -270,8 +270,10 @@ def _check_rules(g: Grammar) -> list[Diagnostic]:
     """What makes each object parse_text builds valid but for its bounds:
     each rule's class is in ``g.ast``, concrete unless the rule is Abstract;
     each assignment names one of its features, with an operator and callee
-    that fit the feature's multiplicity, kind and type, never a cross one."""
-    diags: list[Diagnostic] = []
+    that fit the feature's multiplicity, kind and type, never a cross one;
+    and the entry names a rule."""
+    diags = [error("grammar", "gr-unknown-rule", f"entry {g.entry!r} names no rule")] * (
+        g.entry not in g.by_name)
 
     def bad(code, message, at):  # ``at``: the rule or assignment at fault
         diags.append(error("grammar", code, message, location=at.loc))
@@ -340,7 +342,7 @@ class _Proc:
     """A compiled rule: a concrete rule's ``body``, ``flags`` and ``feats``
     (its assignments' features by name); an abstract rule's ``table`` from
     token key to alternative and ``default``, its first that may be empty.
-    An abstract rule, or a callee that names no rule, has no body."""
+    An abstract rule has no body."""
 
     def __init__(self, name: str, cls=None, body=None):
         self.name, self.cls, self.body, self.default = name, cls, body, None
@@ -351,10 +353,13 @@ class _Analysis:
     """The grammar's compiled facts: per rule, ``first``, ``nullable``,
     ``height`` (the least height of a derivation tree; inf if the rule
     derives no finite text) and its ``procs`` entry; on every element, the
-    _Facts; the ``keywords``; the ``problems`` of _check_rules; ``sound``:
-    there are none and ``g.ast`` is valid, so parse_text builds valid
-    objects but for bounds; and the code generated from the rules'
-    elements, each on its first call (``parsers``, ``renderers``)."""
+    _Facts; the ``keywords``; the code generated from the rules' elements,
+    each on its first call (``parsers``, ``renderers``); and the one
+    decision whether that code may run: ``problems`` (_check_rules's and
+    validate_metamodel's for ``g.ast``), refused by parse_grammar and before
+    any code is generated, and, of the ``reachable`` rules, those
+    ``left_recursive`` and ``unproductive``, as check_grammar reports them.
+    A parser is generated only without left recursion."""
 
     def __init__(self, g: Grammar):
         self.nullable: dict[str, bool] = {r.name: False for r in g.rules}
@@ -395,14 +400,28 @@ class _Analysis:
                 for name in readers[r.name] - queued:
                     queued.add(name)
                     todo.append(g.by_name[name])
-        self.problems = _check_rules(g)
+        self.reachable = _reachable_rules(g)
+        # the rules each reachable rule may call before it reads a token, closed by
+        # Warshall's algorithm over the rules that call any: one in its own recurses left
+        left = {name: set(r.alternatives) if isinstance(r := g.by_name[name], AbstractRule)
+                else _leading(r.body, set()) for name in self.reachable}
+        leading = [name for name in left if left[name]]
+        for via in leading:
+            for name in leading:
+                if via in left[name]:
+                    left[name] |= left[via]
+        self.left_recursive = [_rule_error(g, name, "gr-left-recursion", "is left-recursive")
+                               for name in left if name in left[name]]
+        self.unproductive = [_rule_error(g, name, "gr-unproductive", "derives no finite text")
+                             for name in left if self.height[name] == _INF]
+        self.problems = _check_rules(g) + validate_metamodel(g.ast)
         self.parsers = self.renderers = None
-        self.sound = not self.problems and not validate_metamodel(g.ast)
 
     def _compile(self, e, proc: _Proc):
         """Store the facts of ``e``, in rule ``proc``, and of every element
         below it, each from its children's and by the rule facts found so
-        far (unknown callees count as finite: _check_rules reports them)."""
+        far (unknown callees count as finite, and unknown features are
+        None: _check_rules reports them)."""
         if isinstance(e, Keyword):
             e.first, e.nullable, e.assigns, e.height = frozenset((("kw", e.text),)), False, (), 0
             self.keywords.add(e.text)
@@ -417,9 +436,8 @@ class _Analysis:
             else:
                 e.first = self.first.get(e.callee, frozenset())
                 e.nullable = self.nullable.get(e.callee, False)
-            if (f := proc.feats.get(e.feature)) is None:  # an unknown one is read by name
-                known = isinstance(proc.cls, MetaClass) and proc.cls.find_feature(e.feature)
-                f = proc.feats[e.feature] = known or MetaAttribute(e.feature)
+            if (f := proc.feats.get(e.feature)) is None and isinstance(proc.cls, MetaClass):
+                f = proc.feats[e.feature] = proc.cls.find_feature(e.feature)
             e.feat = f
             return
         kids = _children(e)
@@ -440,45 +458,54 @@ class _Analysis:
             e.height = e.inner.height if isinstance(e, Repeat) and e.kind == "+" else 0
 
 
-def _reachable_rules(g: Grammar) -> list[str]:
-    """The rules reachable from the entry rule; needs the compiled facts."""
-    out, frontier = [], [g.entry]
-    seen = set()
-    while frontier:
-        name = frontier.pop()
-        if name in seen or name not in g.by_name:
-            continue
-        seen.add(name)
-        out.append(name)
-        r = g.by_name[name]
-        if isinstance(r, AbstractRule):
-            frontier.extend(r.alternatives)
-        else:
-            frontier.extend(x.callee for x in r.body.assigns
-                            if x.callee and x.callee not in TERMINALS)
+def _sure(items, out: list) -> list:
+    """``out``, with each '+=' assignment in elements ``items`` that runs
+    each time they run: outside an optional part, a '*' loop and a choice."""
+    for e in items:
+        if isinstance(e, Assignment) and e.op == "+=":
+            out.append(e)
+        elif isinstance(e, Sequence) or isinstance(e, Repeat) and e.kind == "+":
+            _sure(_children(e), out)
     return out
 
 
-def _unproductive(g: Grammar, reachable: list[str]) -> list[Diagnostic]:
-    """The rules of ``reachable`` (``_reachable_rules(g)``) that derive no
-    finite text."""
-    height = g.analysis().height
-    return [error("grammar", "gr-unproductive", f"rule {name!r} derives no finite text",
-                  location=g.by_name[name].loc) for name in reachable if height[name] == _INF]
+def _reachable_rules(g: Grammar) -> list[str]:
+    """The rules reachable from the entry rule; needs the compiled facts."""
+    seen, frontier = {}, [g.entry]  # the rules found, in order
+    while frontier:
+        if (name := frontier.pop()) in seen or name not in g.by_name:
+            continue
+        seen[name] = r = g.by_name[name]
+        frontier += r.alternatives if isinstance(r, AbstractRule) else [
+            x.callee for x in r.body.assigns if x.callee and x.callee not in TERMINALS]
+    return list(seen)
+
+
+def _leading(e, out: set) -> set:
+    """``out``, with each rule that element ``e`` may call before it reads a token."""
+    if isinstance(e, Assignment) and e.op != "?" and e.callee not in TERMINALS:
+        out.add(e.callee)
+    for x in _children(e):
+        _leading(x, out)
+        if isinstance(e, Sequence) and not x.nullable:
+            break
+    return out
+
+
+def _rule_error(g: Grammar, name: str, code: str, what: str) -> Diagnostic:
+    """The error that rule ``name`` of ``g`` ``what``, located at the rule."""
+    return error("grammar", code, f"rule {name!r} {what}", location=g.by_name[name].loc)
 
 
 def check_grammar(g: Grammar) -> list[Diagnostic]:
-    """Reject grammars the parser cannot handle: among the rules
-    reachable from the entry rule, left recursion, rules that derive no
-    finite text, and choice points whose first-token sets overlap (group and
-    abstract-rule alternatives pairwise; optionals and repetitions against
-    the first tokens of their local continuation in the enclosing sequence).
-    One walk of each rule finds both its leftmost rule references and its
-    choice points; the overlaps are dropped under left recursion, where
-    FIRST sets are meaningless."""
+    """Reject grammars the parser cannot handle: among the rules reachable
+    from the entry rule, left recursion (which parse_text refuses too),
+    rules that derive no finite text, and choice points whose first-token
+    sets overlap (group and abstract-rule alternatives pairwise; optionals
+    and repetitions against the first tokens of their local continuation in
+    the enclosing sequence), dropped under left recursion, where FIRST sets
+    are meaningless."""
     a = g.analysis()
-    reachable = _reachable_rules(g)
-    left: dict[str, set[str]] = {}  # per rule, the rules it may call before reading a token
     ambiguous: list[Diagnostic] = []
 
     def describe(keys):
@@ -493,60 +520,39 @@ def check_grammar(g: Grammar) -> list[Diagnostic]:
                                            f"alternatives {x} and {y} both start with "
                                            f"{describe(fx & fy)}"))
 
-    def walk(e, rule, follow: set[TokenKey], lead: bool):
-        """Check the choice points in ``e``, whose local follow is ``follow``;
-        ``lead``: nothing is read before ``e`` in ``rule``."""
-        if isinstance(e, Assignment):
-            if lead and e.op != "?" and e.callee not in TERMINALS:
-                left[rule].add(e.callee)
-        elif isinstance(e, Sequence):
+    def walk(e, rule, follow: set[TokenKey]):
+        """Check the choice points in ``e``, of ``rule``, whose local follow is ``follow``."""
+        if isinstance(e, Sequence):
             # the local follow of each item: the first tokens of what comes
             # after it, up to the first item that cannot be empty
             follows = [follow]
             for x in reversed(e.items[1:]):
                 follows.append(x.first | follows[-1] if x.nullable else x.first)
             for x, local in zip(e.items, reversed(follows)):
-                walk(x, rule, local, lead)
-                lead = lead and x.nullable
+                walk(x, rule, local)
         elif isinstance(e, (Opt, Repeat)):
             part = "optional" if isinstance(e, Opt) else "repeated"
             if e.first & follow:
                 ambiguous.append(error("grammar", "gr-ambiguous", f"in rule {rule!r}: {part} "
                                        f"part and its continuation both start with "
                                        f"{describe(e.first & follow)}"))
-            walk(e.inner, rule, follow if isinstance(e, Opt) else e.first | follow, lead)
+            walk(e.inner, rule, follow if isinstance(e, Opt) else e.first | follow)
         elif isinstance(e, Group):
             overlaps(rule, [(i, x.first) for i, x in enumerate(e.alternatives, 1)])
             if sum([x.nullable for x in e.alternatives]) > 1:
                 ambiguous.append(error("grammar", "gr-ambiguous", f"in rule {rule!r}: "
                                        f"more than one alternative can be empty"))
             for x in e.alternatives:
-                walk(x, rule, follow, lead)
+                walk(x, rule, follow)
 
-    for name in reachable:
+    for name in a.reachable:
         r = g.by_name[name]
         if isinstance(r, AbstractRule):
-            left[name] = {alt for alt in r.alternatives if alt in g.by_name}
             overlaps(name, [(repr(alt), a.first.get(alt, frozenset())) for alt in r.alternatives])
         else:
-            left[name] = set()
-            walk(r.body, name, frozenset(), True)
-
-    def reaches_itself(start: str) -> bool:
-        seen: set[str] = set()
-        frontier = list(left.get(start, ()))
-        while frontier:
-            node = frontier.pop()
-            if node == start:
-                return True
-            if node not in seen:
-                seen.add(node)
-                frontier.extend(left.get(node, ()))
-        return False
-
-    diags = [error("grammar", "gr-left-recursion", f"rule {name!r} is left-recursive",
-                   location=g.by_name[name].loc) for name in reachable if reaches_itself(name)]
-    return diags + _unproductive(g, reachable) + ([] if diags else ambiguous)
+            walk(r.body, name, frozenset())
+    left = a.left_recursive
+    return left + a.unproductive + ([] if left else ambiguous)
 
 
 # ---------------------------------------------------------------------------
@@ -556,21 +562,22 @@ def check_grammar(g: Grammar) -> list[Diagnostic]:
 def parse_text(text: str, g: Grammar, file: str = "<input>") -> Model:
     """The model of ``text`` over ``g.ast``, read from the entry rule with
     one token of lookahead by Python generated per rule on the first call
-    for a grammar (_generate_parser). It reads the lexer's matches one by
-    one and decodes a value only where an assignment takes it. A rule that
+    for a grammar (_generate_parser), which refuses a grammar with problems
+    or left recursion (_Analysis) first, whatever the text. It reads the
+    lexer's matches one by one and decodes a value only where an assignment
+    takes it. A rule that
     calls rules yields those that do to a trampoline (_run), so nesting is
-    bounded by memory, not by the recursion limit. If ``g`` is sound (see
-    _Analysis), each object is valid by construction but for its bounds,
-    which its rule checks as it finishes it; otherwise the model goes
-    through validate_model. A Token is made only for a diagnostic, once the
-    rest of the text holds no lexical error, which wins (Lexer.error_token)."""
+    bounded by memory, not by the recursion limit. Each object is valid by
+    construction but for its bounds, which its rule checks as it finishes
+    it. A Token is made only for a diagnostic, once the rest of the text
+    holds no lexical error, which wins (Lexer.error_token)."""
     a, lexer = g.analysis(), g.lexer()
     table, rule = (a.parsers or _generate_parser(a, lexer.groups))[g.entry]
     matches = lexer.matches(text)
     read = matches.__next__
     m, box = read(), [None, None, []]  # a generator's object and lookahead; the miscounts
     try:
-        r = table.get(m["KW"] or m.lastindex, rule)(m, read, box, 1)
+        r = table.get(m["KW"] or m.lastindex, rule)(m, read, box)
         if type(r) is not tuple:  # a generator, which leaves its result in the box
             _run(r)
             r = box[0], box[1]
@@ -583,16 +590,11 @@ def parse_text(text: str, g: Grammar, file: str = "<input>") -> Model:
         code, message = stuck.args[1:] if len(stuck.args) == 3 else ("syntax", f"expected "
             f"{stuck.args[1]}, found " + ("end of input" if tok.kind == "EOF" else f"'{tok.text}'"))
         raise DiagnosticError([error("parse", code, message, location=tok.location)]) from None
-    model = Model(obj, g.ast)
-    if not a.sound:
-        problems = [(d.code, d.message, d.path) for d in validate_model(model)]
-    else:
-        tree = box[2] and Tree(obj)  # for the paths, only once a problem was found
-        problems = [("model-multiplicity", message, tree.path(o)) for o, message in box[2]]
-    if problems:
-        raise DiagnosticError([error("parse", code, message, path=path)
-                               for code, message, path in problems])
-    return model
+    if box[2]:
+        tree = Tree(obj)  # for the paths, only once a problem was found
+        raise DiagnosticError([error("parse", "model-multiplicity", message, path=tree.path(o))
+                               for o, message in box[2]])
+    return Model(obj, g.ast)
 
 
 class _Stuck(Exception):
@@ -604,25 +606,19 @@ def _expected(keys) -> str:
     return " or ".join(names) if names else "nothing"
 
 
-def _enter(p: _Proc, key) -> _Proc | tuple:
+def _enter(p: _Proc, key) -> _Proc | str:
     """The concrete rule that a call of rule ``p`` enters at token key
-    ``key``, or the arguments but the match of the _Stuck it stops with."""
-    seen = set()
+    ``key``, or what the call expected if it stops there."""
     while p.body is None:
-        if p in seen:
-            return "gr-left-recursion", f"rule {p.name!r} is left-recursive"
-        seen.add(p)
         if (q := p.table.get(key, p.default)) is None:
-            return (_expected(p.first),)
+            return _expected(p.first)
         p = q
     return p
 
 
-def _stopping(args: tuple):
-    """A parser that stops at once, with the _Stuck ``args``."""
-    def rule(m, read, box, d):
-        raise _Stuck(m, *args)
-    return rule
+def _stop(expected: str, m, read, box):
+    """A parser that stops at once, having expected ``expected``; bound to it by partial."""
+    raise _Stuck(m, expected)
 
 
 def _miscount(obj: ModelObject, box: list):
@@ -677,11 +673,13 @@ class _Code:
     ``assign``, ``choice`` and ``part``). A part nested past _NESTING is a
     function of its own (``funcs``), as Python allows 20 nested loops and
     100 indent levels. ``yields``: a statement made so far yields;
-    ``loops``: the loops open around the statement being made; ``temps``:
-    the choices made, which name their temporaries."""
+    ``loops``: the loops open around the statement being made, and
+    ``after``: the '+=' assignments sure to run after it (_sure), whose
+    values a renderer leaves them; ``temps``: the choices made, which name
+    their temporaries."""
 
     def __init__(self):
-        self.funcs, self.yields, self.loops, self.temps = [], False, 0, 0
+        self.funcs, self.yields, self.loops, self.after, self.temps = [], False, 0, [], 0
 
     def block(self, e, depth: int) -> list[str]:
         """The statements that run element ``e``, ``depth`` blocks deep."""
@@ -699,9 +697,11 @@ class _Code:
     def statements(self, e, depth: int, pad: str) -> list[str]:
         """The statements of ``e``, ``depth`` blocks deep, each after ``pad``."""
         if isinstance(e, Sequence):  # a loop, not a comprehension, which takes a frame
-            out = []
-            for x in e.items:
+            out, outer = [], len(self.after)
+            for i, x in enumerate(e.items):
+                self.after[outer:] = _sure(e.items[i + 1:], [])
                 out += self.statements(x, depth, pad)
+            del self.after[outer:]
             return out
         if isinstance(e, Keyword):
             return [pad + s for s in self.keyword(e.text)]
@@ -721,15 +721,17 @@ class _Code:
 
 
 def _generate_parser(a: _Analysis, kinds) -> dict:
-    """Each rule's parser by name, as (table, default): a call runs
-    table[key] for the lookahead's key (a keyword's text, else its kind's
-    group number in ``kinds``), else ``default``. A concrete rule has no
-    table and its own parser (_ParseSource); an abstract rule's table leads
-    to concrete rules, or to a stand-in that stops as the call would."""
+    """Each reachable rule's parser by name, as (table, default): a call
+    runs table[key] for the lookahead's key (a keyword's text, else its
+    kind's group number in ``kinds``), else ``default``. A concrete rule has
+    no table and its own parser (_ParseSource); an abstract rule's table
+    leads to concrete rules, or to a stand-in that stops as the call would.
+    A grammar with problems or left recursion is refused instead."""
+    raise_any(a.problems or a.left_recursive)
     with _GENERATING:  # the first thread generates; the others wait and take its parsers
         if a.parsers is not None:
             return a.parsers
-        procs = [*a.procs.values(), _Proc("")]  # "": what a callee that names no rule runs
+        procs = [a.procs[name] for name in a.reachable]
         enter = {p: ({k[1] if k[0] == "kw" else kinds[k[1]]: _enter(p, k) for k in p.table},
                      _enter(p, None)) for p in procs}
         # per rule, its call's expression and whether it may run a generator: a rule it
@@ -739,31 +741,29 @@ def _generate_parser(a: _Analysis, kinds) -> dict:
             isinstance(x, _Proc) and any(y.callee and y.callee not in TERMINALS
                                          for y in x.body.assigns)
             for x in (*enter[p][0].values(), enter[p][1]))) for i, p in enumerate(procs)}
-        spaces = {p: _load("parse", p, _ParseSource(p, calls, kinds, a), _Stuck=_Stuck,
+        spaces = {p: _load("parse", p, _ParseSource(p, calls, kinds), _Stuck=_Stuck,
                            NEW=ModelObject.__new__, ModelObject=ModelObject,
                            token_value=token_value, _miscount=_miscount) for p in procs if p.body}
-        runs = lambda x: spaces[x]["rule"] if isinstance(x, _Proc) else _stopping(x)
+        runs = lambda x: spaces[x]["rule"] if isinstance(x, _Proc) else functools.partial(_stop, x)
         tables = {p: ({k: runs(x) for k, x in t.items()}, runs(e)) for p, (t, e) in enter.items()}
         shared = {f"{x}{i}": y for i, p in enumerate(procs) for x, y in zip("TR", tables[p])}
         for names in spaces.values():
             names.update(shared)
-        a.parsers = {p.name: tables[p] for p in a.procs.values()}
+        a.parsers = {p.name: tables[p] for p in procs}
         return a.parsers
 
 
 class _ParseSource(_Code):
-    """The source of a concrete rule's parser ``rule(m, read, box, d)`` and
+    """The source of a concrete rule's parser ``rule(m, read, box)`` and
     its ``part<k>`` functions (``text``), and its constants (``names``):
     CLS, its class. It reads from match ``m`` on, takes the next from
     ``read`` and builds its object. A callee that may be a generator is
     yielded to the trampoline, any other called in place. A rule whose code
     yields is a generator that leaves its object and lookahead in ``box``;
-    any other returns them. ``d`` counts the generators open at the token
-    it starts at: more than there are rules mean left recursion.
-    ``calls``: per rule, its call and whether it may yield; under "", those
-    of a callee that names no rule."""
+    any other returns them. ``calls``: per rule, its call and whether it
+    may yield."""
 
-    def __init__(self, proc: _Proc, calls: dict, kinds, a: _Analysis):
+    def __init__(self, proc: _Proc, calls: dict, kinds):
         super().__init__()
         self.calls, self.kinds = calls, kinds
         # a keyword's text; the lookahead's key, that text or else its kind's group
@@ -772,15 +772,12 @@ class _ParseSource(_Code):
         # an '=' tests its slot only if another assignment writes it, or if it may run twice
         self.writes = Counter([x.feat.name for x in proc.body.assigns])
         body = self.block(proc.body, 1)
-        bounds = [  # where a sound grammar can break them; a default counts as a value
+        bounds = [  # where the rule's object can break them; a default counts as a value
             f"{f.lower} <= len(slots.get({f.name!r}, ()))" + (
                 "" if f.upper is UNBOUNDED else f" <= {f.upper}") if f.many else
-            f"{f.name!r} in slots" for f in (proc.cls.tables().bounded if a.sound else ())
+            f"{f.name!r} in slots" for f in proc.cls.tables().bounded
             if f.many or _unset_value(f) is None]
-        rule = ["def rule(m, read, box, d):",
-                *[f"    if d > {len(a.procs)}: raise _Stuck(m, 'gr-left-recursion', "
-                  f"{f'rule {proc.name!r} is left-recursive'!r})", "    m0 = m"] * self.yields,
-                "    slots = {}", *body,
+        rule = ["def rule(m, read, box):", "    slots = {}", *body,
                 *[f"    if {f!r} not in slots: slots[{f!r}] = False" for f in proc.flags],
                 # ModelObject's fields, set without its __init__ and keyword dict
                 "    obj = NEW(ModelObject); obj.cls = CLS; obj.slots = slots; "
@@ -828,13 +825,12 @@ class _ParseSource(_Code):
         if callee in TERMINALS:
             out = [f"if (x := m[{self.kinds[callee]}]) is None: raise _Stuck(m, {callee!r})",
                    *_DECODE[callee], "m = read()"]
-        elif (call := self.calls.get(callee) or self.calls[""])[1]:
+        elif (call := self.calls[callee])[1]:
             self.yields = True
-            out = [f"r = {call[0]}(m, read, box, d + 1 if m is m0 else 1)",
-                   "if type(r) is tuple: x, m = r", "else:", "    yield r",
-                   "    x, m = box[0], box[1]"]
+            out = [f"r = {call[0]}(m, read, box)", "if type(r) is tuple: x, m = r", "else:",
+                   "    yield r", "    x, m = box[0], box[1]"]
         else:
-            out = [f"x, m = {call[0]}(m, read, box, 0)"]
+            out = [f"x, m = {call[0]}(m, read, box)"]
         if e.op == "+=":
             return out + [f"if {n} in slots: slots[{n}].append(x)", f"else: slots[{n}] = [x]"]
         twice = repr(f"feature {name!r} assigned twice")
@@ -842,11 +838,10 @@ class _ParseSource(_Code):
             self.writes[name] > 1 or self.loops > 0) + [f"slots[{n}] = x"]
 
     def part(self, k: int, yields: bool) -> tuple:
-        head = f"def part{k}(m, read, box, d, m0, slots):"
+        head, call = f"def part{k}(m, read, box, slots):", f"part{k}(m, read, box, slots)"
         if yields:  # a generator too
-            return [head], ["    box[1] = m"], [f"yield part{k}(m, read, box, d, m0, slots)",
-                                                "m = box[1]"]
-        return [head], ["    return m"], [f"m = part{k}(m, read, box, d, None, slots)"]
+            return [head], ["    box[1] = m"], [f"yield {call}", "m = box[1]"]
+        return [head], ["    return m"], [f"m = {call}"]
 
 
 # The statements that make a terminal's value x from its text x, as token_value does
@@ -860,18 +855,21 @@ _DECODE = {"ID": ("if x >= '\\x80' and not x[0].isalpha(): raise _Stuck(m, 'lexi
 # Model to text
 
 
+@rejecting
 def render_ast(m: Model, g: Grammar) -> str:
-    """Deterministic inverse of parse_text: one space between tokens, a
-    newline after ';' and '}', 4-space indentation inside braces.
-    parse_text(render_ast(m)) is model-equal to m. The first call for a
-    grammar generates its renderer (_generate); each rule decides by what
-    its object holds: an optional or loop runs while an assignment below it
-    has a value left; a choice takes the first alternative with one, else
-    the first without assignments; a '+' loop that assigns nothing renders
-    one pass. A rule that calls another yields the callee's generator to a
-    trampoline (_run), so nesting is bounded by memory, not by the recursion
-    limit. On the first value of ``m`` that does not fit where a rule reads
-    it, it raises validate_model's diagnostics, or ``g``'s problems."""
+    """Deterministic inverse of parse_text: one space between tokens, a newline
+    after ';' and '}', 4-space indentation inside braces.
+    parse_text(render_ast(m)) is model-equal to m. A grammar with problems
+    (_Analysis) is refused first. The first call for a grammar generates its
+    renderer (_generate); each rule decides by what its object holds: an
+    optional or loop runs while an assignment below it has a value left,
+    past those that the '+=' assignments sure to run after it take; a choice
+    takes the first alternative with one, else the first without
+    assignments; a '+' loop that assigns nothing renders one pass. A rule
+    that calls another yields the callee's generator to a trampoline (_run),
+    so nesting is bounded by memory, not by the recursion limit. On the
+    first value of ``m`` that does not fit where a rule reads it, it raises
+    validate_model's diagnostics (meta.rejecting)."""
     a = g.analysis()
     rules = a.renderers or _generate(a, g.lexer().reads_as_id)
     root = m.root
@@ -879,12 +877,7 @@ def render_ast(m: Model, g: Grammar) -> str:
         raise DiagnosticError([error("grammar", "gr-no-rule", f"no concrete rule for class "
                                      f"{root.cls.name!r}", path="/")])
     line, lines, lay, problems = [], [], [0, ""], []  # lay: the depth and the line's indent
-    try:
-        _run(rule(root, line, lines, lay, problems, set()))
-    except (AttributeError, LookupError, TypeError):  # a value a rule cannot read
-        raise_any(validate_model(m))
-        raise_any(a.problems)  # m is valid, and g cannot write it
-        raise
+    _run(rule(root, line, lines, lay, problems, set()))
     if problems:
         tree = Tree(root)
         raise DiagnosticError([error("grammar", code, message, path=tree.path(obj))
@@ -911,7 +904,9 @@ _ARGS = "obj, line, lines, lay, problems, opened"
 def _generate(a: _Analysis, reads_as_id) -> dict:
     """Each concrete rule's renderer by name, generated from its elements
     (_RuleSource): a generator that yields each callee's renderer if it
-    calls rules, else a plain function."""
+    calls rules, else a plain function. A grammar with problems is refused
+    instead."""
+    raise_any(a.problems)
     with _GENERATING:  # the first thread generates; the others wait and take its renderers
         if a.renderers is None:
             rules: dict = {}
@@ -954,7 +949,8 @@ class _RuleSource(_Code):
     def avail(self, reads) -> str:
         """Whether one of the assignments ``reads`` has a value left to
         render: a set flag not written yet, or a value past its feature's
-        count; an ID's string must read back as an ID."""
+        count and those that the '+=' assignments in ``after`` take; an
+        ID's string must read back as an ID."""
         terms = []
         for x in reads:
             f = x.feat
@@ -962,8 +958,9 @@ class _RuleSource(_Code):
             if x.op == "?":
                 terms.append(f"not {k} and slots.get({n}, F{self.index[f]}.default) is True")
                 continue
-            test = f"(v := slots.get({n})) is not None and " + (f"{k} < len(v)" if f.many else
-                                                                  f"not {k}")
+            left = f"{k} + {taken}" if (taken := sum([y.feat is f for y in self.after])) else k
+            test = f"(v := slots.get({n})) is not None and " + (f"{left} < len(v)" if f.many
+                                                                  else f"not {k}")
             if x.callee == "ID":
                 test += f" and (type(x := {f'v[{k}]' if f.many else 'v'}) is not str or " \
                         f"reads_as_id(x))"
@@ -1112,24 +1109,26 @@ def generate_grammar_skeleton(ast: Metamodel) -> str:
 
 
 def generate_random_model(g: Grammar, rng: random.Random, max_depth: int = 8) -> Model:
-    """A random valid model that render_ast can always emit. Walks the
-    elements of the rules from the entry rule, on an explicit stack, and
-    decides wherever a parser would read a token: an optional part or a
-    loop pass is taken with even odds, at most 4 passes, and a '+' loop
-    makes its first pass; a choice and an abstract rule take a random
-    alternative; a flag is set with even odds. ``max_depth`` counts rule
-    calls: past it, optional parts are skipped, a '+' loop makes one pass,
-    and a choice or an abstract rule takes the alternative of least height,
-    so the model ends. A pass is taken only if the values it adds still fit
-    every finite upper bound (see _room); while a feature it assigns has
-    fewer values than its lower bound, it is taken, past ``max_depth`` too
-    (see _short), and so is a choice's first alternative that assigns such
-    a feature, before any draw. Once _MAX_OBJECTS objects are made, the
-    model is finished as deep as no pass is forced: so a language whose
-    rules take many optional parts, or whose lower bounds chain through
-    many rules, still ends in a bounded model."""
-    raise_any(_unproductive(g, _reachable_rules(g)))
+    """A random valid model that render_ast can always emit, for a grammar
+    without problems, left recursion or unproductive rules (_Analysis); it
+    refuses any other with those diagnostics. Walks the elements of the
+    rules from the entry rule, on an explicit stack, and decides wherever a
+    parser would read a token: an optional part or a loop pass is taken with
+    even odds, at most 4 passes, and a '+' loop makes its first pass; a
+    choice and an abstract rule take a random alternative; a flag is set
+    with even odds. ``max_depth`` counts rule calls: past it, optional parts
+    are skipped, a '+' loop makes one pass, and a choice or an abstract rule
+    takes the alternative of least height, so the model ends. A pass is
+    taken only if the values it adds still fit every finite upper bound (see
+    _room); while a feature it assigns has fewer values than its lower
+    bound, it is taken, past ``max_depth`` too (see _short), and so is a
+    choice's first alternative that assigns such a feature, before any draw.
+    Once _MAX_OBJECTS objects are made, the model is finished as deep as no
+    pass is forced: so a language whose rules take many optional parts, or
+    whose lower bounds chain through many rules, still ends in a bounded
+    model."""
     a = g.analysis()
+    raise_any(a.problems or a.left_recursive + a.unproductive)
     reserved = {k for k in g.keywords() if k and (k[0].isalpha() or k[0] == "_")}
 
     def rand_id():

@@ -171,6 +171,17 @@ class TestParseCmd:
         assert "error[lexical]" in done.stderr and ":1:12:" in done.stderr
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("text, at", [("", "1:1"), ("// no rules\n", "2:1")])
+    def test_grammar_without_rules_is_a_syntax_error(self, selfhost_dir, text, at):
+        d = selfhost_dir
+        self.setup_outputs(d)
+        (d / "empty.gr").write_text(text)
+        done = run_process("parse", "--grammar", d / "empty.gr", "--ast", d / "xf.ast.mm",
+                           d / "xf.xf", "--out", d / "o.astm")
+        assert done.returncode == 1
+        assert done.stderr == (f"{d / 'empty.gr'}:{at}: error[syntax]: expected ID, found end "
+                               f"of input\n")
+
     def test_deep_grammar_nesting_is_a_syntax_error(self, selfhost_dir):
         d = selfhost_dir
         self.setup_outputs(d)

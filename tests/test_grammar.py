@@ -8,24 +8,25 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mmdsl.diagnostics import DiagnosticError, SourceLocation, error
+from mmdsl.diagnostics import DiagnosticError, SourceLocation, error, sort_diagnostics
 from mmdsl.emfatic import parse_metamodel
 import mmdsl.grammar as grammar_module
 from mmdsl.grammar import (
     TERMINALS, AbstractRule, Assignment, ConcreteRule, Grammar, Group, Keyword, Opt, Repeat,
-    Sequence, _children, _expected, _reachable_rules, _unproductive, check_grammar,
+    Sequence, _children, _expected, check_grammar,
     generate_grammar_skeleton, generate_random_model, parse_grammar, parse_text, render_ast,
 )
 from mmdsl.lexer import Lexer, Token, TokenStream, escape_string, token_value
 from mmdsl.meta import (
     UNBOUNDED, MetaAttribute, MetaClass, Metamodel, MetaReference, Model, ModelObject, Tree,
-    builtin_ecore, iter_tree, miscount, model_equals, validate_model,
+    builtin_ecore, iter_tree, miscount, model_equals, validate_metamodel, validate_model,
 )
 from mmdsl.modeltext import dump_model, load_model
 from mmdsl.transform import build_plan, namespace_registry, parse_config
 from mmdsl.xf import derive_ast_metamodel, parse_transformation
 from test_lexer import reference_tokenize
 from test_meta import ref_validate_model
+from test_transform import time_bound
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -591,11 +592,22 @@ class RefToken:
         return self.kind == "KW" and self.text == text
 
 
+def ref_refusal(g):
+    """The diagnostics with which parse_text refuses ``g`` whatever the
+    text: the analysis's problems, else the reference check's left
+    recursion."""
+    return g.analysis().problems or [
+        d for d in ref_check_grammar(g) if d.code == "gr-left-recursion"]
+
+
 def ref_parse_text(text, g, file="<input>"):
-    """parse_text as it was: the reference scanner turns the whole text into
-    a token list first, so a lexical error anywhere wins; the reference
-    parser then writes slots by name, and the whole model goes through the
-    reference validate_model."""
+    """parse_text as it was: a grammar that fails its checks is refused
+    (ref_refusal); the reference scanner turns the whole text into a token
+    list, so a lexical error anywhere wins; the reference parser then writes
+    slots by name, and the whole model goes through the reference
+    validate_model."""
+    if refused := ref_refusal(g):
+        raise DiagnosticError(refused)
     tokens = [RefToken(*t, file) for t in reference_tokenize(g.lexer(), text, file)]
     parser = RefParser(g, TokenStream(tokens, phase="parse"))
     root = parser.parse_rule(g.entry)
@@ -702,11 +714,8 @@ class OpStuck(Exception):
 
 def op_enter(p, m, kind):
     """The concrete rule that rule ``p`` enters at match ``m``, of ``kind``."""
-    key, seen = ("kw", m["KW"]) if kind == "KW" else ("term", kind), set()
+    key = ("kw", m["KW"]) if kind == "KW" else ("term", kind)
     while p.code is None:
-        if p in seen:
-            raise OpStuck("gr-left-recursion", f"rule {p.name!r} is left-recursive")
-        seen.add(p)
         q = p.table.get(key, p.default)
         if q is None:
             raise OpStuck(_expected(p.first))
@@ -716,16 +725,16 @@ def op_enter(p, m, kind):
 
 def op_parse_text(text, g, file="<input>"):
     """parse_text as it was before its parser was generated: one loop runs
-    the compiled ops on an explicit stack, reading the lexer's matches."""
-    a, lexer, procs = g.analysis(), g.lexer(), op_compile(g)
-    miscounts = []  # read only if a.sound
+    the compiled ops on an explicit stack, reading the lexer's matches, once
+    the grammar passes its checks (ref_refusal)."""
+    if refused := ref_refusal(g):
+        raise DiagnosticError(refused)
+    lexer, procs = g.lexer(), op_compile(g)
+    miscounts = []
     matches = lexer.matches(text)
     read = matches.__next__
-    # Without left recursion the frames opened at one token are of different
-    # rules, so more frames than this allows mean left recursion.
-    limit = len(procs)
     stack = []  # below the top frame: (code, pc, obj, op, proc), op the CALL it fills
-    m, pos = read(), 0  # the lookahead token's match; the tokens read
+    m = read()  # the lookahead token's match
     tk = m.lastgroup  # its kind
     try:
         proc = op_enter(procs[g.entry], m, tk)
@@ -758,8 +767,6 @@ def op_parse_text(text, g, file="<input>"):
                 continue
             elif kind is CALL:
                 callee = op[4] if op[4].code is not None else op_enter(op[4], m, tk)
-                if len(stack) >= limit * (pos + 1):
-                    raise OpStuck("gr-left-recursion", f"rule {callee.name!r} is left-recursive")
                 stack.append((code, pc, obj, op, proc))
                 proc, code, pc, obj = callee, callee.code, 0, ModelObject(callee.cls)
                 slots = obj.slots
@@ -783,11 +790,11 @@ def op_parse_text(text, g, file="<input>"):
                 code, pc, obj, op, proc = stack.pop()
                 slots = obj.slots
             if kind is not RET:  # a keyword, terminal or flag read its token: read the next
-                m, pos = read(), pos + 1
+                m = read()
                 tk = m.lastgroup
                 if kind is not TERM:
                     continue
-            # written in place: in a sound grammar each operator fits its feature
+            # written in place: in a grammar without problems each operator fits its feature
             name = op[2]
             if op[5]:
                 slots.setdefault(name, []).append(value)
@@ -802,22 +809,20 @@ def op_parse_text(text, g, file="<input>"):
         code, message = stuck.args if len(stuck.args) == 2 else ("syntax", f"expected "
             f"{stuck.args[0]}, found " + ("end of input" if tok.kind == "EOF" else f"'{tok.text}'"))
         raise DiagnosticError([error("parse", code, message, location=tok.location)]) from None
-    model = Model(obj, g.ast)
-    if not a.sound:
-        problems = [(d.code, d.message, d.path) for d in validate_model(model)]
-    else:
-        tree = miscounts and Tree(obj)  # for the paths, only once a problem was found
-        problems = [("model-multiplicity", message, tree.path(o)) for o, message in miscounts]
-    if problems:
-        raise DiagnosticError([error("parse", code, message, path=path)
-                               for code, message, path in problems])
-    return model
+    if miscounts:
+        tree = Tree(obj)  # for the paths, only once a problem was found
+        raise DiagnosticError([error("parse", "model-multiplicity", message, path=tree.path(o))
+                               for o, message in miscounts])
+    return Model(obj, g.ast)
 
 
 def op_random_model(g, rng, max_depth=8):
     """generate_random_model as it was before it walked the elements: one
-    loop runs the compiled ops on an explicit stack, making the same draws."""
-    if stuck := _unproductive(g, _reachable_rules(g)):
+    loop runs the compiled ops on an explicit stack, making the same draws,
+    once the grammar has no problems, and the reference check finds no left
+    recursion and no rule that derives no finite text."""
+    if stuck := g.analysis().problems or [d for d in ref_check_grammar(g)
+                                          if d.code in ("gr-left-recursion", "gr-unproductive")]:
         raise DiagnosticError(stuck)
     a, procs = g.analysis(), op_compile(g)
     reserved = {k for k in g.keywords() if k and (k[0].isalpha() or k[0] == "_")}
@@ -929,11 +934,14 @@ class RefCursors:
             return []
         return self.obj.values(feature)
 
-    def available(self, e):
+    def available(self, e, later=()):
+        """Whether ``e`` has a value left, past those that the '+='
+        assignments ``later`` take."""
         if e.op == "?":
             return self.obj.get(e.feature) is True and not self.used.get(e.feature)
         left = self.raw(e.feature)[self.used.get(e.feature, 0):]
-        return bool(left) and (e.callee != "ID" or self.lexer.reads_as_id(left[0]))
+        taken = sum(1 for y in later if y.feature == e.feature)
+        return len(left) > taken and (e.callee != "ID" or self.lexer.reads_as_id(left[0]))
 
     def take(self, e):
         i = self.used.get(e.feature, 0)
@@ -941,16 +949,27 @@ class RefCursors:
         return self.raw(e.feature)[i]
 
 
-def ref_has_available(e, cur):
+def ref_has_available(e, cur, later):
     if isinstance(e, Assignment):
-        return cur.available(e)
+        return cur.available(e, later)
     if isinstance(e, Sequence):
-        return any(ref_has_available(x, cur) for x in e.items)
+        return any(ref_has_available(x, cur, later) for x in e.items)
     if isinstance(e, (Opt, Repeat)):
-        return ref_has_available(e.inner, cur)
+        return ref_has_available(e.inner, cur, later)
     if isinstance(e, Group):
-        return any(ref_has_available(x, cur) for x in e.alternatives)
+        return any(ref_has_available(x, cur, later) for x in e.alternatives)
     return False
+
+
+def ref_sure(e):
+    """The '+=' assignments that run each time ``e`` runs."""
+    if isinstance(e, Assignment):
+        return [e] if e.op == "+=" else []
+    if isinstance(e, Sequence):
+        return [y for x in e.items for y in ref_sure(x)]
+    if isinstance(e, Repeat) and e.kind == "+":
+        return ref_sure(e.inner)
+    return []
 
 
 class RefRenderer:
@@ -978,7 +997,9 @@ class RefRenderer:
                                       f"rule {rule.name!r} cannot emit all values of "
                                       f"{obj.cls.name}.{f}"))
 
-    def walk(self, e, cur):
+    def walk(self, e, cur, later=()):
+        """Render ``e``; ``later``: the '+=' assignments sure to run after it,
+        whose values an optional part, a loop or a choice leaves."""
         tokens, problems = self.tokens, self.problems
         if isinstance(e, Keyword):
             tokens.append(e.text)
@@ -1004,31 +1025,31 @@ class RefRenderer:
                 self.render_obj(value)
             return
         if isinstance(e, Sequence):
-            for x in e.items:
-                self.walk(x, cur)
+            for i, x in enumerate(e.items):
+                self.walk(x, cur, [*later, *[y for z in e.items[i + 1:] for y in ref_sure(z)]])
             return
         if isinstance(e, Opt):
-            if ref_has_available(e.inner, cur):
-                self.walk(e.inner, cur)
+            if ref_has_available(e.inner, cur, later):
+                self.walk(e.inner, cur, later)
             return
         if isinstance(e, Repeat):
             if e.kind == "+" and not ref_has_assignments(e.inner):
-                self.walk(e.inner, cur)  # one pass, as parsing reads one or more
+                self.walk(e.inner, cur, later)  # one pass, as parsing reads one or more
                 return
-            if e.kind == "+" and not ref_has_available(e.inner, cur):
+            if e.kind == "+" and not ref_has_available(e.inner, cur, later):
                 problems.append((cur.obj, "gr-unset-mandatory",
                                  "'+' repetition has nothing to render"))
                 return
-            while ref_has_available(e.inner, cur):
-                self.walk(e.inner, cur)
+            while ref_has_available(e.inner, cur, later):
+                self.walk(e.inner, cur, later)
             return
         for alt in e.alternatives:
-            if ref_has_available(alt, cur):
-                self.walk(alt, cur)
+            if ref_has_available(alt, cur, later):
+                self.walk(alt, cur, later)
                 return
         for alt in e.alternatives:
             if not ref_has_assignments(alt):
-                self.walk(alt, cur)
+                self.walk(alt, cur, later)
                 return
         for alt in e.alternatives:
             if self.a.elem_nullable(alt):
@@ -1598,12 +1619,29 @@ class TestFiniteText:
         assert exc.value.diagnostics == [d]
 
     def test_reachable_rules_are_found_once(self, bounded_ast, monkeypatch):
-        g = parse_grammar('Part : "part" name = ID "[" subs += Part "]" ;', bounded_ast)
+        """Once per grammar, by its analysis; check_grammar and
+        generate_random_model read them from there."""
         calls, walk = [], grammar_module._reachable_rules
         monkeypatch.setattr(grammar_module, "_reachable_rules",
                             lambda g: calls.append(g) or walk(g))
+        g = parse_grammar('Part : "part" name = ID "[" subs += Part "]" ;', bounded_ast)
         assert [d.code for d in check_grammar(g)] == ["gr-unproductive"]
+        with pytest.raises(DiagnosticError):
+            generate_random_model(g, random.Random(1))
         assert calls == [g]
+
+    def test_a_rule_that_is_its_own_alternative(self, toy_ast):
+        """Past max_depth Node, which ties with Leaf for least height, would
+        be taken again without end: generate_random_model refuses the left
+        recursion instead, with check_grammar's diagnostic."""
+        g = parse_grammar('Doc : ( items += Node )* ; Abstract Node : Node | Leaf ; '
+                          'Leaf : "leaf" ;', toy_ast)
+        (d,) = check_grammar(g)
+        assert (d.code, d.message, d.location.column) == (
+            "gr-left-recursion", "rule 'Node' is left-recursive", 37)
+        with time_bound(5):
+            assert outcome(generate_random_model, g, random.Random(1), 0) == (
+                "diagnostics", [d])
 
     def test_a_way_out_is_enough(self, bounded_ast):
         for body in ('( "[" subs += Part "]" | "leaf" )', '( "[" subs += Part "]" )?',
@@ -1748,14 +1786,24 @@ class TestRandomModelBounds:
         assert text == "a " * chain + "b\n"
 
 
+def refusals(g, m):
+    """The diagnostics with which parse_text, render_ast (of ``m``) and
+    generate_random_model each refuse ``g``."""
+    got = [outcome(parse_text, "box label x part p", g), outcome(render_ast, m, g),
+           outcome(generate_random_model, g, random.Random(1))]
+    assert [kind for kind, _ in got] == ["diagnostics"] * 3
+    return [diags for _, diags in got]
+
+
 class TestValidByConstruction:
     """parse_text proves all but the bounds once per grammar and checks the
     bounds as it finishes each object; the parser that wrote slots by name
-    and then validated the whole model is the oracle."""
+    and then validated the whole model is the oracle. A grammar the proof
+    does not cover, one with problems, is refused before any code runs."""
 
     def test_bounds(self, bounded_ast):
         g = parse_grammar(BOUNDED_GRAMMAR, bounded_ast)
-        assert g.analysis().sound
+        assert g.analysis().problems == []
         for text in BOUNDED_TEXTS:
             assert_parse_matches_reference(text, g)
         with pytest.raises(DiagnosticError) as exc:
@@ -1773,7 +1821,7 @@ class TestValidByConstruction:
            edit=st.sampled_from(["none", "drop", "insert", "swap"]), at=st.integers(0, 10 ** 6))
     def test_random_bounded_grammars(self, bounded_ast, text, seed, edit, at):
         g = parse_grammar(text, bounded_ast)
-        assert g.analysis().sound
+        assert g.analysis().problems == []
         m = generate_random_model(g, random.Random(seed), max_depth=3)
         rendered = outcome(render_ast, m, g)
         if rendered[0] == "ok":
@@ -1781,28 +1829,35 @@ class TestValidByConstruction:
 
     def test_hand_built_grammar(self, bounded_ast):
         g = hand_built(bounded_ast)
-        assert g.analysis().sound and g.analysis().problems == []
+        assert g.analysis().problems == []
         for text in BOUNDED_TEXTS:
             assert_parse_matches_reference(text, g)
 
-    def test_hand_built_grammar_the_proof_does_not_cover(self, bounded_ast):
+    def test_hand_built_grammar_with_problems_is_refused(self, bounded_ast):
         """An INT where Part.name wants a String, or a Part class of another
-        metamodel: not sound, so parse_text validates the whole model."""
+        metamodel: parse_text, render_ast and generate_random_model refuse
+        the grammar before any text or model, with the diagnostics that
+        parse_grammar gives for the same rules."""
+        with pytest.raises(DiagnosticError) as exc:
+            parse_grammar(BOUNDED_GRAMMAR.replace("name = ID", "name = INT"), bounded_ast)
+        want = [(d.code, d.message) for d in exc.value.diagnostics]
+        assert want == [("gr-type", "INT does not fit String attribute 'name'")]
+        m = parse_text("box label x part p", parse_grammar(BOUNDED_GRAMMAR, bounded_ast))
+        got = refusals(hand_built(bounded_ast, name_callee="INT"), m)
+        assert [[(d.code, d.message) for d in diags] for diags in got] == [want] * 3
         stranger = parse_metamodel(BOUNDED_MM, "other").classifier("Part")
-        for g, codes in [(hand_built(bounded_ast, name_callee="INT"), ["gr-type"]),
-                         (hand_built(bounded_ast, part=stranger), ["gr-type", "gr-unknown-class"])]:
-            assert not g.analysis().sound
-            assert [d.code for d in g.analysis().problems] == codes
-            for text in ["box label x part 7", "box label x part p", "box"]:
-                assert_parse_matches_reference(text, g)
-        got = assert_parse_matches_reference("box label x part p",
-                                             hand_built(bounded_ast, part=stranger))
-        assert [d.code for d in got[1]] == ["model-kind", "model-unknown-class"]
+        g = hand_built(bounded_ast, part=stranger)
+        assert [d.code for d in g.analysis().problems] == ["gr-type", "gr-unknown-class"]
+        assert refusals(g, m) == [sort_diagnostics(g.analysis().problems)] * 3
+        for text in ["box label x part 7", "box label x part p", "box"]:
+            assert_parse_matches_reference(text, g)
+        assert g.analysis().parsers is None is g.analysis().renderers
 
-    def test_invalid_ast_metamodel_is_not_proven(self):
-        """parse_grammar does not validate its AST metamodel; a default that
-        does not fit its attribute makes every Part invalid, so the grammar
-        is not sound and parse_text validates the whole model."""
+    def test_invalid_ast_metamodel_is_refused(self):
+        """A default that does not fit its attribute makes every Part
+        invalid: parse_grammar refuses the AST metamodel with
+        validate_metamodel's diagnostics, and so do parse_text, render_ast
+        and generate_random_model for the same rules built by hand."""
         # BOUNDED_MM built by hand, as parse_metamodel refuses the extra feature
         string, integer, boolean = map(builtin_ecore().classifier, ("String", "int", "boolean"))
         part = MetaClass("Part")
@@ -1815,26 +1870,30 @@ class TestValidByConstruction:
             MetaAttribute("label", 1, 1, type=string), MetaAttribute("tags", 0, 2, type=string),
             MetaAttribute("named", 1, 1, type=string, default="n"),
             MetaAttribute("size", 1, 1, type=integer), MetaAttribute("open", 0, 1, type=boolean)])
-        g = parse_grammar(BOUNDED_GRAMMAR, Metamodel("bounded", [box, part]))
-        assert g.analysis().problems == [] and not g.analysis().sound
-        got = assert_parse_matches_reference("box label x part p", g)
-        assert [(d.code, d.path) for d in got[1]] == [("model-kind", "/parts[0]")]
+        mm = Metamodel("bounded", [box, part])
+        with pytest.raises(DiagnosticError) as exc:
+            parse_grammar(BOUNDED_GRAMMAR, mm)
+        want = exc.value.diagnostics
+        assert [(d.code, d.path) for d in want] == [("mm-bad-default", "/bounded/Part")]
+        assert want == validate_metamodel(mm)
+        assert refusals(hand_built(mm), Model(ModelObject(box), mm)) == [want] * 3
 
-    def test_unknown_feature_is_a_diagnostic(self, bounded_ast):
-        """Written by name, an assignment to a feature the class lacks raised
-        LookupError; written into the slot, validate_model reports it."""
+    def test_unknown_feature_is_refused(self, bounded_ast):
+        """An assignment to a feature the class lacks is one of the
+        grammar's problems: parse_text refuses the grammar with it."""
         g = hand_built(bounded_ast)
         g.rules[1].body.items[1].inner.feature = "bogus"
         with pytest.raises(DiagnosticError) as exc:
             parse_text("box label x part p", g)
-        assert [(d.code, d.path) for d in exc.value.diagnostics] == [
-            ("model-multiplicity", "/parts[0]"), ("model-unknown-feature", "/parts[0]")]
+        assert [(d.code, d.message) for d in exc.value.diagnostics] == [
+            ("gr-unknown-feature", "class Part has no feature 'bogus'")]
 
     def test_parse_text_makes_no_lookup_by_name(self, grammars, css, selfhost, monkeypatch):
-        """The shipped and skeleton grammars are sound (TestAgainstReference
-        compares their parses with the reference), and on the samples
-        parse_text calls neither validate_model nor MetaClass.find_feature."""
-        assert all(g.analysis().sound for g in grammars.values())
+        """The shipped and skeleton grammars have no problems
+        (TestAgainstReference compares their parses with the reference), and
+        on the samples parse_text calls neither validate_model nor
+        MetaClass.find_feature."""
+        assert all(g.analysis().problems == [] for g in grammars.values())
         docs = [(css[3], (SAMPLES / "css" / f).read_text()) for f in ("grouped.css", "split.css")]
         docs.append((selfhost[3], (SAMPLES / "selfhost" / "xf.xf").read_text()))
         expected = [ref_parse_text(text, g) for g, text in docs]
@@ -1842,7 +1901,8 @@ class TestValidByConstruction:
         find = MetaClass.find_feature
         monkeypatch.setattr(MetaClass, "find_feature",
                             lambda cls, name: calls.append(name) or find(cls, name))
-        monkeypatch.setattr(grammar_module, "validate_model",
+        assert "validate_model" not in vars(grammar_module)  # and meta's is watched
+        monkeypatch.setattr("mmdsl.meta.validate_model",
                             lambda m: calls.append("validate_model") or validate_model(m))
         models = [parse_text(text, g) for g, text in docs]
         monkeypatch.undo()
@@ -1868,22 +1928,21 @@ class TestStack:
         finally:
             sys.setrecursionlimit(limit)
 
-    def test_left_recursion_is_a_diagnostic(self, toy_ast):
-        """A left-recursive grammar passes parse_grammar; parse_text reports
-        the left recursion where it would open frames without end."""
+    def test_left_recursion_is_refused(self, toy_ast):
+        """A left-recursive grammar passes parse_grammar; parse_text refuses
+        it before any text, with check_grammar's diagnostics, located at the
+        rules on the cycle."""
         g = parse_grammar('Doc : ( items += Node )* ; Abstract Node : Pair | Leaf ; '
                           'Leaf : "leaf" ; Pair : left = Node "x" ;', toy_ast)
         doc, node, leaf = (toy_ast.classifier(n) for n in ("Doc", "Node", "Leaf"))
         loop = Grammar([ConcreteRule("Doc", doc, Repeat(Assignment("items", "+=", "Node"), "*")),
                         AbstractRule("Node", node, ["Node", "Leaf"]),
                         ConcreteRule("Leaf", leaf, Keyword("leaf"))], toy_ast)
-        for grammar, rule in [(g, "Pair"), (loop, "Node")]:
-            assert [d.code for d in check_grammar(grammar)][:1] == ["gr-left-recursion"]
-            with pytest.raises(DiagnosticError) as exc:
-                parse_text("leaf x", grammar)
-            (d,) = exc.value.diagnostics
-            assert (d.code, d.message, d.location.column) == (
-                "gr-left-recursion", f"rule {rule!r} is left-recursive", 1)
+        for grammar, rules in [(g, ["Node", "Pair"]), (loop, ["Node"])]:
+            want = check_grammar(grammar)
+            assert [d.message for d in want] == [f"rule {r!r} is left-recursive" for r in rules]
+            for text in ("leaf x", "leaf", ""):
+                assert outcome(parse_text, text, grammar) == ("diagnostics", want)
 
     def test_containment_cycle_is_a_diagnostic(self, toy_ast):
         g = parse_grammar('Doc : ( items += Node )* ; Abstract Node : Leaf | Pair ; '
@@ -1899,7 +1958,7 @@ class TestStack:
             ("model-containment", "/items[0]", "object of class Pair is contained more than once")]
 
 
-# A grammar over TOY_MM with every terminal, a feature a rule may assign
+# A grammar over TOY_MM with every terminal and a feature a rule may assign
 # twice, and a left-recursive one; the pieces each end in a lexical error.
 STREAM_GRAMMAR = ('Doc : ( items += Node )* ; Abstract Node : Leaf | Pair ; '
                   'Leaf : "leaf" name = ID ( "t" tags += STRING )* ( "again" name = ID )? ; '
@@ -1913,7 +1972,7 @@ class TestStreamedTokens:
     """parse_text reads the lexer's matches one at a time; the parser fed by
     the reference scanner's token list is the oracle. A lexical error
     anywhere wins over every error the machine finds: a syntax error before
-    or after it, "assigned twice" and left recursion."""
+    or after it, and "assigned twice". A refused grammar wins over it."""
 
     @pytest.fixture(scope="class")
     def stream_grammars(self, toy_ast):
@@ -1930,7 +1989,6 @@ class TestStreamedTokens:
         ("stream", "pair 3 pair", "syntax"),  # at the end of input
         ("stream", "leaf a again b", "syntax"),  # assigned twice
         ("stream", "pair 1 ( leaf a again b t \"x\" )", "syntax"),
-        ("loop", "leaf x", "gr-left-recursion"),
     ])
     def test_lexical_error_wins(self, stream_grammars, name, text, alone, lexical):
         """The lexical piece goes after the text, and in front of it, and in
@@ -1938,8 +1996,7 @@ class TestStreamedTokens:
         g = stream_grammars[name]
         got = outcome(parse_text, text, g)
         assert got[0] == "ok" if alone == "ok" else [d.code for d in got[1]] == [alone]
-        if name != "loop":
-            assert_parse_matches_reference(text, g)
+        assert_parse_matches_reference(text, g)
         words = text.split()
         for broken in (f"{text} {lexical}", f"{lexical} {text}",
                        " ".join(words[:2] + [lexical] + words[2:])):
@@ -1951,7 +2008,6 @@ class TestStreamedTokens:
         ("stream", "leaf a again b", ("syntax", "feature 'name' assigned twice", 15)),
         ("stream", 'pair 1 ( leaf a t "s" ) leaf b again c',
          ("syntax", "feature 'name' assigned twice", 39)),
-        ("loop", "leaf x", ("gr-left-recursion", "rule 'Pair' is left-recursive", 1)),
         ("stream", 'leaf "\tab"', ("syntax", "expected ID, found '\"\\tab\"'", 6))])
     def test_without_a_lexical_error(self, stream_grammars, name, text, want):
         """Without a lexical error the machine's own error stands, at the
@@ -1960,6 +2016,19 @@ class TestStreamedTokens:
             parse_text(text, stream_grammars[name])
         (d,) = exc.value.diagnostics
         assert (d.code, d.message, d.location.column) == want and d.location.line == 1
+
+    @pytest.mark.parametrize("text", ["", "leaf x", "leaf", *[f"leaf {p} x" for p in LEXICAL]],
+                             ids=["empty", "cycle", "leaf", *[f"lexical-{i}" for i in range(7)]])
+    def test_a_refused_grammar_wins(self, stream_grammars, text):
+        """LOOP_GRAMMAR is left-recursive: parse_text refuses every text with
+        check_grammar's gr-left-recursion diagnostics, one that holds a
+        lexical error too."""
+        g = stream_grammars["loop"]
+        want = [d for d in check_grammar(g) if d.code == "gr-left-recursion"]
+        assert [(d.message, d.location.column) for d in want] == [
+            ("rule 'Node' is left-recursive", 37), ("rule 'Pair' is left-recursive", 74)]
+        assert outcome(parse_text, text, g) == ("diagnostics", want)
+        assert outcome(ref_parse_text, text, g) == ("diagnostics", want)
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), edit=st.sampled_from(["none", "drop", "insert", "swap"]),
@@ -2079,6 +2148,29 @@ class TestGeneratedRenderer:
         m = parse_text("doc a a x", g)
         assert render_ast(m, g) == ref_render_ast(m, g) == "doc a x\n"
         assert model_equals(parse_text(render_ast(m, g), g), m)
+
+    @pytest.mark.parametrize("grammar, text", [
+        ('Doc : "doc" ( xs += INT )* "x" xs += INT ;', "doc 1 x 2"),
+        ('Doc : "doc" ( xs += INT )? "x" xs += INT ;', "doc x 2"),
+        ('Doc : "doc" ( ( xs += INT )* "y" )? "x" xs += INT ;', "doc x 2"),
+        ('Doc : "doc" ( xs += INT )* ( "x" xs += INT )+ ;', "doc 1 x 2 x 3"),
+        ('Doc : "doc" ( "g" ( xs += INT )* "x" xs += INT )* ;', "doc g 1 x 2 g x 3"),
+        ('Doc : "doc" ( "a" xs += INT | "b" ys += INT )* "x" xs += INT ;', "doc a 1 b 2 x 3")])
+    def test_a_part_leaves_what_later_assignments_take(self, grammar, text):
+        """An optional part, a loop or a choice renders only while a feature
+        it adds to has more values left than the '+=' assignments sure to
+        run after it take: those later in each sequence around it, outside
+        an optional part, a '*' loop or a choice of their own."""
+        ast = parse_metamodel("class Doc { attr int[*] xs; attr int[*] ys; }", "xs")
+        g = parse_grammar(grammar, ast)
+        assert check_grammar(g) == []
+        m = parse_text(text, g)
+        rendered = render_ast(m, g)
+        assert rendered == ref_render_ast(m, g)
+        assert model_equals(parse_text(rendered, g), m)
+        for seed in range(20):
+            m = generate_random_model(g, random.Random(seed), max_depth=3)
+            assert model_equals(parse_text(render_ast(m, g), g), m)
 
     def test_generated_once_on_the_first_render(self, toy_ast, monkeypatch):
         """parse_grammar, check_grammar and parse_text generate nothing; the
@@ -2226,24 +2318,22 @@ class TestGeneratedParser:
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data(), kind=st.sampled_from(["toy", "shadowed", "bounded"]),
-           seed=st.integers(0, 2 ** 32 - 1), sound=st.booleans(), soup=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1), soup=st.booleans(),
            edit=st.sampled_from(["none", "drop", "insert", "swap", "twice", "long"]),
            at=st.integers(0, 10 ** 6),
            where=st.integers(0, 10 ** 6), piece=st.sampled_from(["", "", *LEXICAL]))
-    def test_against_the_op_interpreter(self, toy_ast, bounded_ast, data, kind, seed, sound,
-                                        soup, edit, at, where, piece):
+    def test_against_the_op_interpreter(self, toy_ast, bounded_ast, data, kind, seed, soup,
+                                        edit, at, where, piece):
         """Random grammars, left-recursive ones and flags among them, ones
         with a call only in a shadowed alternative, and grammars with bounds
         to break; rendered random models with a token dropped, inserted,
         swapped or written twice, or with every INT too long, or a soup of
-        the grammar's tokens; and a piece that may hold a lexical error.
-        Unless ``sound``, the grammar takes the path of one the proof does
-        not cover: the whole model goes through validate_model."""
+        the grammar's tokens; and a piece that may hold a lexical error. The
+        left-recursive ones are refused, whatever the text."""
         bounded = kind == "bounded"
         text = data.draw({"toy": toy_grammars(prefixed=False), "shadowed": shadowed_grammars(),
                           "bounded": bounded_grammars()}[kind])
         g = parse_grammar(text, bounded_ast if bounded else toy_ast)
-        g.analysis().sound &= sound
         if soup:
             vocab = sorted(g.keywords()) + ["x", "y", '"s"', "7", "9" * 5000]
             words = ["box"] * bounded + data.draw(st.lists(st.sampled_from(vocab), max_size=12))
@@ -2259,8 +2349,8 @@ class TestGeneratedParser:
         same_parse(" ".join(words), g)
 
     def test_shipped_and_hand_built_grammars(self, grammars, bounded_ast):
-        """The samples and the hand-built grammars, sound or not, with their
-        texts mutated one token at a time."""
+        """The samples and the hand-built grammars, with problems or not,
+        with their texts mutated one token at a time."""
         cases = [(g, (SAMPLES / d / f).read_text()) for g, d, f in [
             (grammars["css"], "css", "grouped.css"), (grammars["css"], "css", "split.css"),
             (grammars["selfhost"], "selfhost", "xf.xf")]]
@@ -2285,20 +2375,36 @@ class TestGeneratedParser:
         assert not inspect.isgeneratorfunction(parsers["Pair"][1])
         assert inspect.isgeneratorfunction(parsers["Doc"][1])
 
-    def test_left_recursion_names_a_rule_on_the_cycle(self, toy_ast):
-        """Through two rules, at the token where the cycle starts. The rule
-        named is on the cycle: the one that would open one generator more
-        than there are rules at that token."""
+    def test_left_recursion_through_two_rules_is_refused(self, toy_ast):
+        """A cycle through two rules, which a text need not reach: parse_text
+        refuses every text with check_grammar's diagnostics, one at each
+        rule on the cycle, and generates no parser."""
         ast = parse_metamodel("class A { val B b; }\nclass B { val A a; }\nclass D { val A a; }",
                               "lr")
         g = parse_grammar('D : "d" a = A ; A : b = B "x" ; B : ( a = A "y" | "z" ) ;', ast)
-        assert {d.message for d in check_grammar(g)} == {
-            "rule 'A' is left-recursive", "rule 'B' is left-recursive"}
-        with pytest.raises(DiagnosticError) as exc:
-            parse_text("d z x", g)
-        (d,) = exc.value.diagnostics
-        assert (d.code, d.message, d.location.column) == (
-            "gr-left-recursion", "rule 'B' is left-recursive", 3)
+        want = check_grammar(g)
+        assert [(d.code, d.message, d.location.column) for d in want] == [
+            ("gr-left-recursion", "rule 'A' is left-recursive", 17),
+            ("gr-left-recursion", "rule 'B' is left-recursive", 33)]
+        for text in ("d z x", "d"):
+            assert outcome(parse_text, text, g) == ("diagnostics", want)
+        assert g.analysis().parsers is None
+
+    def test_parsers_take_no_depth(self, grammars, toy_ast):
+        """Every generated parser takes (m, read, box), and every part
+        function those and the slots: no rule counts the rules open at a
+        token, as a grammar with left recursion runs none."""
+        for g in [*grammars.values(), nested_grammar(toy_ast)]:
+            outcome(parse_text, "", g)  # generates the parsers
+            funcs = {f for table, default in g.analysis().parsers.values()
+                     for f in (*table.values(), default)}
+            parts = {p for f in funcs if inspect.isfunction(f)
+                     for k, p in f.__globals__.items() if k.startswith("part")}
+            assert {tuple(inspect.signature(f).parameters) for f in funcs} == {
+                ("m", "read", "box")}
+            assert {tuple(inspect.signature(p).parameters) for p in parts} <= {
+                ("m", "read", "box", "slots")}
+        assert parts
 
     def test_nothing_generated_before_the_first_parse(self, monkeypatch):
         """parse_grammar, check_grammar and the rest of a language's set-up
