@@ -236,18 +236,21 @@ def parse_grammar(text: str, ast: Metamodel, file: str = "<grammar>") -> Grammar
             stream.fail(f"expected '=', '+=' or '?\"kw\"' after '{tok.text}'")
         stream.fail(f"expected a keyword, assignment or group, found '{tok.text}'")
 
-    while not (stream.at("EOF") and rules):
-        kind = AbstractRule if stream.accept_kw("Abstract") else ConcreteRule
-        name = stream.expect("ID")
-        stream.expect_kw(":")
-        if kind is ConcreteRule:
-            body = parse_alternation()
-        else:
-            body = [stream.expect("ID").text]
-            while stream.accept_kw("|"):
-                body.append(stream.expect("ID").text)
-        stream.expect_kw(";")
-        rules.append(kind(name.text, None, body, name.location))
+    try:
+        while not (stream.at("EOF") and rules):
+            kind = AbstractRule if stream.accept_kw("Abstract") else ConcreteRule
+            name = stream.expect("ID")
+            stream.expect_kw(":")
+            if kind is ConcreteRule:
+                body = parse_alternation()
+            else:
+                body = [stream.expect("ID").text]
+                while stream.accept_kw("|"):
+                    body.append(stream.expect("ID").text)
+            stream.expect_kw(";")
+            rules.append(kind(name.text, None, body, name.location))
+    finally:  # the parsers call each other through their closure cells: empty them
+        del parse_alternation, parse_sequence, parse_element, parse_primary
 
     seen = set()
     for r in rules:
@@ -545,12 +548,16 @@ def check_grammar(g: Grammar) -> list[Diagnostic]:
             for x in e.alternatives:
                 walk(x, rule, follow)
 
-    for name in a.reachable:
-        r = g.by_name[name]
-        if isinstance(r, AbstractRule):
-            overlaps(name, [(repr(alt), a.first.get(alt, frozenset())) for alt in r.alternatives])
-        else:
-            walk(r.body, name, frozenset())
+    try:
+        for name in a.reachable:
+            r = g.by_name[name]
+            if isinstance(r, AbstractRule):
+                overlaps(name, [(repr(alt), a.first.get(alt, frozenset()))
+                                for alt in r.alternatives])
+            else:
+                walk(r.body, name, frozenset())
+    finally:  # walk calls itself through its closure cell: empty it
+        del walk
     left = a.left_recursive
     return left + a.unproductive + ([] if left else ambiguous)
 
@@ -636,9 +643,10 @@ _GENERATING = threading.Lock()
 
 @functools.lru_cache(maxsize=1024)
 def _compiled(kind: str, rule: str, text: str):
-    """Generated source ``text``, rule ``rule``'s ``kind`` code, compiled
-    once per process and put in linecache, for tracebacks, inspect and
-    profiles, as ``<mmdsl kind Rule #digest>``, with a digest of the text."""
+    """Generated source ``text``, rule ``rule``'s ``kind`` code (or, for
+    ``forward``, AST class ``rule``'s builder), compiled once per process
+    and put in linecache, for tracebacks, inspect and profiles, as
+    ``<mmdsl kind Rule #digest>``, with a digest of the text."""
     file = f"<mmdsl {kind} {rule} #{hashlib.blake2b(text.encode(), digest_size=6).hexdigest()}>"
     linecache.cache[file] = (len(text), None, text.splitlines(True), file)
     return compile(text, file, "exec")

@@ -22,9 +22,11 @@ tables from the same lists. A Model is single-writer.
 A ``Tree`` is one walk of a containment tree with an explicit stack: its
 objects in preorder, and each object's container and path without a search.
 ``iter_tree``, ``validate_model``, ``transform``'s diagnostics and namers, and
-the walk of ``transform_model_to_ast`` each read one Tree; a forward transform
-binds names and validates its result on the same one. ``model_equals`` pairs
-the preorders of two Trees. ``validate_model`` is the one place that words a
+the walk of ``transform_model_to_ast`` each read one Tree. A forward transform
+binds names and checks its result as it builds it, where the build makes the
+target in preorder; it builds a Tree only to bind names after a placer, to
+locate failed references, or to validate a result it could not vouch for.
+``model_equals`` pairs the preorders of two Trees. ``validate_model`` is the one place that words a
 problem of a model: the walkers that read a caller's model unchecked
 (``dump_model``, ``render_ast`` and both transforms) only detect one where
 they read it (``rejecting``).

@@ -4,15 +4,19 @@ build_plan turns a derivation trace plus the two metamodels into a
 TransformPlan: per image class, the prototype to instantiate and one
 instruction per feature (copy-attribute, map-containment, or resolve-cross
 with the recorded textual type). transform_ast_to_model runs the plan in
-two passes: pass one creates prototype instances on an explicit stack,
+two passes. Pass one creates prototype instances on an explicit stack, in
+builders generated per AST class from its instructions (_BuildSource),
 copying attributes and containment and making one ResolutionContext per
-textual reference; one walk of the target tree (a meta.Tree) then binds
-every named object in its scope, and the same Tree locates failed
-references and validates the result; pass two hands each context to a
-resolver callback that returns the target object, returns DEFER to be
-asked once more with the same context after every other reference (the
-one way to wait for a name that a resolver defines later), or reports the
-name unresolved. Created
+textual reference. Where the plan proves that the build makes the target
+in preorder, the build binds each named object in its scope as it makes
+it, and tests each value it writes as validate_model would; elsewhere,
+and after a placer has run, one walk of the target tree (a meta.Tree)
+binds the names. Pass two hands each context to a resolver callback that
+returns the target object, returns DEFER to be asked once more with the
+same context after every other reference (the one way to wait for a name
+that a resolver defines later), or reports the name unresolved. A Tree is
+built only to locate failed references and to validate a target the
+build could not vouch for. Created
 (syntax-only) classes produce nothing themselves: their instances are
 either consumed as reference payloads or, for structures like rule blocks,
 handed to a placement callback that decides which manually constructed
@@ -22,7 +26,8 @@ Resolvers are registered at runtime in a ResolverRegistry; the builtin
 qualified-name resolver (namespace_registry) is configured from a small
 key-value file and covers both shipped examples without user code. A
 registry is immutable once built and produces a fresh seeded Namespace per
-run, so distinct runs may execute concurrently.
+run, copied from bindings it seeds once, so distinct runs may execute
+concurrently.
 
 transform_model_to_ast walks the opposite direction over one meta.Tree of
 the target model, the Tree's preorder being its explicit stack: prototype
@@ -35,15 +40,17 @@ value that does not fit or an object reached twice (meta.rejecting).
 
 from __future__ import annotations
 
+import sys
 import weakref
 from collections import deque
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, DiagnosticError, SourceLocation, error, raise_any
+from .grammar import _GENERATING, _compiled
 from .meta import (
-    Classifier, MetaAttribute, MetaClass, MetaDataType, MetaFeature, Metamodel,
-    Model, ModelObject, Tree, _validate, builtin_ecore, classifier_object,
-    is_subtype, rejecting, resolve_classifier, validate_model,
+    UNBOUNDED, Classifier, MetaAttribute, MetaClass, MetaDataType, MetaFeature, Metamodel,
+    Model, ModelObject, Tree, _checks, _unset_value, _validate, builtin_ecore,
+    classifier_object, is_subtype, rejecting, resolve_classifier, validate_model,
 )
 from .xf import Trace
 
@@ -77,6 +84,9 @@ class TransformPlan:
         self.instructions: dict[str, tuple[Instruction, ...]] = {}
         self.consume_only: set[str] = set()
         self.skipped: set[str] = set()
+        self._order: tuple | None = None  # _plan_order's verdict, on the first run
+        # AST class name -> its generated builder, made on its first build (_BuildSource)
+        self.builders: dict[str, object] = {}
 
     def is_mapped(self, cls: MetaClass) -> bool:
         return cls.name in self.proto_for_image
@@ -86,6 +96,25 @@ class TransformPlan:
 
     def instructions_for(self, cls: MetaClass) -> tuple[Instruction, ...]:
         return self.instructions.get(cls.name, ())
+
+    def binds_in_build(self, name_attribute: str) -> bool:
+        """Whether the build makes the target in preorder and each object's
+        ``name_attribute`` before its children (_plan_order), so that it
+        can bind each object as it makes it."""
+        if self._order is None:
+            self._order = _plan_order(self)
+        preorder, late = self._order
+        return preorder and name_attribute not in late
+
+    def builder(self, name: str):
+        """The builder of mapped AST class ``name``, generated on its first call."""
+        with _GENERATING:  # the first thread generates; the others wait and take its builder
+            if name not in self.builders:
+                source = _BuildSource(self, name)
+                names = dict(source.names, __name__=__name__)
+                exec(_compiled("forward", name, source.text), names)
+                self.builders[name] = names["build"]
+            return self.builders[name]
 
 
 def build_plan(trace: Trace, target: Metamodel, ast: Metamodel) -> TransformPlan:
@@ -158,6 +187,70 @@ def build_plan(trace: Trace, target: Metamodel, ast: Metamodel) -> TransformPlan
         plan.instructions[cls.name] = tuple(
             by_feature[f] for f in cls.all_features() if f in by_feature)
     return plan
+
+
+def _unset_fits(row) -> bool:
+    """Whether _validate accepts an unset slot of ``row``, one of meta._checks's rows."""
+    f, _, _, unset, counted, tp, exact = row
+    return (not counted or f.lower <= len(unset) and (
+        f.upper is UNBOUNDED or len(unset) <= f.upper)) and (
+        exact is None or all(type(v) is tp if exact else isinstance(v, tp) for v in unset))
+
+
+def _plan_order(plan: TransformPlan) -> tuple[bool, set[str]]:
+    """Whether every mapped class writes distinct target features, its
+    containments in its prototype's containment order and never many into
+    one, so that the build makes the target in preorder; and the target
+    features that a class writes after its first containment instruction,
+    where the build binds its object."""
+    preorder, late = True, set()
+    for name, proto in plan.proto_for_image.items():
+        containments = proto.containments()
+        instrs = plan.instructions.get(name, ())
+        written = [i.target_feature.name for i in instrs]
+        order = [containments.index(i.target_feature) for i in instrs
+                 if i.kind == "containment" and i.target_feature in containments]
+        if len(set(written)) < len(written) or order != sorted(order) or any(
+                i.kind == "containment" and (not i.target_feature.containment or (
+                    i.image_feature.many and not i.target_feature.many)) for i in instrs):
+            preorder = False
+        first = next((k for k, i in enumerate(instrs) if i.kind == "containment"), len(instrs))
+        late.update(written[first + 1:])
+    return preorder, late
+
+
+def _class_checks(plan: TransformPlan, name: str) -> tuple | None:
+    """What the build of mapped class ``name`` checks as it writes, or None
+    if the class is not sound: sound, its prototype is known and concrete,
+    has one feature per name and every target feature its instructions
+    write, and no other feature whose unset slot _validate rejects. Per
+    instruction: whether _validate accepts its target feature unset, the
+    counts a write must lie within (or None), and the test of a value
+    written: a copied value's type and whether exactly, or the prototypes
+    of the images whose objects fit a containment."""
+    proto, instrs = plan.proto_for_image[name], plan.instructions.get(name, ())
+    t = proto.tables()
+    rows = {row[0]: row for row in _checks(t)}
+    written = {i.target_feature.name for i in instrs}
+    if (proto in plan.target.classifiers or proto in builtin_ecore().classifiers) and \
+            not proto.abstract and len(t.by_name) == len(t.features) and \
+            all(i.target_feature in rows for i in instrs) and \
+            all(_unset_fits(r) for f, r in rows.items() if f.name not in written):
+        return tuple(_write_check(plan, i, rows[i.target_feature]) for i in instrs)
+    return None
+
+
+def _write_check(plan: TransformPlan, instr: Instruction, row) -> tuple:
+    """``checks``'s entry for ``instr``, whose target feature's row is ``row``."""
+    tf = instr.target_feature
+    bounds = (tf.lower, sys.maxsize if tf.upper is UNBOUNDED else tf.upper) if row[4] else None
+    if instr.kind == "copy":
+        test = row[5:]
+    elif instr.kind == "containment":
+        test = {image: p for image, p in plan.proto_for_image.items() if is_subtype(p, tf.type)}
+    else:
+        test = None
+    return _unset_fits(row), bounds, test
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +372,14 @@ def flatten_payload(payload) -> list[str]:
         seen.add(obj)
         slots = obj.slots
         heads, tails = _payload_names(obj.cls)
-        segs += [slots[name] for name in heads if name in slots]
-        obj = next((slots[name] for name in tails if name in slots), None)
+        for name in heads:
+            if name in slots:
+                segs.append(slots[name])
+        obj = None
+        for name in tails:
+            if name in slots:
+                obj = slots[name]
+                break
     return segs
 
 
@@ -330,8 +429,8 @@ class ResolverRegistry:
     classes, an optional root constructor for skipped roots, and the
     namespace seeding recipe. Immutable once built; make_namespace() hands
     each run its own scope tree. A resolver returns an object (or None, or
-    DEFER) and edits no containment: a run validates the target model on the
-    Tree it bound names from before it asked any resolver."""
+    DEFER) and edits no containment: what a run found of its target before
+    it asked any resolver, as it built or bound it, still holds after."""
 
     def __init__(self, name_attribute: str = "name"):
         self.name_attribute = name_attribute
@@ -341,6 +440,7 @@ class ResolverRegistry:
         self.root_constructor = None
         self.scope_classes: set[str] = set()
         self._seed_metamodels: list[tuple[str, Metamodel]] = []
+        self._seeded: Namespace | None = None  # the seeded bindings (make_namespace)
         self.default_namer = default_namer
 
     def on(self, image_class: str, feature: str, resolver) -> "ResolverRegistry":
@@ -353,6 +453,7 @@ class ResolverRegistry:
 
     def seed(self, kind: str, mm: Metamodel) -> "ResolverRegistry":
         self._seed_metamodels.append((kind, mm))
+        self._seeded = None
         return self
 
     def resolver_for(self, owner: MetaClass, feature_name: str):
@@ -364,13 +465,23 @@ class ResolverRegistry:
 
     def make_namespace(self) -> Namespace:
         """A fresh namespace with the seeded classifiers bound; the first
-        binding of a name wins."""
+        binding of a name wins. The bindings are made once per seeding, in
+        a namespace kept as ``_seeded`` (which seals the seeded
+        metamodels), and each namespace gets copies of them."""
+        if self._seeded is None:
+            seeded = Namespace()
+            for kind, mm in self._seed_metamodels:
+                mm.by_name()  # seals mm.classifiers, so these bindings stay in step with them
+                scopes = (seeded.root, seeded.root.child("ecore")) if kind == "ecore" else \
+                    (seeded.root,)
+                for c in mm.classifiers:
+                    for scope in scopes:
+                        scope.bindings.setdefault(c.name, classifier_object(c))
+            self._seeded = seeded
         ns = Namespace()
-        for kind, mm in self._seed_metamodels:
-            scopes = (ns.root, ns.root.child("ecore")) if kind == "ecore" else (ns.root,)
-            for c in mm.classifiers:
-                for scope in scopes:
-                    scope.bindings.setdefault(c.name, classifier_object(c))
+        ns.root.bindings = dict(self._seeded.root.bindings)
+        for name, scope in self._seeded.root.children.items():
+            ns.root.child(name).bindings = dict(scope.bindings)
         return ns
 
 
@@ -418,13 +529,16 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
                            registry: ResolverRegistry) -> tuple[Model, list[Diagnostic]]:
     """The target model of ``ast_model``, with its resolution's and validation's diagnostics."""
     diags: list[Diagnostic] = []
-    run = _Forward(plan, registry)
+    # A mapped root builds the whole target, so the build binds names as it
+    # makes objects where the plan proves it makes them in preorder.
+    root = ast_model.root
+    run = _Forward(plan, registry, plan.is_mapped(root.cls)
+                   and plan.binds_in_build(registry.name_attribute))
     ns, entered = run.ns, run.entered
 
     # Root: a mapped root transforms to the target root; a consume-only root
     # (compilation unit) passes the torch to its single mapped subtree, or to
     # the configured root constructor when it has none.
-    root = ast_model.root
     root_candidate: ModelObject | None = None
     consume_queue: deque[ModelObject] = deque()
     if plan.is_mapped(root.cls):
@@ -476,9 +590,9 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
                     # validate_model reports a feature name the container lacks
                     container.slots.setdefault(feature_name, []).append(run.build(child))
 
-    # Bind named target objects so resolvers can look them up; scope classes
-    # open nested scopes for their subtrees.
-    tree = run.bind(troot)
+    # Unless the build bound them, bind named target objects so resolvers can
+    # look them up; scope classes open nested scopes for their subtrees.
+    tree = None if run.fused else run.bind(troot)
 
     # Ask each reference's resolver in the order build met them, then once
     # more each that returned DEFER, with the same context.
@@ -498,13 +612,21 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
     for resolver, i in deferred:  # one retry once every object exists
         result = resolver(contexts[i])
         resolved[i] = _settle(contexts[i], None if result is DEFER else result, failed)
-    diags.extend(error("resolve", code, message, path=tree.path(tobj) or "/")
-                 for tobj, code, message in failed)
+    if failed:
+        tree = tree or Tree(troot)
+        diags.extend(error("resolve", code, message, path=tree.path(tobj) or "/")
+                     for tobj, code, message in failed)
 
+    # After a fused build that detected nothing, _validate would find
+    # nothing, unless a resolved object lies outside the built target and
+    # stands for no classifier (model-dangling).
+    built, valid = run.scopes, run.fused and not run.detected
     for tobj, tf, _, start, stop in run.slots:
         values = [v for v in resolved[start:stop] if v is not None]
         if values:
             tobj.slots[tf.name] = values if tf.many else values[0]
+            if valid and not all(v in built or v.represents is not None for v in values):
+                valid = False
 
     diags.extend(ns.diagnostics)
     model = Model(troot, plan.target)
@@ -512,10 +634,10 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
         # resolvers edit no containment, so bind's Tree still holds, unless a
         # stale trace resolves references into a containment slot
         if any(tf.containment for _, tf, *_ in run.slots):
-            tree = Tree(troot)
-        if problems := _validate(model, tree):
+            tree, valid = Tree(troot), False
+        if not valid and (problems := _validate(model, tree or Tree(troot))):
             raise_any(validate_model(ast_model))  # an invalid AST explains an invalid target
-        diags.extend(problems)
+            diags.extend(problems)
     return model, diags
 
 
@@ -524,9 +646,14 @@ class _Forward:
     ResolutionContext of each reference in build order, the cross slots
     they fill (target object, feature, resolver, range in ``contexts``),
     the scope each target object was bound in, the resolver of each (AST
-    class, feature) looked up so far, and the AST objects entered."""
+    class, feature) looked up so far, the AST objects entered and the
+    build's stack. A ``fused`` run binds each object as the build makes it;
+    ``detected``: a write met a value that _validate may reject."""
 
-    def __init__(self, plan: TransformPlan, registry: ResolverRegistry):
+    __slots__ = ("plan", "registry", "ns", "contexts", "slots", "scopes", "resolvers",
+                 "entered", "stack", "fused", "detected", "named")
+
+    def __init__(self, plan: TransformPlan, registry: ResolverRegistry, fused: bool = False):
         self.plan = plan
         self.registry = registry
         self.ns = registry.make_namespace()
@@ -535,74 +662,179 @@ class _Forward:
         self.scopes: dict[ModelObject, Scope] = {}
         self.resolvers: dict[tuple[MetaClass, str], object] = {}
         self.entered: set[ModelObject] = set()
+        self.fused, self.detected = fused, False
+        # per class: whether the name attribute names its objects, and whether they open a scope
+        self.named: dict[MetaClass, tuple] = {}
 
     def build(self, ast_root: ModelObject) -> ModelObject:
         """The target image of ``ast_root``'s subtree, made on an explicit
-        stack of (AST object, its image, instruction position) frames. A
-        containment instruction makes its children's images, then their
-        frames run before their container's resumes, so references get
-        their contexts in the order a recursive walk would meet them. A
-        child entered before, or a many-valued slot without a list, raises
-        TypeError."""
-        plan, proto_for_image, entered = self.plan, self.plan.proto_for_image, self.entered
-        troot = ModelObject(proto_for_image[ast_root.cls.name])
-        stack = [(ast_root, troot, 0)]
+        stack of (AST object, its image, resume point, the scope its
+        contents bind in) frames, each run by the builder of its AST class
+        (_BuildSource). A builder makes its object's children's images and
+        pushes their frames above its own resumption, so references get
+        their contexts in the order a recursive walk would meet them."""
+        plan = self.plan
+        troot = ModelObject(plan.proto_for_image[ast_root.cls.name])
+        if self.fused:
+            self.scopes[troot] = self.ns.root
+        stack = self.stack = [(ast_root, troot, 0, None)]
+        builders, pop = plan.builders, stack.pop
         while stack:
-            ast_obj, tobj, at = stack.pop()
-            slots, instrs = tobj.slots, plan.instructions_for(ast_obj.cls)
-            # slots are read and written through the features the plan holds
-            for i in range(at, len(instrs)):
-                instr = instrs[i]
-                f, tf = instr.image_feature, instr.target_feature
-                values = ast_obj.values_of(f)
-                if f.many and type(values) is not list and values != ():
-                    raise TypeError(values)
-                if not values:
-                    continue
-                if instr.kind == "copy":
-                    slots[tf.name] = list(values) if f.many or tf.many else values[0]
-                elif instr.kind == "containment":
-                    n = len(entered)
-                    entered.update(values)
-                    if len(entered) != n + len(values):  # one entered before: no valid AST has it
-                        raise TypeError(values)
-                    children = [ModelObject(proto_for_image[c.cls.name]) for c in values]
-                    slots[tf.name] = children if tf.many else children[0]
-                    stack.append((ast_obj, tobj, i + 1))
-                    stack += [(c, t, 0) for c, t in zip(reversed(values), reversed(children))]
-                    break
-                else:
-                    key = (ast_obj.cls, f.name)
-                    resolver = self.resolvers.get(key)
-                    if resolver is None:
-                        resolver = self.resolvers[key] = self.registry.resolver_for(*key)
-                    start = len(self.contexts)
-                    self.contexts += [ResolutionContext(ast_obj, tobj, tf, p, instr.textual,
-                                                        self.ns) for p in values]
-                    self.slots.append((tobj, tf, resolver, start, len(self.contexts)))
+            frame = pop()
+            name = frame[0].cls.name
+            (builders[name] if name in builders else plan.builder(name))(*frame, self)
         return troot
+
+    def bind_object(self, obj: ModelObject) -> Scope:
+        """Bind ``obj`` in its scope, where its container's contents bind,
+        unless a name is bound there already; the scope its own contents
+        bind in, a child scope if ``obj`` is a named scope-class object."""
+        scope = self.scopes[obj]
+        name = obj.slots.get(self.registry.name_attribute)
+        if name is not None:
+            facts = self.named.get(obj.cls)
+            if facts is None:
+                feat = obj.cls.find_feature(self.registry.name_attribute)
+                facts = self.named[obj.cls] = (feat is not None and feat.is_attribute,
+                                               obj.cls.name in self.registry.scope_classes)
+            if facts[0]:
+                scope.bindings.setdefault(name, obj)
+                if facts[1]:
+                    return scope.child(name)
+        return scope
+
+    def resolver(self, cls: MetaClass, name: str):
+        """The resolver of AST class ``cls``'s feature ``name``, looked up once per run."""
+        resolver = self.resolvers.get((cls, name))
+        if resolver is None:
+            resolver = self.resolvers[cls, name] = self.registry.resolver_for(cls, name)
+        return resolver
 
     def bind(self, troot: ModelObject) -> Tree:
         """Bind every named object below ``troot`` in its container's scope,
-        in preorder, keeping the first binding of a name; a named object of a
-        scope class opens a child scope for its contents."""
+        in preorder (bind_object), on one Tree of it."""
         tree = Tree(troot)
-        attr, scope_classes = self.registry.name_attribute, self.registry.scope_classes
         inner: dict[ModelObject, Scope] = {}  # the scope an object's contents bind in
-        named: dict[MetaClass, bool] = {}  # whether a class's ``attr`` is an attribute
         for obj in tree.objects:
             container = tree.container(obj)
-            scope = self.scopes[obj] = self.ns.root if container is None else inner[container]
-            name = obj.slots.get(attr)
-            if name is not None and obj.cls not in named:
-                feat = obj.cls.find_feature(attr)
-                named[obj.cls] = feat is not None and feat.is_attribute
-            if name is not None and named[obj.cls]:
-                scope.bindings.setdefault(name, obj)
-                if obj.cls.name in scope_classes:
-                    scope = scope.child(name)
-            inner[obj] = scope
+            self.scopes[obj] = self.ns.root if container is None else inner[container]
+            inner[obj] = self.bind_object(obj)
         return tree
+
+
+# Statements that make an object of prototype ``p`` in ``o``, without ModelObject's __init__
+_MAKE = "o = NEW(ModelObject); o.cls = p; o.slots = {}; o.represents = None"
+
+
+class _BuildSource:
+    """The source of mapped AST class ``name``'s builder (``text``) and its
+    constants (``names``): Futamura's first projection of the build on the
+    plan, as _Code is of the grammar's parser. ``build(a, t, at, inner,
+    run)`` fills target object ``t`` from AST object ``a`` through the
+    class's instructions, feature names as literals, from resume point
+    ``at`` on: each containment instruction that makes children pushes the
+    frame that resumes after it, unless it is the last, and the children's
+    frames above it, and returns. Before the first containment instruction
+    a fused run binds ``t`` (``inner``: the scope its contents bind in).
+    A sound class's builder tests each value it writes as _validate would
+    (_class_checks), and sets ``run.detected`` where one may fail; the
+    builder of a class that is not sound sets it at once. A child entered
+    before, or a many-valued slot without a list, raises TypeError."""
+
+    def __init__(self, plan: TransformPlan, name: str):
+        instrs, checks = plan.instructions.get(name, ()), _class_checks(plan, name)
+        self.names = {"NEW": ModelObject.__new__, "ModelObject": ModelObject,
+                      "PROTO": plan.proto_for_image, "CTX": ResolutionContext}
+        blocks: list[list[str]] = [[]]
+        if checks is None:
+            blocks[0].append("run.detected = True")
+        for k, instr in enumerate(instrs):
+            if instr.kind == "containment" and len(blocks) == 1:
+                blocks[0].append("if run.fused: inner = run.bind_object(t)")
+            blocks[-1] += self.write(k, instr, None if checks is None else checks[k],
+                                     last=k == len(instrs) - 1, resume=len(blocks))
+            if instr.kind == "containment" and k < len(instrs) - 1:
+                blocks.append([])
+        if not any(i.kind == "containment" for i in instrs):
+            blocks[0].append("if run.fused: run.bind_object(t)")
+        lines = ["def build(a, t, at, inner, run):", "    s = a.slots", "    ts = t.slots"]
+        for j, block in enumerate(blocks):
+            if j == len(blocks) - 1:
+                lines += ["    " + x for x in block]
+            else:
+                lines += [f"    if at <= {j}:", *["        " + x for x in block]]
+        self.text = "\n".join(lines) + "\n"
+
+    def write(self, k: int, instr: Instruction, check, last: bool, resume: int) -> list[str]:
+        """The statements of instruction ``k``: read its slot, then write,
+        test and count what it holds, or test the unset target slot."""
+        f, tf = instr.image_feature, instr.target_feature
+        unset = _unset_value(f)
+        if f.many or unset is None:
+            read = f"v = s.get({f.name!r})"
+        else:
+            self.names[f"U{k}"] = unset
+            read = f"v = s.get({f.name!r}, U{k})"
+        ok, bounds, test = check or (True, None, None)
+        body = getattr(self, instr.kind)(k, instr, test, resume, last)
+        # a write leaves as many values as ``v`` holds, or one
+        if bounds is not None and f.many and tf.many:
+            count = [f"if not {bounds[0]} <= len(v) <= {bounds[1]}: run.detected = True"]
+        else:
+            count = ["run.detected = True"] * (
+                bounds is not None and not bounds[0] <= 1 <= bounds[1])
+        at = len(body) - (instr.kind == "containment")  # before a containment's return
+        body[at:at] = count
+        unset_ok = ["else: run.detected = True"] * (not ok)
+        if not f.many:
+            return [read, "if v is not None:", *["    " + x for x in body], *unset_ok]
+        return [read, "if v:", "    if type(v) is not list: raise TypeError(v)",
+                *["    " + x for x in body],
+                "elif v is not None and type(v) is not list and v != (): raise TypeError(v)",
+                *unset_ok]
+
+    def copy(self, k, instr, test, resume, last) -> list[str]:
+        f, tf = instr.image_feature, instr.target_feature
+        value = "list(v)" if f.many else "[v]" if tf.many else "v"
+        out = [f"ts[{tf.name!r}] = v = {value}" if f.many else f"ts[{tf.name!r}] = {value}"]
+        if test is not None:
+            tp, exact = test
+            self.names[f"T{k}"] = tp
+            bad = (lambda x: f"type({x}) is not T{k}") if exact else \
+                (lambda x: f"not isinstance({x}, T{k})")
+            if f.many and not tf.many:
+                out.append("run.detected = True")  # a list where one value belongs
+            elif f.many:
+                out += ["for x in v:", f"    if {bad('x')}: run.detected = True; break"]
+            else:
+                out.append(f"if {bad('v')}: run.detected = True")
+        return out
+
+    def containment(self, k, instr, test, resume, last) -> list[str]:
+        f, tf = instr.image_feature, instr.target_feature
+        if test is not None:
+            self.names[f"P{k}"] = test
+            proto = [f"p = P{k}.get(c.cls.name)",
+                     "if p is None: p = PROTO[c.cls.name]; run.detected = True"]
+        else:
+            proto = ["p = PROTO[c.cls.name]"]
+        return ["v = (v,)"] * (not f.many) + [
+            "E = run.entered", "n = len(E)", "E.update(v)",
+            "if len(E) != n + len(v): raise TypeError(v)", "made = []", "for c in v:",
+            *["    " + x for x in proto], "    " + _MAKE, "    made.append(o)",
+            f"ts[{tf.name!r}] = {'made' if tf.many else 'made[0]'}",
+            "if run.fused: run.scopes.update(dict.fromkeys(made, inner))",
+            *[f"run.stack.append((a, t, {resume}, inner))"] * (not last),
+            "run.stack += [(c, o, 0, None) for c, o in zip(reversed(v), reversed(made))]",
+            "return"]
+
+    def cross(self, k, instr, test, resume, last) -> list[str]:
+        f = instr.image_feature
+        self.names[f"F{k}"], self.names[f"X{k}"] = instr.target_feature, instr.textual
+        made = f"C.append(CTX(a, t, F{k}, v, X{k}, run.ns))" if not f.many else \
+            f"C += [CTX(a, t, F{k}, p, X{k}, run.ns) for p in v]"
+        return [f"r = run.resolver(a.cls, {f.name!r})", "C = run.contexts", "start = len(C)",
+                made, f"run.slots.append((t, F{k}, r, start, len(C)))"]
 
 
 def _settle(ctx: ResolutionContext, result, failed: list):

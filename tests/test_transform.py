@@ -1,24 +1,29 @@
+import copy
 import random
 import signal
+from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from mmdsl.diagnostics import DiagnosticError
-from mmdsl.emfatic import parse_metamodel
-from mmdsl.grammar import parse_grammar, parse_text, render_ast
+from mmdsl.diagnostics import DiagnosticError, error, raise_any
+from mmdsl.emfatic import parse_metamodel, print_metamodel
+from mmdsl.grammar import (
+    check_grammar, generate_random_model, parse_grammar, parse_text, render_ast,
+)
 from mmdsl.modeltext import dump_model, load_model
 from mmdsl.meta import (
     MetaAttribute, MetaClass, MetaDataType, MetaReference, Model, ModelObject, Tree,
-    builtin_ecore, classifier_object, iter_tree, model_equals, validate_model,
+    _validate, builtin_ecore, classifier_object, iter_tree, model_equals, rejecting,
+    validate_model,
 )
 from mmdsl.transform import (
-    DEFER, Namespace, ResolutionContext, ResolverRegistry, _Forward, build_plan,
-    flatten_payload,
-    namespace_registry, parse_config, transform_ast_to_model,
-    transform_model_to_ast,
+    DEFER, Namespace, ResolutionContext, ResolverRegistry, _Forward, _PlacementContext,
+    _settle, build_plan, flatten_payload, namespace_registry, parse_config,
+    transform_ast_to_model, transform_model_to_ast,
 )
 from mmdsl.xf import (
     Transformation, derive_ast_metamodel, parse_transformation,
@@ -146,6 +151,37 @@ class TestNamespace:
         ns = registry.make_namespace()
         found = ns.resolve(ns.root, ["ecore", "EClassifier"])
         assert found.represents is builtin_ecore().classifier("EClassifier")
+
+    def test_seeded_bindings_are_made_once_and_copied(self, selfhost, monkeypatch):
+        """make_namespace binds what one setdefault per seeded classifier
+        and scope bound, in the same order, the first binding of a name
+        winning. It makes them once per seeding; each namespace gets its
+        own copies, so runs stay independent."""
+        import mmdsl.transform
+        target, t, ast, *_ = selfhost
+        clash = parse_metamodel("class EClass { }\nclass Extra { }\n", "clash")
+        reg = ResolverRegistry().seed("target", target).seed("ecore", builtin_ecore())
+        reg.seed("ast", ast).seed("target", clash)
+        made = []
+        monkeypatch.setattr(mmdsl.transform, "classifier_object",
+                            lambda c: made.append(c) or classifier_object(c))
+        first = reg.make_namespace()
+        seeded = len(made)
+        second = reg.make_namespace()
+        assert seeded and len(made) == seeded
+        monkeypatch.undo()
+        ref = ref_make_namespace(reg)
+        for ns in (first, second):
+            assert _scope_tree(ns.root) == _scope_tree(ref.root)
+            assert [list(s.bindings) for s in (ns.root, ns.root.children["ecore"])] == \
+                [list(s.bindings) for s in (ref.root, ref.root.children["ecore"])]
+        assert first.root.bindings["EClass"].represents is builtin_ecore().classifier("EClass")
+        first.define([], "Mine", object())
+        first.define(["ecore"], "Mine", object())
+        assert "Mine" not in second.root.bindings
+        assert "Mine" not in second.root.children["ecore"].bindings
+        reg.seed("ecore", clash)  # a later seeding is bound from the next namespace on
+        assert _scope_tree(reg.make_namespace().root) == _scope_tree(ref_make_namespace(reg).root)
 
 
 class TestFlatten:
@@ -751,6 +787,27 @@ class TestLifetimes:
         assert [d.code for d in outcomes[-1]] == ["resolve-unresolved"]
         assert garbage == 0
 
+    def test_grammars_parse_and_check_without_cyclic_garbage(self):
+        """parse_grammar and check_grammar free what they make as they
+        return, with the collector off, on both shipped grammars."""
+        import gc
+        languages = [load_example(name) for name in ("css", "selfhost")]
+        texts = [(SAMPLES / "css" / "css.gr").read_text(),
+                 (SAMPLES / "selfhost" / "xf.gr").read_text()]
+        grammars, garbage = [], []
+        gc.collect()
+        gc.disable()
+        try:
+            for (_, _, ast, *_), text in zip(languages, texts):
+                grammars.append(parse_grammar(text, ast))
+                garbage.append(gc.collect())
+                problems = check_grammar(grammars[-1])
+                garbage.append(gc.collect())
+                assert problems == []
+        finally:
+            gc.enable()
+        assert garbage == [0, 0, 0, 0]
+
     def test_dropped_language_is_freed(self):
         import gc
         import weakref
@@ -983,9 +1040,10 @@ class TestForwardDepth:
 
 class TestForwardLookups:
     def test_one_tree_and_one_resolver_lookup_per_feature(self, css, selfhost, monkeypatch):
-        """A forward run builds one meta.Tree, which binds names and then
-        validates, and asks the registry for the resolver of each (AST
-        class, feature) once."""
+        """A forward run asks the registry for the resolver of each (AST
+        class, feature) once. The selfhost run binds and checks its target
+        as the build makes it, so it builds no meta.Tree; the css run calls
+        a placer, so it binds names on one Tree and validates on it."""
         runs = [(parse_text((SAMPLES / text).read_text(), lang[4]), lang[5], lang[6])
                 for lang, text in ((css, "css/grouped.css"), (selfhost, "selfhost/xf.xf"))]
         trees, lookups = [], []
@@ -993,13 +1051,37 @@ class TestForwardLookups:
         monkeypatch.setattr(Tree, "__init__", lambda *a: trees.append(1) or init(*a))
         monkeypatch.setattr(ResolverRegistry, "resolver_for",
                             lambda self, *key: lookups.append(key) or resolver_for(self, *key))
+        counts = []
         for ast_model, plan, registry in runs:
             trees.clear()
             lookups.clear()
             model, diags = transform_ast_to_model(ast_model, plan, registry)
-            assert diags == [] and trees == [1]
+            assert diags == []
             assert len(lookups) == len(set(lookups))
+            counts.append(len(trees))
         assert lookups  # the selfhost script resolves references
+        assert counts == [1, 0]
+        monkeypatch.undo()
+        assert validate_model(model) == []
+
+    def test_a_valid_forward_builds_no_tree_and_validates_nothing(self, selfhost, monkeypatch):
+        """A valid selfhost script of 5 or of 40 statements transforms
+        without a meta.Tree and without a call of _validate."""
+        import mmdsl.transform
+        target, t, ast, trace, g, plan, registry = selfhost
+        statements = ["create class C{i} extends EClass {{ attr String [ 0 .. 3 ] x ; "
+                      "val EClass y ; }}", "refer img(Action)+ as QualifiedName ;",
+                      "skip Action ;"]
+        trees, checks = [], []
+        init, check = Tree.__init__, mmdsl.transform._validate
+        monkeypatch.setattr(Tree, "__init__", lambda *a: trees.append(1) or init(*a))
+        monkeypatch.setattr(mmdsl.transform, "_validate",
+                            lambda *a: checks.append(1) or check(*a))
+        for n in (5, 40):
+            ast_model = parse_text("\n".join(statements[i % 3].format(i=i) for i in range(n)), g)
+            model, diags = transform_ast_to_model(ast_model, plan, registry)
+            assert diags == [] and len(model.root.values("actions")) == n
+            assert (trees, checks) == ([], [])
         monkeypatch.undo()
         assert validate_model(model) == []
 
@@ -1130,6 +1212,26 @@ def corruption_sites(root):
     return sites
 
 
+def corrupt_one_slot(data, m):
+    """Corrupt one slot of model ``m``, drawn from corruption_sites."""
+    obj, f, kind, chain = data.draw(st.sampled_from(corruption_sites(m.root)), label="site")
+    objects = Tree(m.root).objects
+    if kind == "scalar":
+        value = data.draw(st.sampled_from([5, 0, "abc", "", True, 2.5, "an object"]))
+        obj.slots[f.name] = objects[-1] if value == "an object" else value
+    elif kind == "list":
+        obj.slots[f.name] = [obj.slots.get(f.name, "x")]
+    else:
+        value = data.draw(st.sampled_from([5, "x", 2.5]) if kind == "non-object"
+                          else st.sampled_from(chain))
+        if f.many:
+            values = list(obj.slots.get(f.name, []))
+            values.insert(data.draw(st.integers(0, len(values))), value)
+            obj.slots[f.name] = values
+        else:
+            obj.slots[f.name] = value
+
+
 SAMPLE_TEXTS = {"css": "grouped.css", "selfhost": "xf.xf"}
 
 
@@ -1151,23 +1253,7 @@ class TestOneModelCheck:
         m = ast_model if on_ast else transform_ast_to_model(ast_model, plan, registry)[0]
         fresh = parse_text(text, g) if on_ast else \
             transform_ast_to_model(parse_text(text, g), plan, registry)[0]
-        obj, f, kind, chain = data.draw(st.sampled_from(corruption_sites(m.root)), label="site")
-        objects = Tree(m.root).objects
-        if kind == "scalar":
-            value = data.draw(st.sampled_from([5, 0, "abc", "", True, 2.5, "an object"]))
-            obj.slots[f.name] = objects[-1] if value == "an object" else value
-        elif kind == "list":
-            obj.slots[f.name] = [obj.slots.get(f.name, "x")]
-        else:
-            value = data.draw(st.sampled_from([5, "x", 2.5]) if kind == "non-object"
-                              else st.sampled_from(chain))
-            if f.many:
-                values = list(obj.slots.get(f.name, []))
-                values.insert(data.draw(st.integers(0, len(values))), value)
-                obj.slots[f.name] = values
-            else:
-                obj.slots[f.name] = value
-
+        corrupt_one_slot(data, m)
         found = bounded_outcome(validate_model, m)
         assert found[0] == "ok" and found[1]
         words = {(d.code, d.message, d.path) for d in found[1]}
@@ -1193,3 +1279,407 @@ class TestOneModelCheck:
             transform_ast_to_model(m, plan, registry)
         assert exc.value.diagnostics == validate_model(m)
         assert [(d.code, d.path) for d in exc.value.diagnostics][:1] == [("model-containment", "/")]
+
+
+# ---------------------------------------------------------------------------
+# The forward as it was before the build bound and checked the target
+
+
+def ref_make_namespace(registry):
+    """The seeding that ResolverRegistry.make_namespace replaced: one
+    setdefault per seeded classifier and scope, on every run."""
+    ns = Namespace()
+    for kind, mm in registry._seed_metamodels:
+        scopes = (ns.root, ns.root.child("ecore")) if kind == "ecore" else (ns.root,)
+        for c in mm.classifiers:
+            for scope in scopes:
+                scope.bindings.setdefault(c.name, classifier_object(c))
+    return ns
+
+
+class _RefForward:
+    """The build and the bind that transform_ast_to_model replaced: the
+    build makes the target on an explicit stack through the plan's
+    instructions, then one Tree of the target binds every named object."""
+
+    def __init__(self, plan, registry):
+        self.plan, self.registry = plan, registry
+        self.ns = ref_make_namespace(registry)
+        self.contexts, self.slots, self.scopes, self.resolvers = [], [], {}, {}
+        self.entered = set()
+
+    def build(self, ast_root):
+        plan, proto_for_image, entered = self.plan, self.plan.proto_for_image, self.entered
+        troot = ModelObject(proto_for_image[ast_root.cls.name])
+        stack = [(ast_root, troot, 0)]
+        while stack:
+            ast_obj, tobj, at = stack.pop()
+            slots, instrs = tobj.slots, plan.instructions_for(ast_obj.cls)
+            for i in range(at, len(instrs)):
+                instr = instrs[i]
+                f, tf = instr.image_feature, instr.target_feature
+                values = ast_obj.values_of(f)
+                if f.many and type(values) is not list and values != ():
+                    raise TypeError(values)
+                if not values:
+                    continue
+                if instr.kind == "copy":
+                    slots[tf.name] = list(values) if f.many or tf.many else values[0]
+                elif instr.kind == "containment":
+                    n = len(entered)
+                    entered.update(values)
+                    if len(entered) != n + len(values):
+                        raise TypeError(values)
+                    children = [ModelObject(proto_for_image[c.cls.name]) for c in values]
+                    slots[tf.name] = children if tf.many else children[0]
+                    stack.append((ast_obj, tobj, i + 1))
+                    stack += [(c, t, 0) for c, t in zip(reversed(values), reversed(children))]
+                    break
+                else:
+                    key = (ast_obj.cls, f.name)
+                    resolver = self.resolvers.get(key)
+                    if resolver is None:
+                        resolver = self.resolvers[key] = self.registry.resolver_for(*key)
+                    start = len(self.contexts)
+                    self.contexts += [ResolutionContext(ast_obj, tobj, tf, p, instr.textual,
+                                                        self.ns) for p in values]
+                    self.slots.append((tobj, tf, resolver, start, len(self.contexts)))
+        return troot
+
+    def bind(self, troot):
+        tree = Tree(troot)
+        attr, scope_classes = self.registry.name_attribute, self.registry.scope_classes
+        inner, named = {}, {}
+        for obj in tree.objects:
+            container = tree.container(obj)
+            scope = self.scopes[obj] = self.ns.root if container is None else inner[container]
+            name = obj.slots.get(attr)
+            if name is not None and obj.cls not in named:
+                feat = obj.cls.find_feature(attr)
+                named[obj.cls] = feat is not None and feat.is_attribute
+            if name is not None and named[obj.cls]:
+                scope.bindings.setdefault(name, obj)
+                if obj.cls.name in scope_classes:
+                    scope = scope.child(name)
+            inner[obj] = scope
+        return tree
+
+
+@rejecting
+def ref_transform_ast_to_model(ast_model, plan, registry):
+    """transform_ast_to_model as it was: build, bind on a Tree of the
+    target, resolve, and validate the target on that Tree whenever no
+    error came before."""
+    diags = []
+    run = _RefForward(plan, registry)
+    ns, entered = run.ns, run.entered
+    root = ast_model.root
+    root_candidate, consume_queue = None, deque()
+    if plan.is_mapped(root.cls):
+        troot = run.build(root)
+    elif plan.is_consume_only(root.cls):
+        mapped_children = [c for f in root.cls.containments() for c in root.values_of(f)
+                           if plan.is_mapped(c.cls)]
+        if len(mapped_children) == 1:
+            root_candidate = mapped_children[0]
+            troot = run.build(root_candidate)
+        elif not mapped_children and registry.root_constructor is not None:
+            troot = registry.root_constructor()
+        else:
+            raise DiagnosticError([error(
+                "resolve", "resolve-root",
+                f"consume-only root {root.cls.name!r} has {len(mapped_children)} mapped "
+                f"subtree(s) and no root constructor covers this case")])
+        consume_queue.append(root)
+    else:
+        raise DiagnosticError([error("resolve", "resolve-root",
+                                     f"AST root class {root.cls.name!r} is not in the plan")])
+    while consume_queue:
+        ast_obj = consume_queue.popleft()
+        if ast_obj in entered:
+            raise TypeError(ast_obj)
+        entered.add(ast_obj)
+        placer = registry.placers.get(ast_obj.cls.name)
+        placement = None
+        for f in ast_obj.cls.containments():
+            for child in ast_obj.values_of(f):
+                if child is root_candidate:
+                    continue
+                if plan.is_consume_only(child.cls):
+                    consume_queue.append(child)
+                elif plan.is_mapped(child.cls):
+                    if placer is None:
+                        diags.append(error(
+                            "resolve", "resolve-no-rule",
+                            f"no placement for {child.cls.name} objects under consume-only "
+                            f"{ast_obj.cls.name}", path="/"))
+                        continue
+                    if placement is None:
+                        placement = placer(_PlacementContext(ast_obj, troot, ns, diags)) or False
+                    if placement is False:
+                        continue
+                    container, feature_name = placement
+                    container.slots.setdefault(feature_name, []).append(run.build(child))
+    tree = run.bind(troot)
+    contexts = run.contexts
+    resolved = [None] * len(contexts)
+    deferred, failed = [], []
+    for tobj, _, resolver, start, stop in run.slots:
+        scope = run.scopes.get(tobj, ns.root)
+        for i in range(start, stop):
+            ctx = contexts[i]
+            ctx.target_root, ctx.scope = troot, scope
+            result = resolver(ctx)
+            if result is DEFER:
+                deferred.append((resolver, i))
+            else:
+                resolved[i] = _settle(ctx, result, failed)
+    for resolver, i in deferred:
+        result = resolver(contexts[i])
+        resolved[i] = _settle(contexts[i], None if result is DEFER else result, failed)
+    diags.extend(error("resolve", code, message, path=tree.path(tobj) or "/")
+                 for tobj, code, message in failed)
+    for tobj, tf, _, start, stop in run.slots:
+        values = [v for v in resolved[start:stop] if v is not None]
+        if values:
+            tobj.slots[tf.name] = values if tf.many else values[0]
+    diags.extend(ns.diagnostics)
+    model = Model(troot, plan.target)
+    if not any(d.severity == "error" for d in diags):
+        if any(tf.containment for _, tf, *_ in run.slots):
+            tree = Tree(troot)
+        if problems := _validate(model, tree):
+            raise_any(validate_model(ast_model))
+        diags.extend(problems)
+    return model, diags
+
+
+def _label(obj):
+    """What a resolver returned, or a scope binds, in terms two runs share."""
+    if obj is DEFER or obj is None:
+        return "DEFER" if obj is DEFER else None
+    if not isinstance(obj, ModelObject):
+        return type(obj).__name__
+    if obj.represents is not None:
+        return "stand-in", id(obj.represents)
+    name = obj.slots.get("name")
+    return obj.cls.name, name if isinstance(name, str) else None
+
+
+def forward_outcome(fn, ast_model, plan, registry):
+    """What forward ``fn`` makes of ``ast_model``: its outcome (a model and
+    its (code, message, path) diagnostics, the diagnostics it raised, or
+    the type of what else it raised), each resolver call (the AST object,
+    the target class and feature, the scope path and the result), and the
+    scope tree of its namespace, bound objects labelled."""
+    calls, spaces = [], []
+    reg = copy.copy(registry)
+
+    def recording(resolver):
+        def recorded(ctx):
+            result = resolver(ctx)
+            calls.append((id(ctx.ast_object), ctx.target_object.cls.name, ctx.target_feature.name,
+                          None if ctx.scope is None else _scope_key(ctx.scope), _label(result)))
+            return result
+        return recorded
+
+    reg.resolvers = {key: recording(r) for key, r in registry.resolvers.items()}
+    reg.default_resolver = recording(registry.default_resolver)
+    init = Namespace.__init__
+    with mock.patch.object(Namespace, "__init__", lambda ns: spaces.append(ns) or init(ns)), \
+            time_bound(5):
+        try:
+            model, diags = fn(ast_model, plan, reg)
+            outcome = ("ok", model, [(d.code, d.message, d.path) for d in diags])
+        except DiagnosticError as exc:
+            outcome = ("diagnostics", None, [(d.code, d.message, d.path) for d in exc.diagnostics])
+        except (AttributeError, LookupError, TypeError) as exc:
+            outcome = ("raised", None, type(exc).__name__)
+    scopes, stack = {}, [spaces[-1].root]  # the run's namespace is the last made
+    while stack:
+        scope = stack.pop()
+        scopes[_scope_key(scope)] = {name: _label(obj) for name, obj in scope.bindings.items()}
+        stack.extend(scope.children.values())
+    return outcome, calls, scopes
+
+
+def assert_same_forward(ast_model, plan, registry):
+    """transform_ast_to_model gives ``ast_model`` what ref_transform_ast_to_model
+    gives it: an equal model, the same diagnostics in the same order, the
+    same resolver calls and, where it returns, the same scope tree."""
+    (kind, model, said), calls, scopes = forward_outcome(
+        transform_ast_to_model, ast_model, plan, registry)
+    (ref_kind, ref_model, ref_said), ref_calls, ref_scopes = forward_outcome(
+        ref_transform_ast_to_model, ast_model, plan, registry)
+    assert (kind, said) == (ref_kind, ref_said)
+    assert calls == ref_calls
+    if kind == "ok":
+        assert model_equals(model, ref_model) and model_equals(ref_model, model)
+        assert scopes == ref_scopes
+    return kind, said
+
+
+SCRIPT_NAMES = ["EClass", "ecore::EClass", "EDataType", "String", "ecore::String", "int",
+                "Transformation", "Action", "CreateClass", "CreateClassAS", "QualifiedName",
+                "A", "B", "Ghost", "ecore::Ghost", "A::B"]
+qnames = st.sampled_from(SCRIPT_NAMES)
+script_features = st.builds(
+    lambda kind, tp, bounds, name: f"{kind} {tp}{bounds} {name} ;",
+    st.sampled_from(["attr", "val", "ref"]), qnames,
+    st.sampled_from(["", " [ 0 .. 3 ]", " [ 2 .. 1 ]"]), st.sampled_from(["x", "y"]))
+statements = st.one_of(
+    st.builds(lambda abstract, name, supers, features: (
+        f"create {'abstract ' * abstract}class {name}"
+        + (f" extends {', '.join(supers)}" if supers else "") + " { " + " ".join(features) + " }"),
+        st.booleans(), st.sampled_from(["A", "B", "C"]), st.lists(qnames, max_size=2),
+        st.lists(script_features, max_size=3)),
+    st.builds(lambda m, plus, t: f"refer img({m}){'+' * plus} as {t} ;",
+              qnames, st.booleans(), qnames),
+    st.builds(lambda t, supers: f"make img({t}) extend {', '.join(supers) or 'nothing'} ;",
+              qnames, st.lists(qnames, max_size=2)),
+    st.builds(lambda t, plus: f"skip {t}{'+' * plus} ;", qnames, st.booleans()))
+scripts = st.lists(statements, max_size=8).map("\n".join)
+
+
+@pytest.fixture(scope="module")
+def reorder_lang():
+    """Item's image extends its prototype's supertypes in the other order,
+    so the build makes Item's parts before its tags, which the target's
+    preorder reaches after them."""
+    target = parse_metamodel(
+        "class Root { val Item[*] items; }\n"
+        "abstract class Named { attr String name; val Part[*] parts; }\n"
+        "abstract class Tagged { val Tag[*] tags; ref Item link; }\n"
+        "class Item extends Named, Tagged { }\n"
+        "class Part { attr String name; }\n"
+        "class Tag { attr String name; }\n", "reorder")
+    t = parse_transformation("refer img(Item) as String;\n"
+                             "make img(Item) extend Tagged, Named;\n", target)
+    ast, trace = derive_ast_metamodel(target, t)
+    g = parse_grammar(
+        "RootAS : ( items += ItemAS )* ;\n"
+        'ItemAS : "item" "{" ( tags += TagAS )* ( "->" link = ID )? name = ID '
+        '( parts += PartAS )* "}" ;\n'
+        'PartAS : "part" name = ID ";" ;\n'
+        'TagAS : "tag" name = ID ";" ;\n', ast)
+    plan = build_plan(trace, target, ast)
+    registry = namespace_registry({"scope.classes": "Item, Tag"}, target, ast)
+    return g, plan, registry
+
+
+@pytest.fixture(scope="module")
+def checked_lang():
+    """A language whose valid ASTs may transform to invalid targets: Note's
+    image drops the label its prototype requires, Item's image is looser
+    than Item (an optional name, any number of kids), and a link named 'x'
+    resolves to an Item outside the model. Item's tag is copied after its
+    kids, so a registry that names objects by tag binds them on a Tree."""
+    target = parse_metamodel(
+        "class Root { val Item[*] items; val Note[*] notes; }\n"
+        "abstract class Labelled { attr String[1..1] label; }\n"
+        "class Item { attr String[1..1] name; ref Item link; val Item[0..2] kids; "
+        "attr String tag; }\n"
+        "class Note extends Labelled { attr String name; }\n", "checked")
+    t = parse_transformation("refer img(Item) as String;\nmake img(Note) extend nothing;\n",
+                             target)
+    derived, trace = derive_ast_metamodel(target, t)
+    loose = print_metamodel(derived).replace("attr String[1] name", "attr String name")
+    ast = parse_metamodel(loose.replace("ItemAS[0..2] kids", "ItemAS[*] kids"), "checked_ast")
+    g = parse_grammar(
+        "RootAS : ( items += ItemAS | notes += NoteAS )* ;\n"
+        'ItemAS : "item" ( name = ID )? ( "->" link = ID )? ( "{" ( kids += ItemAS )* "}" )? '
+        '( "#" tag = ID )? ;\n'
+        'NoteAS : "note" name = ID ;\n', ast)
+    plan = build_plan(trace, target, ast)
+    outside = ModelObject(target.classifier("Item"), name="x")
+    registries = []
+    for attribute in ("name", "tag"):
+        registry = namespace_registry({"scope.classes": "Item", "name.attribute": attribute},
+                                      target, ast)
+        base = registry.default_resolver
+        registry.on("ItemAS", "link",
+                    lambda ctx, base=base: outside if ctx.segments() == ["x"] else base(ctx))
+        registries.append(registry)
+    return g, plan, registries
+
+
+small_names = st.sampled_from(["a", "b", "c"])
+optional_names = st.sampled_from(["a", "b", "c", None])
+items = st.recursive(
+    st.builds(lambda name: f"item {name}", small_names),
+    lambda inner: st.builds(
+        lambda name, link, kids, tag: f"item {name or ''}" + (f" -> {link}" if link else "")
+        + " { " + " ".join(kids) + " }" + (f" # {tag}" if tag else ""),
+        optional_names, st.one_of(st.none(), st.sampled_from(["a", "b", "x", "z"])),
+        st.lists(inner, max_size=4), optional_names), max_leaves=10)
+checked_texts = st.builds(lambda its, notes: " ".join(its + [f"note {n}" for n in notes]),
+                          st.lists(items, max_size=3), st.lists(small_names, max_size=1))
+reorder_texts = st.lists(st.builds(
+    lambda tags, link, name, parts: "item { " + "".join(f"tag {x} ; " for x in tags)
+    + (f"-> {link} " if link else "") + f"{name} " + "".join(f"part {x} ; " for x in parts) + "}",
+    st.lists(small_names, max_size=2), st.one_of(st.none(), small_names), small_names,
+    st.lists(small_names, max_size=2)), max_size=4).map(" ".join)
+css_texts = st.lists(st.builds(
+    lambda sel, decls: f".{sel} {{ " + "".join(f'{p} : "{v}" ; ' for p, v in decls) + "}",
+    small_names, st.lists(st.tuples(small_names, small_names), max_size=3)),
+    max_size=5).map("\n".join)
+
+
+class TestForwardAgainstReference:
+    """The build that binds and checks as it writes gives what the build,
+    the bind on a Tree and the validation that always ran gave."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scripts)
+    def test_selfhost_scripts(self, selfhost, text):
+        target, t, ast, trace, g, plan, registry = selfhost
+        assert_same_forward(parse_text(text, g), plan, registry)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_random_selfhost_asts(self, selfhost, seed):
+        target, t, ast, trace, g, plan, registry = selfhost
+        assert_same_forward(generate_random_model(g, random.Random(seed), 4), plan, registry)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_asts(self, css, selfhost, data):
+        name = data.draw(st.sampled_from(sorted(SAMPLE_TEXTS)), label="language")
+        target, _, ast, _, g, plan, registry = css if name == "css" else selfhost
+        m = parse_text((SAMPLES / name / SAMPLE_TEXTS[name]).read_text(), g)
+        corrupt_one_slot(data, m)
+        assert_same_forward(m, plan, registry)
+
+    @settings(max_examples=100, deadline=None)
+    @given(reorder_texts)
+    def test_a_change_that_reorders_features(self, reorder_lang, text):
+        g, plan, registry = reorder_lang
+        assert not plan.binds_in_build(registry.name_attribute)
+        assert_same_forward(parse_text(text, g), plan, registry)
+
+    @settings(max_examples=200, deadline=None)
+    @given(checked_texts, st.integers(0, 1))
+    @example("item a { item b item c item a }", 0)  # kids past their bound
+    @example("item { item b } # a item a", 0)  # an unnamed item; tags a registry reads late
+    @example("item a -> x item b", 0)  # a link outside the model
+    def test_targets_a_valid_ast_leaves_invalid(self, checked_lang, text, which):
+        g, plan, registries = checked_lang
+        assert [plan.binds_in_build(r.name_attribute) for r in registries] == [True, False]
+        assert_same_forward(parse_text(text, g), plan, registries[which])
+
+    @settings(max_examples=100, deadline=None)
+    @given(css_texts)
+    def test_the_css_placer(self, css, text):
+        target, t, ast, trace, g, plan, registry = css
+        assert_same_forward(parse_text(text, g), plan, registry)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_package_scopes(self, nested_lang, seed):
+        target, g, plan, registry = nested_lang
+        rng = random.Random(seed)
+        m = _package_tree(rng, target, rng.randint(0, 3))
+        for obj in Tree(m.root).objects[1:]:
+            obj.slots.setdefault("name", "C0")  # a name bound first wins
+        text = render_ast(transform_model_to_ast(m, plan, registry)[0], g)
+        assert_same_forward(parse_text(text, g), plan, registry)
