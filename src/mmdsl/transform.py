@@ -3,24 +3,25 @@
 build_plan turns a derivation trace plus the two metamodels into a
 TransformPlan: per image class, the prototype to instantiate and one
 instruction per feature (copy-attribute, map-containment, or resolve-cross
-with the recorded textual type). transform_ast_to_model runs the plan in
-two passes. Pass one creates prototype instances on an explicit stack, in
-builders generated per AST class from its instructions (_BuildSource),
-copying attributes and containment and making one ResolutionContext per
-textual reference. Where the plan proves that the build makes the target
-in preorder, the build binds each named object in its scope as it makes
-it, and tests each value it writes as validate_model would; elsewhere,
-and after a placer has run, one walk of the target tree (a meta.Tree)
-binds the names. Pass two hands each context to a resolver callback that
-returns the target object, returns DEFER to be asked once more with the
-same context after every other reference (the one way to wait for a name
-that a resolver defines later), or reports the name unresolved. A Tree is
-built only to locate failed references and to validate a target the
-build could not vouch for. Created
-(syntax-only) classes produce nothing themselves: their instances are
-either consumed as reference payloads or, for structures like rule blocks,
-handed to a placement callback that decides which manually constructed
-container receives their children.
+with the recorded textual type), copies first and the rest in the order a
+meta.Tree walks the prototype's features. transform_ast_to_model runs the
+plan in two passes. Pass one creates prototype instances on an explicit
+stack, in builders generated per AST class from its instructions
+(_BuildSource), copying attributes and containment and making one
+ResolutionContext per textual reference. From a mapped root the build
+makes the target in preorder, binds each named object in its scope as it
+makes it, and tests each value it writes as validate_model would; after a
+consume-only root, whose placers and root constructor are user code, one
+walk of the target tree (a meta.Tree) binds the names. Pass two hands
+each context to a resolver callback that returns the target object,
+returns DEFER to be asked once more with the same context after every
+other reference (the one way to wait for a name that a resolver defines
+later), or reports the name unresolved. A Tree is built only to locate
+failed references and to validate a target the build could not vouch
+for. Created (syntax-only) classes produce nothing themselves: their
+instances are either consumed as reference payloads or, for structures
+like rule blocks, handed to a placement callback that decides which
+manually constructed container receives their children.
 
 Resolvers are registered at runtime in a ResolverRegistry; the builtin
 qualified-name resolver (namespace_registry) is configured from a small
@@ -79,12 +80,14 @@ class TransformPlan:
         self.ast = ast
         self.proto_for_image: dict[str, MetaClass] = {}
         self.image_for_proto: dict[str, MetaClass] = {}
-        # AST class name -> one instruction per feature that has one, in
-        # all_features order (features inherited from created classes have none)
+        # AST class name -> one instruction per feature that has one, in the
+        # order the build writes them: copies, then the prototype's features
+        # in all_features order (the order of a meta.Tree and of dump_model),
+        # then target features the prototype lacks (features inherited from
+        # created classes have none)
         self.instructions: dict[str, tuple[Instruction, ...]] = {}
         self.consume_only: set[str] = set()
         self.skipped: set[str] = set()
-        self._order: tuple | None = None  # _plan_order's verdict, on the first run
         # AST class name -> its generated builder, made on its first build (_BuildSource)
         self.builders: dict[str, object] = {}
 
@@ -96,15 +99,6 @@ class TransformPlan:
 
     def instructions_for(self, cls: MetaClass) -> tuple[Instruction, ...]:
         return self.instructions.get(cls.name, ())
-
-    def binds_in_build(self, name_attribute: str) -> bool:
-        """Whether the build makes the target in preorder and each object's
-        ``name_attribute`` before its children (_plan_order), so that it
-        can bind each object as it makes it."""
-        if self._order is None:
-            self._order = _plan_order(self)
-        preorder, late = self._order
-        return preorder and name_attribute not in late
 
     def builder(self, name: str):
         """The builder of mapped AST class ``name``, generated on its first call."""
@@ -120,7 +114,12 @@ class TransformPlan:
 def build_plan(trace: Trace, target: Metamodel, ast: Metamodel) -> TransformPlan:
     """Resolve a trace against the metamodels it was derived from. A trace
     that does not line up with them (stale files) is an error, as is a
-    copied cross reference, which no instruction kind can execute."""
+    copied cross reference, which no instruction kind can execute. So is
+    each shape that no derivation writes and that would keep the build from
+    making the target in preorder (plan-stale): a many-valued AST feature
+    onto a single-valued target feature, two features of one AST class onto
+    one target feature, a copied containment onto a feature that is no
+    containment, and a translated feature onto a containment."""
     plan = TransformPlan(target, ast)
     diags: list[Diagnostic] = []
 
@@ -155,15 +154,24 @@ def build_plan(trace: Trace, target: Metamodel, ast: Metamodel) -> TransformPlan
             if pf is None:
                 stale(f"trace names unknown target feature {proto.name}.{rec.proto_feature}")
                 continue
-            if rec.mode == "copied":
+            if f.many and not pf.many:
+                stale(f"many-valued {image.name}.{f.name} maps onto single-valued "
+                      f"{proto.name}.{pf.name}")
+            elif rec.mode == "copied":
                 if isinstance(f, MetaAttribute):
                     by_feature[f] = Instruction("copy", f, pf)
-                elif f.containment:
-                    by_feature[f] = Instruction("containment", f, pf)
-                else:
+                elif not f.containment:
                     diags.append(error("transformation", "plan-untranslated",
                                        f"{image.name}.{f.name} is a cross reference that was "
                                        f"never translated"))
+                elif pf.containment:
+                    by_feature[f] = Instruction("containment", f, pf)
+                else:
+                    stale(f"containment {image.name}.{f.name} maps onto {proto.name}.{pf.name}, "
+                          f"which is no containment")
+            elif pf.containment:
+                stale(f"translated {image.name}.{f.name} maps onto containment "
+                      f"{proto.name}.{pf.name}")
             else:
                 textual = ast.classifier(rec.textual)
                 if textual is None:
@@ -182,10 +190,16 @@ def build_plan(trace: Trace, target: Metamodel, ast: Metamodel) -> TransformPlan
             stale(f"created class {name!r} is missing from the AST metamodel")
         plan.consume_only.add(name)
 
-    raise_any(diags)
     for cls in ast.classes():
-        plan.instructions[cls.name] = tuple(
-            by_feature[f] for f in cls.all_features() if f in by_feature)
+        proto = plan.proto_for_image.get(cls.name)
+        order = {} if proto is None else {f.name: k for k, f in enumerate(proto.all_features())}
+        instrs = plan.instructions[cls.name] = tuple(sorted(
+            (by_feature[f] for f in cls.all_features() if f in by_feature),
+            key=lambda i: -1 if i.kind == "copy" else order.get(i.target_feature.name, len(order))))
+        written = [i.target_feature.name for i in instrs]
+        for name in sorted({n for n in written if written.count(n) > 1}):
+            stale(f"two features of {cls.name} map onto target feature {name!r}")
+    raise_any(diags)
     return plan
 
 
@@ -195,28 +209,6 @@ def _unset_fits(row) -> bool:
     return (not counted or f.lower <= len(unset) and (
         f.upper is UNBOUNDED or len(unset) <= f.upper)) and (
         exact is None or all(type(v) is tp if exact else isinstance(v, tp) for v in unset))
-
-
-def _plan_order(plan: TransformPlan) -> tuple[bool, set[str]]:
-    """Whether every mapped class writes distinct target features, its
-    containments in its prototype's containment order and never many into
-    one, so that the build makes the target in preorder; and the target
-    features that a class writes after its first containment instruction,
-    where the build binds its object."""
-    preorder, late = True, set()
-    for name, proto in plan.proto_for_image.items():
-        containments = proto.containments()
-        instrs = plan.instructions.get(name, ())
-        written = [i.target_feature.name for i in instrs]
-        order = [containments.index(i.target_feature) for i in instrs
-                 if i.kind == "containment" and i.target_feature in containments]
-        if len(set(written)) < len(written) or order != sorted(order) or any(
-                i.kind == "containment" and (not i.target_feature.containment or (
-                    i.image_feature.many and not i.target_feature.many)) for i in instrs):
-            preorder = False
-        first = next((k for k, i in enumerate(instrs) if i.kind == "containment"), len(instrs))
-        late.update(written[first + 1:])
-    return preorder, late
 
 
 def _class_checks(plan: TransformPlan, name: str) -> tuple | None:
@@ -529,20 +521,18 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
                            registry: ResolverRegistry) -> tuple[Model, list[Diagnostic]]:
     """The target model of ``ast_model``, with its resolution's and validation's diagnostics."""
     diags: list[Diagnostic] = []
-    # A mapped root builds the whole target, so the build binds names as it
-    # makes objects where the plan proves it makes them in preorder.
     root = ast_model.root
-    run = _Forward(plan, registry, plan.is_mapped(root.cls)
-                   and plan.binds_in_build(registry.name_attribute))
+    run, bound = _Forward(plan, registry), plan.is_mapped(root.cls)
     ns, entered = run.ns, run.entered
 
-    # Root: a mapped root transforms to the target root; a consume-only root
-    # (compilation unit) passes the torch to its single mapped subtree, or to
-    # the configured root constructor when it has none.
+    # Root: a mapped root transforms to the target root, and its build binds
+    # each named object as it makes it; a consume-only root (compilation
+    # unit) passes the torch to its single mapped subtree, or to the
+    # configured root constructor when it has none.
     root_candidate: ModelObject | None = None
     consume_queue: deque[ModelObject] = deque()
-    if plan.is_mapped(root.cls):
-        troot = run.build(root)
+    if bound:
+        troot = run.build(root, ns.root)
     elif plan.is_consume_only(root.cls):
         mapped_children = [c for f in root.cls.containments() for c in root.values_of(f)
                            if plan.is_mapped(c.cls)]
@@ -590,9 +580,10 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
                     # validate_model reports a feature name the container lacks
                     container.slots.setdefault(feature_name, []).append(run.build(child))
 
-    # Unless the build bound them, bind named target objects so resolvers can
-    # look them up; scope classes open nested scopes for their subtrees.
-    tree = None if run.fused else run.bind(troot)
+    # After a consume-only root, whose placers are user code, bind named
+    # target objects on one Tree so resolvers can look them up; scope
+    # classes open nested scopes for their subtrees.
+    tree = None if bound else run.bind(troot)
 
     # Ask each reference's resolver in the order build met them, then once
     # more each that returned DEFER, with the same context.
@@ -617,10 +608,10 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
         diags.extend(error("resolve", code, message, path=tree.path(tobj) or "/")
                      for tobj, code, message in failed)
 
-    # After a fused build that detected nothing, _validate would find
-    # nothing, unless a resolved object lies outside the built target and
-    # stands for no classifier (model-dangling).
-    built, valid = run.scopes, run.fused and not run.detected
+    # After a build that bound its target and detected nothing, _validate
+    # would find nothing, unless a resolved object lies outside the built
+    # target and stands for no classifier (model-dangling).
+    built, valid = run.scopes, bound and not run.detected
     for tobj, tf, _, start, stop in run.slots:
         values = [v for v in resolved[start:stop] if v is not None]
         if values:
@@ -631,10 +622,7 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
     diags.extend(ns.diagnostics)
     model = Model(troot, plan.target)
     if not any(d.severity == "error" for d in diags):
-        # resolvers edit no containment, so bind's Tree still holds, unless a
-        # stale trace resolves references into a containment slot
-        if any(tf.containment for _, tf, *_ in run.slots):
-            tree, valid = Tree(troot), False
+        # resolvers edit no containment, so bind's Tree still holds
         if not valid and (problems := _validate(model, tree or Tree(troot))):
             raise_any(validate_model(ast_model))  # an invalid AST explains an invalid target
             diags.extend(problems)
@@ -647,13 +635,13 @@ class _Forward:
     they fill (target object, feature, resolver, range in ``contexts``),
     the scope each target object was bound in, the resolver of each (AST
     class, feature) looked up so far, the AST objects entered and the
-    build's stack. A ``fused`` run binds each object as the build makes it;
-    ``detected``: a write met a value that _validate may reject."""
+    build's stack. ``detected``: a write met a value that _validate may
+    reject."""
 
     __slots__ = ("plan", "registry", "ns", "contexts", "slots", "scopes", "resolvers",
-                 "entered", "stack", "fused", "detected", "named")
+                 "entered", "stack", "detected", "named")
 
-    def __init__(self, plan: TransformPlan, registry: ResolverRegistry, fused: bool = False):
+    def __init__(self, plan: TransformPlan, registry: ResolverRegistry):
         self.plan = plan
         self.registry = registry
         self.ns = registry.make_namespace()
@@ -662,22 +650,22 @@ class _Forward:
         self.scopes: dict[ModelObject, Scope] = {}
         self.resolvers: dict[tuple[MetaClass, str], object] = {}
         self.entered: set[ModelObject] = set()
-        self.fused, self.detected = fused, False
+        self.detected = False
         # per class: whether the name attribute names its objects, and whether they open a scope
         self.named: dict[MetaClass, tuple] = {}
 
-    def build(self, ast_root: ModelObject) -> ModelObject:
+    def build(self, ast_root: ModelObject, scope: Scope | None = None) -> ModelObject:
         """The target image of ``ast_root``'s subtree, made on an explicit
-        stack of (AST object, its image, resume point, the scope its
-        contents bind in) frames, each run by the builder of its AST class
-        (_BuildSource). A builder makes its object's children's images and
-        pushes their frames above its own resumption, so references get
-        their contexts in the order a recursive walk would meet them."""
+        stack of (AST object, its image, resume point, scope) frames, each
+        run by the builder of its AST class (_BuildSource). A builder makes
+        its object's children's images and pushes their frames above its own
+        resumption, so references get their contexts in the order a
+        recursive walk would meet them. An object whose first frame carries
+        a scope binds in it (bind_object), and its resumptions carry the
+        scope its contents bind in; a build from ``scope`` None binds nothing."""
         plan = self.plan
         troot = ModelObject(plan.proto_for_image[ast_root.cls.name])
-        if self.fused:
-            self.scopes[troot] = self.ns.root
-        stack = self.stack = [(ast_root, troot, 0, None)]
+        stack = self.stack = [(ast_root, troot, 0, scope)]
         builders, pop = plan.builders, stack.pop
         while stack:
             frame = pop()
@@ -685,11 +673,11 @@ class _Forward:
             (builders[name] if name in builders else plan.builder(name))(*frame, self)
         return troot
 
-    def bind_object(self, obj: ModelObject) -> Scope:
-        """Bind ``obj`` in its scope, where its container's contents bind,
+    def bind_object(self, obj: ModelObject, scope: Scope) -> Scope:
+        """Bind ``obj`` in ``scope``, where its container's contents bind,
         unless a name is bound there already; the scope its own contents
         bind in, a child scope if ``obj`` is a named scope-class object."""
-        scope = self.scopes[obj]
+        self.scopes[obj] = scope
         name = obj.slots.get(self.registry.name_attribute)
         if name is not None:
             facts = self.named.get(obj.cls)
@@ -717,8 +705,8 @@ class _Forward:
         inner: dict[ModelObject, Scope] = {}  # the scope an object's contents bind in
         for obj in tree.objects:
             container = tree.container(obj)
-            self.scopes[obj] = self.ns.root if container is None else inner[container]
-            inner[obj] = self.bind_object(obj)
+            inner[obj] = self.bind_object(obj, self.ns.root if container is None
+                                          else inner[container])
         return tree
 
 
@@ -731,11 +719,15 @@ class _BuildSource:
     constants (``names``): Futamura's first projection of the build on the
     plan, as _Code is of the grammar's parser. ``build(a, t, at, inner,
     run)`` fills target object ``t`` from AST object ``a`` through the
-    class's instructions, feature names as literals, from resume point
-    ``at`` on: each containment instruction that makes children pushes the
-    frame that resumes after it, unless it is the last, and the children's
-    frames above it, and returns. Before the first containment instruction
-    a fused run binds ``t`` (``inner``: the scope its contents bind in).
+    class's instructions in the plan's order, feature names as literals,
+    from resume point ``at`` on: each containment instruction that makes
+    children pushes the frame that resumes after it, unless it is the last,
+    and the children's frames above it, and returns. Once its copies are
+    written, and so its name, ``t`` binds in scope ``inner`` unless that is
+    None, and ``inner`` becomes the scope its contents bind in. Only the
+    children in a containment slot of ``t``'s prototype, the slots a
+    meta.Tree walks, get that scope; the others bind nowhere. So a build
+    from a scope binds its target in preorder, as Tree does.
     A sound class's builder tests each value it writes as _validate would
     (_class_checks), and sets ``run.detected`` where one may fail; the
     builder of a class that is not sound sets it at once. A child entered
@@ -745,18 +737,20 @@ class _BuildSource:
         instrs, checks = plan.instructions.get(name, ()), _class_checks(plan, name)
         self.names = {"NEW": ModelObject.__new__, "ModelObject": ModelObject,
                       "PROTO": plan.proto_for_image, "CTX": ResolutionContext}
-        blocks: list[list[str]] = [[]]
-        if checks is None:
-            blocks[0].append("run.detected = True")
+        # the containment slots a meta.Tree walks, and whether each is many-valued
+        self.walked = {f.name: f.many for f in plan.proto_for_image[name].containments()}
+        blocks: list[list[str]] = [["run.detected = True"] * (checks is None)]
+        bind = "if inner is not None: inner = run.bind_object(t, inner)"
+        copies = sum(i.kind == "copy" for i in instrs)  # the plan puts them first
         for k, instr in enumerate(instrs):
-            if instr.kind == "containment" and len(blocks) == 1:
-                blocks[0].append("if run.fused: inner = run.bind_object(t)")
+            if k == copies:
+                blocks[0].append(bind)
             blocks[-1] += self.write(k, instr, None if checks is None else checks[k],
                                      last=k == len(instrs) - 1, resume=len(blocks))
             if instr.kind == "containment" and k < len(instrs) - 1:
                 blocks.append([])
-        if not any(i.kind == "containment" for i in instrs):
-            blocks[0].append("if run.fused: run.bind_object(t)")
+        if copies == len(instrs):
+            blocks[0].append(bind)
         lines = ["def build(a, t, at, inner, run):", "    s = a.slots", "    ts = t.slots"]
         for j, block in enumerate(blocks):
             if j == len(blocks) - 1:
@@ -768,7 +762,7 @@ class _BuildSource:
     def write(self, k: int, instr: Instruction, check, last: bool, resume: int) -> list[str]:
         """The statements of instruction ``k``: read its slot, then write,
         test and count what it holds, or test the unset target slot."""
-        f, tf = instr.image_feature, instr.target_feature
+        f = instr.image_feature
         unset = _unset_value(f)
         if f.many or unset is None:
             read = f"v = s.get({f.name!r})"
@@ -778,7 +772,7 @@ class _BuildSource:
         ok, bounds, test = check or (True, None, None)
         body = getattr(self, instr.kind)(k, instr, test, resume, last)
         # a write leaves as many values as ``v`` holds, or one
-        if bounds is not None and f.many and tf.many:
+        if bounds is not None and f.many:
             count = [f"if not {bounds[0]} <= len(v) <= {bounds[1]}: run.detected = True"]
         else:
             count = ["run.detected = True"] * (
@@ -802,9 +796,7 @@ class _BuildSource:
             self.names[f"T{k}"] = tp
             bad = (lambda x: f"type({x}) is not T{k}") if exact else \
                 (lambda x: f"not isinstance({x}, T{k})")
-            if f.many and not tf.many:
-                out.append("run.detected = True")  # a list where one value belongs
-            elif f.many:
+            if f.many:
                 out += ["for x in v:", f"    if {bad('x')}: run.detected = True; break"]
             else:
                 out.append(f"if {bad('v')}: run.detected = True")
@@ -812,6 +804,8 @@ class _BuildSource:
 
     def containment(self, k, instr, test, resume, last) -> list[str]:
         f, tf = instr.image_feature, instr.target_feature
+        # children in a slot that a Tree walks bind in ``t``'s inner scope
+        inner = "inner" if self.walked.get(tf.name) == tf.many else "None"
         if test is not None:
             self.names[f"P{k}"] = test
             proto = [f"p = P{k}.get(c.cls.name)",
@@ -823,9 +817,8 @@ class _BuildSource:
             "if len(E) != n + len(v): raise TypeError(v)", "made = []", "for c in v:",
             *["    " + x for x in proto], "    " + _MAKE, "    made.append(o)",
             f"ts[{tf.name!r}] = {'made' if tf.many else 'made[0]'}",
-            "if run.fused: run.scopes.update(dict.fromkeys(made, inner))",
             *[f"run.stack.append((a, t, {resume}, inner))"] * (not last),
-            "run.stack += [(c, o, 0, None) for c, o in zip(reversed(v), reversed(made))]",
+            f"run.stack += [(c, o, 0, {inner}) for c, o in zip(reversed(v), reversed(made))]",
             "return"]
 
     def cross(self, k, instr, test, resume, last) -> list[str]:

@@ -40,10 +40,11 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def run_process(*argv):
+def run_process(*argv, **env):
     """The CLI in a fresh interpreter, so an uncaught exception shows as a
-    traceback on stderr instead of failing the test run."""
-    env = dict(os.environ, PYTHONPATH=str(SAMPLES.parent / "src"))
+    traceback on stderr instead of failing the test run; ``env`` adds to
+    its environment."""
+    env = dict(os.environ, PYTHONPATH=str(SAMPLES.parent / "src"), **env)
     return subprocess.run([sys.executable, "-m", "mmdsl", *map(str, argv)],
                           capture_output=True, text=True, env=env)
 
@@ -575,6 +576,23 @@ class TestPipelineGoldens:
         assert sorted(p.name for p in (d / "out").iterdir()) == [p.name for p in goldens]
         for golden in goldens:
             assert (d / "out" / golden.name).read_bytes() == golden.read_bytes(), golden.name
+
+
+class TestPipelineAcrossProcesses:
+    """Both sample pipelines write the same bytes in two interpreters whose
+    string hashes differ."""
+
+    @pytest.mark.parametrize("sample", ["css", "selfhost"])
+    def test_outputs_do_not_depend_on_the_hash_seed(self, sample, tmp_path):
+        outputs = []
+        for seed in ("0", "1"):
+            d = tmp_path / seed
+            shutil.copytree(SAMPLES / sample, d, ignore=shutil.ignore_patterns("out"))
+            done = run_process("pipeline", d / "pipeline.cfg", PYTHONHASHSEED=seed)
+            assert done.returncode == 0, done.stderr
+            outputs.append({p.name: p.read_bytes() for p in (d / "out").iterdir()})
+        assert outputs[0] == outputs[1]
+        assert sorted(outputs[0]) == sorted(p.name for p in (GOLDENS / sample).iterdir())
 
 
 # Every command of each sample, by the files it reads (the sample's own and

@@ -78,12 +78,34 @@ class TestBuildPlan:
         assert plan.proto_for_image == {} and plan.consume_only == set()
 
     def test_stale_trace(self, selfhost):
+        """A trace that names what the metamodels lack, or whose build would
+        not make the target in preorder: a many-valued AST feature onto a
+        single-valued target feature, two AST features onto one target
+        feature, a copied containment onto a cross reference and a
+        translated feature onto a containment."""
         target, t, ast, trace, *_ = selfhost
         from mmdsl.xf import parse_trace
-        bad = parse_trace("class Transformation -> GhostAS\n")
-        with pytest.raises(DiagnosticError) as exc:
-            build_plan(bad, target, ast)
-        assert exc.value.diagnostics[0].code == "plan-stale"
+        cases = [(target, ast, "class Transformation -> GhostAS\n")]
+        kid = "class Kid { attr String name; }\n"
+        kid_as = "class KidAS { attr String name; }\n"
+        names = "class Root -> RootAS\nclass Kid -> KidAS\nfeature Kid.name -> KidAS.name copied\n"
+        for target_text, ast_text, records in [
+                ("class Root { val Kid kid; }", "class RootAS { val KidAS[*] kid; }",
+                 "feature Root.kid -> RootAS.kid copied"),
+                ("class Root { val Kid[*] kids; }",
+                 "class RootAS { val KidAS[*] kids; val KidAS[*] more; }",
+                 "feature Root.kids -> RootAS.kids copied\n"
+                 "feature Root.kids -> RootAS.more copied"),
+                ("class Root { val Kid[*] kids; ref Kid[*] seen; }",
+                 "class RootAS { val KidAS[*] kids; }", "feature Root.seen -> RootAS.kids copied"),
+                ("class Root { val Kid[*] kids; }", "class RootAS { attr String[*] kids; }",
+                 "feature Root.kids -> RootAS.kids translated:String")]:
+            cases.append((parse_metamodel(target_text + "\n" + kid, "t"),
+                          parse_metamodel(ast_text + "\n" + kid_as, "a"), names + records))
+        for target, ast, text in cases:
+            with pytest.raises(DiagnosticError) as exc:
+                build_plan(parse_trace(text), target, ast)
+            assert [d.code for d in exc.value.diagnostics] == ["plan-stale"], text
 
     def test_untranslated_cross_is_error(self):
         target = parse_metamodel("class A { ref A other; }", "m")
@@ -1038,6 +1060,20 @@ class TestForwardDepth:
         assert peaks[1] <= 2.5 * peaks[0], peaks
 
 
+def builds_and_validates(ast_model, plan, registry) -> tuple[int, int]:
+    """The number of meta.Trees built and of _validate calls made by a
+    forward of ``ast_model`` that reports nothing and makes a valid model."""
+    import mmdsl.transform
+    trees, checks = [], []
+    init, check = Tree.__init__, mmdsl.transform._validate
+    with mock.patch.object(Tree, "__init__", lambda *a: trees.append(1) or init(*a)), \
+            mock.patch.object(mmdsl.transform, "_validate",
+                              lambda *a: checks.append(1) or check(*a)):
+        model, diags = transform_ast_to_model(ast_model, plan, registry)
+    assert diags == [] and validate_model(model) == []
+    return len(trees), len(checks)
+
+
 class TestForwardLookups:
     def test_one_tree_and_one_resolver_lookup_per_feature(self, css, selfhost, monkeypatch):
         """A forward run asks the registry for the resolver of each (AST
@@ -1084,6 +1120,20 @@ class TestForwardLookups:
             assert (trees, checks) == ([], [])
         monkeypatch.undo()
         assert validate_model(model) == []
+
+    def test_a_name_after_the_containments_binds_in_the_build(self):
+        """A class whose name attribute follows its containments still
+        binds and checks its objects as the build makes them, since the
+        build writes copies first."""
+        target = parse_metamodel(
+            "class Item { val Item[*] kids; ref Item link; attr String name; }", "late")
+        ast, trace = derive_ast_metamodel(
+            target, parse_transformation("refer img(Item) as String;", target))
+        g = parse_grammar(
+            'ItemAS : "item" "{" ( kids += ItemAS )* ( "->" link = ID )? "}" name = ID ;', ast)
+        plan, registry = build_plan(trace, target, ast), namespace_registry({}, target, ast)
+        ast_model = parse_text("item { item { } b item { -> b } c } a", g)
+        assert builds_and_validates(ast_model, plan, registry) == (0, 0)
 
     def test_a_flatten_seals_the_payload_features(self):
         string = builtin_ecore().classifier("String")
@@ -1544,8 +1594,8 @@ scripts = st.lists(statements, max_size=8).map("\n".join)
 @pytest.fixture(scope="module")
 def reorder_lang():
     """Item's image extends its prototype's supertypes in the other order,
-    so the build makes Item's parts before its tags, which the target's
-    preorder reaches after them."""
+    so Item's parts come before its tags in the AST, and after them in the
+    target's preorder, which the build follows."""
     target = parse_metamodel(
         "class Root { val Item[*] items; }\n"
         "abstract class Named { attr String name; val Part[*] parts; }\n"
@@ -1572,8 +1622,8 @@ def checked_lang():
     """A language whose valid ASTs may transform to invalid targets: Note's
     image drops the label its prototype requires, Item's image is looser
     than Item (an optional name, any number of kids), and a link named 'x'
-    resolves to an Item outside the model. Item's tag is copied after its
-    kids, so a registry that names objects by tag binds them on a Tree."""
+    resolves to an Item outside the model. Item's tag follows its kids, and
+    a registry may name objects by it."""
     target = parse_metamodel(
         "class Root { val Item[*] items; val Note[*] notes; }\n"
         "abstract class Labelled { attr String[1..1] label; }\n"
@@ -1603,6 +1653,29 @@ def checked_lang():
     return g, plan, registries
 
 
+@pytest.fixture(scope="module")
+def foreign_lang():
+    """Part's image extends Tagged's, which Part does not extend, so the
+    build writes a Part's tags into a slot that Part lacks. No Tree of the
+    target reaches them, so they bind nowhere."""
+    target = parse_metamodel(
+        "class Root { val Part[*] parts; val Use[*] uses; }\n"
+        "abstract class Named { attr String name; }\n"
+        "abstract class Tagged { val Tag[*] tags; }\n"
+        "class Part extends Named { }\n"
+        "class Tag { attr String name; }\n"
+        "class Use { ref Tag target; }\n", "foreign")
+    t = parse_transformation("refer img(Tag) as String;\n"
+                             "make img(Part) extend Tagged, Named;\n", target)
+    ast, trace = derive_ast_metamodel(target, t)
+    g = parse_grammar(
+        "RootAS : ( parts += PartAS | uses += UseAS )* ;\n"
+        'PartAS : "part" name = ID ( tags += TagAS )* ;\n'
+        'TagAS : "tag" name = ID ";" ;\n'
+        'UseAS : "ref" target = ID ;\n', ast)
+    return g, build_plan(trace, target, ast), namespace_registry({}, target, ast)
+
+
 small_names = st.sampled_from(["a", "b", "c"])
 optional_names = st.sampled_from(["a", "b", "c", None])
 items = st.recursive(
@@ -1619,6 +1692,10 @@ reorder_texts = st.lists(st.builds(
     + (f"-> {link} " if link else "") + f"{name} " + "".join(f"part {x} ; " for x in parts) + "}",
     st.lists(small_names, max_size=2), st.one_of(st.none(), small_names), small_names,
     st.lists(small_names, max_size=2)), max_size=4).map(" ".join)
+foreign_texts = st.lists(st.one_of(
+    st.builds(lambda name, tags: f"part {name} " + "".join(f"tag {x} ; " for x in tags),
+              small_names, st.lists(small_names, max_size=2)),
+    st.builds(lambda name: f"ref {name}", small_names)), max_size=5).map(" ".join)
 css_texts = st.lists(st.builds(
     lambda sel, decls: f".{sel} {{ " + "".join(f'{p} : "{v}" ; ' for p, v in decls) + "}",
     small_names, st.lists(st.tuples(small_names, small_names), max_size=3)),
@@ -1654,18 +1731,37 @@ class TestForwardAgainstReference:
     @given(reorder_texts)
     def test_a_change_that_reorders_features(self, reorder_lang, text):
         g, plan, registry = reorder_lang
-        assert not plan.binds_in_build(registry.name_attribute)
         assert_same_forward(parse_text(text, g), plan, registry)
+
+    def test_a_reordered_target_binds_in_its_build(self, reorder_lang):
+        g, plan, registry = reorder_lang
+        text = "item { tag a ; -> b a part c ; } item { b part d ; }"
+        assert builds_and_validates(parse_text(text, g), plan, registry) == (0, 0)
 
     @settings(max_examples=200, deadline=None)
     @given(checked_texts, st.integers(0, 1))
     @example("item a { item b item c item a }", 0)  # kids past their bound
-    @example("item { item b } # a item a", 0)  # an unnamed item; tags a registry reads late
+    @example("item { item b } # a item a", 0)  # an unnamed item; a tag after its kids
     @example("item a -> x item b", 0)  # a link outside the model
     def test_targets_a_valid_ast_leaves_invalid(self, checked_lang, text, which):
         g, plan, registries = checked_lang
-        assert [plan.binds_in_build(r.name_attribute) for r in registries] == [True, False]
         assert_same_forward(parse_text(text, g), plan, registries[which])
+
+    @pytest.mark.parametrize("which, text", [
+        (0, "item a { item b # t item c -> b } # u item d -> a"),
+        (1, "item a { item b # t item c -> t # v } # u item d -> u # w")])
+    def test_a_valid_target_binds_in_its_build(self, checked_lang, which, text):
+        """Item's tag, copied after its kids in the AST, binds in the build
+        as its name does."""
+        g, plan, registries = checked_lang
+        assert builds_and_validates(parse_text(text, g), plan, registries[which]) == (0, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(foreign_texts)
+    @example("part p tag t ; ref t")  # a tag that no Tree reaches
+    def test_a_supertype_the_prototype_lacks(self, foreign_lang, text):
+        g, plan, registry = foreign_lang
+        assert_same_forward(parse_text(text, g), plan, registry)
 
     @settings(max_examples=100, deadline=None)
     @given(css_texts)
