@@ -21,13 +21,15 @@ Both directions run Python generated per rule from its elements on their
 first call for a grammar (_Code): parse_text (text to model, one token of
 lookahead, read from the lexer's stream of matches: no token list, and a
 lexical error anywhere wins over the errors it finds) and render_ast (model
-to text), each on a trampoline. generate_random_model (random models for
-round-trip tests) walks the elements itself, on an explicit stack. So a
-text's or model's nesting is bounded by memory, not by the recursion limit;
-parse_grammar bounds the nesting of the element tree (_MAX_NESTING), over
-which the compiler, check_grammar and the generators recurse. check_grammar
-reports the left recursion, and what else the parser needs: no reachable rule
-that derives no finite text, and disjoint first-token sets at every choice point.
+to text), each on a trampoline (_run), which also runs the forward
+transformation's builders (transform._BuildSource). generate_random_model
+(random models for round-trip tests) walks the elements itself, on an
+explicit stack. So a text's or model's nesting is bounded by memory, not by
+the recursion limit; parse_grammar bounds the nesting of the element tree
+(_MAX_NESTING), over which the compiler, check_grammar and the generators
+recurse. check_grammar reports the left recursion, and what else the parser
+needs: no reachable rule that derives no finite text, and disjoint
+first-token sets at every choice point.
 """
 
 from __future__ import annotations
@@ -654,7 +656,8 @@ def _compiled(kind: str, rule: str, text: str):
 
 def _run(gen):
     """Run generator ``gen``, or nothing, and each generator it yields, on a
-    stack of its own: the trampoline of the generated code."""
+    stack of its own: the trampoline of the generated code, the parsers and
+    renderers here and the forward transformation's builders."""
     stack = []
     while gen is not None:
         if (child := next(gen, None)) is not None:

@@ -5,23 +5,24 @@ TransformPlan: per image class, the prototype to instantiate and one
 instruction per feature (copy-attribute, map-containment, or resolve-cross
 with the recorded textual type), copies first and the rest in the order a
 meta.Tree walks the prototype's features. transform_ast_to_model runs the
-plan in two passes. Pass one creates prototype instances on an explicit
-stack, in builders generated per AST class from its instructions
-(_BuildSource), copying attributes and containment and making one
-ResolutionContext per textual reference. From a mapped root the build
-makes the target in preorder, binds each named object in its scope as it
-makes it, and tests each value it writes as validate_model would; after a
+plan in two passes. Pass one creates prototype instances in builders
+generated per AST class from its instructions (_BuildSource), copying
+attributes and containment and making one ResolutionContext per textual
+reference; a builder that has children yields their builders to the
+grammar's trampoline, so depth costs no Python stack. From a mapped root the
+build makes the target in preorder, binds each named object in its scope as
+it makes it, and tests each value it writes as validate_model would; after a
 consume-only root, whose placers and root constructor are user code, one
-walk of the target tree (a meta.Tree) binds the names. Pass two hands
-each context to a resolver callback that returns the target object,
-returns DEFER to be asked once more with the same context after every
-other reference (the one way to wait for a name that a resolver defines
-later), or reports the name unresolved. A Tree is built only to locate
-failed references and to validate a target the build could not vouch
-for. Created (syntax-only) classes produce nothing themselves: their
-instances are either consumed as reference payloads or, for structures
-like rule blocks, handed to a placement callback that decides which
-manually constructed container receives their children.
+walk of the target tree (a meta.Tree) binds the names. Pass two hands each
+context to a resolver callback that returns the target object, returns DEFER
+to be asked once more with the same context after every other reference (the
+one way to wait for a name that a resolver defines later), or reports the
+name unresolved. A Tree is built only to locate failed references and to
+validate a target the build could not vouch for. Created (syntax-only)
+classes produce nothing themselves: their instances are either consumed as
+reference payloads or, for structures like rule blocks, handed to a
+placement callback that decides which manually constructed container
+receives their children.
 
 Resolvers are registered at runtime in a ResolverRegistry; the builtin
 qualified-name resolver (namespace_registry) is configured from a small
@@ -47,7 +48,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, DiagnosticError, SourceLocation, error, raise_any
-from .grammar import _GENERATING, _compiled
+from .grammar import _GENERATING, _compiled, _run
 from .meta import (
     UNBOUNDED, Classifier, MetaAttribute, MetaClass, MetaDataType, MetaFeature, Metamodel,
     Model, ModelObject, Tree, _checks, _unset_value, _validate, builtin_ecore,
@@ -116,10 +117,12 @@ def build_plan(trace: Trace, target: Metamodel, ast: Metamodel) -> TransformPlan
     that does not line up with them (stale files) is an error, as is a
     copied cross reference, which no instruction kind can execute. So is
     each shape that no derivation writes and that would keep the build from
-    making the target in preorder (plan-stale): a many-valued AST feature
-    onto a single-valued target feature, two features of one AST class onto
-    one target feature, a copied containment onto a feature that is no
-    containment, and a translated feature onto a containment."""
+    making the target in preorder or that the reverse would lose values
+    (plan-stale): an AST feature onto a target feature of the other
+    multiplicity (many onto single, or single onto many), two features of
+    one AST class onto one target feature, a copied containment onto a
+    feature that is no containment, and a translated feature onto a
+    containment."""
     plan = TransformPlan(target, ast)
     diags: list[Diagnostic] = []
 
@@ -154,8 +157,9 @@ def build_plan(trace: Trace, target: Metamodel, ast: Metamodel) -> TransformPlan
             if pf is None:
                 stale(f"trace names unknown target feature {proto.name}.{rec.proto_feature}")
                 continue
-            if f.many and not pf.many:
-                stale(f"many-valued {image.name}.{f.name} maps onto single-valued "
+            if f.many != pf.many:
+                one, other = ("many", "single") if f.many else ("single", "many")
+                stale(f"{one}-valued {image.name}.{f.name} maps onto {other}-valued "
                       f"{proto.name}.{pf.name}")
             elif rec.mode == "copied":
                 if isinstance(f, MetaAttribute):
@@ -634,12 +638,12 @@ class _Forward:
     ResolutionContext of each reference in build order, the cross slots
     they fill (target object, feature, resolver, range in ``contexts``),
     the scope each target object was bound in, the resolver of each (AST
-    class, feature) looked up so far, the AST objects entered and the
-    build's stack. ``detected``: a write met a value that _validate may
-    reject."""
+    class, feature) looked up so far and the AST objects entered. The
+    builders' generators wait on the trampoline, not here. ``detected``: a
+    write met a value that _validate may reject."""
 
     __slots__ = ("plan", "registry", "ns", "contexts", "slots", "scopes", "resolvers",
-                 "entered", "stack", "detected", "named")
+                 "entered", "detected", "named")
 
     def __init__(self, plan: TransformPlan, registry: ResolverRegistry):
         self.plan = plan
@@ -655,22 +659,17 @@ class _Forward:
         self.named: dict[MetaClass, tuple] = {}
 
     def build(self, ast_root: ModelObject, scope: Scope | None = None) -> ModelObject:
-        """The target image of ``ast_root``'s subtree, made on an explicit
-        stack of (AST object, its image, resume point, scope) frames, each
-        run by the builder of its AST class (_BuildSource). A builder makes
-        its object's children's images and pushes their frames above its own
-        resumption, so references get their contexts in the order a
-        recursive walk would meet them. An object whose first frame carries
-        a scope binds in it (bind_object), and its resumptions carry the
-        scope its contents bind in; a build from ``scope`` None binds nothing."""
-        plan = self.plan
-        troot = ModelObject(plan.proto_for_image[ast_root.cls.name])
-        stack = self.stack = [(ast_root, troot, 0, scope)]
-        builders, pop = plan.builders, stack.pop
-        while stack:
-            frame = pop()
-            name = frame[0].cls.name
-            (builders[name] if name in builders else plan.builder(name))(*frame, self)
+        """The target image of ``ast_root``'s subtree: the builder of its AST
+        class (_BuildSource) fills it, run on the grammar's trampoline
+        (grammar._run). A builder calls its children's builders in turn and
+        yields those that are generators, so each child's subtree is made
+        before its parent goes on, and references get their contexts in the
+        order a recursive walk would meet them. An object built from a scope
+        binds in it (bind_object) and hands its children the scope its
+        contents bind in; a build from ``scope`` None binds nothing."""
+        plan, name = self.plan, ast_root.cls.name
+        troot = ModelObject(plan.proto_for_image[name])
+        _run((plan.builders.get(name) or plan.builder(name))(ast_root, troot, scope, self))
         return troot
 
     def bind_object(self, obj: ModelObject, scope: Scope) -> Scope:
@@ -717,17 +716,19 @@ _MAKE = "o = NEW(ModelObject); o.cls = p; o.slots = {}; o.represents = None"
 class _BuildSource:
     """The source of mapped AST class ``name``'s builder (``text``) and its
     constants (``names``): Futamura's first projection of the build on the
-    plan, as _Code is of the grammar's parser. ``build(a, t, at, inner,
-    run)`` fills target object ``t`` from AST object ``a`` through the
-    class's instructions in the plan's order, feature names as literals,
-    from resume point ``at`` on: each containment instruction that makes
-    children pushes the frame that resumes after it, unless it is the last,
-    and the children's frames above it, and returns. Once its copies are
-    written, and so its name, ``t`` binds in scope ``inner`` unless that is
-    None, and ``inner`` becomes the scope its contents bind in. Only the
-    children in a containment slot of ``t``'s prototype, the slots a
-    meta.Tree walks, get that scope; the others bind nowhere. So a build
-    from a scope binds its target in preorder, as Tree does.
+    plan, as _Code is of the grammar's parser. ``build(a, t, inner, run)``
+    fills target object ``t`` from AST object ``a`` through the class's
+    instructions in the plan's order, feature names as literals, in straight
+    lines: a containment instruction makes its children's images, then
+    calls each child's builder and yields what is a generator to the
+    trampoline (grammar._run), which finishes that child's subtree before
+    the builder goes on. So a builder is a generator iff its class has a
+    containment instruction. Once its copies are written, and so its name,
+    ``t`` binds in scope ``inner`` unless that is None, and ``inner``
+    becomes the scope its contents bind in. Only the children in a
+    containment slot of ``t``'s prototype, the slots a meta.Tree walks, get
+    that scope; the others bind nowhere. So a build from a scope binds its
+    target in preorder, as Tree does.
     A sound class's builder tests each value it writes as _validate would
     (_class_checks), and sets ``run.detected`` where one may fail; the
     builder of a class that is not sound sets it at once. A child entered
@@ -736,30 +737,23 @@ class _BuildSource:
     def __init__(self, plan: TransformPlan, name: str):
         instrs, checks = plan.instructions.get(name, ()), _class_checks(plan, name)
         self.names = {"NEW": ModelObject.__new__, "ModelObject": ModelObject,
-                      "PROTO": plan.proto_for_image, "CTX": ResolutionContext}
+                      "PROTO": plan.proto_for_image, "CTX": ResolutionContext,
+                      "B": plan.builders, "GEN": plan.builder}
         # the containment slots a meta.Tree walks, and whether each is many-valued
         self.walked = {f.name: f.many for f in plan.proto_for_image[name].containments()}
-        blocks: list[list[str]] = [["run.detected = True"] * (checks is None)]
-        bind = "if inner is not None: inner = run.bind_object(t, inner)"
+        lines = ["def build(a, t, inner, run):", "    s = a.slots", "    ts = t.slots",
+                 *["    run.detected = True"] * (checks is None)]
+        bind = "    if inner is not None: inner = run.bind_object(t, inner)"
         copies = sum(i.kind == "copy" for i in instrs)  # the plan puts them first
         for k, instr in enumerate(instrs):
             if k == copies:
-                blocks[0].append(bind)
-            blocks[-1] += self.write(k, instr, None if checks is None else checks[k],
-                                     last=k == len(instrs) - 1, resume=len(blocks))
-            if instr.kind == "containment" and k < len(instrs) - 1:
-                blocks.append([])
+                lines.append(bind)
+            lines += ["    " + x for x in self.write(k, instr, checks and checks[k])]
         if copies == len(instrs):
-            blocks[0].append(bind)
-        lines = ["def build(a, t, at, inner, run):", "    s = a.slots", "    ts = t.slots"]
-        for j, block in enumerate(blocks):
-            if j == len(blocks) - 1:
-                lines += ["    " + x for x in block]
-            else:
-                lines += [f"    if at <= {j}:", *["        " + x for x in block]]
+            lines.append(bind)
         self.text = "\n".join(lines) + "\n"
 
-    def write(self, k: int, instr: Instruction, check, last: bool, resume: int) -> list[str]:
+    def write(self, k: int, instr: Instruction, check) -> list[str]:
         """The statements of instruction ``k``: read its slot, then write,
         test and count what it holds, or test the unset target slot."""
         f = instr.image_feature
@@ -770,15 +764,12 @@ class _BuildSource:
             self.names[f"U{k}"] = unset
             read = f"v = s.get({f.name!r}, U{k})"
         ok, bounds, test = check or (True, None, None)
-        body = getattr(self, instr.kind)(k, instr, test, resume, last)
+        body = getattr(self, instr.kind)(k, instr, test)
         # a write leaves as many values as ``v`` holds, or one
         if bounds is not None and f.many:
-            count = [f"if not {bounds[0]} <= len(v) <= {bounds[1]}: run.detected = True"]
-        else:
-            count = ["run.detected = True"] * (
-                bounds is not None and not bounds[0] <= 1 <= bounds[1])
-        at = len(body) - (instr.kind == "containment")  # before a containment's return
-        body[at:at] = count
+            body.append(f"if not {bounds[0]} <= len(v) <= {bounds[1]}: run.detected = True")
+        elif bounds is not None and not bounds[0] <= 1 <= bounds[1]:
+            body.append("run.detected = True")
         unset_ok = ["else: run.detected = True"] * (not ok)
         if not f.many:
             return [read, "if v is not None:", *["    " + x for x in body], *unset_ok]
@@ -787,10 +778,9 @@ class _BuildSource:
                 "elif v is not None and type(v) is not list and v != (): raise TypeError(v)",
                 *unset_ok]
 
-    def copy(self, k, instr, test, resume, last) -> list[str]:
+    def copy(self, k, instr, test) -> list[str]:
         f, tf = instr.image_feature, instr.target_feature
-        value = "list(v)" if f.many else "[v]" if tf.many else "v"
-        out = [f"ts[{tf.name!r}] = v = {value}" if f.many else f"ts[{tf.name!r}] = {value}"]
+        out = [f"ts[{tf.name!r}] = v = list(v)" if f.many else f"ts[{tf.name!r}] = v"]
         if test is not None:
             tp, exact = test
             self.names[f"T{k}"] = tp
@@ -802,7 +792,7 @@ class _BuildSource:
                 out.append(f"if {bad('v')}: run.detected = True")
         return out
 
-    def containment(self, k, instr, test, resume, last) -> list[str]:
+    def containment(self, k, instr, test) -> list[str]:
         f, tf = instr.image_feature, instr.target_feature
         # children in a slot that a Tree walks bind in ``t``'s inner scope
         inner = "inner" if self.walked.get(tf.name) == tf.many else "None"
@@ -817,11 +807,11 @@ class _BuildSource:
             "if len(E) != n + len(v): raise TypeError(v)", "made = []", "for c in v:",
             *["    " + x for x in proto], "    " + _MAKE, "    made.append(o)",
             f"ts[{tf.name!r}] = {'made' if tf.many else 'made[0]'}",
-            *[f"run.stack.append((a, t, {resume}, inner))"] * (not last),
-            f"run.stack += [(c, o, 0, {inner}) for c, o in zip(reversed(v), reversed(made))]",
-            "return"]
+            "for c, o in zip(v, made):",
+            f"    r = (B.get(c.cls.name) or GEN(c.cls.name))(c, o, {inner}, run)",
+            "    if r is not None: yield r"]
 
-    def cross(self, k, instr, test, resume, last) -> list[str]:
+    def cross(self, k, instr, test) -> list[str]:
         f = instr.image_feature
         self.names[f"F{k}"], self.names[f"X{k}"] = instr.target_feature, instr.textual
         made = f"C.append(CTX(a, t, F{k}, v, X{k}, run.ns))" if not f.many else \
@@ -899,7 +889,7 @@ def transform_model_to_ast(m: Model, plan: TransformPlan,
             if not values:
                 continue
             if instr.kind == "copy":
-                islots[f.name] = list(values) if f.many or tf.many else values[0]
+                islots[f.name] = list(values) if f.many else values[0]
                 continue
             out = []
             for v in values:

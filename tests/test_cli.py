@@ -594,6 +594,20 @@ class TestPipelineAcrossProcesses:
         assert outputs[0] == outputs[1]
         assert sorted(outputs[0]) == sorted(p.name for p in (GOLDENS / sample).iterdir())
 
+    def test_the_reverse_does_not_depend_on_the_hash_seed(self):
+        """to-text prints the same text of the selfhost golden model in both."""
+        d, golden = SAMPLES / "selfhost", GOLDENS / "selfhost"
+        argv = ["to-text", "--trace", golden / "xf.trace", "--target", d / "xf.mm",
+                "--ast", golden / "xf.ast.mm", "--grammar", d / "xf.gr",
+                "--resolver-config", d / "ns.cfg", golden / "xf.model"]
+        outputs = []
+        for seed in ("0", "1"):
+            done = run_process(*argv, PYTHONHASHSEED=seed)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert "create class" in outputs[0]
+
 
 # Every command of each sample, by the files it reads (the sample's own and
 # the goldens of its pipeline): (sample, text input, .astm, .model).

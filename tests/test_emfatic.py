@@ -65,6 +65,15 @@ class TestParse:
             parse_metamodel("class A { }\nclass A { }\nclass A { }\n", "d", file="d.mm")
         assert [str(d.location) for d in exc.value.diagnostics] == ["d.mm:2:7", "d.mm:3:7"]
 
+    @pytest.mark.parametrize("text, message", [
+        ("class Café { }", "classifier name 'Café' is not a valid identifier"),
+        ("class A { attr String naïve; }", "feature name 'naïve' on A is not a valid identifier")])
+    def test_a_name_outside_ascii_is_no_identifier(self, text, message):
+        with pytest.raises(DiagnosticError) as exc:
+            parse_metamodel(text, "m", file="m.mm")
+        assert [(d.code, d.message, str(d.location)) for d in exc.value.diagnostics] == [
+            ("mm-identifier", message, "m.mm:1:7")]
+
     def test_ecore_types_resolve(self):
         mm = parse_metamodel("class M { ref EClass target; attr int n = 1; }", "m")
         target, n = mm.classifier("M").features

@@ -167,6 +167,16 @@ class TestParseGrammar:
                 m = generate_random_model(g, random.Random(seed))
                 assert model_equals(parse_text(render_ast(m, g), g), m)
 
+    @pytest.mark.parametrize("text, message, column", [
+        ('Abstract X : A | Missing ; A : "a" ;', "alternative 'Missing' of 'X' is not a rule", 10),
+        ('A : "a" x = Missing ;', "assignment callee 'Missing' is not a rule or terminal", 9)])
+    def test_a_name_that_is_no_rule(self, text, message, column):
+        ast = parse_metamodel("abstract class X { }\nclass A extends X { attr String x; }", "m")
+        with pytest.raises(DiagnosticError) as exc:
+            parse_grammar(text, ast)
+        assert [(d.code, d.message, d.location.column) for d in exc.value.diagnostics] == [
+            ("gr-unknown-rule", message, column)]
+
 
 class TestCheckGrammar:
     def test_shipped_selfhost_grammar_clean(self, selfhost):

@@ -79,10 +79,11 @@ class TestBuildPlan:
 
     def test_stale_trace(self, selfhost):
         """A trace that names what the metamodels lack, or whose build would
-        not make the target in preorder: a many-valued AST feature onto a
-        single-valued target feature, two AST features onto one target
-        feature, a copied containment onto a cross reference and a
-        translated feature onto a containment."""
+        not make the target in preorder or whose reverse would lose values:
+        a many-valued AST feature onto a single-valued target feature and
+        the other way round, two AST features onto one target feature, a
+        copied containment onto a cross reference and a translated feature
+        onto a containment."""
         target, t, ast, trace, *_ = selfhost
         from mmdsl.xf import parse_trace
         cases = [(target, ast, "class Transformation -> GhostAS\n")]
@@ -92,6 +93,8 @@ class TestBuildPlan:
         for target_text, ast_text, records in [
                 ("class Root { val Kid kid; }", "class RootAS { val KidAS[*] kid; }",
                  "feature Root.kid -> RootAS.kid copied"),
+                ("class Root { val Kid[*] kids; }", "class RootAS { val KidAS kids; }",
+                 "feature Root.kids -> RootAS.kids copied"),
                 ("class Root { val Kid[*] kids; }",
                  "class RootAS { val KidAS[*] kids; val KidAS[*] more; }",
                  "feature Root.kids -> RootAS.kids copied\n"
@@ -1779,3 +1782,77 @@ class TestForwardAgainstReference:
             obj.slots.setdefault("name", "C0")  # a name bound first wins
         text = render_ast(transform_model_to_ast(m, plan, registry)[0], g)
         assert_same_forward(parse_text(text, g), plan, registry)
+
+
+@pytest.fixture(scope="module")
+def file_lang():
+    """A consume-only File holds the mapped Model bodies and consume-only
+    Groups of items, which no placer places."""
+    target = parse_metamodel("class Model { val Item[*] items; }\n"
+                             "class Item { attr String name; ref Item link; }\n", "files")
+    t = parse_transformation(
+        "create class File { attr String title; val Model[*] bodies; val Group[*] groups; }\n"
+        "create class Group { attr String name; val Item[*] items; }\n"
+        "refer img(Item) as String;\n", target)
+    ast, trace = derive_ast_metamodel(target, t)
+    g = parse_grammar(
+        'File : "file" title = ID ( bodies += ModelAS )* ( groups += Group )* ;\n'
+        'ModelAS : "{" ( items += ItemAS )* "}" ;\n'
+        'ItemAS : "item" name = ID ( "->" link = ID )? ";" ;\n'
+        'Group : "group" name = ID "{" ( items += ItemAS )* "}" ;\n', ast)
+    return g, build_plan(trace, target, ast), namespace_registry({}, target, ast)
+
+
+class TestConsumeOnlyRoots:
+    """The forward's root cases other than a mapped root, against the oracle."""
+
+    def test_one_mapped_subtree_becomes_the_root(self, file_lang):
+        g, plan, registry = file_lang
+        ast_model = parse_text("file f { item a -> b ; item b -> a ; }", g)
+        assert assert_same_forward(ast_model, plan, registry) == ("ok", [])
+        model, _ = transform_ast_to_model(ast_model, plan, registry)
+        a, b = model.root.values("items")
+        assert model.root.cls.name == "Model" and (a.get("link"), b.get("link")) == (b, a)
+
+    @pytest.mark.parametrize("text, count", [("file f { } { item a ; }", 2), ("file f", 0)])
+    def test_other_counts_of_mapped_subtrees(self, file_lang, text, count):
+        """Two mapped subtrees, or none and no root.class: resolve-root."""
+        g, plan, registry = file_lang
+        assert assert_same_forward(parse_text(text, g), plan, registry) == ("diagnostics", [(
+            "resolve-root", f"consume-only root 'File' has {count} mapped subtree(s) and no "
+            f"root constructor covers this case", None)])
+
+    def test_a_root_outside_the_plan(self, file_lang):
+        g, plan, registry = file_lang
+        stray = parse_metamodel("class Stray { }", "stray").classifier("Stray")
+        ast_model = Model(ModelObject(stray), plan.ast)
+        assert assert_same_forward(ast_model, plan, registry) == ("diagnostics", [(
+            "resolve-root", "AST root class 'Stray' is not in the plan", None)])
+
+    def test_a_mapped_child_without_a_placer(self, file_lang):
+        """Each item of a Group, which no placer covers, is reported; the
+        body still becomes the target."""
+        g, plan, registry = file_lang
+        text = "file f { item a ; } group g { item b ; item c -> a ; }"
+        kind, said = assert_same_forward(parse_text(text, g), plan, registry)
+        assert (kind, said) == ("ok", [(
+            "resolve-no-rule", "no placement for ItemAS objects under consume-only Group",
+            "/")] * 2)
+
+
+class TestGeneratedBuilders:
+    def test_builders_take_no_resume_point(self, selfhost, css, nested_lang, checked_lang):
+        """Every generated builder takes (a, t, inner, run), and is a
+        generator, which the trampoline runs, iff its class has a
+        containment instruction: a leaf class's builder is a plain function."""
+        import inspect
+        plans = [selfhost[5], css[5], nested_lang[2], checked_lang[1]]
+        kinds = set()
+        for plan in plans:
+            for name in plan.proto_for_image:
+                build = plan.builder(name)
+                contains = any(i.kind == "containment" for i in plan.instructions[name])
+                assert tuple(inspect.signature(build).parameters) == ("a", "t", "inner", "run")
+                assert inspect.isgeneratorfunction(build) == contains, name
+                kinds.add(contains)
+        assert kinds == {True, False}
