@@ -24,8 +24,8 @@ objects in preorder, and each object's container and path without a search.
 ``iter_tree``, ``validate_model``, ``transform``'s diagnostics and namers, and
 the walk of ``transform_model_to_ast`` each read one Tree. A forward transform
 binds names and checks its result as it builds it, where the build makes the
-target in preorder; it builds a Tree only to bind names after a placer, to
-locate failed references, or to validate a result it could not vouch for.
+target in preorder; it builds a Tree only to bind names after a user placer,
+to locate failed references, or to validate a result it could not vouch for.
 ``model_equals`` pairs the preorders of two Trees. ``validate_model`` is the one place that words a
 problem of a model: the walkers that read a caller's model unchecked
 (``dump_model``, ``render_ast`` and both transforms) only detect one where
@@ -225,6 +225,7 @@ class Metamodel(_Sealable):
     classifiers: list[Classifier] = field(default_factory=list)
     _lists = ("classifiers",)
     _by_name = None
+    _homes = None
     load_names = None  # load_model's name tables, built on its first use (modeltext._names)
 
     def classifier(self, name: str) -> Classifier | None:
@@ -237,6 +238,17 @@ class Metamodel(_Sealable):
             # first match wins: later duplicates are written first, then overwritten
             self._by_name = {c.name: c for c in reversed(self.classifiers)}
         return self._by_name
+
+    def homes(self) -> dict[Classifier, "Metamodel"]:
+        """Each classifier of this metamodel and of ecore -> the first of the
+        two that holds it, by identity: find_classifier_home over [self,
+        ecore], as one map built on the first call, which seals ``classifiers``."""
+        if self._homes is None:
+            self.by_name()
+            homes = dict.fromkeys(_ECORE.classifiers, _ECORE)
+            homes.update(dict.fromkeys(self.classifiers, self))
+            self._homes = homes
+        return self._homes
 
     def classes(self) -> list[MetaClass]:
         return [c for c in self.classifiers if isinstance(c, MetaClass)]
@@ -387,6 +399,7 @@ def classifier_qname(c: Classifier, home: Metamodel | None) -> str:
 
 
 def find_classifier_home(c: Classifier, metamodels) -> Metamodel | None:
+    """The first of ``metamodels`` that holds ``c``; Metamodel.homes keeps it for [mm, ecore]."""
     return next((mm for mm in metamodels
                  if mm is not None and any(x is c for x in mm.classifiers)), None)
 
@@ -572,6 +585,27 @@ def _checks(t: _Tables) -> tuple:
     return t.checks
 
 
+def _unset_fits(row) -> bool:
+    """Whether _validate accepts an unset slot of ``row``, one of _checks's rows."""
+    f, _, _, unset, counted, tp, exact = row
+    return (not counted or f.lower <= len(unset) and (
+        f.upper is UNBOUNDED or len(unset) <= f.upper)) and (
+        exact is None or all(type(v) is tp if exact else isinstance(v, tp) for v in unset))
+
+
+def _fit_rows(cls: MetaClass, known, written) -> dict | None:
+    """validate_model's rows of ``cls`` (_checks) by feature if ``cls``
+    is one of the classifiers ``known``, concrete, with one feature per name
+    and no feature but those named in ``written`` whose unset slot _validate
+    rejects; else None."""
+    t = cls.tables()
+    rows = {row[0]: row for row in _checks(t)}
+    if cls in known and not cls.abstract and len(t.by_name) == len(t.features) and \
+            all(_unset_fits(r) for f, r in rows.items() if f.name not in written):
+        return rows
+    return None
+
+
 def _validate(m: Model, tree: Tree) -> list[Diagnostic]:
     """validate_model on ``tree``, a Tree of ``m.root`` whose containment has
     not changed since it was built."""
@@ -659,7 +693,7 @@ def model_equals(a: Model, b: Model) -> bool:
     partner = dict(zip(ta.objects, tb.objects))
 
     def in_ecore(m: Model, c: Classifier) -> bool:
-        return find_classifier_home(c, [m.metamodel, _ECORE]) is _ECORE
+        return (m.metamodel or _ECORE).homes().get(c) is _ECORE
 
     for x, y in partner.items():
         cx, cy = x.cls, y.cls

@@ -32,7 +32,7 @@ from bisect import bisect_left
 from .lexer import _SKIP, _STRING_OPEN, Lexer, TokenStream, format_literal, token_value
 from .meta import (
     Classifier, MetaClass, Metamodel, Model, ModelObject, _checks, builtin_ecore,
-    classifier_object, classifier_qname, find_classifier_home, rejecting,
+    classifier_object, classifier_qname, rejecting,
 )
 
 _LEXER = Lexer(reserved={"true", "false"},
@@ -67,7 +67,6 @@ def dump_model(m: Model) -> str:
     raises validate_model's diagnostics (``meta.rejecting``)."""
     ids = {m.root: 1}
     opened = {m.root}  # the objects whose block is not closed yet
-    known = [m.metamodel, builtin_ecore()]
     qnames: dict[ModelObject, str] = {}  # stand-in -> its reference, looked up once
     rows: dict[MetaClass, tuple] = {}
     crosses = []  # (line index, line start, value or values, many), written last
@@ -82,7 +81,7 @@ def dump_model(m: Model) -> str:
         if v.represents is not None:
             ref = qnames.get(v)
             if ref is None:
-                home = find_classifier_home(v.represents, known)
+                home = (m.metamodel or builtin_ecore()).homes().get(v.represents)
                 ref = qnames[v] = "-> " + classifier_qname(v.represents, home)
             return ref
         return f"-> #{ids[v]}"

@@ -9,20 +9,20 @@ plan in two passes. Pass one creates prototype instances in builders
 generated per AST class from its instructions (_BuildSource), copying
 attributes and containment and making one ResolutionContext per textual
 reference; a builder that has children yields their builders to the
-grammar's trampoline, so depth costs no Python stack. From a mapped root the
-build makes the target in preorder, binds each named object in its scope as
-it makes it, and tests each value it writes as validate_model would; after a
-consume-only root, whose placers and root constructor are user code, one
-walk of the target tree (a meta.Tree) binds the names. Pass two hands each
-context to a resolver callback that returns the target object, returns DEFER
-to be asked once more with the same context after every other reference (the
-one way to wait for a name that a resolver defines later), or reports the
-name unresolved. A Tree is built only to locate failed references and to
-validate a target the build could not vouch for. Created (syntax-only)
-classes produce nothing themselves: their instances are either consumed as
-reference payloads or, for structures like rule blocks, handed to a
-placement callback that decides which manually constructed container
-receives their children.
+grammar's trampoline, so depth costs no Python stack. The build makes the
+target in preorder, binds each named object in its scope as it makes it, and
+tests each value it writes as validate_model would, from a mapped root and
+from a consume-only root whose root constructor and placers are the builtin
+ones namespace_registry proved; after user ones, one walk of the target tree
+(a meta.Tree) binds the names. Pass two hands each context to a resolver
+callback that returns the target object, returns DEFER to be asked once more
+with the same context after every other reference (the one way to wait for
+a name that a resolver defines later), or reports the name unresolved. A
+Tree is built only to locate failed references and to validate a target the
+build could not vouch for. Created (syntax-only) classes produce nothing
+themselves: their instances are either consumed as reference payloads or,
+for structures like rule blocks, handed to a placement callback that decides
+which manually constructed container receives their children.
 
 Resolvers are registered at runtime in a ResolverRegistry; the builtin
 qualified-name resolver (namespace_registry) is configured from a small
@@ -51,8 +51,8 @@ from .diagnostics import Diagnostic, DiagnosticError, SourceLocation, error, rai
 from .grammar import _GENERATING, _compiled, _run
 from .meta import (
     UNBOUNDED, Classifier, MetaAttribute, MetaClass, MetaDataType, MetaFeature, Metamodel,
-    Model, ModelObject, Tree, _checks, _unset_value, _validate, builtin_ecore,
-    classifier_object, is_subtype, rejecting, resolve_classifier, validate_model,
+    Model, ModelObject, Tree, _fit_rows, _unset_fits, _unset_value, _validate, builtin_ecore,
+    classifier_object, is_subtype, rejecting, resolve_classifier, validate_model, value_fits,
 )
 from .xf import Trace
 
@@ -207,31 +207,19 @@ def build_plan(trace: Trace, target: Metamodel, ast: Metamodel) -> TransformPlan
     return plan
 
 
-def _unset_fits(row) -> bool:
-    """Whether _validate accepts an unset slot of ``row``, one of meta._checks's rows."""
-    f, _, _, unset, counted, tp, exact = row
-    return (not counted or f.lower <= len(unset) and (
-        f.upper is UNBOUNDED or len(unset) <= f.upper)) and (
-        exact is None or all(type(v) is tp if exact else isinstance(v, tp) for v in unset))
-
-
 def _class_checks(plan: TransformPlan, name: str) -> tuple | None:
     """What the build of mapped class ``name`` checks as it writes, or None
-    if the class is not sound: sound, its prototype is known and concrete,
-    has one feature per name and every target feature its instructions
-    write, and no other feature whose unset slot _validate rejects. Per
-    instruction: whether _validate accepts its target feature unset, the
-    counts a write must lie within (or None), and the test of a value
-    written: a copied value's type and whether exactly, or the prototypes
-    of the images whose objects fit a containment."""
+    if the class is not sound: sound, its prototype fits _fit_rows, of the
+    target's and ecore's classifiers and the target features its
+    instructions write, and has each of those features. Per instruction:
+    whether _validate accepts its target feature unset, the counts a write
+    must lie within (or None), and the test of a value written: a copied
+    value's type and whether exactly, or the prototypes of the images whose
+    objects fit a containment."""
     proto, instrs = plan.proto_for_image[name], plan.instructions.get(name, ())
-    t = proto.tables()
-    rows = {row[0]: row for row in _checks(t)}
-    written = {i.target_feature.name for i in instrs}
-    if (proto in plan.target.classifiers or proto in builtin_ecore().classifiers) and \
-            not proto.abstract and len(t.by_name) == len(t.features) and \
-            all(i.target_feature in rows for i in instrs) and \
-            all(_unset_fits(r) for f, r in rows.items() if f.name not in written):
+    rows = _fit_rows(proto, (*plan.target.classifiers, *builtin_ecore().classifiers),
+                     {i.target_feature.name for i in instrs})
+    if rows is not None and all(i.target_feature in rows for i in instrs):
         return tuple(_write_check(plan, i, rows[i.target_feature]) for i in instrs)
     return None
 
@@ -434,6 +422,11 @@ class ResolverRegistry:
         self.default_resolver = default_namespace_resolver
         self.placers: dict[str, object] = {}
         self.root_constructor = None
+        # namespace_registry's proof (binds_placed): the root constructor (key
+        # None) and placers it proved, by identity; the target they write, and
+        # whether placed children bind in a scope of their own
+        self._proven: dict = {}
+        self._proof: tuple | None = None
         self.scope_classes: set[str] = set()
         self._seed_metamodels: list[tuple[str, Metamodel]] = []
         self._seeded: Namespace | None = None  # the seeded bindings (make_namespace)
@@ -458,6 +451,21 @@ class ResolverRegistry:
             if r is not None:
                 return r
         return self.default_resolver
+
+    def binds_placed(self, plan: TransformPlan) -> bool:
+        """Whether a run of ``plan`` from the root constructor may bind and
+        check its target as it builds it: the root constructor and placers
+        are the ones namespace_registry proved for ``plan.target`` (_proven),
+        and binding in consume order gives a Tree's first-wins bindings,
+        since placed children bind in their container's own scope or no
+        prototype of the plan binds a name."""
+        proven, (target, scoped) = self._proven, self._proof or (None, False)
+        if plan.target is not target or self.root_constructor is not proven.get(None) or \
+                len(self.placers) + 1 != len(proven) or \
+                any(self.placers.get(n) is not p for n, p in proven.items() if n is not None):
+            return False
+        return scoped or not any(isinstance(p.find_feature(self.name_attribute), MetaAttribute)
+                                 for p in plan.proto_for_image.values())
 
     def make_namespace(self) -> Namespace:
         """A fresh namespace with the seeded classifiers bound; the first
@@ -532,7 +540,8 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
     # Root: a mapped root transforms to the target root, and its build binds
     # each named object as it makes it; a consume-only root (compilation
     # unit) passes the torch to its single mapped subtree, or to the
-    # configured root constructor when it has none.
+    # configured root constructor when it has none, after which the build
+    # binds too if the constructor and placers are proven (binds_placed).
     root_candidate: ModelObject | None = None
     consume_queue: deque[ModelObject] = deque()
     if bound:
@@ -545,6 +554,8 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
             troot = run.build(root_candidate)
         elif not mapped_children and registry.root_constructor is not None:
             troot = registry.root_constructor()
+            if bound := registry.binds_placed(plan):
+                run.scopes[troot] = ns.root
         else:
             raise DiagnosticError([error(
                 "resolve", "resolve-root",
@@ -555,7 +566,9 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
         raise DiagnosticError([error("resolve", "resolve-root",
                                      f"AST root class {root.cls.name!r} is not in the plan")])
 
-    # Remaining consume-only structure: place mapped children via placers.
+    # Remaining consume-only structure: place mapped children via placers. A
+    # proven placer's children bind in their container's scope as they are
+    # built, and each is tested against the type of the slot it goes in.
     while consume_queue:
         ast_obj = consume_queue.popleft()
         if ast_obj in entered:  # reached twice, which no valid AST is
@@ -578,15 +591,20 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
                         continue
                     if placement is None:
                         placement = placer(_PlacementContext(ast_obj, troot, ns, diags)) or False
+                        if placement:
+                            placement = run.place(*placement) if bound else (*placement, None, None)
                     if placement is False:
                         continue  # the placer reported why
-                    container, feature_name = placement
+                    container, feature_name, inner, accepts = placement
+                    made = run.build(child, inner)
+                    if accepts is not None and not is_subtype(made.cls, accepts):
+                        run.detected = True
                     # validate_model reports a feature name the container lacks
-                    container.slots.setdefault(feature_name, []).append(run.build(child))
+                    container.slots.setdefault(feature_name, []).append(made)
 
-    # After a consume-only root, whose placers are user code, bind named
-    # target objects on one Tree so resolvers can look them up; scope
-    # classes open nested scopes for their subtrees.
+    # After user placers or a user root constructor, bind named target
+    # objects on one Tree so resolvers can look them up; scope classes open
+    # nested scopes for their subtrees.
     tree = None if bound else run.bind(troot)
 
     # Ask each reference's resolver in the order build met them, then once
@@ -689,6 +707,17 @@ class _Forward:
                 if facts[1]:
                     return scope.child(name)
         return scope
+
+    def place(self, container: ModelObject, feature_name: str) -> tuple:
+        """A proven placer's placement, then the scope its children bind in
+        and the type they must have. ``container`` binds in the namespace
+        root as a Tree binds it, after its placer defined its name there;
+        a name of a type that _validate rejects is detected."""
+        name = container.cls.find_feature(self.registry.name_attribute)
+        if not value_fits(container.slots[name.name], name.type):
+            self.detected = True
+        return (container, feature_name, self.bind_object(container, self.ns.root),
+                container.cls.find_feature(feature_name).type)
 
     def resolver(self, cls: MetaClass, name: str):
         """The resolver of AST class ``cls``'s feature ``name``, looked up once per run."""
@@ -955,6 +984,11 @@ def namespace_registry(config: dict[str, str], target: Metamodel,
     - ``place.<Cls>.{ensure,key,collection,children}``: placement of mapped
       children under consume-only ``<Cls>`` objects into a deduplicated,
       manually constructed container
+
+    The root constructor and placers it makes are proved here, once: if
+    root.class and every placer pass _fit_rows and _proves, they are kept
+    in ``_proven`` and a run from them binds and checks in its build
+    (binds_placed).
     """
     diags: list[Diagnostic] = []
     reg = ResolverRegistry(name_attribute=config.get("name.attribute", "name"))
@@ -982,23 +1016,19 @@ def namespace_registry(config: dict[str, str], target: Metamodel,
                                f"got {kind!r}"))
 
     root_class = config.get("root.class")
-    if root_class:
-        cls = target.classifier(root_class)
-        if not isinstance(cls, MetaClass) or cls.abstract:
-            diags.append(error("resolve", "config",
-                               f"root.class names unknown or abstract class {root_class!r}"))
-        else:
-            reg.root_constructor = lambda: ModelObject(cls)
+    root = target.classifier(root_class) if root_class else None
+    if root_class and (not isinstance(root, MetaClass) or root.abstract):
+        diags.append(error("resolve", "config",
+                           f"root.class names unknown or abstract class {root_class!r}"))
+    elif root_class:
+        reg.root_constructor = lambda: ModelObject(root)
 
-    placed = {key.split(".")[1] for key in config if key.startswith("place.")}
-    for created in sorted(placed):
+    proofs = []  # per placer: its AST class, ensure class, key, collection and children
+    for created in sorted({key.split(".")[1] for key in config if key.startswith("place.")}):
+        spec = [config.get(f"place.{created}.{k}") for k in ("key", "collection", "children")]
         ensure = config.get(f"place.{created}.ensure")
-        key_attr = config.get(f"place.{created}.key")
-        collection = config.get(f"place.{created}.collection")
-        children = config.get(f"place.{created}.children")
         ensure_cls = target.classifier(ensure) if ensure else None
-        if None in (ensure, key_attr, collection, children) or not isinstance(
-                ensure_cls, MetaClass):
+        if None in spec or not isinstance(ensure_cls, MetaClass):
             diags.append(error("resolve", "config",
                                f"place.{created} needs ensure/key/collection/children keys "
                                f"naming real classes and features"))
@@ -1007,15 +1037,45 @@ def namespace_registry(config: dict[str, str], target: Metamodel,
             diags.append(error("resolve", "config",
                                f"place.{created} names unknown AST class {created!r}"))
             continue
-        reg.place(created, _make_placer(ensure_cls, key_attr, collection, children,
-                                        reg.name_attribute))
+        reg.place(created, _make_placer(ensure_cls, *spec, reg.name_attribute))
+        proofs.append((ast.classifier(created), ensure_cls, *spec))
 
     raise_any(diags)
+    # The proof (binds_placed): the builtin root constructor and placers
+    # write only what _validate accepts, but for values tested as placed.
+    if root is not None and _fit_rows(root, target.classifiers, ()) is not None and all(
+            _proves(root, target, *p, reg.name_attribute) for p in proofs):
+        reg._proven = {None: reg.root_constructor, **reg.placers}
+        reg._proof = target, len(proofs) < 2 and all(p[1].name in reg.scope_classes
+                                                    for p in proofs)
     return reg
+
+
+def _proves(root: MetaClass, target: Metamodel, created, ensure: MetaClass, key: str,
+            collection: str, children: str, name: str) -> bool:
+    """Whether _make_placer's placer of ``created`` objects, under a root
+    of class ``root``, writes what _validate accepts: ``ensure`` fits
+    _fit_rows, of ``target``'s classifiers and the name, and is no ecore
+    class, which a seeded stand-in could be; the name is a single-valued
+    attribute of the kind of the key's attribute; and the root's
+    collection, of a type that takes ``ensure``, and the ensure class's
+    children are containments without bounds."""
+    k = created.find_feature(key) if created.is_class else None
+    n, c, h = ensure.find_feature(name), root.find_feature(collection), \
+        ensure.find_feature(children)
+    return _fit_rows(ensure, target.classifiers, {name}) is not None and \
+        ensure not in _ECORE_CLASSIFIERS and None not in (k, n, c, h) and \
+        k.is_attribute and n.is_attribute and not k.many and n.lower <= 1 == n.upper and \
+        k.type.kind == n.type.kind and is_subtype(ensure, c.type) and \
+        all(f.containment and not f.lower and f.upper is UNBOUNDED for f in (c, h))
 
 
 def _make_placer(ensure_cls: MetaClass, key_attr: str, collection: str,
                  children: str, name_attribute: str):
+    """The builtin placer: the ``ensure_cls`` object bound in the namespace
+    root under the key's value, else a new one, named by it, added to the
+    root's ``collection`` and defined there before any child is built; its
+    ``children`` slot takes the children."""
     def placer(ctx: _PlacementContext):
         try:  # the config may name features the classes lack
             key = ctx.ast_object.get(key_attr)

@@ -63,6 +63,41 @@ class TestBuiltinEcore:
         assert validate_metamodel(builtin_ecore()) == []
 
 
+class TestClassifierHomes:
+    def test_agrees_with_find_classifier_home(self):
+        """Metamodel.homes gives each classifier the home that
+        find_classifier_home finds in [metamodel, ecore], on the shipped
+        metamodels, their derived AST metamodels and ecore, and on
+        metamodels that share names with ecore and with each other."""
+        from pathlib import Path
+        from mmdsl.emfatic import parse_metamodel
+        from mmdsl.xf import derive_ast_metamodel, parse_transformation
+        samples = Path(__file__).resolve().parent.parent / "samples"
+        mms = [builtin_ecore()]
+        for d, stem in (("css", "css"), ("selfhost", "xf")):
+            target = parse_metamodel((samples / d / f"{stem}.mm").read_text(), stem)
+            xf = parse_transformation((samples / d / f"{stem}.xf").read_text(), target)
+            mms += [target, derive_ast_metamodel(target, xf)[0]]
+        twins = [parse_metamodel("class EClass { } class Item { attr String name; }", name)
+                 for name in ("one", "two")]
+        mms += twins
+        strays = [MetaClass("EClass"), MetaDataType("String", "string"), *twins[1].classifiers]
+        for mm in mms:
+            homes = mm.homes()
+            assert mm.homes() is homes
+            for c in (*mm.classifiers, *builtin_ecore().classifiers, *strays):
+                assert homes.get(c) is find_classifier_home(c, [mm, builtin_ecore()]), (mm.name, c)
+        one = twins[0]
+        assert one.homes()[one.classifier("EClass")] is one
+        assert one.homes()[builtin_ecore().classifier("EClass")] is builtin_ecore()
+        assert twins[1].classifier("Item") not in one.homes()
+
+    def test_the_first_home_of_a_shared_classifier_wins(self):
+        string = builtin_ecore().classifier("String")
+        mm = Metamodel("m", [string])
+        assert mm.homes()[string] is mm is find_classifier_home(string, [mm, builtin_ecore()])
+
+
 class TestSubtype:
     def test_reflexive(self):
         mm, node = simple_mm()

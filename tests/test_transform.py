@@ -1063,9 +1063,9 @@ class TestForwardDepth:
         assert peaks[1] <= 2.5 * peaks[0], peaks
 
 
-def builds_and_validates(ast_model, plan, registry) -> tuple[int, int]:
+def forward_counts(ast_model, plan, registry) -> tuple:
     """The number of meta.Trees built and of _validate calls made by a
-    forward of ``ast_model`` that reports nothing and makes a valid model."""
+    forward of ``ast_model``, with the model and the diagnostics it gives."""
     import mmdsl.transform
     trees, checks = [], []
     init, check = Tree.__init__, mmdsl.transform._validate
@@ -1073,16 +1073,24 @@ def builds_and_validates(ast_model, plan, registry) -> tuple[int, int]:
             mock.patch.object(mmdsl.transform, "_validate",
                               lambda *a: checks.append(1) or check(*a)):
         model, diags = transform_ast_to_model(ast_model, plan, registry)
+    return len(trees), len(checks), model, diags
+
+
+def builds_and_validates(ast_model, plan, registry) -> tuple[int, int]:
+    """The number of meta.Trees built and of _validate calls made by a
+    forward of ``ast_model`` that reports nothing and makes a valid model."""
+    trees, checks, model, diags = forward_counts(ast_model, plan, registry)
     assert diags == [] and validate_model(model) == []
-    return len(trees), len(checks)
+    return trees, checks
 
 
 class TestForwardLookups:
     def test_one_tree_and_one_resolver_lookup_per_feature(self, css, selfhost, monkeypatch):
         """A forward run asks the registry for the resolver of each (AST
-        class, feature) once. The selfhost run binds and checks its target
-        as the build makes it, so it builds no meta.Tree; the css run calls
-        a placer, so it binds names on one Tree and validates on it."""
+        class, feature) once. Both runs bind and check their target as the
+        build makes it, so neither builds a meta.Tree: the selfhost run from
+        its mapped root, the css run from its proven root constructor and
+        placer."""
         runs = [(parse_text((SAMPLES / text).read_text(), lang[4]), lang[5], lang[6])
                 for lang, text in ((css, "css/grouped.css"), (selfhost, "selfhost/xf.xf"))]
         trees, lookups = [], []
@@ -1099,9 +1107,15 @@ class TestForwardLookups:
             assert len(lookups) == len(set(lookups))
             counts.append(len(trees))
         assert lookups  # the selfhost script resolves references
-        assert counts == [1, 0]
+        assert counts == [0, 0]
         monkeypatch.undo()
         assert validate_model(model) == []
+
+    @pytest.mark.parametrize("name", ["grouped.css", "split.css"])
+    def test_a_valid_css_forward_builds_no_tree_and_validates_nothing(self, css, name):
+        target, t, ast, trace, g, plan, registry = css
+        ast_model = parse_text((SAMPLES / "css" / name).read_text(), g)
+        assert builds_and_validates(ast_model, plan, registry) == (0, 0)
 
     def test_a_valid_forward_builds_no_tree_and_validates_nothing(self, selfhost, monkeypatch):
         """A valid selfhost script of 5 or of 40 statements transforms
@@ -1838,6 +1852,233 @@ class TestConsumeOnlyRoots:
         assert (kind, said) == ("ok", [(
             "resolve-no-rule", "no placement for ItemAS objects under consume-only Group",
             "/")] * 2)
+
+
+PLACED_TARGET = ("class Sheet { val Group[*] groups; }\n"
+                 "class Group { attr String name; val Item[*] items; }\n"
+                 "class Item { attr String name; ref Item link; val Item[*] kids; }\n")
+
+
+def placed_lang(target_text=PLACED_TARGET, key="String"):
+    """A consume-only File of Blocks and Others, whose keyed items a placer
+    merges into one Group per key under a Sheet that root.class makes; an
+    item is named, may nest items and links to an item by a qualified name."""
+    target = parse_metamodel(target_text, "placed")
+    t = parse_transformation(
+        "create class File { val Block[*] blocks; val Other[*] others; }\n"
+        f"create class Block {{ attr {key} key; val Item[*] items; }}\n"
+        f"create class Other {{ attr {key} key; val Item[*] items; }}\n"
+        "create class QualifiedName { attr String name; val QualifiedName subQN; }\n"
+        "refer img(Item) as QualifiedName;\nskip Sheet;\nskip Group;\n", target)
+    ast, trace = derive_ast_metamodel(target, t)
+    token = "ID" if key == "String" else "INT"
+    g = parse_grammar(
+        "File : ( blocks += Block | others += Other )* ;\n"
+        f'Block : "block" key = {token} "{{" ( items += ItemAS )* "}}" ;\n'
+        f'Other : "other" key = {token} "{{" ( items += ItemAS )* "}}" ;\n'
+        'ItemAS : "item" name = ID ( "->" link = QualifiedName )? '
+        '( "{" ( kids += ItemAS )* "}" )? ";" ;\n'
+        'QualifiedName : name = ID ( "::" subQN = QualifiedName )? ;\n', ast)
+    return target, ast, g, build_plan(trace, target, ast)
+
+
+def placed_registry(lang, scopes="Group", placers=("Block",)):
+    """namespace_registry of ``lang``: each of ``placers`` places its items
+    into the Group of its key, and ``scopes`` are the scope classes."""
+    config = {"root.class": "Sheet", "scope.classes": scopes}
+    for c in placers:
+        config.update({f"place.{c}.ensure": "Group", f"place.{c}.key": "key",
+                       f"place.{c}.collection": "groups", f"place.{c}.children": "items"})
+    return namespace_registry(config, lang[0], lang[1])
+
+
+@pytest.fixture(scope="module")
+def placed():
+    """The placer language and its registries: one placer with Group a
+    scope class or not, each with Item a scope class or not, and two
+    placers into one scope-class Group."""
+    lang = placed_lang()
+    registries = [placed_registry(lang, scopes) for scopes in ("Group", "Group, Item", "", "Item")]
+    return lang, registries + [placed_registry(lang, "Group", ("Block", "Other"))]
+
+
+def _placed_item(item) -> str:
+    name, link, kids = item
+    return f"item {name}" + (f" -> {link}" if link else "") + (
+        " { " + " ".join(map(_placed_item, kids)) + " }" if kids else "") + " ;"
+
+
+placed_links = st.one_of(st.none(), st.sampled_from(
+    ["a", "b", "c", "a::b", "b::a", "c::c", "a::b::c", "x"]))
+placed_items = st.recursive(
+    st.tuples(small_names, placed_links, st.just([])),
+    lambda inner: st.tuples(small_names, placed_links, st.lists(inner, max_size=3)),
+    max_leaves=8).map(_placed_item)
+placed_texts = st.lists(st.builds(
+    lambda kind, key, items: f"{kind} {key} {{ " + " ".join(items) + " }",
+    st.sampled_from(["block", "block", "other"]), small_names,
+    st.lists(placed_items, max_size=3)), max_size=5).map("\n".join)
+
+
+class TestProvenPlacer:
+    """A run from the builtin root constructor and placers that
+    namespace_registry proved binds and checks its target in the build
+    where the binding order cannot show, and gives what the build, the bind
+    on a Tree and the validation that always ran gave."""
+
+    def test_the_shipped_css_registry_is_proven(self, css):
+        target, t, ast, trace, g, plan, registry = css
+        assert registry._proven == {None: registry.root_constructor, **registry.placers}
+        assert registry.binds_placed(plan) and copy.copy(registry).binds_placed(plan)
+
+    @settings(max_examples=200, deadline=None)
+    @given(placed_texts, st.integers(0, 4))
+    @example("block a { item b -> a::c ; item c -> b ; } block b { item a -> a::b ; } "
+             "block a { item c ; item d -> c ; }", 0)
+    @example("block a { item a ; } block b { item a -> b ; item b -> a::a ; }", 2)
+    @example("block a { item b ; } other b { item a -> b ; } block a { item c -> b ; }", 4)
+    @example("block a { item b ; } block b { item c -> b ; }", 2)  # an item named as a later key
+    def test_against_the_oracle(self, placed, text, which):
+        """Keys repeat and interleave, items are named like keys and like
+        each other, and links cross containers; Group is a scope class or
+        not, and so is Item."""
+        (target, ast, g, plan), registries = placed
+        assert_same_forward(parse_text(text, g), plan, registries[which])
+
+    def test_binds_in_the_build_where_the_order_cannot_show(self, placed):
+        """A scope-class Group with one placer binds its items in their
+        Group's own scope as the build makes them; where items bind in the
+        namespace root, or two placers feed one scope, a Tree binds them."""
+        (target, ast, g, plan), registries = placed
+        text = "block a { item x -> y ; item y { item z ; } ; } block b { item w -> %s ; }"
+        counts = [builds_and_validates(parse_text(text % link, g), plan, registry)
+                  for link, registry in zip(["a::x", "a::x", "x", "x", "a::x"], registries)]
+        assert counts == [(0, 0), (0, 0), (1, 1), (1, 1), (1, 1)]
+        assert [registry.binds_placed(plan) for registry in registries] == \
+            [True, True, False, False, False]
+
+    @pytest.mark.parametrize("corrupt", [5, True, "an item"])
+    def test_a_key_that_does_not_fit_is_detected(self, placed, corrupt):
+        """A key value of a type the Group's name refuses makes the run
+        validate, so the AST's own problem is reported, as by the oracle."""
+        (target, ast, g, plan), registries = placed
+        m = parse_text("block a { item b ; } block c { item d ; }", g)
+        block = m.root.slots["blocks"][1]
+        block.slots["key"] = block.slots["items"][0] if corrupt == "an item" else corrupt
+        assert assert_same_forward(m, plan, registries[0])[0] == "diagnostics"
+
+    def test_a_child_the_children_slot_refuses_is_detected(self, placed):
+        """A placed child whose prototype the Group's items slot does not
+        take makes the run validate, as the oracle does."""
+        lang = placed_lang(PLACED_TARGET.replace("Item[*] items", "Note[*] items")
+                           + "class Note { attr String name; }\n")
+        g, plan = lang[2], lang[3]
+        registry = placed_registry(lang)
+        assert registry.binds_placed(plan)
+        kind, said = assert_same_forward(parse_text("block a { item b ; }", g), plan, registry)
+        assert kind == "ok" and [code for code, *_ in said] == ["model-kind"]
+
+
+class TestUnprovenPlacer:
+    """A user placer or root constructor, and a builtin one whose classes
+    break a condition of the proof, keep the Tree path: bind on a Tree,
+    then a full _validate; each agrees with the oracle."""
+
+    TEXT = "block a { item b ; item c -> b ; } block d { item e -> a::b ; } block a { item f ; }"
+
+    def test_a_user_placer(self, placed):
+        (target, ast, g, plan), registries = placed
+        group = target.classifier("Group")
+
+        def one_group(ctx):
+            found = ctx.namespace.resolve(ctx.namespace.root, ["all"])
+            if found is None:
+                found = ModelObject(group, name="all")
+                ctx.target_root.add("groups", found)
+                ctx.namespace.define([], "all", found)
+            return found, "items"
+
+        registry = copy.copy(registries[0])
+        registry.placers = dict(registry.placers)
+        registry.place("Block", one_group)
+        ast_model = parse_text(self.TEXT.replace("a::b", "all::b"), g)
+        assert not registry.binds_placed(plan)
+        assert assert_same_forward(ast_model, plan, registry) == ("ok", [])
+        assert builds_and_validates(ast_model, plan, registry) == (1, 1)
+
+    def test_a_replaced_root_constructor(self, placed):
+        (target, ast, g, plan), registries = placed
+        registry = copy.copy(registries[0])
+        registry.root_constructor = lambda: ModelObject(target.classifier("Sheet"))
+        ast_model = parse_text(self.TEXT, g)
+        assert not registry.binds_placed(plan)
+        assert assert_same_forward(ast_model, plan, registry) == ("ok", [])
+        assert builds_and_validates(ast_model, plan, registry) == (1, 1)
+
+    @pytest.mark.parametrize("edit", [
+        ("val Group[*] groups", "val Group[1..*] groups"),  # a mandatory collection
+        ("val Item[*] items", "val Item[1..*] items"),  # mandatory children
+    ])
+    def test_a_bounded_collection_or_children(self, edit):
+        lang = placed_lang(PLACED_TARGET.replace(*edit))
+        g, plan, registry = lang[2], lang[3], placed_registry(lang)
+        ast_model = parse_text(self.TEXT, g)
+        assert not registry.binds_placed(plan)
+        assert assert_same_forward(ast_model, plan, registry) == ("ok", [])
+        assert builds_and_validates(ast_model, plan, registry) == (1, 1)
+
+    @pytest.mark.parametrize("edit, key, codes", [
+        (("class Sheet {", "class Sheet { attr String[1] title;"), "String",
+         ["model-multiplicity"]),  # a mandatory-featured root class
+        (("class Group {", "class Group { attr String[1] title;"), "String",
+         ["model-multiplicity"] * 2),  # an ensure class with a required attribute
+        (("", ""), "int", ["model-kind"] * 2),  # a key whose type does not fit the name
+        (("val Item[*] items", "val Item items"), "String",
+         ["model-kind"] * 2),  # single-valued children
+        (("val Item[*] items", "ref Item[*] items"), "String",
+         ["model-dangling"] * 4),  # children that are no containment
+        (("val Group[*] groups", "ref Group[*] groups"), "String",
+         ["model-dangling"] * 2),  # a collection that is no containment
+    ])
+    def test_an_unmet_condition(self, edit, key, codes):
+        """The target is invalid, and the full validation says why: one
+        _validate on the bind's Tree, then validate_model's Tree of the AST,
+        which is valid. Objects left outside the containment tree compare
+        by identity in model_equals, so there the models are compared by
+        their diagnostics, resolver calls and scopes only."""
+        lang = placed_lang(PLACED_TARGET.replace(*edit), key)
+        g, plan, registry = lang[2], lang[3], placed_registry(lang)
+        text = "block a { item b ; item c ; } block d { item e ; } block a { item f ; }"
+        ast_model = parse_text(text if key == "String" else text.replace("a", "1")
+                               .replace("d", "2"), g)
+        assert not registry.binds_placed(plan)
+        (kind, model, said), calls, scopes = forward_outcome(
+            transform_ast_to_model, ast_model, plan, registry)
+        (ref_kind, ref_model, ref_said), ref_calls, ref_scopes = forward_outcome(
+            ref_transform_ast_to_model, ast_model, plan, registry)
+        assert (kind, said, calls, scopes) == (ref_kind, ref_said, ref_calls, ref_scopes)
+        assert (kind, [code for code, *_ in said]) == ("ok", codes)
+        assert model_equals(model, ref_model) == (codes[0] != "model-dangling" and
+                                                  edit[1] != "val Item items")
+        trees, checks, model, diags = forward_counts(ast_model, plan, registry)
+        assert (trees, checks, [d.code for d in diags]) == (2, 1, codes)
+
+    def test_a_single_valued_collection(self):
+        """The placer cannot add to a single-valued collection and says so;
+        the run stops before the validation."""
+        lang = placed_lang(PLACED_TARGET.replace("val Group[*] groups", "val Group groups"))
+        g, plan, registry = lang[2], lang[3], placed_registry(lang)
+        ast_model = parse_text(self.TEXT, g)
+        assert not registry.binds_placed(plan)
+        kind, said = assert_same_forward(ast_model, plan, registry)
+        assert (kind, {code for code, *_ in said}) == ("ok", {"config"})
+        assert forward_counts(ast_model, plan, registry)[:2] == (1, 0)
+
+    def test_an_abstract_root_class_is_refused(self):
+        lang = placed_lang(PLACED_TARGET.replace("class Sheet", "abstract class Sheet"))
+        with pytest.raises(DiagnosticError) as exc:
+            placed_registry(lang)
+        assert [d.code for d in exc.value.diagnostics] == ["config"]
 
 
 class TestGeneratedBuilders:
