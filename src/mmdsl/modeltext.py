@@ -16,12 +16,23 @@ validate_model's, kept on the class's tables. Objects are numbered as the walk
 writes their heads; cross reference lines are filled in after it. A stand-in's
 qualified name is looked up once per dump.
 
-load_model makes no tokens: one anchored match reads one construct, blanks and
-comments allowed between its lexemes. The constructs: ``Class #n {``; ``name =``
-and a value (literal, ``->`` reference, object head or ``[``), or ``}``; a list
-item after an optional ``,``, or ``]``. Only when one fails is the text
-tokenized: a lexical error anywhere wins, as it did when every text was; else
-the tokens from the construct on are read one by one for the diagnostic.
+load_model has two readers, and the text alone picks one. The line reader
+(_read_lines) splits the text on newlines once and reads each line, stripped
+of blanks, as exactly one construct in the layout dump_model writes, with no
+regex match but for a string that holds an escape. It declines, and returns
+nothing, on any other line (a comment, a construct split over lines or two on
+one) and wherever the loader would report a problem: an unknown class, feature
+or classifier, a duplicate or dangling id, several values in a single-valued
+feature, text after the root, or an integer int() refuses. Then _Loader reads
+the text from the start, in any layout. It makes no tokens: one anchored
+match reads one construct, blanks and comments allowed between its lexemes.
+The constructs: ``Class #n {``; ``name =`` and a value (literal, ``->``
+reference, object head or ``[``), or ``}``; a list item after an optional
+``,``, or ``]``. Only when one fails is the text tokenized: a lexical error
+anywhere wins, as it did when every text was; else the tokens from the
+construct on are read one by one for the diagnostic. So _Loader is the only
+source of diagnostics. Both readers read names from the same tables, which
+hold only names the lexer reads as IDs.
 """
 
 from __future__ import annotations
@@ -51,6 +62,9 @@ _ROOT, _FIELD, _ITEM0, _ITEMN, _END, _SEP = (re.compile(_S + p, re.DOTALL) for p
     _HEAD, rf"(?:(?P<name>{_N}){_S}={_S}(?:{_VALUE}|(?P<open>\[))|(?P<end>\}}))",
     rf"(?:{_VALUE}|(?P<close>\]))", rf"(?:,{_S})?(?:{_VALUE}|(?P<close>\]))", r"\Z",
     rf"::{_S}"))
+# what _read_lines strips off each line; a name read whole; a string literal; a list of them
+_BLANKS, _WHOLE_NAME, _STRING = " \t\r", re.compile(_N).fullmatch, re.compile(_STRING_OPEN + '"')
+_STRINGS = re.compile(rf'{_STRING.pattern}(?:, {_STRING.pattern})*').fullmatch
 
 
 @rejecting
@@ -134,8 +148,14 @@ def dump_model(m: Model) -> str:
 
 
 def load_model(text: str, mm: Metamodel, extra_metamodels=(), file: str = "<model>") -> Model:
-    """Parse a dump back; classifier references name ``mm``, ``extra_metamodels`` or ecore."""
+    """Parse a dump back; classifier references name ``mm``, ``extra_metamodels``
+    or ecore. Text in dump_model's layout is read line by line
+    (``_read_lines``); any other text, or one that reader declines, is read
+    from the start by ``_Loader``, the only reader that reports problems."""
     loader = _Loader(text, file, [mm, *extra_metamodels, builtin_ecore()])
+    root = _read_lines(text, loader.classes, loader.refs, loader.feats)
+    if root is not None:
+        return Model(root, mm)
     try:
         return Model(loader.load(), mm)
     except ValueError:  # an integer with more digits than int() converts, which the lexer reports
@@ -143,20 +163,166 @@ def load_model(text: str, mm: Metamodel, extra_metamodels=(), file: str = "<mode
         raise
 
 
+def _read_lines(text: str, classes: dict, refs: dict, fields: dict) -> ModelObject | None:
+    """The root object of ``text`` read line by line as dump_model writes
+    it, or None where it declines (see the module docstring). Each line,
+    stripped of blanks, is one construct: ``Class #n {``, ``}``, ``]``, or
+    ``name = `` and a literal, ``-> #n``, ``-> pkg::Name``, an inline
+    ``[a, b]``, ``[`` or an object head. Names are read from _Loader's
+    tables and values assigned as _Loader.load assigns them, so wherever
+    this reader returns a root, load would return an equal one."""
+    by_id, patches, up = {}, [], []  # the objects; the forward references; enclosing states
+    obj, feats, feat, items = None, None, None, []  # the root is read as a list's item
+    lines, new = iter(text.split("\n")), object.__new__
+    try:
+        for line in lines:
+            s = line.strip(_BLANKS)
+            if items is None:  # in obj's block
+                if s == "}":
+                    value, (obj, feats, feat, items) = obj, up.pop()
+                    if obj is None:
+                        break
+                    if items is not None:
+                        items.append(value)
+                    elif feat.many:
+                        obj.slots.setdefault(feat.name, []).append(value)
+                    else:
+                        obj.slots[feat.name] = value
+                    continue
+                name, eq, value = s.partition(" = ")
+                if not eq:
+                    if s:
+                        return None
+                    continue
+                feat, c = feats[name], value[0]
+                if c == '"' or value[-1] != "{":  # not an object's head
+                    if c == "[":
+                        if value == "[":
+                            items = []
+                        elif value[-1] != "]" or not _set_list(obj, feat, _values(
+                                _list_words(value[1:-1]), obj, feat, refs, patches)):
+                            return None
+                        continue
+                    # the frequent values inline, the rest as _values reads a list's
+                    if c == '"' and value.find('"', 1) == len(value) - 1 and "\\" not in value:
+                        v = value[1:-1]  # a string with no escape
+                    elif value.startswith("-> "):  # as in the loader, replacing a list
+                        if value[3] == "#":
+                            patches.append((obj, feat, 0, _id(value[4:])))
+                            if feat.many:
+                                obj.slots[name] = [None]
+                        else:
+                            v = classifier_object(refs[value[3:]])
+                            obj.slots[name] = [v] if feat.many else v
+                        continue
+                    elif value == "true" or value == "false":
+                        v = value == "true"
+                    elif value.isdecimal():
+                        v = int(value)
+                    else:
+                        v = _values((value,), obj, feat, refs, patches)[0]
+                    if feat.many:
+                        obj.slots.setdefault(name, []).append(v)
+                    else:
+                        obj.slots[name] = v
+                    continue
+            elif s == "]" and obj is not None:  # the end of obj's feat's list
+                if not _set_list(obj, feat, items):
+                    return None
+                items = None
+                continue
+            elif s:
+                value = s
+            else:
+                continue
+            # an object's head: a list's item, or the value of feat
+            cname, oid, brace = value.split(" ")
+            if brace != "{" or oid[0] != "#" or not (n := oid[1:]).isdecimal() or (
+                    n := int(n)) in by_id:
+                return None
+            cls = classes[cname]
+            up.append((obj, feats, feat, items))
+            obj = by_id[n] = new(ModelObject)  # ModelObject(cls), without its keyword loop
+            obj.cls, obj.slots, obj.represents, items = cls, {}, None, None
+            feats = fields.get(cls) or fields.setdefault(cls, _fields(cls))
+        else:
+            return None  # the root is not closed
+        for line in lines:
+            if line.strip(_BLANKS):
+                return None
+        for holder, f, index, n in patches:
+            slots = holder.slots[f.name] if f.many else holder.slots
+            slots[index if f.many else f.name] = by_id[n]
+    except (LookupError, ValueError):  # an unknown name or id, a malformed line: the
+        return None  # loader reads the text again and reports it
+    return value
+
+
+def _set_list(obj: ModelObject, feat, values: list) -> bool:
+    """Give ``obj``'s ``feat`` a list's ``values`` as _Loader.load does;
+    False where a single-valued feature lists several."""
+    if len(values) > 1 and not feat.many:
+        return False
+    if values or feat.many:
+        obj.slots[feat.name] = values if feat.many else values[0]
+    return True
+
+
+def _id(digits: str) -> int:
+    """The number of an object id, as the loader's ``\\d+`` reads it."""
+    if not digits.isdecimal():
+        raise ValueError(digits)
+    return int(digits)
+
+
+def _list_words(inner: str) -> list[str]:
+    """The items of an inline list, ``inner`` its text between the brackets."""
+    if '"' not in inner:
+        return inner.split(", ") if inner else []
+    if _STRINGS(inner) is None:  # strings only: a string may hold ", "
+        raise ValueError(inner)
+    return _STRING.findall(inner)
+
+
+def _values(words, obj: ModelObject, feat, refs: dict, patches: list) -> list:
+    """The values of ``words``, each a literal or reference as dump_model
+    writes it, else ValueError or LookupError. A ``-> #n`` is None until
+    the object it names is read, and is queued in ``patches``."""
+    values = []
+    for word in words:
+        if word[0] == '"':
+            if _STRING.fullmatch(word) is None:
+                raise ValueError(word)
+            values.append(token_value("STRING", word))
+        elif word.startswith("-> #"):
+            patches.append((obj, feat, len(values), _id(word[4:])))
+            values.append(None)
+        elif word.startswith("-> "):
+            values.append(classifier_object(refs[word[3:]]))
+        elif word == "true" or word == "false":
+            values.append(word == "true")
+        else:
+            values.append(-_id(word[1:]) if word[0] == "-" else _id(word))
+    return values
+
+
 def _reads_as_id(name: str) -> bool:
-    """False for a name that _N may match but the lexer reads no ID in: one
-    with a ``::`` segment that starts with a numeric character like '²'. No
-    such character is ASCII."""
-    return name.isascii() or all(s[:1].isalpha() or s[:1] == "_" for s in name.split("::"))
+    """Whether the loader's match reads all of ``name`` as a name, and the
+    lexer as IDs: each ``::`` segment matches _N whole (so it is no ``true``
+    or ``false``) and starts with no numeric non-digit such as '²', which
+    _N matches but the lexer reads no ID in. No such character is ASCII."""
+    return all(_WHOLE_NAME(s) is not None and (s.isascii() or s[0].isalpha() or s[0] == "_")
+               for s in name.split("::"))
 
 
 def _names(pkg: Metamodel) -> tuple[dict, dict]:
     """``pkg``'s names as load_model reads them, built once from its sealed
     classifiers: reference name (also qualified by the package's name, if
     that reads as an ID) -> classifier, and class name -> class. The first
-    of a name wins; names _reads_as_id refuses are left out."""
+    of a name wins; names with a ``::`` or that _reads_as_id refuses are
+    left out."""
     if pkg.load_names is None:
-        names = {n: c for n, c in pkg.by_name().items() if _reads_as_id(n)}
+        names = {n: c for n, c in pkg.by_name().items() if "::" not in n and _reads_as_id(n)}
         qualified = {f"{pkg.name}::{n}": c for n, c in names.items()} if _reads_as_id(
             pkg.name) else {}
         pkg.load_names = {**names, **qualified}, {n: c for n, c in names.items() if c.is_class}
@@ -164,11 +330,11 @@ def _names(pkg: Metamodel) -> tuple[dict, dict]:
 
 
 def _fields(cls: MetaClass) -> dict:
-    """``cls``'s name -> feature table without the names _reads_as_id refuses,
-    built once per version of the class's tables."""
+    """``cls``'s name -> feature table without the names _reads_as_id refuses
+    or with a ``::``, built once per version of the class's tables."""
     t = cls.tables()
     if t.id_names is None:
-        t.id_names = {k: f for k, f in t.by_name.items() if _reads_as_id(k)}
+        t.id_names = {k: f for k, f in t.by_name.items() if "::" not in k and _reads_as_id(k)}
     return t.id_names
 
 

@@ -551,6 +551,7 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
                            if plan.is_mapped(c.cls)]
         if len(mapped_children) == 1:
             root_candidate = mapped_children[0]
+            entered.add(root_candidate)
             troot = run.build(root_candidate)
         elif not mapped_children and registry.root_constructor is not None:
             troot = registry.root_constructor()
@@ -578,11 +579,14 @@ def transform_ast_to_model(ast_model: Model, plan: TransformPlan,
         placement = None  # computed lazily, once per consume-only object
         for f in ast_obj.cls.containments():
             for child in ast_obj.values_of(f):
-                if child is root_candidate:
-                    continue  # already transformed as the root
                 if plan.is_consume_only(child.cls):
                     consume_queue.append(child)
+                elif child is root_candidate and ast_obj is root:
+                    continue  # already transformed as the root
                 elif plan.is_mapped(child.cls):
+                    if child in entered:  # held twice, which no valid AST is
+                        raise TypeError(child)
+                    entered.add(child)
                     if placer is None:
                         diags.append(error(
                             "resolve", "resolve-no-rule",
@@ -983,7 +987,8 @@ def namespace_registry(config: dict[str, str], target: Metamodel,
       has no mapped subtree
     - ``place.<Cls>.{ensure,key,collection,children}``: placement of mapped
       children under consume-only ``<Cls>`` objects into a deduplicated,
-      manually constructed container
+      manually constructed container, added to the root's ``collection``,
+      which must be a many-valued feature of root.class if that is set
 
     The root constructor and placers it makes are proved here, once: if
     root.class and every placer pass _fit_rows and _proves, they are kept
@@ -1037,6 +1042,13 @@ def namespace_registry(config: dict[str, str], target: Metamodel,
             diags.append(error("resolve", "config",
                                f"place.{created} names unknown AST class {created!r}"))
             continue
+        if reg.root_constructor is not None:  # the placer adds to the root's collection
+            held = root.find_feature(spec[1])
+            if held is None or not held.many:
+                diags.append(error("resolve", "config", f"place.{created}.collection: " + (
+                    f"class {root.name} has no feature {spec[1]!r}" if held is None
+                    else f"feature {root.name}.{spec[1]} is single-valued")))
+                continue
         reg.place(created, _make_placer(ensure_cls, *spec, reg.name_attribute))
         proofs.append((ast.classifier(created), ensure_cls, *spec))
 

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from pathlib import Path
 
@@ -190,18 +191,25 @@ def deep_mm():
     return Metamodel("deep", [node]), node
 
 
+def deep_chain(depth: int = 5000) -> Model:
+    """A chain of ``depth`` objects, each the one child of the one above,
+    and two leaves under the last; the second leaf links the root."""
+    mm, node = deep_mm()
+    chain = [ModelObject(node) for _ in range(depth)]
+    for parent, child in zip(chain, chain[1:]):
+        parent.set("one", child)
+    leaves = [ModelObject(node, name="a"), ModelObject(node, name="b", link=chain[0])]
+    chain[-1].set("kids", leaves)
+    return Model(chain[0], mm)
+
+
 class TestDepth:
     def test_deep_chain_dumps_and_loads_back(self):
         """Dumping and loading walk a 5,000-deep chain on an explicit stack;
         the recursion limit is far below that depth."""
-        mm, node = deep_mm()
         depth = 5000
-        chain = [ModelObject(node) for _ in range(depth)]
-        for parent, child in zip(chain, chain[1:]):
-            parent.set("one", child)
-        leaves = [ModelObject(node, name="a"), ModelObject(node, name="b", link=chain[0])]
-        chain[-1].set("kids", leaves)
-        text = dump_model(Model(chain[0], mm))
+        chain = deep_chain(depth)
+        mm, text = chain.metamodel, dump_model(chain)
         assert text.startswith("Node #1 {\n  one = Node #2 {\n    one = Node #3 {\n")
         pad = "  " * (depth + 1)  # the last link's list items
         assert f'{pad}Node #{depth + 2} {{\n{pad}  name = "b"\n{pad}  link = -> #1\n' in text
@@ -493,7 +501,8 @@ def slots_language():
 
 def load_outcome(load, text: str, mm=RICH, extra=(EXTRA,)):
     """The dump of what ``load`` read, or its rendered diagnostics, or the
-    name of the exception it raised."""
+    name of the exception it raised. A model that no dump writes, as its
+    values do not fit their features, is described object by object."""
     try:
         m = load(text, mm, extra_metamodels=extra, file="d.model")
     except DiagnosticError as exc:
@@ -502,8 +511,30 @@ def load_outcome(load, text: str, mm=RICH, extra=(EXTRA,)):
         return type(exc).__name__
     try:
         return dump_model(m)
-    except Exception as exc:
-        return "dump_model: " + type(exc).__name__
+    except Exception:  # the values do not fit: a description is still the same
+        return describe(m)
+
+
+def describe(m: Model) -> list:
+    """Each object's class and slots, sorted by name, in the order the
+    slots first reach the objects; an object as its index in that order,
+    a stand-in as its classifier's name, a literal with its type."""
+    order, index = [m.root], {m.root: 0}
+
+    def value(v):
+        if type(v) is list:
+            return [value(x) for x in v]
+        if type(v) is not ModelObject:
+            return type(v).__name__, v
+        if v.represents is not None:
+            return "->", v.represents.name
+        if v not in index:
+            index[v] = len(order)
+            order.append(v)
+        return "#", index[v]
+
+    return [(obj.cls.name, [(k, value(obj.slots[k])) for k in sorted(obj.slots)])
+            for obj in order]
 
 
 def assert_loads_like_reference(text: str, mm=RICH, extra=(EXTRA,)):
@@ -551,6 +582,57 @@ def mutate(rng: random.Random, pieces: list[str]) -> list[str]:
     return pieces
 
 
+AFTER_ROOT = ["x", "}", "]", "Node #99 {", "  ", "// c", "/* c */", "name = 1"]
+
+
+def mutate_lines(rng: random.Random, lines: list[str]) -> list[str]:
+    """The lines of a dump with 1-3 lines dropped, duplicated, swapped,
+    joined or changed, each change inside one line: one lexeme replaced,
+    the first renamed ``true``, a number made 5,000 digits long, a ``#n``
+    reference made to dangle; or a ``// c`` line inserted, or a line
+    written after the root's ``}``."""
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        line = lines[i]
+        op = rng.randrange(10)
+        if op == 0 and len(lines) > 1:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, line)
+        elif op == 2 and i + 1 < len(lines):
+            lines[i], lines[i + 1] = lines[i + 1], line
+        elif op == 3:
+            spans = [m.span(m.lastgroup) for m in _LEXER.matches(line) if m.lastgroup != "EOF"]
+            if spans:
+                start, end = rng.choice(spans)
+                lines[i] = line[:start] + rng.choice(VOCABULARY) + line[end:]
+        elif op == 4 and i + 1 < len(lines):
+            lines[i:i + 2] = [line + " " + lines[i + 1].lstrip()]
+        elif op == 5:
+            lines.insert(i, "  // c")
+        elif op == 6:
+            lines[i] = re.sub(r"\w+", "true", line, count=1)
+        elif op == 7:
+            lines[i] = re.sub(r"\d+", "9" * 5000, line, count=1)
+        elif op == 8:
+            lines[i] = re.sub(r"-> #\d+", "-> #100000", line, count=1)
+        else:
+            lines.insert(len(lines) - 1, rng.choice(AFTER_ROOT))
+    return lines
+
+
+@pytest.fixture()
+def loader_calls(monkeypatch) -> list:
+    """A 1 for each call of _Loader.load, which reads what the line reader declines."""
+    from mmdsl import modeltext
+
+    calls = []
+    load = modeltext._Loader.load
+    monkeypatch.setattr(modeltext._Loader, "load", lambda self: calls.append(1) or load(self))
+    return calls
+
+
 class TestLoadAgainstReference:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32).map(random.Random))
@@ -581,9 +663,65 @@ class TestLoadAgainstReference:
         pieces = mutate(rng, lexemes(text))
         assert_loads_like_reference(" ".join(pieces), mm, extra)
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 2**32).map(random.Random))
+    def test_dumps_mutated_line_by_line(self, rng):
+        """Dumps changed so that most lines still hold one construct each,
+        which the line reader reads, or declines for the loader to report."""
+        text = dump_model(random_model(rng))
+        assert_loads_like_reference("\n".join(mutate_lines(rng, text.split("\n"))))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rng=st.integers(0, 2**32).map(random.Random), which=st.sampled_from(range(4)))
+    def test_sample_dumps_mutated_line_by_line(self, sample_dumps, rng, which):
+        text, mm, extra = sample_dumps[which]
+        assert_loads_like_reference("\n".join(mutate_lines(rng, text.split("\n"))), mm, extra)
+
     def test_sample_dumps(self, sample_dumps):
         for text, mm, extra in sample_dumps:
             assert assert_loads_like_reference(text, mm, extra) == text
+
+    @pytest.mark.parametrize("lines", [
+        ['Node #1 {', '  name = "a"', '  name = "b"', '  nums = 1', '  nums = [2, -3]',
+         '  nums = 4', '  flag = true', '  flag = false', '}'],
+        ['Node #1 {', '  links = -> #1', '  links = [-> #2, -> #1]', '  link = [-> #2]',
+         '  kids = [', '    Leaf #2 {', '      size = -0', '    }', '  ]', '  kids = [', '  ]',
+         '  one = [', '    Node #3 {', '    }', '  ]', '  types = [-> Leaf, -> rich::Text]',
+         '  types = -> ecore::EClass', '  type = [-> more::Text]', '}'],
+        ['Node #1 {', '  kids = Node #2 {', '  }', '  kids = Node #3 {', '  }', '  name = [',
+         '  ]', '  link = []', '  tags = ["a, b", "c\\", d", "", "\\t"]', '  count = "7"',
+         '  tags = "x"', '  name = 5', '  one = [-> #1]', '}'],
+        ['', ' \t Node #1 {\r', '\t  name = "a\tb\r" \t', '}\r', '', '  \r', ''],
+        ['Node #1 {', '  links = -> #1', '  types = -> Other', '  nums = -5', '}'],
+    ])
+    def test_lines_assigned_as_the_loader_assigns_them(self, lines, loader_calls):
+        """Feature lines repeated, lists for single-valued features, values
+        of any kind in any feature, blanks and CRs at either end of a line:
+        the line reader reads each as the loader does."""
+        assert_loads_like_reference("\n".join(lines))
+        assert loader_calls == []
+
+    @pytest.mark.parametrize("lines", [
+        [']', 'Node #1 {', '}'], ['Node #1 {', '  kids = [', '    Node #2 x', '    }', '  ]', '}'],
+        ['Node #1 {', '  one = Node #2 x{', '  }', '}'], ['Zork #1 {', '}'],
+        ['Node #1 {', '  one = [', '    Node #2 {', '    }', '    Node #3 {', '    }', '  ]', '}'],
+        ['Node #1 {', '  link = [-> #1, -> #1]', '}'], ['Node #1 {', '  link = -> #2', '}'],
+        ['Node #1 {', '  kids = [', '    Node #1 {', '    }', '  ]', '}'],
+        ['Node #1 {', '}', 'Node #2 {', '}'], ['Node #1 {', '  count = ' + '9' * 5000, '}'],
+        ['Node #1 {', '  kids = [', '    Node #' + '9' * 5000 + ' {', '    }', '  ]', '}'],
+        ['Node #1 {', '  type = -> Zork', '}'], ['Node #1 {', '  zork = 1', '}'],
+        ['Node #1 {', '  name = "a\\"', '}'], ['Node #1 {', '  tags = ["a", 1]', '}'],
+        ['Node #1 {', '  name = "a" // c', '}'], ['Node #1 {', '  kids = [', '  ]'],
+        ['Node #1 {', '  name = "a"', '  // c', '}'], ['Node #1 {', '  nums = [1,2]', '}'],
+        ['Node #1 {', '  count = +1', '}'], ['Node #1 {', '  count = 1_0', '}'],
+        ['Node #1 {', '  kids = [', '    Node #+2 {', '    }', '  ]', '}'],
+    ])
+    def test_lines_the_reader_declines(self, lines, loader_calls):
+        """A line that is no construct of a dump, or one the loader reports:
+        the line reader declines, and the loader reads the text from the
+        start."""
+        assert_loads_like_reference("\n".join(lines))
+        assert loader_calls == [1]
 
     @pytest.mark.parametrize("text", [
         "", "Node", "Node #", "Node #1", "Node #1 {", "Node #1 { }", "Node #1 { } x",
@@ -624,6 +762,21 @@ class TestLoadAgainstReference:
         for text in ("false #1 { }", "Node #1 { true = 1 }", "Node #1 { type = -> false }",
                      "Node #1 { type = -> true::false }", "Node #1 { type = -> true::Node }"):
             assert assert_loads_like_reference(text, mm, ())[0].startswith("d.model:1:")
+            # the same, one construct per line as a dump writes it
+            lines = text.replace(" { ", " {\n  ").replace(" }", "\n}\n")
+            assert assert_loads_like_reference(lines, mm, ())[0].startswith("d.model:")
+
+    def test_names_no_lexeme_reads(self):
+        """A classifier or feature named with a ``::``, a blank, a '-' or a
+        leading digit names nothing, in any layout."""
+        odd = [MetaAttribute(n, 0, 1, type=INT) for n in ("a::b", "a b", "a-b", "1x")]
+        mm = Metamodel("p", [MetaClass("x::y"), MetaClass("c d"), MetaClass("e-f"),
+                             MetaClass("Node", features=[*odd, MetaReference(
+                                 "type", 0, 1, type=ECLASSIFIER)])])
+        for text in ("x::y #1 {\n}\n", "c d #1 {\n}\n", "e-f #1 {\n}\n",
+                     *(f"Node #1 {{\n  {f.name} = 1\n}}\n" for f in odd),
+                     "Node #1 {\n  type = -> x::y\n}\n", "Node #1 {\n  type = -> p::x::y\n}\n"):
+            assert assert_loads_like_reference(text, mm, ())[0].startswith("d.model:")
 
     def test_lexical_error_wins_over_an_earlier_syntax_error(self):
         text = 'Node #1 { = "a"\n  name = "b"\n  @\n}\n'
@@ -680,6 +833,23 @@ def test_load_makes_no_tokens_and_no_lookup_by_name(sample_dumps, monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert [dump_model(m) for m in models] == [text for text, _, _ in sample_dumps]
+
+
+def test_canonical_dumps_are_read_line_by_line(sample_dumps, loader_calls):
+    """The sample dumps, the same with CRLF line ends and the 5,000-deep
+    chain load without _Loader.load; a dump with its lexemes relaid calls
+    it once."""
+    chain = deep_chain()
+    dumps = [*sample_dumps, (dump_model(chain), chain.metamodel, ())]
+    for text, mm, extra in dumps:
+        assert dump_model(load_model(text, mm, extra_metamodels=extra)) == text
+        crlf = text.replace("\n", "\r\n")
+        assert dump_model(load_model(crlf, mm, extra_metamodels=extra)) == text
+    assert loader_calls == []
+    text, mm, extra = sample_dumps[0]
+    relaid = relayout(random.Random(1), lexemes(text))
+    assert dump_model(load_model(relaid, mm, extra_metamodels=extra)) == text
+    assert loader_calls == [1]
 
 
 def test_a_second_load_builds_no_name_table(sample_dumps, monkeypatch):

@@ -341,6 +341,21 @@ class TestCssMerge:
             assert exc.value.diagnostics == validate_model(m)
             assert [d.code for d in exc.value.diagnostics] == ["model-containment"]
 
+    def test_a_placed_child_held_by_two_consume_only_objects(self, css):
+        """A mapped child a placer places is entered as a mapped parent's
+        child is: the first rule's declaration appended to the second rule's
+        raises validate_model's diagnostics, where it was built into both
+        selectors. So does the mapped root's subtree held again below."""
+        target, t, ast, trace, g, plan, registry = css
+        m = parse_text('.a { w : "1" ; }\n' + (SAMPLES / "css" / "grouped.css").read_text(), g)
+        first, second = m.root.slots["rules"]
+        second.slots["declarations"].append(first.slots["declarations"][0])
+        for transform in (transform_ast_to_model, ref_transform_ast_to_model):
+            with pytest.raises(DiagnosticError) as exc:
+                transform(m, plan, registry)
+            assert exc.value.diagnostics == validate_model(m)
+            assert [d.code for d in exc.value.diagnostics] == ["model-containment"]
+
 
 class TestReverse:
     def test_selfhost_reverse_round_trip(self, selfhost):
@@ -1449,6 +1464,7 @@ def ref_transform_ast_to_model(ast_model, plan, registry):
                            if plan.is_mapped(c.cls)]
         if len(mapped_children) == 1:
             root_candidate = mapped_children[0]
+            entered.add(root_candidate)
             troot = run.build(root_candidate)
         elif not mapped_children and registry.root_constructor is not None:
             troot = registry.root_constructor()
@@ -1470,11 +1486,14 @@ def ref_transform_ast_to_model(ast_model, plan, registry):
         placement = None
         for f in ast_obj.cls.containments():
             for child in ast_obj.values_of(f):
-                if child is root_candidate:
-                    continue
                 if plan.is_consume_only(child.cls):
                     consume_queue.append(child)
+                elif child is root_candidate and ast_obj is root:
+                    continue
                 elif plan.is_mapped(child.cls):
+                    if child in entered:
+                        raise TypeError(child)
+                    entered.add(child)
                     if placer is None:
                         diags.append(error(
                             "resolve", "resolve-no-rule",
@@ -1853,6 +1872,16 @@ class TestConsumeOnlyRoots:
             "resolve-no-rule", "no placement for ItemAS objects under consume-only Group",
             "/")] * 2)
 
+    def test_the_root_subtree_held_again_below(self, file_lang):
+        """The mapped subtree that becomes the root is entered like a placed
+        child: held by a Group as well, it raises validate_model's
+        diagnostics, where the Group skipped it."""
+        g, plan, registry = file_lang
+        m = parse_text("file f { item a ; } group g { item b ; }", g)
+        m.root.slots["groups"][0].slots["items"].append(m.root.slots["bodies"][0])
+        kind, said = assert_same_forward(m, plan, registry)
+        assert kind == "diagnostics" and "model-containment" in [code for code, *_ in said]
+
 
 PLACED_TARGET = ("class Sheet { val Group[*] groups; }\n"
                  "class Group { attr String name; val Item[*] items; }\n"
@@ -2064,15 +2093,13 @@ class TestUnprovenPlacer:
         assert (trees, checks, [d.code for d in diags]) == (2, 1, codes)
 
     def test_a_single_valued_collection(self):
-        """The placer cannot add to a single-valued collection and says so;
-        the run stops before the validation."""
+        """A placer that could not add to the root's single-valued collection
+        is refused once, at configuration."""
         lang = placed_lang(PLACED_TARGET.replace("val Group[*] groups", "val Group groups"))
-        g, plan, registry = lang[2], lang[3], placed_registry(lang)
-        ast_model = parse_text(self.TEXT, g)
-        assert not registry.binds_placed(plan)
-        kind, said = assert_same_forward(ast_model, plan, registry)
-        assert (kind, {code for code, *_ in said}) == ("ok", {"config"})
-        assert forward_counts(ast_model, plan, registry)[:2] == (1, 0)
+        with pytest.raises(DiagnosticError) as exc:
+            placed_registry(lang)
+        assert [(d.code, d.message) for d in exc.value.diagnostics] == [
+            ("config", "place.Block.collection: feature Sheet.groups is single-valued")]
 
     def test_an_abstract_root_class_is_refused(self):
         lang = placed_lang(PLACED_TARGET.replace("class Sheet", "abstract class Sheet"))
