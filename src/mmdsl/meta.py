@@ -144,7 +144,7 @@ class _Tables:
     """A class's derived facts, built once by its first lookup."""
 
     __slots__ = ("supertypes", "supertype_set", "features", "by_name",
-                 "containments", "bounded", "id_names", "checks", "payload")
+                 "containments", "bounded", "id_names", "checks", "payload", "dump")
 
     def __init__(self, cls: "MetaClass"):
         supers = _walk_supertypes(cls)
@@ -161,8 +161,9 @@ class _Tables:
         self.bounded = tuple(
             f for f in self.features if f.lower or (f.many and f.upper is not UNBOUNDED))
         # filled on first use by their readers: by_name as load_model reads it,
-        # the checks of validate_model and dump_model, flatten_payload's names
-        self.id_names = self.checks = self.payload = None
+        # the checks of validate_model and dump_model, flatten_payload's names,
+        # dump_model's generated dumper
+        self.id_names = self.checks = self.payload = self.dump = None
 
 
 class MetaClass(_Sealable):
@@ -571,7 +572,7 @@ def _checks(t: _Tables) -> tuple:
     the effective values of an unset slot, whether a count can break the
     bounds, the type a value must have, whether exactly, None for a
     reference). As ``values`` reads it, the first feature of a name reads
-    the slot. dump_model reads the same rows."""
+    the slot. dump_model's dumpers are generated from the same rows."""
     if t.checks is None:
         rows = []
         for f in t.features:

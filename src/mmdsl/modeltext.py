@@ -10,36 +10,42 @@ containment inlines its one object. Cross references are ``name = -> #<id>``
 ``package::Name`` qualified name. Features print in declaration order,
 inherited first; unset and empty slots are omitted.
 
-dump_model writes on one explicit stack of frames, each a line still to write
-or an object and the row of its class to go on from; the rows are
-validate_model's, kept on the class's tables. Objects are numbered as the walk
-writes their heads; cross reference lines are filled in after it. A stand-in's
-qualified name is looked up once per dump.
+dump_model writes each object with the dumper of its class: Python generated
+from the class's rows in validate_model (meta._checks) on its first dump,
+compiled as ``<mmdsl dump Class #digest>`` and kept on the class's tables
+(_DumpSource). Feature names and line prefixes are literals in it. A child
+whose class is its slot's type, concrete and without containments, is written
+inline; any other by its own class's dumper, on the grammar's trampoline, so
+no nesting recurses. Objects are numbered as their heads are written; cross
+reference lines are filled in after the walk. A stand-in's qualified name is
+looked up once per dump.
 
 load_model has two readers, and the text alone picks one. The line reader
-(_read_lines) splits the text on newlines once and reads each line, stripped
-of blanks, as exactly one construct in the layout dump_model writes, with no
-regex match but for a string that holds an escape. It declines, and returns
-nothing, on any other line (a comment, a construct split over lines or two on
-one) and wherever the loader would report a problem: an unknown class, feature
-or classifier, a duplicate or dangling id, several values in a single-valued
-feature, text after the root, or an integer int() refuses. Then _Loader reads
-the text from the start, in any layout. It makes no tokens: one anchored
-match reads one construct, blanks and comments allowed between its lexemes.
-The constructs: ``Class #n {``; ``name =`` and a value (literal, ``->``
-reference, object head or ``[``), or ``}``; a list item after an optional
-``,``, or ``]``. Only when one fails is the text tokenized: a lexical error
-anywhere wins, as it did when every text was; else the tokens from the
-construct on are read one by one for the diagnostic. So _Loader is the only
-source of diagnostics. Both readers read names from the same tables, which
-hold only names the lexer reads as IDs.
+(_read_lines) splits the text on newlines, a slice of about 64 KB at a time
+(_split), and reads each line, stripped of blanks, as exactly one construct in
+the layout dump_model writes, with no regex match but for a string that holds
+an escape. It declines, and returns nothing, on any other line (a comment, a
+construct split over lines or two on one) and wherever the loader would report
+a problem: an unknown class, feature or classifier, a duplicate or dangling
+id, several values in a single-valued feature, text after the root, or an
+integer int() refuses. Then _Loader reads the text from the start, in any
+layout. It makes no tokens: one anchored match reads one construct, blanks and
+comments allowed between its lexemes. The constructs: ``Class #n {``;
+``name =`` and a value (literal, ``->`` reference, object head or ``[``), or ``}``; a
+list item after an optional ``,``, or ``]``. Only when one fails is the text
+tokenized: a lexical error anywhere wins, as it did when every text was; else
+the tokens from the construct on are read one by one for the diagnostic. So
+_Loader is the only source of diagnostics. Both readers read names from the
+same tables, which hold only names the lexer reads as IDs.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from itertools import chain
 
+from .grammar import _compiled, _run
 from .lexer import _SKIP, _STRING_OPEN, Lexer, TokenStream, format_literal, token_value
 from .meta import (
     Classifier, MetaClass, Metamodel, Model, ModelObject, _checks, builtin_ecore,
@@ -69,82 +75,139 @@ _STRINGS = re.compile(rf'{_STRING.pattern}(?:, {_STRING.pattern})*').fullmatch
 
 @rejecting
 def dump_model(m: Model) -> str:
-    """The canonical dump of ``m``, written on one explicit stack. A frame
-    is a line still to write (a list's ``]``) or ``(object, indent, row)``:
-    the object's features from that row of validate_model's rows for its
-    class (``meta._checks``) on, after its head if the row is -1. A nested
-    object's frame goes on the stack above its container's, which resumes
-    after it. Each object is numbered as its head is written, so the ids
-    follow the preorder; cross references may point forward, so their
-    lines are written after the walk. A value that does not fit where the
-    walk reads it, or an object reached again while its block is open,
-    raises validate_model's diagnostics (``meta.rejecting``)."""
-    ids = {m.root: 1}
-    opened = {m.root}  # the objects whose block is not closed yet
-    qnames: dict[ModelObject, str] = {}  # stand-in -> its reference, looked up once
-    rows: dict[MetaClass, tuple] = {}
-    crosses = []  # (line index, line start, value or values, many), written last
+    """The canonical dump of ``m``, written by the dumper of each object's
+    class (``_DumpSource``), generated from validate_model's rows for the
+    class (``meta._checks``) on its first dump and kept on its tables. The
+    dumper of a class with a containment is a generator that yields each
+    child's to the grammar's trampoline (``grammar._run``), which writes
+    the child's subtree before the parent goes on, so no nesting recurses.
+    Each object is numbered as its head is written, so the ids follow the
+    preorder; cross references may point forward, so their lines are
+    written after the walk. A value that does not fit where a dumper reads
+    it, or an object reached again while its block is open, raises
+    validate_model's diagnostics (``meta.rejecting``)."""
+    root = m.root
+    out, ids, crosses, refs = [f"{root.cls.name} #1 {{"], {root: 1}, [], _StandIns(m.metamodel)
+    dumpers: dict[MetaClass, object] = {}
+    _run(_dumper(root.cls, dumpers)(root, "", (out, ids, set(), crosses, dumpers, refs)))
 
-    def open_(v: ModelObject) -> int:
-        if v in opened:
-            raise TypeError(f"{v!r} is in a containment cycle")
-        opened.add(v)
-        return ids.setdefault(v, len(ids) + 1)
+    def ref(v: ModelObject) -> str:
+        return f"-> #{ids[v]}" if v.represents is None else refs[v]
 
-    def cross(v: ModelObject) -> str:
-        if v.represents is not None:
-            ref = qnames.get(v)
-            if ref is None:
-                home = (m.metamodel or builtin_ecore()).homes().get(v.represents)
-                ref = qnames[v] = "-> " + classifier_qname(v.represents, home)
-            return ref
-        return f"-> #{ids[v]}"
-
-    out = [f"{m.root.cls.name} #1 {{"]
-    stack: list = [(m.root, 0, 0)]
-    push = stack.append
-    while stack:
-        frame = stack.pop()
-        if type(frame) is str:
-            out.append(frame)
-            continue
-        obj, indent, at = frame
-        if at < 0:
-            out.append(f"{'  ' * indent}{obj.cls.name} #{open_(obj)} {{")
-            at = 0
-        slots, row = obj.slots, rows.get(obj.cls) or rows.setdefault(
-            obj.cls, _checks(obj.cls.tables()))
-        inner = "  " * (indent + 1)
-        for i in range(at, len(row)):
-            f, name, many, _, _, _, exact = row[i]
-            if (v := slots.get(name)) is None or many and type(v) is list and not v:
-                continue
-            if many and type(v) is not list:
-                raise TypeError(f"{name} holds no list")
-            if exact is not None:  # an attribute; format_literal refuses what no literal writes
-                out.append(f"{inner}{name} = [{', '.join(map(format_literal, v))}]" if many
-                           else f"{inner}{name} = {format_literal(v)}")
-            elif not f.containment:
-                crosses.append((len(out), f"{inner}{name} = ", v, many))
-                out.append(None)
-            elif many:
-                out.append(f"{inner}{name} = [")
-                push((obj, indent, i + 1))
-                push(f"{inner}]")
-                for child in reversed(v):
-                    push((child, indent + 2, -1))
-                break
-            else:
-                out.append(f"{inner}{name} = {v.cls.name} #{open_(v)} {{")
-                push((obj, indent, i + 1))
-                push((v, indent + 1, 0))
-                break
-        else:
-            out.append(f"{'  ' * indent}}}")
-            opened.discard(obj)
     for i, start, v, many in crosses:
-        out[i] = start + (f"[{', '.join([cross(x) for x in v])}]" if many else cross(v))
+        out[i] = start + (f"[{', '.join(map(ref, v))}]" if many else f"-> #{ids[v]}")
     return "\n".join(out) + "\n"
+
+
+class _StandIns(dict):
+    """Stand-in -> its reference, ``-> pkg::Name``, each looked up once per
+    dump among the homes of the model's metamodel, or of ecore."""
+
+    def __init__(self, mm: Metamodel | None):
+        super().__init__()
+        self.mm = mm or builtin_ecore()
+
+    def __missing__(self, v: ModelObject) -> str:
+        ref = self[v] = "-> " + classifier_qname(v.represents, self.mm.homes().get(v.represents))
+        return ref
+
+
+def _dumper(cls: MetaClass, dumpers: dict):
+    """``cls``'s dumper, generated on its first dump; ``dumpers`` keeps it for this dump."""
+    t = cls.tables()
+    if t.dump is None:
+        source = _DumpSource(cls)
+        names = dict(source.names, __name__=__name__)
+        exec(_compiled("dump", cls.name, source.text), names)
+        t.dump = names["dump"]
+    dumpers[cls] = t.dump
+    return t.dump
+
+
+def _text(s: str) -> str:
+    """``s`` as it reads inside a single-quoted f-string."""
+    return repr(s + '"')[1:-2].replace("{", "{{").replace("}", "}}")
+
+
+class _DumpSource:
+    """The source of a class's dumper (``text``) and its constants
+    (``names``): Futamura's first projection of the dump on the class's
+    rows (``meta._checks``), as grammar._Code is of the parser.
+    ``dump(o, pad, run)`` writes the lines of object ``o`` after the head
+    its caller wrote at indent ``pad``, then its closing brace; ``run`` is
+    the dump's (lines, ids, open objects, queued cross references, dumpers
+    by class, stand-in references). Feature names and line prefixes are
+    literals. A string with no escape is written inline, any other value
+    through format_literal. A stand-in reference is written inline; any
+    other cross reference is queued with its line, which dump_model fills
+    in. A child whose class is its slot's type, where that type is
+    concrete and has no containment, is written inline; any other child
+    by its own class's dumper, whose generator, if it is one, is
+    yielded. A many-valued slot that holds no list, or a child whose
+    block is open, raises TypeError. Names and shapes alone make the text,
+    so classes alike in both compile once (grammar._compiled)."""
+
+    def __init__(self, cls: MetaClass):
+        self.names = {"F": format_literal, "J": ", ".join, "D": _dumper}
+        rows = _checks(cls.tables())
+        opens = any(exact is None and f.containment for f, *_, exact in rows)
+        self.text = "\n".join([
+            "def dump(o, pad, run):", "    out, I, O, X, K, Q = run", "    w = out.append",
+            "    s = o.slots", *["    O.add(o)"] * opens,
+            *["    " + x for x in self.fields(rows, "s", "v", "  ")],
+            *["    O.discard(o)"] * opens, "    w(f'{pad}}}')", ""])
+
+    def fields(self, rows, s: str, v: str, indent: str) -> list[str]:
+        """The statements that write an object's ``rows`` from its slots
+        ``s``, each value read into ``v``, each line indented by ``pad``
+        and ``indent``."""
+        out = []
+        for f, name, many, _, _, tp, exact in rows:
+            head = f"{{pad}}{indent}{_text(name)} = "  # the line up to the value
+            write = self.attribute if exact is not None else self.child if f.containment \
+                else self.cross
+            body = write(tp, many, v, head, indent)
+            if many:
+                body = [f"if type({v}) is not list: raise TypeError({v})", f"if {v}:",
+                        *["    " + x for x in body]]
+            out += [f"{v} = {s}.get({name!r})", f"if {v} is not None:", *["    " + x for x in body]]
+        return out
+
+    def attribute(self, tp, many, v, head, indent) -> list[str]:
+        if many:
+            return [f"w(f'{head}[{{J(map(F, {v}))}}]')"]
+        if tp is not str:
+            return [f"w(f'{head}{{F({v})}}')"]
+        return [f"if type({v}) is str and {v}.isprintable() and '\"' not in {v} and "
+                f"'\\\\' not in {v}: w(f'{head}\"{{{v}}}\"')", f"else: w(f'{head}{{F({v})}}')"]
+
+    def cross(self, tp, many, v, head, indent) -> list[str]:
+        queue = f"X.append((len(out), f'{head}', {v}, {many})); w(None)"
+        return [queue] if many else [f"if {v}.represents is None: {queue}",
+                                     f"else: w(f'{head}{{Q[{v}]}}')"]
+
+    def child(self, tp, many, v, head, indent) -> list[str]:
+        """A containment slot's children ``c`` (or its one child ``v``), each
+        written inline or by its dumper, indented by ``pad`` and ``at``."""
+        at = indent + "  " if many else indent  # the children's indent, past ``pad``
+        c = "c" if many else v
+        start = f"{{pad}}{at}" if many else head  # a child's head line, up to its class name
+        each = [f"d = K.get({c}.cls) or D({c}.cls, K)", f"if {c} in O: raise TypeError({c})",
+                f"w(f'{start}{{{c}.cls.name}} #{{I.setdefault({c}, len(I) + 1)}} {{{{')",
+                f"r = d({c}, {'q' if many else f'pad + {at!r}'}, run)",
+                "if r is not None: yield r"]
+        if isinstance(tp, MetaClass) and not tp.abstract and not tp.containments():
+            k = len(self.names)
+            self.names[f"L{k}"] = tp
+            each = [f"if {c}.cls is L{k}:",
+                    f"    w(f'{start}{_text(tp.name)} #{{I.setdefault({c}, len(I) + 1)}} {{{{')",
+                    f"    t = {c}.slots",
+                    *["    " + x for x in self.fields(_checks(tp.tables()), "t", "u", at + "  ")],
+                    f"    w(f'{{pad}}{at}}}}}')", "else:", *["    " + x for x in each]]
+        if not many:
+            return each
+        return [f"w(f'{head}[')", f"q = pad + {at!r}", f"for c in {v}:",
+                *["    " + x for x in each], f"w(f'{{pad}}{indent}]')"]
 
 
 def load_model(text: str, mm: Metamodel, extra_metamodels=(), file: str = "<model>") -> Model:
@@ -173,7 +236,7 @@ def _read_lines(text: str, classes: dict, refs: dict, fields: dict) -> ModelObje
     this reader returns a root, load would return an equal one."""
     by_id, patches, up = {}, [], []  # the objects; the forward references; enclosing states
     obj, feats, feat, items = None, None, None, []  # the root is read as a list's item
-    lines, new = iter(text.split("\n")), object.__new__
+    lines, new = chain.from_iterable(_split(text)), object.__new__
     try:
         for line in lines:
             s = line.strip(_BLANKS)
@@ -256,6 +319,17 @@ def _read_lines(text: str, classes: dict, refs: dict, fields: dict) -> ModelObje
     except (LookupError, ValueError):  # an unknown name or id, a malformed line: the
         return None  # loader reads the text again and reports it
     return value
+
+
+def _split(text: str, size: int = 1 << 16):
+    """The lines of ``text``, as ``text.split("\\n")`` makes them, one list
+    per slice of about ``size`` characters cut at a newline, so a reader
+    holds one slice's lines at a time."""
+    start = 0
+    while (end := text.find("\n", start + size)) >= 0:
+        yield text[start:end].split("\n")
+        start = end + 1
+    yield text[start:].split("\n")
 
 
 def _set_list(obj: ModelObject, feat, values: list) -> bool:

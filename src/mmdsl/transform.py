@@ -690,8 +690,11 @@ class _Forward:
         binds in it (bind_object) and hands its children the scope its
         contents bind in; a build from ``scope`` None binds nothing."""
         plan, name = self.plan, ast_root.cls.name
-        troot = ModelObject(plan.proto_for_image[name])
-        _run((plan.builders.get(name) or plan.builder(name))(ast_root, troot, scope, self))
+        troot = ModelObject.__new__(ModelObject)  # as _MAKE makes one, without __init__
+        troot.cls, troot.slots, troot.represents = plan.proto_for_image[name], {}, None
+        r = (plan.builders.get(name) or plan.builder(name))(ast_root, troot, scope, self)
+        if r is not None:
+            _run(r)
         return troot
 
     def bind_object(self, obj: ModelObject, scope: Scope) -> Scope:

@@ -1,11 +1,18 @@
+import inspect
+import itertools
+import linecache
 import random
 import re
+import sys
+import threading
 import time
+import traceback
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mmdsl import grammar as grammar_module
 from mmdsl.diagnostics import DiagnosticError, error
 from mmdsl.emfatic import parse_metamodel
 from mmdsl.grammar import parse_grammar, parse_text, render_ast
@@ -15,7 +22,7 @@ from mmdsl.meta import (
     ModelObject, Tree, builtin_ecore, classifier_object, classifier_qname,
     find_classifier_home, iter_tree, model_equals, validate_model,
 )
-from mmdsl.modeltext import _LEXER, dump_model, load_model
+from mmdsl.modeltext import _LEXER, _split, dump_model, load_model
 from mmdsl.transform import build_plan, namespace_registry, parse_config, transform_ast_to_model
 from mmdsl.xf import derive_ast_metamodel, parse_transformation
 
@@ -489,6 +496,169 @@ class TestDumpAgainstReference:
         assert model_equals(peers, peers) is True and model_equals(split, peers) is False
 
 
+def leaf_language(order=("name", "size")):
+    """Node holds Leaves, a concrete class with no containment, in a list
+    and a single slot; Branch, a Leaf that adds a containment of Nodes, is
+    a Leaf no dumper writes inline. ``order`` orders Leaf's attributes."""
+    attrs = {"name": "attr String name;", "size": "attr int size;"}
+    return parse_metamodel(
+        f"class Node {{ attr String name; val Leaf[*] kids; val Leaf one; ref Leaf link; }} "
+        f"class Leaf {{ {' '.join(attrs[a] for a in order)} ref Leaf[*] peers; }} "
+        f"class Branch extends Leaf {{ val Node[*] more; }}", "leaves")
+
+
+class TestGeneratedDumper:
+    """The dumpers generated from validate_model's rows write what
+    ref_dump_model writes, whatever class a slot's value has."""
+
+    def test_classes_alike_in_two_metamodels(self):
+        """Two metamodels whose classes share names and shapes, and two
+        whose Leaf orders its attributes the other way round: each class
+        gets its own dumper, and every model dumps in its own order."""
+        mms = [leaf_language(), leaf_language(), leaf_language(("size", "name"))]
+        models = []
+        for mm in mms:
+            node, leaf = mm.classifier("Node"), mm.classifier("Leaf")
+            a = ModelObject(leaf, name="a", size=1)
+            root = ModelObject(node, name="n", kids=[a, ModelObject(leaf, size=2, peers=[a])])
+            root.set("one", ModelObject(leaf, name="b"))
+            models.append(Model(root, mm))
+        for m in [*models, *reversed(models)]:
+            assert dump_model(m) == ref_dump_model(m)
+        assert 'size = 1\n      name = "a"' in dump_model(models[2])
+        assert 'name = "a"\n      size = 1' in dump_model(models[0])
+        dumpers = [mm.classifier("Node").tables().dump for mm in mms]
+        assert len(set(dumpers)) == 3
+        for mm, dumper in zip(mms, dumpers):  # each inlines its own Leaf
+            assert {v for v in dumper.__globals__.values() if isinstance(v, MetaClass)} == {
+                mm.classifier("Leaf")}
+
+    def test_a_leaf_slot_holding_a_subclass_or_a_stranger(self):
+        """A Leaf slot holding a Branch, whose containment holds Nodes, or an
+        object of a class in no metamodel, is written by that class's dumper."""
+        mm = leaf_language()
+        node, leaf, branch = (mm.classifier(n) for n in ("Node", "Leaf", "Branch"))
+        stranger = MetaClass("Leaf", features=[
+            MetaAttribute("name", 0, 1, type=STRING),
+            MetaReference("kids", 0, UNBOUNDED, type=leaf, containment=True)])
+        inner = ModelObject(node, name="inner", kids=[ModelObject(leaf, name="x")])
+        b = ModelObject(branch, name="b", size=3, more=[inner])
+        s = ModelObject(stranger, name="s", kids=[ModelObject(leaf, name="y"), b])
+        root = ModelObject(node, kids=[ModelObject(leaf, name="a"), b, s])
+        root.set("one", ModelObject(branch, more=[ModelObject(node, link=b)]))
+        m = Model(root, mm)
+        assert dump_model(m) == ref_dump_model(m)
+        text = dump_model(m)
+        assert "    Branch #3 {\n" in text and "    Leaf #6 {\n" in text
+        assert '  one = Branch #' in text and text.count("Branch #3 {") == 2
+        assert ("model-unknown-class", "class Leaf is not in the metamodel", "/kids[2]") in [
+            (d.code, d.message, d.path) for d in validate_model(m)]
+
+    @pytest.mark.parametrize("alternate", [False, True])
+    def test_a_deep_chain_through_a_list(self, alternate):
+        """A chain 1,000 deep under a recursion limit of 150, each link the
+        one item of a list: Nodes alone, or Nodes and Branches in turn, each
+        Node with a Leaf written inline before its Branch. No dumper
+        recurses. (5,000 links through lists would write 238 MB of
+        indentation; TestDepth dumps 5,000 through a single slot.)"""
+        depth = 1000
+        if alternate:
+            mm = leaf_language()
+            node, leaf, branch = (mm.classifier(n) for n in ("Node", "Leaf", "Branch"))
+            chain = [ModelObject(branch if k % 2 else node) for k in range(depth)]
+            for k, (parent, child) in enumerate(zip(chain, chain[1:])):
+                if k % 2:
+                    parent.set("more", [child])
+                else:
+                    parent.set("kids", [ModelObject(leaf, size=k), child])
+        else:
+            mm, node = deep_mm()
+            chain = [ModelObject(node, name=str(k)) for k in range(depth)]
+            for parent, child in zip(chain, chain[1:]):
+                parent.set("kids", [child])
+        chain[-1].set("name", "last")
+        m = Model(chain[0], mm)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            text = dump_model(m)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert text == ref_dump_model(m)
+        assert f'{"  " * (2 * depth - 1)}name = "last"\n' in text
+
+    def test_a_shared_leaf_child(self):
+        """A Leaf held by two slots and written inline at each is numbered
+        once; a Leaf held twice in one list too."""
+        mm = leaf_language()
+        node, leaf = mm.classifier("Node"), mm.classifier("Leaf")
+        a = ModelObject(leaf, name="a", size=1)
+        m = Model(ModelObject(node, kids=[a, ModelObject(leaf, name="b"), a], one=a, link=a), mm)
+        text = dump_model(m)
+        assert text == ref_dump_model(m)
+        assert text.count("Leaf #2 {") == 3 and "Leaf #3 {" in text and "Leaf #4" not in text
+        assert "link = -> #2" in text
+
+    def test_threads_dump_a_fresh_metamodel(self):
+        """Eight threads make the first dumps of one metamodel's classes at
+        once: each may generate a dumper, and all write the reference's text."""
+        mm = leaf_language()
+        node, leaf, branch = (mm.classifier(n) for n in ("Node", "Leaf", "Branch"))
+        a = ModelObject(leaf, name="a")
+        inner = ModelObject(node, kids=[ModelObject(leaf, size=1), a], link=a)
+        m = Model(ModelObject(node, kids=[a, ModelObject(branch, more=[inner])]), mm)
+        want = ref_dump_model(m)
+        assert node.tables().dump is None
+        barrier, got = threading.Barrier(8, timeout=60), [None] * 8
+
+        def dump(i):
+            barrier.wait()
+            got[i] = [dump_model(m) for _ in range(20)]
+
+        threads = [threading.Thread(target=dump, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[want] * 20] * 8
+        assert node.tables().dump and branch.tables().dump  # every Leaf was written inline
+        assert leaf.tables().dump is None
+
+    def test_alike_classes_compile_once_and_show_their_lines(self):
+        """A second language whose classes have the same shapes compiles no
+        new dump code. A value format_literal refuses stops a dump in the
+        generated line that writes it, which tracebacks show (linecache)."""
+        mm, node, _ = slots_language()
+        m = Model(ModelObject(node, n=1, kids=[ModelObject(node, names=["a"])]), mm)
+        assert dump_model(m) == ref_dump_model(m)
+        compiled = grammar_module._compiled.cache_info().misses
+        again, node2, _ = slots_language()
+        m2 = Model(ModelObject(node2, n=2, kids=[ModelObject(node2, ns=[1])]), again)
+        assert dump_model(m2) == ref_dump_model(m2)
+        assert grammar_module._compiled.cache_info().misses == compiled
+        dumper = node2.tables().dump
+        assert dumper is not node.tables().dump
+        assert dumper.__code__.co_filename.startswith("<mmdsl dump Node #")
+        assert inspect.getsource(dumper).startswith("def dump(o, pad, run):\n")
+        m2.root.slots["kids"][0].slots["n"] = 1.5
+        with pytest.raises(DiagnosticError) as exc:
+            dump_model(m2)
+        assert [d.message for d in exc.value.diagnostics] == [
+            "Node.n: value 1.5 does not fit attribute type int"]
+        refused = exc.value.__context__
+        assert isinstance(refused, TypeError)
+        frames = [(f.f_code.co_filename, n) for f, n in traceback.walk_tb(refused.__traceback__)]
+        lines = [linecache.getline(file, n).strip() for file, n in frames
+                 if file.startswith("<mmdsl dump Node #")]
+        assert lines == ["w(f'{pad}  n = {F(v)}')"]
+
+
 def slots_language():
     """A class with a slot of each shape, and a grammar that writes all but
     the cross references: (metamodel, the class, grammar)."""
@@ -851,6 +1021,14 @@ def test_canonical_dumps_are_read_line_by_line(sample_dumps, loader_calls):
     assert dump_model(load_model(relaid, mm, extra_metamodels=extra)) == text
     assert loader_calls == [1]
 
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("ab\n", max_size=40), st.integers(0, 9))
+def test_the_line_reader_splits_as_str_split(text, size):
+    """_split's slices, each cut at a newline, hold the lines of
+    ``text.split("\\n")`` in order, whatever the slice size."""
+    assert list(itertools.chain.from_iterable(_split(text, size))) == text.split("\n")
 
 def test_a_second_load_builds_no_name_table(sample_dumps, monkeypatch):
     """load_model builds each package's name table once, from its sealed
