@@ -21,29 +21,28 @@ reference lines are filled in after the walk. A stand-in's qualified name is
 looked up once per dump.
 
 load_model has two readers, and the text alone picks one. The line reader
-(_read_lines) splits the text on newlines, a slice of about 64 KB at a time
-(_split), and reads each line, stripped of blanks, as exactly one construct in
-the layout dump_model writes, with no regex match but for a string that holds
-an escape. It declines, and returns nothing, on any other line (a comment, a
-construct split over lines or two on one) and wherever the loader would report
-a problem: an unknown class, feature or classifier, a duplicate or dangling
-id, several values in a single-valued feature, text after the root, or an
-integer int() refuses. Then _Loader reads the text from the start, in any
-layout. It makes no tokens: one anchored match reads one construct, blanks and
-comments allowed between its lexemes. The constructs: ``Class #n {``;
-``name =`` and a value (literal, ``->`` reference, object head or ``[``), or ``}``; a
-list item after an optional ``,``, or ``]``. Only when one fails is the text
-tokenized: a lexical error anywhere wins, as it did when every text was; else
-the tokens from the construct on are read one by one for the diagnostic. So
-_Loader is the only source of diagnostics. Both readers read names from the
-same tables, which hold only names the lexer reads as IDs.
+(_read_lines) splits the text on newlines once and reads each line, stripped
+of blanks, as exactly one construct in the layout dump_model writes, with no
+regex match but for a string that holds an escape. It declines, and returns
+nothing, on any other line (a comment, a construct split over lines or two on
+one) and wherever the loader would report a problem: an unknown class, feature
+or classifier, a duplicate or dangling id, several values in a single-valued
+feature, text after the root, or an integer int() refuses. Then _Loader reads
+the text from the start, in any layout. It makes no tokens: one anchored
+match reads one construct, blanks and comments allowed between its lexemes.
+The constructs: ``Class #n {``; ``name =`` and a value (literal, ``->``
+reference, object head or ``[``), or ``}``; a list item after an optional
+``,``, or ``]``. Only when one fails is the text tokenized: a lexical error
+anywhere wins, as it did when every text was; else the tokens from the
+construct on are read one by one for the diagnostic. So _Loader is the only
+source of diagnostics. Both readers read names from the same tables, which
+hold only names the lexer reads as IDs.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from itertools import chain
 
 from .grammar import _compiled, _run
 from .lexer import _SKIP, _STRING_OPEN, Lexer, TokenStream, format_literal, token_value
@@ -88,8 +87,7 @@ def dump_model(m: Model) -> str:
     validate_model's diagnostics (``meta.rejecting``)."""
     root = m.root
     out, ids, crosses, refs = [f"{root.cls.name} #1 {{"], {root: 1}, [], _StandIns(m.metamodel)
-    dumpers: dict[MetaClass, object] = {}
-    _run(_dumper(root.cls, dumpers)(root, "", (out, ids, set(), crosses, dumpers, refs)))
+    _run(_dumper(root.cls)(root, "", (out, ids, set(), crosses, refs)))
 
     def ref(v: ModelObject) -> str:
         return f"-> #{ids[v]}" if v.represents is None else refs[v]
@@ -112,15 +110,14 @@ class _StandIns(dict):
         return ref
 
 
-def _dumper(cls: MetaClass, dumpers: dict):
-    """``cls``'s dumper, generated on its first dump; ``dumpers`` keeps it for this dump."""
+def _dumper(cls: MetaClass):
+    """``cls``'s dumper, generated on its first dump and kept on its tables."""
     t = cls.tables()
     if t.dump is None:
         source = _DumpSource(cls)
         names = dict(source.names, __name__=__name__)
         exec(_compiled("dump", cls.name, source.text), names)
         t.dump = names["dump"]
-    dumpers[cls] = t.dump
     return t.dump
 
 
@@ -135,10 +132,10 @@ class _DumpSource:
     rows (``meta._checks``), as grammar._Code is of the parser.
     ``dump(o, pad, run)`` writes the lines of object ``o`` after the head
     its caller wrote at indent ``pad``, then its closing brace; ``run`` is
-    the dump's (lines, ids, open objects, queued cross references, dumpers
-    by class, stand-in references). Feature names and line prefixes are
-    literals. A string with no escape is written inline, any other value
-    through format_literal. A stand-in reference is written inline; any
+    the dump's (lines, ids, open objects, queued cross references,
+    stand-in references). Feature names and line prefixes are literals.
+    A string with no escape is written inline, any other value through
+    format_literal. A stand-in reference is written inline; any
     other cross reference is queued with its line, which dump_model fills
     in. A child whose class is its slot's type, where that type is
     concrete and has no containment, is written inline; any other child
@@ -152,7 +149,7 @@ class _DumpSource:
         rows = _checks(cls.tables())
         opens = any(exact is None and f.containment for f, *_, exact in rows)
         self.text = "\n".join([
-            "def dump(o, pad, run):", "    out, I, O, X, K, Q = run", "    w = out.append",
+            "def dump(o, pad, run):", "    out, I, O, X, Q = run", "    w = out.append",
             "    s = o.slots", *["    O.add(o)"] * opens,
             *["    " + x for x in self.fields(rows, "s", "v", "  ")],
             *["    O.discard(o)"] * opens, "    w(f'{pad}}}')", ""])
@@ -192,7 +189,7 @@ class _DumpSource:
         at = indent + "  " if many else indent  # the children's indent, past ``pad``
         c = "c" if many else v
         start = f"{{pad}}{at}" if many else head  # a child's head line, up to its class name
-        each = [f"d = K.get({c}.cls) or D({c}.cls, K)", f"if {c} in O: raise TypeError({c})",
+        each = [f"d = {c}.cls.tables().dump or D({c}.cls)", f"if {c} in O: raise TypeError({c})",
                 f"w(f'{start}{{{c}.cls.name}} #{{I.setdefault({c}, len(I) + 1)}} {{{{')",
                 f"r = d({c}, {'q' if many else f'pad + {at!r}'}, run)",
                 "if r is not None: yield r"]
@@ -236,7 +233,7 @@ def _read_lines(text: str, classes: dict, refs: dict, fields: dict) -> ModelObje
     this reader returns a root, load would return an equal one."""
     by_id, patches, up = {}, [], []  # the objects; the forward references; enclosing states
     obj, feats, feat, items = None, None, None, []  # the root is read as a list's item
-    lines, new = chain.from_iterable(_split(text)), object.__new__
+    lines, new = iter(text.split("\n")), object.__new__
     try:
         for line in lines:
             s = line.strip(_BLANKS)
@@ -319,17 +316,6 @@ def _read_lines(text: str, classes: dict, refs: dict, fields: dict) -> ModelObje
     except (LookupError, ValueError):  # an unknown name or id, a malformed line: the
         return None  # loader reads the text again and reports it
     return value
-
-
-def _split(text: str, size: int = 1 << 16):
-    """The lines of ``text``, as ``text.split("\\n")`` makes them, one list
-    per slice of about ``size`` characters cut at a newline, so a reader
-    holds one slice's lines at a time."""
-    start = 0
-    while (end := text.find("\n", start + size)) >= 0:
-        yield text[start:end].split("\n")
-        start = end + 1
-    yield text[start:].split("\n")
 
 
 def _set_list(obj: ModelObject, feat, values: list) -> bool:

@@ -692,9 +692,7 @@ class _Forward:
         plan, name = self.plan, ast_root.cls.name
         troot = ModelObject.__new__(ModelObject)  # as _MAKE makes one, without __init__
         troot.cls, troot.slots, troot.represents = plan.proto_for_image[name], {}, None
-        r = (plan.builders.get(name) or plan.builder(name))(ast_root, troot, scope, self)
-        if r is not None:
-            _run(r)
+        _run((plan.builders.get(name) or plan.builder(name))(ast_root, troot, scope, self))
         return troot
 
     def bind_object(self, obj: ModelObject, scope: Scope) -> Scope:

@@ -1,5 +1,4 @@
 import inspect
-import itertools
 import linecache
 import random
 import re
@@ -22,7 +21,7 @@ from mmdsl.meta import (
     ModelObject, Tree, builtin_ecore, classifier_object, classifier_qname,
     find_classifier_home, iter_tree, model_equals, validate_model,
 )
-from mmdsl.modeltext import _LEXER, _split, dump_model, load_model
+from mmdsl.modeltext import _LEXER, dump_model, load_model
 from mmdsl.transform import build_plan, namespace_registry, parse_config, transform_ast_to_model
 from mmdsl.xf import derive_ast_metamodel, parse_transformation
 
@@ -1021,14 +1020,6 @@ def test_canonical_dumps_are_read_line_by_line(sample_dumps, loader_calls):
     assert dump_model(load_model(relaid, mm, extra_metamodels=extra)) == text
     assert loader_calls == [1]
 
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.text("ab\n", max_size=40), st.integers(0, 9))
-def test_the_line_reader_splits_as_str_split(text, size):
-    """_split's slices, each cut at a newline, hold the lines of
-    ``text.split("\\n")`` in order, whatever the slice size."""
-    assert list(itertools.chain.from_iterable(_split(text, size))) == text.split("\n")
 
 def test_a_second_load_builds_no_name_table(sample_dumps, monkeypatch):
     """load_model builds each package's name table once, from its sealed
